@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 from .errors import ContractError, DepthError, DomainError
@@ -33,7 +35,6 @@ from .functional import (
     RecurrenceReport,
     mops_from_recurrence,
     moments_from_recurrence,
-    norm_squared,
     recurrence_from_moments,
 )
 from .poly import Polynomial
@@ -79,10 +80,6 @@ def _solve_first_gauge(
         _certify(const == target, "first-index gauge equation is inconsistent")
         return Fraction(0)
     return (target - const) / coef
-
-
-def _fraction_row(values) -> str:
-    return ",".join("" if v is None else format_rational(v) for v in values)
 
 
 def _report_csv(depth: int, third_name: str, columns: dict) -> str:
@@ -464,27 +461,19 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     p = mops_from_recurrence(u_rec, top + 2)
     q = mops_from_recurrence(v_rec, top + 2)
 
+    # <w, W_n^2> and <u, P_n^2> / u_mass for n < top, as prefix products
+    w_norms = list(accumulate(w_rec.gamma[: top - 1], mul, initial=Fraction(1)))
+    u_norms = list(accumulate(u_rec.gamma[: top - 1], mul, initial=Fraction(1)))
     b_seq: list = [None] * (top + 1)
     for n in range(1, top + 1):
-        b_seq[n] = (
-            -a_seq[n]
-            * norm_squared(w_rec, n - 1)
-            / (u_mass * norm_squared(u_rec, n - 1))
-        )
+        b_seq[n] = -a_seq[n] * w_norms[n - 1] / (u_mass * u_norms[n - 1])
 
     for n in range(1, top + 1):
-        _certify(
-            big_wt[n] == big_w[n] + a_seq[n] * big_w[n - 1],
-            f"up-link identity fails at n={n}",
-        )
-        _certify(
-            big_wt[n] == p[n] + b_seq[n] * p[n - 1],
-            f"down-link identity fails at n={n}",
-        )
-        _certify(
-            big_w[n] + a_seq[n] * big_w[n - 1] == p[n] + b_seq[n] * p[n - 1],
-            f"2-2 link identity fails at n={n}",
-        )
+        up = big_w[n] + a_seq[n] * big_w[n - 1]
+        down = p[n] + b_seq[n] * p[n - 1]
+        _certify(big_wt[n] == up, f"up-link identity fails at n={n}")
+        _certify(big_wt[n] == down, f"down-link identity fails at n={n}")
+        _certify(up == down, f"2-2 link identity fails at n={n}")
         _certify(
             q[n] == big_w[n] + c_seq[n] * big_w[n - 1],
             f"second-family link identity fails at n={n}",
@@ -543,9 +532,9 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
 
     norm_link = True
     for n in range(1, depth + 1):
-        qn_sq = v_raw.apply(q[n] * q[n])
-        lhs_w = c_seq[n] * norm_squared(w_rec, n - 1)
-        lhs_u = -(c_seq[n] / a_seq[n]) * b_seq[n] * u_mass * norm_squared(u_rec, n - 1)
+        qn_sq = v_raw.apply_square(q[n])
+        lhs_w = c_seq[n] * w_norms[n - 1]
+        lhs_u = -(c_seq[n] / a_seq[n]) * b_seq[n] * u_mass * u_norms[n - 1]
         if qn_sq != lhs_w or qn_sq != lhs_u:
             norm_link = False
             break

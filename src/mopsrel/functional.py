@@ -20,13 +20,15 @@ principal Hankel determinant and reports how far regularity was certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional
 
 from .errors import DepthError, DomainError, FormatError
 from .poly import Polynomial
-from .rational import as_scalar, format_rational
+from .rational import as_scalar, common_denominator, format_rational
 
 
 class MomentFunctional:
@@ -53,7 +55,30 @@ class MomentFunctional:
             raise DepthError(
                 f"apply needs moments through {p.degree}, have depth {self.depth}"
             )
-        return sum((c * self.moments[k] for k, c in enumerate(p.coeffs)), Fraction(0))
+        if p.is_zero:
+            return Fraction(0)
+        q, dq = p._nums, p._den
+        m, dm = common_denominator(self.moments[: len(q)])
+        return Fraction(sum(map(mul, q, m)), dq * dm)
+
+    def apply_square(self, p: Polynomial) -> Fraction:
+        """<u, p^2>, as the Hankel form sum_i sum_j p_i p_j mu_{i+j}; no
+        product polynomial is built. Requires 2 deg p <= depth."""
+        if 2 * p.degree > self.depth:
+            raise DepthError(
+                f"apply_square needs moments through {2 * p.degree}, have depth {self.depth}"
+            )
+        if p.is_zero:
+            return Fraction(0)
+        q, dq = p._nums, p._den
+        n = len(q)
+        m, dm = common_denominator(self.moments[: 2 * n - 1])
+        # the form is symmetric: diagonal terms once, the others twice
+        total = 0
+        for i, x in enumerate(q):
+            if x:
+                total += x * (x * m[2 * i] + 2 * sum(map(mul, q[i + 1 :], m[2 * i + 1 : i + n])))
+        return Fraction(total, dq * dq * dm)
 
     def scale(self, factor) -> "MomentFunctional":
         k = as_scalar(factor)
@@ -195,22 +220,48 @@ class RecurrencePair:
 
 
 def mops_from_recurrence(rec: RecurrencePair, count: int) -> list[Polynomial]:
-    """The first ``count`` polynomials P_0..P_{count-1} of the recurrence."""
+    """The first ``count`` polynomials P_0..P_{count-1} of the recurrence.
+
+    Each step runs on the integer numerators of P_n and P_{n-1} over their
+    denominators and costs one lcm and one gcd reduction of the content.
+    """
     if count < 1:
         raise DepthError("count must be >= 1")
     if count >= 2:
         rec.require(count - 2, max(count - 2, 0))
     polys = [Polynomial.one()]
-    prev = Polynomial.zero()
-    x = Polynomial.x()
+    prev, prev_den = [0], 1  # P_{n-1} = prev / prev_den
+    cur, den = [1], 1  # P_n = cur / den
     for n in range(count - 1):
-        shift = x - Polynomial.constant(rec.beta[n])
-        nxt = shift * polys[-1]
-        if n >= 1:
-            nxt = nxt - rec.gamma[n - 1] * prev
-        prev = polys[-1]
-        polys.append(nxt)
+        # x P_n, beta_n P_n and gamma_n P_{n-1} as lists of length n + 2
+        nxt, d = _three_term(
+            [0] + cur, cur + [0], den, rec.beta[n],
+            prev + [0, 0], prev_den, rec.gamma[n - 1] if n else 0,
+        )
+        prev, prev_den, cur, den = cur, den, nxt, d
+        # P_{n+1} is monic, so its last coefficient is nonzero
+        polys.append(Polynomial._canonical(tuple(nxt), d))
     return polys
+
+
+def _three_term(x: list, y: list, den: int, b, z: list, den_z: int, g) -> tuple[list, int]:
+    """The step shared by the recurrence and the sigma recursion: the
+    integer vector and denominator of (x - b y) / den - g z / den_z, with
+    the content divided out. x and y have one length, z is no shorter."""
+    bn, bd = b.numerator, b.denominator
+    out = [bd * u - bn * v for u, v in zip(x, y)]
+    d = den * bd
+    if g:
+        dg = den_z * g.denominator
+        common = math.lcm(d, dg)
+        s1, s2 = common // d, (common // dg) * g.numerator
+        out = [s1 * u - s2 * v for u, v in zip(out, z)]
+        d = common
+    content = math.gcd(d, *out)
+    if content > 1:
+        out = [u // content for u in out]
+        d //= content
+    return out, d
 
 
 def check_simple_set(polys: list[Polynomial]) -> None:
@@ -226,9 +277,14 @@ def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional
 
     Uses the weighted lattice-path recursion: if x^n = sum_k c_k P_k then
     c'_j = c_{j-1} + beta_j c_j + gamma_{j+1} c_{j+1} gives the expansion of
-    x^{n+1}, and mu_n is the P_0 component. Components above level depth//2
-    can never return to level 0 in time, so only beta_0..beta_{depth//2} and
-    gamma_1..gamma_{depth//2} are consumed.
+    x^{n+1}, and mu_n is the P_0 component. After n steps only levels
+    j <= min(n, depth - n) matter: higher levels are still zero or can no
+    longer return to level 0 in time. So the sweep covers that triangle
+    and consumes only beta_0..beta_{depth//2} and gamma_1..gamma_{depth//2}.
+
+    All coefficients are put over one integer L, the components are kept as
+    integers over one denominator, and each step ends with one gcd
+    reduction of that vector.
     """
     if depth < 0:
         raise DepthError("depth must be >= 0")
@@ -237,20 +293,24 @@ def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional
     for n in range(1, cap + 1):
         if rec.gamma[n - 1] == 0:
             raise DomainError(f"gamma_{n} = 0: recurrence not regular through {cap}")
-    comp = [Fraction(0)] * (cap + 2)
-    comp[0] = Fraction(1)
+    # beta_j = B[j] / L and gamma_j = G[j] / L; G is padded with zeros at
+    # both ends so level cap + 1 contributes nothing
+    B, L = common_denominator(rec.beta[: cap + 1] + rec.gamma[:cap])
+    G = [0] + B[cap + 1 :] + [0]
+    B = B[: cap + 1]
+    comp, den = [1], 1  # comp[j] / den is the P_j component of x^n
     moments = [Fraction(1)]
-    for _ in range(depth):
-        nxt = [Fraction(0)] * (cap + 2)
-        for j in range(cap + 1):
-            val = rec.beta[j] * comp[j] if j < len(rec.beta) else Fraction(0)
-            if j >= 1:
-                val += comp[j - 1]
-            if j + 1 <= cap:
-                val += rec.gamma[j] * comp[j + 1]
-            nxt[j] = val
+    for n in range(1, depth + 1):
+        top = min(n, depth - n)
+        c = [0] + comp + [0] * (top + 2 - len(comp))
+        nxt = [L * c[j] + B[j] * c[j + 1] + G[j + 1] * c[j + 2] for j in range(top + 1)]
+        den *= L
+        g = math.gcd(den, *nxt)
+        if g > 1:
+            nxt = [v // g for v in nxt]
+            den //= g
         comp = nxt
-        moments.append(comp[0])
+        moments.append(Fraction(comp[0], den))
     return MomentFunctional(moments)
 
 
@@ -279,6 +339,10 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
                       - gamma_{k-1} sigma_{k-2,l},
     and sigma_{k,k} = Delta_k / Delta_{k-1}, which the recursion watches for
     zeros instead of evaluating determinants.
+
+    Each row sigma_{k,k..} is kept fraction-free, as integers over one row
+    denominator (in the manner of Bareiss elimination), and is reduced by
+    one gcd of the whole row; beta and gamma are the only Fractions built.
     """
     mu = f.moments
     n_max = f.depth
@@ -292,19 +356,19 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
             first_vanishing=0,
             checked_through=0,
         )
-    # row[i] holds sigma_{k, k+i}
-    row_prev: list[Fraction] = []
-    row = list(mu)
+    # row[i] / den holds sigma_{k, k+i}; row_prev / den_prev the row k - 1
+    row_prev: list[int] = []
+    den_prev = 1
+    row, den = common_denominator(mu)
     if n_max >= 1:
         beta.append(mu[1] / mu[0])
     for k in range(1, k_max + 1):
         width = n_max - 2 * k
-        nxt = []
-        for j in range(width + 1):
-            val = row[j + 2] - beta[k - 1] * row[j + 1]
-            if k >= 2:
-                val -= gamma[k - 2] * row_prev[j + 2]
-            nxt.append(val)
+        # sigma_{k-1, k+1+j}, sigma_{k-1, k+j} and sigma_{k-2, k+j}, j <= width
+        nxt, d = _three_term(
+            row[2:], row[1:-1], den, beta[k - 1],
+            row_prev[2 : width + 3], den_prev, gamma[k - 2] if k >= 2 else 0,
+        )
         if nxt[0] == 0:
             return RecurrenceReport(
                 rec=RecurrencePair(beta[:k], gamma),
@@ -312,10 +376,11 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
                 first_vanishing=k,
                 checked_through=k,
             )
-        gamma.append(nxt[0] / row[0])
+        gamma.append(Fraction(nxt[0] * den, d * row[0]))
         if width >= 1:
-            beta.append(nxt[1] / nxt[0] - row[1] / row[0])
-        row_prev, row = row, nxt
+            # sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
+            beta.append(Fraction(nxt[1] * row[0] - row[1] * nxt[0], nxt[0] * row[0]))
+        row_prev, den_prev, row, den = row, den, nxt, d
     return RecurrenceReport(
         rec=RecurrencePair(beta, gamma),
         regular_through=k_max,

@@ -1,33 +1,62 @@
 """Exact dense univariate polynomials over the rationals.
 
-Coefficients are stored ascending by degree as a tuple of Fractions. The
-canonical form has no trailing zeros, so the zero polynomial is the empty
-tuple and ``degree`` of zero is -1.
+A polynomial is stored as integer numerators over one common denominator,
+the layout of FLINT's fmpq_poly: sum_k nums[k] / den x^k with den > 0,
+gcd(den, nums[0], nums[1], ...) == 1 and no trailing zero numerator. That
+form is canonical, so equality compares integers and arithmetic runs on
+Python ints, reducing by one gcd per result instead of one per Fraction
+operation. ``coeffs``, the coefficients ascending by degree as a tuple of
+Fractions, is built from it on first use. The zero polynomial has no
+numerators and ``degree`` -1.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import FormatError
-from .rational import as_scalar, format_rational
-
-Scalar = Fraction
-
-
-def _normalize(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+from .rational import as_scalar, common_denominator, format_rational
 
 
 class Polynomial:
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = _normalize([as_scalar(c) for c in coeffs])
+        values = [as_scalar(c) for c in coeffs]
+        while values and values[-1] == 0:
+            values.pop()
+        nums, den = common_denominator(values)
+        # the least common denominator of reduced Fractions leaves no content
+        self._nums, self._den, self._coeffs = tuple(nums), den, tuple(values)
+
+    @classmethod
+    def _canonical(cls, nums: tuple, den: int) -> "Polynomial":
+        """Wrap numerators and a denominator already in canonical form."""
+        p = object.__new__(cls)
+        p._nums, p._den, p._coeffs = nums, den, None
+        return p
+
+    @classmethod
+    def _reduced(cls, nums: list, den: int) -> "Polynomial":
+        """The polynomial sum nums[k] / den x^k for any den > 0: trims
+        trailing zeros (in place) and divides out the common content."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums = [c // g for c in nums]
+            den //= g
+        return cls._canonical(tuple(nums), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients ascending by degree, with no trailing zero."""
+        if self._coeffs is None:
+            d = self._den
+            self._coeffs = tuple([Fraction(c, d) for c in self._nums])
+        return self._coeffs
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -53,73 +82,78 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._nums) and self._nums[-1] == self._den
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k, zero beyond the stored degree."""
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self._nums):
             return self.coeffs[k]
         return Fraction(0)
 
     def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(as_scalar(other))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            other = Polynomial.constant(other)
+        return _sum(self, other, 1)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._canonical(tuple([-c for c in self._nums]), self._den)
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(as_scalar(other))
-        return self + (-other)
+            other = Polynomial.constant(other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial([c * as_scalar(other) for c in self.coeffs])
+        if not isinstance(other, Polynomial):
+            return _scale(self, as_scalar(other))
+        if self.is_zero or other.is_zero:
+            return Polynomial.zero()
+        a, b = self._nums, other._nums
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Polynomial._reduced(out, self._den * other._den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __call__(self, point) -> Fraction:
         x0 = as_scalar(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        if not self._nums:
+            return Fraction(0)
+        p, q = x0.numerator, x0.denominator
+        # Horner on p/q: acc = sum_k nums[k] p^k q^(deg - k)
+        acc, qpow = 0, 1
+        for c in reversed(self._nums):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, self._den * (qpow // q))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Polynomial)
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def to_json(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
@@ -154,13 +188,39 @@ class Polynomial:
         return " ".join(parts)
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
+def _sum(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
+    """p + sign * q over the least common denominator of the two."""
+    a, da = p._nums, p._den
+    b, db = q._nums, q._den
+    if sign < 0:
+        b = [-c for c in b]
+    if da != db:
+        d = math.lcm(da, db)
+        sa, sb = d // da, d // db
+        a = [sa * c for c in a] if sa > 1 else a
+        b = [sb * c for c in b] if sb > 1 else b
+        da = d
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return Polynomial._reduced(out, da)
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def poly_eval(p: Polynomial, point) -> Fraction:
-    return p(point)
+def _scale(p: Polynomial, c: Fraction) -> Polynomial:
+    """c * p. As p is canonical, the content of the result is
+    gcd(c.numerator, den) * gcd(c.denominator, nums): two gcds against the
+    scalar instead of one against every coefficient."""
+    if not c or p.is_zero:
+        return Polynomial.zero()
+    cn, cd = c.numerator, c.denominator
+    g_num = math.gcd(cn, p._den)
+    g_den = math.gcd(cd, *p._nums)
+    cn //= g_num
+    nums = p._nums
+    if g_den > 1:
+        nums = [x // g_den for x in nums]
+    return Polynomial._canonical(
+        tuple([cn * x for x in nums]), (p._den // g_num) * (cd // g_den)
+    )

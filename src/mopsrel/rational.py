@@ -7,23 +7,36 @@ through floats.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import FormatError
 
 RATIONAL_PATTERN = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-_RATIONAL_RE = RATIONAL_PATTERN
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not RATIONAL_PATTERN.match(text):
         raise FormatError(f"not a rational string of the form p or p/q: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        # the interpreter's limit on decimal digits in an int conversion
+        raise FormatError(
+            f"rational string of {len(text)} characters is too long: {exc}"
+        ) from exc
 
 
 def format_rational(value: Fraction) -> str:
     return str(value)
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of ``values``:
+    values[i] == nums[i] / den, with den > 0 (den is 1 for no values)."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def as_scalar(value) -> Fraction:

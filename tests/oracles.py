@@ -2,8 +2,9 @@
 
 These deliberately use different algorithms from the library: determinants
 by exact Gaussian elimination, moments by explicit enumeration of weighted
-lattice paths, and orthogonal polynomials by the Hankel determinant
-formula. Slow but trustworthy; keep the sizes small.
+lattice paths or by solving the triangular orthogonality system, and
+orthogonal polynomials by the Hankel determinant formula. All of it is plain
+Fraction arithmetic. Slow but trustworthy; keep the sizes small.
 """
 
 from fractions import Fraction
@@ -68,6 +69,27 @@ def path_moments(beta, gamma, depth: int) -> list:
             if not dead and lvl == 0:
                 total += weight
         out.append(total)
+    return out
+
+
+def orthogonality_moments(beta, gamma, depth: int) -> list:
+    """mu_0..mu_depth with mu_0 = 1 from orthogonality alone: P_k is built
+    as a plain coefficient list from the recurrence, and <u, P_k> = 0 with
+    P_k monic gives mu_k = -sum_{i<k} P_k[i] mu_i for k >= 1. Uses
+    beta_0..beta_{depth-1} and gamma_1..gamma_{depth-1}; polynomial time."""
+    prev, cur = [], [Fraction(1)]
+    out = [Fraction(1)]
+    for k in range(1, depth + 1):
+        b = Fraction(beta[k - 1])
+        nxt = [Fraction(0)] + cur
+        for i, c in enumerate(cur):
+            nxt[i] -= b * c
+        if k >= 2:
+            g = Fraction(gamma[k - 2])
+            for i, c in enumerate(prev):
+                nxt[i] -= g * c
+        prev, cur = cur, nxt
+        out.append(-sum((cur[i] * out[i] for i in range(k)), Fraction(0)))
     return out
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import sys
 
 import pytest
 
@@ -96,6 +97,21 @@ def test_malformed_inputs(tmp_path, capsys):
 
     code, _, err = run(capsys, ["classify", str(tmp_path / "missing.json")])
     assert code == 2 and "cannot read" in err
+
+
+# the interpreter's cap on decimal digits in an int conversion (0: no cap)
+DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_CAP, reason="no int digit cap in this interpreter")
+def test_oversized_integer_is_input_error(tmp_path, capsys):
+    digits = "9" * max(5000, DIGIT_CAP + 1)
+    doc = {"relation": {"r": ["0", "1"], "s": ["0", digits], "t": ["0", "0"]}}
+    path = write_doc(tmp_path, "huge.json", doc)
+    code, out, err = run(capsys, ["classify", path])
+    assert code == 2 and out == ""
+    assert f"rational string of {len(digits)} characters is too long" in err
+    assert "Traceback" not in err
 
 
 def test_source_count_validation(tmp_path, capsys, combined_doc):

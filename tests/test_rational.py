@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -34,3 +35,16 @@ def test_as_scalar_coercions():
         as_scalar(0.5)
     with pytest.raises(FormatError):
         as_scalar(None)
+
+
+# the interpreter's cap on decimal digits in an int conversion (0: no cap)
+DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_CAP, reason="no int digit cap in this interpreter")
+def test_parse_reports_oversized_integer_as_format_error():
+    digits = "7" * (DIGIT_CAP + 700)
+    with pytest.raises(FormatError, match=f"{len(digits)} characters"):
+        parse_rational(digits)
+    with pytest.raises(FormatError, match=f"{len(digits) + 2} characters"):
+        parse_rational("1/" + digits)
