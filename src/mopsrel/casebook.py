@@ -38,7 +38,7 @@ from .functional import (
     recurrence_from_moments,
 )
 from .poly import Polynomial
-from .rational import as_scalar, format_rational
+from .rational import as_scalar, format_rational, format_sequence
 from .relation23 import (
     Failure,
     FunctionalRelation,
@@ -48,8 +48,8 @@ from .relation23 import (
     check_by_constants,
     check_by_equations,
     classify,
+    compose_ladders,
     constant_sequences,
-    induced_recurrence,
     regularity_criterion,
     relation_constants,
     v_moments_from_relation,
@@ -64,34 +64,66 @@ def _certify(condition: bool, what: str) -> None:
         raise ContractError(f"internal consistency: {what}")
 
 
-def _solve_first_gauge(
-    beta0, beta1, gamma1, r2, s2, t2, diff1, target
-) -> Fraction:
-    """The defining relation pins only s_1 - r_1; the split enters the
-    induced gamma~_1 linearly. Solve for the r_1 that matches the known
-    second family; a degenerate equation admits any split, so take 0."""
-    bt0 = beta0 - diff1
-    bt1 = beta1 + diff1 - s2 + r2
-    k1 = s2 - diff1 - beta1 + beta0
-    k2 = r2 - bt1 + bt0
-    coef = k1 - k2 - diff1
-    const = gamma1 - t2 + diff1 * k1
-    if coef == 0:
-        _certify(const == target, "first-index gauge equation is inconsistent")
-        return Fraction(0)
-    return (target - const) / coef
+def _certify_relation(
+    rel: Relation23, p: list, q: list, u_rec: RecurrencePair, u: MomentFunctional,
+    depth: int, q_rec: RecurrencePair, v_known: MomentFunctional, identity_depth: int,
+):
+    """Certify a composed relation between the MOPS (P_n) of u and the
+    family (Q_n) whose recurrence ``q_rec`` and normalized moments
+    ``v_known`` are known: the 2-3 identity, both checkers' verdicts, the
+    induced recurrence, the constancy triple against the closed forms, the
+    moments recovered from the functional identity, and the identity itself
+    through ``identity_depth``."""
+    r, s, t = rel.r, rel.s, rel.t
+    for n in range(1, rel.max_index + 1):
+        lhs = q[n] + r[n] * q[n - 1]
+        rhs = p[n] + s[n] * p[n - 1]
+        if n >= 2:
+            rhs = rhs + t[n] * p[n - 2]
+        _certify(lhs == rhs, f"2-3 relation fails as a polynomial identity at n={n}")
+
+    verdict_eq = check_by_equations(u_rec, rel, depth)
+    verdict_ct = check_by_constants(u_rec, rel, depth)
+    _certify(verdict_eq.is_mops, "equation checker rejects the generated family")
+    _certify(verdict_ct.is_mops, "constancy checker rejects the generated family")
+    _certify(
+        verdict_eq.induced.beta[: depth + 1] == q_rec.beta[: depth + 1]
+        and verdict_eq.induced.gamma[:depth] == q_rec.gamma[:depth],
+        "induced recurrence does not match the second family",
+    )
+
+    constants = relation_constants(u_rec, rel)
+    _certify(
+        verdict_ct.constants == (constants.a, constants.b, constants.c),
+        "constancy triple disagrees with the closed-form constants",
+    )
+    v = v_moments_from_relation(u, constants, verdict_eq.induced.beta[0])
+    _certify(
+        v.moments[: u.depth + 1] == v_known.moments[: u.depth + 1],
+        "moments recovered from the functional identity differ from the second family's",
+    )
+    moment_identity = verify_functional_relation(u, v_known, constants, identity_depth)
+    _certify(moment_identity[0], "functional identity fails on the moments")
+    return verdict_eq, verdict_ct, constants, moment_identity
 
 
-def _report_csv(depth: int, third_name: str, columns: dict) -> str:
+def _report_csv(report, third_name: str, third: tuple) -> str:
+    """One row per index 0..depth of a positive report: the ladders, the
+    relation, the induced recurrence and the constancy expressions."""
     header = [
         "n", "a_n", "b_n", third_name, "r_n", "s_n", "t_n",
         "beta_tilde_n", "gamma_tilde_n", "A_n", "B_n", "C_n",
     ]
+    induced = report.verdict_equations.induced
+    columns = (
+        report.a_seq, report.b_seq, third, report.rel.r, report.rel.s, report.rel.t,
+        induced.beta, (None,) + induced.gamma,
+        *constant_sequences(report.u_rec, report.rel, report.depth),
+    )
     lines = [",".join(header)]
-    for n in range(depth + 1):
+    for n in range(report.depth + 1):
         row = [str(n)]
-        for key in ("a", "b", "third", "r", "s", "t", "bt", "gt", "A", "B", "C"):
-            seq = columns[key]
+        for seq in columns:
             v = seq[n] if n < len(seq) else None
             row.append("" if v is None else format_rational(v))
         lines.append(",".join(row))
@@ -121,9 +153,9 @@ class ChebyshevCaseReport:
             "case": "chebyshev",
             "depth": self.depth,
             "point_mass_ratio": format_rational(self.point_mass_ratio),
-            "a": [None if v is None else format_rational(v) for v in self.a_seq],
-            "b": [None if v is None else format_rational(v) for v in self.b_seq],
-            "lambda": [None if v is None else format_rational(v) for v in self.lambda_seq],
+            "a": format_sequence(self.a_seq),
+            "b": format_sequence(self.b_seq),
+            "lambda": format_sequence(self.lambda_seq),
             "relation": self.rel.to_json(),
             "u_recurrence": self.u_rec.to_json(),
             "classification": RelationTag.NONDEGENERATE23.value,
@@ -138,24 +170,7 @@ class ChebyshevCaseReport:
         }
 
     def to_csv(self) -> str:
-        A, B, C = constant_sequences(self.u_rec, self.rel, self.depth)
-        return _report_csv(
-            self.depth,
-            "lambda_n",
-            {
-                "a": self.a_seq,
-                "b": self.b_seq,
-                "third": self.lambda_seq,
-                "r": self.rel.r,
-                "s": self.rel.s,
-                "t": self.rel.t,
-                "bt": self.verdict_equations.induced.beta,
-                "gt": (None,) + self.verdict_equations.induced.gamma,
-                "A": A,
-                "B": B,
-                "C": C,
-            },
-        )
+        return _report_csv(self, "lambda_n", self.lambda_seq)
 
 
 def _chebyshev_ladder(count: int) -> tuple[list, list, list]:
@@ -218,63 +233,17 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
         "2-2 ladder family does not match the MOPS of u",
     )
 
-    rho = [None, None] + [
-        (b[n] - lam[n]) / (b[n - 1] - lam[n - 1]) for n in range(2, top + 1)
-    ]
-    r: list = [Fraction(0)] * (top + 1)
-    s: list = [Fraction(0)] * (top + 1)
-    t: list = [Fraction(0)] * (top + 1)
-    for n in range(2, top + 1):
-        r[n] = b[n - 1] * rho[n]
-        s[n] = a[n] + lam[n - 1] * rho[n]
-        t[n] = a[n - 1] * lam[n - 1] * rho[n]
-    diff1 = a[1] - b[1] + lam[1]
-    r[1] = _solve_first_gauge(
-        u_rec.beta[0], u_rec.beta[1], u_rec.gamma[0],
-        r[2], s[2], t[2], diff1, fourth_rec.gamma[0],
-    )
-    s[1] = r[1] + diff1
-    rel = Relation23(r, s, t)
-
-    for n in range(1, top + 1):
-        lhs = fourth[n] + r[n] * fourth[n - 1]
-        rhs = p[n] + s[n] * p[n - 1]
-        if n >= 2:
-            rhs = rhs + t[n] * p[n - 2]
-        _certify(lhs == rhs, f"2-3 relation fails as a polynomial identity at n={n}")
-
-    _certify(
-        classify(rel).tag is RelationTag.NONDEGENERATE23,
-        "relation does not classify as non-degenerate",
-    )
-    verdict_eq = check_by_equations(u_rec, rel, depth)
-    verdict_ct = check_by_constants(u_rec, rel, depth)
-    _certify(verdict_eq.is_mops, "equation checker rejects the generated family")
-    _certify(verdict_ct.is_mops, "constancy checker rejects the generated family")
-    _certify(
-        verdict_eq.induced.beta[: depth + 1] == fourth_rec.beta[: depth + 1]
-        and verdict_eq.induced.gamma[:depth] == fourth_rec.gamma[:depth],
-        "induced recurrence does not match the fourth-kind family",
-    )
-
-    constants = relation_constants(u_rec, rel)
-    _certify(
-        verdict_ct.constants == (constants.a, constants.b, constants.c),
-        "constancy triple disagrees with the closed-form constants",
-    )
-    v = v_moments_from_relation(u, constants, verdict_eq.induced.beta[0])
+    rel = compose_ladders(a, b, lam)
     fourth_moments = moments_from_recurrence(chebyshev_kind(4, u.depth // 2 + 2), u.depth)
-    _certify(
-        v.moments[: u.depth + 1] == fourth_moments.moments[: u.depth + 1],
-        "moments recovered from the functional identity differ from the fourth kind",
+    verdict_eq, verdict_ct, constants, moment_identity = _certify_relation(
+        rel, p, fourth, u_rec, u, depth, fourth_rec, fourth_moments, u.depth - 2
     )
-    moment_identity = verify_functional_relation(u, v, constants, u.depth - 2)
-    _certify(moment_identity[0], "functional identity fails on the moments")
 
     regularity = regularity_criterion(p, 1, rel, depth)
     shifted = recurrence_from_moments(
         u.left_multiply(Polynomial([-1, 1]))
     )
+    r, s, t = rel.r, rel.s, rel.t
     odd_ok = all(
         t[n] == r[n] * (s[n - 1] - r[n - 1]) for n in range(3, depth + 1, 2)
     )
@@ -337,9 +306,9 @@ class JacobiChainReport:
             return out
         out.update(
             {
-                "a": [None if v is None else format_rational(v) for v in self.a_seq],
-                "b": [None if v is None else format_rational(v) for v in self.b_seq],
-                "c": [None if v is None else format_rational(v) for v in self.c_seq],
+                "a": format_sequence(self.a_seq),
+                "b": format_sequence(self.b_seq),
+                "c": format_sequence(self.c_seq),
                 "relation": self.rel.to_json(),
                 "u_recurrence": self.u_rec.to_json(),
                 "v_recurrence": self.v_rec.to_json(),
@@ -360,24 +329,7 @@ class JacobiChainReport:
         if not self.ok:
             cond = self.failure.condition if self.failure else "unknown"
             return f"failure,n\n{cond},{'' if self.failure is None or self.failure.n is None else self.failure.n}\n"
-        A, B, C = constant_sequences(self.u_rec, self.rel, self.depth)
-        return _report_csv(
-            self.depth,
-            "c_n",
-            {
-                "a": self.a_seq,
-                "b": self.b_seq,
-                "third": self.c_seq,
-                "r": self.rel.r,
-                "s": self.rel.s,
-                "t": self.rel.t,
-                "bt": self.verdict_equations.induced.beta,
-                "gt": (None,) + self.verdict_equations.induced.gamma,
-                "A": A,
-                "B": B,
-                "C": C,
-            },
-        )
+        return _report_csv(self, "c_n", self.c_seq)
 
 
 def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
@@ -479,56 +431,14 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
             f"second-family link identity fails at n={n}",
         )
 
-    r: list = [Fraction(0)] * (top + 1)
-    s: list = [Fraction(0)] * (top + 1)
-    t: list = [Fraction(0)] * (top + 1)
-    for n in range(2, top + 1):
-        rho = (a_seq[n] - c_seq[n]) / (a_seq[n - 1] - c_seq[n - 1])
-        r[n] = a_seq[n - 1] * rho
-        s[n] = b_seq[n] + c_seq[n - 1] * rho
-        t[n] = b_seq[n - 1] * c_seq[n - 1] * rho
-    diff1 = b_seq[1] + c_seq[1] - a_seq[1]
-    r[1] = _solve_first_gauge(
-        u_rec.beta[0], u_rec.beta[1], u_rec.gamma[0],
-        r[2], s[2], t[2], diff1, v_rec.gamma[0],
-    )
-    s[1] = r[1] + diff1
-    rel = Relation23(r, s, t)
-
-    for n in range(1, top + 1):
-        lhs = q[n] + r[n] * q[n - 1]
-        rhs = p[n] + s[n] * p[n - 1]
-        if n >= 2:
-            rhs = rhs + t[n] * p[n - 2]
-        _certify(lhs == rhs, f"2-3 relation fails as a polynomial identity at n={n}")
-
+    rel = compose_ladders(b_seq, a_seq, c_seq)
     case = classify(rel)
     if case.tag is not RelationTag.NONDEGENERATE23:
         return fail(f"relation_degenerate_{case.tag.value}")
-
-    verdict_eq = check_by_equations(u_rec, rel, depth)
-    verdict_ct = check_by_constants(u_rec, rel, depth)
-    _certify(verdict_eq.is_mops, "equation checker rejects the chain family")
-    _certify(verdict_ct.is_mops, "constancy checker rejects the chain family")
-    _certify(
-        verdict_eq.induced.beta[: depth + 1] == v_rec.beta[: depth + 1]
-        and verdict_eq.induced.gamma[:depth] == v_rec.gamma[:depth],
-        "induced recurrence does not match the second family",
-    )
-
-    constants = relation_constants(u_rec, rel)
-    _certify(
-        verdict_ct.constants == (constants.a, constants.b, constants.c),
-        "constancy triple disagrees with the closed-form constants",
+    verdict_eq, verdict_ct, constants, moment_identity = _certify_relation(
+        rel, p, q, u_rec, u, depth, v_rec, v, depth
     )
     _certify(constants.lam == -u_mass / v_mass, "lambda disagrees with the mass ratio")
-    v_from_rel = v_moments_from_relation(u, constants, verdict_eq.induced.beta[0])
-    _certify(
-        v_from_rel.moments[: u.depth + 1] == v.moments[: u.depth + 1],
-        "moments recovered from the functional identity differ from v",
-    )
-    moment_identity = verify_functional_relation(u, v, constants, depth)
-    _certify(moment_identity[0], "functional identity fails on the moments")
 
     norm_link = True
     for n in range(1, depth + 1):

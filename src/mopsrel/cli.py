@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -44,6 +45,12 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# options of ``example`` that take a rational, possibly negative: argparse
+# reads a value such as "-1/4" as an option flag, so ``main`` joins it to
+# its option as "--a1=-1/4"
+RATIONAL_OPTIONS = ("--alpha", "--beta", "--a1", "--c1")
+NEGATIVE_VALUE = re.compile(r"^-\d")
 
 
 @dataclass(frozen=True)
@@ -311,8 +318,19 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _join_negative_values(argv: list) -> list:
+    joined: list = []
+    for arg in argv:
+        if joined and joined[-1] in RATIONAL_OPTIONS and NEGATIVE_VALUE.match(arg):
+            joined[-1] = f"{joined[-1]}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_values(argv))
     config = _config_from(args)
     code = _dispatch(config)
     # run metadata goes to stderr so the payload stays byte-reproducible

@@ -32,6 +32,11 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def format_sequence(values) -> list:
+    """``format_rational`` of each entry; None (an undefined entry) stays."""
+    return [None if v is None else format_rational(v) for v in values]
+
+
 def common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator of ``values``:
     values[i] == nums[i] / den, with den > 0 (den is 1 for no values)."""

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 from .errors import ContractError, DepthError, DomainError, FormatError
 from .functional import MomentFunctional, RecurrencePair
 from .poly import Polynomial
-from .rational import as_scalar, format_rational
+from .rational import as_scalar, format_rational, format_sequence
 
 
 class Relation23:
@@ -97,10 +97,7 @@ class RelationCase:
     reduced: dict
 
     def to_json(self) -> dict:
-        reduced = {
-            key: [None if v is None else format_rational(v) for v in seq]
-            for key, seq in self.reduced.items()
-        }
+        reduced = {key: format_sequence(seq) for key, seq in self.reduced.items()}
         return {"tag": self.tag.value, "reduced": reduced}
 
 
@@ -161,6 +158,39 @@ def generate_q(p: list[Polynomial], rel: Relation23) -> list[Polynomial]:
             cur = cur + rel.t[n] * p[n - 2]
         q.append(cur - rel.r[n] * q[n - 1])
     return q
+
+
+def compose_ladders(a, b, l) -> Relation23:
+    """The 2-3 relation between (P_n) and (Q_n) when both are ladders over
+    one family (R_n): the 2-2 ladder P_n + a_n P_{n-1} = R_n + b_n R_{n-1}
+    and the 1-2 ladder Q_n = R_n + l_n R_{n-1}. The ladders are sequences
+    indexed 1..top (index 0 unused); the relation runs through top, with
+
+        rho_n = (b_n - l_n) / (b_{n-1} - l_{n-1}),
+        r_n = b_{n-1} rho_n,  s_n = a_n + l_{n-1} rho_n,
+        t_n = a_{n-1} l_{n-1} rho_n                        (n >= 2).
+
+    At n = 1 the identity pins only s_1 - r_1 = a_1 - b_1 + l_1. Nothing
+    else depends on the split either (the induced beta~_0 and gamma~_1 see
+    only the difference), so r_1 = 0.
+    """
+    a, b, l = ([None] + [as_scalar(v) for v in seq[1:]] for seq in (a, b, l))
+    top = min(len(a), len(b), len(l)) - 1
+    if top < 2:
+        raise DepthError("ladder coefficients required through index 2")
+    r = [Fraction(0)] * (top + 1)
+    s = [Fraction(0)] * (top + 1)
+    t = [Fraction(0)] * (top + 1)
+    s[1] = a[1] - b[1] + l[1]
+    for n in range(2, top + 1):
+        gap = b[n - 1] - l[n - 1]
+        if gap == 0:
+            raise DomainError(f"b_{n - 1} = l_{n - 1}: the ladders do not compose at n={n}")
+        rho = (b[n] - l[n]) / gap
+        r[n] = b[n - 1] * rho
+        s[n] = a[n] + l[n - 1] * rho
+        t[n] = a[n - 1] * l[n - 1] * rho
+    return Relation23(r, s, t)
 
 
 def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> RecurrencePair:
@@ -259,8 +289,10 @@ class InverseVerdict:
         return out
 
 
-def _gate_nondegenerate(rec: RecurrencePair, rel: Relation23, depth: int, hyp_through: int):
-    """Common admission control for the two checkers."""
+def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
+    """What the two checkers share: admission of the data, the induced
+    recurrence and the auxiliary sequences through ``upto``, and the
+    conditions gamma~_n != 0 (n <= depth) and ci1-ci3."""
     if depth < 4:
         raise DepthError("inverse-problem checks need depth >= 4")
     case = classify(rel)
@@ -269,20 +301,14 @@ def _gate_nondegenerate(rec: RecurrencePair, rel: Relation23, depth: int, hyp_th
             f"relation classifies as {case.tag.value}; the inverse checkers "
             "accept only NonDegenerate23 data"
         )
-    rel.require(hyp_through)
-    for n in range(3, hyp_through + 1):
+    rel.require(depth + 1)
+    for n in range(3, depth + 2):
         if rel.r[n] == 0:
             raise ContractError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
         if rel.t[n] == 0:
             raise ContractError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
-
-
-def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
-    """Orthogonality of the generated family, decided through the
-    coefficient equations. Consumes relation indices through depth + 1."""
-    _gate_nondegenerate(rec, rel, depth, depth + 1)
-    induced = induced_recurrence(rec, rel, depth)
-    aux = auxiliary_sequences(rec, rel, depth, induced)
+    induced = induced_recurrence(rec, rel, upto)
+    aux = auxiliary_sequences(rec, rel, upto, induced)
     r, s, t = rel.r, rel.s, rel.t
     a, b, c, d = aux
     failures: list[Failure] = []
@@ -295,6 +321,14 @@ def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
         failures.append(Failure("ci2", 3))
     if c[3] - b[3] * (s[1] - r[1]) != a[3] * (t[2] - s[2] * (s[1] - r[1])):
         failures.append(Failure("ci3", 3))
+    return induced, aux, failures
+
+
+def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
+    """Orthogonality of the generated family, decided through the
+    coefficient equations. Consumes relation indices through depth + 1."""
+    induced, (a, b, c, d), failures = _prelude(rec, rel, depth, depth)
+    r, s, t = rel.r, rel.s, rel.t
     for n in range(4, depth + 1):
         if b[n] != a[n] * s[n - 1]:
             failures.append(Failure("eqn1", n))
@@ -305,24 +339,11 @@ def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
     return InverseVerdict(not failures, induced, tuple(failures))
 
 
-def constant_sequences(
-    rec: RecurrencePair, rel: Relation23, depth: int
-) -> tuple[list, list, list]:
-    """The three expressions whose constancy characterizes orthogonality,
-    as lists with seq[n] defined for 3 <= n <= depth (None below).
-
-    Consumes relation indices through depth + 2 and recurrence coefficients
-    through depth + 1; every r_n, t_n divided by must be nonzero.
-    """
-    if depth < 3:
-        raise DepthError("constant sequences start at n = 3")
-    rel.require(depth + 2)
-    rec.require(depth + 1, depth + 1)
-    induced = induced_recurrence(rec, rel, depth)
-    aux = auxiliary_sequences(rec, rel, depth + 1, induced_recurrence(rec, rel, depth + 1))
+def _constancy(rec: RecurrencePair, rel: Relation23, depth: int, induced, a):
+    """A_n, B_n, C_n for 3 <= n <= depth from the induced recurrence and
+    a_n, both through depth + 1."""
     r, s, t = rel.r, rel.s, rel.t
     beta, gamma = rec.beta, rec.gamma
-    a = aux.a
     A: list = [None] * (depth + 1)
     B: list = [None] * (depth + 1)
     C: list = [None] * (depth + 1)
@@ -344,37 +365,42 @@ def constant_sequences(
     return A, B, C
 
 
+def constant_sequences(
+    rec: RecurrencePair, rel: Relation23, depth: int
+) -> tuple[list, list, list]:
+    """The three expressions whose constancy characterizes orthogonality,
+    as lists with seq[n] defined for 3 <= n <= depth (None below).
+
+    Consumes relation indices through depth + 2 and recurrence coefficients
+    through depth + 1; every r_n, t_n divided by must be nonzero.
+    """
+    if depth < 3:
+        raise DepthError("constant sequences start at n = 3")
+    rel.require(depth + 2)
+    rec.require(depth + 1, depth + 1)
+    induced = induced_recurrence(rec, rel, depth + 1)
+    aux = auxiliary_sequences(rec, rel, depth + 1, induced)
+    return _constancy(rec, rel, depth, induced, aux.a)
+
+
 def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
     """Orthogonality of the generated family, decided through the startup
     condition and constancy of A_n, B_n, C_n for 3 <= n <= depth. Consumes
     relation indices through depth + 2."""
-    _gate_nondegenerate(rec, rel, depth, depth + 1)
-    induced = induced_recurrence(rec, rel, depth)
-    aux = auxiliary_sequences(rec, rel, depth + 1, induced_recurrence(rec, rel, depth + 1))
-    r, s, t = rel.r, rel.s, rel.t
-    a, b, c, d = aux
-    failures: list[Failure] = []
-    for n in range(1, depth + 1):
-        if induced.gamma[n - 1] == 0:
-            failures.append(Failure("gamma_tilde", n))
-    if b[2] - d[2] != a[2] * (s[1] - r[1]):
-        failures.append(Failure("ci1", 2))
-    if b[3] - d[3] != a[3] * (s[2] - r[2]):
-        failures.append(Failure("ci2", 3))
-    if c[3] - b[3] * (s[1] - r[1]) != a[3] * (t[2] - s[2] * (s[1] - r[1])):
-        failures.append(Failure("ci3", 3))
-    if t[4] * rec.gamma[1] != a[4] * t[3]:
+    induced, aux, failures = _prelude(rec, rel, depth, depth + 1)
+    if rel.t[4] * rec.gamma[1] != aux.a[4] * rel.t[3]:
         failures.append(Failure("startup", 4))
-    A, B, C = constant_sequences(rec, rel, depth)
+    A, B, C = _constancy(rec, rel, depth, induced, aux.a)
+    before = len(failures)
     for name, seq in (("A_constant", A), ("B_constant", B), ("C_constant", C)):
         for n in range(4, depth + 1):
             if seq[n] != seq[3]:
                 failures.append(Failure(name, n))
-    constant = all(
-        all(seq[n] == seq[3] for n in range(4, depth + 1)) for seq in (A, B, C)
-    )
-    constants = (A[3], B[3], C[3]) if constant else None
-    return InverseVerdict(not failures, induced, tuple(failures), constants)
+    constants = (A[3], B[3], C[3]) if len(failures) == before else None
+    # bt_n and gt_n read indices n and n + 1 only, so the head is the
+    # recurrence induced through depth
+    head = RecurrencePair(induced.beta[: depth + 1], induced.gamma[:depth])
+    return InverseVerdict(not failures, head, tuple(failures), constants)
 
 
 @dataclass(frozen=True)
@@ -393,15 +419,6 @@ class FunctionalRelation:
             "a": format_rational(self.a),
             "b": format_rational(self.b),
         }
-
-    @classmethod
-    def from_json(cls, data) -> "FunctionalRelation":
-        return cls(
-            as_scalar(data["lambda"]),
-            as_scalar(data["c"]),
-            as_scalar(data["a"]),
-            as_scalar(data["b"]),
-        )
 
 
 def relation_constants(rec: RecurrencePair, rel: Relation23) -> FunctionalRelation:

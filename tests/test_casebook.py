@@ -11,6 +11,7 @@ from mopsrel import (
     FunctionalRelation,
     JacobiParams,
     chebyshev_case,
+    compose_ladders,
     generate_q,
     half_case_closed_forms,
     jacobi_chain,
@@ -100,6 +101,11 @@ def test_chebyshev_csv_shape(cheb):
     assert lines[1].startswith("0,,")
 
 
+def test_chebyshev_relation_is_the_ladder_composition(cheb):
+    rel = compose_ladders(cheb.a_seq, cheb.b_seq, cheb.lambda_seq)
+    assert (rel.r, rel.s, rel.t) == (cheb.rel.r, cheb.rel.s, cheb.rel.t)
+
+
 def test_jacobi_depth_guard():
     with pytest.raises(DepthError):
         jacobi_chain(JacobiParams("1/2", "1/2"), 2, -2, 4)
@@ -134,6 +140,12 @@ def test_jacobi_relation_collapses_onto_ladder(chain):
     assert chain.rel.s[1] - chain.rel.r[1] == (
         chain.b_seq[1] + chain.c_seq[1] - chain.a_seq[1]
     )
+
+
+def test_jacobi_relation_is_the_ladder_composition(chain):
+    # P_n + b_n P_{n-1} = W_n + a_n W_{n-1} and Q_n = W_n + c_n W_{n-1}
+    rel = compose_ladders(chain.b_seq, chain.a_seq, chain.c_seq)
+    assert (rel.r, rel.s, rel.t) == (chain.rel.r, chain.rel.s, chain.rel.t)
 
 
 def test_jacobi_verdicts_and_constants(chain):

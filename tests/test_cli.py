@@ -1,6 +1,7 @@
 """End-to-end drives of the command line front end via main(argv)."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import sys
@@ -324,3 +325,88 @@ def test_flattened_csv_output(tmp_path, capsys, combined_doc):
     lines = out.splitlines()
     assert lines[0] == "key,value"
     assert "functional_relation.lambda,3/2" in lines
+
+
+def run_exit(capsys, argv):
+    """Like run, but an argparse refusal (SystemExit) counts as its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--a1", "-1/4"), ("--c1", "-1/3"), ("--alpha", "-1/2"), ("--beta", "-1/3")],
+)
+def test_negative_fraction_option_value(capsys, option, value):
+    base = ["example", "jacobi-chain", "--depth", "6"]
+    joined = run_exit(capsys, base + [f"{option}={value}"])
+    spaced = run_exit(capsys, base + [option, value])
+    assert spaced == joined
+    assert joined[0] in (0, 1) and joined[1]
+
+
+COMBINED = "COMBINED"  # placeholder for the combined document's path
+JACOBI_SETS = {
+    "half": ["--alpha=1/2", "--beta=1/2", "--a1=2", "--c1=-2"],
+    "generic": ["--alpha=1/3", "--beta=2/7", "--a1=3", "--c1=-5"],
+    "inadmissible": ["--alpha=1/2", "--beta=1/2", "--a1=2", "--c1=2"],
+}
+CSV = ["--format", "csv"]
+FLOAT = ["--mode", "float"]
+# sha256 of stdout, recorded before the ladder composition and the checker
+# prelude were factored out; any change to a payload byte fails here
+GOLDEN = [
+    (["example", "chebyshev", "--depth", "6"], 0,
+     "ee5a13f613f6868f04a2184632803f6e35d9870e22cd1a6efd89bcf5ce60eb4a"),
+    (["example", "chebyshev", "--depth", "6"] + CSV, 0,
+     "3de99381322d874ec625e69fa975518ceddd83e2fb44ffaeed56aa648b624958"),
+    (["example", "chebyshev", "--depth", "6"] + FLOAT, 0,
+     "008828d9e5755e2722c3717001c3104d407946d7f2a54c9368d87f48ce2c5abf"),
+    (["example", "chebyshev", "--depth", "6"] + CSV + FLOAT, 0,
+     "2185c8b5cc75b8a264ff50f5337a83c0315cbed975c4534ab7b1147137ecae33"),
+    (["example", "chebyshev", "--depth", "12"], 0,
+     "9ce16791e8f02b302413499c1da9a984a837e1aa6129263901de42810cd481c0"),
+    (["example", "chebyshev", "--depth", "12"] + CSV, 0,
+     "cd8cebec72aa014f7c4a49ffa5ad3bcc7381c6969a779acc3f02571400195fae"),
+    (["example", "chebyshev", "--depth", "12"] + FLOAT, 0,
+     "ee0f9ca0242d011bdc85eeb4278f956c393decdcd31e3ff562ce841fdd9ae924"),
+    (["example", "chebyshev", "--depth", "12"] + CSV + FLOAT, 0,
+     "d4797d3630b7c3e0c1daa5cd7e2a30766b1e3ff72a6f9718000a19cad7a93220"),
+    (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["half"], 0,
+     "fde1c1f5f87d164c3ebea190f905d5097f3eec4c0decba779b2784dd66ae0435"),
+    (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["half"] + CSV, 0,
+     "11c39848e8ea11d37ebd583b3b1559000fbe3833a1837ab989a7557eac7c244c"),
+    (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["generic"], 0,
+     "48c7e3cafd1a2ee922e27aaca9c6ef30c91f76d52918f25a7cace825803266da"),
+    (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["generic"] + CSV, 0,
+     "6287709d60f964e8f06898dbdd6ea372db95e33e61701ede78aed56bb41ae6ec"),
+    (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["inadmissible"], 1,
+     "4bf1376fa86f092652134820442a3fe65b97e3c6ec01a6fa4c4e67d24d191fb9"),
+    (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["inadmissible"] + CSV, 1,
+     "a3203bcdd00e5aaabce375d7554520a02423c2af0111321cbff59a393d953f99"),
+    (["classify", COMBINED], 0,
+     "617713a43370bd900e1d42c003de04da421bc7ed1c23fb1b61c50f80b4e9168d"),
+    (["classify"] + CSV + [COMBINED], 0,
+     "7aecfd0d67d17131ba6db697dfd302449bded5c4ab7c155e1953acce8e539817"),
+    (["inverse-check", "--depth", "6", COMBINED], 0,
+     "24d565e08fb63f1218667e8ba73fa2d7d6394ca1652001e7c9b356dceceb5d86"),
+    (["inverse-check", "--depth", "6"] + CSV + [COMBINED], 0,
+     "4264f02b1ac66bc7a6e577e24276355a456cafcae316fef6969505e6406e4853"),
+    (["constants", "--depth", "6", COMBINED], 0,
+     "677ebcdc854cbc3235c26a4d4e08f1fa5b7ca5e2d75762b499eb0512cd11ca3e"),
+    (["constants", "--depth", "6"] + CSV + [COMBINED], 0,
+     "bbd208a118863c1e5ec01ed8267cf113e6a0a21c95fdc83b6ceb795d56dde1a5"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN, ids=[" ".join(case[0]) for case in GOLDEN]
+)
+def test_golden_payload_digest(tmp_path, capsys, combined_doc, argv, code, digest):
+    path = write_doc(tmp_path, "combined.json", combined_doc)
+    got, out, _ = run(capsys, [path if a == COMBINED else a for a in argv])
+    assert got == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -4,14 +4,18 @@ import pytest
 
 from mopsrel import (
     ContractError,
+    DepthError,
     DomainError,
     FormatError,
+    Polynomial,
+    RecurrencePair,
     Relation23,
     RelationTag,
     check_by_constants,
     check_by_equations,
     chebyshev_case,
     classify,
+    compose_ladders,
     generate_q,
     induced_recurrence,
     jacobi_chain,
@@ -23,7 +27,7 @@ from mopsrel import (
     v_moments_from_relation,
     verify_functional_relation,
 )
-from conftest import rel_from7, random_gated_instance
+from conftest import rel_from7, random_fraction, random_gated_instance
 
 
 def test_convention_enforced():
@@ -184,3 +188,105 @@ def test_regularity_criterion_needs_data():
     p = mops_from_recurrence(rep.u_rec, 7)
     no_root, no_index = regularity_criterion(p, 1, rep.rel, 6)
     assert no_root is False and no_index is False
+
+
+def random_ladders(rng, top: int):
+    """2-2 ladder (a_n, b_n) and 1-2 ladder l_n for 1 <= n <= top, with
+    b_n != l_n throughout."""
+    a, b, l = [None], [None], [None]
+    for _ in range(top):
+        a.append(random_fraction(rng))
+        b.append(random_fraction(rng))
+        l.append(random_fraction(rng))
+        while l[-1] == b[-1]:
+            l[-1] = random_fraction(rng)
+    return a, b, l
+
+
+def test_compose_ladders_regenerates_the_ladder_family(rng):
+    for _ in range(25):
+        top = rng.randint(2, 12)
+        rec = RecurrencePair(
+            [random_fraction(rng) for _ in range(top)],
+            [random_fraction(rng, nonzero=True) for _ in range(top)],
+        )
+        big_r = mops_from_recurrence(rec, top + 1)
+        a, b, l = random_ladders(rng, top)
+        p, q = [Polynomial.one()], [Polynomial.one()]
+        for n in range(1, top + 1):
+            p.append(big_r[n] + b[n] * big_r[n - 1] - a[n] * p[n - 1])
+            q.append(big_r[n] + l[n] * big_r[n - 1])
+        rel = compose_ladders(a, b, l)
+        assert rel.max_index == top
+        assert generate_q(p, rel) == q
+
+
+def test_compose_ladders_refuses_equal_link_coefficients():
+    a = [None, 1, 2, 3, 4, 5]
+    b = [None, 1, 1, 2, 3, 1]
+    l = [None, 2, 3, 4, 3, 2]  # b_4 = l_4
+    assert compose_ladders(a, b, l[:5]).max_index == 4
+    with pytest.raises(DomainError, match="b_4 = l_4.*n=5"):
+        compose_ladders(a, b, l)
+    with pytest.raises(DepthError):
+        compose_ladders(a[:2], b[:2], l[:2])
+
+
+def test_first_index_split_is_immaterial(rng):
+    """Only s_1 - r_1 reaches the induced recurrence, the closed forms and
+    both checkers, which is why compose_ladders may fix r_1 = 0."""
+    for _ in range(10):
+        rec, rel = random_gated_instance(rng, 8)
+        shift = random_fraction(rng, nonzero=True)
+        moved = Relation23(
+            (0, rel.r[1] + shift) + rel.r[2:], (0, rel.s[1] + shift) + rel.s[2:], rel.t
+        )
+        assert induced_recurrence(rec, moved, 8) == induced_recurrence(rec, rel, 8)
+        assert check_by_equations(rec, moved, 8) == check_by_equations(rec, rel, 8)
+        assert check_by_constants(rec, moved, 8) == check_by_constants(rec, rel, 8)
+
+
+def test_checker_data_requirements_at_the_boundary(rng):
+    rec, rel = random_gated_instance(rng, 10)
+    depth = 8
+
+    def through(k):
+        return Relation23(rel.r[: k + 1], rel.s[: k + 1], rel.t[: k + 1])
+
+    check_by_equations(rec, through(depth + 1), depth)
+    with pytest.raises(DepthError, match=f"through index {depth + 2}"):
+        check_by_constants(rec, through(depth + 1), depth)
+    check_by_constants(rec, through(depth + 2), depth)
+    with pytest.raises(DepthError, match=f"through index {depth + 1}"):
+        check_by_equations(rec, through(depth), depth)
+
+
+def test_random_instances_agree_at_depth_120(rng):
+    for _ in range(20):
+        rec, rel = random_gated_instance(rng, 120)
+        eq = check_by_equations(rec, rel, 120)
+        ct = check_by_constants(rec, rel, 120)
+        assert eq.is_mops == ct.is_mops
+        assert eq.induced == ct.induced
+        # the triple is reported exactly when A_n, B_n and C_n are constant
+        assert (ct.constants is None) == any(
+            f.condition.endswith("_constant") for f in ct.failures
+        )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chebyshev_case(100),
+        lambda: jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 100),
+    ],
+    ids=["chebyshev", "jacobi-generic"],
+)
+def test_worked_cases_agree_at_depth_100(build):
+    rep = build()
+    eq = check_by_equations(rep.u_rec, rep.rel, 100)
+    ct = check_by_constants(rep.u_rec, rep.rel, 100)
+    assert eq.is_mops and ct.is_mops
+    assert eq.induced == ct.induced
+    fr = relation_constants(rep.u_rec, rep.rel)
+    assert ct.constants == (fr.a, fr.b, fr.c)
