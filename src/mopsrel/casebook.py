@@ -49,7 +49,6 @@ from .relation23 import (
     check_by_equations,
     classify,
     compose_ladders,
-    constant_sequences,
     regularity_criterion,
     relation_constants,
     v_moments_from_relation,
@@ -109,7 +108,8 @@ def _certify_relation(
 
 def _report_csv(report, third_name: str, third: tuple) -> str:
     """One row per index 0..depth of a positive report: the ladders, the
-    relation, the induced recurrence and the constancy expressions."""
+    relation, the induced recurrence and the constancy expressions that
+    the constancy checker built."""
     header = [
         "n", "a_n", "b_n", third_name, "r_n", "s_n", "t_n",
         "beta_tilde_n", "gamma_tilde_n", "A_n", "B_n", "C_n",
@@ -118,7 +118,7 @@ def _report_csv(report, third_name: str, third: tuple) -> str:
     columns = (
         report.a_seq, report.b_seq, third, report.rel.r, report.rel.s, report.rel.t,
         induced.beta, (None,) + induced.gamma,
-        *constant_sequences(report.u_rec, report.rel, report.depth),
+        *report.verdict_constants.constancy,
     )
     lines = [",".join(header)]
     for n in range(report.depth + 1):
@@ -234,7 +234,7 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     )
 
     rel = compose_ladders(a, b, lam)
-    fourth_moments = moments_from_recurrence(chebyshev_kind(4, u.depth // 2 + 2), u.depth)
+    fourth_moments = moments_from_recurrence(fourth_rec, u.depth)
     verdict_eq, verdict_ct, constants, moment_identity = _certify_relation(
         rel, p, fourth, u_rec, u, depth, fourth_rec, fourth_moments, u.depth - 2
     )
@@ -350,7 +350,10 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         )
 
     top = depth + 2
-    w_rec = jacobi_recurrence(params, depth + 6)
+    u_target = 2 * depth + 8
+    # one Jacobi recurrence serves the ladders, the moments of w (which
+    # read it through index depth + 4) and the family (W_n)
+    w_rec = jacobi_recurrence(params, depth + 7)
     beta0 = w_rec.beta[0]
 
     if a1 == 0:
@@ -385,10 +388,7 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         if a_seq[n] == c_seq[n]:
             return fail("link_coefficients_equal", n)
 
-    u_target = 2 * depth + 8
-    w = moments_from_recurrence(
-        jacobi_recurrence(params, u_target // 2 + 3), u_target + 1
-    )
+    w = moments_from_recurrence(w_rec, u_target + 1)
     w_tilde = w.scale(-1).divide_by_linear(1, 1 / mass_up)
     u_raw = w_tilde.left_multiply(Polynomial([1, 1]))
     _certify(u_raw.moments[0] == u_mass, "u mass disagrees with the closed form")
@@ -408,7 +408,7 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     if wt_report.first_vanishing is not None and wt_report.first_vanishing <= depth + 2:
         return fail("w_tilde_not_regular", wt_report.first_vanishing)
 
-    big_w = mops_from_recurrence(jacobi_recurrence(params, top + 2), top + 2)
+    big_w = mops_from_recurrence(w_rec, top + 2)
     big_wt = mops_from_recurrence(wt_report.rec, top + 2)
     p = mops_from_recurrence(u_rec, top + 2)
     q = mops_from_recurrence(v_rec, top + 2)

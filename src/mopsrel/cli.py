@@ -170,12 +170,6 @@ def _load_pair(config: RunConfig) -> tuple[RecurrencePair, Relation23]:
     return _recurrence_from(doc), _relation_from(doc)
 
 
-def _require_regular(rec: RecurrencePair, depth: int) -> None:
-    zero = rec.first_zero_gamma()
-    if zero is not None and zero <= depth + 1:
-        raise DomainError(f"recurrence gamma_{zero} is zero inside the working range")
-
-
 def _cmd_classify(config: RunConfig) -> int:
     doc = _load_document(config.sources[0])
     rel = _relation_from(doc)
@@ -186,7 +180,7 @@ def _cmd_classify(config: RunConfig) -> int:
 
 def _cmd_inverse_check(config: RunConfig) -> int:
     rec, rel = _load_pair(config)
-    _require_regular(rec, config.depth)
+    # the checkers refuse a zero gamma_n, n <= depth + 1, themselves
     verdict_eq = check_by_equations(rec, rel, config.depth)
     verdict_ct = check_by_constants(rec, rel, config.depth)
     agree = verdict_eq.is_mops == verdict_ct.is_mops
@@ -218,7 +212,8 @@ def _cmd_inverse_check(config: RunConfig) -> int:
 
 def _cmd_constants(config: RunConfig) -> int:
     rec, rel = _load_pair(config)
-    _require_regular(rec, config.depth)
+    # before relation_constants, which would name gamma_1 differently
+    rec.require_regular(config.depth + 1)
     fr = relation_constants(rec, rel)
     verdict = check_by_constants(rec, rel, config.depth)
     payload = {

@@ -35,20 +35,29 @@ def jacobi_recurrence(params: JacobiParams, count: int) -> RecurrencePair:
     """beta_0..beta_{count-1} and gamma_1..gamma_{count-1}."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    a, b = params.alpha, params.beta
+    # alpha = a / D and beta = b / D over D = lcm of their denominators,
+    # so each entry is one Fraction of integers; m = (2n + alpha + beta) D
+    alpha, beta = params.alpha, params.beta
+    D = math.lcm(alpha.denominator, beta.denominator)
+    a = alpha.numerator * (D // alpha.denominator)
+    b = beta.numerator * (D // beta.denominator)
     s = a + b
-    beta = [(b - a) / (s + 2)]
+    betas = [Fraction(b - a, s + 2 * D)]
+    diff = b * b - a * a
     for n in range(1, count):
-        beta.append((b * b - a * a) / ((2 * n + s) * (2 * n + s + 2)))
-    gamma = []
+        m = 2 * n * D + s
+        betas.append(Fraction(diff, m * (m + 2 * D)))
+    gammas = []
     if count >= 2:
-        gamma.append(4 * (1 + a) * (1 + b) / ((s + 2) ** 2 * (s + 3)))
+        m = s + 2 * D
+        gammas.append(Fraction(4 * D * (D + a) * (D + b), m * m * (m + D)))
     for n in range(2, count):
-        gamma.append(
-            4 * n * (n + a) * (n + b) * (n + s)
-            / ((2 * n + s - 1) * (2 * n + s) ** 2 * (2 * n + s + 1))
-        )
-    return RecurrencePair(beta, gamma)
+        m = 2 * n * D + s
+        gammas.append(Fraction(
+            4 * n * D * (n * D + a) * (n * D + b) * (n * D + s),
+            (m - D) * m * m * (m + D),
+        ))
+    return RecurrencePair(betas, gammas)
 
 
 _CHEBYSHEV_PARAMS = {

@@ -81,6 +81,9 @@ class MomentFunctional:
         return Fraction(total, dq * dq * dm)
 
     def scale(self, factor) -> "MomentFunctional":
+        # a product of reduced Fractions needs only the gcds against k's
+        # numerator and denominator, which are trivial for k = -1; over a
+        # common denominator every moment would pay a full gcd
         k = as_scalar(factor)
         return MomentFunctional([k * m for m in self.moments])
 
@@ -101,25 +104,27 @@ class MomentFunctional:
             raise DepthError(
                 f"left_multiply by degree {d} needs depth >= {d}, have {self.depth}"
             )
-        out = []
-        for n in range(self.depth - d + 1):
-            out.append(
-                sum(
-                    (c * self.moments[n + k] for k, c in enumerate(phi.coeffs)),
-                    Fraction(0),
-                )
-            )
-        return MomentFunctional(out)
+        q, dq = phi._nums, phi._den
+        m, dm = common_denominator(self.moments)
+        den = dq * dm
+        return MomentFunctional(
+            [Fraction(sum(map(mul, q, m[n : n + d + 1])), den) for n in range(self.depth - d + 1)]
+        )
 
     def add_point_mass(self, xi, mass) -> "MomentFunctional":
         """u + mass * delta_xi, where <delta_xi, p> = p(xi)."""
         x0 = as_scalar(xi)
-        m = as_scalar(mass)
+        k = as_scalar(mass)
+        m, dm = common_denominator(self.moments)
+        # mu_n + mass xi^n = (m_n p + q) / (dm p) with p = kd xd^n and
+        # q = dm kn xn^n
+        xn, xd = x0.numerator, x0.denominator
+        p, q = k.denominator, dm * k.numerator
         out = []
-        power = Fraction(1)
-        for mu in self.moments:
-            out.append(mu + m * power)
-            power *= x0
+        for v in m:
+            out.append(Fraction(v * p + q, dm * p))
+            p *= xd
+            q *= xn
         return MomentFunctional(out)
 
     def divide_by_linear(self, c, free_first_moment) -> "MomentFunctional":
@@ -130,9 +135,18 @@ class MomentFunctional:
         result is known one level deeper than u.
         """
         c0 = as_scalar(c)
-        out = [as_scalar(free_first_moment)]
-        for mu in self.moments:
-            out.append(c0 * out[-1] + mu)
+        f = as_scalar(free_first_moment)
+        m, dm = common_denominator(self.moments)
+        # nu_n = w / (fd dm cd^n): w <- cn w + m_n fd cd^(n+1), from w = fn dm
+        cn, cd = c0.numerator, c0.denominator
+        scale, den = f.denominator * cd, f.denominator * dm
+        w = f.numerator * dm
+        out = [f]
+        for v in m:
+            w = cn * w + v * scale
+            den *= cd
+            scale *= cd
+            out.append(Fraction(w, den))
         return MomentFunctional(out)
 
     def truncated(self, depth: int) -> "MomentFunctional":
@@ -190,11 +204,12 @@ class RecurrencePair:
                 f"need gamma through index {gamma_through}, have {len(self.gamma)}"
             )
 
-    def first_zero_gamma(self) -> Optional[int]:
-        for i, g in enumerate(self.gamma):
+    def require_regular(self, through: int) -> None:
+        """Refuse a zero gamma_n with n <= through: the family it defines
+        is not a MOPS there."""
+        for n, g in enumerate(self.gamma[:through], 1):
             if g == 0:
-                return i + 1
-        return None
+                raise DomainError(f"recurrence gamma_{n} is zero inside the working range")
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import mul
 
 from .errors import FormatError
 
@@ -29,7 +30,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError as exc:
+        # the interpreter's limit on decimal digits in an int conversion
+        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
+        raise FormatError(
+            f"a rational with {digits} decimal digits is too long to print: {exc}"
+        ) from exc
+
+
+def _decimal_digits(n: int) -> int:
+    n = abs(n)
+    d = int(n.bit_length() * math.log10(2))  # the count or one less
+    return d + (n >= 10**d)
 
 
 def format_sequence(values) -> list:
@@ -42,6 +56,22 @@ def common_denominator(values) -> tuple[list[int], int]:
     values[i] == nums[i] / den, with den > 0 (den is 1 for no values)."""
     den = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _parts(values) -> tuple[list[int], list[int]]:
+    """The numerators and the denominators of ``values``, as two lists."""
+    return [v.numerator for v in values], [v.denominator for v in values]
+
+
+def _lcm_sum(nums, dens) -> tuple[int, int]:
+    """sum(nums[i] / dens[i]) as the unreduced pair (numerator, L), where
+    L > 0 is the lcm of the nonzero denominators. ``Fraction(*_lcm_sum(...))``
+    reduces the sum once, and the numerator alone tells whether it is
+    zero: the integer kernels build their entries, and decide the
+    equalities whose sides they do not keep, this way instead of paying a
+    gcd per Fraction operation."""
+    den = math.lcm(*dens)
+    return sum(map(mul, nums, map(den.__floordiv__, dens))), den
 
 
 def as_scalar(value) -> Fraction:

@@ -37,7 +37,14 @@ from typing import NamedTuple, Optional
 from .errors import ContractError, DepthError, DomainError, FormatError
 from .functional import MomentFunctional, RecurrencePair
 from .poly import Polynomial
-from .rational import as_scalar, format_rational, format_sequence
+from .rational import (
+    _lcm_sum,
+    _parts,
+    as_scalar,
+    common_denominator,
+    format_rational,
+    format_sequence,
+)
 
 
 class Relation23:
@@ -182,14 +189,20 @@ def compose_ladders(a, b, l) -> Relation23:
     s = [Fraction(0)] * (top + 1)
     t = [Fraction(0)] * (top + 1)
     s[1] = a[1] - b[1] + l[1]
+    # rho_n = gap_n / gap_{n-1} with gap_n = b_n - l_n; each r_n, s_n, t_n
+    # is one Fraction built from the integer parts
+    gap = b[1] - l[1]
     for n in range(2, top + 1):
-        gap = b[n - 1] - l[n - 1]
         if gap == 0:
             raise DomainError(f"b_{n - 1} = l_{n - 1}: the ladders do not compose at n={n}")
-        rho = (b[n] - l[n]) / gap
-        r[n] = b[n - 1] * rho
-        s[n] = a[n] + l[n - 1] * rho
-        t[n] = a[n - 1] * l[n - 1] * rho
+        prev, gap = gap, b[n] - l[n]
+        rn = gap.numerator * prev.denominator
+        rd = gap.denominator * prev.numerator
+        bn, ln, an = b[n - 1], l[n - 1], a[n - 1]
+        r[n] = Fraction(bn.numerator * rn, bn.denominator * rd)
+        lrn, lrd = ln.numerator * rn, ln.denominator * rd
+        s[n] = Fraction(*_lcm_sum((a[n].numerator, lrn), (a[n].denominator, lrd)))
+        t[n] = Fraction(an.numerator * lrn, an.denominator * lrd)
     return Relation23(r, s, t)
 
 
@@ -201,21 +214,27 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
         raise DepthError("upto must be >= 0")
     rel.require(upto + 1)
     rec.require(upto, upto)
-    r, s, t = rel.r, rel.s, rel.t
-    beta = rec.beta
-    gamma = rec.gamma
-    bt = [
-        beta[n] + s[n] - s[n + 1] - r[n] + r[n + 1] for n in range(upto + 1)
-    ]
-    gt = []
-    for n in range(1, upto + 1):
-        gt.append(
-            gamma[n - 1]
-            + t[n]
-            - t[n + 1]
-            + s[n] * (s[n + 1] - s[n] - beta[n] + beta[n - 1])
-            - r[n] * (r[n + 1] - r[n] - bt[n] + bt[n - 1])
-        )
+    # numerators and denominators; every entry is one Fraction of integers.
+    # With z_n = s_{n+1} - s_n - beta_n the definitions read
+    #   bt_n = r_{n+1} - r_n - z_n,
+    #   gt_n = gamma_{n-1} + t_n - t_{n+1} + s_n (z_n + beta_{n-1})
+    #          - r_n (z_n + bt_{n-1})
+    r, rd = _parts(rel.r[: upto + 2])
+    s, sd = _parts(rel.s[: upto + 2])
+    t, td = _parts(rel.t[: upto + 2])
+    b, bd = _parts(rec.beta[: upto + 1])
+    g, gd = _parts(rec.gamma[:upto])
+    bt: list = []
+    gt: list = []
+    for n in range(upto + 1):
+        z, zd = _lcm_sum((s[n + 1], -s[n], -b[n]), (sd[n + 1], sd[n], bd[n]))
+        bt.append(Fraction(*_lcm_sum((r[n + 1], -r[n], -z), (rd[n + 1], rd[n], zd))))
+        if n:
+            prev = bt[n - 1]
+            gt.append(Fraction(*_lcm_sum(
+                (g[n - 1], t[n], -t[n + 1], s[n] * z, s[n] * b[n - 1], -r[n] * z, -r[n] * prev.numerator),
+                (gd[n - 1], td[n], td[n + 1], sd[n] * zd, sd[n] * bd[n - 1], rd[n] * zd, rd[n] * prev.denominator),
+            )))
     return RecurrencePair(bt, gt)
 
 
@@ -235,24 +254,33 @@ def auxiliary_sequences(
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
     rel.require(upto + 1)
     rec.require(upto, upto)
-    r, s, t = rel.r, rel.s, rel.t
-    beta, gamma = rec.beta, rec.gamma
+    # with z_n = s_{n+1} - s_n - beta_n:
+    #   a_n = gamma_{n-1} + t_n - t_{n+1} + s_n (z_n + beta_{n-1}),
+    #   b_n = s_n gamma_{n-2} + t_n (z_n + beta_{n-2}),
+    # each one Fraction of integers, as are the products c_n and d_n
+    s, sd = _parts(rel.s[: upto + 2])
+    t, td = _parts(rel.t[: upto + 2])
+    p, pd = _parts(rec.beta[: upto + 1])
+    g, gd = _parts(rec.gamma[:upto])
     a: list = [None] * (upto + 1)
     b: list = [None] * (upto + 1)
     c: list = [None] * (upto + 1)
     d: list = [None] * (upto + 1)
     for n in range(1, upto + 1):
-        a[n] = (
-            gamma[n - 1]
-            + t[n]
-            - t[n + 1]
-            + s[n] * (s[n + 1] - s[n] - beta[n] + beta[n - 1])
-        )
-    for n in range(2, upto + 1):
-        b[n] = s[n] * gamma[n - 2] + t[n] * (s[n + 1] - s[n] - beta[n] + beta[n - 2])
-        d[n] = r[n] * induced.gamma[n - 2]
-    for n in range(3, upto + 1):
-        c[n] = t[n] * gamma[n - 3]
+        z, zd = _lcm_sum((s[n + 1], -s[n], -p[n]), (sd[n + 1], sd[n], pd[n]))
+        a[n] = Fraction(*_lcm_sum(
+            (g[n - 1], t[n], -t[n + 1], s[n] * z, s[n] * p[n - 1]),
+            (gd[n - 1], td[n], td[n + 1], sd[n] * zd, sd[n] * pd[n - 1]),
+        ))
+        if n >= 2:
+            b[n] = Fraction(*_lcm_sum(
+                (s[n] * g[n - 2], t[n] * z, t[n] * p[n - 2]),
+                (sd[n] * gd[n - 2], td[n] * zd, td[n] * pd[n - 2]),
+            ))
+            rn, gt = rel.r[n], induced.gamma[n - 2]
+            d[n] = Fraction(rn.numerator * gt.numerator, rn.denominator * gt.denominator)
+        if n >= 3:
+            c[n] = Fraction(t[n] * g[n - 3], td[n] * gd[n - 3])
     return AuxiliarySequences(a, b, c, d)
 
 
@@ -266,10 +294,15 @@ class Failure(NamedTuple):
 
 @dataclass(frozen=True)
 class InverseVerdict:
+    """A checker's answer. ``constancy`` holds the lists A, B, C (defined
+    for 3 <= n <= depth) that ``check_by_constants`` tested, None from
+    ``check_by_equations``; it is not part of the JSON form."""
+
     is_mops: bool
     induced: RecurrencePair
     failures: tuple[Failure, ...]
     constants: Optional[tuple[Fraction, Fraction, Fraction]] = None
+    constancy: Optional[tuple[list, list, list]] = None
 
     def to_json(self) -> dict:
         out = {
@@ -291,10 +324,12 @@ class InverseVerdict:
 
 def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
     """What the two checkers share: admission of the data, the induced
-    recurrence and the auxiliary sequences through ``upto``, and the
-    conditions gamma~_n != 0 (n <= depth) and ci1-ci3."""
+    recurrence through ``depth``, the auxiliary sequences through ``upto``
+    (which read the induced gamma~ through upto - 2), and the conditions
+    gamma~_n != 0 (n <= depth) and ci1-ci3."""
     if depth < 4:
         raise DepthError("inverse-problem checks need depth >= 4")
+    rec.require_regular(depth + 1)
     case = classify(rel)
     if case.tag is not RelationTag.NONDEGENERATE23:
         raise ContractError(
@@ -307,7 +342,7 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
             raise ContractError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
         if rel.t[n] == 0:
             raise ContractError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
-    induced = induced_recurrence(rec, rel, upto)
+    induced = induced_recurrence(rec, rel, depth)
     aux = auxiliary_sequences(rec, rel, upto, induced)
     r, s, t = rel.r, rel.s, rel.t
     a, b, c, d = aux
@@ -315,11 +350,19 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
     for n in range(1, depth + 1):
         if induced.gamma[n - 1] == 0:
             failures.append(Failure("gamma_tilde", n))
-    if b[2] - d[2] != a[2] * (s[1] - r[1]):
+    # each condition "lhs = rhs" is decided by the numerator of lhs - rhs
+    (a2, a3, b2, b3, c3, d2, d3), (a2d, a3d, b2d, b3d, c3d, d2d, d3d) = _parts(
+        (a[2], a[3], b[2], b[3], c[3], d[2], d[3])
+    )
+    (r1, r2, s1, s2, t2), (r1d, r2d, s1d, s2d, t2d) = _parts((r[1], r[2], s[1], s[2], t[2]))
+    e, ed = _lcm_sum((s1, -r1), (s1d, r1d))  # s_1 - r_1
+    f, fd = _lcm_sum((s2, -r2), (s2d, r2d))  # s_2 - r_2
+    h, hd = _lcm_sum((t2, -s2 * e), (t2d, s2d * ed))  # t_2 - s_2 (s_1 - r_1)
+    if _lcm_sum((b2, -d2, -a2 * e), (b2d, d2d, a2d * ed))[0]:
         failures.append(Failure("ci1", 2))
-    if b[3] - d[3] != a[3] * (s[2] - r[2]):
+    if _lcm_sum((b3, -d3, -a3 * f), (b3d, d3d, a3d * fd))[0]:
         failures.append(Failure("ci2", 3))
-    if c[3] - b[3] * (s[1] - r[1]) != a[3] * (t[2] - s[2] * (s[1] - r[1])):
+    if _lcm_sum((c3, -b3 * e, -a3 * h), (c3d, b3d * ed, a3d * hd))[0]:
         failures.append(Failure("ci3", 3))
     return induced, aux, failures
 
@@ -327,41 +370,55 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
 def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
     """Orthogonality of the generated family, decided through the
     coefficient equations. Consumes relation indices through depth + 1."""
-    induced, (a, b, c, d), failures = _prelude(rec, rel, depth, depth)
+    induced, aux, failures = _prelude(rec, rel, depth, depth)
     r, s, t = rel.r, rel.s, rel.t
+    a, b, c, d = aux
     for n in range(4, depth + 1):
-        if b[n] != a[n] * s[n - 1]:
-            failures.append(Failure("eqn1", n))
-        if c[n] != a[n] * t[n - 1]:
-            failures.append(Failure("eqn2", n))
-        if d[n] != a[n] * r[n - 1]:
-            failures.append(Failure("eqn3", n))
+        # lhs = a_n k by cross-multiplication
+        an, ad = a[n].numerator, a[n].denominator
+        for name, lhs, k in (("eqn1", b[n], s[n - 1]), ("eqn2", c[n], t[n - 1]), ("eqn3", d[n], r[n - 1])):
+            if lhs.numerator * ad * k.denominator != an * k.numerator * lhs.denominator:
+                failures.append(Failure(name, n))
     return InverseVerdict(not failures, induced, tuple(failures))
 
 
 def _constancy(rec: RecurrencePair, rel: Relation23, depth: int, induced, a):
-    """A_n, B_n, C_n for 3 <= n <= depth from the induced recurrence and
-    a_n, both through depth + 1."""
-    r, s, t = rel.r, rel.s, rel.t
-    beta, gamma = rec.beta, rec.gamma
+    """A_n, B_n, C_n for 3 <= n <= depth from the induced recurrence
+    through depth and a_n through depth + 1."""
+    rn, rd = _parts(rel.r[: depth + 2])
+    sn, sd = _parts(rel.s[: depth + 2])
+    tn, td = _parts(rel.t[: depth + 2])
+    bn, bd = _parts(rec.beta[: depth + 1])
+    gn, gd = _parts(rec.gamma[: depth - 1])
     A: list = [None] * (depth + 1)
     B: list = [None] * (depth + 1)
     C: list = [None] * (depth + 1)
     for n in range(3, depth + 1):
-        if t[n + 1] == 0:
+        if not tn[n + 1]:
             raise DomainError(f"t_{n + 1} = 0: constancy expressions undefined")
-        if r[n] == 0:
+        if not rn[n]:
             raise DomainError(f"r_{n} = 0: constancy expressions undefined")
-        ratio = a[n + 1] / t[n + 1]
-        A[n] = s[n] * ratio - beta[n - 1] - beta[n] + s[n + 1]
-        B[n] = (
-            a[n] * ratio
-            + (s[n] - beta[n - 1]) * (s[n] * ratio - beta[n] - s[n] + s[n + 1])
-            + t[n]
-            - a[n]
-            - gamma[n - 2]
-        )
-        C[n] = induced.beta[n] - r[n + 1] - induced.gamma[n - 1] / r[n]
+        # ratio = a_{n+1} / t_{n+1} = p / q
+        p = a[n + 1].numerator * td[n + 1]
+        q = a[n + 1].denominator * tn[n + 1]
+        # A_n = s_n ratio - beta_{n-1} - beta_n + s_{n+1}
+        A[n] = Fraction(*_lcm_sum(
+            (sn[n] * p, -bn[n - 1], -bn[n], sn[n + 1]), (sd[n] * q, bd[n - 1], bd[n], sd[n + 1])
+        ))
+        # B_n = a_n ratio + e (s_n ratio - beta_n - s_n + s_{n+1}) + t_n - a_n
+        # - gamma_{n-2} with e = s_n - beta_{n-1}; the middle factor is A_n - e
+        e, ed = _lcm_sum((sn[n], -bn[n - 1]), (sd[n], bd[n - 1]))
+        w, wd = _lcm_sum((A[n].numerator, -e), (A[n].denominator, ed))
+        B[n] = Fraction(*_lcm_sum(
+            (a[n].numerator * (p - q), e * w, tn[n], -gn[n - 2]),
+            (a[n].denominator * q, ed * wd, td[n], gd[n - 2]),
+        ))
+        # C_n = bt_n - r_{n+1} - gt_{n-1} / r_n
+        bt, gt = induced.beta[n], induced.gamma[n - 1]
+        C[n] = Fraction(*_lcm_sum(
+            (bt.numerator, -rn[n + 1], -gt.numerator * rd[n]),
+            (bt.denominator, rd[n + 1], gt.denominator * rn[n]),
+        ))
     return A, B, C
 
 
@@ -378,7 +435,7 @@ def constant_sequences(
         raise DepthError("constant sequences start at n = 3")
     rel.require(depth + 2)
     rec.require(depth + 1, depth + 1)
-    induced = induced_recurrence(rec, rel, depth + 1)
+    induced = induced_recurrence(rec, rel, depth)
     aux = auxiliary_sequences(rec, rel, depth + 1, induced)
     return _constancy(rec, rel, depth, induced, aux.a)
 
@@ -388,7 +445,10 @@ def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
     condition and constancy of A_n, B_n, C_n for 3 <= n <= depth. Consumes
     relation indices through depth + 2."""
     induced, aux, failures = _prelude(rec, rel, depth, depth + 1)
-    if rel.t[4] * rec.gamma[1] != aux.a[4] * rel.t[3]:
+    # t_4 gamma_2 = a_4 t_3 by cross-multiplication
+    t3, t4, g2, a4 = rel.t[3], rel.t[4], rec.gamma[1], aux.a[4]
+    if (t4.numerator * g2.numerator * a4.denominator * t3.denominator
+            != a4.numerator * t3.numerator * t4.denominator * g2.denominator):
         failures.append(Failure("startup", 4))
     A, B, C = _constancy(rec, rel, depth, induced, aux.a)
     before = len(failures)
@@ -397,10 +457,7 @@ def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
             if seq[n] != seq[3]:
                 failures.append(Failure(name, n))
     constants = (A[3], B[3], C[3]) if len(failures) == before else None
-    # bt_n and gt_n read indices n and n + 1 only, so the head is the
-    # recurrence induced through depth
-    head = RecurrencePair(induced.beta[: depth + 1], induced.gamma[:depth])
-    return InverseVerdict(not failures, head, tuple(failures), constants)
+    return InverseVerdict(not failures, induced, tuple(failures), constants, (A, B, C))
 
 
 @dataclass(frozen=True)
@@ -467,12 +524,18 @@ def v_moments_from_relation(
     m = [Fraction(1)]
     if u.depth >= 1:
         m.append(as_scalar(beta0_tilde))
+    # lambda (mu_{n+1} - c mu_n) = k (cd U_{n+1} - cn U_n) / kd over the
+    # common denominator of u's moments; each v_{n+2} is one Fraction
+    U, D = common_denominator(u.moments)
+    cn, cd = fr.c.numerator, fr.c.denominator
+    k, kd = fr.lam.numerator, fr.lam.denominator * cd * D
+    an, ad, bn, bd = fr.a.numerator, fr.a.denominator, fr.b.numerator, fr.b.denominator
     for n in range(u.depth - 1):
-        m.append(
-            fr.lam * (u.moments[n + 1] - fr.c * u.moments[n])
-            - fr.a * m[n + 1]
-            - fr.b * m[n]
-        )
+        m0, m1 = m[n], m[n + 1]
+        m.append(Fraction(*_lcm_sum(
+            (k * (cd * U[n + 1] - cn * U[n]), -an * m1.numerator, -bn * m0.numerator),
+            (kd, ad * m1.denominator, bd * m0.denominator),
+        )))
     return MomentFunctional(m)
 
 
@@ -486,10 +549,18 @@ def verify_functional_relation(
             f"need u depth >= {depth + 1} and v depth >= {depth + 2}, "
             f"have {u.depth} and {v.depth}"
         )
+    # both sides over their common denominators, compared by
+    # cross-multiplication: lambda (cd U_{n+1} - cn U_n) / (cd D) on the
+    # left, (ad bd V_{n+2} + an bd V_{n+1} + bn ad V_n) / (ad bd E) on the right
+    U, D = common_denominator(u.moments[: depth + 2])
+    V, E = common_denominator(v.moments[: depth + 3])
+    cn, cd = fr.c.numerator, fr.c.denominator
+    an, ad, bn, bd = fr.a.numerator, fr.a.denominator, fr.b.numerator, fr.b.denominator
+    left = fr.lam.numerator * ad * bd * E
+    right = fr.lam.denominator * cd * D
     for n in range(depth + 1):
-        lhs = fr.lam * (u.moments[n + 1] - fr.c * u.moments[n])
-        rhs = v.moments[n + 2] + fr.a * v.moments[n + 1] + fr.b * v.moments[n]
-        if lhs != rhs:
+        if (left * (cd * U[n + 1] - cn * U[n])
+                != right * (ad * bd * V[n + 2] + an * bd * V[n + 1] + bn * ad * V[n])):
             return False, n
     return True, None
 

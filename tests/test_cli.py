@@ -202,6 +202,49 @@ def test_inverse_check_zero_gamma_is_input_error(tmp_path, capsys, cheb):
     assert code == 2 and "gamma_3 is zero" in err
 
 
+@pytest.mark.parametrize(
+    "command, big_beta",
+    [("constants", False), ("inverse-check", True)],
+)
+def test_oversized_output_is_input_error(tmp_path, capsys, combined_doc, command, big_beta):
+    """3000-digit recurrence entries pass the input limit, but a payload
+    value built from them exceeds the interpreter's 4300-digit limit on
+    printing an int: exit 2 naming the digit count, no traceback."""
+    big = 10**2999
+    rec = dict(combined_doc["recurrence"])
+    rec["gamma"] = [f"{big + 7 * n + 1}/{big + 3 * n + 2}" for n in range(len(rec["gamma"]))]
+    if big_beta:
+        rec["beta"] = [f"{big + 5 * n + 1}/{big + 11 * n + 4}" for n in range(len(rec["beta"]))]
+    doc = {"recurrence": rec, "relation": combined_doc["relation"]}
+    path = write_doc(tmp_path, "huge.json", doc)
+    code, out, err = run(capsys, [command, "--depth", "5", path])
+    assert code == 2
+    assert out == ""
+    assert "decimal digits is too long to print" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_example_builds_the_constancy_data_once(capsys, monkeypatch, fmt):
+    """The CSV rows reuse the A_n, B_n, C_n of the constancy checker, so a
+    CSV run builds the induced recurrence and the auxiliary sequences as
+    often as a JSON run."""
+    import mopsrel.relation23 as relation23
+
+    calls = {"induced_recurrence": 0, "auxiliary_sequences": 0}
+    for name in calls:
+        real = getattr(relation23, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(relation23, name, counted)
+    code, _, _ = run(capsys, ["example", "chebyshev", "--depth", "20", "--format", fmt])
+    assert code == 0
+    assert calls == {"induced_recurrence": 3, "auxiliary_sequences": 2}
+
+
 def test_internal_disagreement_is_exit_3(tmp_path, capsys, monkeypatch, combined_doc):
     from mopsrel import check_by_constants as real
 

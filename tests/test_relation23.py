@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mopsrel import (
     ContractError,
@@ -290,3 +292,29 @@ def test_worked_cases_agree_at_depth_100(build):
     assert eq.induced == ct.induced
     fr = relation_constants(rep.u_rec, rep.rel)
     assert ct.constants == (fr.a, fr.b, fr.c)
+
+
+def test_checkers_refuse_a_zero_gamma_in_the_working_range():
+    """Both checkers refuse a zero gamma_n of P's recurrence for
+    n <= depth + 1, with the text the command line prints; a zero further
+    out is outside the data they read."""
+    rep = chebyshev_case(6)
+    beta, gamma = rep.u_rec.beta, list(rep.u_rec.gamma)
+    for zero, refused in ((3, True), (7, True), (8, False)):
+        bent = RecurrencePair(beta, gamma[: zero - 1] + [0] + gamma[zero:])
+        for checker in (check_by_equations, check_by_constants):
+            if refused:
+                with pytest.raises(DomainError, match=f"gamma_{zero} is zero"):
+                    checker(bent, rep.rel, 6)
+            else:
+                checker(bent, rep.rel, 6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(100, 140))
+def test_checkers_agree_on_random_instances_at_depth_100_and_beyond(seed, depth):
+    rec, rel = random_gated_instance(random.Random(seed), depth)
+    eq = check_by_equations(rec, rel, depth)
+    ct = check_by_constants(rec, rel, depth)
+    assert eq.is_mops == ct.is_mops
+    assert eq.induced == ct.induced
