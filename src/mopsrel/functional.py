@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 
 from .errors import DepthError, DomainError, FormatError
 from .poly import Polynomial
-from .rational import as_scalar, common_denominator, format_rational
+from .rational import _json_list, as_scalar, common_denominator, format_rational
 
 
 class MomentFunctional:
@@ -164,7 +164,7 @@ class MomentFunctional:
     def from_json(cls, data) -> "MomentFunctional":
         if not isinstance(data, dict) or "moments" not in data:
             raise FormatError('moment functional JSON must be {"moments": [...]}')
-        return cls(data["moments"])
+        return cls(_json_list(data, "moments"))
 
     def __repr__(self) -> str:
         return f"MomentFunctional(depth={self.depth})"
@@ -228,7 +228,7 @@ class RecurrencePair:
     def from_json(cls, data) -> "RecurrencePair":
         if not isinstance(data, dict) or "beta" not in data or "gamma" not in data:
             raise FormatError('recurrence JSON must be {"beta": [...], "gamma": [...]}')
-        return cls(data["beta"], data["gamma"])
+        return cls(_json_list(data, "beta"), _json_list(data, "gamma"))
 
     def __repr__(self) -> str:
         return f"RecurrencePair(beta[{len(self.beta)}], gamma[{len(self.gamma)}])"

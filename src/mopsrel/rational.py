@@ -14,14 +14,18 @@ from operator import mul
 
 from .errors import FormatError
 
-RATIONAL_PATTERN = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# ASCII digits only, and \Z rather than $, which would admit a final newline
+RATIONAL_PATTERN = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?\Z")
 
 
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not RATIONAL_PATTERN.match(text):
         raise FormatError(f"not a rational string of the form p or p/q: {text!r}")
+    # the gate has validated the text: split it, skipping the second parse
+    # that Fraction(text) would make
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except ValueError as exc:
         # the interpreter's limit on decimal digits in an int conversion
         raise FormatError(
@@ -74,12 +78,24 @@ def _lcm_sum(nums, dens) -> tuple[int, int]:
     return sum(map(mul, nums, map(den.__floordiv__, dens))), den
 
 
+def _json_list(data: dict, key: str) -> list:
+    """``data[key]``, which must be a list: a string there would otherwise
+    be read as the sequence of its characters."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise FormatError(f'"{key}" must be a JSON list, not {value!r:.40}')
+    return value
+
+
 def as_scalar(value) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    """Coerce an int, Fraction, or "p/q" string to an exact rational. A bool
+    is refused, although it is an int: a JSON true is not a coefficient."""
+    # strings first: they are what documents hold, and isinstance against
+    # Fraction, an ABC, is slow for anything that is not one
     if isinstance(value, str):
         return parse_rational(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     raise FormatError(f"cannot interpret {value!r} as an exact rational")

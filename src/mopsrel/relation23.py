@@ -38,6 +38,7 @@ from .errors import ContractError, DepthError, DomainError, FormatError
 from .functional import MomentFunctional, RecurrencePair
 from .poly import Polynomial
 from .rational import (
+    _json_list,
     _lcm_sum,
     _parts,
     as_scalar,
@@ -83,7 +84,7 @@ class Relation23:
     def from_json(cls, data) -> "Relation23":
         if not isinstance(data, dict) or not {"r", "s", "t"} <= set(data):
             raise FormatError('relation JSON must be {"r": [...], "s": [...], "t": [...]}')
-        return cls(data["r"], data["s"], data["t"])
+        return cls(*(_json_list(data, key) for key in "rst"))
 
     def __repr__(self) -> str:
         return f"Relation23(through {self.max_index})"
@@ -248,37 +249,49 @@ class AuxiliarySequences(NamedTuple):
     d: list
 
 
+def _a_sequence(s, sd, t, td, p, pd, g, gd, upto: int):
+    """a_n (1 <= n <= upto) from the integer parts of s, t, beta and gamma,
+    and the z_n = s_{n+1} - s_n - beta_n it reads, as pairs
+    (numerator, denominator); index 0 of both lists is unused:
+
+        a_n = gamma_{n-1} + t_n - t_{n+1} + s_n (z_n + beta_{n-1}),
+
+    each one Fraction of integers."""
+    a: list = [None] * (upto + 1)
+    z: list = [None] * (upto + 1)
+    for n in range(1, upto + 1):
+        zn, zd = z[n] = _lcm_sum((s[n + 1], -s[n], -p[n]), (sd[n + 1], sd[n], pd[n]))
+        a[n] = Fraction(*_lcm_sum(
+            (g[n - 1], t[n], -t[n + 1], s[n] * zn, s[n] * p[n - 1]),
+            (gd[n - 1], td[n], td[n + 1], sd[n] * zd, sd[n] * pd[n - 1]),
+        ))
+    return a, z
+
+
 def auxiliary_sequences(
     rec: RecurrencePair, rel: Relation23, upto: int, induced: RecurrencePair
 ) -> AuxiliarySequences:
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
     rel.require(upto + 1)
     rec.require(upto, upto)
-    # with z_n = s_{n+1} - s_n - beta_n:
-    #   a_n = gamma_{n-1} + t_n - t_{n+1} + s_n (z_n + beta_{n-1}),
-    #   b_n = s_n gamma_{n-2} + t_n (z_n + beta_{n-2}),
-    # each one Fraction of integers, as are the products c_n and d_n
+    # a_n and z_n from _a_sequence; b_n = s_n gamma_{n-2} + t_n (z_n +
+    # beta_{n-2}) is one Fraction of integers, as are the products c_n, d_n
     s, sd = _parts(rel.s[: upto + 2])
     t, td = _parts(rel.t[: upto + 2])
     p, pd = _parts(rec.beta[: upto + 1])
     g, gd = _parts(rec.gamma[:upto])
-    a: list = [None] * (upto + 1)
+    a, z = _a_sequence(s, sd, t, td, p, pd, g, gd, upto)
     b: list = [None] * (upto + 1)
     c: list = [None] * (upto + 1)
     d: list = [None] * (upto + 1)
-    for n in range(1, upto + 1):
-        z, zd = _lcm_sum((s[n + 1], -s[n], -p[n]), (sd[n + 1], sd[n], pd[n]))
-        a[n] = Fraction(*_lcm_sum(
-            (g[n - 1], t[n], -t[n + 1], s[n] * z, s[n] * p[n - 1]),
-            (gd[n - 1], td[n], td[n + 1], sd[n] * zd, sd[n] * pd[n - 1]),
+    for n in range(2, upto + 1):
+        zn, zd = z[n]
+        b[n] = Fraction(*_lcm_sum(
+            (s[n] * g[n - 2], t[n] * zn, t[n] * p[n - 2]),
+            (sd[n] * gd[n - 2], td[n] * zd, td[n] * pd[n - 2]),
         ))
-        if n >= 2:
-            b[n] = Fraction(*_lcm_sum(
-                (s[n] * g[n - 2], t[n] * z, t[n] * p[n - 2]),
-                (sd[n] * gd[n - 2], td[n] * zd, td[n] * pd[n - 2]),
-            ))
-            rn, gt = rel.r[n], induced.gamma[n - 2]
-            d[n] = Fraction(rn.numerator * gt.numerator, rn.denominator * gt.denominator)
+        rn, gt = rel.r[n], induced.gamma[n - 2]
+        d[n] = Fraction(rn.numerator * gt.numerator, rn.denominator * gt.denominator)
         if n >= 3:
             c[n] = Fraction(t[n] * g[n - 3], td[n] * gd[n - 3])
     return AuxiliarySequences(a, b, c, d)
@@ -382,14 +395,16 @@ def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
     return InverseVerdict(not failures, induced, tuple(failures))
 
 
-def _constancy(rec: RecurrencePair, rel: Relation23, depth: int, induced, a):
+def _constancy(rec: RecurrencePair, rel: Relation23, depth: int, induced):
     """A_n, B_n, C_n for 3 <= n <= depth from the induced recurrence
-    through depth and a_n through depth + 1."""
+    through depth and a_n through depth + 1. The caller has checked that
+    the relation reaches depth + 2 and the recurrence depth + 1."""
     rn, rd = _parts(rel.r[: depth + 2])
-    sn, sd = _parts(rel.s[: depth + 2])
-    tn, td = _parts(rel.t[: depth + 2])
-    bn, bd = _parts(rec.beta[: depth + 1])
-    gn, gd = _parts(rec.gamma[: depth - 1])
+    sn, sd = _parts(rel.s[: depth + 3])
+    tn, td = _parts(rel.t[: depth + 3])
+    bn, bd = _parts(rec.beta[: depth + 2])
+    gn, gd = _parts(rec.gamma[: depth + 1])
+    a, _ = _a_sequence(sn, sd, tn, td, bn, bd, gn, gd, depth + 1)
     A: list = [None] * (depth + 1)
     B: list = [None] * (depth + 1)
     C: list = [None] * (depth + 1)
@@ -436,21 +451,25 @@ def constant_sequences(
     rel.require(depth + 2)
     rec.require(depth + 1, depth + 1)
     induced = induced_recurrence(rec, rel, depth)
-    aux = auxiliary_sequences(rec, rel, depth + 1, induced)
-    return _constancy(rec, rel, depth, induced, aux.a)
+    return _constancy(rec, rel, depth, induced)
 
 
 def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
     """Orthogonality of the generated family, decided through the startup
     condition and constancy of A_n, B_n, C_n for 3 <= n <= depth. Consumes
     relation indices through depth + 2."""
-    induced, aux, failures = _prelude(rec, rel, depth, depth + 1)
+    # the auxiliary sequences through 4: ci1-ci3 read b_n, c_n, d_n at
+    # n = 2, 3 and the startup condition a_4; _constancy builds the a_n
+    # it reads, through depth + 1
+    induced, aux, failures = _prelude(rec, rel, depth, 4)
+    rel.require(depth + 2)
+    rec.require(depth + 1, depth + 1)
     # t_4 gamma_2 = a_4 t_3 by cross-multiplication
     t3, t4, g2, a4 = rel.t[3], rel.t[4], rec.gamma[1], aux.a[4]
     if (t4.numerator * g2.numerator * a4.denominator * t3.denominator
             != a4.numerator * t3.numerator * t4.denominator * g2.denominator):
         failures.append(Failure("startup", 4))
-    A, B, C = _constancy(rec, rel, depth, induced, aux.a)
+    A, B, C = _constancy(rec, rel, depth, induced)
     before = len(failures)
     for name, seq in (("A_constant", A), ("B_constant", B), ("C_constant", C)):
         for n in range(4, depth + 1):

@@ -4,13 +4,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mopsrel import chebyshev_case
-from mopsrel.cli import main
-from conftest import rel_from7
+from mopsrel.cli import _json_text, main
+from conftest import random_gated_instance, rel_from7
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +23,14 @@ def cheb():
 @pytest.fixture(scope="module")
 def combined_doc(cheb):
     return {"recurrence": cheb.u_rec.to_json(), "relation": cheb.rel.to_json()}
+
+
+@pytest.fixture(scope="module")
+def negative_doc():
+    """A seeded random gated document at depth 60 whose verdict is
+    negative: long failure lists in every checker payload."""
+    rec, rel = random_gated_instance(random.Random(20260818), 60)
+    return {"recurrence": rec.to_json(), "relation": rel.to_json()}
 
 
 def write_doc(tmp_path, name, doc):
@@ -112,6 +122,56 @@ def test_oversized_integer_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, ["classify", path])
     assert code == 2 and out == ""
     assert f"rational string of {len(digits)} characters is too long" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, condition",
+    [
+        ("inverse-check", {"recurrence": {"beta": 5, "gamma": ["1"]}},
+         '"beta" must be a JSON list, not 5'),
+        ("classify", {"relation": {"r": None, "s": ["0"], "t": ["0"]}},
+         '"r" must be a JSON list, not None'),
+        # a string would be read as its digits 1, 2, ..., 7
+        ("inverse-check", {"recurrence": {"beta": "1234567", "gamma": ["1"] * 7}},
+         "\"beta\" must be a JSON list, not '1234567'"),
+        ("classify", {"relation": {"r": [0, 1, 0, 1], "s": [0, True, 0, 0],
+                                   "t": [0, 0, 1, 1]}},
+         "cannot interpret True as an exact rational"),
+        ("classify", {"relation": {"r": ["0", "1", "0", "1"], "s": ["0", "3\n", "0", "0"],
+                                   "t": ["0", "0", "1", "1"]}},
+         "not a rational string of the form p or p/q: '3\\n'"),
+    ],
+    ids=["beta-number", "r-null", "beta-string", "bool-coefficient", "newline-rational"],
+)
+def test_malformed_document_is_input_error(tmp_path, capsys, cheb, command, doc, condition):
+    doc = dict(doc)
+    doc.setdefault("recurrence", cheb.u_rec.to_json())
+    doc.setdefault("relation", cheb.rel.to_json())
+    path = write_doc(tmp_path, "malformed.json", doc)
+    code, out, err = run(capsys, [command, "--depth", "6", path])
+    assert code == 2 and out == ""
+    assert condition in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, condition",
+    [
+        pytest.param(
+            '{"relation": {"r": [0, ' + "7" * max(5000, DIGIT_CAP + 1) + "]}}", "digits",
+            marks=pytest.mark.skipif(not DIGIT_CAP, reason="no int digit cap"),
+        ),
+        ("[" * 100000 + "]" * 100000, "maximum recursion depth"),
+    ],
+    ids=["long-integer-literal", "deep-nesting"],
+)
+def test_interpreter_limits_are_input_errors(tmp_path, capsys, text, condition):
+    path = tmp_path / "limit.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert "input exceeds an interpreter limit" in err and condition in err
     assert "Traceback" not in err
 
 
@@ -392,6 +452,7 @@ def test_negative_fraction_option_value(capsys, option, value):
 
 
 COMBINED = "COMBINED"  # placeholder for the combined document's path
+NEGATIVE = "NEGATIVE"  # placeholder for the negative document's path
 JACOBI_SETS = {
     "half": ["--alpha=1/2", "--beta=1/2", "--a1=2", "--c1=-2"],
     "generic": ["--alpha=1/3", "--beta=2/7", "--a1=3", "--c1=-5"],
@@ -400,7 +461,8 @@ JACOBI_SETS = {
 CSV = ["--format", "csv"]
 FLOAT = ["--mode", "float"]
 # sha256 of stdout, recorded before the ladder composition and the checker
-# prelude were factored out; any change to a payload byte fails here
+# prelude were factored out (the NEGATIVE runs: before the JSON writer and
+# the rational parser were replaced); any change to a payload byte fails here
 GOLDEN = [
     (["example", "chebyshev", "--depth", "6"], 0,
      "ee5a13f613f6868f04a2184632803f6e35d9870e22cd1a6efd89bcf5ce60eb4a"),
@@ -442,14 +504,77 @@ GOLDEN = [
      "677ebcdc854cbc3235c26a4d4e08f1fa5b7ca5e2d75762b499eb0512cd11ca3e"),
     (["constants", "--depth", "6"] + CSV + [COMBINED], 0,
      "bbd208a118863c1e5ec01ed8267cf113e6a0a21c95fdc83b6ceb795d56dde1a5"),
+    (["classify", NEGATIVE], 0,
+     "617713a43370bd900e1d42c003de04da421bc7ed1c23fb1b61c50f80b4e9168d"),
+    (["classify"] + CSV + [NEGATIVE], 0,
+     "7aecfd0d67d17131ba6db697dfd302449bded5c4ab7c155e1953acce8e539817"),
+    (["classify"] + FLOAT + [NEGATIVE], 0,
+     "617713a43370bd900e1d42c003de04da421bc7ed1c23fb1b61c50f80b4e9168d"),
+    (["inverse-check", "--depth", "60", NEGATIVE], 1,
+     "d9718dcdc21144ad43ededc9d7e1a225d27af4b0a917027e03a17c2f0cbdf3b0"),
+    (["inverse-check", "--depth", "60"] + CSV + [NEGATIVE], 1,
+     "3d1c093f1717b21b69d061b9a32ecc59665f78061b0920a315f7a2e5df44b55a"),
+    (["inverse-check", "--depth", "60"] + FLOAT + [NEGATIVE], 1,
+     "0f7b0644be91a334beaecc9ef658914cd123509178ec69c8f2a8f6d658247cff"),
+    (["constants", "--depth", "60", NEGATIVE], 1,
+     "f3e37b496c24da77e08f4a72d873557632ec614fb9cf9c238d25e47b11e29382"),
+    (["constants", "--depth", "60"] + CSV + [NEGATIVE], 1,
+     "a58f5d38b22e82f67e9213324dd9a6d4fbede0cfecfafda9c7852d8047121eba"),
+    (["constants", "--depth", "60"] + FLOAT + [NEGATIVE], 1,
+     "0c6acd65bbd510c6a3965687f1587ed4a25cf5b9734ebd6fcf42e565fea796ee"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, code, digest", GOLDEN, ids=[" ".join(case[0]) for case in GOLDEN]
 )
-def test_golden_payload_digest(tmp_path, capsys, combined_doc, argv, code, digest):
-    path = write_doc(tmp_path, "combined.json", combined_doc)
-    got, out, _ = run(capsys, [path if a == COMBINED else a for a in argv])
+def test_golden_payload_digest(
+    tmp_path, capsys, combined_doc, negative_doc, argv, code, digest
+):
+    paths = {
+        COMBINED: write_doc(tmp_path, "combined.json", combined_doc),
+        NEGATIVE: write_doc(tmp_path, "negative.json", negative_doc),
+    }
+    got, out, _ = run(capsys, [paths.get(a, a) for a in argv])
     assert got == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# leaves the payload writer must spell as json does: big ints, signed zero,
+# large and non-finite floats, quotes, control characters, non-ASCII text
+# and lone surrogates
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**300), -(10**200))
+    | st.floats()
+    | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324, 0.1])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é€", "\u2028", "\U0001f600", "\ud800"])
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+@example([{}, [[], {"": []}], ()])
+@example({"a": {"b": [-0.0, 1e300, True, False, None, -(10**400)]}})
+def test_json_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2)
+
+
+def test_json_writer_refuses_what_json_refuses():
+    for bad in ({1, 2}, object(), [b"bytes"]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(bad)

@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mopsrel import FormatError, as_scalar, format_rational, parse_rational
 
@@ -10,13 +10,18 @@ from mopsrel import FormatError, as_scalar, format_rational, parse_rational
 @pytest.mark.parametrize(
     "text,value",
     [("3", Fraction(3)), ("-1/4", Fraction(-1, 4)), ("0", Fraction(0)),
-     ("10/3", Fraction(10, 3)), ("-0", Fraction(0))],
+     ("10/3", Fraction(10, 3)), ("-0", Fraction(0)), ("0007", Fraction(7)),
+     ("6/4", Fraction(3, 2)), ("-06/4", Fraction(-3, 2)), ("0/5", Fraction(0))],
 )
 def test_parse_accepts(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["1.5", "1/0", "1/-2", "+3", "", "a", "1 /2", "1e3"])
+@pytest.mark.parametrize(
+    "text",
+    ["1.5", "1/0", "1/-2", "+3", "", "a", "1 /2", "1e3",
+     "+1", " 1", "/2", "1/", "3\n", "\u0663", "1/\u0663", "1_000", "1/2\n"],
+)
 def test_parse_rejects(text):
     with pytest.raises(FormatError):
         parse_rational(text)
@@ -37,6 +42,19 @@ def test_as_scalar_coercions():
         as_scalar(None)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_as_scalar_refuses_bool(value):
+    # a bool is an int, but a JSON true or false is not a coefficient
+    with pytest.raises(FormatError):
+        as_scalar(value)
+
+
+def test_as_scalar_accepts_json_integers():
+    assert as_scalar(-12) == Fraction(-12)
+    assert as_scalar(0) == Fraction(0)
+    assert as_scalar(10**40) == Fraction(10**40)
+
+
 # the interpreter's cap on decimal digits in an int conversion (0: no cap)
 DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -48,3 +66,32 @@ def test_parse_reports_oversized_integer_as_format_error():
         parse_rational(digits)
     with pytest.raises(FormatError, match=f"{len(digits) + 2} characters"):
         parse_rational("1/" + digits)
+
+
+# decimal strings of a drawn length: short ones, and ones just under the cap
+LENGTHS = st.integers(1, 12) | st.integers((DIGIT_CAP or 4300) - 3, DIGIT_CAP or 4300)
+
+
+@st.composite
+def rational_strings(draw):
+    """Strings of the form -?p(/q)? the parser must accept, with leading
+    zeros, "-0" and unreduced fractions among them."""
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def digits(first="0123456789"):
+        n = draw(LENGTHS)
+        return rnd.choice(first) + "".join(rnd.choices("0123456789", k=n - 1))
+
+    sign = draw(st.sampled_from(["", "-"]))
+    num = draw(st.sampled_from(["0", "00", "6", "007"])) if draw(st.booleans()) else digits()
+    if draw(st.booleans()):
+        return sign + num
+    den = draw(st.sampled_from(["4", "1", "10"])) if draw(st.booleans()) else digits("123456789")
+    return f"{sign}{num}/{den}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_strings())
+def test_parse_matches_fraction(text):
+    assert parse_rational(text) == Fraction(text)
+
