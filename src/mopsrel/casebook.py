@@ -38,7 +38,7 @@ from .functional import (
     recurrence_from_moments,
 )
 from .poly import Polynomial
-from .rational import as_scalar, format_rational, format_sequence
+from .rational import as_scalar
 from .relation23 import (
     Failure,
     FunctionalRelation,
@@ -106,28 +106,24 @@ def _certify_relation(
     return verdict_eq, verdict_ct, constants, moment_identity
 
 
-def _report_csv(report, third_name: str, third: tuple) -> str:
-    """One row per index 0..depth of a positive report: the ladders, the
-    relation, the induced recurrence and the constancy expressions that
-    the constancy checker built."""
-    header = [
+def _report_csv(report, third_name: str, third: tuple) -> list:
+    """The header row, then one row per index 0..depth of a positive
+    report: n, the ladders, the relation, the induced recurrence and the
+    constancy expressions that the constancy checker built (None where an
+    entry is undefined)."""
+    rows = [[
         "n", "a_n", "b_n", third_name, "r_n", "s_n", "t_n",
         "beta_tilde_n", "gamma_tilde_n", "A_n", "B_n", "C_n",
-    ]
+    ]]
     induced = report.verdict_equations.induced
     columns = (
         report.a_seq, report.b_seq, third, report.rel.r, report.rel.s, report.rel.t,
         induced.beta, (None,) + induced.gamma,
         *report.verdict_constants.constancy,
     )
-    lines = [",".join(header)]
     for n in range(report.depth + 1):
-        row = [str(n)]
-        for seq in columns:
-            v = seq[n] if n < len(seq) else None
-            row.append("" if v is None else format_rational(v))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append([n] + [seq[n] if n < len(seq) else None for seq in columns])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -152,10 +148,10 @@ class ChebyshevCaseReport:
         return {
             "case": "chebyshev",
             "depth": self.depth,
-            "point_mass_ratio": format_rational(self.point_mass_ratio),
-            "a": format_sequence(self.a_seq),
-            "b": format_sequence(self.b_seq),
-            "lambda": format_sequence(self.lambda_seq),
+            "point_mass_ratio": self.point_mass_ratio,
+            "a": list(self.a_seq),
+            "b": list(self.b_seq),
+            "lambda": list(self.lambda_seq),
             "relation": self.rel.to_json(),
             "u_recurrence": self.u_rec.to_json(),
             "classification": RelationTag.NONDEGENERATE23.value,
@@ -169,7 +165,7 @@ class ChebyshevCaseReport:
             "moment_identity_ok": self.moment_identity[0],
         }
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> list:
         return _report_csv(self, "lambda_n", self.lambda_seq)
 
 
@@ -296,24 +292,24 @@ class JacobiChainReport:
             "case": "jacobi-chain",
             "ok": self.ok,
             "failure": None if self.failure is None else self.failure.to_json(),
-            "alpha": format_rational(self.alpha),
-            "beta": format_rational(self.beta),
-            "a1": format_rational(self.a1),
-            "c1": format_rational(self.c1),
+            "alpha": self.alpha,
+            "beta": self.beta,
+            "a1": self.a1,
+            "c1": self.c1,
             "depth": self.depth,
         }
         if not self.ok:
             return out
         out.update(
             {
-                "a": format_sequence(self.a_seq),
-                "b": format_sequence(self.b_seq),
-                "c": format_sequence(self.c_seq),
+                "a": list(self.a_seq),
+                "b": list(self.b_seq),
+                "c": list(self.c_seq),
                 "relation": self.rel.to_json(),
                 "u_recurrence": self.u_rec.to_json(),
                 "v_recurrence": self.v_rec.to_json(),
-                "u_mass": format_rational(self.u_mass),
-                "v_mass": format_rational(self.v_mass),
+                "u_mass": self.u_mass,
+                "v_mass": self.v_mass,
                 "classification": RelationTag.NONDEGENERATE23.value,
                 "verdict_equations": self.verdict_equations.to_json(),
                 "verdict_constants": self.verdict_constants.to_json(),
@@ -325,10 +321,9 @@ class JacobiChainReport:
         )
         return out
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> list:
         if not self.ok:
-            cond = self.failure.condition if self.failure else "unknown"
-            return f"failure,n\n{cond},{'' if self.failure is None or self.failure.n is None else self.failure.n}\n"
+            return [["failure", "n"], list(self.failure or ("unknown", None))]
         return _report_csv(self, "c_n", self.c_seq)
 
 

@@ -33,7 +33,7 @@ from .casebook import chebyshev_case, jacobi_chain
 from .errors import ContractError, DepthError, DomainError, FormatError
 from .families import JacobiParams
 from .functional import RecurrencePair
-from .rational import RATIONAL_PATTERN, parse_rational
+from .rational import _decimal_digits, format_rational, parse_rational
 from .relation23 import (
     Relation23,
     check_by_constants,
@@ -46,6 +46,10 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# the largest --depth of ``example``, whose work grows with the depth alone
+# (the other commands are bounded by their input document)
+EXAMPLE_MAX_DEPTH = 1000
 
 # options of ``example`` that take a rational, possibly negative: argparse
 # reads a value such as "-1/4" as an option flag, so ``main`` joins it to
@@ -69,49 +73,51 @@ class RunConfig:
     c1: Optional[str] = None
 
 
-def _float_value(node):
-    if isinstance(node, str) and RATIONAL_PATTERN.match(node):
-        return float(Fraction(node))
-    if isinstance(node, list):
-        return [_float_value(v) for v in node]
-    if isinstance(node, dict):
-        return {k: _float_value(v) for k, v in node.items()}
-    return node
+# The payload trees hold Fraction leaves; only the command line spells them,
+# with format_rational or one of these, as a JSON value or a CSV cell.
 
 
-def _float_csv(text: str) -> str:
-    # only true fractions need help; integer cells (indices included) are
-    # already consumable as numbers
-    lines = []
-    for line in text.rstrip("\n").split("\n"):
-        cells = [
-            str(float(Fraction(cell)))
-            if "/" in cell and RATIONAL_PATTERN.match(cell)
-            else cell
-            for cell in line.split(",")
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _float_text(value: Fraction) -> str:
+    """The nearest float, as json and str spell it."""
+    try:
+        return float.__repr__(float(value))
+    except OverflowError as exc:
+        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
+        raise FormatError(
+            f"a rational with {digits} decimal digits is beyond the float range: {exc}"
+        ) from exc
+
+
+def _exact_json(value: Fraction) -> str:
+    return f'"{format_rational(value)}"'  # "p" or "p/q" needs no escaping
+
+
+def _float_cell(value: Fraction) -> str:
+    # an integer cell (indices included) is already consumable as a number
+    return format_rational(value) if value.denominator == 1 else _float_text(value)
 
 
 # json's spelling of the floats that repr spells otherwise
 FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_text(node, pad: str = "\n") -> str:
+def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
     """The text json's ``dumps`` writes with ``indent=2``, byte for byte,
     for a tree of dicts with string keys, lists, strings, ints, floats,
-    bools and None. json runs its pure-Python encoder whenever ``indent``
-    is set; this joins strings quoted by its C quoter instead, at about
-    half the cost. String leaves, the most common ones, skip the call."""
+    bools and None; a Fraction in a dict or list is the JSON text
+    ``render`` gives it.
+    json runs its pure-Python encoder whenever ``indent`` is set; this
+    joins strings quoted by its C quoter instead, at about half the cost.
+    Fraction and string leaves, the most common ones, skip the call."""
     if isinstance(node, dict):
         if not node:
             return "{}"
         inner = pad + "  "
         return "{" + inner + ("," + inner).join([
             encode_basestring_ascii(key) + ": " + (
-                encode_basestring_ascii(value) if type(value) is str
-                else _json_text(value, inner)
+                render(value) if type(value) is Fraction
+                else encode_basestring_ascii(value) if type(value) is str
+                else _json_text(value, render, inner)
             )
             for key, value in node.items()
         ]) + pad + "}"
@@ -120,8 +126,9 @@ def _json_text(node, pad: str = "\n") -> str:
             return "[]"
         inner = pad + "  "
         return "[" + inner + ("," + inner).join([
-            encode_basestring_ascii(value) if type(value) is str
-            else _json_text(value, inner)
+            render(value) if type(value) is Fraction
+            else encode_basestring_ascii(value) if type(value) is str
+            else _json_text(value, render, inner)
             for value in node
         ]) + pad + "]"
     if isinstance(node, str):
@@ -136,28 +143,40 @@ def _json_text(node, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
+def _csv_text(payload, cell) -> str:
+    """A report's rows of cells, or a payload tree flattened to key,value
+    rows, as CSV text; ``cell`` spells a Fraction, None is an empty cell."""
+    if isinstance(payload, dict):
+        return "key,value\n" + "".join([
+            f"{key},{cell(value) if type(value) is Fraction else value}\n"
+            for key, value in _flatten("", payload)
+        ])
+    return "".join([
+        ",".join([
+            cell(value) if type(value) is Fraction
+            else "" if value is None else str(value)
+            for value in row
+        ]) + "\n"
+        for row in payload
+    ])
+
+
 def _emit(payload, config: RunConfig) -> None:
+    """Render the whole payload, then write it: a value that cannot be
+    rendered leaves stdout and the ``--out`` file untouched."""
+    float_mode = config.mode == "float"
     if config.fmt == "csv":
-        if isinstance(payload, str):
-            text = payload
-        else:
-            rows = ["key,value"]
-            flat = _flatten("", payload)
-            rows.extend(f"{k},{v}" for k, v in flat)
-            text = "\n".join(rows) + "\n"
-        if config.mode == "float":
-            text = _float_csv(text)
+        text = _csv_text(payload, _float_cell if float_mode else format_rational)
     else:
-        if isinstance(payload, str):
-            raise ContractError("csv-only payload requested as json")
-        if config.mode == "float":
-            payload = _float_value(payload)
-        text = _json_text(payload) + "\n"
-    if config.out:
+        text = _json_text(payload, _float_text if float_mode else _exact_json) + "\n"
+    if not config.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(config.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {config.out}: {exc}") from exc
 
 
 def _flatten(prefix: str, node):
@@ -387,6 +406,10 @@ def main(argv=None) -> int:
 def _dispatch(config: RunConfig) -> int:
     if config.command != "classify" and config.depth < 5:
         print("mopsrel: --depth must be at least 5", file=sys.stderr)
+        return EXIT_INPUT
+    if config.command == "example" and config.depth > EXAMPLE_MAX_DEPTH:
+        print(f"mopsrel: --depth of example must be at most {EXAMPLE_MAX_DEPTH}",
+              file=sys.stderr)
         return EXIT_INPUT
     if config.command in ("classify", "inverse-check", "constants"):
         n = len(config.sources)

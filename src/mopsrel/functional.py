@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 
 from .errors import DepthError, DomainError, FormatError
 from .poly import Polynomial
-from .rational import _json_list, as_scalar, common_denominator, format_rational
+from .rational import _json_list, as_scalar, common_denominator
 
 
 class MomentFunctional:
@@ -158,7 +158,7 @@ class MomentFunctional:
         return isinstance(other, MomentFunctional) and self.moments == other.moments
 
     def to_json(self) -> dict:
-        return {"moments": [format_rational(m) for m in self.moments]}
+        return {"moments": list(self.moments)}
 
     @classmethod
     def from_json(cls, data) -> "MomentFunctional":
@@ -220,8 +220,8 @@ class RecurrencePair:
 
     def to_json(self) -> dict:
         return {
-            "beta": [format_rational(b) for b in self.beta],
-            "gamma": [format_rational(g) for g in self.gamma],
+            "beta": list(self.beta),
+            "gamma": list(self.gamma),
         }
 
     @classmethod

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import FormatError
-from .rational import as_scalar, common_denominator, format_rational
+from .rational import as_scalar, common_denominator
 
 
 class Polynomial:
@@ -155,8 +155,8 @@ class Polynomial:
     def __hash__(self):
         return hash((self._nums, self._den))
 
-    def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
+    def to_json(self) -> list[Fraction]:
+        return list(self.coeffs)
 
     @classmethod
     def from_json(cls, data) -> "Polynomial":

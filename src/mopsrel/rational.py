@@ -50,11 +50,6 @@ def _decimal_digits(n: int) -> int:
     return d + (n >= 10**d)
 
 
-def format_sequence(values) -> list:
-    """``format_rational`` of each entry; None (an undefined entry) stays."""
-    return [None if v is None else format_rational(v) for v in values]
-
-
 def common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator of ``values``:
     values[i] == nums[i] / den, with den > 0 (den is 1 for no values)."""

@@ -43,8 +43,6 @@ from .rational import (
     _parts,
     as_scalar,
     common_denominator,
-    format_rational,
-    format_sequence,
 )
 
 
@@ -75,9 +73,9 @@ class Relation23:
 
     def to_json(self) -> dict:
         return {
-            "r": [format_rational(v) for v in self.r],
-            "s": [format_rational(v) for v in self.s],
-            "t": [format_rational(v) for v in self.t],
+            "r": list(self.r),
+            "s": list(self.s),
+            "t": list(self.t),
         }
 
     @classmethod
@@ -105,7 +103,7 @@ class RelationCase:
     reduced: dict
 
     def to_json(self) -> dict:
-        reduced = {key: format_sequence(seq) for key, seq in self.reduced.items()}
+        reduced = {key: list(seq) for key, seq in self.reduced.items()}
         return {"tag": self.tag.value, "reduced": reduced}
 
 
@@ -325,11 +323,7 @@ class InverseVerdict:
         }
         if self.constants is not None:
             a_, b_, c_ = self.constants
-            out["constants"] = {
-                "A": format_rational(a_),
-                "B": format_rational(b_),
-                "C": format_rational(c_),
-            }
+            out["constants"] = {"A": a_, "B": b_, "C": c_}
         else:
             out["constants"] = None
         return out
@@ -490,10 +484,10 @@ class FunctionalRelation:
 
     def to_json(self) -> dict:
         return {
-            "lambda": format_rational(self.lam),
-            "c": format_rational(self.c),
-            "a": format_rational(self.a),
-            "b": format_rational(self.b),
+            "lambda": self.lam,
+            "c": self.c,
+            "a": self.a,
+            "b": self.b,
         }
 
 

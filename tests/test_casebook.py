@@ -18,6 +18,7 @@ from mopsrel import (
     jacobi_recurrence,
     mops_from_recurrence,
 )
+from mopsrel.cli import _json_text
 
 
 @pytest.fixture(scope="module")
@@ -82,23 +83,24 @@ def test_chebyshev_q_family_satisfies_relation(cheb):
 def test_chebyshev_json_payload(cheb):
     payload = cheb.to_json()
     assert payload["case"] == "chebyshev"
-    assert payload["point_mass_ratio"] == "3/2"
+    assert payload["point_mass_ratio"] == Fraction(3, 2)
     assert payload["classification"] == "NonDegenerate23"
-    assert payload["lambda"][1] == "1/2"
+    assert payload["lambda"][1] == Fraction(1, 2)
     assert payload["regularity_criterion"] == [False, False]
     assert payload["shifted_functional_first_vanishing"] == 0
-    json.dumps(payload)
+    written = json.loads(_json_text(payload))
+    assert (written["point_mass_ratio"], written["lambda"][1]) == ("3/2", "1/2")
 
 
 def test_chebyshev_csv_shape(cheb):
-    lines = cheb.to_csv().splitlines()
-    assert lines[0] == (
-        "n,a_n,b_n,lambda_n,r_n,s_n,t_n,"
-        "beta_tilde_n,gamma_tilde_n,A_n,B_n,C_n"
-    )
-    assert len(lines) == cheb.depth + 2
-    assert all(line.count(",") == 11 for line in lines)
-    assert lines[1].startswith("0,,")
+    rows = cheb.to_csv()
+    assert rows[0] == [
+        "n", "a_n", "b_n", "lambda_n", "r_n", "s_n", "t_n",
+        "beta_tilde_n", "gamma_tilde_n", "A_n", "B_n", "C_n",
+    ]
+    assert len(rows) == cheb.depth + 2
+    assert all(len(row) == 12 for row in rows)
+    assert rows[1][:2] == [0, None]
 
 
 def test_chebyshev_relation_is_the_ladder_composition(cheb):
@@ -166,12 +168,12 @@ def test_jacobi_json_and_csv(chain):
     payload = chain.to_json()
     assert payload["case"] == "jacobi-chain"
     assert payload["ok"] is True
-    assert payload["u_mass"] == "-1/3"
+    assert payload["u_mass"] == Fraction(-1, 3)
     assert payload["classification"] == "NonDegenerate23"
-    json.dumps(payload)
-    lines = chain.to_csv().splitlines()
-    assert lines[0].startswith("n,a_n,b_n,c_n,")
-    assert len(lines) == chain.depth + 2
+    assert json.loads(_json_text(payload))["u_mass"] == "-1/3"
+    rows = chain.to_csv()
+    assert rows[0][:4] == ["n", "a_n", "b_n", "c_n"]
+    assert len(rows) == chain.depth + 2
 
 
 @pytest.mark.parametrize(
@@ -195,9 +197,9 @@ def test_jacobi_admissibility_failures(a1, c1, condition, index):
     assert payload["ok"] is False
     assert payload["failure"]["condition"] == condition
     assert "relation" not in payload
-    lines = rep.to_csv().splitlines()
-    assert lines[0] == "failure,n"
-    assert lines[1].startswith(condition + ",")
+    rows = rep.to_csv()
+    assert rows[0] == ["failure", "n"]
+    assert rows[1] == [condition, index]
 
 
 def test_jacobi_other_parameter_sets():

@@ -1,17 +1,22 @@
 """End-to-end drives of the command line front end via main(argv)."""
 
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
 import random
+import re
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mopsrel import chebyshev_case
-from mopsrel.cli import _json_text, main
+from mopsrel import DepthError, chebyshev_case
+from mopsrel.cli import EXAMPLE_MAX_DEPTH, _json_text, main
+from mopsrel.rational import RATIONAL_PATTERN
 from conftest import random_gated_instance, rel_from7
 
 
@@ -35,7 +40,8 @@ def negative_doc():
 
 def write_doc(tmp_path, name, doc):
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    # default=str spells the Fraction leaves of to_json() as "p" or "p/q"
+    path.write_text(json.dumps(doc, default=str), encoding="utf-8")
     return str(path)
 
 
@@ -76,7 +82,7 @@ def test_classify_accepts_bare_relation_document(tmp_path, capsys):
 def test_classify_reads_stdin(monkeypatch, capsys):
     rel = rel_from7(0, 0, 0, 0, 0, 0, 0)
     monkeypatch.setattr(
-        "sys.stdin", io.StringIO(json.dumps({"relation": rel.to_json()}))
+        "sys.stdin", io.StringIO(json.dumps({"relation": rel.to_json()}, default=str))
     )
     code, out, _ = run(capsys, ["classify"])
     assert code == 0
@@ -282,6 +288,56 @@ def test_oversized_output_is_input_error(tmp_path, capsys, combined_doc, command
     assert out == ""
     assert "decimal digits is too long to print" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_float_overflow_is_input_error(tmp_path, capsys, combined_doc, fmt):
+    """beta_0 = 10^400 gives constants beyond the float range: the exact
+    payload is written, the float one exits 2 before a byte reaches stdout."""
+    rec = dict(combined_doc["recurrence"])
+    rec["beta"] = [str(10**400)] + rec["beta"][1:]
+    path = write_doc(tmp_path, "beyond.json", {"recurrence": rec,
+                                               "relation": combined_doc["relation"]})
+    argv = ["constants", "--depth", "6", "--format", fmt, path]
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and out
+    # the first value in payload order past the float range, and its digits
+    for text in re.findall(r"-?[0-9]+(?:/[0-9]+)?", out):
+        try:
+            float(Fraction(text))
+        except OverflowError:
+            digits = max(len(part.lstrip("-")) for part in text.split("/"))
+            break
+    code, out, err = run(capsys, argv + ["--mode", "float"])
+    assert code == 2 and out == ""
+    assert f"a rational with {digits} decimal digits is beyond the float range" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["example", "chebyshev", "--depth", "6", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert f"cannot write {target}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["chebyshev", "jacobi-chain"])
+def test_example_depth_maximum(capsys, monkeypatch, case):
+    """A depth past the maximum is refused before any work starts; the
+    maximum itself reaches the case builder (here a stand-in that stops)."""
+    def stand_in(*args):
+        raise DepthError(f"builder called with depth {args[-1]}")
+
+    monkeypatch.setattr("mopsrel.cli.chebyshev_case", stand_in)
+    monkeypatch.setattr("mopsrel.cli.jacobi_chain", stand_in)
+    for depth in (EXAMPLE_MAX_DEPTH + 1, 10**20):
+        code, out, err = run(capsys, ["example", case, "--depth", str(depth)])
+        assert code == 2 and out == ""
+        assert f"--depth of example must be at most {EXAMPLE_MAX_DEPTH}" in err
+        assert "builder called" not in err and "Traceback" not in err
+    code, _, err = run(capsys, ["example", case, "--depth", str(EXAMPLE_MAX_DEPTH)])
+    assert code == 2 and f"builder called with depth {EXAMPLE_MAX_DEPTH}" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -538,6 +594,83 @@ def test_golden_payload_digest(
     got, out, _ = run(capsys, [paths.get(a, a) for a in argv])
     assert got == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _float_value(node):
+    if isinstance(node, str) and RATIONAL_PATTERN.match(node):
+        return float(Fraction(node))
+    if isinstance(node, list):
+        return [_float_value(v) for v in node]
+    if isinstance(node, dict):
+        return {k: _float_value(v) for k, v in node.items()}
+    return node
+
+
+def _float_csv(text: str) -> str:
+    lines = []
+    for line in text.rstrip("\n").split("\n"):
+        cells = [
+            str(float(Fraction(cell)))
+            if "/" in cell and RATIONAL_PATTERN.match(cell)
+            else cell
+            for cell in line.split(",")
+        ]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def float_reference(exact: str, fmt: str) -> str:
+    """Float-mode stdout made from exact-mode stdout by re-parsing it, the
+    way the command line once produced float mode: in JSON every rational
+    string becomes a float, in CSV only the cells with a "/" do."""
+    if not exact:
+        return exact
+    if fmt == "csv":
+        return _float_csv(exact)
+    return json.dumps(_float_value(json.loads(exact)), indent=2) + "\n"
+
+
+def without_float(argv: list) -> list:
+    i = argv.index("--mode")
+    return argv[:i] + argv[i + 2:]
+
+
+FLOAT_GOLDEN = [case[0] for case in GOLDEN if "float" in case[0]]
+
+
+@pytest.mark.parametrize("argv", FLOAT_GOLDEN, ids=[" ".join(a) for a in FLOAT_GOLDEN])
+def test_float_mode_matches_reference(tmp_path, capsys, combined_doc, negative_doc, argv):
+    paths = {
+        COMBINED: write_doc(tmp_path, "combined.json", combined_doc),
+        NEGATIVE: write_doc(tmp_path, "negative.json", negative_doc),
+    }
+    argv = [paths.get(a, a) for a in argv]
+    exact_code, exact, _ = run(capsys, without_float(argv))
+    code, out, _ = run(capsys, argv)
+    assert code == exact_code
+    assert out == float_reference(exact, "csv" if "csv" in argv else "json")
+
+
+def run_stdin(argv: list, text: str) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(text)):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(12, 60))
+def test_float_mode_matches_reference_on_random_documents(seed, depth):
+    rec, rel = random_gated_instance(random.Random(seed), depth)
+    text = json.dumps({"recurrence": rec.to_json(), "relation": rel.to_json()}, default=str)
+    for command in ("classify", "inverse-check", "constants"):
+        for fmt in ("json", "csv"):
+            argv = [command, "--depth", str(depth), "--format", fmt, "-"]
+            exact_code, exact = run_stdin(argv, text)
+            code, out = run_stdin(argv + ["--mode", "float"], text)
+            assert code == exact_code
+            assert out == float_reference(exact, fmt)
 
 
 # leaves the payload writer must spell as json does: big ints, signed zero,
