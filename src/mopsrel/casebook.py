@@ -45,8 +45,7 @@ from .relation23 import (
     InverseVerdict,
     Relation23,
     RelationTag,
-    check_by_constants,
-    check_by_equations,
+    check_both,
     classify,
     compose_ladders,
     regularity_criterion,
@@ -81,8 +80,7 @@ def _certify_relation(
             rhs = rhs + t[n] * p[n - 2]
         _certify(lhs == rhs, f"2-3 relation fails as a polynomial identity at n={n}")
 
-    verdict_eq = check_by_equations(u_rec, rel, depth)
-    verdict_ct = check_by_constants(u_rec, rel, depth)
+    _, verdict_eq, verdict_ct = check_both(u_rec, rel, depth)
     _certify(verdict_eq.is_mops, "equation checker rejects the generated family")
     _certify(verdict_ct.is_mops, "constancy checker rejects the generated family")
     _certify(

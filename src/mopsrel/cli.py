@@ -10,8 +10,9 @@ Subcommands:
 * ``example`` - run one of the built-in worked cases end to end.
 
 Exit codes: 0 success, 1 a checked property genuinely fails (not
-orthogonal, inadmissible parameters), 2 malformed or out-of-domain input,
-3 internal inconsistency (independent computations disagree).
+orthogonal, inadmissible parameters), 2 malformed or out-of-domain input
+(non-UTF-8 text included), 3 internal inconsistency (independent
+computations disagree) or any other error, reported without a traceback.
 
 Output is deterministic: the payload contains no timestamps or
 environment data, so identical inputs give byte-identical output.
@@ -20,6 +21,7 @@ environment data, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -36,8 +38,8 @@ from .functional import RecurrencePair
 from .rational import _decimal_digits, format_rational, parse_rational
 from .relation23 import (
     Relation23,
+    check_both,
     check_by_constants,
-    check_by_equations,
     classify,
     relation_constants,
 )
@@ -195,14 +197,17 @@ def _flatten(prefix: str, node):
 
 
 def _load_document(source: str) -> dict:
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    name = "stdin" if source == "-" else source
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
             with open(source, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise FormatError(f"cannot read {source}: {exc}") from exc
+    except OSError as exc:
+        raise FormatError(f"cannot read {name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{name} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -247,12 +252,11 @@ def _cmd_classify(config: RunConfig) -> int:
 def _cmd_inverse_check(config: RunConfig) -> int:
     rec, rel = _load_pair(config)
     # the checkers refuse a zero gamma_n, n <= depth + 1, themselves
-    verdict_eq = check_by_equations(rec, rel, config.depth)
-    verdict_ct = check_by_constants(rec, rel, config.depth)
+    case, verdict_eq, verdict_ct = check_both(rec, rel, config.depth)
     agree = verdict_eq.is_mops == verdict_ct.is_mops
     payload = {
         "depth": config.depth,
-        "classification": classify(rel).to_json(),
+        "classification": case.to_json(),
         "verdict_equations": verdict_eq.to_json(),
         "verdict_constants": verdict_ct.to_json(),
         "agree": agree,
@@ -320,6 +324,9 @@ def _cmd_example(config: RunConfig) -> int:
     return EXIT_OK
 
 
+# built on the first call and reused: argparse looks up sys.stdout,
+# sys.stderr and the terminal width only when it prints
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mopsrel",
@@ -439,6 +446,10 @@ def _dispatch(config: RunConfig) -> int:
         )
         print(f"mopsrel: {exc}{hint}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # a refusal the commands missed: an exit code, not a traceback
+        print(f"mopsrel: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ Two logically independent answers are implemented and should always agree:
   t_4 gamma_2 = a_4 t_3 together with the constancy in n of three rational
   expressions A_n, B_n, C_n built from the data.
 
+Both share a prelude (admission, the induced recurrence, the auxiliary
+sequences, gamma~_n != 0 and ci1-ci3) and differ in the conditions that
+decide; ``check_both`` runs the prelude once for the two.
+
 When either verdict is positive, the functional v of the generated family
 satisfies lambda (x - c) u = (x^2 + a x + b) v for constants that
 ``relation_constants`` computes in closed form; the constancy checker
@@ -330,10 +334,11 @@ class InverseVerdict:
 
 
 def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
-    """What the two checkers share: admission of the data, the induced
-    recurrence through ``depth``, the auxiliary sequences through ``upto``
-    (which read the induced gamma~ through upto - 2), and the conditions
-    gamma~_n != 0 (n <= depth) and ci1-ci3."""
+    """What the two checkers share: admission of the data (and the
+    admitted case), the induced recurrence through ``depth``, the auxiliary
+    sequences through ``upto`` (which read the induced gamma~ through
+    upto - 2), and the conditions gamma~_n != 0 (n <= depth) and ci1-ci3.
+    Each checker's tail appends to its own copy of the failure list."""
     if depth < 4:
         raise DepthError("inverse-problem checks need depth >= 4")
     rec.require_regular(depth + 1)
@@ -371,13 +376,13 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
         failures.append(Failure("ci2", 3))
     if _lcm_sum((c3, -b3 * e, -a3 * h), (c3d, b3d * ed, a3d * hd))[0]:
         failures.append(Failure("ci3", 3))
-    return induced, aux, failures
+    return case, induced, aux, failures
 
 
-def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
-    """Orthogonality of the generated family, decided through the
-    coefficient equations. Consumes relation indices through depth + 1."""
-    induced, aux, failures = _prelude(rec, rel, depth, depth)
+def _equations_tail(rel: Relation23, depth: int, induced, aux, failures) -> InverseVerdict:
+    """The verdict of the coefficient equations eqn1-eqn3, 4 <= n <= depth,
+    on top of the prelude's failures."""
+    failures = list(failures)
     r, s, t = rel.r, rel.s, rel.t
     a, b, c, d = aux
     for n in range(4, depth + 1):
@@ -387,6 +392,13 @@ def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
             if lhs.numerator * ad * k.denominator != an * k.numerator * lhs.denominator:
                 failures.append(Failure(name, n))
     return InverseVerdict(not failures, induced, tuple(failures))
+
+
+def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
+    """Orthogonality of the generated family, decided through the
+    coefficient equations. Consumes relation indices through depth + 1."""
+    _, induced, aux, failures = _prelude(rec, rel, depth, depth)
+    return _equations_tail(rel, depth, induced, aux, failures)
 
 
 def _constancy(rec: RecurrencePair, rel: Relation23, depth: int, induced):
@@ -448,16 +460,15 @@ def constant_sequences(
     return _constancy(rec, rel, depth, induced)
 
 
-def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
-    """Orthogonality of the generated family, decided through the startup
-    condition and constancy of A_n, B_n, C_n for 3 <= n <= depth. Consumes
-    relation indices through depth + 2."""
-    # the auxiliary sequences through 4: ci1-ci3 read b_n, c_n, d_n at
-    # n = 2, 3 and the startup condition a_4; _constancy builds the a_n
-    # it reads, through depth + 1
-    induced, aux, failures = _prelude(rec, rel, depth, 4)
+def _constants_tail(
+    rec: RecurrencePair, rel: Relation23, depth: int, induced, aux, failures
+) -> InverseVerdict:
+    """The verdict of the startup condition and the constancy of A_n, B_n,
+    C_n, 3 <= n <= depth, on top of the prelude's failures; it reads
+    a_4 of ``aux`` and builds the a_n it needs past that itself."""
     rel.require(depth + 2)
     rec.require(depth + 1, depth + 1)
+    failures = list(failures)
     # t_4 gamma_2 = a_4 t_3 by cross-multiplication
     t3, t4, g2, a4 = rel.t[3], rel.t[4], rec.gamma[1], aux.a[4]
     if (t4.numerator * g2.numerator * a4.denominator * t3.denominator
@@ -471,6 +482,31 @@ def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
                 failures.append(Failure(name, n))
     constants = (A[3], B[3], C[3]) if len(failures) == before else None
     return InverseVerdict(not failures, induced, tuple(failures), constants, (A, B, C))
+
+
+def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
+    """Orthogonality of the generated family, decided through the startup
+    condition and constancy of A_n, B_n, C_n for 3 <= n <= depth. Consumes
+    relation indices through depth + 2."""
+    # the auxiliary sequences through 4: ci1-ci3 read b_n, c_n, d_n at
+    # n = 2, 3 and the startup condition a_4
+    _, induced, aux, failures = _prelude(rec, rel, depth, 4)
+    return _constants_tail(rec, rel, depth, induced, aux, failures)
+
+
+def check_both(
+    rec: RecurrencePair, rel: Relation23, depth: int
+) -> tuple[RelationCase, InverseVerdict, InverseVerdict]:
+    """The admitted case and the verdicts of ``check_by_equations`` and
+    ``check_by_constants``, equal to what the two give, from one shared
+    prelude; data they refuse raises what the first of them to refuse
+    raises. Consumes relation indices through depth + 2."""
+    case, induced, aux, failures = _prelude(rec, rel, depth, depth)
+    return (
+        case,
+        _equations_tail(rel, depth, induced, aux, failures),
+        _constants_tail(rec, rel, depth, induced, aux, failures),
+    )
 
 
 @dataclass(frozen=True)

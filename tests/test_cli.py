@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mopsrel import DepthError, chebyshev_case
-from mopsrel.cli import EXAMPLE_MAX_DEPTH, _json_text, main
+from mopsrel.cli import EXAMPLE_MAX_DEPTH, _build_parser, _json_text, main
 from mopsrel.rational import RATIONAL_PATTERN
 from conftest import random_gated_instance, rel_from7
 
@@ -114,6 +114,32 @@ def test_malformed_inputs(tmp_path, capsys):
 
     code, _, err = run(capsys, ["classify", str(tmp_path / "missing.json")])
     assert code == 2 and "cannot read" in err
+
+
+# a UTF-16 document with its byte-order mark: ff fe opens no UTF-8 text
+UTF16_DOC = b"\xff\xfe" + '{"relation": {"r": [], "s": [], "t": []}}'.encode("utf-16-le")
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(UTF16_DOC)
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert f"mopsrel: {path} is not UTF-8 text: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "inverse-check", "constants"])
+def test_non_utf8_stdin_is_input_error(monkeypatch, capsys, command):
+    # a strict UTF-8 reader over the bytes, as stdin is under
+    # PYTHONIOENCODING=utf-8:strict: its read() raises UnicodeDecodeError
+    monkeypatch.setattr(
+        "sys.stdin", io.TextIOWrapper(io.BytesIO(UTF16_DOC), encoding="utf-8", errors="strict")
+    )
+    code, out, err = run(capsys, [command, "--depth", "6", "-"])
+    assert code == 2 and out == ""
+    assert "mopsrel: stdin is not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 # the interpreter's cap on decimal digits in an int conversion (0: no cap)
@@ -340,11 +366,35 @@ def test_example_depth_maximum(capsys, monkeypatch, case):
     assert code == 2 and f"builder called with depth {EXAMPLE_MAX_DEPTH}" in err
 
 
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("mopsrel.cli.chebyshev_case", ["example", "chebyshev", "--depth", "6"]),
+        ("mopsrel.cli.check_both", ["inverse-check", "--depth", "6", "DOC"]),
+        ("mopsrel.cli.relation_constants", ["constants", "--depth", "6", "DOC"]),
+    ],
+    ids=["example", "inverse-check", "constants"],
+)
+def test_unexpected_exception_is_exit_3(tmp_path, capsys, monkeypatch, combined_doc, target, argv):
+    """An exception no command expects ends in exit 3 and one line naming
+    it, with no traceback and no payload (here a stand-in that raises)."""
+    def stand_in(*args):
+        raise RuntimeError("stand-in failure")
+
+    monkeypatch.setattr(target, stand_in)
+    path = write_doc(tmp_path, "combined.json", combined_doc)
+    code, out, err = run(capsys, [path if a == "DOC" else a for a in argv])
+    assert code == 3 and out == ""
+    assert "mopsrel: internal error: RuntimeError: stand-in failure" in err
+    assert "Traceback" not in err and "exit=3" in err
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_example_builds_the_constancy_data_once(capsys, monkeypatch, fmt):
-    """The CSV rows reuse the A_n, B_n, C_n of the constancy checker, so a
-    CSV run builds the induced recurrence and the auxiliary sequences as
-    often as a JSON run."""
+    """The two checkers share one prelude, and the CSV rows reuse the A_n,
+    B_n, C_n of the constancy checker: a run builds the induced recurrence
+    for the checkers and for the closed-form constants, and the auxiliary
+    sequences once, in either format."""
     import mopsrel.relation23 as relation23
 
     calls = {"induced_recurrence": 0, "auxiliary_sequences": 0}
@@ -358,17 +408,17 @@ def test_example_builds_the_constancy_data_once(capsys, monkeypatch, fmt):
         monkeypatch.setattr(relation23, name, counted)
     code, _, _ = run(capsys, ["example", "chebyshev", "--depth", "20", "--format", fmt])
     assert code == 0
-    assert calls == {"induced_recurrence": 3, "auxiliary_sequences": 2}
+    assert calls == {"induced_recurrence": 2, "auxiliary_sequences": 1}
 
 
 def test_internal_disagreement_is_exit_3(tmp_path, capsys, monkeypatch, combined_doc):
-    from mopsrel import check_by_constants as real
+    from mopsrel import check_both as real
 
     def flipped(rec, rel, depth):
-        verdict = real(rec, rel, depth)
-        return dataclasses.replace(verdict, is_mops=not verdict.is_mops)
+        case, verdict_eq, verdict_ct = real(rec, rel, depth)
+        return case, verdict_eq, dataclasses.replace(verdict_ct, is_mops=not verdict_ct.is_mops)
 
-    monkeypatch.setattr("mopsrel.cli.check_by_constants", flipped)
+    monkeypatch.setattr("mopsrel.cli.check_both", flipped)
     path = write_doc(tmp_path, "combined.json", combined_doc)
     code, out, err = run(capsys, ["inverse-check", "--depth", "6", path])
     assert code == 3
@@ -379,13 +429,20 @@ def test_internal_disagreement_is_exit_3(tmp_path, capsys, monkeypatch, combined
 def test_internal_constants_mismatch_is_exit_3(
     tmp_path, capsys, monkeypatch, combined_doc
 ):
-    from mopsrel import check_by_constants as real
+    from mopsrel import check_both, check_by_constants
 
-    def skewed(rec, rel, depth):
-        verdict = real(rec, rel, depth)
+    def skew(verdict):
         a, b, c = verdict.constants
         return dataclasses.replace(verdict, constants=(a + 1, b, c))
 
+    def skewed_both(rec, rel, depth):
+        case, verdict_eq, verdict_ct = check_both(rec, rel, depth)
+        return case, verdict_eq, skew(verdict_ct)
+
+    def skewed(rec, rel, depth):
+        return skew(check_by_constants(rec, rel, depth))
+
+    monkeypatch.setattr("mopsrel.cli.check_both", skewed_both)
     monkeypatch.setattr("mopsrel.cli.check_by_constants", skewed)
     path = write_doc(tmp_path, "combined.json", combined_doc)
     code, _, err = run(capsys, ["inverse-check", "--depth", "6", path])
@@ -596,6 +653,23 @@ def test_golden_payload_digest(
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys, combined_doc):
+    """main() builds its parser once per process; an argparse refusal on
+    the shared parser leaves the later payloads as pinned."""
+    assert _build_parser() is _build_parser()
+    path = write_doc(tmp_path, "combined.json", combined_doc)
+    code, out = run_exit(capsys, ["classify", "--format", "xml", path])
+    assert code == 2 and out == ""
+    pinned = {tuple(case[0]): case[1:] for case in GOLDEN}
+    for argv in (
+        ["classify", COMBINED],
+        ["inverse-check", "--depth", "6", COMBINED],
+        ["example", "chebyshev", "--depth", "6"],
+    ):
+        got, out, _ = run(capsys, [path if a == COMBINED else a for a in argv])
+        assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == pinned[tuple(argv)]
+
+
 def _float_value(node):
     if isinstance(node, str) and RATIONAL_PATTERN.match(node):
         return float(Fraction(node))
@@ -656,7 +730,7 @@ def run_stdin(argv: list, text: str) -> tuple:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch("sys.stdin", io.StringIO(text)):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=25, deadline=None)
@@ -667,10 +741,59 @@ def test_float_mode_matches_reference_on_random_documents(seed, depth):
     for command in ("classify", "inverse-check", "constants"):
         for fmt in ("json", "csv"):
             argv = [command, "--depth", str(depth), "--format", fmt, "-"]
-            exact_code, exact = run_stdin(argv, text)
-            code, out = run_stdin(argv + ["--mode", "float"], text)
+            exact_code, exact, _ = run_stdin(argv, text)
+            code, out, _ = run_stdin(argv + ["--mode", "float"], text)
             assert code == exact_code
             assert out == float_reference(exact, fmt)
+
+
+# what a mutation puts in a document's place: a wrong type, a zero, a huge
+# entry (the last one past the interpreter's digit limit)
+WRONG_VALUES = st.sampled_from([None, True, 1.5, "x", "1/0", "", {}, [], 7])
+EXTREME_VALUES = st.sampled_from(["0", 0, "-0", str(10**60), f"-1/{10**60}", "9" * 5000])
+
+
+def mutated(data, node):
+    """``node`` with one mutation at a place drawn from it: a wrong type,
+    a shorter list (or a dict without a key), a zero or huge entry, or one
+    more level of nesting."""
+    if isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        if isinstance(node, dict):
+            key = data.draw(st.sampled_from(sorted(node)))
+            return {**node, key: mutated(data, node[key])}
+        i = data.draw(st.integers(0, len(node) - 1))
+        return node[:i] + [mutated(data, node[i])] + node[i + 1:]
+    kind = data.draw(st.sampled_from(["wrong", "short", "extreme", "nest"]))
+    if kind == "wrong":
+        return data.draw(WRONG_VALUES)
+    if kind == "short":
+        if isinstance(node, list):
+            return node[: data.draw(st.integers(0, max(0, len(node) - 1)))]
+        if isinstance(node, dict) and node:
+            key = data.draw(st.sampled_from(sorted(node)))
+            return {k: v for k, v in node.items() if k != key}
+        return ""
+    if kind == "extreme":
+        return data.draw(EXTREME_VALUES)
+    key = data.draw(st.sampled_from(["relation", "recurrence", "r", "beta"]))
+    return data.draw(st.sampled_from([[node], {key: node}]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_documents_end_in_an_exit_code(combined_doc, negative_doc, data):
+    """Every mutated document ends in exit 0, 1, 2 or 3, and never in the
+    catch-all's internal error: each malformed input has its own refusal."""
+    base = data.draw(st.sampled_from([combined_doc, negative_doc]))
+    doc = json.loads(json.dumps(base, default=str))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = mutated(data, doc)
+    text = json.dumps(doc)
+    depth = data.draw(st.sampled_from(["5", "6"]))
+    for command in ("classify", "inverse-check", "constants"):
+        code, _, err = run_stdin([command, "--depth", depth, "-"], text)
+        assert code in (0, 1, 2, 3)
+        assert "internal error" not in err and "Traceback" not in err
 
 
 # leaves the payload writer must spell as json does: big ints, signed zero,

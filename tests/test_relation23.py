@@ -13,6 +13,7 @@ from mopsrel import (
     RecurrencePair,
     Relation23,
     RelationTag,
+    check_both,
     check_by_constants,
     check_by_equations,
     chebyshev_case,
@@ -318,3 +319,69 @@ def test_checkers_agree_on_random_instances_at_depth_100_and_beyond(seed, depth)
     ct = check_by_constants(rec, rel, depth)
     assert eq.is_mops == ct.is_mops
     assert eq.induced == ct.induced
+
+
+def assert_same_verdicts(rec, rel, depth):
+    """check_both gives the case the checkers admit and, field by field,
+    the verdicts of the two checkers run one after the other."""
+    case, eq, ct = check_both(rec, rel, depth)
+    eq_alone = check_by_equations(rec, rel, depth)
+    ct_alone = check_by_constants(rec, rel, depth)
+    assert case == classify(rel) and case.tag is RelationTag.NONDEGENERATE23
+    for shared, alone in ((eq, eq_alone), (ct, ct_alone)):
+        assert shared.is_mops == alone.is_mops
+        assert shared.failures == alone.failures
+        assert shared.induced == alone.induced
+        assert shared.constants == alone.constants
+        assert shared.constancy == alone.constancy
+    return eq, ct
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32), st.integers(12, 200))
+def test_check_both_equals_the_two_checkers(seed, depth):
+    assert_same_verdicts(*random_gated_instance(random.Random(seed), depth), depth)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chebyshev_case(40),
+        lambda: jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 40),
+    ],
+    ids=["chebyshev", "jacobi-generic"],
+)
+def test_check_both_equals_the_two_checkers_on_worked_cases(build):
+    rep = build()
+    eq, ct = assert_same_verdicts(rep.u_rec, rep.rel, 40)
+    assert eq.is_mops and ct.is_mops
+
+
+def _refused_cases():
+    rec, rel = random_gated_instance(random.Random(20260818), 10)
+    rep = chebyshev_case(6)
+    gamma = list(rep.u_rec.gamma)
+    gamma[2] = 0
+    return {
+        # the equations checker accepts it, the constancy checker needs one more index
+        "relation-through-depth-plus-1": (
+            DepthError, rec, Relation23(rel.r[:10], rel.s[:10], rel.t[:10]), 8),
+        "zero-gamma": (DomainError, RecurrencePair(rep.u_rec.beta, gamma), rep.rel, 6),
+        "type12": (
+            ContractError, RecurrencePair([0] * 8, ["1/4"] * 8),
+            rel_from7(0, 2, 0, 1, 0, 2, 0, pad=5), 5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_refused_cases()))
+def test_check_both_refuses_as_the_checkers_do(name):
+    """On refused data check_both raises what check_by_equations followed
+    by check_by_constants raises: the same type and the same message."""
+    kind, rec, rel, depth = _refused_cases()[name]
+    with pytest.raises(kind) as alone:
+        check_by_equations(rec, rel, depth)
+        check_by_constants(rec, rel, depth)
+    with pytest.raises(kind) as shared:
+        check_both(rec, rel, depth)
+    assert type(shared.value) is type(alone.value)
+    assert str(shared.value) == str(alone.value)
