@@ -25,11 +25,9 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 from .casebook import chebyshev_case, jacobi_chain
 from .errors import ContractError, DepthError, DomainError, FormatError
@@ -58,21 +56,6 @@ EXAMPLE_MAX_DEPTH = 1000
 # its option as "--a1=-1/4"
 RATIONAL_OPTIONS = ("--alpha", "--beta", "--a1", "--c1")
 NEGATIVE_VALUE = re.compile(r"^-[0-9]")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    depth: int
-    fmt: str
-    mode: str
-    out: Optional[str]
-    sources: tuple = ()
-    case: Optional[str] = None
-    alpha: Optional[str] = None
-    beta: Optional[str] = None
-    a1: Optional[str] = None
-    c1: Optional[str] = None
 
 
 # The payload trees hold Fraction leaves; only the command line spells them,
@@ -163,22 +146,22 @@ def _csv_text(payload, cell) -> str:
     ])
 
 
-def _emit(payload, config: RunConfig) -> None:
+def _emit(payload, args: argparse.Namespace) -> None:
     """Render the whole payload, then write it: a value that cannot be
     rendered leaves stdout and the ``--out`` file untouched."""
-    float_mode = config.mode == "float"
-    if config.fmt == "csv":
+    float_mode = args.mode == "float"
+    if args.format == "csv":
         text = _csv_text(payload, _float_cell if float_mode else format_rational)
     else:
         text = _json_text(payload, _float_text if float_mode else _exact_json) + "\n"
-    if not config.out:
+    if not args.out:
         sys.stdout.write(text)
         return
     try:
-        with open(config.out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise FormatError(f"cannot write {config.out}: {exc}") from exc
+        raise FormatError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _flatten(prefix: str, node):
@@ -231,31 +214,31 @@ def _recurrence_from(doc: dict) -> RecurrencePair:
     return RecurrencePair.from_json(data)
 
 
-def _load_pair(config: RunConfig) -> tuple[RecurrencePair, Relation23]:
+def _load_pair(args: argparse.Namespace) -> tuple[RecurrencePair, Relation23]:
     """One combined document, or a recurrence file then a relation file."""
-    if len(config.sources) == 2:
-        rec = _recurrence_from(_load_document(config.sources[0]))
-        rel = _relation_from(_load_document(config.sources[1]))
+    if len(args.input) == 2:
+        rec = _recurrence_from(_load_document(args.input[0]))
+        rel = _relation_from(_load_document(args.input[1]))
         return rec, rel
-    doc = _load_document(config.sources[0])
+    doc = _load_document(args.input[0])
     return _recurrence_from(doc), _relation_from(doc)
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    doc = _load_document(config.sources[0])
+def _cmd_classify(args: argparse.Namespace) -> int:
+    doc = _load_document(args.input[0])
     rel = _relation_from(doc)
     case = classify(rel)
-    _emit(case.to_json(), config)
+    _emit(case.to_json(), args)
     return EXIT_OK
 
 
-def _cmd_inverse_check(config: RunConfig) -> int:
-    rec, rel = _load_pair(config)
+def _cmd_inverse_check(args: argparse.Namespace) -> int:
+    rec, rel = _load_pair(args)
     # the checkers refuse a zero gamma_n, n <= depth + 1, themselves
-    case, verdict_eq, verdict_ct = check_both(rec, rel, config.depth)
+    case, verdict_eq, verdict_ct = check_both(rec, rel, args.depth)
     agree = verdict_eq.is_mops == verdict_ct.is_mops
     payload = {
-        "depth": config.depth,
+        "depth": args.depth,
         "classification": case.to_json(),
         "verdict_equations": verdict_eq.to_json(),
         "verdict_constants": verdict_ct.to_json(),
@@ -267,57 +250,57 @@ def _cmd_inverse_check(config: RunConfig) -> int:
         payload["functional_relation"] = fr.to_json()
         triple = verdict_ct.constants
         if triple != (fr.a, fr.b, fr.c):
-            _emit(payload, config)
+            _emit(payload, args)
             print(
                 "inverse-check: closed-form constants disagree with the constancy triple",
                 file=sys.stderr,
             )
             return EXIT_INTERNAL
-    _emit(payload, config)
+    _emit(payload, args)
     if not agree:
         print("inverse-check: the two checkers disagree", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK if verdict_eq.is_mops else EXIT_NEGATIVE
 
 
-def _cmd_constants(config: RunConfig) -> int:
-    rec, rel = _load_pair(config)
+def _cmd_constants(args: argparse.Namespace) -> int:
+    rec, rel = _load_pair(args)
     # before relation_constants, which would name gamma_1 differently
-    rec.require_regular(config.depth + 1)
+    rec.require_regular(args.depth + 1)
     fr = relation_constants(rec, rel)
-    verdict = check_by_constants(rec, rel, config.depth)
+    verdict = check_by_constants(rec, rel, args.depth)
     payload = {
-        "depth": config.depth,
+        "depth": args.depth,
         "functional_relation": fr.to_json(),
         "verdict_constants": verdict.to_json(),
     }
     if not verdict.is_mops:
-        _emit(payload, config)
+        _emit(payload, args)
         return EXIT_NEGATIVE
     if verdict.constants != (fr.a, fr.b, fr.c):
-        _emit(payload, config)
+        _emit(payload, args)
         print(
             "constants: closed-form constants disagree with the constancy triple",
             file=sys.stderr,
         )
         return EXIT_INTERNAL
     payload["agree"] = True
-    _emit(payload, config)
+    _emit(payload, args)
     return EXIT_OK
 
 
-def _cmd_example(config: RunConfig) -> int:
-    if config.case == "chebyshev":
-        report = chebyshev_case(config.depth)
-        payload = report.to_csv() if config.fmt == "csv" else report.to_json()
-        _emit(payload, config)
+def _cmd_example(args: argparse.Namespace) -> int:
+    if args.case == "chebyshev":
+        report = chebyshev_case(args.depth)
+        payload = report.to_csv() if args.format == "csv" else report.to_json()
+        _emit(payload, args)
         return EXIT_OK
-    params = JacobiParams(parse_rational(config.alpha), parse_rational(config.beta))
+    params = JacobiParams(parse_rational(args.alpha), parse_rational(args.beta))
     report = jacobi_chain(
-        params, parse_rational(config.a1), parse_rational(config.c1), config.depth
+        params, parse_rational(args.a1), parse_rational(args.c1), args.depth
     )
-    payload = report.to_csv() if config.fmt == "csv" else report.to_json()
-    _emit(payload, config)
+    payload = report.to_csv() if args.format == "csv" else report.to_json()
+    _emit(payload, args)
     if not report.ok:
         print(f"example: {report.failure.condition}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -369,23 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    sources = getattr(args, "input", None)
-    return RunConfig(
-        command=args.command,
-        depth=args.depth,
-        fmt=args.format,
-        mode=args.mode,
-        out=args.out,
-        sources=tuple(sources) if sources else (),
-        case=getattr(args, "case", None),
-        alpha=getattr(args, "alpha", None),
-        beta=getattr(args, "beta", None),
-        a1=getattr(args, "a1", None),
-        c1=getattr(args, "c1", None),
-    )
-
-
 def _join_negative_values(argv: list) -> list:
     joined: list = []
     for arg in argv:
@@ -399,44 +365,43 @@ def _join_negative_values(argv: list) -> list:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_join_negative_values(argv))
-    config = _config_from(args)
-    code = _dispatch(config)
+    code = _dispatch(args)
     # run metadata goes to stderr so the payload stays byte-reproducible
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     print(
-        f"# mopsrel {config.command} depth={config.depth} exit={code} time={stamp}",
+        f"# mopsrel {args.command} depth={args.depth} exit={code} time={stamp}",
         file=sys.stderr,
     )
     return code
 
 
-def _dispatch(config: RunConfig) -> int:
-    if config.command != "classify" and config.depth < 5:
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command != "classify" and args.depth < 5:
         print("mopsrel: --depth must be at least 5", file=sys.stderr)
         return EXIT_INPUT
-    if config.command == "example" and config.depth > EXAMPLE_MAX_DEPTH:
+    if args.command == "example" and args.depth > EXAMPLE_MAX_DEPTH:
         print(f"mopsrel: --depth of example must be at most {EXAMPLE_MAX_DEPTH}",
               file=sys.stderr)
         return EXIT_INPUT
-    if config.command in ("classify", "inverse-check", "constants"):
-        n = len(config.sources)
-        if n > 2 or (config.command == "classify" and n != 1):
+    if args.command in ("classify", "inverse-check", "constants"):
+        n = len(args.input)
+        if n > 2 or (args.command == "classify" and n != 1):
             print("mopsrel: expected one combined input file, or a recurrence "
                   "file and a relation file", file=sys.stderr)
             return EXIT_INPUT
     try:
-        if config.command == "classify":
-            return _cmd_classify(config)
-        if config.command == "inverse-check":
-            return _cmd_inverse_check(config)
-        if config.command == "constants":
-            return _cmd_constants(config)
-        return _cmd_example(config)
+        if args.command == "classify":
+            return _cmd_classify(args)
+        if args.command == "inverse-check":
+            return _cmd_inverse_check(args)
+        if args.command == "constants":
+            return _cmd_constants(args)
+        return _cmd_example(args)
     except (FormatError, DepthError, DomainError) as exc:
         print(f"mopsrel: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractError as exc:
-        if config.command == "example":
+        if args.command == "example":
             print(f"mopsrel: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
         hint = (

@@ -184,16 +184,6 @@ class RecurrencePair:
         self.beta = tuple(as_scalar(b) for b in beta)
         self.gamma = tuple(as_scalar(g) for g in gamma)
 
-    def beta_at(self, n: int) -> Fraction:
-        if n < 0 or n >= len(self.beta):
-            raise DepthError(f"beta_{n} not available (have beta_0..beta_{len(self.beta) - 1})")
-        return self.beta[n]
-
-    def gamma_at(self, n: int) -> Fraction:
-        if n < 1 or n > len(self.gamma):
-            raise DepthError(f"gamma_{n} not available (have gamma_1..gamma_{len(self.gamma)})")
-        return self.gamma[n - 1]
-
     def require(self, beta_through: int, gamma_through: int) -> None:
         if len(self.beta) <= beta_through:
             raise DepthError(

@@ -209,38 +209,6 @@ def compose_ladders(a, b, l) -> Relation23:
     return Relation23(r, s, t)
 
 
-def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> RecurrencePair:
-    """The recurrence pair the generated family must satisfy if it is a
-    MOPS: beta~_0..beta~_upto and gamma~_1..gamma~_upto. The gamma~ entries
-    may be zero here; whether they qualify is the checkers' business."""
-    if upto < 0:
-        raise DepthError("upto must be >= 0")
-    rel.require(upto + 1)
-    rec.require(upto, upto)
-    # numerators and denominators; every entry is one Fraction of integers.
-    # With z_n = s_{n+1} - s_n - beta_n the definitions read
-    #   bt_n = r_{n+1} - r_n - z_n,
-    #   gt_n = gamma_{n-1} + t_n - t_{n+1} + s_n (z_n + beta_{n-1})
-    #          - r_n (z_n + bt_{n-1})
-    r, rd = _parts(rel.r[: upto + 2])
-    s, sd = _parts(rel.s[: upto + 2])
-    t, td = _parts(rel.t[: upto + 2])
-    b, bd = _parts(rec.beta[: upto + 1])
-    g, gd = _parts(rec.gamma[:upto])
-    bt: list = []
-    gt: list = []
-    for n in range(upto + 1):
-        z, zd = _lcm_sum((s[n + 1], -s[n], -b[n]), (sd[n + 1], sd[n], bd[n]))
-        bt.append(Fraction(*_lcm_sum((r[n + 1], -r[n], -z), (rd[n + 1], rd[n], zd))))
-        if n:
-            prev = bt[n - 1]
-            gt.append(Fraction(*_lcm_sum(
-                (g[n - 1], t[n], -t[n + 1], s[n] * z, s[n] * b[n - 1], -r[n] * z, -r[n] * prev.numerator),
-                (gd[n - 1], td[n], td[n + 1], sd[n] * zd, sd[n] * bd[n - 1], rd[n] * zd, rd[n] * prev.denominator),
-            )))
-    return RecurrencePair(bt, gt)
-
-
 class AuxiliarySequences(NamedTuple):
     """The working sequences of the inverse problem, indexed so seq[n] is
     the value at n; entries below each sequence's first index are None."""
@@ -251,52 +219,74 @@ class AuxiliarySequences(NamedTuple):
     d: list
 
 
-def _a_sequence(s, sd, t, td, p, pd, g, gd, upto: int):
-    """a_n (1 <= n <= upto) from the integer parts of s, t, beta and gamma,
-    and the z_n = s_{n+1} - s_n - beta_n it reads, as pairs
-    (numerator, denominator); index 0 of both lists is unused:
+def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
+    """The derived sequences of the inverse problem, from one pass over the
+    integer parts of r, s, t, beta and gamma: the induced recurrence
+    bt_n = beta~_n (0 <= n <= upto) and gt_n = gamma~_n (1 <= n <= upto),
+    as two lists, and the auxiliary sequences, with a_n through ``upto`` and
+    b_n, c_n, d_n through ``aux_upto`` (None past it). Consumes relation
+    indices through upto + 1 and recurrence coefficients through upto.
 
-        a_n = gamma_{n-1} + t_n - t_{n+1} + s_n (z_n + beta_{n-1}),
+    Indices follow ``RecurrencePair``: gamma_n is ``rec.gamma[n-1]`` and
+    gt_n is ``gt[n-1]``. With z_n = s_{n+1} - s_n - beta_n,
 
-    each one Fraction of integers."""
-    a: list = [None] * (upto + 1)
-    z: list = [None] * (upto + 1)
-    for n in range(1, upto + 1):
-        zn, zd = z[n] = _lcm_sum((s[n + 1], -s[n], -p[n]), (sd[n + 1], sd[n], pd[n]))
-        a[n] = Fraction(*_lcm_sum(
-            (g[n - 1], t[n], -t[n + 1], s[n] * zn, s[n] * p[n - 1]),
-            (gd[n - 1], td[n], td[n + 1], sd[n] * zd, sd[n] * pd[n - 1]),
-        ))
-    return a, z
+        bt_n = r_{n+1} - r_n - z_n                               (n >= 0)
+        a_n  = gamma_n + t_n - t_{n+1} + s_n (z_n + beta_{n-1})  (n >= 1)
+        gt_n = a_n - r_n (z_n + bt_{n-1})                        (n >= 1)
+        b_n  = s_n gamma_{n-1} + t_n (z_n + beta_{n-2})          (n >= 2)
+        c_n  = t_n gamma_{n-2}                                   (n >= 3)
+        d_n  = r_n gt_{n-1}                                      (n >= 2)
 
-
-def auxiliary_sequences(
-    rec: RecurrencePair, rel: Relation23, upto: int, induced: RecurrencePair
-) -> AuxiliarySequences:
-    """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
+    each entry one Fraction of integers."""
     rel.require(upto + 1)
     rec.require(upto, upto)
-    # a_n and z_n from _a_sequence; b_n = s_n gamma_{n-2} + t_n (z_n +
-    # beta_{n-2}) is one Fraction of integers, as are the products c_n, d_n
+    r, rd = _parts(rel.r[: upto + 2])
     s, sd = _parts(rel.s[: upto + 2])
     t, td = _parts(rel.t[: upto + 2])
     p, pd = _parts(rec.beta[: upto + 1])
     g, gd = _parts(rec.gamma[:upto])
-    a, z = _a_sequence(s, sd, t, td, p, pd, g, gd, upto)
-    b: list = [None] * (upto + 1)
-    c: list = [None] * (upto + 1)
-    d: list = [None] * (upto + 1)
-    for n in range(2, upto + 1):
-        zn, zd = z[n]
-        b[n] = Fraction(*_lcm_sum(
-            (s[n] * g[n - 2], t[n] * zn, t[n] * p[n - 2]),
-            (sd[n] * gd[n - 2], td[n] * zd, td[n] * pd[n - 2]),
+    bt: list = []
+    gt: list = []
+    a, b, c, d = ([None] * (upto + 1) for _ in range(4))
+    for n in range(upto + 1):
+        zn, zd = _lcm_sum((s[n + 1], -s[n], -p[n]), (sd[n + 1], sd[n], pd[n]))
+        bt.append(Fraction(*_lcm_sum((r[n + 1], -r[n], -zn), (rd[n + 1], rd[n], zd))))
+        if n == 0:
+            continue
+        an = a[n] = Fraction(*_lcm_sum(
+            (g[n - 1], t[n], -t[n + 1], s[n] * zn, s[n] * p[n - 1]),
+            (gd[n - 1], td[n], td[n + 1], sd[n] * zd, sd[n] * pd[n - 1]),
         ))
-        rn, gt = rel.r[n], induced.gamma[n - 2]
-        d[n] = Fraction(rn.numerator * gt.numerator, rn.denominator * gt.denominator)
-        if n >= 3:
-            c[n] = Fraction(t[n] * g[n - 3], td[n] * gd[n - 3])
-    return AuxiliarySequences(a, b, c, d)
+        prev = bt[n - 1]
+        gt.append(Fraction(*_lcm_sum(
+            (an.numerator, -r[n] * zn, -r[n] * prev.numerator),
+            (an.denominator, rd[n] * zd, rd[n] * prev.denominator),
+        )))
+        if 2 <= n <= aux_upto:
+            b[n] = Fraction(*_lcm_sum(
+                (s[n] * g[n - 2], t[n] * zn, t[n] * p[n - 2]),
+                (sd[n] * gd[n - 2], td[n] * zd, td[n] * pd[n - 2]),
+            ))
+            gt_prev = gt[n - 2]
+            d[n] = Fraction(r[n] * gt_prev.numerator, rd[n] * gt_prev.denominator)
+            if n >= 3:
+                c[n] = Fraction(t[n] * g[n - 3], td[n] * gd[n - 3])
+    return bt, gt, AuxiliarySequences(a, b, c, d)
+
+
+def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> RecurrencePair:
+    """The recurrence pair the generated family must satisfy if it is a
+    MOPS: beta~_0..beta~_upto and gamma~_1..gamma~_upto. The gamma~ entries
+    may be zero here; whether they qualify is the checkers' business."""
+    if upto < 0:
+        raise DepthError("upto must be >= 0")
+    bt, gt, _ = _sequences(rec, rel, upto, 0)
+    return RecurrencePair(bt, gt)
+
+
+def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> AuxiliarySequences:
+    """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
+    return _sequences(rec, rel, upto, upto)[2]
 
 
 class Failure(NamedTuple):
@@ -333,12 +323,14 @@ class InverseVerdict:
         return out
 
 
-def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
+def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int, aux_upto: int):
     """What the two checkers share: admission of the data (and the
-    admitted case), the induced recurrence through ``depth``, the auxiliary
-    sequences through ``upto`` (which read the induced gamma~ through
-    upto - 2), and the conditions gamma~_n != 0 (n <= depth) and ci1-ci3.
-    Each checker's tail appends to its own copy of the failure list."""
+    admitted case), one ``_sequences`` build through ``upto`` (depth + 1
+    when the constancy checker runs) with b_n, c_n, d_n through
+    ``aux_upto``, and the conditions gamma~_n != 0 (n <= depth) and
+    ci1-ci3. The equation checker's refusals come first. Returns the case,
+    the induced recurrence through depth, the build and the failures,
+    which each checker's tail copies before it appends its own."""
     if depth < 4:
         raise DepthError("inverse-problem checks need depth >= 4")
     rec.require_regular(depth + 1)
@@ -354,13 +346,16 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
             raise ContractError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
         if rel.t[n] == 0:
             raise ContractError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
-    induced = induced_recurrence(rec, rel, depth)
-    aux = auxiliary_sequences(rec, rel, upto, induced)
+    # what the equation checker needs, before a build through depth + 1
+    # refuses what only the constancy checker needs
+    rec.require(depth, depth)
+    built = _sequences(rec, rel, upto, aux_upto)
+    bt, gt, (a, b, c, d) = built
+    induced = RecurrencePair(bt[: depth + 1], gt[:depth])
     r, s, t = rel.r, rel.s, rel.t
-    a, b, c, d = aux
     failures: list[Failure] = []
     for n in range(1, depth + 1):
-        if induced.gamma[n - 1] == 0:
+        if gt[n - 1] == 0:
             failures.append(Failure("gamma_tilde", n))
     # each condition "lhs = rhs" is decided by the numerator of lhs - rhs
     (a2, a3, b2, b3, c3, d2, d3), (a2d, a3d, b2d, b3d, c3d, d2d, d3d) = _parts(
@@ -376,15 +371,15 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int):
         failures.append(Failure("ci2", 3))
     if _lcm_sum((c3, -b3 * e, -a3 * h), (c3d, b3d * ed, a3d * hd))[0]:
         failures.append(Failure("ci3", 3))
-    return case, induced, aux, failures
+    return case, induced, built, failures
 
 
-def _equations_tail(rel: Relation23, depth: int, induced, aux, failures) -> InverseVerdict:
+def _equations_tail(rel: Relation23, depth: int, induced, built, failures) -> InverseVerdict:
     """The verdict of the coefficient equations eqn1-eqn3, 4 <= n <= depth,
     on top of the prelude's failures."""
     failures = list(failures)
     r, s, t = rel.r, rel.s, rel.t
-    a, b, c, d = aux
+    a, b, c, d = built[2]
     for n in range(4, depth + 1):
         # lhs = a_n k by cross-multiplication
         an, ad = a[n].numerator, a[n].denominator
@@ -397,20 +392,19 @@ def _equations_tail(rel: Relation23, depth: int, induced, aux, failures) -> Inve
 def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
     """Orthogonality of the generated family, decided through the
     coefficient equations. Consumes relation indices through depth + 1."""
-    _, induced, aux, failures = _prelude(rec, rel, depth, depth)
-    return _equations_tail(rel, depth, induced, aux, failures)
+    _, induced, built, failures = _prelude(rec, rel, depth, depth, depth)
+    return _equations_tail(rel, depth, induced, built, failures)
 
 
-def _constancy(rec: RecurrencePair, rel: Relation23, depth: int, induced):
-    """A_n, B_n, C_n for 3 <= n <= depth from the induced recurrence
-    through depth and a_n through depth + 1. The caller has checked that
-    the relation reaches depth + 2 and the recurrence depth + 1."""
+def _constancy(rec: RecurrencePair, rel: Relation23, depth: int, built):
+    """A_n, B_n, C_n for 3 <= n <= depth from a ``_sequences`` build
+    through depth + 1, of which they read a_n through depth + 1."""
+    bt, gt, (a, _, _, _) = built
     rn, rd = _parts(rel.r[: depth + 2])
-    sn, sd = _parts(rel.s[: depth + 3])
-    tn, td = _parts(rel.t[: depth + 3])
-    bn, bd = _parts(rec.beta[: depth + 2])
-    gn, gd = _parts(rec.gamma[: depth + 1])
-    a, _ = _a_sequence(sn, sd, tn, td, bn, bd, gn, gd, depth + 1)
+    sn, sd = _parts(rel.s[: depth + 2])
+    tn, td = _parts(rel.t[: depth + 2])
+    bn, bd = _parts(rec.beta[: depth + 1])
+    gn, gd = _parts(rec.gamma[: depth - 1])
     A: list = [None] * (depth + 1)
     B: list = [None] * (depth + 1)
     C: list = [None] * (depth + 1)
@@ -427,18 +421,18 @@ def _constancy(rec: RecurrencePair, rel: Relation23, depth: int, induced):
             (sn[n] * p, -bn[n - 1], -bn[n], sn[n + 1]), (sd[n] * q, bd[n - 1], bd[n], sd[n + 1])
         ))
         # B_n = a_n ratio + e (s_n ratio - beta_n - s_n + s_{n+1}) + t_n - a_n
-        # - gamma_{n-2} with e = s_n - beta_{n-1}; the middle factor is A_n - e
+        # - gamma_{n-1} with e = s_n - beta_{n-1}; the middle factor is A_n - e
         e, ed = _lcm_sum((sn[n], -bn[n - 1]), (sd[n], bd[n - 1]))
         w, wd = _lcm_sum((A[n].numerator, -e), (A[n].denominator, ed))
         B[n] = Fraction(*_lcm_sum(
             (a[n].numerator * (p - q), e * w, tn[n], -gn[n - 2]),
             (a[n].denominator * q, ed * wd, td[n], gd[n - 2]),
         ))
-        # C_n = bt_n - r_{n+1} - gt_{n-1} / r_n
-        bt, gt = induced.beta[n], induced.gamma[n - 1]
+        # C_n = bt_n - r_{n+1} - gt_n / r_n
+        btn, gtn = bt[n], gt[n - 1]
         C[n] = Fraction(*_lcm_sum(
-            (bt.numerator, -rn[n + 1], -gt.numerator * rd[n]),
-            (bt.denominator, rd[n + 1], gt.denominator * rn[n]),
+            (btn.numerator, -rn[n + 1], -gtn.numerator * rd[n]),
+            (btn.denominator, rd[n + 1], gtn.denominator * rn[n]),
         ))
     return A, B, C
 
@@ -454,27 +448,22 @@ def constant_sequences(
     """
     if depth < 3:
         raise DepthError("constant sequences start at n = 3")
-    rel.require(depth + 2)
-    rec.require(depth + 1, depth + 1)
-    induced = induced_recurrence(rec, rel, depth)
-    return _constancy(rec, rel, depth, induced)
+    return _constancy(rec, rel, depth, _sequences(rec, rel, depth + 1, 0))
 
 
 def _constants_tail(
-    rec: RecurrencePair, rel: Relation23, depth: int, induced, aux, failures
+    rec: RecurrencePair, rel: Relation23, depth: int, induced, built, failures
 ) -> InverseVerdict:
     """The verdict of the startup condition and the constancy of A_n, B_n,
-    C_n, 3 <= n <= depth, on top of the prelude's failures; it reads
-    a_4 of ``aux`` and builds the a_n it needs past that itself."""
-    rel.require(depth + 2)
-    rec.require(depth + 1, depth + 1)
+    C_n, 3 <= n <= depth, on top of the prelude's failures, from its build
+    through depth + 1."""
     failures = list(failures)
     # t_4 gamma_2 = a_4 t_3 by cross-multiplication
-    t3, t4, g2, a4 = rel.t[3], rel.t[4], rec.gamma[1], aux.a[4]
+    t3, t4, g2, a4 = rel.t[3], rel.t[4], rec.gamma[1], built[2].a[4]
     if (t4.numerator * g2.numerator * a4.denominator * t3.denominator
             != a4.numerator * t3.numerator * t4.denominator * g2.denominator):
         failures.append(Failure("startup", 4))
-    A, B, C = _constancy(rec, rel, depth, induced)
+    A, B, C = _constancy(rec, rel, depth, built)
     before = len(failures)
     for name, seq in (("A_constant", A), ("B_constant", B), ("C_constant", C)):
         for n in range(4, depth + 1):
@@ -488,10 +477,9 @@ def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
     """Orthogonality of the generated family, decided through the startup
     condition and constancy of A_n, B_n, C_n for 3 <= n <= depth. Consumes
     relation indices through depth + 2."""
-    # the auxiliary sequences through 4: ci1-ci3 read b_n, c_n, d_n at
-    # n = 2, 3 and the startup condition a_4
-    _, induced, aux, failures = _prelude(rec, rel, depth, 4)
-    return _constants_tail(rec, rel, depth, induced, aux, failures)
+    # b_n, c_n, d_n through 3, where ci1-ci3 read them
+    _, induced, built, failures = _prelude(rec, rel, depth, depth + 1, 3)
+    return _constants_tail(rec, rel, depth, induced, built, failures)
 
 
 def check_both(
@@ -501,11 +489,11 @@ def check_both(
     ``check_by_constants``, equal to what the two give, from one shared
     prelude; data they refuse raises what the first of them to refuse
     raises. Consumes relation indices through depth + 2."""
-    case, induced, aux, failures = _prelude(rec, rel, depth, depth)
+    case, induced, built, failures = _prelude(rec, rel, depth, depth + 1, depth)
     return (
         case,
-        _equations_tail(rel, depth, induced, aux, failures),
-        _constants_tail(rec, rel, depth, induced, aux, failures),
+        _equations_tail(rel, depth, induced, built, failures),
+        _constants_tail(rec, rel, depth, induced, built, failures),
     )
 
 

@@ -392,23 +392,50 @@ def test_unexpected_exception_is_exit_3(tmp_path, capsys, monkeypatch, combined_
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_example_builds_the_constancy_data_once(capsys, monkeypatch, fmt):
     """The two checkers share one prelude, and the CSV rows reuse the A_n,
-    B_n, C_n of the constancy checker: a run builds the induced recurrence
-    for the checkers and for the closed-form constants, and the auxiliary
-    sequences once, in either format."""
+    B_n, C_n of the constancy checker: a run builds the derived sequences
+    once for the checkers and once, through index 2, for the closed-form
+    constants, in either format."""
     import mopsrel.relation23 as relation23
 
-    calls = {"induced_recurrence": 0, "auxiliary_sequences": 0}
-    for name in calls:
-        real = getattr(relation23, name)
+    calls = []
+    real = relation23._sequences
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counted(rec, rel, upto, aux_upto):
+        calls.append(upto)
+        return real(rec, rel, upto, aux_upto)
 
-        monkeypatch.setattr(relation23, name, counted)
+    monkeypatch.setattr(relation23, "_sequences", counted)
     code, _, _ = run(capsys, ["example", "chebyshev", "--depth", "20", "--format", fmt])
     assert code == 0
-    assert calls == {"induced_recurrence": 2, "auxiliary_sequences": 1}
+    assert calls == [21, 2]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the constancy checker reads s_{depth+2}, beta_{depth+1} and "
+    "gamma_{depth+1}, which the equation checker does not read, so data that "
+    "differ only there make the two verdicts disagree",
+)
+@pytest.mark.parametrize(
+    "section, key, index, value, depth",
+    [
+        ("relation", "s", 7, "1000", 5),
+        ("recurrence", "gamma", 5, "7", 5),  # gamma_6
+        ("recurrence", "beta", 7, "7", 6),
+    ],
+    ids=["s_7-depth-5", "gamma_6-depth-5", "beta_7-depth-6"],
+)
+def test_checkers_agree_past_the_equations_window(
+    tmp_path, capsys, combined_doc, section, key, index, value, depth
+):
+    """Well-formed data that differ from the depth-6 Chebyshev document only
+    past the entries the equation checker reads."""
+    doc = json.loads(json.dumps(combined_doc, default=str))
+    doc[section][key][index] = value
+    path = write_doc(tmp_path, "edited.json", doc)
+    code, _, _ = run(capsys, ["inverse-check", path, "--depth", str(depth)])
+    assert code != 3
 
 
 def test_internal_disagreement_is_exit_3(tmp_path, capsys, monkeypatch, combined_doc):

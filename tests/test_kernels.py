@@ -506,17 +506,36 @@ def gated_instance(rng, depth):
     return RecurrencePair(beta, gamma), rel
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32), st.integers(4, 9))
-def test_relation_sequences_match_fractions(seed, depth):
-    rec, rel = gated_instance(random.Random(seed), depth)
+def assert_sequences_match_fractions(rec, rel, depth):
+    """The induced recurrence and the auxiliary sequences through
+    depth + 1, and the constancy expressions through depth, equal their
+    references."""
     args = (rec.beta, rec.gamma, rel.r, rel.s, rel.t)
     induced = induced_recurrence(rec, rel, depth + 1)
     bt, gt = ref_induced(*args, depth + 1)
     assert list(induced.beta) == bt and list(induced.gamma) == gt
-    aux = auxiliary_sequences(rec, rel, depth + 1, induced)
+    aux = auxiliary_sequences(rec, rel, depth + 1)
     assert tuple(aux) == ref_auxiliary(*args, depth + 1, gt)
     assert constant_sequences(rec, rel, depth) == ref_constancy(*args, depth, bt, gt, aux.a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(4, 9))
+def test_relation_sequences_match_fractions(seed, depth):
+    assert_sequences_match_fractions(*gated_instance(random.Random(seed), depth), depth)
+
+
+@pytest.mark.parametrize("case", ["jacobi-generic", "chebyshev"])
+def test_relation_sequences_match_fractions_on_worked_cases(case):
+    """The worked cases at depth 40; the generic Jacobi chain's relation
+    coefficients reach hundreds of bits."""
+    from mopsrel import jacobi_chain
+
+    if case == "jacobi-generic":
+        rep = jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 40)
+    else:
+        rep = chebyshev_case(40)
+    assert_sequences_match_fractions(rep.u_rec, rep.rel, 40)
 
 
 @settings(max_examples=40, deadline=None)

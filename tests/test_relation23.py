@@ -19,6 +19,7 @@ from mopsrel import (
     chebyshev_case,
     classify,
     compose_ladders,
+    constant_sequences,
     generate_q,
     induced_recurrence,
     jacobi_chain,
@@ -385,3 +386,45 @@ def test_check_both_refuses_as_the_checkers_do(name):
         check_both(rec, rel, depth)
     assert type(shared.value) is type(alone.value)
     assert str(shared.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("beta_len, gamma_len", [(7, 6), (7, 7), (6, 7), (8, 6)])
+def test_check_both_refuses_short_recurrences_as_the_checkers_do(beta_len, gamma_len):
+    """A recurrence that ends at depth or before: the equation checker's
+    refusal, where it has one, comes before the constancy checker's."""
+    rep = chebyshev_case(6)
+    rec = RecurrencePair(rep.u_rec.beta[:beta_len], rep.u_rec.gamma[:gamma_len])
+    with pytest.raises(DepthError) as alone:
+        check_by_equations(rec, rep.rel, 6)
+        check_by_constants(rec, rep.rel, 6)
+    with pytest.raises(DepthError) as shared:
+        check_both(rec, rep.rel, 6)
+    assert str(shared.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "run, upto",
+    [
+        (check_both, [9]),
+        (check_by_equations, [8]),
+        (check_by_constants, [9]),
+        (constant_sequences, [9]),
+    ],
+    ids=["check_both", "check_by_equations", "check_by_constants", "constant_sequences"],
+)
+def test_each_check_builds_the_sequences_once(monkeypatch, run, upto):
+    """One pass of the sequence builder per call, through depth + 1 where
+    the constancy expressions read a_{depth+1}."""
+    import mopsrel.relation23 as relation23
+
+    rep = chebyshev_case(10)
+    calls = []
+    real = relation23._sequences
+
+    def counted(rec, rel, n, aux_upto):
+        calls.append(n)
+        return real(rec, rel, n, aux_upto)
+
+    monkeypatch.setattr(relation23, "_sequences", counted)
+    run(rep.u_rec, rep.rel, 8)
+    assert calls == upto
