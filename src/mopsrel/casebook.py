@@ -15,8 +15,12 @@ relation linking the MOPS of u and v and certifies all linking identities,
 the orthogonality verdicts, and the functional identity
 lambda (x - c) u = (x^2 + a x + b) v with (a, b, c) = (2, 1, 1).
 
-Every identity asserted here is certified by exact computation; an internal
-mismatch raises ContractError naming the first violated identity.
+Every identity asserted here is certified by exact computation: each
+polynomial identity sum c_i p_i = 0 is decided on the unreduced integer
+numerators of the sum over one common denominator, without a gcd. An
+internal mismatch raises ContractError naming the first violated identity.
+The Jacobi and Chebyshev moments come from the Pearson equation
+(``jacobi_moments``), in time linear in the depth.
 """
 
 from __future__ import annotations
@@ -28,16 +32,21 @@ from operator import mul
 from typing import Optional
 
 from .errors import ContractError, DepthError, DomainError
-from .families import JacobiParams, jacobi_recurrence, chebyshev_kind
+from .families import (
+    _CHEBYSHEV_PARAMS,
+    JacobiParams,
+    chebyshev_kind,
+    jacobi_moments,
+    jacobi_recurrence,
+)
 from .functional import (
     MomentFunctional,
     RecurrencePair,
     RecurrenceReport,
     mops_from_recurrence,
-    moments_from_recurrence,
     recurrence_from_moments,
 )
-from .poly import Polynomial
+from .poly import Polynomial, _combination, _vanishes
 from .rational import as_scalar
 from .relation23 import (
     Failure,
@@ -74,11 +83,10 @@ def _certify_relation(
     through ``identity_depth``."""
     r, s, t = rel.r, rel.s, rel.t
     for n in range(1, rel.max_index + 1):
-        lhs = q[n] + r[n] * q[n - 1]
-        rhs = p[n] + s[n] * p[n - 1]
+        terms = [(1, q[n]), (r[n], q[n - 1]), (-1, p[n]), (-s[n], p[n - 1])]
         if n >= 2:
-            rhs = rhs + t[n] * p[n - 2]
-        _certify(lhs == rhs, f"2-3 relation fails as a polynomial identity at n={n}")
+            terms.append((-t[n], p[n - 2]))
+        _certify(_vanishes(terms), f"2-3 relation fails as a polynomial identity at n={n}")
 
     _, verdict_eq, verdict_ct = check_both(u_rec, rel, depth)
     _certify(verdict_eq.is_mops, "equation checker rejects the generated family")
@@ -197,19 +205,18 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     fourth = mops_from_recurrence(fourth_rec, top + 1)
     for n in range(1, top + 1):
         _certify(
-            fourth[n] == second[n] + lam[n] * second[n - 1],
+            _vanishes([(1, fourth[n]), (-1, second[n]), (-lam[n], second[n - 1])]),
             f"1-2 ladder between fourth and second kind fails at n={n}",
         )
 
     # P_n from the 2-2 ladder: P_n + a_n P_{n-1} = R_n + b_n R_{n-1}
     p = [Polynomial.one()]
     for n in range(1, top + 1):
-        cur = second[n] + b[n] * second[n - 1] - a[n] * p[n - 1]
-        p.append(cur)
+        p.append(_combination([(1, second[n]), (b[n], second[n - 1]), (-a[n], p[n - 1])]))
 
     # the third-kind part carries a mass fixed by orthogonality of P_2
     u_depth = 2 * depth + 6
-    w3 = moments_from_recurrence(chebyshev_kind(3, u_depth // 2 + 3), u_depth + 1)
+    w3 = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[3]), u_depth + 1)
     den = w3.apply(Polynomial.x() * p[2])
     _certify(p[2](1) != 0 and den != 0, "point-mass ratio solve is degenerate")
     ratio = 3 * p[2](1) / den
@@ -228,7 +235,7 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     )
 
     rel = compose_ladders(a, b, lam)
-    fourth_moments = moments_from_recurrence(fourth_rec, u.depth)
+    fourth_moments = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[4]), u.depth)
     verdict_eq, verdict_ct, constants, moment_identity = _certify_relation(
         rel, p, fourth, u_rec, u, depth, fourth_rec, fourth_moments, u.depth - 2
     )
@@ -344,9 +351,10 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
 
     top = depth + 2
     u_target = 2 * depth + 8
-    # one Jacobi recurrence serves the ladders, the moments of w (which
-    # read it through index depth + 4) and the family (W_n)
-    w_rec = jacobi_recurrence(params, depth + 7)
+    # one Jacobi recurrence serves the ladders, the norms and the family
+    # (W_n), which read it through index top - 1; the moments of w come
+    # from the Pearson equation
+    w_rec = jacobi_recurrence(params, top)
     beta0 = w_rec.beta[0]
 
     if a1 == 0:
@@ -381,7 +389,7 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         if a_seq[n] == c_seq[n]:
             return fail("link_coefficients_equal", n)
 
-    w = moments_from_recurrence(w_rec, u_target + 1)
+    w = jacobi_moments(params, u_target + 1)
     w_tilde = w.scale(-1).divide_by_linear(1, 1 / mass_up)
     u_raw = w_tilde.left_multiply(Polynomial([1, 1]))
     _certify(u_raw.moments[0] == u_mass, "u mass disagrees with the closed form")
@@ -401,10 +409,10 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     if wt_report.first_vanishing is not None and wt_report.first_vanishing <= depth + 2:
         return fail("w_tilde_not_regular", wt_report.first_vanishing)
 
-    big_w = mops_from_recurrence(w_rec, top + 2)
-    big_wt = mops_from_recurrence(wt_report.rec, top + 2)
-    p = mops_from_recurrence(u_rec, top + 2)
-    q = mops_from_recurrence(v_rec, top + 2)
+    big_w = mops_from_recurrence(w_rec, top + 1)
+    big_wt = mops_from_recurrence(wt_report.rec, top + 1)
+    p = mops_from_recurrence(u_rec, top + 1)
+    q = mops_from_recurrence(v_rec, top + 1)
 
     # <w, W_n^2> and <u, P_n^2> / u_mass for n < top, as prefix products
     w_norms = list(accumulate(w_rec.gamma[: top - 1], mul, initial=Fraction(1)))
@@ -414,13 +422,17 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         b_seq[n] = -a_seq[n] * w_norms[n - 1] / (u_mass * u_norms[n - 1])
 
     for n in range(1, top + 1):
-        up = big_w[n] + a_seq[n] * big_w[n - 1]
-        down = p[n] + b_seq[n] * p[n - 1]
-        _certify(big_wt[n] == up, f"up-link identity fails at n={n}")
-        _certify(big_wt[n] == down, f"down-link identity fails at n={n}")
-        _certify(up == down, f"2-2 link identity fails at n={n}")
+        up = [(1, big_w[n]), (a_seq[n], big_w[n - 1])]
+        down = [(1, p[n]), (b_seq[n], p[n - 1])]
+        wt = (-1, big_wt[n])
+        _certify(_vanishes([wt, *up]), f"up-link identity fails at n={n}")
+        _certify(_vanishes([wt, *down]), f"down-link identity fails at n={n}")
         _certify(
-            q[n] == big_w[n] + c_seq[n] * big_w[n - 1],
+            _vanishes([*up, (-1, p[n]), (-b_seq[n], p[n - 1])]),
+            f"2-2 link identity fails at n={n}",
+        )
+        _certify(
+            _vanishes([(1, q[n]), (-1, big_w[n]), (-c_seq[n], big_w[n - 1])]),
             f"second-family link identity fails at n={n}",
         )
 

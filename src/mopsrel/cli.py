@@ -160,7 +160,8 @@ def _emit(payload, args: argparse.Namespace) -> None:
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path
         raise FormatError(f"cannot write {args.out}: {exc}") from exc
 
 
@@ -187,10 +188,11 @@ def _load_document(source: str) -> dict:
         else:
             with open(source, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {name}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{name} is not UTF-8 text: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path
+        raise FormatError(f"cannot read {name}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

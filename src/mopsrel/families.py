@@ -1,4 +1,4 @@
-"""Jacobi-type recurrence coefficients over the rationals.
+"""Jacobi-type recurrence coefficients and moments over the rationals.
 
 Parameters alpha, beta > -1. The general formulas have removable
 singularities at n = 0 when alpha + beta = 0 and at n = 1 when
@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
-from .functional import RecurrencePair, norm_squared
-from .rational import as_scalar
+from .errors import DepthError, DomainError
+from .functional import MomentFunctional, RecurrencePair, norm_squared
+from .rational import _lcm_sum, as_scalar
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,20 @@ class JacobiParams:
             )
 
 
+def _integer_params(params: JacobiParams) -> tuple[int, int, int]:
+    """(D, a, b) with alpha = a / D and beta = b / D over D = lcm of their
+    denominators, so each entry built from them is one Fraction of integers."""
+    alpha, beta = params.alpha, params.beta
+    D = math.lcm(alpha.denominator, beta.denominator)
+    return D, alpha.numerator * (D // alpha.denominator), beta.numerator * (D // beta.denominator)
+
+
 def jacobi_recurrence(params: JacobiParams, count: int) -> RecurrencePair:
     """beta_0..beta_{count-1} and gamma_1..gamma_{count-1}."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    # alpha = a / D and beta = b / D over D = lcm of their denominators,
-    # so each entry is one Fraction of integers; m = (2n + alpha + beta) D
-    alpha, beta = params.alpha, params.beta
-    D = math.lcm(alpha.denominator, beta.denominator)
-    a = alpha.numerator * (D // alpha.denominator)
-    b = beta.numerator * (D // beta.denominator)
+    # m = (2n + alpha + beta) D
+    D, a, b = _integer_params(params)
     s = a + b
     betas = [Fraction(b - a, s + 2 * D)]
     diff = b * b - a * a
@@ -58,6 +62,34 @@ def jacobi_recurrence(params: JacobiParams, count: int) -> RecurrencePair:
             (m - D) * m * m * (m + D),
         ))
     return RecurrencePair(betas, gammas)
+
+
+def jacobi_moments(params: JacobiParams, depth: int) -> MomentFunctional:
+    """Moments mu_0..mu_depth of the normalized Jacobi functional, from its
+    Pearson equation D((1 - x^2) w) = ((beta - alpha) - (alpha + beta + 2) x) w.
+    Tested on x^n it gives the two-term recursion
+
+        (n + alpha + beta + 2) mu_{n+1} = (beta - alpha) mu_n + n mu_{n-1},
+
+    whose divisor is positive for every admissible pair, so each moment
+    costs one lcm and one reduction, against the O(depth^2) lattice sweep
+    of ``moments_from_recurrence``.
+    """
+    if depth < 0:
+        raise DepthError("depth must be >= 0")
+    # ((n + 2) D + a + b) mu_{n+1} = (b - a) mu_n + n D mu_{n-1}
+    D, a, b = _integer_params(params)
+    moments = [Fraction(1)]
+    if depth:
+        moments.append(Fraction(b - a, 2 * D + a + b))
+    for n in range(1, depth):
+        cur, prev = moments[n], moments[n - 1]
+        num, den = _lcm_sum(
+            ((b - a) * cur.numerator, n * D * prev.numerator),
+            (cur.denominator, prev.denominator),
+        )
+        moments.append(Fraction(num, den * ((n + 2) * D + a + b)))
+    return MomentFunctional(moments)
 
 
 _CHEBYSHEV_PARAMS = {

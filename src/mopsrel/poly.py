@@ -208,6 +208,32 @@ def _sum(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
     return Polynomial._reduced(out, da)
 
 
+def _combination_parts(terms) -> tuple[list, int]:
+    """sum c_i p_i over (c_i, p_i) pairs, c_i an int or a Fraction, as the
+    unreduced integer numerators over L = lcm of the c_i.denominator *
+    p_i._den: one integer pass, no gcd reduction."""
+    terms = [(c, p) for c, p in terms if c and p._nums]
+    dens = [c.denominator * p._den for c, p in terms]
+    den = math.lcm(*dens)
+    out = [0] * max([len(p._nums) for _, p in terms], default=0)
+    for (c, p), d in zip(terms, dens):
+        k = c.numerator * (den // d)
+        for i, x in enumerate(p._nums):
+            out[i] += k * x
+    return out, den
+
+
+def _combination(terms) -> Polynomial:
+    """sum c_i p_i over (c_i, p_i) pairs with one gcd reduction."""
+    return Polynomial._reduced(*_combination_parts(terms))
+
+
+def _vanishes(terms) -> bool:
+    """Whether sum c_i p_i over (c_i, p_i) pairs is the zero polynomial:
+    exactly when every unreduced numerator is 0, so nothing is reduced."""
+    return not any(_combination_parts(terms)[0])
+
+
 def _scale(p: Polynomial, c: Fraction) -> Polynomial:
     """c * p. As p is canonical, the content of the result is
     gcd(c.numerator, den) * gcd(c.denominator, nums): two gcds against the

@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 
 from .errors import ContractError, DepthError, DomainError, FormatError
 from .functional import MomentFunctional, RecurrencePair
-from .poly import Polynomial
+from .poly import Polynomial, _combination
 from .rational import (
     _json_list,
     _lcm_sum,
@@ -161,12 +161,13 @@ def generate_q(p: list[Polynomial], rel: Relation23) -> list[Polynomial]:
     count = min(len(p), len(rel.r), len(rel.s), len(rel.t))
     if count == 0:
         raise DepthError("need P_0 and relation index 0")
+    r, s, t = rel.r, rel.s, rel.t
     q = [Polynomial.one()]
     for n in range(1, count):
-        cur = p[n] + rel.s[n] * p[n - 1]
+        terms = [(1, p[n]), (s[n], p[n - 1]), (-r[n], q[n - 1])]
         if n >= 2:
-            cur = cur + rel.t[n] * p[n - 2]
-        q.append(cur - rel.r[n] * q[n - 1])
+            terms.append((t[n], p[n - 2]))
+        q.append(_combination(terms))
     return q
 
 

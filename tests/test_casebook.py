@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from mopsrel import (
+    ContractError,
     DepthError,
     DomainError,
     FunctionalRelation,
     JacobiParams,
+    MomentFunctional,
+    Relation23,
     chebyshev_case,
     compose_ladders,
     generate_q,
@@ -18,6 +21,7 @@ from mopsrel import (
     jacobi_recurrence,
     mops_from_recurrence,
 )
+from mopsrel import casebook
 from mopsrel.cli import _json_text
 
 
@@ -233,3 +237,87 @@ def test_half_case_matches_recursion_and_pipeline(chain):
     g = jacobi_recurrence(JacobiParams("1/2", "1/2"), 9).gamma
     for n in range(1, 8):
         assert a[n + 1] == -1 - g[n - 1] / a[n]
+
+
+# --- the certificates fire on bent data ---------------------------------
+
+
+def bump_relation_s(k):
+    """A wrapper for ``compose_ladders`` that adds 1 to s_k."""
+    def wrap(compose):
+        def bent(*ladders):
+            rel = compose(*ladders)
+            s = list(rel.s)
+            s[k] += 1
+            return Relation23(rel.r, s, rel.t)
+        return bent
+    return wrap
+
+
+def bump_ladder(which, k):
+    """A wrapper for ``_chebyshev_ladder`` that adds 1/7 to entry k of the
+    a, b or lambda ladder (which = 0, 1, 2)."""
+    def wrap(ladder):
+        def bent(count):
+            seqs = ladder(count)
+            seqs[which][k] += Fraction(1, 7)
+            return seqs
+        return bent
+    return wrap
+
+
+def bump_moment(call, k):
+    """A wrapper for ``jacobi_moments`` that adds 1/1000 to mu_k of the
+    functional it returns on its ``call``-th call."""
+    def wrap(moments):
+        calls = []
+        def bent(params, depth):
+            mom = moments(params, depth)
+            calls.append(None)
+            if len(calls) != call:
+                return mom
+            bent_moments = list(mom.moments)
+            bent_moments[k] += Fraction(1, 1000)
+            return MomentFunctional(bent_moments)
+        return bent
+    return wrap
+
+
+def build_cheb():
+    return chebyshev_case(6)
+
+
+def build_chain():
+    return jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 6)
+
+
+@pytest.mark.parametrize(
+    "build, seam, wrap, message",
+    [
+        (build_cheb, "compose_ladders", bump_relation_s(4),
+         "2-3 relation fails as a polynomial identity at n=4"),
+        (build_chain, "compose_ladders", bump_relation_s(5),
+         "2-3 relation fails as a polynomial identity at n=5"),
+        (build_cheb, "_chebyshev_ladder", bump_ladder(2, 3),
+         "1-2 ladder between fourth and second kind fails at n=3"),
+        (build_cheb, "_chebyshev_ladder", bump_ladder(0, 3),
+         "2-2 ladder family does not match the MOPS of u"),
+        (build_cheb, "_chebyshev_ladder", bump_ladder(1, 5),
+         "2-2 ladder family does not match the MOPS of u"),
+        # wrong moments: of the third-kind part of u, of the fourth kind, of w
+        (build_cheb, "jacobi_moments", bump_moment(1, 6),
+         "2-2 ladder family does not match the MOPS of u"),
+        (build_cheb, "jacobi_moments", bump_moment(2, 6),
+         "moments recovered from the functional identity differ from the second family's"),
+        (build_chain, "jacobi_moments", bump_moment(1, 6), "up-link identity fails at n=4"),
+        (build_chain, "jacobi_moments", bump_moment(1, 1), "down-link identity fails at n=1"),
+    ],
+)
+def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message):
+    """Each bent input is caught by the certificate, with the message and
+    the index that the same bend gave when the identities were decided by
+    Polynomial equality and the moments came from the lattice sweep."""
+    monkeypatch.setattr(casebook, seam, wrap(getattr(casebook, seam)))
+    with pytest.raises(ContractError) as info:
+        build()
+    assert str(info.value) == f"internal consistency: {message}"

@@ -12,7 +12,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mopsrel import DepthError, chebyshev_case
 from mopsrel.cli import EXAMPLE_MAX_DEPTH, _build_parser, _json_text, main
@@ -821,6 +821,76 @@ def test_mutated_documents_end_in_an_exit_code(combined_doc, negative_doc, data)
         code, _, err = run_stdin([command, "--depth", depth, "-"], text)
         assert code in (0, 1, 2, 3)
         assert "internal error" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, condition",
+    [
+        (["classify", "a\x00b"], "cannot read a\x00b: embedded null byte"),
+        (["example", "chebyshev", "--depth", "5", "--out", "a\x00b"],
+         "cannot write a\x00b: embedded null byte"),
+    ],
+    ids=["input", "out"],
+)
+def test_nul_byte_paths_are_input_errors(capsys, argv, condition):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"mopsrel: {condition}" in err
+
+
+def not_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# argv words: the subcommands, the options and their values, and junk. A
+# --depth value is invalid, 1001 (refused before any work) or at most 12,
+# and no other word reads as an int above 12, so every run stays small
+ARGV_WORDS = [
+    "classify", "inverse-check", "constants", "example", "chebyshev", "jacobi-chain",
+    "--format", "json", "csv", "xml", "--mode", "exact", "float",
+    "--alpha", "--beta", "--a1", "--c1", "1/2", "-1/2", "-2/3", "2", "-2", "0", "1/0",
+    "-", "--", "-h", "--help", "--bogus", "-x", "--depth=12", "--depth=1001", "a\x00b",
+]
+DEPTH_VALUES = ["-1", "0", "4", "x", "1e1", "", "1001", "5", "6", "12"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_argv_ends_in_an_exit_code(tmp_path, combined_doc, data):
+    """Subcommands and flags mixed with junk end in exit 0, 1, 2 or 3 (an
+    argparse refusal exits 2 and --help 0), never in a traceback or the
+    catch-all's internal error."""
+    outs = [str(tmp_path / "out.json"), str(tmp_path), str(tmp_path / "none" / "out.csv")]
+    word = st.one_of(
+        st.sampled_from(ARGV_WORDS).map(lambda w: [w]),
+        st.sampled_from(DEPTH_VALUES).map(lambda d: ["--depth", d]),
+        st.sampled_from(outs).map(lambda o: ["--out", o]),
+        st.just([str(tmp_path / "missing.json")]),
+        st.text(max_size=4).filter(not_an_int).map(lambda t: [t]),
+    )
+    argv = [w for words in data.draw(st.lists(word, max_size=8)) for w in words]
+    head = data.draw(st.sampled_from(["classify", "inverse-check", "constants", "example", None]))
+    if head:
+        argv.insert(0, head)
+    stdin = data.draw(st.sampled_from([
+        json.dumps(combined_doc, default=str),
+        json.dumps(combined_doc["relation"], default=str),
+        "{", "",
+    ]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 # leaves the payload writer must spell as json does: big ints, signed zero,

@@ -1,12 +1,15 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mopsrel import (
+    DepthError,
     DomainError,
     JacobiParams,
     chebyshev_kind,
+    jacobi_moments,
     jacobi_norm_ratio,
     jacobi_recurrence,
     moments_from_recurrence,
@@ -90,3 +93,57 @@ def test_moments_mu1():
         mom = moments_from_recurrence(rec, 5)
         assert mom.moments[0] == 1
         assert mom.moments[1] == rec.beta[0]
+
+
+# parameter pairs over assorted denominators, tied so that alpha + beta hits
+# the removable singularities of the recurrence formulas (0 and -1)
+pearson_param = st.fractions(min_value=Fraction(-59, 60), max_value=7, max_denominator=60)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pearson_param, pearson_param, st.sampled_from(["free", "sum0", "sum-1"]))
+@example(Fraction(1, 2), 0, "sum0")
+@example(Fraction(-1, 3), 0, "sum0")
+@example(Fraction(-1, 2), 0, "sum-1")
+@example(Fraction(-1, 3), 0, "sum-1")
+@example(Fraction(0), Fraction(0), "free")
+def test_pearson_moments_match_the_lattice_paths(a, b, tie):
+    b = {"free": b, "sum0": -a, "sum-1": -1 - a}[tie]
+    if a <= -1 or b <= -1:
+        return
+    params = JacobiParams(a, b)
+    rec = jacobi_recurrence(params, 61)
+    mom = jacobi_moments(params, 120)
+    assert mom == moments_from_recurrence(rec, 120)
+    assert list(mom.moments[:8]) == path_moments(rec.beta, rec.gamma, 7)
+
+
+def arcsine_moment(n: int) -> Fraction:
+    """(1/pi) int x^n (1 - x^2)^(-1/2) dx over [-1, 1]: binom(n, n/2) / 2^n
+    for even n, 0 for odd n."""
+    return Fraction(comb(n, n // 2), 2**n) if n % 2 == 0 else Fraction(0)
+
+
+# the Chebyshev weights over the arcsine weight: (1 - x^2), 1 + x and 1 - x,
+# each divided by its own mass (1/2, 1, 1)
+CHEBYSHEV_MOMENTS = {
+    2: lambda n: 2 * (arcsine_moment(n) - arcsine_moment(n + 2)),
+    3: lambda n: arcsine_moment(n) + arcsine_moment(n + 1),
+    4: lambda n: arcsine_moment(n) - arcsine_moment(n + 1),
+}
+
+
+@pytest.mark.parametrize("kind", [2, 3, 4])
+def test_pearson_moments_of_the_chebyshev_kinds(kind):
+    a, b = {2: ("1/2", "1/2"), 3: ("-1/2", "1/2"), 4: ("1/2", "-1/2")}[kind]
+    mom = jacobi_moments(JacobiParams(a, b), 167)
+    assert list(mom.moments) == [CHEBYSHEV_MOMENTS[kind](n) for n in range(168)]
+    assert mom == moments_from_recurrence(chebyshev_kind(kind, 84), 167)
+
+
+def test_pearson_moments_depth():
+    params = JacobiParams("1/3", "2/7")
+    assert jacobi_moments(params, 0).moments == (1,)
+    assert jacobi_moments(params, 1).moments == (1, jacobi_recurrence(params, 1).beta[0])
+    with pytest.raises(DepthError):
+        jacobi_moments(params, -1)

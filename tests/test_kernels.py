@@ -1,11 +1,11 @@
 """The integer kernels against plain Fraction references.
 
-Polynomial arithmetic, the Hankel form, the three-term recurrence, the two
-moment <-> recurrence directions, the moment operations, the Jacobi
-recurrence and the 2-3 relation sequences and checkers all run on integers
-with one reduction per result. Every test here recomputes the same value
-term by term in Fraction arithmetic, written out in the test, and asserts
-exact equality.
+Polynomial arithmetic and linear combinations, the Hankel form, the
+three-term recurrence, the two moment <-> recurrence directions, the moment
+operations, the Jacobi recurrence and the 2-3 relation sequences and
+checkers all run on integers with one reduction per result. Every test
+here recomputes the same value term by term in Fraction arithmetic, written
+out in the test, and asserts exact equality.
 """
 
 import random
@@ -31,6 +31,7 @@ from mopsrel import (
     classify,
     compose_ladders,
     constant_sequences,
+    generate_q,
     induced_recurrence,
     jacobi_recurrence,
     moments_from_recurrence,
@@ -39,6 +40,7 @@ from mopsrel import (
     v_moments_from_relation,
     verify_functional_relation,
 )
+from mopsrel.poly import _combination, _vanishes
 from oracles import hankel_det, orthogonality_moments, path_moments
 
 # denominators that share a large factor, so common denominators and
@@ -132,6 +134,73 @@ def test_evaluation_matches_horner_in_fractions(a, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     assert p(x) == acc
+
+
+# --- linear combinations of polynomials --------------------------------
+
+
+def ref_combination(terms):
+    out = [Fraction(0)] * max((len(p.coeffs) for _, p in terms), default=0)
+    for c, p in terms:
+        for i, x in enumerate(p.coeffs):
+            out[i] += c * x
+    return ref_trim(out)
+
+
+# the callers pass int coefficients 1 and -1 as well as Fractions
+term_lists = st.lists(
+    st.tuples(st.one_of(coeff, st.sampled_from([1, -1, 0])), coeff_lists.map(Polynomial)),
+    max_size=5,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_lists, st.lists(nonzero, max_size=5))
+def test_combination_and_zero_test_match_fractions(terms, splits):
+    expected = ref_combination(terms)
+    assert same(_combination(terms), expected)
+    assert _vanishes(terms) == (expected == ())
+    # each term again as -(c / k) (k p): the sum cancels to zero, but only
+    # after every term is brought over the common denominator
+    cancelled = terms + [
+        (-Fraction(c) / k, p * k) for (c, p), k in zip(terms, splits + [1] * len(terms))
+    ]
+    assert _vanishes(cancelled)
+    assert _combination(cancelled).is_zero
+
+
+def test_combination_cancels_only_after_the_lcm_scaling():
+    p = Polynomial([Fraction(1, BIG), Fraction(-3, 7), 1])
+    q = Polynomial([Fraction(2, 3 * BIG), 0, Fraction(5, 11)])
+    terms = [
+        (Fraction(1, 3), p), (Fraction(-1, 6), p * 2),
+        (Fraction(7, 5), q), (-1, q * Fraction(7, 5)),
+    ]
+    # no term is zero, and the terms have different denominators
+    assert all(c and not (c * r).is_zero for c, r in terms)
+    assert _vanishes(terms) and _combination(terms) == Polynomial.zero()
+    bent = terms + [(Fraction(1, BIG), Polynomial.one())]
+    assert not _vanishes(bent)
+    assert same(_combination(bent), (Fraction(1, BIG),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(2, 8))
+def test_generate_q_matches_fractions(data, count):
+    p = [Polynomial(data.draw(coeff_lists)) for _ in range(count)]
+    r, s = ([Fraction(0)] + data.draw(st.lists(coeff, min_size=count - 1, max_size=count - 1))
+            for _ in range(2))
+    t = [Fraction(0)] * 2 + data.draw(st.lists(coeff, min_size=count - 2, max_size=count - 2))
+    ref = [(Fraction(1),)]
+    for n in range(1, count):
+        terms = [(1, p[n]), (s[n], p[n - 1]), (-r[n], Polynomial(ref[n - 1]))]
+        if n >= 2:
+            terms.append((t[n], p[n - 2]))
+        ref.append(ref_combination(terms))
+    q = generate_q(p, Relation23(r, s, t))
+    assert len(q) == count
+    for got, want in zip(q, ref):
+        assert same(got, want)
 
 
 @settings(max_examples=60, deadline=None)
