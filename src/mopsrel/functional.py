@@ -27,7 +27,7 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .errors import DepthError, DomainError, FormatError
-from .poly import Polynomial
+from .poly import Polynomial, _divide_content
 from .rational import _json_list, as_scalar, common_denominator
 
 
@@ -262,11 +262,7 @@ def _three_term(x: list, y: list, den: int, b, z: list, den_z: int, g) -> tuple[
         s1, s2 = common // d, (common // dg) * g.numerator
         out = [s1 * u - s2 * v for u, v in zip(out, z)]
         d = common
-    content = math.gcd(d, *out)
-    if content > 1:
-        out = [u // content for u in out]
-        d //= content
-    return out, d
+    return _divide_content(out, d)
 
 
 def check_simple_set(polys: list[Polynomial]) -> None:
@@ -309,12 +305,7 @@ def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional
         top = min(n, depth - n)
         c = [0] + comp + [0] * (top + 2 - len(comp))
         nxt = [L * c[j] + B[j] * c[j + 1] + G[j + 1] * c[j + 2] for j in range(top + 1)]
-        den *= L
-        g = math.gcd(den, *nxt)
-        if g > 1:
-            nxt = [v // g for v in nxt]
-            den //= g
-        comp = nxt
+        comp, den = _divide_content(nxt, den * L)
         moments.append(Fraction(comp[0], den))
     return MomentFunctional(moments)
 
@@ -394,13 +385,11 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
     )
 
 
-def norm_squared(rec: RecurrencePair, n: int, mu0=1) -> Fraction:
-    """<u, P_n^2> = mu_0 * gamma_1 ... gamma_n for the recurrence's family."""
+def norm_squared(rec: RecurrencePair, n: int) -> Fraction:
+    """<u, P_n^2> = gamma_1 ... gamma_n for the recurrence's family, u the
+    normalized functional (mu_0 = 1)."""
     if n < 0:
         raise DepthError("n must be >= 0")
     if n > 0:
         rec.require(0, n)
-    acc = as_scalar(mu0)
-    for k in range(1, n + 1):
-        acc *= rec.gamma[k - 1]
-    return acc
+    return math.prod(rec.gamma[:n], start=Fraction(1))

@@ -3,11 +3,12 @@
 A polynomial is stored as integer numerators over one common denominator,
 the layout of FLINT's fmpq_poly: sum_k nums[k] / den x^k with den > 0,
 gcd(den, nums[0], nums[1], ...) == 1 and no trailing zero numerator. That
-form is canonical, so equality compares integers and arithmetic runs on
-Python ints, reducing by one gcd per result instead of one per Fraction
-operation. ``coeffs``, the coefficients ascending by degree as a tuple of
-Fractions, is built from it on first use. The zero polynomial has no
-numerators and ``degree`` -1.
+form is canonical, so equality compares integers. ``+``, ``-`` and ``*``
+by a scalar are all ``_combination``: one lcm, one integer pass and one
+gcd. That gcd, the product's and those of the fraction-free vectors of
+``functional`` are all taken in ``_divide_content``. ``coeffs``, the
+coefficients ascending by degree as a tuple of Fractions, is built on
+first use. The zero polynomial has no numerators and ``degree`` -1.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ class Polynomial:
         trailing zeros (in place) and divides out the common content."""
         while nums and not nums[-1]:
             nums.pop()
-        g = math.gcd(den, *nums)
-        if g > 1:
-            nums = [c // g for c in nums]
-            den //= g
+        nums, den = _divide_content(nums, den)
         return cls._canonical(tuple(nums), den)
 
     @property
@@ -101,7 +99,7 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        return _sum(self, other, 1)
+        return _combination([(1, self), (1, other)])
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
@@ -112,16 +110,14 @@ class Polynomial:
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        return _sum(self, other, -1)
+        return _combination([(1, self), (-1, other)])
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return _scale(self, as_scalar(other))
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
+            return _combination([(as_scalar(other), self)])
         a, b = self._nums, other._nums
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -188,24 +184,14 @@ class Polynomial:
         return " ".join(parts)
 
 
-def _sum(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
-    """p + sign * q over the least common denominator of the two."""
-    a, da = p._nums, p._den
-    b, db = q._nums, q._den
-    if sign < 0:
-        b = [-c for c in b]
-    if da != db:
-        d = math.lcm(da, db)
-        sa, sb = d // da, d // db
-        a = [sa * c for c in a] if sa > 1 else a
-        b = [sb * c for c in b] if sb > 1 else b
-        da = d
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return Polynomial._reduced(out, da)
+def _divide_content(nums: list, den: int) -> tuple[list, int]:
+    """nums and den with their content gcd(den, *nums) divided out, for
+    Polynomial and the fraction-free vectors of ``functional``."""
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return nums, den
 
 
 def _combination_parts(terms) -> tuple[list, int]:
@@ -233,20 +219,3 @@ def _vanishes(terms) -> bool:
     exactly when every unreduced numerator is 0, so nothing is reduced."""
     return not any(_combination_parts(terms)[0])
 
-
-def _scale(p: Polynomial, c: Fraction) -> Polynomial:
-    """c * p. As p is canonical, the content of the result is
-    gcd(c.numerator, den) * gcd(c.denominator, nums): two gcds against the
-    scalar instead of one against every coefficient."""
-    if not c or p.is_zero:
-        return Polynomial.zero()
-    cn, cd = c.numerator, c.denominator
-    g_num = math.gcd(cn, p._den)
-    g_den = math.gcd(cd, *p._nums)
-    cn //= g_num
-    nums = p._nums
-    if g_den > 1:
-        nums = [x // g_den for x in nums]
-    return Polynomial._canonical(
-        tuple([cn * x for x in nums]), (p._den // g_num) * (cd // g_den)
-    )

@@ -238,14 +238,16 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
         c_n  = t_n gamma_{n-2}                                   (n >= 3)
         d_n  = r_n gt_{n-1}                                      (n >= 2)
 
-    each entry one Fraction of integers."""
+    each entry one Fraction of integers. The integer parts of r, s, t,
+    beta and gamma come back too, as (numerators, denominators) pairs in
+    that order, so that ``_constancy`` need not take them again."""
     rel.require(upto + 1)
     rec.require(upto, upto)
-    r, rd = _parts(rel.r[: upto + 2])
-    s, sd = _parts(rel.s[: upto + 2])
-    t, td = _parts(rel.t[: upto + 2])
-    p, pd = _parts(rec.beta[: upto + 1])
-    g, gd = _parts(rec.gamma[:upto])
+    parts = (
+        _parts(rel.r[: upto + 2]), _parts(rel.s[: upto + 2]), _parts(rel.t[: upto + 2]),
+        _parts(rec.beta[: upto + 1]), _parts(rec.gamma[:upto]),
+    )
+    (r, rd), (s, sd), (t, td), (p, pd), (g, gd) = parts
     bt: list = []
     gt: list = []
     a, b, c, d = ([None] * (upto + 1) for _ in range(4))
@@ -272,7 +274,7 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
             d[n] = Fraction(r[n] * gt_prev.numerator, rd[n] * gt_prev.denominator)
             if n >= 3:
                 c[n] = Fraction(t[n] * g[n - 3], td[n] * gd[n - 3])
-    return bt, gt, AuxiliarySequences(a, b, c, d)
+    return bt, gt, AuxiliarySequences(a, b, c, d), parts
 
 
 def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> RecurrencePair:
@@ -281,7 +283,7 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
     may be zero here; whether they qualify is the checkers' business."""
     if upto < 0:
         raise DepthError("upto must be >= 0")
-    bt, gt, _ = _sequences(rec, rel, upto, 0)
+    bt, gt, _, _ = _sequences(rec, rel, upto, 0)
     return RecurrencePair(bt, gt)
 
 
@@ -351,7 +353,7 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int, aux_up
     # refuses what only the constancy checker needs
     rec.require(depth, depth)
     built = _sequences(rec, rel, upto, aux_upto)
-    bt, gt, (a, b, c, d) = built
+    bt, gt, (a, b, c, d), _ = built
     induced = RecurrencePair(bt[: depth + 1], gt[:depth])
     r, s, t = rel.r, rel.s, rel.t
     failures: list[Failure] = []
@@ -397,15 +399,11 @@ def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
     return _equations_tail(rel, depth, induced, built, failures)
 
 
-def _constancy(rec: RecurrencePair, rel: Relation23, depth: int, built):
+def _constancy(depth: int, built):
     """A_n, B_n, C_n for 3 <= n <= depth from a ``_sequences`` build
-    through depth + 1, of which they read a_n through depth + 1."""
-    bt, gt, (a, _, _, _) = built
-    rn, rd = _parts(rel.r[: depth + 2])
-    sn, sd = _parts(rel.s[: depth + 2])
-    tn, td = _parts(rel.t[: depth + 2])
-    bn, bd = _parts(rec.beta[: depth + 1])
-    gn, gd = _parts(rec.gamma[: depth - 1])
+    through depth + 1, of which they read a_n through depth + 1 and the
+    integer parts of the data."""
+    bt, gt, (a, _, _, _), ((rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd)) = built
     A: list = [None] * (depth + 1)
     B: list = [None] * (depth + 1)
     C: list = [None] * (depth + 1)
@@ -449,7 +447,7 @@ def constant_sequences(
     """
     if depth < 3:
         raise DepthError("constant sequences start at n = 3")
-    return _constancy(rec, rel, depth, _sequences(rec, rel, depth + 1, 0))
+    return _constancy(depth, _sequences(rec, rel, depth + 1, 0))
 
 
 def _constants_tail(
@@ -464,7 +462,7 @@ def _constants_tail(
     if (t4.numerator * g2.numerator * a4.denominator * t3.denominator
             != a4.numerator * t3.numerator * t4.denominator * g2.denominator):
         failures.append(Failure("startup", 4))
-    A, B, C = _constancy(rec, rel, depth, built)
+    A, B, C = _constancy(depth, built)
     before = len(failures)
     for name, seq in (("A_constant", A), ("B_constant", B), ("C_constant", C)):
         for n in range(4, depth + 1):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mopsrel import FormatError, Polynomial
 
@@ -57,6 +57,33 @@ def test_scalar_add_sub(a, k, x):
 def test_sub_then_add_round_trip(a, b):
     p, q = Polynomial(a), Polynomial(b)
     assert (p - q) + q == p
+
+
+# small denominators, so that sums and scalar multiples often share a
+# content that only the lcm scaling brings out
+small_lists = st.lists(st.fractions(-3, 3, max_denominator=12), max_size=6)
+
+
+@given(st.one_of(coeff_lists, small_lists), st.one_of(coeff_lists, small_lists), st.fractions())
+@example([Fraction(1, 6), Fraction(1, 10)], [Fraction(1, 3), Fraction(2, 5)], Fraction(3, 2))
+@example([Fraction(1, 3), Fraction(2, 3)], [], Fraction(0))
+def test_operator_results_are_canonical(a, b, k):
+    """+, - and scalar * give the very polynomial that the coefficient-wise
+    Fraction results construct: equal, and equal in hash."""
+    p, q = Polynomial(a), Polynomial(b)
+    width = range(max(len(a), len(b), 1))
+    for result, coeffs in (
+        (p + q, [p.coeff(i) + q.coeff(i) for i in width]),
+        (p - q, [p.coeff(i) - q.coeff(i) for i in width]),
+        (p - p, []),
+        (k - p, [k * (i == 0) - p.coeff(i) for i in width]),
+        (k * p, [k * p.coeff(i) for i in width]),
+        (p * k, [p.coeff(i) * k for i in width]),
+        (0 * p, []),
+    ):
+        expected = Polynomial(coeffs)
+        assert result == expected
+        assert hash(result) == hash(expected)
 
 
 @given(coeff_lists)
