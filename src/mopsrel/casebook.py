@@ -17,7 +17,9 @@ lambda (x - c) u = (x^2 + a x + b) v with (a, b, c) = (2, 1, 1).
 
 Every identity asserted here is certified by exact computation: each
 polynomial identity sum c_i p_i = 0 is decided on the unreduced integer
-numerators of the sum over one common denominator, without a gcd. An
+numerators of the sum over one common denominator, without a gcd, and each
+ladder U_n = L_n + k_n L_{n-1} between two families on their recurrence
+coefficients (``_ladder_break``), without building either family. An
 internal mismatch raises ContractError naming the first violated identity.
 The Jacobi and Chebyshev moments come from the Pearson equation
 (``jacobi_moments``), in time linear in the depth.
@@ -47,7 +49,7 @@ from .functional import (
     recurrence_from_moments,
 )
 from .poly import Polynomial, _combination, _vanishes
-from .rational import as_scalar
+from .rational import _lcm_sum, _parts, _reduce_pairs, as_scalar
 from .relation23 import (
     Failure,
     FunctionalRelation,
@@ -69,6 +71,38 @@ HALF = Fraction(1, 2)
 def _certify(condition: bool, what: str) -> None:
     if not condition:
         raise ContractError(f"internal consistency: {what}")
+
+
+def _ladder_break(lower: RecurrencePair, upper: RecurrencePair, k, top: int) -> Optional[int]:
+    """The first n <= top at which U_n = L_n + k_n L_{n-1} fails, or None:
+    (L_n) and (U_n) are the monic families of ``lower`` (beta_n, gamma_n)
+    and ``upper`` (beta'_n, gamma'_n), read through index top - 1, and
+    k = [unused, k_1, ..., k_top]. No polynomial is built.
+
+    U_1 = L_1 + k_1 L_0 exactly when beta'_0 = beta_0 - k_1. If the ladder
+    holds through n >= 1, expanding x L_n and x L_{n-1} by the lower
+    recurrence in U_{n+1} = x U_n - beta'_n U_n - gamma'_n U_{n-1} gives
+        U_{n+1} = L_{n+1} + (beta_n + k_n - beta'_n) L_n
+                  + (gamma_n + k_n (beta_{n-1} - beta'_n) - gamma'_n) L_{n-1}
+                  + (k_n gamma_{n-1} - gamma'_n k_{n-1}) L_{n-2}   (k_0 = 0).
+    The L_j have distinct degrees, so the ladder holds at n + 1 exactly when
+    the three brackets are k_{n+1}, 0 and 0; the first step that fails names
+    the first n at which the polynomial identity fails."""
+    lower.require(top - 1, top - 1)
+    upper.require(top - 1, top - 1)
+    # gamma_0 = k_0 = 0 pads the lists, so g[n] is gamma_n and k_0 gamma'_1 = 0
+    (b, bd), (bp, bpd) = _parts(lower.beta[:top]), _parts(upper.beta[:top])
+    (g, gd), (gp, gpd) = (_parts((0,) + rec.gamma[: top - 1]) for rec in (lower, upper))
+    kn, kd = _parts([0, *k[1 : top + 1]])
+    if _lcm_sum((bp[0], -b[0], kn[1]), (bpd[0], bd[0], kd[1]))[0]:
+        return 1
+    for n in range(1, top):
+        if (_lcm_sum((b[n], kn[n], -bp[n], -kn[n + 1]), (bd[n], kd[n], bpd[n], kd[n + 1]))[0]
+                or _lcm_sum((g[n], kn[n] * b[n - 1], -kn[n] * bp[n], -gp[n]),
+                            (gd[n], kd[n] * bd[n - 1], kd[n] * bpd[n], gpd[n]))[0]
+                or kn[n] * g[n - 1] * gpd[n] * kd[n - 1] != gp[n] * kn[n - 1] * kd[n] * gd[n - 1]):
+            return n + 1
+    return None
 
 
 def _certify_relation(
@@ -125,7 +159,7 @@ def _report_csv(report, third_name: str, third: tuple) -> list:
     columns = (
         report.a_seq, report.b_seq, third, report.rel.r, report.rel.s, report.rel.t,
         induced.beta, (None,) + induced.gamma,
-        *report.verdict_constants.constancy,
+        *map(_reduce_pairs, report.verdict_constants.constancy),
     )
     for n in range(report.depth + 1):
         rows.append([n] + [seq[n] if n < len(seq) else None for seq in columns])
@@ -180,18 +214,14 @@ def _chebyshev_ladder(count: int) -> tuple[list, list, list]:
     b_n alternating in closed form and a constant 1/2, for 1 <= n <= count."""
     a: list = [None] * (count + 1)
     b: list = [None] * (count + 1)
-    lam: list = [None] * (count + 1)
     for n in range(1, count + 1):
-        lam[n] = HALF
+        k = n // 2
         if n % 2 == 0:
-            k = n // 2
-            a[n] = Fraction(-(4 * k + 1), 2 * (4 * k - 1))
-            b[n] = a[n]
+            a[n] = b[n] = Fraction(-(4 * k + 1), 2 * (4 * k - 1))
         else:
-            k = (n - 1) // 2
             a[n] = Fraction(4 * k - 1, 2 * (4 * k + 1))
             b[n] = Fraction(-(4 * k + 3), 2 * (4 * k + 1))
-    return a, b, lam
+    return a, b, [None] + [HALF] * count
 
 
 def chebyshev_case(depth: int) -> ChebyshevCaseReport:
@@ -200,14 +230,12 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     top = depth + 2
     a, b, lam = _chebyshev_ladder(top)
 
-    second = mops_from_recurrence(chebyshev_kind(2, top + 1), top + 1)
+    second_rec = chebyshev_kind(2, top + 1)
+    second = mops_from_recurrence(second_rec, top + 1)
     fourth_rec = chebyshev_kind(4, top + 2)
     fourth = mops_from_recurrence(fourth_rec, top + 1)
-    for n in range(1, top + 1):
-        _certify(
-            _vanishes([(1, fourth[n]), (-1, second[n]), (-lam[n], second[n - 1])]),
-            f"1-2 ladder between fourth and second kind fails at n={n}",
-        )
+    n = _ladder_break(second_rec, fourth_rec, lam, top)
+    _certify(n is None, f"1-2 ladder between fourth and second kind fails at n={n}")
 
     # P_n from the 2-2 ladder: P_n + a_n P_{n-1} = R_n + b_n R_{n-1}
     p = [Polynomial.one()]
@@ -241,13 +269,9 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     )
 
     regularity = regularity_criterion(p, 1, rel, depth)
-    shifted = recurrence_from_moments(
-        u.left_multiply(Polynomial([-1, 1]))
-    )
+    shifted = recurrence_from_moments(u.left_multiply(Polynomial([-1, 1])))
     r, s, t = rel.r, rel.s, rel.t
-    odd_ok = all(
-        t[n] == r[n] * (s[n - 1] - r[n - 1]) for n in range(3, depth + 1, 2)
-    )
+    odd_ok = all(t[n] == r[n] * (s[n - 1] - r[n - 1]) for n in range(3, depth + 1, 2))
 
     return ChebyshevCaseReport(
         depth=depth,
@@ -340,20 +364,14 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
 
     def fail(condition: str, n: Optional[int] = None) -> JacobiChainReport:
         return JacobiChainReport(
-            ok=False,
-            failure=Failure(condition, n),
-            alpha=params.alpha,
-            beta=params.beta,
-            a1=a1,
-            c1=c1,
-            depth=depth,
+            False, Failure(condition, n), params.alpha, params.beta, a1, c1, depth
         )
 
     top = depth + 2
     u_target = 2 * depth + 8
-    # one Jacobi recurrence serves the ladders, the norms and the family
-    # (W_n), which read it through index top - 1; the moments of w come
-    # from the Pearson equation
+    # one Jacobi recurrence serves the ladders, the norms and the ladder
+    # certificates, which read it through index top - 1; the moments of w
+    # come from the Pearson equation
     w_rec = jacobi_recurrence(params, top)
     beta0 = w_rec.beta[0]
 
@@ -397,44 +415,32 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     v_raw = w.divide_by_linear(-1, v_mass)
     v = v_raw.normalized()
 
-    u_report = recurrence_from_moments(u)
-    if u_report.first_vanishing is not None and u_report.first_vanishing <= depth + 2:
-        return fail("u_not_regular", u_report.first_vanishing)
-    u_rec = u_report.rec
-    v_report = recurrence_from_moments(v)
-    if v_report.first_vanishing is not None and v_report.first_vanishing <= depth + 2:
-        return fail("v_not_regular", v_report.first_vanishing)
-    v_rec = v_report.rec
-    wt_report = recurrence_from_moments(w_tilde.normalized())
-    if wt_report.first_vanishing is not None and wt_report.first_vanishing <= depth + 2:
-        return fail("w_tilde_not_regular", wt_report.first_vanishing)
+    recs = []
+    for name, f in (("u", u), ("v", v), ("w_tilde", w_tilde.normalized())):
+        report = recurrence_from_moments(f)
+        if report.first_vanishing is not None and report.first_vanishing <= depth + 2:
+            return fail(f"{name}_not_regular", report.first_vanishing)
+        recs.append(report.rec)
+    u_rec, v_rec, wt_rec = recs
 
-    big_w = mops_from_recurrence(w_rec, top + 1)
-    big_wt = mops_from_recurrence(wt_report.rec, top + 1)
     p = mops_from_recurrence(u_rec, top + 1)
     q = mops_from_recurrence(v_rec, top + 1)
 
     # <w, W_n^2> and <u, P_n^2> / u_mass for n < top, as prefix products
     w_norms = list(accumulate(w_rec.gamma[: top - 1], mul, initial=Fraction(1)))
     u_norms = list(accumulate(u_rec.gamma[: top - 1], mul, initial=Fraction(1)))
-    b_seq: list = [None] * (top + 1)
-    for n in range(1, top + 1):
-        b_seq[n] = -a_seq[n] * w_norms[n - 1] / (u_mass * u_norms[n - 1])
+    b_seq = [None] + [
+        -a_seq[n] * w_norms[n - 1] / (u_mass * u_norms[n - 1]) for n in range(1, top + 1)
+    ]
 
-    for n in range(1, top + 1):
-        up = [(1, big_w[n]), (a_seq[n], big_w[n - 1])]
-        down = [(1, p[n]), (b_seq[n], p[n - 1])]
-        wt = (-1, big_wt[n])
-        _certify(_vanishes([wt, *up]), f"up-link identity fails at n={n}")
-        _certify(_vanishes([wt, *down]), f"down-link identity fails at n={n}")
-        _certify(
-            _vanishes([*up, (-1, p[n]), (-b_seq[n], p[n - 1])]),
-            f"2-2 link identity fails at n={n}",
-        )
-        _certify(
-            _vanishes([(1, q[n]), (-1, big_w[n]), (-c_seq[n], big_w[n - 1])]),
-            f"second-family link identity fails at n={n}",
-        )
+    # the ladders up W~_n = W_n + a_n W_{n-1}, down W~_n = P_n + b_n P_{n-1}
+    # (the two imply W_n + a_n W_{n-1} = P_n + b_n P_{n-1}) and second-family
+    # Q_n = W_n + c_n W_{n-1}; the first failure by (n, ladder) is reported
+    ladders = (("up-link", w_rec, wt_rec, a_seq), ("down-link", u_rec, wt_rec, b_seq),
+               ("second-family link", w_rec, v_rec, c_seq))
+    n, i = min((_ladder_break(low, up, k, top) or top + 1, i)
+               for i, (_, low, up, k) in enumerate(ladders))
+    _certify(n > top, f"{ladders[i][0]} identity fails at n={n}")
 
     rel = compose_ladders(b_seq, a_seq, c_seq)
     case = classify(rel)
@@ -445,14 +451,12 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     )
     _certify(constants.lam == -u_mass / v_mass, "lambda disagrees with the mass ratio")
 
-    norm_link = True
-    for n in range(1, depth + 1):
-        qn_sq = v_raw.apply_square(q[n])
-        lhs_w = c_seq[n] * w_norms[n - 1]
-        lhs_u = -(c_seq[n] / a_seq[n]) * b_seq[n] * u_mass * u_norms[n - 1]
-        if qn_sq != lhs_w or qn_sq != lhs_u:
-            norm_link = False
-            break
+    # <v, Q_n^2> against c_n <w, W_{n-1}^2> and -(c_n / a_n) b_n <u, P_{n-1}^2>
+    norm_link = all(
+        v_raw.apply_square(q[n]) == c_seq[n] * w_norms[n - 1]
+        == -(c_seq[n] / a_seq[n]) * b_seq[n] * u_mass * u_norms[n - 1]
+        for n in range(1, depth + 1)
+    )
 
     regularity = regularity_criterion(p, 1, rel, depth)
 

@@ -93,7 +93,8 @@ def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
     ``render`` gives it.
     json runs its pure-Python encoder whenever ``indent`` is set; this
     joins strings quoted by its C quoter instead, at about half the cost.
-    Fraction and string leaves, the most common ones, skip the call."""
+    Fraction, string and int leaves (not bools), the most common ones, skip
+    the call."""
     if isinstance(node, dict):
         if not node:
             return "{}"
@@ -102,6 +103,7 @@ def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
             encode_basestring_ascii(key) + ": " + (
                 render(value) if type(value) is Fraction
                 else encode_basestring_ascii(value) if type(value) is str
+                else int.__repr__(value) if type(value) is int
                 else _json_text(value, render, inner)
             )
             for key, value in node.items()
@@ -113,6 +115,7 @@ def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
         return "[" + inner + ("," + inner).join([
             render(value) if type(value) is Fraction
             else encode_basestring_ascii(value) if type(value) is str
+            else int.__repr__(value) if type(value) is int
             else _json_text(value, render, inner)
             for value in node
         ]) + pad + "]"
@@ -167,17 +170,12 @@ def _emit(payload, args: argparse.Namespace) -> None:
 
 def _flatten(prefix: str, node):
     if isinstance(node, dict):
-        out = []
-        for key, value in node.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            out.extend(_flatten(path, value))
-        return out
-    if isinstance(node, list):
-        out = []
-        for i, value in enumerate(node):
-            out.extend(_flatten(f"{prefix}[{i}]", value))
-        return out
-    return [(prefix, "" if node is None else node)]
+        items = [(f"{prefix}.{key}" if prefix else str(key), value) for key, value in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{prefix}[{i}]", value) for i, value in enumerate(node)]
+    else:
+        return [(prefix, "" if node is None else node)]
+    return [pair for path, value in items for pair in _flatten(path, value)]
 
 
 def _load_document(source: str) -> dict:
@@ -250,8 +248,7 @@ def _cmd_inverse_check(args: argparse.Namespace) -> int:
     if agree and verdict_eq.is_mops:
         fr = relation_constants(rec, rel)
         payload["functional_relation"] = fr.to_json()
-        triple = verdict_ct.constants
-        if triple != (fr.a, fr.b, fr.c):
+        if verdict_ct.constants != (fr.a, fr.b, fr.c):
             _emit(payload, args)
             print(
                 "inverse-check: closed-form constants disagree with the constancy triple",
@@ -294,16 +291,11 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _cmd_example(args: argparse.Namespace) -> int:
     if args.case == "chebyshev":
         report = chebyshev_case(args.depth)
-        payload = report.to_csv() if args.format == "csv" else report.to_json()
-        _emit(payload, args)
-        return EXIT_OK
-    params = JacobiParams(parse_rational(args.alpha), parse_rational(args.beta))
-    report = jacobi_chain(
-        params, parse_rational(args.a1), parse_rational(args.c1), args.depth
-    )
-    payload = report.to_csv() if args.format == "csv" else report.to_json()
-    _emit(payload, args)
-    if not report.ok:
+    else:
+        params = JacobiParams(parse_rational(args.alpha), parse_rational(args.beta))
+        report = jacobi_chain(params, parse_rational(args.a1), parse_rational(args.c1), args.depth)
+    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args)
+    if args.case != "chebyshev" and not report.ok:
         print(f"example: {report.failure.condition}", file=sys.stderr)
         return EXIT_NEGATIVE
     return EXIT_OK

@@ -121,15 +121,8 @@ def jacobi_norm_ratio(params: JacobiParams, n: int, float_check: bool = False) -
         s = a + b
         log_value = (
             2 * n * math.log(2.0)
-            + math.lgamma(n + 1)
-            + math.lgamma(n + a + 1)
-            + math.lgamma(n + b + 1)
-            + math.lgamma(n + s + 1)
-            + math.lgamma(s + 2)
-            - math.lgamma(2 * n + s + 1)
-            - math.lgamma(2 * n + s + 2)
-            - math.lgamma(a + 1)
-            - math.lgamma(b + 1)
+            + sum(map(math.lgamma, (n + 1, n + a + 1, n + b + 1, n + s + 1, s + 2)))
+            - sum(map(math.lgamma, (2 * n + s + 1, 2 * n + s + 2, a + 1, b + 1)))
         )
         closed = math.exp(log_value)
         exact = float(value)

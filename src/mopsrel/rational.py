@@ -73,6 +73,12 @@ def _lcm_sum(nums, dens) -> tuple[int, int]:
     return sum(map(mul, nums, map(den.__floordiv__, dens))), den
 
 
+def _reduce_pairs(pairs) -> list:
+    """The reduced Fraction of each (numerator, denominator) pair, such as
+    ``_lcm_sum`` gives; None entries stay None."""
+    return [None if pair is None else Fraction(*pair) for pair in pairs]
+
+
 def _json_list(data: dict, key: str) -> list:
     """``data[key]``, which must be a list: a string there would otherwise
     be read as the sequence of its characters."""

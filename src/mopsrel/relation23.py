@@ -23,7 +23,9 @@ Two logically independent answers are implemented and should always agree:
 
 Both share a prelude (admission, the induced recurrence, the auxiliary
 sequences, gamma~_n != 0 and ci1-ci3) and differ in the conditions that
-decide; ``check_both`` runs the prelude once for the two.
+decide; ``check_both`` runs the prelude once for the two. Values only
+compared (b_n, c_n, d_n, A_n, B_n, C_n) stay unreduced integer pairs, and
+each condition is decided by cross-multiplication.
 
 When either verdict is positive, the functional v of the generated family
 satisfies lambda (x - c) u = (x^2 + a x + b) v for constants that
@@ -45,6 +47,7 @@ from .rational import (
     _json_list,
     _lcm_sum,
     _parts,
+    _reduce_pairs,
     as_scalar,
     common_denominator,
 )
@@ -238,9 +241,11 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
         c_n  = t_n gamma_{n-2}                                   (n >= 3)
         d_n  = r_n gt_{n-1}                                      (n >= 2)
 
-    each entry one Fraction of integers. The integer parts of r, s, t,
-    beta and gamma come back too, as (numerators, denominators) pairs in
-    that order, so that ``_constancy`` need not take them again."""
+    each of bt_n, gt_n and a_n one Fraction of integers, and each of b_n,
+    c_n and d_n, which are only compared, an unreduced (numerator,
+    denominator > 0) pair. The integer parts of r, s, t, beta and gamma
+    come back too, as (numerators, denominators) pairs in that order, so
+    that ``_constancy`` need not take them again."""
     rel.require(upto + 1)
     rec.require(upto, upto)
     parts = (
@@ -266,14 +271,14 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
             (an.denominator, rd[n] * zd, rd[n] * prev.denominator),
         )))
         if 2 <= n <= aux_upto:
-            b[n] = Fraction(*_lcm_sum(
+            b[n] = _lcm_sum(
                 (s[n] * g[n - 2], t[n] * zn, t[n] * p[n - 2]),
                 (sd[n] * gd[n - 2], td[n] * zd, td[n] * pd[n - 2]),
-            ))
+            )
             gt_prev = gt[n - 2]
-            d[n] = Fraction(r[n] * gt_prev.numerator, rd[n] * gt_prev.denominator)
+            d[n] = (r[n] * gt_prev.numerator, rd[n] * gt_prev.denominator)
             if n >= 3:
-                c[n] = Fraction(t[n] * g[n - 3], td[n] * gd[n - 3])
+                c[n] = (t[n] * g[n - 3], td[n] * gd[n - 3])
     return bt, gt, AuxiliarySequences(a, b, c, d), parts
 
 
@@ -289,7 +294,8 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
 
 def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> AuxiliarySequences:
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
-    return _sequences(rec, rel, upto, upto)[2]
+    a, *bcd = _sequences(rec, rel, upto, upto)[2]
+    return AuxiliarySequences(a, *map(_reduce_pairs, bcd))
 
 
 class Failure(NamedTuple):
@@ -303,8 +309,9 @@ class Failure(NamedTuple):
 @dataclass(frozen=True)
 class InverseVerdict:
     """A checker's answer. ``constancy`` holds the lists A, B, C (defined
-    for 3 <= n <= depth) that ``check_by_constants`` tested, None from
-    ``check_by_equations``; it is not part of the JSON form."""
+    for 3 <= n <= depth) that ``check_by_constants`` tested, as unreduced
+    (numerator, denominator) pairs, None from ``check_by_equations``; it is
+    not part of the JSON form."""
 
     is_mops: bool
     induced: RecurrencePair
@@ -361,9 +368,8 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int, aux_up
         if gt[n - 1] == 0:
             failures.append(Failure("gamma_tilde", n))
     # each condition "lhs = rhs" is decided by the numerator of lhs - rhs
-    (a2, a3, b2, b3, c3, d2, d3), (a2d, a3d, b2d, b3d, c3d, d2d, d3d) = _parts(
-        (a[2], a[3], b[2], b[3], c[3], d[2], d[3])
-    )
+    (a2, a3), (a2d, a3d) = _parts((a[2], a[3]))
+    (b2, b2d), (b3, b3d), (c3, c3d), (d2, d2d), (d3, d3d) = b[2], b[3], c[3], d[2], d[3]
     (r1, r2, s1, s2, t2), (r1d, r2d, s1d, s2d, t2d) = _parts((r[1], r[2], s[1], s[2], t[2]))
     e, ed = _lcm_sum((s1, -r1), (s1d, r1d))  # s_1 - r_1
     f, fd = _lcm_sum((s2, -r2), (s2d, r2d))  # s_2 - r_2
@@ -384,10 +390,10 @@ def _equations_tail(rel: Relation23, depth: int, induced, built, failures) -> In
     r, s, t = rel.r, rel.s, rel.t
     a, b, c, d = built[2]
     for n in range(4, depth + 1):
-        # lhs = a_n k by cross-multiplication
+        # (ln / ld) = a_n k by cross-multiplication
         an, ad = a[n].numerator, a[n].denominator
-        for name, lhs, k in (("eqn1", b[n], s[n - 1]), ("eqn2", c[n], t[n - 1]), ("eqn3", d[n], r[n - 1])):
-            if lhs.numerator * ad * k.denominator != an * k.numerator * lhs.denominator:
+        for name, (ln, ld), k in (("eqn1", b[n], s[n - 1]), ("eqn2", c[n], t[n - 1]), ("eqn3", d[n], r[n - 1])):
+            if ln * ad * k.denominator != an * k.numerator * ld:
                 failures.append(Failure(name, n))
     return InverseVerdict(not failures, induced, tuple(failures))
 
@@ -402,7 +408,8 @@ def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
 def _constancy(depth: int, built):
     """A_n, B_n, C_n for 3 <= n <= depth from a ``_sequences`` build
     through depth + 1, of which they read a_n through depth + 1 and the
-    integer parts of the data."""
+    integer parts of the data, each entry an unreduced (numerator,
+    denominator > 0) pair."""
     bt, gt, (a, _, _, _), ((rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd)) = built
     A: list = [None] * (depth + 1)
     B: list = [None] * (depth + 1)
@@ -416,23 +423,23 @@ def _constancy(depth: int, built):
         p = a[n + 1].numerator * td[n + 1]
         q = a[n + 1].denominator * tn[n + 1]
         # A_n = s_n ratio - beta_{n-1} - beta_n + s_{n+1}
-        A[n] = Fraction(*_lcm_sum(
+        A[n] = (x, xd) = _lcm_sum(
             (sn[n] * p, -bn[n - 1], -bn[n], sn[n + 1]), (sd[n] * q, bd[n - 1], bd[n], sd[n + 1])
-        ))
+        )
         # B_n = a_n ratio + e (s_n ratio - beta_n - s_n + s_{n+1}) + t_n - a_n
         # - gamma_{n-1} with e = s_n - beta_{n-1}; the middle factor is A_n - e
         e, ed = _lcm_sum((sn[n], -bn[n - 1]), (sd[n], bd[n - 1]))
-        w, wd = _lcm_sum((A[n].numerator, -e), (A[n].denominator, ed))
-        B[n] = Fraction(*_lcm_sum(
+        w, wd = _lcm_sum((x, -e), (xd, ed))
+        B[n] = _lcm_sum(
             (a[n].numerator * (p - q), e * w, tn[n], -gn[n - 2]),
             (a[n].denominator * q, ed * wd, td[n], gd[n - 2]),
-        ))
+        )
         # C_n = bt_n - r_{n+1} - gt_n / r_n
         btn, gtn = bt[n], gt[n - 1]
-        C[n] = Fraction(*_lcm_sum(
+        C[n] = _lcm_sum(
             (btn.numerator, -rn[n + 1], -gtn.numerator * rd[n]),
             (btn.denominator, rd[n + 1], gtn.denominator * rn[n]),
-        ))
+        )
     return A, B, C
 
 
@@ -447,7 +454,7 @@ def constant_sequences(
     """
     if depth < 3:
         raise DepthError("constant sequences start at n = 3")
-    return _constancy(depth, _sequences(rec, rel, depth + 1, 0))
+    return tuple(map(_reduce_pairs, _constancy(depth, _sequences(rec, rel, depth + 1, 0))))
 
 
 def _constants_tail(
@@ -462,14 +469,15 @@ def _constants_tail(
     if (t4.numerator * g2.numerator * a4.denominator * t3.denominator
             != a4.numerator * t3.numerator * t4.denominator * g2.denominator):
         failures.append(Failure("startup", 4))
-    A, B, C = _constancy(depth, built)
+    A, B, C = constancy = _constancy(depth, built)
     before = len(failures)
     for name, seq in (("A_constant", A), ("B_constant", B), ("C_constant", C)):
+        x3, d3 = seq[3]  # seq_n = seq_3 by cross-multiplication
         for n in range(4, depth + 1):
-            if seq[n] != seq[3]:
+            if seq[n][0] * d3 != x3 * seq[n][1]:
                 failures.append(Failure(name, n))
-    constants = (A[3], B[3], C[3]) if len(failures) == before else None
-    return InverseVerdict(not failures, induced, tuple(failures), constants, (A, B, C))
+    constants = tuple(Fraction(*seq[3]) for seq in constancy) if len(failures) == before else None
+    return InverseVerdict(not failures, induced, tuple(failures), constants, constancy)
 
 
 def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:

@@ -1,5 +1,6 @@
 """Worked-case builders: frozen values, certified identities, failure paths."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mopsrel import (
     FunctionalRelation,
     JacobiParams,
     MomentFunctional,
+    RecurrencePair,
     Relation23,
     chebyshev_case,
     compose_ladders,
@@ -283,6 +285,24 @@ def bump_moment(call, k):
     return wrap
 
 
+def bump_recurrence(call, field, k):
+    """A wrapper for ``recurrence_from_moments`` that adds 1/7 to entry k of
+    the beta or gamma list of the recurrence it returns on its ``call``-th
+    call (in ``jacobi_chain``: 1 for u, 2 for v, 3 for w~)."""
+    def wrap(recover):
+        calls = []
+        def bent(f):
+            report = recover(f)
+            calls.append(None)
+            if len(calls) != call:
+                return report
+            seqs = {"beta": list(report.rec.beta), "gamma": list(report.rec.gamma)}
+            seqs[field][k] += Fraction(1, 7)
+            return dataclasses.replace(report, rec=RecurrencePair(seqs["beta"], seqs["gamma"]))
+        return bent
+    return wrap
+
+
 def build_cheb():
     return chebyshev_case(6)
 
@@ -311,12 +331,22 @@ def build_chain():
          "moments recovered from the functional identity differ from the second family's"),
         (build_chain, "jacobi_moments", bump_moment(1, 6), "up-link identity fails at n=4"),
         (build_chain, "jacobi_moments", bump_moment(1, 1), "down-link identity fails at n=1"),
+        # wrong recurrences: of v (gamma_4, beta_0), of w~ (beta_2), of u (beta_2)
+        (build_chain, "recurrence_from_moments", bump_recurrence(2, "gamma", 3),
+         "second-family link identity fails at n=5"),
+        (build_chain, "recurrence_from_moments", bump_recurrence(2, "beta", 0),
+         "second-family link identity fails at n=1"),
+        (build_chain, "recurrence_from_moments", bump_recurrence(3, "beta", 2),
+         "up-link identity fails at n=3"),
+        (build_chain, "recurrence_from_moments", bump_recurrence(1, "beta", 2),
+         "down-link identity fails at n=3"),
     ],
 )
 def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message):
     """Each bent input is caught by the certificate, with the message and
     the index that the same bend gave when the identities were decided by
-    Polynomial equality and the moments came from the lattice sweep."""
+    Polynomial equality and the moments came from the lattice sweep (the
+    bent recurrences: when the ladders were decided on the polynomials)."""
     monkeypatch.setattr(casebook, seam, wrap(getattr(casebook, seam)))
     with pytest.raises(ContractError) as info:
         build()

@@ -3,18 +3,20 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mopsrel import DepthError, chebyshev_case
+from mopsrel import DepthError, JacobiParams, chebyshev_case, jacobi_chain
 from mopsrel.cli import EXAMPLE_MAX_DEPTH, _build_parser, _json_text, main
 from mopsrel.rational import RATIONAL_PATTERN
 from conftest import random_gated_instance, rel_from7
@@ -36,6 +38,14 @@ def negative_doc():
     negative: long failure lists in every checker payload."""
     rec, rel = random_gated_instance(random.Random(20260818), 60)
     return {"recurrence": rec.to_json(), "relation": rel.to_json()}
+
+
+@pytest.fixture(scope="module")
+def generic_doc():
+    """The positive document of the generic Jacobi chain at depth 20, whose
+    coefficients run to hundreds of bits."""
+    rep = jacobi_chain(JacobiParams(Fraction(1, 3), Fraction(2, 7)), 3, -5, 20)
+    return {"recurrence": rep.u_rec.to_json(), "relation": rep.rel.to_json()}
 
 
 def write_doc(tmp_path, name, doc):
@@ -593,6 +603,7 @@ def test_negative_fraction_option_value(capsys, option, value):
 
 COMBINED = "COMBINED"  # placeholder for the combined document's path
 NEGATIVE = "NEGATIVE"  # placeholder for the negative document's path
+GENERIC = "GENERIC"  # placeholder for the generic Jacobi document's path
 JACOBI_SETS = {
     "half": ["--alpha=1/2", "--beta=1/2", "--a1=2", "--c1=-2"],
     "generic": ["--alpha=1/3", "--beta=2/7", "--a1=3", "--c1=-5"],
@@ -662,6 +673,15 @@ GOLDEN = [
      "a58f5d38b22e82f67e9213324dd9a6d4fbede0cfecfafda9c7852d8047121eba"),
     (["constants", "--depth", "60"] + FLOAT + [NEGATIVE], 1,
      "0c6acd65bbd510c6a3965687f1587ed4a25cf5b9734ebd6fcf42e565fea796ee"),
+    # recorded before the checkers kept their compared values as integer pairs
+    (["inverse-check", "--depth", "20", GENERIC], 0,
+     "bee0a87bc5e98ef98e69965e503fed8eebd88199938dc6aa01f400cdef71db89"),
+    (["inverse-check", "--depth", "20"] + CSV + [GENERIC], 0,
+     "e945a0819c423fe37cd9efbffbbcfebb0dfd12b6b082659e61a0c9f485b8a0d0"),
+    (["constants", "--depth", "20", GENERIC], 0,
+     "50a3b18ff14e84e069bbc7a92559cce08863baca9c9ff4e91127f23d8c7f452d"),
+    (["constants", "--depth", "20"] + CSV + [GENERIC], 0,
+     "ab2ba9f86533e2a6828d82c115624c2528e0c5aa2a90f99616cd06e3a2169bc9"),
 ]
 
 
@@ -669,15 +689,38 @@ GOLDEN = [
     "argv, code, digest", GOLDEN, ids=[" ".join(case[0]) for case in GOLDEN]
 )
 def test_golden_payload_digest(
-    tmp_path, capsys, combined_doc, negative_doc, argv, code, digest
+    tmp_path, capsys, combined_doc, negative_doc, generic_doc, argv, code, digest
 ):
     paths = {
         COMBINED: write_doc(tmp_path, "combined.json", combined_doc),
         NEGATIVE: write_doc(tmp_path, "negative.json", negative_doc),
+        GENERIC: write_doc(tmp_path, "generic.json", generic_doc),
     }
     got, out, _ = run(capsys, [paths.get(a, a) for a in argv])
     assert got == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded from its file and
+    only read."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["cheb-d80", "jacobi-generic-d40"])
+def test_benchmark_casebook_payloads_match_their_digests(capsys, bench_workloads, name):
+    """The full-size casebook calls of the benchmark give the payloads whose
+    sha256 the benchmark records."""
+    argv = {"cheb-d80": bench_workloads.CHEB_ARGV,
+            "jacobi-generic-d40": bench_workloads.JACOBI_ARGV}[name]
+    code, out, _ = run(capsys, list(argv))
+    assert code == 0
+    assert bench_workloads.payload_digest(out) == bench_workloads.DIGESTS[(name, False)]
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys, combined_doc):

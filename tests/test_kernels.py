@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mopsrel import (
     DepthError,
@@ -26,6 +26,7 @@ from mopsrel import (
     RelationTag,
     auxiliary_sequences,
     chebyshev_case,
+    check_both,
     check_by_constants,
     check_by_equations,
     classify,
@@ -40,7 +41,9 @@ from mopsrel import (
     v_moments_from_relation,
     verify_functional_relation,
 )
+from mopsrel.casebook import _ladder_break
 from mopsrel.poly import _combination, _vanishes
+from mopsrel.rational import _reduce_pairs
 from oracles import hankel_det, orthogonality_moments, path_moments
 
 # denominators that share a large factor, so common denominators and
@@ -608,20 +611,27 @@ def test_relation_sequences_match_fractions_on_worked_cases(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32), st.integers(4, 9))
+@given(st.integers(0, 2**32), st.integers(4, 60))
+@example(seed=20261018, depth=60)
 def test_checker_failure_lists_match_fractions(seed, depth):
+    """Each checker alone and ``check_both``: the failure lists, the
+    constants triple, the induced recurrence and the constancy expressions
+    (reduced from the pairs the verdict keeps) equal their references."""
     rec, rel = gated_instance(random.Random(seed), depth)
     args = (rec.beta, rec.gamma, rel.r, rel.s, rel.t)
-    eq = check_by_equations(rec, rel, depth)
-    ct = check_by_constants(rec, rel, depth)
     expected_eq = ref_equation_failures(*args, depth)
     expected_ct, triple = ref_constancy_failures(*args, depth)
-    assert [tuple(f) for f in eq.failures] == expected_eq
-    assert [tuple(f) for f in ct.failures] == expected_ct
-    assert eq.is_mops == (not expected_eq) and ct.is_mops == (not expected_ct)
-    assert ct.constants == triple
-    bt, gt = ref_induced(*args, depth)
-    assert eq.induced == ct.induced == RecurrencePair(bt, gt)
+    bt, gt = ref_induced(*args, depth + 1)
+    expected_abc = ref_constancy(*args, depth, bt, gt, ref_auxiliary(*args, depth + 1, gt)[0])
+    _, both_eq, both_ct = check_both(rec, rel, depth)
+    alone = (check_by_equations(rec, rel, depth), check_by_constants(rec, rel, depth))
+    for eq, ct in (alone, (both_eq, both_ct)):
+        assert [tuple(f) for f in eq.failures] == expected_eq
+        assert [tuple(f) for f in ct.failures] == expected_ct
+        assert eq.is_mops == (not expected_eq) and ct.is_mops == (not expected_ct)
+        assert ct.constants == triple
+        assert tuple(_reduce_pairs(seq) for seq in ct.constancy) == expected_abc
+        assert eq.induced == ct.induced == RecurrencePair(bt[: depth + 1], gt[:depth])
 
 
 def test_checker_conditions_on_a_positive_case_with_large_factors():
@@ -698,3 +708,119 @@ def test_functional_identity_matches_fractions(moments, lam, c, a, b, beta0):
         != bent.moments[n + 2] + fr.a * bent.moments[n + 1] + fr.b * bent.moments[n]
     )
     assert verify_functional_relation(u, bent, fr, depth) == (False, first)
+
+
+# --- ladder certificates on recurrences -----------------------------------
+
+
+def lemma_upper(lower, k, top):
+    """The upper recurrence that the ladder U_n = L_n + k_n L_{n-1}
+    (1 <= n <= top) over the lower recurrence asks for by the first two
+    conditions of the lemma of ``casebook._ladder_break``:
+    beta'_0 = beta_0 - k_1 and, for n >= 1, beta'_n = beta_n + k_n - k_{n+1}
+    and gamma'_n = gamma_n + k_n (beta_{n-1} - beta'_n)."""
+    beta, gamma = lower.beta, (None,) + lower.gamma
+    up_beta = [beta[0] - k[1]] + [beta[n] + k[n] - k[n + 1] for n in range(1, top)]
+    up_gamma = [gamma[n] + k[n] * (beta[n - 1] - up_beta[n]) for n in range(1, top)]
+    return RecurrencePair(up_beta, up_gamma)
+
+
+def forced_k(lower, k1, k2, top):
+    """k_1..k_top from k_1 and k_2, each k_{n+1} (n >= 2) forced by the third
+    condition k_n gamma_{n-1} = gamma'_n k_{n-1}, so that the ladder holds
+    through top with ``lemma_upper``. None when a forced k_n vanishes."""
+    beta, gamma = lower.beta, (None,) + lower.gamma
+    k = [None, k1, k2]
+    for n in range(2, top):
+        if k[n] == 0 or k[n - 1] == 0:
+            return None
+        k.append((k[n] * gamma[n - 1] / k[n - 1] - gamma[n]) / k[n] - beta[n - 1] + beta[n] + k[n])
+    return k
+
+
+def polynomial_ladder_break(lower, upper, k, top):
+    """The first n at which U_n - L_n - k_n L_{n-1} is not the zero
+    polynomial, over the families of the two recurrences, or None."""
+    low = mops_from_recurrence(lower, top + 1)
+    up = mops_from_recurrence(upper, top + 1)
+    return next(
+        (n for n in range(1, top + 1)
+         if not _vanishes([(1, up[n]), (-1, low[n]), (-k[n], low[n - 1])])),
+        None,
+    )
+
+
+def bend(k, upper, field, index, delta):
+    """k and the upper recurrence with ``delta`` added to one entry: k_index,
+    beta'_index or gamma'_{index + 1}."""
+    k, beta, gamma = list(k), list(upper.beta), list(upper.gamma)
+    {"k": k, "beta": beta, "gamma": gamma}[field][index] += delta
+    return k, RecurrencePair(beta, gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 10))
+def test_ladder_certificate_matches_polynomial_identities(data, top):
+    """A ladder built by the lemma, then bent in one entry of k, beta' or
+    gamma', fails first where the polynomial identity does."""
+    lower = RecurrencePair(
+        data.draw(st.lists(coeff, min_size=top, max_size=top)),
+        data.draw(st.lists(nonzero, min_size=top - 1, max_size=top - 1)),
+    )
+    k = forced_k(lower, data.draw(nonzero), data.draw(nonzero), top)
+    if k is None:
+        return
+    upper = lemma_upper(lower, k, top)
+    assert polynomial_ladder_break(lower, upper, k, top) is None
+    assert _ladder_break(lower, upper, k, top) is None
+    field = data.draw(st.sampled_from(["k", "beta", "gamma"]))
+    first = 1 if field == "k" else 0
+    last = {"k": top, "beta": top - 1, "gamma": top - 2}[field]
+    index = data.draw(st.integers(first, last))
+    k, upper = bend(k, upper, field, index, data.draw(nonzero))
+    expected = polynomial_ladder_break(lower, upper, k, top)
+    assert expected is not None
+    assert _ladder_break(lower, upper, k, top) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(2, 10))
+def test_ladder_certificate_matches_polynomial_identities_for_free_k(data, top):
+    """With k drawn freely, the first two conditions hold by construction,
+    so the third, k_n gamma_{n-1} = gamma'_n k_{n-1}, decides (at n = 3
+    unless the draw meets it)."""
+    lower = RecurrencePair(
+        data.draw(st.lists(coeff, min_size=top, max_size=top)),
+        data.draw(st.lists(nonzero, min_size=top - 1, max_size=top - 1)),
+    )
+    k = [None] + data.draw(st.lists(coeff, min_size=top, max_size=top))
+    upper = lemma_upper(lower, k, top)
+    assert _ladder_break(lower, upper, k, top) == polynomial_ladder_break(lower, upper, k, top)
+
+
+@pytest.fixture(scope="module")
+def generic_down_ladder():
+    """The down ladder W~_n = P_n + b_n P_{n-1} of the generic Jacobi chain
+    at depth 40, the relation of which reaches 842 bits: P from the
+    recurrence of u (entries up to 589 bits), W~ rebuilt by the lemma."""
+    from mopsrel import jacobi_chain
+
+    rep = jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 40)
+    top = 42
+    k = forced_k(rep.u_rec, rep.b_seq[1], rep.b_seq[2], top)
+    assert k == list(rep.b_seq)
+    return rep.u_rec, lemma_upper(rep.u_rec, k, top), k, top
+
+
+@pytest.mark.parametrize(
+    "field, index",
+    [("k", 1), ("k", 2), ("k", 23), ("k", 42), ("beta", 0), ("beta", 17),
+     ("beta", 41), ("gamma", 0), ("gamma", 29), ("gamma", 40)],
+)
+def test_ladder_certificate_on_generic_jacobi_data(generic_down_ladder, field, index):
+    lower, upper, k, top = generic_down_ladder
+    assert _ladder_break(lower, upper, k, top) is None
+    k, upper = bend(k, upper, field, index, Fraction(1, 2**61 - 1))
+    expected = polynomial_ladder_break(lower, upper, k, top)
+    assert expected is not None
+    assert _ladder_break(lower, upper, k, top) == expected
