@@ -13,7 +13,9 @@ multiplication by 1 + x, and an independent linear division at -1 (free
 mass attached to c_1), producing the chain w~ , u, v; it derives the 2-3
 relation linking the MOPS of u and v and certifies all linking identities,
 the orthogonality verdicts, and the functional identity
-lambda (x - c) u = (x^2 + a x + b) v with (a, b, c) = (2, 1, 1).
+lambda (x - c) u = (x^2 + a x + b) v with (a, b, c) = (2, 1, 1). Its norm
+link <v, Q_n^2> = c_n <w, W_{n-1}^2> takes norms as Favard products mu_0
+gamma_1 ... gamma_n, and it reads w's moments through 2 depth + 6 only.
 
 Every identity asserted here is certified by exact computation: each
 polynomial identity sum c_i p_i = 0 is decided on the unreduced integer
@@ -329,25 +331,23 @@ class JacobiChainReport:
         }
         if not self.ok:
             return out
-        out.update(
-            {
-                "a": list(self.a_seq),
-                "b": list(self.b_seq),
-                "c": list(self.c_seq),
-                "relation": self.rel.to_json(),
-                "u_recurrence": self.u_rec.to_json(),
-                "v_recurrence": self.v_rec.to_json(),
-                "u_mass": self.u_mass,
-                "v_mass": self.v_mass,
-                "classification": RelationTag.NONDEGENERATE23.value,
-                "verdict_equations": self.verdict_equations.to_json(),
-                "verdict_constants": self.verdict_constants.to_json(),
-                "functional_relation": self.constants.to_json(),
-                "moment_identity_ok": self.moment_identity[0],
-                "regularity_criterion": list(self.regularity),
-                "norm_link_ok": self.norm_link,
-            }
-        )
+        out.update({
+            "a": list(self.a_seq),
+            "b": list(self.b_seq),
+            "c": list(self.c_seq),
+            "relation": self.rel.to_json(),
+            "u_recurrence": self.u_rec.to_json(),
+            "v_recurrence": self.v_rec.to_json(),
+            "u_mass": self.u_mass,
+            "v_mass": self.v_mass,
+            "classification": RelationTag.NONDEGENERATE23.value,
+            "verdict_equations": self.verdict_equations.to_json(),
+            "verdict_constants": self.verdict_constants.to_json(),
+            "functional_relation": self.constants.to_json(),
+            "moment_identity_ok": self.moment_identity[0],
+            "regularity_criterion": list(self.regularity),
+            "norm_link_ok": self.norm_link,
+        })
         return out
 
     def to_csv(self) -> list:
@@ -363,15 +363,17 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         raise DepthError("jacobi_chain needs depth >= 5")
 
     def fail(condition: str, n: Optional[int] = None) -> JacobiChainReport:
-        return JacobiChainReport(
-            False, Failure(condition, n), params.alpha, params.beta, a1, c1, depth
-        )
+        return JacobiChainReport(False, Failure(condition, n), params.alpha, params.beta,
+                                 a1, c1, depth)
 
     top = depth + 2
-    u_target = 2 * depth + 8
-    # one Jacobi recurrence serves the ladders, the norms and the ladder
-    # certificates, which read it through index top - 1; the moments of w
-    # come from the Pearson equation
+    # one Jacobi recurrence, read through top - 1, serves the ladders, the norms
+    # and the certificates. The moment window: mu_0..mu_N give beta through
+    # (N - 1)//2, gamma and regularity through N//2; the report keeps u's and
+    # v's beta through top and gamma through top + 1 (N >= 2 top + 2), and the
+    # certificates read w~ through top - 1 and its regularity through top
+    # (N >= 2 top). u has N = u_target + 1, v and w~ one more: u's reads decide
+    u_target = 2 * depth + 5
     w_rec = jacobi_recurrence(params, top)
     beta0 = w_rec.beta[0]
 
@@ -412,8 +414,7 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     u_raw = w_tilde.left_multiply(Polynomial([1, 1]))
     _certify(u_raw.moments[0] == u_mass, "u mass disagrees with the closed form")
     u = u_raw.normalized()
-    v_raw = w.divide_by_linear(-1, v_mass)
-    v = v_raw.normalized()
+    v = w.divide_by_linear(-1, v_mass).normalized()
 
     recs = []
     for name, f in (("u", u), ("v", v), ("w_tilde", w_tilde.normalized())):
@@ -429,9 +430,8 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     # <w, W_n^2> and <u, P_n^2> / u_mass for n < top, as prefix products
     w_norms = list(accumulate(w_rec.gamma[: top - 1], mul, initial=Fraction(1)))
     u_norms = list(accumulate(u_rec.gamma[: top - 1], mul, initial=Fraction(1)))
-    b_seq = [None] + [
-        -a_seq[n] * w_norms[n - 1] / (u_mass * u_norms[n - 1]) for n in range(1, top + 1)
-    ]
+    b_seq = [None] + [-a_seq[n] * w_norms[n - 1] / (u_mass * u_norms[n - 1])
+                      for n in range(1, top + 1)]
 
     # the ladders up W~_n = W_n + a_n W_{n-1}, down W~_n = P_n + b_n P_{n-1}
     # (the two imply W_n + a_n W_{n-1} = P_n + b_n P_{n-1}) and second-family
@@ -451,12 +451,12 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     )
     _certify(constants.lam == -u_mass / v_mass, "lambda disagrees with the mass ratio")
 
-    # <v, Q_n^2> against c_n <w, W_{n-1}^2> and -(c_n / a_n) b_n <u, P_{n-1}^2>
-    norm_link = all(
-        v_raw.apply_square(q[n]) == c_seq[n] * w_norms[n - 1]
-        == -(c_seq[n] / a_seq[n]) * b_seq[n] * u_mass * u_norms[n - 1]
-        for n in range(1, depth + 1)
-    )
+    # the norm link <v, Q_n^2> = c_n <w, W_{n-1}^2>: v is regular through top and
+    # (Q_n) is the MOPS of v_rec, so <v, Q_n^2> (the Hankel form apply_square) is
+    # the Favard product v_mass gamma_1 ... gamma_n. -(c_n / a_n) b_n <u, P_{n-1}^2>
+    # equals c_n <w, W_{n-1}^2> by b_n's definition, so it is not compared
+    v_norms = list(accumulate(v_rec.gamma[:depth], mul, initial=v_mass))
+    norm_link = all(v_norms[n] == c_seq[n] * w_norms[n - 1] for n in range(1, depth + 1))
 
     regularity = regularity_criterion(p, 1, rel, depth)
 

@@ -20,8 +20,10 @@ from mopsrel import (
     generate_q,
     half_case_closed_forms,
     jacobi_chain,
+    jacobi_moments,
     jacobi_recurrence,
     mops_from_recurrence,
+    norm_squared,
 )
 from mopsrel import casebook
 from mopsrel.cli import _json_text
@@ -239,6 +241,45 @@ def test_half_case_matches_recursion_and_pipeline(chain):
     g = jacobi_recurrence(JacobiParams("1/2", "1/2"), 9).gamma
     for n in range(1, 8):
         assert a[n + 1] == -1 - g[n - 1] / a[n]
+
+
+CHAIN_SETS = {
+    "generic": (JacobiParams("1/3", "2/7"), 3, -5),
+    "half": (JacobiParams("1/2", "1/2"), 2, -2),
+}
+
+
+@pytest.mark.parametrize(
+    "name, depth", [("generic", 5), ("generic", 12), ("generic", 40), ("half", 30)]
+)
+def test_jacobi_norm_link_favard_matches_quadratic_form(name, depth):
+    """The chain's norm link reads <v, Q_n^2> as the Favard product
+    mu_0(v) gamma_1 ... gamma_n of the recovered recurrence; the Hankel
+    form of Q_n on v's moments gives the same value."""
+    params, a1, c1 = CHAIN_SETS[name]
+    report = jacobi_chain(params, a1, c1, depth)
+    assert report.norm_link is True
+    v_raw = jacobi_moments(params, 2 * depth + 2).divide_by_linear(-1, report.v_mass)
+    q = mops_from_recurrence(report.v_rec, depth + 1)
+    for n in range(1, depth + 1):
+        assert v_raw.apply_square(q[n]) == v_raw.moments[0] * norm_squared(report.v_rec, n)
+
+
+def _chain_outputs(report):
+    return _json_text(report.to_json()), report.to_csv()
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3, 4])
+@pytest.mark.parametrize("depth", [5, 6, 12])
+@pytest.mark.parametrize("name", ["generic", "half"])
+def test_jacobi_chain_reads_no_moment_past_its_window(monkeypatch, name, depth, extra):
+    """More Jacobi moments than the chain asks for change no byte of its
+    report: the chain reads every moment it uses from inside its window."""
+    params, a1, c1 = CHAIN_SETS[name]
+    expected = _chain_outputs(jacobi_chain(params, a1, c1, depth))
+    moments = casebook.jacobi_moments
+    monkeypatch.setattr(casebook, "jacobi_moments", lambda p, d: moments(p, d + extra))
+    assert _chain_outputs(jacobi_chain(params, a1, c1, depth)) == expected
 
 
 # --- the certificates fire on bent data ---------------------------------

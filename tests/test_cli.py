@@ -639,6 +639,17 @@ GOLDEN = [
      "48c7e3cafd1a2ee922e27aaca9c6ef30c91f76d52918f25a7cace825803266da"),
     (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["generic"] + CSV, 0,
      "6287709d60f964e8f06898dbdd6ea372db95e33e61701ede78aed56bb41ae6ec"),
+    # recorded before the chain's norm link became a Favard product and its
+    # moment window was cut to what it reads: depth 5 has the tightest
+    # window, depth 60 the largest quadratic-form share
+    (["example", "jacobi-chain", "--depth", "5"] + JACOBI_SETS["generic"], 0,
+     "27fed865a28102cf703691b67644eb08c0984122a03fe2abb514099cf6cfdb82"),
+    (["example", "jacobi-chain", "--depth", "5"] + JACOBI_SETS["generic"] + CSV, 0,
+     "d7076dbd21d35bd8dad139518be079bcf7974f2e3a19e8fdbe487bae96259f93"),
+    (["example", "jacobi-chain", "--depth", "60"] + JACOBI_SETS["generic"], 0,
+     "23e59e662112e9b57605a4edaf9ff6c3e15ce614ce5c74ef477db93902dab683"),
+    (["example", "jacobi-chain", "--depth", "60"] + JACOBI_SETS["generic"] + CSV, 0,
+     "06bc6dea98f9b54df793f1e29437ac3548f9a8360e88d37c420cd3c28da37b5c"),
     (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["inadmissible"], 1,
      "4bf1376fa86f092652134820442a3fe65b97e3c6ec01a6fa4c4e67d24d191fb9"),
     (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["inadmissible"] + CSV, 1,
