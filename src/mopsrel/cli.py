@@ -234,7 +234,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_inverse_check(args: argparse.Namespace) -> int:
     rec, rel = _load_pair(args)
-    # the checkers refuse a zero gamma_n, n <= depth + 1, themselves
+    # one window for both verdicts; check_both refuses a zero gamma_n, n <= depth + 1
     case, verdict_eq, verdict_ct = check_both(rec, rel, args.depth)
     agree = verdict_eq.is_mops == verdict_ct.is_mops
     payload = {

@@ -27,6 +27,11 @@ decide; ``check_both`` runs the prelude once for the two. Values only
 compared (b_n, c_n, d_n, A_n, B_n, C_n) stay unreduced integer pairs, and
 each condition is decided by cross-multiplication.
 
+At depth N both checkers read one window, the ``_sequences`` build through
+N (r, s, t through N + 1, beta and gamma through N): eqn1-eqn3 and C_n for
+n <= N, and A_n, B_n, which read a_{n+1}, for n <= N - 1 (``_constancy``).
+So every entry point reads the same data and refuses the same inputs.
+
 When either verdict is positive, the functional v of the generated family
 satisfies lambda (x - c) u = (x^2 + a x + b) v for constants that
 ``relation_constants`` computes in closed form; the constancy checker
@@ -228,8 +233,9 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
     integer parts of r, s, t, beta and gamma: the induced recurrence
     bt_n = beta~_n (0 <= n <= upto) and gt_n = gamma~_n (1 <= n <= upto),
     as two lists, and the auxiliary sequences, with a_n through ``upto`` and
-    b_n, c_n, d_n through ``aux_upto`` (None past it). Consumes relation
-    indices through upto + 1 and recurrence coefficients through upto.
+    b_n, c_n, d_n through ``aux_upto`` (None past it). An entry at n reads
+    r, s, t through n + 1 and beta, gamma through n: the build consumes
+    relation indices through upto + 1 and recurrence ones through upto.
 
     Indices follow ``RecurrencePair``: gamma_n is ``rec.gamma[n-1]`` and
     gt_n is ``gt[n-1]``. With z_n = s_{n+1} - s_n - beta_n,
@@ -308,10 +314,10 @@ class Failure(NamedTuple):
 
 @dataclass(frozen=True)
 class InverseVerdict:
-    """A checker's answer. ``constancy`` holds the lists A, B, C (defined
-    for 3 <= n <= depth) that ``check_by_constants`` tested, as unreduced
-    (numerator, denominator) pairs, None from ``check_by_equations``; it is
-    not part of the JSON form."""
+    """A checker's answer. ``constancy`` holds the lists A, B, C (A_n, B_n
+    for 3 <= n < depth, C_n for 3 <= n <= depth) that ``check_by_constants``
+    tested, as unreduced (numerator, denominator) pairs, None from
+    ``check_by_equations``; it is not part of the JSON form."""
 
     is_mops: bool
     induced: RecurrencePair
@@ -333,12 +339,11 @@ class InverseVerdict:
         return out
 
 
-def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int, aux_upto: int):
+def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, aux_upto: int):
     """What the two checkers share: admission of the data (and the
-    admitted case), one ``_sequences`` build through ``upto`` (depth + 1
-    when the constancy checker runs) with b_n, c_n, d_n through
-    ``aux_upto``, and the conditions gamma~_n != 0 (n <= depth) and
-    ci1-ci3. The equation checker's refusals come first. Returns the case,
+    admitted case), one ``_sequences`` build through depth (the window of
+    both checkers) with b_n, c_n, d_n through ``aux_upto``, and the
+    conditions gamma~_n != 0 (n <= depth) and ci1-ci3. Returns the case,
     the induced recurrence through depth, the build and the failures,
     which each checker's tail copies before it appends its own."""
     if depth < 4:
@@ -356,12 +361,9 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, upto: int, aux_up
             raise ContractError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
         if rel.t[n] == 0:
             raise ContractError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
-    # what the equation checker needs, before a build through depth + 1
-    # refuses what only the constancy checker needs
-    rec.require(depth, depth)
-    built = _sequences(rec, rel, upto, aux_upto)
+    built = _sequences(rec, rel, depth, aux_upto)
     bt, gt, (a, b, c, d), _ = built
-    induced = RecurrencePair(bt[: depth + 1], gt[:depth])
+    induced = RecurrencePair(bt, gt)
     r, s, t = rel.r, rel.s, rel.t
     failures: list[Failure] = []
     for n in range(1, depth + 1):
@@ -401,24 +403,30 @@ def _equations_tail(rel: Relation23, depth: int, induced, built, failures) -> In
 def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
     """Orthogonality of the generated family, decided through the
     coefficient equations. Consumes relation indices through depth + 1."""
-    _, induced, built, failures = _prelude(rec, rel, depth, depth, depth)
+    _, induced, built, failures = _prelude(rec, rel, depth, depth)
     return _equations_tail(rel, depth, induced, built, failures)
 
 
 def _constancy(depth: int, built):
-    """A_n, B_n, C_n for 3 <= n <= depth from a ``_sequences`` build
-    through depth + 1, of which they read a_n through depth + 1 and the
-    integer parts of the data, each entry an unreduced (numerator,
-    denominator > 0) pair."""
+    """A_n, B_n (3 <= n < depth) and C_n (3 <= n <= depth) from a
+    ``_sequences`` build through depth, as unreduced (numerator, denominator
+    > 0) pairs, None elsewhere. A_n and B_n read a_{n+1}; C_n reads the build
+    through n, as r_{n+1} cancels against bt_n = r_{n+1} - r_n - z_n."""
     bt, gt, (a, _, _, _), ((rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd)) = built
-    A: list = [None] * (depth + 1)
-    B: list = [None] * (depth + 1)
-    C: list = [None] * (depth + 1)
+    A, B, C = ([None] * (depth + 1) for _ in range(3))
     for n in range(3, depth + 1):
-        if not tn[n + 1]:
-            raise DomainError(f"t_{n + 1} = 0: constancy expressions undefined")
         if not rn[n]:
             raise DomainError(f"r_{n} = 0: constancy expressions undefined")
+        # C_n = bt_n - r_{n+1} - gt_n / r_n
+        btn, gtn = bt[n], gt[n - 1]
+        C[n] = _lcm_sum(
+            (btn.numerator, -rn[n + 1], -gtn.numerator * rd[n]),
+            (btn.denominator, rd[n + 1], gtn.denominator * rn[n]),
+        )
+        if n == depth:
+            break
+        if not tn[n + 1]:
+            raise DomainError(f"t_{n + 1} = 0: constancy expressions undefined")
         # ratio = a_{n+1} / t_{n+1} = p / q
         p = a[n + 1].numerator * td[n + 1]
         q = a[n + 1].denominator * tn[n + 1]
@@ -434,12 +442,6 @@ def _constancy(depth: int, built):
             (a[n].numerator * (p - q), e * w, tn[n], -gn[n - 2]),
             (a[n].denominator * q, ed * wd, td[n], gd[n - 2]),
         )
-        # C_n = bt_n - r_{n+1} - gt_n / r_n
-        btn, gtn = bt[n], gt[n - 1]
-        C[n] = _lcm_sum(
-            (btn.numerator, -rn[n + 1], -gtn.numerator * rd[n]),
-            (btn.denominator, rd[n + 1], gtn.denominator * rn[n]),
-        )
     return A, B, C
 
 
@@ -447,22 +449,20 @@ def constant_sequences(
     rec: RecurrencePair, rel: Relation23, depth: int
 ) -> tuple[list, list, list]:
     """The three expressions whose constancy characterizes orthogonality,
-    as lists with seq[n] defined for 3 <= n <= depth (None below).
-
-    Consumes relation indices through depth + 2 and recurrence coefficients
-    through depth + 1; every r_n, t_n divided by must be nonzero.
-    """
-    if depth < 3:
-        raise DepthError("constant sequences start at n = 3")
-    return tuple(map(_reduce_pairs, _constancy(depth, _sequences(rec, rel, depth + 1, 0))))
+    as lists with A_n, B_n defined for 3 <= n <= depth - 1 and C_n for
+    3 <= n <= depth (None elsewhere), so depth >= 4. Consumes relation
+    indices through depth + 1 and recurrence coefficients through depth,
+    as the checkers do; every r_n, t_n divided by must be nonzero."""
+    if depth < 4:
+        raise DepthError("constant sequences need depth >= 4")
+    return tuple(map(_reduce_pairs, _constancy(depth, _sequences(rec, rel, depth, 0))))
 
 
 def _constants_tail(
     rec: RecurrencePair, rel: Relation23, depth: int, induced, built, failures
 ) -> InverseVerdict:
-    """The verdict of the startup condition and the constancy of A_n, B_n,
-    C_n, 3 <= n <= depth, on top of the prelude's failures, from its build
-    through depth + 1."""
+    """The verdict of the startup condition and the constancy of A_n, B_n
+    and C_n on top of the prelude's failures, from its build through depth."""
     failures = list(failures)
     # t_4 gamma_2 = a_4 t_3 by cross-multiplication
     t3, t4, g2, a4 = rel.t[3], rel.t[4], rec.gamma[1], built[2].a[4]
@@ -471,9 +471,10 @@ def _constants_tail(
         failures.append(Failure("startup", 4))
     A, B, C = constancy = _constancy(depth, built)
     before = len(failures)
-    for name, seq in (("A_constant", A), ("B_constant", B), ("C_constant", C)):
+    for name, seq, last in (("A_constant", A, depth - 1), ("B_constant", B, depth - 1),
+                            ("C_constant", C, depth)):
         x3, d3 = seq[3]  # seq_n = seq_3 by cross-multiplication
-        for n in range(4, depth + 1):
+        for n in range(4, last + 1):
             if seq[n][0] * d3 != x3 * seq[n][1]:
                 failures.append(Failure(name, n))
     constants = tuple(Fraction(*seq[3]) for seq in constancy) if len(failures) == before else None
@@ -482,10 +483,10 @@ def _constants_tail(
 
 def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
     """Orthogonality of the generated family, decided through the startup
-    condition and constancy of A_n, B_n, C_n for 3 <= n <= depth. Consumes
-    relation indices through depth + 2."""
+    condition and constancy of A_n, B_n (3 <= n < depth) and C_n
+    (3 <= n <= depth). Consumes relation indices through depth + 1."""
     # b_n, c_n, d_n through 3, where ci1-ci3 read them
-    _, induced, built, failures = _prelude(rec, rel, depth, depth + 1, 3)
+    _, induced, built, failures = _prelude(rec, rel, depth, 3)
     return _constants_tail(rec, rel, depth, induced, built, failures)
 
 
@@ -493,10 +494,9 @@ def check_both(
     rec: RecurrencePair, rel: Relation23, depth: int
 ) -> tuple[RelationCase, InverseVerdict, InverseVerdict]:
     """The admitted case and the verdicts of ``check_by_equations`` and
-    ``check_by_constants``, equal to what the two give, from one shared
-    prelude; data they refuse raises what the first of them to refuse
-    raises. Consumes relation indices through depth + 2."""
-    case, induced, built, failures = _prelude(rec, rel, depth, depth + 1, depth)
+    ``check_by_constants`` from one shared prelude and one build: the same
+    verdicts and refusals as theirs. Consumes relation indices through depth + 1."""
+    case, induced, built, failures = _prelude(rec, rel, depth, depth)
     return (
         case,
         _equations_tail(rel, depth, induced, built, failures),

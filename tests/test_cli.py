@@ -403,8 +403,8 @@ def test_unexpected_exception_is_exit_3(tmp_path, capsys, monkeypatch, combined_
 def test_example_builds_the_constancy_data_once(capsys, monkeypatch, fmt):
     """The two checkers share one prelude, and the CSV rows reuse the A_n,
     B_n, C_n of the constancy checker: a run builds the derived sequences
-    once for the checkers and once, through index 2, for the closed-form
-    constants, in either format."""
+    once for the checkers, through the depth, and once, through index 2,
+    for the closed-form constants, in either format."""
     import mopsrel.relation23 as relation23
 
     calls = []
@@ -417,16 +417,9 @@ def test_example_builds_the_constancy_data_once(capsys, monkeypatch, fmt):
     monkeypatch.setattr(relation23, "_sequences", counted)
     code, _, _ = run(capsys, ["example", "chebyshev", "--depth", "20", "--format", fmt])
     assert code == 0
-    assert calls == [21, 2]
+    assert calls == [20, 2]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the constancy checker reads s_{depth+2}, beta_{depth+1} and "
-    "gamma_{depth+1}, which the equation checker does not read, so data that "
-    "differ only there make the two verdicts disagree",
-)
 @pytest.mark.parametrize(
     "section, key, index, value, depth",
     [
@@ -440,12 +433,33 @@ def test_checkers_agree_past_the_equations_window(
     tmp_path, capsys, combined_doc, section, key, index, value, depth
 ):
     """Well-formed data that differ from the depth-6 Chebyshev document only
-    past the entries the equation checker reads."""
+    past the entries the equation checker reads: the constancy checker
+    reads no further, so the verdicts agree."""
     doc = json.loads(json.dumps(combined_doc, default=str))
     doc[section][key][index] = value
     path = write_doc(tmp_path, "edited.json", doc)
     code, _, _ = run(capsys, ["inverse-check", path, "--depth", str(depth)])
     assert code != 3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: chebyshev_case(8), lambda: jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 8)],
+    ids=["chebyshev", "jacobi-generic"],
+)
+def test_inverse_check_reads_the_relation_through_depth_plus_1(tmp_path, capsys, build):
+    """A worked case at depth 8 carries its relation through index 10 and
+    its recurrence through index 9: ``--depth 9`` is answered, ``--depth 10``
+    asks for the relation through index 11 and exits 2."""
+    rep = build()
+    path = write_doc(
+        tmp_path, "doc.json", {"recurrence": rep.u_rec.to_json(), "relation": rep.rel.to_json()}
+    )
+    code, out, _ = run(capsys, ["inverse-check", "--depth", "9", path])
+    assert code == 0 and json.loads(out)["is_mops"] is True
+    code, out, err = run(capsys, ["inverse-check", "--depth", "10", path])
+    assert code == 2 and out == ""
+    assert "relation coefficients required through index 11" in err
 
 
 def test_internal_disagreement_is_exit_3(tmp_path, capsys, monkeypatch, combined_doc):
@@ -613,43 +627,47 @@ CSV = ["--format", "csv"]
 FLOAT = ["--mode", "float"]
 # sha256 of stdout, recorded before the ladder composition and the checker
 # prelude were factored out (the NEGATIVE runs: before the JSON writer and
-# the rational parser were replaced); any change to a payload byte fails here
+# the rational parser were replaced); any change to a payload byte fails here.
+# The casebook CSV and NEGATIVE depth-60 inverse-check and constants pins were
+# re-recorded when both checkers took one window: A_n and B_n are decided for
+# n <= depth - 1, so the last CSV row's A_n and B_n cells are empty and the
+# NEGATIVE constancy failures lose (A_constant, 60) and (B_constant, 60)
 GOLDEN = [
     (["example", "chebyshev", "--depth", "6"], 0,
      "ee5a13f613f6868f04a2184632803f6e35d9870e22cd1a6efd89bcf5ce60eb4a"),
     (["example", "chebyshev", "--depth", "6"] + CSV, 0,
-     "3de99381322d874ec625e69fa975518ceddd83e2fb44ffaeed56aa648b624958"),
+     "b46d2e8eae98d81b7f1aa4df49bfc7f33237fc7d7bb0be219da6feb1de612638"),
     (["example", "chebyshev", "--depth", "6"] + FLOAT, 0,
      "008828d9e5755e2722c3717001c3104d407946d7f2a54c9368d87f48ce2c5abf"),
     (["example", "chebyshev", "--depth", "6"] + CSV + FLOAT, 0,
-     "2185c8b5cc75b8a264ff50f5337a83c0315cbed975c4534ab7b1147137ecae33"),
+     "78fba7515533f04cfa7b55738f7ff9e0ad523772eae8cfd712ca27b103475d68"),
     (["example", "chebyshev", "--depth", "12"], 0,
      "9ce16791e8f02b302413499c1da9a984a837e1aa6129263901de42810cd481c0"),
     (["example", "chebyshev", "--depth", "12"] + CSV, 0,
-     "cd8cebec72aa014f7c4a49ffa5ad3bcc7381c6969a779acc3f02571400195fae"),
+     "44736eb30a712ec5c6e97a9c221d8e12a76d74e8e161a78e93b57ec283c7c651"),
     (["example", "chebyshev", "--depth", "12"] + FLOAT, 0,
      "ee0f9ca0242d011bdc85eeb4278f956c393decdcd31e3ff562ce841fdd9ae924"),
     (["example", "chebyshev", "--depth", "12"] + CSV + FLOAT, 0,
-     "d4797d3630b7c3e0c1daa5cd7e2a30766b1e3ff72a6f9718000a19cad7a93220"),
+     "6cbc6574271876e458fac339cb8e0ae77f6089369b50a686d0e2a00f8efa31d3"),
     (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["half"], 0,
      "fde1c1f5f87d164c3ebea190f905d5097f3eec4c0decba779b2784dd66ae0435"),
     (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["half"] + CSV, 0,
-     "11c39848e8ea11d37ebd583b3b1559000fbe3833a1837ab989a7557eac7c244c"),
+     "fc2f57a754342178262340e202042b12b8bc4fc9c0d9471f943d7100c91db975"),
     (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["generic"], 0,
      "48c7e3cafd1a2ee922e27aaca9c6ef30c91f76d52918f25a7cace825803266da"),
     (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["generic"] + CSV, 0,
-     "6287709d60f964e8f06898dbdd6ea372db95e33e61701ede78aed56bb41ae6ec"),
+     "326263c7fc6bcab55921709a84d07faa1b204cb0c9e9f6afac4c2d04a9684bd6"),
     # recorded before the chain's norm link became a Favard product and its
     # moment window was cut to what it reads: depth 5 has the tightest
     # window, depth 60 the largest quadratic-form share
     (["example", "jacobi-chain", "--depth", "5"] + JACOBI_SETS["generic"], 0,
      "27fed865a28102cf703691b67644eb08c0984122a03fe2abb514099cf6cfdb82"),
     (["example", "jacobi-chain", "--depth", "5"] + JACOBI_SETS["generic"] + CSV, 0,
-     "d7076dbd21d35bd8dad139518be079bcf7974f2e3a19e8fdbe487bae96259f93"),
+     "89a27804bfb077131b16fc4ee9ad366458d6d1e0d06ada971993becd47674f7e"),
     (["example", "jacobi-chain", "--depth", "60"] + JACOBI_SETS["generic"], 0,
      "23e59e662112e9b57605a4edaf9ff6c3e15ce614ce5c74ef477db93902dab683"),
     (["example", "jacobi-chain", "--depth", "60"] + JACOBI_SETS["generic"] + CSV, 0,
-     "06bc6dea98f9b54df793f1e29437ac3548f9a8360e88d37c420cd3c28da37b5c"),
+     "bb47081efdeedb31a1b77c7748eafa1d4d07d06375d45bc8f889184999ce8f26"),
     (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["inadmissible"], 1,
      "4bf1376fa86f092652134820442a3fe65b97e3c6ec01a6fa4c4e67d24d191fb9"),
     (["example", "jacobi-chain", "--depth", "10"] + JACOBI_SETS["inadmissible"] + CSV, 1,
@@ -673,17 +691,17 @@ GOLDEN = [
     (["classify"] + FLOAT + [NEGATIVE], 0,
      "617713a43370bd900e1d42c003de04da421bc7ed1c23fb1b61c50f80b4e9168d"),
     (["inverse-check", "--depth", "60", NEGATIVE], 1,
-     "d9718dcdc21144ad43ededc9d7e1a225d27af4b0a917027e03a17c2f0cbdf3b0"),
+     "cba4479d8bfe3dc8a535c265cd8cdcf693d3bc902f490f1be994b354e4a31143"),
     (["inverse-check", "--depth", "60"] + CSV + [NEGATIVE], 1,
-     "3d1c093f1717b21b69d061b9a32ecc59665f78061b0920a315f7a2e5df44b55a"),
+     "705df33d04adc4dfd50a1209f36c7bed3315e14747c31b4178419e864f206092"),
     (["inverse-check", "--depth", "60"] + FLOAT + [NEGATIVE], 1,
-     "0f7b0644be91a334beaecc9ef658914cd123509178ec69c8f2a8f6d658247cff"),
+     "557357a01951b8c26fbf3c91e02f435b5e6bce5263fc2228a7fed3cc8b573c49"),
     (["constants", "--depth", "60", NEGATIVE], 1,
-     "f3e37b496c24da77e08f4a72d873557632ec614fb9cf9c238d25e47b11e29382"),
+     "5a0fa1e79e137faf0e7bf49b637f0ce6069318a4340c03facf7f63960b5021ec"),
     (["constants", "--depth", "60"] + CSV + [NEGATIVE], 1,
-     "a58f5d38b22e82f67e9213324dd9a6d4fbede0cfecfafda9c7852d8047121eba"),
+     "36ad3d71eecfe88b57269808b790ec997dffaedb6ca0f924b4e4e078e560f9aa"),
     (["constants", "--depth", "60"] + FLOAT + [NEGATIVE], 1,
-     "0c6acd65bbd510c6a3965687f1587ed4a25cf5b9734ebd6fcf42e565fea796ee"),
+     "3ff913c1ede606e85995f87222a62068b125af15ff7dae4497e8a51175f6dde7"),
     # recorded before the checkers kept their compared values as integer pairs
     (["inverse-check", "--depth", "20", GENERIC], 0,
      "bee0a87bc5e98ef98e69965e503fed8eebd88199938dc6aa01f400cdef71db89"),

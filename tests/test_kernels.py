@@ -8,6 +8,7 @@ here recomputes the same value term by term in Fraction arithmetic, written
 out in the test, and asserts exact equality.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mopsrel import (
+    ContractError,
     DepthError,
     DomainError,
     FunctionalRelation,
@@ -495,8 +497,10 @@ def ref_auxiliary(beta, gamma, r, s, t, upto, gt):
 
 
 def ref_constancy(beta, gamma, r, s, t, depth, bt, gt, a):
+    """A_n, B_n for 3 <= n <= depth - 1 (they read a_{n+1}) and C_n for
+    3 <= n <= depth, from the sequences through depth."""
     A, B, C = ([None] * (depth + 1) for _ in range(3))
-    for n in range(3, depth + 1):
+    for n in range(3, depth):
         ratio = a[n + 1] / t[n + 1]
         A[n] = s[n] * ratio - beta[n - 1] - beta[n] + s[n + 1]
         B[n] = (
@@ -504,6 +508,7 @@ def ref_constancy(beta, gamma, r, s, t, depth, bt, gt, a):
             + (s[n] - beta[n - 1]) * (s[n] * ratio - beta[n] - s[n] + s[n + 1])
             + t[n] - a[n] - gamma[n - 2]
         )
+    for n in range(3, depth + 1):
         C[n] = bt[n] - r[n + 1] - gt[n - 1] / r[n]
     return A, B, C
 
@@ -534,15 +539,16 @@ def ref_equation_failures(beta, gamma, r, s, t, depth):
 
 
 def ref_constancy_failures(beta, gamma, r, s, t, depth):
-    bt, gt = ref_induced(beta, gamma, r, s, t, depth + 1)
-    a, b, c, d = ref_auxiliary(beta, gamma, r, s, t, depth + 1, gt)
+    bt, gt = ref_induced(beta, gamma, r, s, t, depth)
+    a, b, c, d = ref_auxiliary(beta, gamma, r, s, t, depth, gt)
     failures = ref_prelude_failures(r, s, t, depth, gt, a, b, c, d)
     if t[4] * gamma[1] != a[4] * t[3]:
         failures.append(("startup", 4))
     before = len(failures)
     A, B, C = ref_constancy(beta, gamma, r, s, t, depth, bt, gt, a)
-    for name, seq in (("A_constant", A), ("B_constant", B), ("C_constant", C)):
-        failures += [(name, n) for n in range(4, depth + 1) if seq[n] != seq[3]]
+    for name, seq, last in (("A_constant", A, depth - 1), ("B_constant", B, depth - 1),
+                            ("C_constant", C, depth)):
+        failures += [(name, n) for n in range(4, last + 1) if seq[n] != seq[3]]
     return failures, ((A[3], B[3], C[3]) if len(failures) == before else None)
 
 
@@ -621,8 +627,8 @@ def test_checker_failure_lists_match_fractions(seed, depth):
     args = (rec.beta, rec.gamma, rel.r, rel.s, rel.t)
     expected_eq = ref_equation_failures(*args, depth)
     expected_ct, triple = ref_constancy_failures(*args, depth)
-    bt, gt = ref_induced(*args, depth + 1)
-    expected_abc = ref_constancy(*args, depth, bt, gt, ref_auxiliary(*args, depth + 1, gt)[0])
+    bt, gt = ref_induced(*args, depth)
+    expected_abc = ref_constancy(*args, depth, bt, gt, ref_auxiliary(*args, depth, gt)[0])
     _, both_eq, both_ct = check_both(rec, rel, depth)
     alone = (check_by_equations(rec, rel, depth), check_by_constants(rec, rel, depth))
     for eq, ct in (alone, (both_eq, both_ct)):
@@ -631,7 +637,7 @@ def test_checker_failure_lists_match_fractions(seed, depth):
         assert eq.is_mops == (not expected_eq) and ct.is_mops == (not expected_ct)
         assert ct.constants == triple
         assert tuple(_reduce_pairs(seq) for seq in ct.constancy) == expected_abc
-        assert eq.induced == ct.induced == RecurrencePair(bt[: depth + 1], gt[:depth])
+        assert eq.induced == ct.induced == RecurrencePair(bt, gt)
 
 
 def test_checker_conditions_on_a_positive_case_with_large_factors():
@@ -658,13 +664,78 @@ def test_checker_conditions_on_a_positive_case_with_large_factors():
 
 
 def test_constancy_refuses_zero_divisors():
+    """t_6 is the last t_{n+1} that A_5 and B_5 divide by at depth 6, and
+    r_5 one of the r_n that C_n divides by."""
     rep = chebyshev_case(6)
-    for name, n in (("t", 7), ("r", 5)):
+    for name, n in (("t", 6), ("r", 5)):
         seqs = {"r": list(rep.rel.r), "s": list(rep.rel.s), "t": list(rep.rel.t)}
         seqs[name][n] = Fraction(0)
         rel = Relation23(seqs["r"], seqs["s"], seqs["t"])
         with pytest.raises(DomainError, match=f"{name}_{n} = 0: constancy"):
             constant_sequences(rep.u_rec, rel, 6)
+    # t_7 is read (by a_6) but divided by at depth 7 only
+    t = list(rep.rel.t)
+    t[7] = Fraction(0)
+    A, B, C = constant_sequences(rep.u_rec, Relation23(rep.rel.r, rep.rel.s, t), 6)
+    assert A[6] is B[6] is None and C[6] is not None
+
+
+def test_constant_sequences_start_at_depth_4():
+    """A_3 and B_3 read a_4, so depth 3 defines no constancy expression
+    and is refused; at depth 4 only C reaches n = 4."""
+    rep = chebyshev_case(6)
+    with pytest.raises(DepthError, match="depth >= 4"):
+        constant_sequences(rep.u_rec, rep.rel, 3)
+    A, B, C = constant_sequences(rep.u_rec, rep.rel, 4)
+    assert None not in (A[3], B[3], C[3], C[4]) and A[4] is B[4] is None
+
+
+@functools.cache
+def mutation_bases():
+    """Positive instances with data through index 22: the Chebyshev case
+    and the generic and half Jacobi chains."""
+    from mopsrel import jacobi_chain
+
+    return (
+        chebyshev_case(21),
+        jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 21),
+        jacobi_chain(JacobiParams("1/2", "1/2"), 2, -2, 21),
+    )
+
+
+# the first index of each sequence that a mutation may set
+MUTABLE = {"r": 1, "s": 1, "t": 2, "beta": 0, "gamma": 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2), st.integers(5, 20), st.sampled_from(sorted(MUTABLE)), st.data(),
+    st.sampled_from(["7", "-3/5", "0", "nudge"]),
+)
+def test_checkers_agree_on_single_entry_mutations(base, depth, field, data, kind):
+    """One entry of r, s, t, beta or gamma of a positive instance set to
+    another value, at an index up to one past the window of either checker:
+    check_both refuses the data or gives two verdicts that agree, and both
+    failure lists (and the constants triple) equal their references. Near
+    a positive instance the conditions fail at few indices, so each
+    eqn1-eqn3 and A/B/C constancy condition is decided one index at a time."""
+    rep = mutation_bases()[base]
+    seqs = {"r": list(rep.rel.r), "s": list(rep.rel.s), "t": list(rep.rel.t),
+            "beta": list(rep.u_rec.beta), "gamma": [None] + list(rep.u_rec.gamma)}
+    n = data.draw(st.integers(MUTABLE[field], depth + 2), label="n")
+    old = seqs[field][n]
+    seqs[field][n] = old + Fraction(1, 2**61 - 1) if kind == "nudge" else Fraction(kind)
+    rec = RecurrencePair(seqs["beta"], seqs["gamma"][1:])
+    rel = Relation23(seqs["r"], seqs["s"], seqs["t"])
+    try:
+        _, eq, ct = check_both(rec, rel, depth)
+    except (ContractError, DomainError):
+        return
+    assert eq.is_mops == ct.is_mops
+    args = (rec.beta, rec.gamma, rel.r, rel.s, rel.t)
+    assert [tuple(f) for f in eq.failures] == ref_equation_failures(*args, depth)
+    failures, triple = ref_constancy_failures(*args, depth)
+    assert [tuple(f) for f in ct.failures] == failures and ct.constants == triple
 
 
 @settings(max_examples=40, deadline=None)

@@ -250,19 +250,26 @@ def test_first_index_split_is_immaterial(rng):
         assert check_by_constants(rec, moved, 8) == check_by_constants(rec, rel, 8)
 
 
-def test_checker_data_requirements_at_the_boundary(rng):
+ENTRY_POINTS = [check_by_equations, check_by_constants, check_both, constant_sequences]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_checker_data_requirements_at_the_boundary(rng, entry):
+    """Every entry point reads the relation through depth + 1: it refuses
+    data through depth with the one message and accepts data through
+    depth + 1."""
     rec, rel = random_gated_instance(rng, 10)
     depth = 8
 
     def through(k):
         return Relation23(rel.r[: k + 1], rel.s[: k + 1], rel.t[: k + 1])
 
-    check_by_equations(rec, through(depth + 1), depth)
-    with pytest.raises(DepthError, match=f"through index {depth + 2}"):
-        check_by_constants(rec, through(depth + 1), depth)
-    check_by_constants(rec, through(depth + 2), depth)
-    with pytest.raises(DepthError, match=f"through index {depth + 1}"):
-        check_by_equations(rec, through(depth), depth)
+    with pytest.raises(DepthError) as refused:
+        entry(rec, through(depth), depth)
+    assert str(refused.value) == (
+        f"relation coefficients required through index {depth + 1}, have r:8, s:8, t:8"
+    )
+    entry(rec, through(depth + 1), depth)
 
 
 def test_random_instances_agree_at_depth_120(rng):
@@ -364,9 +371,9 @@ def _refused_cases():
     gamma = list(rep.u_rec.gamma)
     gamma[2] = 0
     return {
-        # the equations checker accepts it, the constancy checker needs one more index
-        "relation-through-depth-plus-1": (
-            DepthError, rec, Relation23(rel.r[:10], rel.s[:10], rel.t[:10]), 8),
+        # one index short of the window of both checkers
+        "relation-through-depth": (
+            DepthError, rec, Relation23(rel.r[:9], rel.s[:9], rel.t[:9]), 8),
         "zero-gamma": (DomainError, RecurrencePair(rep.u_rec.beta, gamma), rep.rel, 6),
         "type12": (
             ContractError, RecurrencePair([0] * 8, ["1/4"] * 8),
@@ -376,45 +383,42 @@ def _refused_cases():
 
 @pytest.mark.parametrize("name", list(_refused_cases()))
 def test_check_both_refuses_as_the_checkers_do(name):
-    """On refused data check_both raises what check_by_equations followed
-    by check_by_constants raises: the same type and the same message."""
+    """On refused data check_both and each checker alone raise the same
+    type with the same message."""
     kind, rec, rel, depth = _refused_cases()[name]
-    with pytest.raises(kind) as alone:
-        check_by_equations(rec, rel, depth)
-        check_by_constants(rec, rel, depth)
-    with pytest.raises(kind) as shared:
-        check_both(rec, rel, depth)
-    assert type(shared.value) is type(alone.value)
-    assert str(shared.value) == str(alone.value)
-
-
-@pytest.mark.parametrize("beta_len, gamma_len", [(7, 6), (7, 7), (6, 7), (8, 6)])
-def test_check_both_refuses_short_recurrences_as_the_checkers_do(beta_len, gamma_len):
-    """A recurrence that ends at depth or before: the equation checker's
-    refusal, where it has one, comes before the constancy checker's."""
-    rep = chebyshev_case(6)
-    rec = RecurrencePair(rep.u_rec.beta[:beta_len], rep.u_rec.gamma[:gamma_len])
-    with pytest.raises(DepthError) as alone:
-        check_by_equations(rec, rep.rel, 6)
-        check_by_constants(rec, rep.rel, 6)
-    with pytest.raises(DepthError) as shared:
-        check_both(rec, rep.rel, 6)
-    assert str(shared.value) == str(alone.value)
+    raised = []
+    for entry in (check_by_equations, check_by_constants, check_both):
+        with pytest.raises(kind) as refused:
+            entry(rec, rel, depth)
+        raised.append((type(refused.value), str(refused.value)))
+    assert raised[0] == raised[1] == raised[2]
 
 
 @pytest.mark.parametrize(
-    "run, upto",
-    [
-        (check_both, [9]),
-        (check_by_equations, [8]),
-        (check_by_constants, [9]),
-        (constant_sequences, [9]),
-    ],
-    ids=["check_both", "check_by_equations", "check_by_constants", "constant_sequences"],
+    "beta_len, gamma_len, refused",
+    [(6, 6, True), (7, 5, True), (6, 7, True), (7, 6, False), (8, 7, False)],
 )
-def test_each_check_builds_the_sequences_once(monkeypatch, run, upto):
-    """One pass of the sequence builder per call, through depth + 1 where
-    the constancy expressions read a_{depth+1}."""
+def test_check_both_refuses_short_recurrences_as_the_checkers_do(beta_len, gamma_len, refused):
+    """Every entry point reads the recurrence through depth: it refuses
+    beta or gamma through depth - 1 with the one message and accepts both
+    through depth."""
+    rep = chebyshev_case(6)
+    rec = RecurrencePair(rep.u_rec.beta[:beta_len], rep.u_rec.gamma[:gamma_len])
+    messages = set()
+    for entry in ENTRY_POINTS:
+        if refused:
+            with pytest.raises(DepthError) as short:
+                entry(rec, rep.rel, 6)
+            messages.add(str(short.value))
+        else:
+            entry(rec, rep.rel, 6)
+    assert len(messages) == (1 if refused else 0)
+
+
+@pytest.mark.parametrize("run", ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_each_check_builds_the_sequences_once(monkeypatch, run):
+    """One pass of the sequence builder per call, through depth, the one
+    window of both checkers."""
     import mopsrel.relation23 as relation23
 
     rep = chebyshev_case(10)
@@ -427,4 +431,4 @@ def test_each_check_builds_the_sequences_once(monkeypatch, run, upto):
 
     monkeypatch.setattr(relation23, "_sequences", counted)
     run(rep.u_rec, rep.rel, 8)
-    assert calls == upto
+    assert calls == [8]
