@@ -17,11 +17,11 @@ lambda (x - c) u = (x^2 + a x + b) v with (a, b, c) = (2, 1, 1). Its norm
 link <v, Q_n^2> = c_n <w, W_{n-1}^2> takes norms as Favard products mu_0
 gamma_1 ... gamma_n, and it reads w's moments through 2 depth + 6 only.
 
-Every identity asserted here is certified by exact computation: each
-polynomial identity sum c_i p_i = 0 is decided on the unreduced integer
-numerators of the sum over one common denominator, without a gcd, and each
-ladder U_n = L_n + k_n L_{n-1} between two families on their recurrence
-coefficients (``_ladder_break``), without building either family. An
+Every identity asserted here is certified by exact computation, in time
+linear in the depth and without building a polynomial family: each 2-2
+ladder P_n + a_n P_{n-1} = R_n + b_n R_{n-1}, 1-2 ladders included, on the
+recurrences (``_ladder_break``), the 2-3 identity on the ladders of its
+composition (``_relation_break``), both on unreduced integer parts. An
 internal mismatch raises ContractError naming the first violated identity.
 The Jacobi and Chebyshev moments come from the Pearson equation
 (``jacobi_moments``), in time linear in the depth.
@@ -50,7 +50,7 @@ from .functional import (
     mops_from_recurrence,
     recurrence_from_moments,
 )
-from .poly import Polynomial, _combination, _vanishes
+from .poly import Polynomial, _combination
 from .rational import _lcm_sum, _parts, _reduce_pairs, as_scalar
 from .relation23 import (
     Failure,
@@ -75,54 +75,93 @@ def _certify(condition: bool, what: str) -> None:
         raise ContractError(f"internal consistency: {what}")
 
 
-def _ladder_break(lower: RecurrencePair, upper: RecurrencePair, k, top: int) -> Optional[int]:
-    """The first n <= top at which U_n = L_n + k_n L_{n-1} fails, or None:
-    (L_n) and (U_n) are the monic families of ``lower`` (beta_n, gamma_n)
-    and ``upper`` (beta'_n, gamma'_n), read through index top - 1, and
-    k = [unused, k_1, ..., k_top]. No polynomial is built.
+def _coincide(a, b, top: int) -> list:
+    """[P_m = R_m for 0 <= m <= top] given the 2-2 ladder of
+    ``_ladder_break`` through m: P_m - R_m = b_m R_{m-1} - a_m P_{m-1}."""
+    same = [True]
+    for m in range(1, top + 1):
+        same.append(a[m] == b[m] and (not a[m] or same[-1]))
+    return same
 
-    U_1 = L_1 + k_1 L_0 exactly when beta'_0 = beta_0 - k_1. If the ladder
-    holds through n >= 1, expanding x L_n and x L_{n-1} by the lower
-    recurrence in U_{n+1} = x U_n - beta'_n U_n - gamma'_n U_{n-1} gives
-        U_{n+1} = L_{n+1} + (beta_n + k_n - beta'_n) L_n
-                  + (gamma_n + k_n (beta_{n-1} - beta'_n) - gamma'_n) L_{n-1}
-                  + (k_n gamma_{n-1} - gamma'_n k_{n-1}) L_{n-2}   (k_0 = 0).
-    The L_j have distinct degrees, so the ladder holds at n + 1 exactly when
-    the three brackets are k_{n+1}, 0 and 0; the first step that fails names
-    the first n at which the polynomial identity fails."""
-    lower.require(top - 1, top - 1)
-    upper.require(top - 1, top - 1)
-    # gamma_0 = k_0 = 0 pads the lists, so g[n] is gamma_n and k_0 gamma'_1 = 0
-    (b, bd), (bp, bpd) = _parts(lower.beta[:top]), _parts(upper.beta[:top])
-    (g, gd), (gp, gpd) = (_parts((0,) + rec.gamma[: top - 1]) for rec in (lower, upper))
-    kn, kd = _parts([0, *k[1 : top + 1]])
-    if _lcm_sum((bp[0], -b[0], kn[1]), (bpd[0], bd[0], kd[1]))[0]:
+
+def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, a, b, top: int) -> Optional[int]:
+    """The first n <= top at which P_n + a_n P_{n-1} = R_n + b_n R_{n-1}
+    fails, or None, for the monic families of ``p_rec`` (beta_n, gamma_n)
+    and ``r_rec`` (beta^R_n, gamma^R_n), read through index top - 1, and
+    a, b = [unused, x_1, ..., x_top]; a 1-2 ladder U_n = L_n + k_n L_{n-1}
+    is P = U, a = 0, R = L, b = k. No polynomial is built.
+
+    With a_0 = b_0 = gamma_0 = 0 the ladder holds at n = 1 exactly when
+    a_1 - beta_0 = b_1 - beta^R_0. If it holds through n, then with
+    u = beta_n + a_n - a_{n+1}, Z = gamma_n + a_n beta_{n-1} - u a_n and
+    W = a_n gamma_{n-1} - Z a_{n-1}, P's recurrence gives
+    P_{n+1} + a_{n+1} P_n = (x - u) S_n - Z S_{n-1} - W P_{n-2} (S_k either
+    side at k), and R's the same. So it holds at n + 1 exactly when the
+    triples (u, Z, W) of P and R agree and W = 0 or P_{n-2} = R_{n-2}
+    (``_coincide``): the first failing step is the first failing n."""
+    p_rec.require(top - 1, top - 1)
+    r_rec.require(top - 1, top - 1)
+    # gamma_0 = a_0 = b_0 = 0 pad the lists, so g[n] is gamma_n
+    (bp, bpd), (br, brd) = (_parts(rec.beta[:top]) for rec in (p_rec, r_rec))
+    (gp, gpd), (gr, grd) = (_parts((0,) + rec.gamma[: top - 1]) for rec in (p_rec, r_rec))
+    (an, ad), (bn, bd) = (_parts([0, *seq[1 : top + 1]]) for seq in (a, b))
+    if _lcm_sum((an[1], -bp[0], -bn[1], br[0]), (ad[1], bpd[0], bd[1], brd[0]))[0]:
         return 1
+    same = _coincide(a, b, top)
     for n in range(1, top):
-        if (_lcm_sum((b[n], kn[n], -bp[n], -kn[n + 1]), (bd[n], kd[n], bpd[n], kd[n + 1]))[0]
-                or _lcm_sum((g[n], kn[n] * b[n - 1], -kn[n] * bp[n], -gp[n]),
-                            (gd[n], kd[n] * bd[n - 1], kd[n] * bpd[n], gpd[n]))[0]
-                or kn[n] * g[n - 1] * gpd[n] * kd[n - 1] != gp[n] * kn[n - 1] * kd[n] * gd[n - 1]):
+        # u, Z, W of P as unreduced pairs (a zero a_n drops its terms), matched to R's
+        u, ud = _lcm_sum((bp[n], an[n], -an[n + 1]), (bpd[n], ad[n], ad[n + 1]))
+        z, zd = (_lcm_sum((gp[n], an[n] * bp[n - 1], -u * an[n]),
+                          (gpd[n], ad[n] * bpd[n - 1], ud * ad[n])) if an[n] else (gp[n], gpd[n]))
+        w, wd = (_lcm_sum((an[n] * gp[n - 1], -z * an[n - 1]), (ad[n] * gpd[n - 1], zd * ad[n - 1]))
+                 if an[n] or an[n - 1] else (0, 1))
+        if (_lcm_sum((br[n], bn[n], -bn[n + 1], -u), (brd[n], bd[n], bd[n + 1], ud))[0]
+                or _lcm_sum((gr[n], bn[n] * br[n - 1], -u * bn[n], -z),
+                            (grd[n], bd[n] * brd[n - 1], ud * bd[n], zd))[0]
+                or _lcm_sum((bn[n] * gr[n - 1], -z * bn[n - 1], -w),
+                            (bd[n] * grd[n - 1], zd * bd[n - 1], wd))[0]
+                or (w and not same[n - 2])):  # W = 0 at n = 1
             return n + 1
     return None
 
 
+def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
+    """The first n <= rel.max_index at which Q_n + r_n Q_{n-1} = P_n
+    + s_n P_{n-1} + t_n P_{n-2} fails, or None, given the ladders P_n + a_n
+    P_{n-1} = R_n + b_n R_{n-1} and Q_n = R_n + l_n R_{n-1}. With a_0 = b_0
+    = l_0 = 0, e_n = s_n - a_n, g_n = r_n l_{n-1} - e_n b_{n-1} and f_n =
+    t_n - e_n a_{n-1}, Q's side less P's is (l_n + r_n - b_n - e_n) R_{n-1}
+    + g_n R_{n-2} - f_n P_{n-2}: zero exactly when l_n + r_n = b_n + e_n,
+    g_n = f_n, and f_n = 0 or P_{n-2} = R_{n-2}. It reads r, s, t as given,
+    so it checks ``compose_ladders`` instead of restating it."""
+    top = rel.max_index
+    (r, rd), (s, sd) = _parts(rel.r[: top + 1]), _parts(rel.s[: top + 1])
+    t, td = _parts((0, 0) + rel.t[2 : top + 1])  # t_1 multiplies no P_{-1}
+    (an, ad), (bn, bd), (ln, ld) = (_parts([0, *seq[1 : top + 1]]) for seq in (a, b, l))
+    same = _coincide(a, b, top)
+    for n in range(1, top + 1):
+        e, ed = _lcm_sum((s[n], -an[n]), (sd[n], ad[n]))
+        f, fd = _lcm_sum((t[n], -e * an[n - 1]), (td[n], ed * ad[n - 1]))
+        if (_lcm_sum((ln[n], r[n], -bn[n], -e), (ld[n], rd[n], bd[n], ed))[0]
+                or _lcm_sum((r[n] * ln[n - 1], -e * bn[n - 1], -f),
+                            (rd[n] * ld[n - 1], ed * bd[n - 1], fd))[0]
+                or (f and not same[n - 2])):  # f_1 = 0
+            return n
+    return None
+
+
 def _certify_relation(
-    rel: Relation23, p: list, q: list, u_rec: RecurrencePair, u: MomentFunctional,
+    rel: Relation23, ladders: tuple, u_rec: RecurrencePair, u: MomentFunctional,
     depth: int, q_rec: RecurrencePair, v_known: MomentFunctional, identity_depth: int,
 ):
-    """Certify a composed relation between the MOPS (P_n) of u and the
-    family (Q_n) whose recurrence ``q_rec`` and normalized moments
-    ``v_known`` are known: the 2-3 identity, both checkers' verdicts, the
-    induced recurrence, the constancy triple against the closed forms, the
-    moments recovered from the functional identity, and the identity itself
-    through ``identity_depth``."""
-    r, s, t = rel.r, rel.s, rel.t
-    for n in range(1, rel.max_index + 1):
-        terms = [(1, q[n]), (r[n], q[n - 1]), (-1, p[n]), (-s[n], p[n - 1])]
-        if n >= 2:
-            terms.append((-t[n], p[n - 2]))
-        _certify(_vanishes(terms), f"2-3 relation fails as a polynomial identity at n={n}")
+    """Certify a relation composed from the certified ``ladders`` (a, b, l)
+    between the MOPS (P_n) of u and the family (Q_n) whose recurrence
+    ``q_rec`` and normalized moments ``v_known`` are known: the 2-3
+    identity, both checkers' verdicts, the induced recurrence, the
+    constancy triple against the closed forms, the moments recovered from
+    the functional identity, and the identity through ``identity_depth``."""
+    n = _relation_break(rel, *ladders)
+    _certify(n is None, f"2-3 relation fails as a polynomial identity at n={n}")
 
     _, verdict_eq, verdict_ct = check_both(u_rec, rel, depth)
     _certify(verdict_eq.is_mops, "equation checker rejects the generated family")
@@ -233,15 +272,14 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     a, b, lam = _chebyshev_ladder(top)
 
     second_rec = chebyshev_kind(2, top + 1)
-    second = mops_from_recurrence(second_rec, top + 1)
     fourth_rec = chebyshev_kind(4, top + 2)
-    fourth = mops_from_recurrence(fourth_rec, top + 1)
-    n = _ladder_break(second_rec, fourth_rec, lam, top)
+    n = _ladder_break(fourth_rec, second_rec, [0] * (top + 1), lam, top)
     _certify(n is None, f"1-2 ladder between fourth and second kind fails at n={n}")
 
-    # P_n from the 2-2 ladder: P_n + a_n P_{n-1} = R_n + b_n R_{n-1}
+    # P_0..P_2 from the 2-2 ladder P_n + a_n P_{n-1} = R_n + b_n R_{n-1}
+    second = mops_from_recurrence(second_rec, 3)
     p = [Polynomial.one()]
-    for n in range(1, top + 1):
+    for n in (1, 2):
         p.append(_combination([(1, second[n]), (b[n], second[n - 1]), (-a[n], p[n - 1])]))
 
     # the third-kind part carries a mass fixed by orthogonality of P_2
@@ -260,17 +298,17 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     )
     u_rec = u_report.rec
     _certify(
-        mops_from_recurrence(u_rec, top + 1) == p,
+        _ladder_break(u_rec, second_rec, a, b, top) is None,
         "2-2 ladder family does not match the MOPS of u",
     )
 
     rel = compose_ladders(a, b, lam)
     fourth_moments = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[4]), u.depth)
     verdict_eq, verdict_ct, constants, moment_identity = _certify_relation(
-        rel, p, fourth, u_rec, u, depth, fourth_rec, fourth_moments, u.depth - 2
+        rel, (a, b, lam), u_rec, u, depth, fourth_rec, fourth_moments, u.depth - 2
     )
 
-    regularity = regularity_criterion(p, 1, rel, depth)
+    regularity = regularity_criterion(u_rec, 1, rel, depth)
     shifted = recurrence_from_moments(u.left_multiply(Polynomial([-1, 1])))
     r, s, t = rel.r, rel.s, rel.t
     odd_ok = all(t[n] == r[n] * (s[n - 1] - r[n - 1]) for n in range(3, depth + 1, 2))
@@ -424,9 +462,6 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         recs.append(report.rec)
     u_rec, v_rec, wt_rec = recs
 
-    p = mops_from_recurrence(u_rec, top + 1)
-    q = mops_from_recurrence(v_rec, top + 1)
-
     # <w, W_n^2> and <u, P_n^2> / u_mass for n < top, as prefix products
     w_norms = list(accumulate(w_rec.gamma[: top - 1], mul, initial=Fraction(1)))
     u_norms = list(accumulate(u_rec.gamma[: top - 1], mul, initial=Fraction(1)))
@@ -436,10 +471,10 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     # the ladders up W~_n = W_n + a_n W_{n-1}, down W~_n = P_n + b_n P_{n-1}
     # (the two imply W_n + a_n W_{n-1} = P_n + b_n P_{n-1}) and second-family
     # Q_n = W_n + c_n W_{n-1}; the first failure by (n, ladder) is reported
-    ladders = (("up-link", w_rec, wt_rec, a_seq), ("down-link", u_rec, wt_rec, b_seq),
-               ("second-family link", w_rec, v_rec, c_seq))
-    n, i = min((_ladder_break(low, up, k, top) or top + 1, i)
-               for i, (_, low, up, k) in enumerate(ladders))
+    ladders = (("up-link", wt_rec, w_rec, a_seq), ("down-link", wt_rec, u_rec, b_seq),
+               ("second-family link", v_rec, w_rec, c_seq))
+    n, i = min((_ladder_break(up, low, [0] * (top + 1), k, top) or top + 1, i)
+               for i, (_, up, low, k) in enumerate(ladders))
     _certify(n > top, f"{ladders[i][0]} identity fails at n={n}")
 
     rel = compose_ladders(b_seq, a_seq, c_seq)
@@ -447,7 +482,7 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     if case.tag is not RelationTag.NONDEGENERATE23:
         return fail(f"relation_degenerate_{case.tag.value}")
     verdict_eq, verdict_ct, constants, moment_identity = _certify_relation(
-        rel, p, q, u_rec, u, depth, v_rec, v, depth
+        rel, (b_seq, a_seq, c_seq), u_rec, u, depth, v_rec, v, depth
     )
     _certify(constants.lam == -u_mass / v_mass, "lambda disagrees with the mass ratio")
 
@@ -458,7 +493,7 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     v_norms = list(accumulate(v_rec.gamma[:depth], mul, initial=v_mass))
     norm_link = all(v_norms[n] == c_seq[n] * w_norms[n - 1] for n in range(1, depth + 1))
 
-    regularity = regularity_criterion(p, 1, rel, depth)
+    regularity = regularity_criterion(u_rec, 1, rel, depth)
 
     return JacobiChainReport(
         ok=True,

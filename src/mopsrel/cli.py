@@ -234,7 +234,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_inverse_check(args: argparse.Namespace) -> int:
     rec, rel = _load_pair(args)
-    # one window for both verdicts; check_both refuses a zero gamma_n, n <= depth + 1
+    # one window for both verdicts; check_both refuses a zero gamma_n, n <= depth
     case, verdict_eq, verdict_ct = check_both(rec, rel, args.depth)
     agree = verdict_eq.is_mops == verdict_ct.is_mops
     payload = {
@@ -265,7 +265,7 @@ def _cmd_inverse_check(args: argparse.Namespace) -> int:
 def _cmd_constants(args: argparse.Namespace) -> int:
     rec, rel = _load_pair(args)
     # before relation_constants, which would name gamma_1 differently
-    rec.require_regular(args.depth + 1)
+    rec.require_regular(args.depth)
     fr = relation_constants(rec, rel)
     verdict = check_by_constants(rec, rel, args.depth)
     payload = {

@@ -213,9 +213,3 @@ def _combination(terms) -> Polynomial:
     """sum c_i p_i over (c_i, p_i) pairs with one gcd reduction."""
     return Polynomial._reduced(*_combination_parts(terms))
 
-
-def _vanishes(terms) -> bool:
-    """Whether sum c_i p_i over (c_i, p_i) pairs is the zero polynomial:
-    exactly when every unreduced numerator is 0, so nothing is reduced."""
-    return not any(_combination_parts(terms)[0])
-

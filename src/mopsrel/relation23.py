@@ -40,6 +40,7 @@ returns (A, B, C) which must equal (a, b, c).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -348,7 +349,7 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, aux_upto: int):
     which each checker's tail copies before it appends its own."""
     if depth < 4:
         raise DepthError("inverse-problem checks need depth >= 4")
-    rec.require_regular(depth + 1)
+    rec.require_regular(depth)
     case = classify(rel)
     if case.tag is not RelationTag.NONDEGENERATE23:
         raise ContractError(
@@ -610,18 +611,29 @@ def verify_functional_relation(
 
 
 def regularity_criterion(
-    p: list[Polynomial], c, rel: Relation23, depth: int
+    rec: RecurrencePair, c, rel: Relation23, depth: int
 ) -> tuple[bool, bool]:
-    """Two sides of the same coin for the functional (x - c) u: no zero of
-    any P_n at c, and no index with t_n = r_n (s_{n-1} - r_{n-1}). For a
-    genuinely non-degenerate orthogonal pair the booleans agree."""
-    if len(p) <= depth:
-        raise DepthError(f"need P_0..P_{depth}, have {len(p)} polynomials")
+    """Two sides of the same coin for (x - c) u, where ``rec`` is the
+    recurrence of the MOPS (P_n) of u: no P_n (n <= depth) vanishes at c,
+    and no index has t_n = r_n (s_{n-1} - r_{n-1}). For a genuinely
+    non-degenerate orthogonal pair the booleans agree. P_n(c) is read by
+    the recurrence, no P_n is built: x, y are P_n(c), P_{n-1}(c) times one
+    nonzero factor, integers with their content divided out each step."""
+    rec.require(depth - 1, depth - 1)
     rel.require(depth if depth >= 2 else 2)
     c0 = as_scalar(c)
-    no_root = all(p[n](c0) != 0 for n in range(depth + 1))
+    cn, cd = c0.numerator, c0.denominator
+    (bn, bd), (gn, gd) = _parts(rec.beta[:depth]), _parts((0,) + rec.gamma[: depth - 1])
+    x, y = 1, 0
+    for n in range(depth):
+        if not x:
+            break
+        k = cd * bd[n]
+        x, y = (cn * bd[n] - bn[n] * cd) * gd[n] * x - gn[n] * k * y, k * gd[n] * x
+        g = math.gcd(x, y)
+        x, y = x // g, y // g
     no_index = all(
         rel.t[n] != rel.r[n] * (rel.s[n - 1] - rel.r[n - 1])
         for n in range(2, depth + 1)
     )
-    return no_root, no_index
+    return x != 0, no_index

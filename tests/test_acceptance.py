@@ -158,8 +158,7 @@ def test_criterion_7_regularity_criterion_both_sides():
     cheb, jac = _cheb(20), _jac(20)
     start = time.monotonic()
     for rep, expected in ((cheb, (False, False)), (jac, (True, True))):
-        p = mops_from_recurrence(rep.u_rec, 22)
-        fresh = regularity_criterion(p, rep.constants.c, rep.rel, 20)
+        fresh = regularity_criterion(rep.u_rec, rep.constants.c, rep.rel, 20)
         assert fresh == expected
         assert rep.regularity == expected
     _done("criterion 7", start, 5.0)

@@ -392,3 +392,33 @@ def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message)
     with pytest.raises(ContractError) as info:
         build()
     assert str(info.value) == f"internal consistency: {message}"
+
+
+def test_worked_cases_build_no_polynomial_family(monkeypatch):
+    """The ladders, the 2-3 identity and the regularity criterion are
+    decided on recurrences: the Chebyshev case builds only P_0..P_2 of the
+    second kind, for the point-mass ratio, the Jacobi chain no family, and
+    neither compares polynomials."""
+    from mopsrel import functional, poly
+
+    counts, equalities = [], []
+    real = functional.mops_from_recurrence
+    real_eq = poly.Polynomial.__eq__
+
+    def counted(rec, count):
+        counts.append(count)
+        return real(rec, count)
+
+    def compared(self, other):
+        equalities.append(None)
+        return real_eq(self, other)
+
+    for module in (casebook, functional):
+        monkeypatch.setattr(module, "mops_from_recurrence", counted)
+    monkeypatch.setattr(poly.Polynomial, "__eq__", compared)
+    chebyshev_case(20)
+    assert len(counts) <= 1 and all(count <= 3 for count in counts)
+    counts.clear()
+    jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 20)
+    assert counts == []
+    assert equalities == []

@@ -304,6 +304,21 @@ def test_inverse_check_zero_gamma_is_input_error(tmp_path, capsys, cheb):
     assert code == 2 and "gamma_3 is zero" in err
 
 
+@pytest.mark.parametrize("command", ["inverse-check", "constants"])
+@pytest.mark.parametrize("zero, refused", [(6, True), (7, False)])
+def test_zero_gamma_is_refused_through_depth_only(tmp_path, capsys, combined_doc, command, zero, refused):
+    """At depth 6 the checkers read gamma_1..gamma_6: a zero gamma_6 exits 2,
+    a zero gamma_7 is outside the window and the depth-6 verdict stands."""
+    doc = json.loads(json.dumps(combined_doc, default=str))
+    doc["recurrence"]["gamma"][zero - 1] = "0"
+    path = write_doc(tmp_path, "zero.json", doc)
+    code, out, err = run(capsys, [command, "--depth", "6", path])
+    if refused:
+        assert code == 2 and f"gamma_{zero} is zero" in err and out == ""
+    else:
+        assert code == 0 and "is zero" not in err
+
+
 @pytest.mark.parametrize(
     "command, big_beta",
     [("constants", False), ("inverse-check", True)],

@@ -40,11 +40,12 @@ from mopsrel import (
     moments_from_recurrence,
     mops_from_recurrence,
     recurrence_from_moments,
+    regularity_criterion,
     v_moments_from_relation,
     verify_functional_relation,
 )
-from mopsrel.casebook import _ladder_break
-from mopsrel.poly import _combination, _vanishes
+from mopsrel.casebook import _ladder_break, _relation_break
+from mopsrel.poly import _combination
 from mopsrel.rational import _reduce_pairs
 from oracles import hankel_det, orthogonality_moments, path_moments
 
@@ -164,13 +165,12 @@ term_lists = st.lists(
 def test_combination_and_zero_test_match_fractions(terms, splits):
     expected = ref_combination(terms)
     assert same(_combination(terms), expected)
-    assert _vanishes(terms) == (expected == ())
+    assert _combination(terms).is_zero == (expected == ())
     # each term again as -(c / k) (k p): the sum cancels to zero, but only
     # after every term is brought over the common denominator
     cancelled = terms + [
         (-Fraction(c) / k, p * k) for (c, p), k in zip(terms, splits + [1] * len(terms))
     ]
-    assert _vanishes(cancelled)
     assert _combination(cancelled).is_zero
 
 
@@ -183,9 +183,9 @@ def test_combination_cancels_only_after_the_lcm_scaling():
     ]
     # no term is zero, and the terms have different denominators
     assert all(c and not (c * r).is_zero for c, r in terms)
-    assert _vanishes(terms) and _combination(terms) == Polynomial.zero()
+    assert _combination(terms).is_zero and _combination(terms) == Polynomial.zero()
     bent = terms + [(Fraction(1, BIG), Polynomial.one())]
-    assert not _vanishes(bent)
+    assert not _combination(bent).is_zero
     assert same(_combination(bent), (Fraction(1, BIG),))
 
 
@@ -816,7 +816,7 @@ def polynomial_ladder_break(lower, upper, k, top):
     up = mops_from_recurrence(upper, top + 1)
     return next(
         (n for n in range(1, top + 1)
-         if not _vanishes([(1, up[n]), (-1, low[n]), (-k[n], low[n - 1])])),
+         if not _combination([(1, up[n]), (-1, low[n]), (-k[n], low[n - 1])]).is_zero),
         None,
     )
 
@@ -843,7 +843,7 @@ def test_ladder_certificate_matches_polynomial_identities(data, top):
         return
     upper = lemma_upper(lower, k, top)
     assert polynomial_ladder_break(lower, upper, k, top) is None
-    assert _ladder_break(lower, upper, k, top) is None
+    assert _ladder_break(upper, lower, [0] * (top + 1), k, top) is None
     field = data.draw(st.sampled_from(["k", "beta", "gamma"]))
     first = 1 if field == "k" else 0
     last = {"k": top, "beta": top - 1, "gamma": top - 2}[field]
@@ -851,7 +851,7 @@ def test_ladder_certificate_matches_polynomial_identities(data, top):
     k, upper = bend(k, upper, field, index, data.draw(nonzero))
     expected = polynomial_ladder_break(lower, upper, k, top)
     assert expected is not None
-    assert _ladder_break(lower, upper, k, top) == expected
+    assert _ladder_break(upper, lower, [0] * (top + 1), k, top) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -866,7 +866,8 @@ def test_ladder_certificate_matches_polynomial_identities_for_free_k(data, top):
     )
     k = [None] + data.draw(st.lists(coeff, min_size=top, max_size=top))
     upper = lemma_upper(lower, k, top)
-    assert _ladder_break(lower, upper, k, top) == polynomial_ladder_break(lower, upper, k, top)
+    assert (_ladder_break(upper, lower, [0] * (top + 1), k, top)
+            == polynomial_ladder_break(lower, upper, k, top))
 
 
 @pytest.fixture(scope="module")
@@ -890,8 +891,224 @@ def generic_down_ladder():
 )
 def test_ladder_certificate_on_generic_jacobi_data(generic_down_ladder, field, index):
     lower, upper, k, top = generic_down_ladder
-    assert _ladder_break(lower, upper, k, top) is None
+    assert _ladder_break(upper, lower, [0] * (top + 1), k, top) is None
     k, upper = bend(k, upper, field, index, Fraction(1, 2**61 - 1))
     expected = polynomial_ladder_break(lower, upper, k, top)
     assert expected is not None
-    assert _ladder_break(lower, upper, k, top) == expected
+    assert _ladder_break(upper, lower, [0] * (top + 1), k, top) == expected
+
+
+def polynomial_22_break(p_rec, r_rec, a, b, top):
+    """The first n at which P_n + a_n P_{n-1} - R_n - b_n R_{n-1} is not
+    the zero polynomial, over the families of the two recurrences, or None."""
+    p = mops_from_recurrence(p_rec, top + 1)
+    r = mops_from_recurrence(r_rec, top + 1)
+    return next(
+        (n for n in range(1, top + 1)
+         if not (p[n] + p[n - 1] * a[n] - r[n] - r[n - 1] * b[n]).is_zero),
+        None,
+    )
+
+
+def forced_p(r_rec, b, a1, top):
+    """A recurrence of P and a = [None, a_1, ..., a_top] that meet the first
+    three conditions of the 2-2 lemma of ``casebook._ladder_break`` over R
+    and b at every step, from a free a_1 (a_top = b_top): beta_0 from
+    n = 1; at step n, gamma_n and beta_n from u = u^R and Z = Z^R, with
+    a_{n+1} solved from W = W^R at step n + 1. So the ladder holds at n + 1
+    exactly when W^R_n = 0 or P_{n-2} = R_{n-2}. Where gamma_n = 0 any
+    a_{n+1} or none meets W = W^R: 0 is taken, or None is returned."""
+    br, gr, b = r_rec.beta, (0,) + r_rec.gamma, [0] + list(b[1:])
+    u = [None] + [br[n] + b[n] - b[n + 1] for n in range(1, top)]
+    z = [None] + [gr[n] + b[n] * br[n - 1] - u[n] * b[n] for n in range(1, top)]
+    w = [None] + [b[n] * gr[n - 1] - z[n] * b[n - 1] for n in range(1, top)]
+    a, beta, gamma = [0, a1], [a1 - b[1] + br[0]], [0]
+    for n in range(1, top):
+        gamma.append(z[n] - a[n] * beta[n - 1] + u[n] * a[n])
+        if n + 1 < top:
+            rhs = w[n + 1] + z[n + 1] * a[n]
+            if gamma[n] == 0 and rhs != 0:
+                return None
+            a.append(rhs / gamma[n] if gamma[n] else Fraction(0))
+        else:
+            a.append(b[top])
+        beta.append(u[n] - a[n] + a[n + 1])
+    return RecurrencePair(beta, gamma[1:]), [None] + a[1:]
+
+
+@functools.lru_cache(maxsize=None)
+def worked_22_ladders():
+    """The 2-2 ladders of the two worked cases: the Chebyshev P over the
+    second kind (top 16) and the generic Jacobi P over W (top 14)."""
+    from mopsrel import chebyshev_kind, jacobi_chain
+
+    cheb = chebyshev_case(14)
+    params = JacobiParams("1/3", "2/7")
+    chain = jacobi_chain(params, 3, -5, 12)
+    return (
+        (cheb.u_rec, chebyshev_kind(2, 17), list(cheb.a_seq), list(cheb.b_seq), 16),
+        (chain.u_rec, jacobi_recurrence(params, 14), list(chain.b_seq), list(chain.a_seq), 14),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_22_ladder_certificate_matches_polynomial_identities(data):
+    """One bent entry of a, b, beta or gamma (of P or of R), at any index,
+    over the worked 2-2 ladders, P = R with a = b, and ladders forced
+    through the first three conditions, where W != 0 and the clause
+    P_{n-2} = R_{n-2} decides: the certificate fails first where the
+    polynomial identity does."""
+    base = data.draw(st.sampled_from(["chebyshev", "jacobi", "same", "forced"]))
+    if base in ("chebyshev", "jacobi"):
+        p_rec, r_rec, a, b, top = worked_22_ladders()[base == "jacobi"]
+    else:
+        top = data.draw(st.integers(2, 9))
+        r_rec = RecurrencePair(
+            data.draw(st.lists(small, min_size=top, max_size=top)),
+            data.draw(st.lists(nonzero, min_size=top - 1, max_size=top - 1)),
+        )
+        b = [None] + data.draw(st.lists(st.one_of(small, nonzero), min_size=top, max_size=top))
+        if base == "same":
+            p_rec, a = r_rec, list(b)
+        else:
+            # a_1 = b_1 makes P_1 = R_1, which pushes the first failure out
+            a1 = data.draw(st.one_of(st.just(b[1]), nonzero))
+            forced = forced_p(r_rec, b, a1, top)
+            if forced is None:
+                return
+            p_rec, a = forced
+    if base != "forced":
+        assert _ladder_break(p_rec, r_rec, a, b, top) is None
+    field = data.draw(st.sampled_from(["a", "b", "p_beta", "p_gamma", "r_beta", "r_gamma", "none"]))
+    if field in ("a", "b"):
+        seq = list(a if field == "a" else b)
+        seq[data.draw(st.integers(1, top))] += data.draw(nonzero)
+        a, b = (seq, b) if field == "a" else (a, seq)
+    elif field != "none":
+        rec = p_rec if field[0] == "p" else r_rec
+        beta, gamma = list(rec.beta[:top]), list(rec.gamma[: top - 1])
+        seq = beta if field.endswith("beta") else gamma
+        if seq:
+            seq[data.draw(st.integers(0, len(seq) - 1))] += data.draw(nonzero)
+        rec = RecurrencePair(beta, gamma)
+        p_rec, r_rec = (rec, r_rec) if field[0] == "p" else (p_rec, rec)
+    assert _ladder_break(p_rec, r_rec, a, b, top) == polynomial_22_break(p_rec, r_rec, a, b, top)
+
+
+def test_22_ladder_certificate_where_a_zero_gamma_lets_p2_equal_r2():
+    """gamma^R_2 = b_2 = 0 with a_1 != b_1: P_2 = R_2 although beta_0 and
+    beta^R_0 differ, so W at n = 4 multiplies a zero and the ladder holds at
+    5; it fails at 6, where P_3 - R_3 = b_3 R_2 is not zero."""
+    top = 7
+    r_rec = RecurrencePair([1, 2, -1, 3, 1, -2, 1], [1, 0, 2, 1, 3, 1])
+    b = [None, Fraction(1, 2), 0, Fraction(3, 5), 2, -1, Fraction(1, 3), 1]
+    p_rec, a = forced_p(r_rec, b, Fraction(-1, 2), top)
+    assert a[2] == 0 and p_rec.beta[0] != r_rec.beta[0]
+    assert polynomial_22_break(p_rec, r_rec, a, b, top) == 6
+    assert _ladder_break(p_rec, r_rec, a, b, top) == 6
+
+
+def random_composition(data, top, equal_prefix=0):
+    """A family R from a random recurrence, a 2-2 ladder (a, b) that gives
+    P_n = R_n + b_n R_{n-1} - a_n P_{n-1}, a 1-2 ladder l that gives
+    Q_n = R_n + l_n R_{n-1} (b_n != l_n), and the families P, Q and R, as
+    Polynomial lists through top. a_n = b_n for n <= equal_prefix, so that
+    P_n = R_n there; further a_n = b_n draws come by chance."""
+    rec = RecurrencePair(
+        data.draw(st.lists(small, min_size=top, max_size=top)),
+        data.draw(st.lists(nonzero, min_size=top, max_size=top)),
+    )
+    r = mops_from_recurrence(rec, top + 1)
+    b = [None] + data.draw(st.lists(nonzero, min_size=top, max_size=top))
+    l = [None] + [v + data.draw(nonzero) for v in b[1:]]
+    a = [None] + [
+        b[n] if n <= equal_prefix else data.draw(st.one_of(st.just(b[n]), small))
+        for n in range(1, top + 1)
+    ]
+    p, q = [r[0]], [r[0]]
+    for n in range(1, top + 1):
+        p.append(r[n] + r[n - 1] * b[n] - p[n - 1] * a[n])
+        q.append(r[n] + r[n - 1] * l[n])
+    return a, b, l, p, q, r
+
+
+def polynomial_23_break(rel, p, q):
+    """The first n at which Q_n + r_n Q_{n-1} - P_n - s_n P_{n-1} - t_n P_{n-2}
+    (no t term at n = 1) is not the zero polynomial, or None."""
+    r, s, t = rel.r, rel.s, rel.t
+    for n in range(1, rel.max_index + 1):
+        rest = q[n] + q[n - 1] * r[n] - p[n] - p[n - 1] * s[n]
+        if n >= 2:
+            rest = rest - p[n - 2] * t[n]
+        if not rest.is_zero:
+            return n
+    return None
+
+
+def bend_relation(rel, bends):
+    """The relation with each (field, index, delta) of ``bends`` added."""
+    seqs = {"r": list(rel.r), "s": list(rel.s), "t": list(rel.t)}
+    for field, index, delta in bends:
+        seqs[field][index] += delta
+    return Relation23(seqs["r"], seqs["s"], seqs["t"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 9))
+def test_23_certificate_matches_polynomial_identities(data, top):
+    """Random composed ladders with one bent r, s or t entry: the
+    certificate fails first where the polynomial identity does."""
+    a, b, l, p, q, _ = random_composition(data, top)
+    rel = compose_ladders(a, b, l)
+    assert polynomial_23_break(rel, p, q) is None
+    assert _relation_break(rel, a, b, l) is None
+    field = data.draw(st.sampled_from("rst"))
+    index = data.draw(st.integers(2 if field == "t" else 1, top))
+    bent = bend_relation(rel, [(field, index, data.draw(nonzero))])
+    expected = polynomial_23_break(bent, p, q)
+    assert expected is not None
+    assert _relation_break(bent, a, b, l) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(3, 9), st.booleans())
+def test_23_certificate_with_f_nonzero_decides_by_p_equal_r(data, top, equal):
+    """r_n and s_n moved by one delta, and t_n by delta (l_{n-1} - b_{n-1}
+    + a_{n-1}), keep l_n + r_n = b_n + e_n and g_n = f_n but make
+    f_n = delta (l_{n-1} - b_{n-1}) nonzero: the identity then holds at n
+    exactly when P_{n-2} = R_{n-2}, which a = b through n - 2 ensures."""
+    index = data.draw(st.integers(3, top))
+    a, b, l, p, q, r = random_composition(data, top, equal_prefix=index - 2 if equal else 0)
+    rel = compose_ladders(a, b, l)
+    delta = data.draw(nonzero)
+    bent = bend_relation(rel, [
+        ("r", index, delta), ("s", index, delta),
+        ("t", index, delta * (l[index - 1] - b[index - 1] + a[index - 1])),
+    ])
+    expected = polynomial_23_break(bent, p, q)
+    assert expected == (None if p[index - 2] == r[index - 2] else index)
+    assert not equal or expected is None
+    assert _relation_break(bent, a, b, l) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 9))
+def test_regularity_criterion_reads_p_at_c_by_the_recurrence(data, depth):
+    """The no-root side of ``regularity_criterion`` from the recurrence
+    against P_n(c) of the built family, with beta_{k-1} chosen, if drawn,
+    so that P_k(c) = 0 for one k <= depth."""
+    beta = data.draw(st.lists(small, min_size=depth, max_size=depth))
+    gamma = data.draw(st.lists(st.one_of(nonzero, st.just(Fraction(0))), min_size=depth, max_size=depth))
+    c = data.draw(st.one_of(small, shared))
+    k = data.draw(st.integers(0, depth))
+    p = mops_from_recurrence(RecurrencePair(beta, gamma), depth + 1)
+    if k and p[k - 1](c) != 0:
+        # P_k(c) = (c - beta_{k-1}) P_{k-1}(c) - gamma_{k-1} P_{k-2}(c) = 0
+        before = p[k - 2](c) * gamma[k - 2] if k >= 2 else 0
+        beta[k - 1] = c - before / p[k - 1](c)
+        p = mops_from_recurrence(RecurrencePair(beta, gamma), depth + 1)
+        assert p[k](c) == 0
+    rel = Relation23(*([Fraction(0)] * (depth + 2) for _ in range(3)))
+    no_root, _ = regularity_criterion(RecurrencePair(beta, gamma), c, rel, depth)
+    assert no_root == all(p[n](c) != 0 for n in range(depth + 1))

@@ -189,8 +189,7 @@ def test_v_moments_and_verification():
 
 def test_regularity_criterion_needs_data():
     rep = chebyshev_case(6)
-    p = mops_from_recurrence(rep.u_rec, 7)
-    no_root, no_index = regularity_criterion(p, 1, rep.rel, 6)
+    no_root, no_index = regularity_criterion(rep.u_rec, 1, rep.rel, 6)
     assert no_root is False and no_index is False
 
 
@@ -305,11 +304,11 @@ def test_worked_cases_agree_at_depth_100(build):
 
 def test_checkers_refuse_a_zero_gamma_in_the_working_range():
     """Both checkers refuse a zero gamma_n of P's recurrence for
-    n <= depth + 1, with the text the command line prints; a zero further
-    out is outside the data they read."""
+    n <= depth, with the text the command line prints; a zero further out
+    is outside the data they read."""
     rep = chebyshev_case(6)
     beta, gamma = rep.u_rec.beta, list(rep.u_rec.gamma)
-    for zero, refused in ((3, True), (7, True), (8, False)):
+    for zero, refused in ((3, True), (6, True), (7, False), (8, False)):
         bent = RecurrencePair(beta, gamma[: zero - 1] + [0] + gamma[zero:])
         for checker in (check_by_equations, check_by_constants):
             if refused:
