@@ -14,7 +14,9 @@ orthogonal, inadmissible parameters), 2 malformed or out-of-domain input
 (non-UTF-8 text included), 3 internal inconsistency (independent
 computations disagree) or any other error, reported without a traceback.
 
-Output is deterministic: the payload contains no timestamps or
+Each command only computes: it returns its payload, exit code and an
+optional note, and ``_dispatch`` writes the payload, then the note, for all
+of them. Output is deterministic: the payload contains no timestamps or
 environment data, so identical inputs give byte-identical output.
 """
 
@@ -224,15 +226,23 @@ def _load_pair(args: argparse.Namespace) -> tuple[RecurrencePair, Relation23]:
     return _recurrence_from(doc), _relation_from(doc)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    doc = _load_document(args.input[0])
-    rel = _relation_from(doc)
-    case = classify(rel)
-    _emit(case.to_json(), args)
-    return EXIT_OK
+def _cmd_classify(args: argparse.Namespace):
+    return classify(_relation_from(_load_document(args.input[0]))).to_json(), EXIT_OK, None
 
 
-def _cmd_inverse_check(args: argparse.Namespace) -> int:
+def _closed_form(rec: RecurrencePair, rel: Relation23, verdict):
+    """The closed-form constants as JSON, with the exit code and note they
+    give beside the constancy verdict: 1 when it is negative, 3 when its
+    triple is not their (a, b, c)."""
+    fr = relation_constants(rec, rel)
+    if not verdict.is_mops:
+        return fr.to_json(), EXIT_NEGATIVE, None
+    if verdict.constants != (fr.a, fr.b, fr.c):
+        return fr.to_json(), EXIT_INTERNAL, "closed-form constants disagree with the constancy triple"
+    return fr.to_json(), EXIT_OK, None
+
+
+def _cmd_inverse_check(args: argparse.Namespace):
     rec, rel = _load_pair(args)
     # one window for both verdicts; check_both refuses a zero gamma_n, n <= depth
     case, verdict_eq, verdict_ct = check_both(rec, rel, args.depth)
@@ -245,60 +255,47 @@ def _cmd_inverse_check(args: argparse.Namespace) -> int:
         "agree": agree,
         "is_mops": verdict_eq.is_mops if agree else None,
     }
-    if agree and verdict_eq.is_mops:
-        fr = relation_constants(rec, rel)
-        payload["functional_relation"] = fr.to_json()
-        if verdict_ct.constants != (fr.a, fr.b, fr.c):
-            _emit(payload, args)
-            print(
-                "inverse-check: closed-form constants disagree with the constancy triple",
-                file=sys.stderr,
-            )
-            return EXIT_INTERNAL
-    _emit(payload, args)
     if not agree:
-        print("inverse-check: the two checkers disagree", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK if verdict_eq.is_mops else EXIT_NEGATIVE
+        return payload, EXIT_INTERNAL, "the two checkers disagree"
+    if not verdict_eq.is_mops:
+        return payload, EXIT_NEGATIVE, None
+    payload["functional_relation"], code, note = _closed_form(rec, rel, verdict_ct)
+    return payload, code, note
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
+def _cmd_constants(args: argparse.Namespace):
     rec, rel = _load_pair(args)
-    # before relation_constants, which would name gamma_1 differently
-    rec.require_regular(args.depth)
-    fr = relation_constants(rec, rel)
+    # the checker admits the data first, so its refusals are inverse-check's
     verdict = check_by_constants(rec, rel, args.depth)
+    fr, code, note = _closed_form(rec, rel, verdict)
     payload = {
         "depth": args.depth,
-        "functional_relation": fr.to_json(),
+        "functional_relation": fr,
         "verdict_constants": verdict.to_json(),
     }
-    if not verdict.is_mops:
-        _emit(payload, args)
-        return EXIT_NEGATIVE
-    if verdict.constants != (fr.a, fr.b, fr.c):
-        _emit(payload, args)
-        print(
-            "constants: closed-form constants disagree with the constancy triple",
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
-    payload["agree"] = True
-    _emit(payload, args)
-    return EXIT_OK
+    if code == EXIT_OK:
+        payload["agree"] = True
+    return payload, code, note
 
 
-def _cmd_example(args: argparse.Namespace) -> int:
+def _cmd_example(args: argparse.Namespace):
     if args.case == "chebyshev":
         report = chebyshev_case(args.depth)
     else:
         params = JacobiParams(parse_rational(args.alpha), parse_rational(args.beta))
         report = jacobi_chain(params, parse_rational(args.a1), parse_rational(args.c1), args.depth)
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args)
+    payload = report.to_csv() if args.format == "csv" else report.to_json()
     if args.case != "chebyshev" and not report.ok:
-        print(f"example: {report.failure.condition}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    return EXIT_OK
+        return payload, EXIT_NEGATIVE, report.failure.condition
+    return payload, EXIT_OK, None
+
+
+COMMANDS = {
+    "classify": _cmd_classify,
+    "inverse-check": _cmd_inverse_check,
+    "constants": _cmd_constants,
+    "example": _cmd_example,
+}
 
 
 # built on the first call and reused: argparse looks up sys.stdout,
@@ -370,27 +367,21 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command != "classify" and args.depth < 5:
-        print("mopsrel: --depth must be at least 5", file=sys.stderr)
-        return EXIT_INPUT
-    if args.command == "example" and args.depth > EXAMPLE_MAX_DEPTH:
-        print(f"mopsrel: --depth of example must be at most {EXAMPLE_MAX_DEPTH}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    if args.command in ("classify", "inverse-check", "constants"):
-        n = len(args.input)
-        if n > 2 or (args.command == "classify" and n != 1):
-            print("mopsrel: expected one combined input file, or a recurrence "
-                  "file and a relation file", file=sys.stderr)
-            return EXIT_INPUT
     try:
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "inverse-check":
-            return _cmd_inverse_check(args)
-        if args.command == "constants":
-            return _cmd_constants(args)
-        return _cmd_example(args)
+        if args.command != "classify" and args.depth < 5:
+            raise DepthError("--depth must be at least 5")
+        if args.command == "example":
+            if args.depth > EXAMPLE_MAX_DEPTH:
+                raise DepthError(f"--depth of example must be at most {EXAMPLE_MAX_DEPTH}")
+        elif len(args.input) > 2 or (args.command == "classify" and len(args.input) != 1):
+            raise FormatError(
+                "expected one combined input file, or a recurrence file and a relation file"
+            )
+        payload, code, note = COMMANDS[args.command](args)
+        _emit(payload, args)
+        if note:
+            print(f"{args.command}: {note}", file=sys.stderr)
+        return code
     except (FormatError, DepthError, DomainError) as exc:
         print(f"mopsrel: {exc}", file=sys.stderr)
         return EXIT_INPUT

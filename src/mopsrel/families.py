@@ -108,26 +108,6 @@ def chebyshev_kind(kind: int, count: int) -> RecurrencePair:
     return jacobi_recurrence(JacobiParams(a, b), count)
 
 
-def jacobi_norm_ratio(params: JacobiParams, n: int, float_check: bool = False) -> Fraction:
-    """<w, W_n^2> / <w, 1> = gamma_1 ... gamma_n, exactly.
-
-    With float_check=True the value is also compared against the gamma
-    function quotient closed form to a relative 1e-10; a mismatch raises.
-    """
-    rec = jacobi_recurrence(params, n + 1)
-    value = norm_squared(rec, n)
-    if float_check and n >= 1:
-        a, b = float(params.alpha), float(params.beta)
-        s = a + b
-        log_value = (
-            2 * n * math.log(2.0)
-            + sum(map(math.lgamma, (n + 1, n + a + 1, n + b + 1, n + s + 1, s + 2)))
-            - sum(map(math.lgamma, (2 * n + s + 1, 2 * n + s + 2, a + 1, b + 1)))
-        )
-        closed = math.exp(log_value)
-        exact = float(value)
-        if abs(closed - exact) > 1e-10 * max(abs(exact), 1e-300):
-            raise DomainError(
-                f"norm ratio float check failed at n={n}: {exact} vs {closed}"
-            )
-    return value
+def jacobi_norm_ratio(params: JacobiParams, n: int) -> Fraction:
+    """<w, W_n^2> / <w, 1> = gamma_1 ... gamma_n, exactly."""
+    return norm_squared(jacobi_recurrence(params, n + 1), n)

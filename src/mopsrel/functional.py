@@ -291,9 +291,7 @@ def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional
         raise DepthError("depth must be >= 0")
     cap = depth // 2
     rec.require(cap, cap)
-    for n in range(1, cap + 1):
-        if rec.gamma[n - 1] == 0:
-            raise DomainError(f"gamma_{n} = 0: recurrence not regular through {cap}")
+    rec.require_regular(cap)
     # beta_j = B[j] / L and gamma_j = G[j] / L; G is padded with zeros at
     # both ends so level cap + 1 contributes nothing
     B, L = common_denominator(rec.beta[: cap + 1] + rec.gamma[:cap])
@@ -314,17 +312,21 @@ def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional
 class RecurrenceReport:
     """Result of recovering a recurrence from moments.
 
-    regular_through: largest k with Delta_0..Delta_k all nonzero, where
-    Delta_k is the (k+1)x(k+1) leading principal Hankel determinant; -1 when
-    already Delta_0 = mu_0 = 0. first_vanishing is the index of the first
-    zero determinant if one was met, None otherwise. checked_through is how
-    far the determinants could be examined given the depth.
+    Delta_k is the (k+1)x(k+1) leading principal Hankel determinant.
+    first_vanishing is the index of the first zero Delta_k if one was met,
+    None otherwise; checked_through is how far the determinants could be
+    examined given the depth (the first zero stops the examination).
     """
 
     rec: RecurrencePair
-    regular_through: int
     first_vanishing: Optional[int]
     checked_through: int
+
+    @property
+    def regular_through(self) -> int:
+        """The largest k with Delta_0..Delta_k all nonzero; -1 when already
+        Delta_0 = mu_0 = 0."""
+        return self.checked_through - (self.first_vanishing is not None)
 
 
 def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
@@ -346,12 +348,7 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
     beta: list[Fraction] = []
     gamma: list[Fraction] = []
     if mu[0] == 0:
-        return RecurrenceReport(
-            rec=RecurrencePair((), ()),
-            regular_through=-1,
-            first_vanishing=0,
-            checked_through=0,
-        )
+        return RecurrenceReport(RecurrencePair((), ()), 0, 0)
     # row[i] / den holds sigma_{k, k+i}; row_prev / den_prev the row k - 1
     row_prev: list[int] = []
     den_prev = 1
@@ -366,23 +363,13 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
             row_prev[2 : width + 3], den_prev, gamma[k - 2] if k >= 2 else 0,
         )
         if nxt[0] == 0:
-            return RecurrenceReport(
-                rec=RecurrencePair(beta[:k], gamma),
-                regular_through=k - 1,
-                first_vanishing=k,
-                checked_through=k,
-            )
+            return RecurrenceReport(RecurrencePair(beta[:k], gamma), k, k)
         gamma.append(Fraction(nxt[0] * den, d * row[0]))
         if width >= 1:
             # sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
             beta.append(Fraction(nxt[1] * row[0] - row[1] * nxt[0], nxt[0] * row[0]))
         row_prev, den_prev, row, den = row, den, nxt, d
-    return RecurrenceReport(
-        rec=RecurrencePair(beta, gamma),
-        regular_through=k_max,
-        first_vanishing=None,
-        checked_through=k_max,
-    )
+    return RecurrenceReport(RecurrencePair(beta, gamma), None, k_max)
 
 
 def norm_squared(rec: RecurrencePair, n: int) -> Fraction:

@@ -5,8 +5,9 @@ the layout of FLINT's fmpq_poly: sum_k nums[k] / den x^k with den > 0,
 gcd(den, nums[0], nums[1], ...) == 1 and no trailing zero numerator. That
 form is canonical, so equality compares integers. ``+``, ``-`` and ``*``
 by a scalar are all ``_combination``: one lcm, one integer pass and one
-gcd. That gcd, the product's and those of the fraction-free vectors of
-``functional`` are all taken in ``_divide_content``. ``coeffs``, the
+gcd. That gcd, the product's, those of the fraction-free vectors of
+``functional`` and that of ``regularity_criterion``'s P_n(c) pair are all
+taken in ``_divide_content``, the one gcd of the package. ``coeffs``, the
 coefficients ascending by degree as a tuple of Fractions, is built on
 first use. The zero polynomial has no numerators and ``degree`` -1.
 """
@@ -185,8 +186,8 @@ class Polynomial:
 
 
 def _divide_content(nums: list, den: int) -> tuple[list, int]:
-    """nums and den with their content gcd(den, *nums) divided out, for
-    Polynomial and the fraction-free vectors of ``functional``."""
+    """nums and den with their content gcd(den, *nums) divided out: the one
+    content reduction of the package."""
     g = math.gcd(den, *nums)
     if g > 1:
         nums = [c // g for c in nums]
@@ -194,10 +195,10 @@ def _divide_content(nums: list, den: int) -> tuple[list, int]:
     return nums, den
 
 
-def _combination_parts(terms) -> tuple[list, int]:
-    """sum c_i p_i over (c_i, p_i) pairs, c_i an int or a Fraction, as the
-    unreduced integer numerators over L = lcm of the c_i.denominator *
-    p_i._den: one integer pass, no gcd reduction."""
+def _combination(terms) -> Polynomial:
+    """sum c_i p_i over (c_i, p_i) pairs, c_i an int or a Fraction: the
+    integer numerators over L = lcm of the c_i.denominator * p_i._den in
+    one pass, then one gcd reduction."""
     terms = [(c, p) for c, p in terms if c and p._nums]
     dens = [c.denominator * p._den for c, p in terms]
     den = math.lcm(*dens)
@@ -206,10 +207,5 @@ def _combination_parts(terms) -> tuple[list, int]:
         k = c.numerator * (den // d)
         for i, x in enumerate(p._nums):
             out[i] += k * x
-    return out, den
-
-
-def _combination(terms) -> Polynomial:
-    """sum c_i p_i over (c_i, p_i) pairs with one gcd reduction."""
-    return Polynomial._reduced(*_combination_parts(terms))
+    return Polynomial._reduced(out, den)
 

@@ -40,7 +40,6 @@ returns (A, B, C) which must equal (a, b, c).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -48,7 +47,7 @@ from typing import NamedTuple, Optional
 
 from .errors import ContractError, DepthError, DomainError, FormatError
 from .functional import MomentFunctional, RecurrencePair
-from .poly import Polynomial, _combination
+from .poly import Polynomial, _combination, _divide_content
 from .rational import (
     _json_list,
     _lcm_sum,
@@ -618,7 +617,9 @@ def regularity_criterion(
     and no index has t_n = r_n (s_{n-1} - r_{n-1}). For a genuinely
     non-degenerate orthogonal pair the booleans agree. P_n(c) is read by
     the recurrence, no P_n is built: x, y are P_n(c), P_{n-1}(c) times one
-    nonzero factor, integers with their content divided out each step."""
+    nonzero factor, integers with their content divided out each step. The
+    indices are compared by cross-multiplying integer parts, entry by entry,
+    up to the first equality."""
     rec.require(depth - 1, depth - 1)
     rel.require(depth if depth >= 2 else 2)
     c0 = as_scalar(c)
@@ -630,10 +631,13 @@ def regularity_criterion(
             break
         k = cd * bd[n]
         x, y = (cn * bd[n] - bn[n] * cd) * gd[n] * x - gn[n] * k * y, k * gd[n] * x
-        g = math.gcd(x, y)
-        x, y = x // g, y // g
+        (x,), y = _divide_content([x], y)
+    r, s, t = rel.r, rel.s, rel.t
+    # t_n = r_n (s_{n-1} - r_{n-1}) by cross-multiplication
     no_index = all(
-        rel.t[n] != rel.r[n] * (rel.s[n - 1] - rel.r[n - 1])
-        for n in range(2, depth + 1)
+        tn.numerator * rn.denominator * sp.denominator * rp.denominator
+        != tn.denominator * rn.numerator
+        * (sp.numerator * rp.denominator - rp.numerator * sp.denominator)
+        for tn, rn, sp, rp in zip(t[2 : depth + 1], r[2 : depth + 1], s[1:depth], r[1:depth])
     )
     return x != 0, no_index

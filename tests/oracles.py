@@ -7,6 +7,7 @@ orthogonal polynomials by the Hankel determinant formula. All of it is plain
 Fraction arithmetic. Slow but trustworthy; keep the sizes small.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -113,3 +114,17 @@ def op_via_determinants(moments, k: int) -> Polynomial:
 
 def apply_raw(moments, p: Polynomial) -> Fraction:
     return sum((c * moments[k] for k, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def jacobi_norm_ratio_float(alpha, beta, n: int) -> float:
+    """<w, W_n^2> / <w, 1> for the monic Jacobi family W_n of the weight
+    (1 - x)^alpha (1 + x)^beta, from its gamma-function closed form
+    2^(2n) n! G(n+a+1) G(n+b+1) G(n+s+1) G(s+2) / (G(2n+s+1) G(2n+s+2)
+    G(a+1) G(b+1)), s = a + b, evaluated in floats through lgamma."""
+    a, b = float(alpha), float(beta)
+    s = a + b
+    return math.exp(
+        2 * n * math.log(2.0)
+        + sum(map(math.lgamma, (n + 1, n + a + 1, n + b + 1, n + s + 1, s + 2)))
+        - sum(map(math.lgamma, (2 * n + s + 1, 2 * n + s + 2, a + 1, b + 1)))
+    )

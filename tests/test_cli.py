@@ -320,6 +320,36 @@ def test_zero_gamma_is_refused_through_depth_only(tmp_path, capsys, combined_doc
 
 
 @pytest.mark.parametrize(
+    "section, key, index, condition",
+    [
+        ("relation", "t", 2, "classifies as Type12"),  # t_2 = r_2 (s_1 - r_1)
+        ("relation", "r", 3, "classifies as Type13"),
+        ("relation", "t", 3, "classifies as Type2"),
+        ("relation", "r", 5, "r_5 = 0"),
+        ("recurrence", "gamma", 2, "gamma_3 is zero"),
+    ],
+    ids=["type12-gate", "r_3-zero", "t_3-zero", "r_5-zero", "gamma_3-zero"],
+)
+def test_constants_refuses_what_inverse_check_refuses(
+    tmp_path, capsys, combined_doc, section, key, index, condition
+):
+    """``constants`` admits data as ``inverse-check`` does: on the depth-6
+    Chebyshev document bent into a refusal, both exit 2 with one and the
+    same ``mopsrel:`` line and write no payload."""
+    doc = json.loads(json.dumps(combined_doc, default=str))
+    r, s = ([Fraction(v) for v in doc["relation"][k]] for k in "rs")
+    doc[section][key][index] = str(r[2] * (s[1] - r[1])) if "Type12" in condition else "0"
+    path = write_doc(tmp_path, "bent.json", doc)
+    lines = []
+    for command in ("inverse-check", "constants"):
+        code, out, err = run(capsys, [command, "--depth", "6", path])
+        assert code == 2 and out == ""
+        lines.append([line for line in err.splitlines() if line.startswith("mopsrel:")])
+    assert len(lines[0]) == 1 and condition in lines[0][0]
+    assert lines[1] == lines[0]
+
+
+@pytest.mark.parametrize(
     "command, big_beta",
     [("constants", False), ("inverse-check", True)],
 )

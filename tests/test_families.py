@@ -15,7 +15,7 @@ from mopsrel import (
     moments_from_recurrence,
     mops_from_recurrence,
 )
-from oracles import apply_raw, op_via_determinants, path_moments
+from oracles import apply_raw, jacobi_norm_ratio_float, op_via_determinants, path_moments
 
 params_st = st.fractions(min_value=Fraction(-3, 4), max_value=3, max_denominator=4)
 
@@ -79,12 +79,14 @@ def test_norm_ratio_exact_and_float_check():
     for a, b in [("1/2", "1/2"), ("1/2", "-1/2"), ("0", "0"), ("1", "2")]:
         params = JacobiParams(a, b)
         for n in range(1, 7):
-            value = jacobi_norm_ratio(params, n, float_check=True)
+            value = jacobi_norm_ratio(params, n)
             rec = jacobi_recurrence(params, n + 1)
             acc = Fraction(1)
             for k in range(1, n + 1):
                 acc *= rec.gamma[k - 1]
             assert value == acc
+            closed = jacobi_norm_ratio_float(params.alpha, params.beta, n)
+            assert abs(closed - float(value)) <= 1e-10 * float(value)
 
 
 def test_moments_mu1():

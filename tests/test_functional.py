@@ -186,6 +186,18 @@ def test_mu1_equals_beta0():
         assert mom.moments[1] == rec.beta[0]
 
 
+def test_moments_refuse_a_zero_gamma_with_the_checkers_message():
+    """The moment sweep reads gamma_1..gamma_{depth // 2} and refuses a zero
+    among them as ``RecurrencePair.require_regular`` (the checkers') does."""
+    rec = RecurrencePair(["0"] * 4, ["1", "0", "1"])
+    with pytest.raises(DomainError) as refused:
+        moments_from_recurrence(rec, 6)
+    assert str(refused.value) == "recurrence gamma_2 is zero inside the working range"
+    # depth 5 reads gamma through index 2 only
+    beyond = moments_from_recurrence(RecurrencePair(["0"] * 4, ["1", "1", "0"]), 5)
+    assert beyond.moments == moments_from_recurrence(RecurrencePair(["0"] * 4, ["1", "1"]), 5).moments
+
+
 def test_json_round_trips():
     u = MomentFunctional(["1", "-2/3"])
     assert MomentFunctional.from_json(u.to_json()) == u

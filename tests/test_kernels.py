@@ -1112,3 +1112,22 @@ def test_regularity_criterion_reads_p_at_c_by_the_recurrence(data, depth):
     rel = Relation23(*([Fraction(0)] * (depth + 2) for _ in range(3)))
     no_root, _ = regularity_criterion(RecurrencePair(beta, gamma), c, rel, depth)
     assert no_root == all(p[n](c) != 0 for n in range(depth + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(0, 9))
+def test_regularity_criterion_no_index_side_matches_fractions(data, depth):
+    """The no-index side of ``regularity_criterion``, decided on integer
+    parts, against t_n != r_n (s_{n-1} - r_{n-1}) in Fractions, with t_k
+    set, if drawn, so that the equality holds at one chosen k <= depth."""
+    top = max(depth, 2)
+    r, s, t = ([Fraction(0)] + data.draw(st.lists(coeff, min_size=top, max_size=top)) for _ in range(3))
+    t[1] = Fraction(0)
+    k = data.draw(st.integers(0, depth))
+    if k >= 2:
+        t[k] = r[k] * (s[k - 1] - r[k - 1])
+    rec = RecurrencePair([Fraction(0)] * depth, [Fraction(1)] * depth)
+    _, no_index = regularity_criterion(rec, 0, Relation23(r, s, t), depth)
+    assert no_index == all(t[n] != r[n] * (s[n - 1] - r[n - 1]) for n in range(2, depth + 1))
+    assert no_index or depth >= 2
+    assert not no_index or k < 2
