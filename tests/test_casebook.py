@@ -1,6 +1,7 @@
 """Worked-case builders: frozen values, certified identities, failure paths."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -280,6 +281,54 @@ def test_jacobi_chain_reads_no_moment_past_its_window(monkeypatch, name, depth, 
     moments = casebook.jacobi_moments
     monkeypatch.setattr(casebook, "jacobi_moments", lambda p, d: moments(p, d + extra))
     assert _chain_outputs(jacobi_chain(params, a1, c1, depth)) == expected
+
+
+EDGE_PARAMS = JacobiParams(Fraction(1, 3), Fraction(2, 7))
+
+
+def first_link_for_zero_at(shift, m):
+    """The k_1 whose forward recursion k_{n+1} = beta_n + shift - gamma_n / k_n
+    over the Jacobi(1/3, 2/7) recurrence reaches k_m = 0 (shift -1 for the
+    chain's a_n, +1 for its c_n), by running the recursion backwards."""
+    rec = jacobi_recurrence(EDGE_PARAMS, m)
+    k = Fraction(0)
+    for n in range(m - 1, 0, -1):
+        k = rec.gamma[n - 1] / (rec.beta[n] + shift - k)
+    return k
+
+
+# (ladder, index of its zero past depth 6, failure, sha256 of the JSON payload)
+WINDOW_EDGES = [
+    ("c", 8, ("v_not_regular", 8),
+     "2d10f89f27d9232a71e4cb8d15ea25bfca65c38b5c3e2424d362ae76b52d03a6"),
+    ("a", 8, ("w_tilde_not_regular", 8),
+     "a667e95c41a604a3349ec441d13bc145a2dde96b2fd775acd503cc8688218cd5"),
+    ("c", 9, None, "61564ba1714fc553dac5e233bf4f5e85fc52dad4be422ce8d878a1636dc2dffb"),
+    ("a", 9, None, "ff605ebefb3516c8f0a8e53dc206da90d799730d5e815701a7e35f21f9da1477"),
+    ("c", 10, None, "bfcffe4ff7aa9efcc3abc55e19b74f54ea93c5c597c0a0d398d7b48dc4452afd"),
+    ("a", 10, None, "834475bf772ac837ea54bae8c3da930471877aa02a9fdc4200d60db76479668e"),
+]
+
+
+@pytest.mark.parametrize("ladder, zero, failure, digest", WINDOW_EDGES,
+                         ids=[f"{case[0]}_{case[1]}" for case in WINDOW_EDGES])
+def test_jacobi_chain_zero_link_at_the_window_edge(ladder, zero, failure, digest):
+    """At depth 6 (top index 8) a zero c_n or a_n past the recursion's reach
+    is a regularity verdict or a shorter report, never an error: c_8 = 0 or
+    a_8 = 0 fails v or w~ at n = 8, c_9 = 0 stops v's recurrence one gamma
+    short, and a_9, c_10, a_10 change nothing v reports."""
+    k1 = first_link_for_zero_at(1 if ladder == "c" else -1, zero)
+    a1, c1 = (3, k1) if ladder == "c" else (k1, -5)
+    report = jacobi_chain(EDGE_PARAMS, a1, c1, 6)
+    assert (None if report.ok else (report.failure.condition, report.failure.n)) == failure
+    payload = report.to_json()
+    text = _json_text(payload)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    if report.ok:
+        plain = jacobi_chain(EDGE_PARAMS, 3, -5, 6).to_json()["v_recurrence"]
+        short = ladder == "c" and zero == 9
+        assert len(payload["v_recurrence"]["gamma"]) == len(plain["gamma"]) - short == 9 - short
+        assert len(payload["v_recurrence"]["beta"]) == len(plain["beta"]) == 9
 
 
 # --- the certificates fire on bent data ---------------------------------
