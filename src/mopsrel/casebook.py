@@ -10,12 +10,13 @@ though the relation is non-degenerate and (Q_n) is orthogonal.
 ``jacobi_chain`` starts from a Jacobi functional w, performs one linear
 division at 1 (free mass attached to a coefficient a_1), one left
 multiplication by 1 + x, and an independent linear division at -1 (free
-mass attached to c_1), producing the chain w~ , u, v; it derives the 2-3
-relation linking the MOPS of u and v and certifies all linking identities,
-the orthogonality verdicts, and the functional identity
-lambda (x - c) u = (x^2 + a x + b) v with (a, b, c) = (2, 1, 1). Its norm
-link <v, Q_n^2> = c_n <w, W_{n-1}^2> takes norms as Favard products mu_0
-gamma_1 ... gamma_n, and it reads w's moments through 2 depth + 6 only.
+mass attached to c_1), producing the chain w~ , u, v; v and w~ are 1-2
+ladders over w, whose recurrences are lifted from w's (``_ladder_lift``).
+It derives the 2-3 relation linking the MOPS of u and v and certifies the
+identities the lifts do not give, the orthogonality verdicts, and the
+functional identity lambda (x - c) u = (x^2 + a x + b) v with (a, b, c) =
+(2, 1, 1). Its norm link <v, Q_n^2> = c_n <w, W_{n-1}^2> takes norms as
+Favard products mu_0 gamma_1 ... gamma_n.
 
 Every identity asserted here is certified by exact computation, in time
 linear in the depth and without building a polynomial family: each 2-2
@@ -123,6 +124,20 @@ def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, a, b, top: int) 
                 or (w and not same[n - 2])):  # W = 0 at n = 1
             return n + 1
     return None
+
+
+def _ladder_lift(low: RecurrencePair, k, top: int) -> RecurrenceReport:
+    """The recurrence of the MOPS U_n = L_n + k_n L_{n-1} from L's, read through
+    top - 1 >= 1, and k = [unused, k_1 != 0, ..., k_top] with W = 0 (the triples of
+    ``_ladder_break``, a = 0), as ``recurrence_from_moments`` reports U's mu_0..mu_{2 top}:
+    a zero k_m is the first zero gamma^U_m = k_m gamma_{m-1} / k_{m-1}, where it stops."""
+    beta, g = low.beta, (0,) + low.gamma  # g[n] is gamma_n
+    m = next((n for n in range(2, top + 1) if k[n] == 0), None)
+    n_beta, n_gamma = (top, top) if m is None else (m, m - 1)
+    ub = [beta[0] - k[1]] + [beta[n] + k[n] - k[n + 1] for n in range(1, n_beta)]
+    ug = [g[1] + k[1] * (beta[0] - ub[1])]
+    ug += [k[n] * g[n - 1] / k[n - 1] for n in range(2, n_gamma + 1)]
+    return RecurrenceReport(RecurrencePair(ub, ug), m, top if m is None else m)
 
 
 def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
@@ -405,14 +420,11 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
                                  a1, c1, depth)
 
     top = depth + 2
-    # one Jacobi recurrence, read through top - 1, serves the ladders, the norms
-    # and the certificates. The moment window: mu_0..mu_N give beta through
-    # (N - 1)//2, gamma and regularity through N//2; the report keeps u's and
-    # v's beta through top and gamma through top + 1 (N >= 2 top + 2), and the
-    # certificates read w~ through top - 1 and its regularity through top
-    # (N >= 2 top). u has N = u_target + 1, v and w~ one more: u's reads decide
-    u_target = 2 * depth + 5
-    w_rec = jacobi_recurrence(params, top)
+    # one Jacobi recurrence, read through top, serves the ladders, the lifts and
+    # the norms. The report keeps u's and v's beta through top and gamma through
+    # top + 1: the lifts take a_n, c_n through top + 1, and u's moments run to
+    # N = 2 top + 2 (mu_0..mu_N give beta through (N - 1)//2, gamma N//2)
+    w_rec = jacobi_recurrence(params, top + 1)
     beta0 = w_rec.beta[0]
 
     if a1 == 0:
@@ -430,37 +442,37 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         return fail("v_mass")
     v_mass = 1 / v_denom
 
-    # coefficient ladders by forward recursion; breakdown means the chain
-    # functional is not regular at that index
-    a_seq: list = [None] * (top + 1)
-    c_seq: list = [None] * (top + 1)
+    # coefficient ladders by forward recursion: a zero below top is a breakdown
+    # (the chain functional is not regular there), one at top the lifts' verdict
+    a_seq: list = [None] * (top + 2)
+    c_seq: list = [None] * (top + 2)
     a_seq[1] = a1
     c_seq[1] = c1
-    for n in range(1, top):
-        if a_seq[n] == 0:
-            return fail("a_recursion_breakdown", n)
-        a_seq[n + 1] = w_rec.beta[n] - 1 - w_rec.gamma[n - 1] / a_seq[n]
-        if c_seq[n] == 0:
-            return fail("c_recursion_breakdown", n)
-        c_seq[n + 1] = w_rec.beta[n] + 1 - w_rec.gamma[n - 1] / c_seq[n]
+    for n in range(1, top + 1):
+        for name, seq, shift in (("a", a_seq, -1), ("c", c_seq, 1)):
+            if seq[n]:
+                seq[n + 1] = w_rec.beta[n] + shift - w_rec.gamma[n - 1] / seq[n]
+            elif n < top:
+                return fail(f"{name}_recursion_breakdown", n)
     for n in range(1, top + 1):
         if a_seq[n] == c_seq[n]:
             return fail("link_coefficients_equal", n)
 
-    w = jacobi_moments(params, u_target + 1)
+    w = jacobi_moments(params, 2 * top + 2)
     w_tilde = w.scale(-1).divide_by_linear(1, 1 / mass_up)
     u_raw = w_tilde.left_multiply(Polynomial([1, 1]))
     _certify(u_raw.moments[0] == u_mass, "u mass disagrees with the closed form")
     u = u_raw.normalized()
     v = w.divide_by_linear(-1, v_mass).normalized()
 
-    recs = []
-    for name, f in (("u", u), ("v", v), ("w_tilde", w_tilde.normalized())):
-        report = recurrence_from_moments(f)
+    # v and w~ are the ladders Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1}
+    reports = (("u", recurrence_from_moments(u)), ("v", _ladder_lift(w_rec, c_seq, top + 1)),
+               ("w_tilde", _ladder_lift(w_rec, a_seq, top + 1)))
+    for name, report in reports:
         if report.first_vanishing is not None and report.first_vanishing <= depth + 2:
             return fail(f"{name}_not_regular", report.first_vanishing)
-        recs.append(report.rec)
-    u_rec, v_rec, wt_rec = recs
+    u_rec, v_rec, wt_rec = (report.rec for _, report in reports)
+    a_seq, c_seq = a_seq[: top + 1], c_seq[: top + 1]
 
     # <w, W_n^2> and <u, P_n^2> / u_mass for n < top, as prefix products
     w_norms = list(accumulate(w_rec.gamma[: top - 1], mul, initial=Fraction(1)))
@@ -468,14 +480,10 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     b_seq = [None] + [-a_seq[n] * w_norms[n - 1] / (u_mass * u_norms[n - 1])
                       for n in range(1, top + 1)]
 
-    # the ladders up W~_n = W_n + a_n W_{n-1}, down W~_n = P_n + b_n P_{n-1}
-    # (the two imply W_n + a_n W_{n-1} = P_n + b_n P_{n-1}) and second-family
-    # Q_n = W_n + c_n W_{n-1}; the first failure by (n, ladder) is reported
-    ladders = (("up-link", wt_rec, w_rec, a_seq), ("down-link", wt_rec, u_rec, b_seq),
-               ("second-family link", v_rec, w_rec, c_seq))
-    n, i = min((_ladder_break(up, low, [0] * (top + 1), k, top) or top + 1, i)
-               for i, (_, up, low, k) in enumerate(ladders))
-    _certify(n > top, f"{ladders[i][0]} identity fails at n={n}")
+    # the lifts give the up-link and the second-family link; the down-link
+    # W~_n = P_n + b_n P_{n-1} ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
+    n = _ladder_break(wt_rec, u_rec, [0] * (top + 1), b_seq, top)
+    _certify(n is None, f"down-link identity fails at n={n}")
 
     rel = compose_ladders(b_seq, a_seq, c_seq)
     case = classify(rel)

@@ -232,8 +232,11 @@ def _cmd_classify(args: argparse.Namespace):
 
 def _closed_form(rec: RecurrencePair, rel: Relation23, verdict):
     """The closed-form constants as JSON, with the exit code and note they
-    give beside the constancy verdict: 1 when it is negative, 3 when its
-    triple is not their (a, b, c)."""
+    give beside the constancy verdict: 1 when it is negative (None for them
+    if they divide by a zero gamma~_1 or gamma~_2), 3 when its triple is not
+    their (a, b, c)."""
+    if not verdict.is_mops and 0 in verdict.induced.gamma[:2]:
+        return None, EXIT_NEGATIVE, None
     fr = relation_constants(rec, rel)
     if not verdict.is_mops:
         return fr.to_json(), EXIT_NEGATIVE, None

@@ -149,11 +149,6 @@ class MomentFunctional:
             out.append(Fraction(w, den))
         return MomentFunctional(out)
 
-    def truncated(self, depth: int) -> "MomentFunctional":
-        if depth < 0 or depth > self.depth:
-            raise DepthError(f"cannot truncate depth {self.depth} to {depth}")
-        return MomentFunctional(self.moments[: depth + 1])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MomentFunctional) and self.moments == other.moments
 
@@ -263,13 +258,6 @@ def _three_term(x: list, y: list, den: int, b, z: list, den_z: int, g) -> tuple[
         out = [s1 * u - s2 * v for u, v in zip(out, z)]
         d = common
     return _divide_content(out, d)
-
-
-def check_simple_set(polys: list[Polynomial]) -> None:
-    """Validate that polys[n] is monic of degree n for every n."""
-    for n, p in enumerate(polys):
-        if p.degree != n or not p.is_monic:
-            raise DomainError(f"entry {n} is not monic of degree {n}")
 
 
 def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional:

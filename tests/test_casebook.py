@@ -25,6 +25,7 @@ from mopsrel import (
     jacobi_recurrence,
     mops_from_recurrence,
     norm_squared,
+    recurrence_from_moments,
 )
 from mopsrel import casebook
 from mopsrel.cli import _json_text
@@ -331,6 +332,61 @@ def test_jacobi_chain_zero_link_at_the_window_edge(ladder, zero, failure, digest
         assert len(payload["v_recurrence"]["beta"]) == len(plain["beta"]) == 9
 
 
+LIFT_SETS = [
+    (JacobiParams(0, 0), 3, -3),
+    (JacobiParams("1/2", "1/2"), 2, -2),
+    (JacobiParams("1/3", "2/7"), 3, -5),
+    (JacobiParams("-1/2", "3/4"), 3, -5),
+]
+
+
+@pytest.mark.parametrize("depth", [5, 6, 7, 13, 29, 44, 60])
+@pytest.mark.parametrize("params, a1, c1", LIFT_SETS,
+                         ids=[f"{p.alpha},{p.beta}" for p, _, _ in LIFT_SETS])
+def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c1, depth):
+    """The recurrences ``jacobi_chain`` lifts for v and w~ from w's equal,
+    entry for entry over the window v reports (beta through depth + 2, gamma
+    through depth + 3), those ``recurrence_from_moments`` recovers from the
+    chain's own moments of v and w~; v's is the one the report carries."""
+    lifts = []
+    real = casebook._ladder_lift
+
+    def spied(*args):
+        lifts.append(real(*args))
+        return lifts[-1]
+
+    monkeypatch.setattr(casebook, "_ladder_lift", spied)
+    report = jacobi_chain(params, a1, c1, depth)
+    assert report.ok
+    w = jacobi_moments(params, 2 * depth + 6)
+    v = w.divide_by_linear(-1, report.v_mass).normalized()
+    mass_up = 1 - jacobi_recurrence(params, 1).beta[0] + report.a1
+    w_tilde = w.scale(-1).divide_by_linear(1, 1 / mass_up).normalized()
+    for lifted, functional in zip(lifts, (v, w_tilde)):
+        hankel = recurrence_from_moments(functional)
+        assert hankel.first_vanishing is lifted.first_vanishing is None
+        assert lifted.rec.beta[: depth + 3] == hankel.rec.beta[: depth + 3]
+        assert lifted.rec.gamma[: depth + 3] == hankel.rec.gamma[: depth + 3]
+        assert len(lifted.rec.beta) >= depth + 3 and len(lifted.rec.gamma) >= depth + 3
+    assert report.v_rec == RecurrencePair(lifts[0].rec.beta[: depth + 3],
+                                          lifts[0].rec.gamma[: depth + 3])
+
+
+def test_jacobi_chain_recovers_one_recurrence_from_moments(monkeypatch):
+    """u's recurrence is recovered from its moments; v's and w~'s are
+    lifted from w's, so the Hankel recovery runs once per chain."""
+    calls = []
+    real = casebook.recurrence_from_moments
+
+    def counted(f):
+        calls.append(f.depth)
+        return real(f)
+
+    monkeypatch.setattr(casebook, "recurrence_from_moments", counted)
+    assert jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 12).ok
+    assert calls == [2 * 12 + 6]
+
+
 # --- the certificates fire on bent data ---------------------------------
 
 
@@ -376,13 +432,14 @@ def bump_moment(call, k):
 
 
 def bump_recurrence(call, field, k):
-    """A wrapper for ``recurrence_from_moments`` that adds 1/7 to entry k of
-    the beta or gamma list of the recurrence it returns on its ``call``-th
-    call (in ``jacobi_chain``: 1 for u, 2 for v, 3 for w~)."""
+    """A wrapper for a recovery or lift of a recurrence that adds 1/7 to
+    entry k of the beta or gamma list of the recurrence it returns on its
+    ``call``-th call (in ``jacobi_chain``: ``recurrence_from_moments`` is
+    called once, for u; ``_ladder_lift`` for v, then for w~)."""
     def wrap(recover):
         calls = []
-        def bent(f):
-            report = recover(f)
+        def bent(*args):
+            report = recover(*args)
             calls.append(None)
             if len(calls) != call:
                 return report
@@ -419,24 +476,28 @@ def build_chain():
          "2-2 ladder family does not match the MOPS of u"),
         (build_cheb, "jacobi_moments", bump_moment(2, 6),
          "moments recovered from the functional identity differ from the second family's"),
-        (build_chain, "jacobi_moments", bump_moment(1, 6), "up-link identity fails at n=4"),
+        # w's moments reach u's, not the recurrences lifted from w's
+        (build_chain, "jacobi_moments", bump_moment(1, 6), "down-link identity fails at n=4"),
         (build_chain, "jacobi_moments", bump_moment(1, 1), "down-link identity fails at n=1"),
-        # wrong recurrences: of v (gamma_4, beta_0), of w~ (beta_2), of u (beta_2)
-        (build_chain, "recurrence_from_moments", bump_recurrence(2, "gamma", 3),
-         "second-family link identity fails at n=5"),
-        (build_chain, "recurrence_from_moments", bump_recurrence(2, "beta", 0),
-         "second-family link identity fails at n=1"),
-        (build_chain, "recurrence_from_moments", bump_recurrence(3, "beta", 2),
-         "up-link identity fails at n=3"),
+        # wrong recurrences: of u (beta_2), of v (gamma_4, beta_0), of w~ (beta_2)
         (build_chain, "recurrence_from_moments", bump_recurrence(1, "beta", 2),
+         "down-link identity fails at n=3"),
+        (build_chain, "_ladder_lift", bump_recurrence(1, "gamma", 3),
+         "induced recurrence does not match the second family"),
+        (build_chain, "_ladder_lift", bump_recurrence(1, "beta", 0),
+         "induced recurrence does not match the second family"),
+        (build_chain, "_ladder_lift", bump_recurrence(2, "beta", 2),
          "down-link identity fails at n=3"),
     ],
 )
 def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message):
-    """Each bent input is caught by the certificate, with the message and
-    the index that the same bend gave when the identities were decided by
-    Polynomial equality and the moments came from the lattice sweep (the
-    bent recurrences: when the ladders were decided on the polynomials)."""
+    """Each bent input is caught by a certificate, with its message and
+    index. The bends of ladders, relations, moments and u's recurrence give
+    what the same bend gave when the identities were decided by Polynomial
+    equality and the moments came from the lattice sweep, except that the
+    bent w moment at mu_6 now meets the down-link (u) at the index where it
+    met the up-link (w~ from moments). A bent lift of v meets the induced
+    recurrence of u's relation, one of w~ the down-link."""
     monkeypatch.setattr(casebook, seam, wrap(getattr(casebook, seam)))
     with pytest.raises(ContractError) as info:
         build()

@@ -349,6 +349,27 @@ def test_constants_refuses_what_inverse_check_refuses(
     assert lines[1] == lines[0]
 
 
+@pytest.mark.parametrize("depth", [5, 8, 9])
+def test_constants_answers_a_negative_verdict_without_closed_forms(tmp_path, capsys, depth):
+    """The depth-8 Chebyshev document with r_2 = 0 has gamma~_2 = 0, which
+    the closed forms divide by: ``constants`` exits 1 with the constancy
+    checker's negative verdict and a null functional relation, as
+    ``inverse-check`` exits 1 with its negative verdicts."""
+    rep = chebyshev_case(8)
+    rel = rep.rel.to_json()
+    rel["r"][2] = 0
+    path = write_doc(tmp_path, "r2.json", {"recurrence": rep.u_rec.to_json(), "relation": rel})
+    code, out, err = run(capsys, ["inverse-check", "--depth", str(depth), path])
+    checked = json.loads(out)
+    assert code == 1 and checked["is_mops"] is False and "mopsrel:" not in err
+    code, out, err = run(capsys, ["constants", "--depth", str(depth), path])
+    payload = json.loads(out)
+    assert code == 1 and "mopsrel:" not in err
+    assert payload["functional_relation"] is None and "agree" not in payload
+    assert payload["verdict_constants"] == checked["verdict_constants"]
+    assert {"condition": "gamma_tilde", "n": 2} in payload["verdict_constants"]["failures"]
+
+
 @pytest.mark.parametrize(
     "command, big_beta",
     [("constants", False), ("inverse-check", True)],
