@@ -495,9 +495,10 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     _certify(constants.lam == -u_mass / v_mass, "lambda disagrees with the mass ratio")
 
     # the norm link <v, Q_n^2> = c_n <w, W_{n-1}^2>: v is regular through top and
-    # (Q_n) is the MOPS of v_rec, so <v, Q_n^2> (the Hankel form apply_square) is
-    # the Favard product v_mass gamma_1 ... gamma_n. -(c_n / a_n) b_n <u, P_{n-1}^2>
-    # equals c_n <w, W_{n-1}^2> by b_n's definition, so it is not compared
+    # (Q_n) is the MOPS of v_rec, so <v, Q_n^2> is the Favard product
+    # v_mass gamma_1 ... gamma_n, with no Hankel form over v's moments.
+    # -(c_n / a_n) b_n <u, P_{n-1}^2> equals c_n <w, W_{n-1}^2> by b_n's
+    # definition, so it is not compared
     v_norms = list(accumulate(v_rec.gamma[:depth], mul, initial=v_mass))
     norm_link = all(v_norms[n] == c_seq[n] * w_norms[n - 1] for n in range(1, depth + 1))
 

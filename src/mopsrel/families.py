@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthError, DomainError
-from .functional import MomentFunctional, RecurrencePair, norm_squared
+from .functional import MomentFunctional, RecurrencePair
 from .rational import _lcm_sum, as_scalar
 
 
@@ -106,8 +106,3 @@ def chebyshev_kind(kind: int, count: int) -> RecurrencePair:
         raise DomainError(f"kind must be 2, 3, or 4, got {kind}")
     a, b = _CHEBYSHEV_PARAMS[kind]
     return jacobi_recurrence(JacobiParams(a, b), count)
-
-
-def jacobi_norm_ratio(params: JacobiParams, n: int) -> Fraction:
-    """<w, W_n^2> / <w, 1> = gamma_1 ... gamma_n, exactly."""
-    return norm_squared(jacobi_recurrence(params, n + 1), n)

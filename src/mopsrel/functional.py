@@ -61,25 +61,6 @@ class MomentFunctional:
         m, dm = common_denominator(self.moments[: len(q)])
         return Fraction(sum(map(mul, q, m)), dq * dm)
 
-    def apply_square(self, p: Polynomial) -> Fraction:
-        """<u, p^2>, as the Hankel form sum_i sum_j p_i p_j mu_{i+j}; no
-        product polynomial is built. Requires 2 deg p <= depth."""
-        if 2 * p.degree > self.depth:
-            raise DepthError(
-                f"apply_square needs moments through {2 * p.degree}, have depth {self.depth}"
-            )
-        if p.is_zero:
-            return Fraction(0)
-        q, dq = p._nums, p._den
-        n = len(q)
-        m, dm = common_denominator(self.moments[: 2 * n - 1])
-        # the form is symmetric: diagonal terms once, the others twice
-        total = 0
-        for i, x in enumerate(q):
-            if x:
-                total += x * (x * m[2 * i] + 2 * sum(map(mul, q[i + 1 :], m[2 * i + 1 : i + n])))
-        return Fraction(total, dq * dq * dm)
-
     def scale(self, factor) -> "MomentFunctional":
         # a product of reduced Fractions needs only the gcds against k's
         # numerator and denominator, which are trivial for k = -1; over a
@@ -151,15 +132,6 @@ class MomentFunctional:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MomentFunctional) and self.moments == other.moments
-
-    def to_json(self) -> dict:
-        return {"moments": list(self.moments)}
-
-    @classmethod
-    def from_json(cls, data) -> "MomentFunctional":
-        if not isinstance(data, dict) or "moments" not in data:
-            raise FormatError('moment functional JSON must be {"moments": [...]}')
-        return cls(_json_list(data, "moments"))
 
     def __repr__(self) -> str:
         return f"MomentFunctional(depth={self.depth})"

@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import FormatError
 from .rational import as_scalar, common_denominator
 
 
@@ -58,10 +57,6 @@ class Polynomial:
         return self._coeffs
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "Polynomial":
         return cls((1,))
 
@@ -72,12 +67,6 @@ class Polynomial:
     @classmethod
     def constant(cls, c) -> "Polynomial":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, c=1) -> "Polynomial":
-        if degree < 0:
-            raise FormatError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (c,))
 
     @property
     def degree(self) -> int:
@@ -90,12 +79,6 @@ class Polynomial:
     @property
     def is_monic(self) -> bool:
         return bool(self._nums) and self._nums[-1] == self._den
-
-    def coeff(self, k: int) -> Fraction:
-        """Coefficient of x**k, zero beyond the stored degree."""
-        if 0 <= k < len(self._nums):
-            return self.coeffs[k]
-        return Fraction(0)
 
     def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -151,15 +134,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self._nums, self._den))
-
-    def to_json(self) -> list[Fraction]:
-        return list(self.coeffs)
-
-    @classmethod
-    def from_json(cls, data) -> "Polynomial":
-        if not isinstance(data, list):
-            raise FormatError("polynomial JSON must be an array of rational strings")
-        return cls(data)
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"

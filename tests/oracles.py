@@ -116,6 +116,16 @@ def apply_raw(moments, p: Polynomial) -> Fraction:
     return sum((c * moments[k] for k, c in enumerate(p.coeffs)), Fraction(0))
 
 
+def hankel_form(moments, p: Polynomial) -> Fraction:
+    """<u, p^2> as the Hankel form sum_i sum_j p_i p_j mu_{i+j}, without
+    building p^2."""
+    c = p.coeffs
+    return sum(
+        (x * y * moments[i + j] for i, x in enumerate(c) for j, y in enumerate(c)),
+        Fraction(0),
+    )
+
+
 def jacobi_norm_ratio_float(alpha, beta, n: int) -> float:
     """<w, W_n^2> / <w, 1> for the monic Jacobi family W_n of the weight
     (1 - x)^alpha (1 + x)^beta, from its gamma-function closed form

@@ -29,6 +29,7 @@ from mopsrel import (
 )
 from mopsrel import casebook
 from mopsrel.cli import _json_text
+from oracles import hankel_form
 
 
 @pytest.fixture(scope="module")
@@ -257,14 +258,15 @@ CHAIN_SETS = {
 def test_jacobi_norm_link_favard_matches_quadratic_form(name, depth):
     """The chain's norm link reads <v, Q_n^2> as the Favard product
     mu_0(v) gamma_1 ... gamma_n of the recovered recurrence; the Hankel
-    form of Q_n on v's moments gives the same value."""
+    form of Q_n on v's moments, summed in plain Fractions, gives the same
+    value."""
     params, a1, c1 = CHAIN_SETS[name]
     report = jacobi_chain(params, a1, c1, depth)
     assert report.norm_link is True
     v_raw = jacobi_moments(params, 2 * depth + 2).divide_by_linear(-1, report.v_mass)
     q = mops_from_recurrence(report.v_rec, depth + 1)
     for n in range(1, depth + 1):
-        assert v_raw.apply_square(q[n]) == v_raw.moments[0] * norm_squared(report.v_rec, n)
+        assert hankel_form(v_raw.moments, q[n]) == v_raw.moments[0] * norm_squared(report.v_rec, n)
 
 
 def _chain_outputs(report):

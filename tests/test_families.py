@@ -10,10 +10,10 @@ from mopsrel import (
     JacobiParams,
     chebyshev_kind,
     jacobi_moments,
-    jacobi_norm_ratio,
     jacobi_recurrence,
     moments_from_recurrence,
     mops_from_recurrence,
+    norm_squared,
 )
 from oracles import apply_raw, jacobi_norm_ratio_float, op_via_determinants, path_moments
 
@@ -79,8 +79,8 @@ def test_norm_ratio_exact_and_float_check():
     for a, b in [("1/2", "1/2"), ("1/2", "-1/2"), ("0", "0"), ("1", "2")]:
         params = JacobiParams(a, b)
         for n in range(1, 7):
-            value = jacobi_norm_ratio(params, n)
             rec = jacobi_recurrence(params, n + 1)
+            value = norm_squared(rec, n)
             acc = Fraction(1)
             for k in range(1, n + 1):
                 acc *= rec.gamma[k - 1]
