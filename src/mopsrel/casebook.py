@@ -11,8 +11,10 @@ though the relation is non-degenerate and (Q_n) is orthogonal.
 division at 1 (free mass attached to a coefficient a_1), one left
 multiplication by 1 + x, and an independent linear division at -1 (free
 mass attached to c_1), producing the chain w~ , u, v; v and w~ are 1-2
-ladders over w, whose recurrences are lifted from w's (``_ladder_lift``).
-It derives the 2-3 relation linking the MOPS of u and v and certifies the
+ladders over w, whose recurrences are lifted from w's (``_ladder_lift``),
+and u = (1 + x) w~ is a Christoffel transform of w~, whose recurrence
+follows from w~'s by one LU step (``_christoffel_step``), so no recurrence
+is recovered from moments. It derives the 2-3 relation linking the MOPS of u and v and certifies the
 identities the lifts do not give, the orthogonality verdicts, and the
 functional identity lambda (x - c) u = (x^2 + a x + b) v with (a, b, c) =
 (2, 1, 1). Its norm link <v, Q_n^2> = c_n <w, W_{n-1}^2> takes norms as
@@ -130,7 +132,8 @@ def _ladder_lift(low: RecurrencePair, k, top: int) -> RecurrenceReport:
     """The recurrence of the MOPS U_n = L_n + k_n L_{n-1} from L's, read through
     top - 1 >= 1, and k = [unused, k_1 != 0, ..., k_top] with W = 0 (the triples of
     ``_ladder_break``, a = 0), as ``recurrence_from_moments`` reports U's mu_0..mu_{2 top}:
-    a zero k_m is the first zero gamma^U_m = k_m gamma_{m-1} / k_{m-1}, where it stops."""
+    a zero k_m is the first zero gamma^U_m = k_m gamma_{m-1} / k_{m-1}, where it stops
+    (beta^U and gamma^U through m - 1)."""
     beta, g = low.beta, (0,) + low.gamma  # g[n] is gamma_n
     m = next((n for n in range(2, top + 1) if k[n] == 0), None)
     n_beta, n_gamma = (top, top) if m is None else (m, m - 1)
@@ -138,6 +141,33 @@ def _ladder_lift(low: RecurrencePair, k, top: int) -> RecurrenceReport:
     ug = [g[1] + k[1] * (beta[0] - ub[1])]
     ug += [k[n] * g[n - 1] / k[n - 1] for n in range(2, n_gamma + 1)]
     return RecurrenceReport(RecurrencePair(ub, ug), m, top if m is None else m)
+
+
+def _christoffel_step(rec: RecurrencePair, tail) -> RecurrenceReport:
+    """The recurrence of u = (1 + x) f from f's beta_0..beta_top, gamma_1..gamma_{top+1} (a
+    missing gamma_{top+1} reads as 0) and tail = gamma_{top+1} (beta_{top+1} + 1), as
+    ``recurrence_from_moments`` reports u's mu_0..mu_{2 top + 2}: J(f) + I = L U with
+    d_0 = beta_0 + 1, d_n = beta_n + 1 - gamma_n / d_{n-1}, and J(u) + I = U L, so
+    beta^u_n = d_n + gamma_{n+1} / d_n - 1 and gamma^u_n = gamma_n d_n / d_{n-1} (Bueno and
+    Marcellan, Linear Algebra Appl. 384 (2004)). A zero d_n is u's first zero Hankel
+    determinant, where it stops; d_{top+1} enters only as gamma_{top+1} d_{top+1}, from tail."""
+    beta = rec.beta
+    top = len(beta) - 1
+    g = (0,) + rec.gamma + (0,) * (top + 1 - len(rec.gamma))  # g[n] is gamma_n
+    ub, ug, prev = [], [], None
+    for n, b in enumerate(beta):
+        d = b + 1 - g[n] / prev if n else b + 1
+        if d == 0:
+            return RecurrenceReport(RecurrencePair(ub, ug), n, n)
+        if n:
+            ug.append(g[n] * d / prev)
+        ub.append(d + g[n + 1] / d - 1)
+        prev = d
+    last = tail - g[top + 1] * g[top + 1] / prev  # gamma_{top+1} d_{top+1}
+    if last == 0:
+        return RecurrenceReport(RecurrencePair(ub, ug), top + 1, top + 1)
+    ug.append(last / prev)
+    return RecurrenceReport(RecurrencePair(ub, ug), None, top + 1)
 
 
 def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
@@ -420,11 +450,11 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
                                  a1, c1, depth)
 
     top = depth + 2
-    # one Jacobi recurrence, read through top, serves the ladders, the lifts and
-    # the norms. The report keeps u's and v's beta through top and gamma through
-    # top + 1: the lifts take a_n, c_n through top + 1, and u's moments run to
-    # N = 2 top + 2 (mu_0..mu_N give beta through (N - 1)//2, gamma N//2)
-    w_rec = jacobi_recurrence(params, top + 1)
+    # one Jacobi recurrence, read through top (gamma through top + 1), serves the
+    # ladders, the lifts, the Christoffel step and the norms. The report keeps u's
+    # and v's beta through top and gamma through top + 1, as the Hankel sweep over
+    # u's moments mu_0..mu_{2 top + 2} would: the lifts take a_n, c_n through top + 1
+    w_rec = jacobi_recurrence(params, top + 2)
     beta0 = w_rec.beta[0]
 
     if a1 == 0:
@@ -465,9 +495,15 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     u = u_raw.normalized()
     v = w.divide_by_linear(-1, v_mass).normalized()
 
-    # v and w~ are the ladders Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1}
-    reports = (("u", recurrence_from_moments(u)), ("v", _ladder_lift(w_rec, c_seq, top + 1)),
-               ("w_tilde", _ladder_lift(w_rec, a_seq, top + 1)))
+    # v and w~ are the ladders Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1},
+    # and u = (1 + x) w~. w~'s lift ends at beta~_k (k = top, or top - 1 at a zero a_top);
+    # by a_{k+1} a_{k+2} = a_{k+1} (beta_{k+1} - 1) - gamma_{k+1}, gamma~_{k+1} (beta~_{k+1}
+    # + 1) needs no a_{k+2}, so a zero a_{k+1} divides by nothing
+    v_report, wt_report = (_ladder_lift(w_rec, seq, top + 1) for seq in (c_seq, a_seq))
+    k = len(wt_report.rec.beta) - 1
+    tail = w_rec.gamma[k - 1] / a_seq[k] * (a_seq[k + 1] * (a_seq[k + 1] + 2) + w_rec.gamma[k])
+    reports = (("u", _christoffel_step(wt_report.rec, tail)), ("v", v_report),
+               ("w_tilde", wt_report))
     for name, report in reports:
         if report.first_vanishing is not None and report.first_vanishing <= depth + 2:
             return fail(f"{name}_not_regular", report.first_vanishing)

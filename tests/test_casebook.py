@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mopsrel import (
     ContractError,
@@ -14,6 +15,7 @@ from mopsrel import (
     FunctionalRelation,
     JacobiParams,
     MomentFunctional,
+    Polynomial,
     RecurrencePair,
     Relation23,
     chebyshev_case,
@@ -23,6 +25,7 @@ from mopsrel import (
     jacobi_chain,
     jacobi_moments,
     jacobi_recurrence,
+    moments_from_recurrence,
     mops_from_recurrence,
     norm_squared,
     recurrence_from_moments,
@@ -289,15 +292,27 @@ def test_jacobi_chain_reads_no_moment_past_its_window(monkeypatch, name, depth, 
 EDGE_PARAMS = JacobiParams(Fraction(1, 3), Fraction(2, 7))
 
 
-def first_link_for_zero_at(shift, m):
+def first_link_for_zero_at(shift, m, k_m=Fraction(0)):
     """The k_1 whose forward recursion k_{n+1} = beta_n + shift - gamma_n / k_n
-    over the Jacobi(1/3, 2/7) recurrence reaches k_m = 0 (shift -1 for the
-    chain's a_n, +1 for its c_n), by running the recursion backwards."""
+    over the Jacobi(1/3, 2/7) recurrence reaches k_m (0 by default; shift -1
+    for the chain's a_n, +1 for its c_n), by running the recursion backwards."""
     rec = jacobi_recurrence(EDGE_PARAMS, m)
-    k = Fraction(0)
+    k = k_m
     for n in range(m - 1, 0, -1):
         k = rec.gamma[n - 1] / (rec.beta[n] + shift - k)
     return k
+
+
+def first_link_for_u_pivot_at(m):
+    """The a_1 whose chain has W~_{m+1}(-1) = W_{m+1}(-1) + a_{m+1} W_m(-1) = 0,
+    so that u = (1 + x) w~ has its first zero Hankel determinant at m: a_{m+1}
+    = -W_{m+1}(-1) / W_m(-1), from the Jacobi(1/3, 2/7) recurrence at x = -1,
+    then the a-recursion backwards."""
+    rec = jacobi_recurrence(EDGE_PARAMS, m + 1)
+    values = [Fraction(1), -1 - rec.beta[0]]  # W_0(-1), W_1(-1)
+    for n in range(1, m + 1):
+        values.append((-1 - rec.beta[n]) * values[n] - rec.gamma[n - 1] * values[n - 1])
+    return first_link_for_zero_at(-1, m + 1, -values[m + 1] / values[m])
 
 
 # (ladder, index of its zero past depth 6, failure, sha256 of the JSON payload)
@@ -310,28 +325,39 @@ WINDOW_EDGES = [
     ("a", 9, None, "ff605ebefb3516c8f0a8e53dc206da90d799730d5e815701a7e35f21f9da1477"),
     ("c", 10, None, "bfcffe4ff7aa9efcc3abc55e19b74f54ea93c5c597c0a0d398d7b48dc4452afd"),
     ("a", 10, None, "834475bf772ac837ea54bae8c3da930471877aa02a9fdc4200d60db76479668e"),
+    # ("u", m): u's own pivot d_m = 0, at the window edge and one past it
+    ("u", 8, ("u_not_regular", 8),
+     "538f9b59deba3ea87e161056c2f84107161aa136300e10aff015bdfb5ce66aec"),
+    ("u", 9, None, "117505b5ab2646753ec27fba563d6ef74da3907c7134adf3c2d7910f841eba62"),
 ]
 
 
 @pytest.mark.parametrize("ladder, zero, failure, digest", WINDOW_EDGES,
                          ids=[f"{case[0]}_{case[1]}" for case in WINDOW_EDGES])
 def test_jacobi_chain_zero_link_at_the_window_edge(ladder, zero, failure, digest):
-    """At depth 6 (top index 8) a zero c_n or a_n past the recursion's reach
-    is a regularity verdict or a shorter report, never an error: c_8 = 0 or
-    a_8 = 0 fails v or w~ at n = 8, c_9 = 0 stops v's recurrence one gamma
-    short, and a_9, c_10, a_10 change nothing v reports."""
-    k1 = first_link_for_zero_at(1 if ladder == "c" else -1, zero)
-    a1, c1 = (3, k1) if ladder == "c" else (k1, -5)
+    """At depth 6 (top index 8) a zero c_n or a_n past the recursion's reach,
+    or a zero pivot of u's Christoffel step, is a regularity verdict or a
+    shorter report, never an error: c_8 = 0, a_8 = 0 or d_8 = 0 fails v, w~
+    or u at n = 8, c_9 = 0 stops v's recurrence and d_9 = 0 u's one gamma
+    short, and a_9 (where w~'s lift stops one gamma short of what u's step
+    reads), c_10, a_10 change nothing v or u reports."""
+    if ladder == "u":
+        a1, c1 = first_link_for_u_pivot_at(zero), -5
+    else:
+        k1 = first_link_for_zero_at(1 if ladder == "c" else -1, zero)
+        a1, c1 = (3, k1) if ladder == "c" else (k1, -5)
     report = jacobi_chain(EDGE_PARAMS, a1, c1, 6)
     assert (None if report.ok else (report.failure.condition, report.failure.n)) == failure
     payload = report.to_json()
     text = _json_text(payload)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
     if report.ok:
-        plain = jacobi_chain(EDGE_PARAMS, 3, -5, 6).to_json()["v_recurrence"]
-        short = ladder == "c" and zero == 9
-        assert len(payload["v_recurrence"]["gamma"]) == len(plain["gamma"]) - short == 9 - short
-        assert len(payload["v_recurrence"]["beta"]) == len(plain["beta"]) == 9
+        plain = jacobi_chain(EDGE_PARAMS, 3, -5, 6).to_json()
+        for name, short_by in (("v", "c"), ("u", "u")):
+            short = (ladder, zero) == (short_by, 9)
+            got, full = payload[f"{name}_recurrence"], plain[f"{name}_recurrence"]
+            assert len(got["gamma"]) == len(full["gamma"]) - short == 9 - short
+            assert len(got["beta"]) == len(full["beta"]) == 9
 
 
 LIFT_SETS = [
@@ -346,37 +372,74 @@ LIFT_SETS = [
 @pytest.mark.parametrize("params, a1, c1", LIFT_SETS,
                          ids=[f"{p.alpha},{p.beta}" for p, _, _ in LIFT_SETS])
 def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c1, depth):
-    """The recurrences ``jacobi_chain`` lifts for v and w~ from w's equal,
-    entry for entry over the window v reports (beta through depth + 2, gamma
-    through depth + 3), those ``recurrence_from_moments`` recovers from the
-    chain's own moments of v and w~; v's is the one the report carries."""
+    """The recurrences ``jacobi_chain`` lifts for v and w~ from w's, and for
+    u = (1 + x) w~ from w~'s by the Christoffel step, equal, entry for entry
+    over the window the report carries (beta through depth + 2, gamma through
+    depth + 3), those ``recurrence_from_moments`` recovers from the chain's
+    own moments of v, w~ and u; v's and u's are the ones the report carries."""
     lifts = []
-    real = casebook._ladder_lift
-
-    def spied(*args):
-        lifts.append(real(*args))
-        return lifts[-1]
-
-    monkeypatch.setattr(casebook, "_ladder_lift", spied)
+    for name in ("_ladder_lift", "_christoffel_step"):
+        def spied(*args, real=getattr(casebook, name)):
+            lifts.append(real(*args))
+            return lifts[-1]
+        monkeypatch.setattr(casebook, name, spied)
     report = jacobi_chain(params, a1, c1, depth)
     assert report.ok
     w = jacobi_moments(params, 2 * depth + 6)
     v = w.divide_by_linear(-1, report.v_mass).normalized()
     mass_up = 1 - jacobi_recurrence(params, 1).beta[0] + report.a1
-    w_tilde = w.scale(-1).divide_by_linear(1, 1 / mass_up).normalized()
-    for lifted, functional in zip(lifts, (v, w_tilde)):
+    w_tilde = w.scale(-1).divide_by_linear(1, 1 / mass_up)
+    u = w_tilde.left_multiply(Polynomial([1, 1])).normalized()
+    assert len(lifts) == 3
+    for lifted, functional in zip(lifts, (v, w_tilde.normalized(), u)):
         hankel = recurrence_from_moments(functional)
         assert hankel.first_vanishing is lifted.first_vanishing is None
         assert lifted.rec.beta[: depth + 3] == hankel.rec.beta[: depth + 3]
         assert lifted.rec.gamma[: depth + 3] == hankel.rec.gamma[: depth + 3]
         assert len(lifted.rec.beta) >= depth + 3 and len(lifted.rec.gamma) >= depth + 3
-    assert report.v_rec == RecurrencePair(lifts[0].rec.beta[: depth + 3],
-                                          lifts[0].rec.gamma[: depth + 3])
+    for carried, lifted in ((report.v_rec, lifts[0]), (report.u_rec, lifts[2])):
+        assert carried == RecurrencePair(lifted.rec.beta[: depth + 3],
+                                         lifted.rec.gamma[: depth + 3])
 
 
-def test_jacobi_chain_recovers_one_recurrence_from_moments(monkeypatch):
-    """u's recurrence is recovered from its moments; v's and w~'s are
-    lifted from w's, so the Hankel recovery runs once per chain."""
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(small_fractions, min_size=8, max_size=8),
+    st.lists(small_fractions.filter(bool), min_size=7, max_size=7),
+    st.integers(1, 6),
+    st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6, 7]),
+)
+# Chebyshev-like data whose P_3(-1) is already 0, and a pivot bent in at m = 3
+@example([Fraction(0)] * 8, [Fraction(1, 2)] * 7, 4, None)
+@example([Fraction(1)] * 8, [Fraction(1)] * 7, 4, 3)
+def test_christoffel_step_matches_the_hankel_recovery(beta, gamma, top, pivot):
+    """On a random quasi-definite recurrence of f (beta_0..beta_{K+1},
+    gamma_1..gamma_{K+1}, K = top), ``_christoffel_step`` gives the report
+    ``recurrence_from_moments`` gives on (1 + x) f's moments mu_0..mu_{2K+2}:
+    the same entries, the same first vanishing index and the same lengths.
+    ``pivot`` = m bends beta_m so that f's monic P_{m+1}(-1) = 0, the zero
+    pivot d_m of (1 + x) f's first zero Hankel determinant at m."""
+    beta, gamma = beta[: top + 2], gamma[: top + 1]
+    g = [0] + gamma  # g[n] is gamma_n
+    at = [Fraction(0), Fraction(1)]  # at[n + 1] is P_n(-1), n >= -1
+    for n in range(top + 2):
+        if n == pivot and at[n + 1]:
+            beta[n] = -1 - g[n] * at[n] / at[n + 1]
+        at.append((-1 - beta[n]) * at[n + 1] - g[n] * at[n])
+    f = moments_from_recurrence(RecurrencePair(beta, gamma), 2 * top + 3)
+    expected = recurrence_from_moments(f.left_multiply(Polynomial([1, 1])))
+    got = casebook._christoffel_step(RecurrencePair(beta[: top + 1], gamma),
+                                     gamma[top] * (beta[top + 1] + 1))
+    assert got == expected
+    assert got.first_vanishing == next((m for m in range(top + 2) if at[m + 2] == 0), None)
+
+
+def test_jacobi_chain_recovers_no_recurrence_from_moments(monkeypatch):
+    """u's recurrence is a Christoffel step on w~'s, v's and w~'s are lifted
+    from w's, so the Hankel recovery never runs in a chain."""
     calls = []
     real = casebook.recurrence_from_moments
 
@@ -386,7 +449,7 @@ def test_jacobi_chain_recovers_one_recurrence_from_moments(monkeypatch):
 
     monkeypatch.setattr(casebook, "recurrence_from_moments", counted)
     assert jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 12).ok
-    assert calls == [2 * 12 + 6]
+    assert calls == []
 
 
 # --- the certificates fire on bent data ---------------------------------
@@ -436,8 +499,8 @@ def bump_moment(call, k):
 def bump_recurrence(call, field, k):
     """A wrapper for a recovery or lift of a recurrence that adds 1/7 to
     entry k of the beta or gamma list of the recurrence it returns on its
-    ``call``-th call (in ``jacobi_chain``: ``recurrence_from_moments`` is
-    called once, for u; ``_ladder_lift`` for v, then for w~)."""
+    ``call``-th call (in ``jacobi_chain``: ``_ladder_lift`` is called for v,
+    then for w~; ``_christoffel_step`` once, for u)."""
     def wrap(recover):
         calls = []
         def bent(*args):
@@ -478,32 +541,43 @@ def build_chain():
          "2-2 ladder family does not match the MOPS of u"),
         (build_cheb, "jacobi_moments", bump_moment(2, 6),
          "moments recovered from the functional identity differ from the second family's"),
-        # w's moments reach u's, not the recurrences lifted from w's
-        (build_chain, "jacobi_moments", bump_moment(1, 6), "down-link identity fails at n=4"),
-        (build_chain, "jacobi_moments", bump_moment(1, 1), "down-link identity fails at n=1"),
         # wrong recurrences: of u (beta_2), of v (gamma_4, beta_0), of w~ (beta_2)
-        (build_chain, "recurrence_from_moments", bump_recurrence(1, "beta", 2),
+        (build_chain, "_christoffel_step", bump_recurrence(1, "beta", 2),
          "down-link identity fails at n=3"),
         (build_chain, "_ladder_lift", bump_recurrence(1, "gamma", 3),
          "induced recurrence does not match the second family"),
         (build_chain, "_ladder_lift", bump_recurrence(1, "beta", 0),
          "induced recurrence does not match the second family"),
         (build_chain, "_ladder_lift", bump_recurrence(2, "beta", 2),
-         "down-link identity fails at n=3"),
+         "equation checker rejects the generated family"),
     ],
 )
 def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message):
     """Each bent input is caught by a certificate, with its message and
     index. The bends of ladders, relations, moments and u's recurrence give
     what the same bend gave when the identities were decided by Polynomial
-    equality and the moments came from the lattice sweep, except that the
-    bent w moment at mu_6 now meets the down-link (u) at the index where it
-    met the up-link (w~ from moments). A bent lift of v meets the induced
-    recurrence of u's relation, one of w~ the down-link."""
+    equality and the moments came from the lattice sweep. A bent lift of v
+    meets the induced recurrence of u's relation. u is the Christoffel step
+    of w~, so the down-link, which any such pair with w~'s gammas obeys, lets
+    a bent beta of w~ through to the equation checker."""
     monkeypatch.setattr(casebook, seam, wrap(getattr(casebook, seam)))
     with pytest.raises(ContractError) as info:
         build()
     assert str(info.value) == f"internal consistency: {message}"
+
+
+@pytest.mark.parametrize("k", [6, 1])
+def test_jacobi_chain_payload_ignores_a_bent_w_moment(monkeypatch, k):
+    """No value the chain reports reads w's moments: u's, v's and w~'s
+    recurrences come from w's, and lambda (x - 1) u = (x + 1)^2 v holds on
+    the moments the chain builds from any w with mu_0 = 1. So bending w's
+    mu_6 or mu_1 leaves the payload byte-identical; the Pearson moments are
+    held to the Jacobi recurrence by
+    ``test_pearson_moments_match_the_lattice_paths`` instead, and the chain's
+    moments of u, v and w~ by ``test_lifted_recurrences_match_the_hankel_recovery``."""
+    expected = _chain_outputs(build_chain())
+    monkeypatch.setattr(casebook, "jacobi_moments", bump_moment(1, k)(casebook.jacobi_moments))
+    assert _chain_outputs(build_chain()) == expected
 
 
 def test_worked_cases_build_no_polynomial_family(monkeypatch):
