@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .errors import DepthError, DomainError
 from .functional import MomentFunctional, RecurrencePair
-from .rational import _lcm_sum, as_scalar
+from .poly import _divide_content
+from .rational import as_scalar
 
 
 @dataclass(frozen=True)
@@ -71,25 +72,24 @@ def jacobi_moments(params: JacobiParams, depth: int) -> MomentFunctional:
 
         (n + alpha + beta + 2) mu_{n+1} = (beta - alpha) mu_n + n mu_{n-1},
 
-    whose divisor is positive for every admissible pair, so each moment
-    costs one lcm and one reduction, against the O(depth^2) lattice sweep
-    of ``moments_from_recurrence``.
+    whose divisor is positive for every admissible pair. Each step keeps
+    two neighbouring moments over one denominator and costs one content
+    reduction, so the cost is linear in the depth, where the lattice sweep
+    of ``moments_from_recurrence`` is quadratic.
     """
     if depth < 0:
         raise DepthError("depth must be >= 0")
-    # ((n + 2) D + a + b) mu_{n+1} = (b - a) mu_n + n D mu_{n-1}
+    # ((n + 2) D + a + b) mu_{n+1} = (b - a) mu_n + n D mu_{n-1}, with
+    # mu_{n-1} = x / e and mu_n = y / e
     D, a, b = _integer_params(params)
-    moments = [Fraction(1)]
-    if depth:
-        moments.append(Fraction(b - a, 2 * D + a + b))
-    for n in range(1, depth):
-        cur, prev = moments[n], moments[n - 1]
-        num, den = _lcm_sum(
-            ((b - a) * cur.numerator, n * D * prev.numerator),
-            (cur.denominator, prev.denominator),
-        )
-        moments.append(Fraction(num, den * ((n + 2) * D + a + b)))
-    return MomentFunctional(moments)
+    nums, dens = [1], [1]
+    x, y, e = 0, 1, 1
+    for n in range(depth):
+        c = (n + 2) * D + a + b
+        (x, y), e = _divide_content([y * c, (b - a) * y + n * D * x], e * c)
+        nums.append(y)
+        dens.append(e)
+    return MomentFunctional._from_pairs(nums, dens)
 
 
 _CHEBYSHEV_PARAMS = {

@@ -2,8 +2,14 @@
 rational arithmetic.
 
 A functional is represented by its truncated moment sequence
-(mu_0, ..., mu_N); N is the depth. A monic orthogonal polynomial sequence
-(MOPS) is represented by its recurrence coefficients
+(mu_0, ..., mu_N); N is the depth. It is stored as ``Polynomial`` stores
+its coefficients: integer numerators over one denominator > 0, with no
+common content. The kernels read that vector, and each moment operation
+costs one integer pass and one content gcd (``MomentFunctional._reduced``);
+``moments``, the Fraction view, is built on first use.
+
+A monic orthogonal polynomial sequence (MOPS) is represented by its
+recurrence coefficients
 
     P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1},   P_0 = 1, P_{-1} = 0,
 
@@ -34,20 +40,44 @@ from .rational import _json_list, as_scalar, common_denominator
 class MomentFunctional:
     """Linear functional known through moments mu_0..mu_depth."""
 
-    __slots__ = ("moments",)
+    __slots__ = ("_nums", "_den", "_moments")
 
     def __init__(self, moments: Iterable):
-        self.moments = tuple(as_scalar(m) for m in moments)
-        if not self.moments:
+        values = tuple(as_scalar(m) for m in moments)
+        if not values:
             raise FormatError("a moment functional needs at least mu_0")
+        nums, den = common_denominator(values)  # with no content left
+        self._nums, self._den, self._moments = tuple(nums), den, values
+
+    @classmethod
+    def _reduced(cls, nums: list, den: int) -> "MomentFunctional":
+        """The moments nums[n] / den for any den > 0, content divided out."""
+        nums, den = _divide_content(nums, den)
+        f = object.__new__(cls)
+        f._nums, f._den, f._moments = tuple(nums), den, None
+        return f
+
+    @classmethod
+    def _from_pairs(cls, nums: list, dens: list) -> "MomentFunctional":
+        """The moments nums[n] / dens[n], all dens[n] > 0, over their lcm."""
+        den = math.lcm(*dens)
+        return cls._reduced([m * (den // d) for m, d in zip(nums, dens)], den)
+
+    @property
+    def moments(self) -> tuple[Fraction, ...]:
+        """mu_0..mu_depth as Fractions, built on first use."""
+        if self._moments is None:
+            d = self._den
+            self._moments = tuple([Fraction(m, d) for m in self._nums])
+        return self._moments
 
     @property
     def depth(self) -> int:
-        return len(self.moments) - 1
+        return len(self._nums) - 1
 
     @property
     def is_normalized(self) -> bool:
-        return self.moments[0] == 1
+        return self._nums[0] == self._den
 
     def apply(self, p: Polynomial) -> Fraction:
         """<u, p>. Requires deg p <= depth."""
@@ -57,21 +87,21 @@ class MomentFunctional:
             )
         if p.is_zero:
             return Fraction(0)
-        q, dq = p._nums, p._den
-        m, dm = common_denominator(self.moments[: len(q)])
-        return Fraction(sum(map(mul, q, m)), dq * dm)
+        return Fraction(sum(map(mul, p._nums, self._nums)), p._den * self._den)
 
     def scale(self, factor) -> "MomentFunctional":
-        # a product of reduced Fractions needs only the gcds against k's
-        # numerator and denominator, which are trivial for k = -1; over a
-        # common denominator every moment would pay a full gcd
         k = as_scalar(factor)
-        return MomentFunctional([k * m for m in self.moments])
+        kn = k.numerator
+        return MomentFunctional._reduced([kn * m for m in self._nums], k.denominator * self._den)
 
     def normalized(self) -> "MomentFunctional":
-        if self.moments[0] == 0:
+        """u / mu_0: the numerators over the first one, with no product."""
+        m = self._nums
+        if m[0] == 0:
             raise DomainError("cannot normalize: mu_0 = 0")
-        return self.scale(1 / self.moments[0])
+        if m[0] < 0:
+            m = [-v for v in m]
+        return MomentFunctional._reduced(m, m[0])
 
     def left_multiply(self, phi: Polynomial) -> "MomentFunctional":
         """The functional phi*u defined by <phi u, p> = <u, phi p>.
@@ -85,28 +115,25 @@ class MomentFunctional:
             raise DepthError(
                 f"left_multiply by degree {d} needs depth >= {d}, have {self.depth}"
             )
-        q, dq = phi._nums, phi._den
-        m, dm = common_denominator(self.moments)
-        den = dq * dm
-        return MomentFunctional(
-            [Fraction(sum(map(mul, q, m[n : n + d + 1])), den) for n in range(self.depth - d + 1)]
+        q, m = phi._nums, self._nums
+        return MomentFunctional._reduced(
+            [sum(map(mul, q, m[n : n + d + 1])) for n in range(self.depth - d + 1)],
+            phi._den * self._den,
         )
 
     def add_point_mass(self, xi, mass) -> "MomentFunctional":
         """u + mass * delta_xi, where <delta_xi, p> = p(xi)."""
-        x0 = as_scalar(xi)
-        k = as_scalar(mass)
-        m, dm = common_denominator(self.moments)
-        # mu_n + mass xi^n = (m_n p + q) / (dm p) with p = kd xd^n and
-        # q = dm kn xn^n
+        x0, k = as_scalar(xi), as_scalar(mass)
         xn, xd = x0.numerator, x0.denominator
-        p, q = k.denominator, dm * k.numerator
+        # mu_n + mass xi^n = (m_n p + q_n) / (dm p) with p = kd xd^depth and
+        # q_n = dm kn xn^n xd^(depth - n)
+        xdn = xd**self.depth
+        p, q = k.denominator * xdn, self._den * k.numerator * xdn
         out = []
-        for v in m:
-            out.append(Fraction(v * p + q, dm * p))
-            p *= xd
-            q *= xn
-        return MomentFunctional(out)
+        for v in self._nums:
+            out.append(v * p + q)
+            q = q // xd * xn
+        return MomentFunctional._reduced(out, self._den * p)
 
     def divide_by_linear(self, c, free_first_moment) -> "MomentFunctional":
         """A functional sigma with (x - c) sigma = u.
@@ -115,23 +142,20 @@ class MomentFunctional:
         parameter is sigma's first moment. nu_{n+1} = c nu_n + mu_n, so the
         result is known one level deeper than u.
         """
-        c0 = as_scalar(c)
-        f = as_scalar(free_first_moment)
-        m, dm = common_denominator(self.moments)
-        # nu_n = w / (fd dm cd^n): w <- cn w + m_n fd cd^(n+1), from w = fn dm
-        cn, cd = c0.numerator, c0.denominator
-        scale, den = f.denominator * cd, f.denominator * dm
-        w = f.numerator * dm
-        out = [f]
-        for v in m:
-            w = cn * w + v * scale
-            den *= cd
-            scale *= cd
-            out.append(Fraction(w, den))
-        return MomentFunctional(out)
+        c0, f = as_scalar(c), as_scalar(free_first_moment)
+        cn, cd, dm = c0.numerator, c0.denominator, self._den
+        # nu_n = w_n / (dm K) with K = fd cd^(depth + 1): w_0 = fn dm cd^(depth + 1)
+        # and w_{n+1} = cn (w_n / cd) + m_n K, an exact division
+        cdn = cd ** (self.depth + 1)
+        K = f.denominator * cdn
+        out = [f.numerator * dm * cdn]
+        for v in self._nums:
+            out.append(cn * (out[-1] // cd) + v * K)
+        return MomentFunctional._reduced(out, dm * K)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MomentFunctional) and self.moments == other.moments
+        return isinstance(other, MomentFunctional) and (
+            self._den == other._den and self._nums == other._nums)
 
     def __repr__(self) -> str:
         return f"MomentFunctional(depth={self.depth})"
@@ -258,14 +282,15 @@ def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional
     G = [0] + B[cap + 1 :] + [0]
     B = B[: cap + 1]
     comp, den = [1], 1  # comp[j] / den is the P_j component of x^n
-    moments = [Fraction(1)]
+    nums, dens = [1], [1]  # mu_n = nums[n] / dens[n]
     for n in range(1, depth + 1):
         top = min(n, depth - n)
         c = [0] + comp + [0] * (top + 2 - len(comp))
         nxt = [L * c[j] + B[j] * c[j + 1] + G[j + 1] * c[j + 2] for j in range(top + 1)]
         comp, den = _divide_content(nxt, den * L)
-        moments.append(Fraction(comp[0], den))
-    return MomentFunctional(moments)
+        nums.append(comp[0])
+        dens.append(den)
+    return MomentFunctional._from_pairs(nums, dens)
 
 
 @dataclass(frozen=True)
@@ -302,19 +327,19 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
     denominator (in the manner of Bareiss elimination), and is reduced by
     one gcd of the whole row; beta and gamma are the only Fractions built.
     """
-    mu = f.moments
     n_max = f.depth
     k_max = n_max // 2
     beta: list[Fraction] = []
     gamma: list[Fraction] = []
-    if mu[0] == 0:
+    # row[i] / den holds sigma_{k, k+i}, starting from sigma_{0, i} = mu_i;
+    # row_prev / den_prev the row k - 1
+    row, den = f._nums, f._den
+    if row[0] == 0:
         return RecurrenceReport(RecurrencePair((), ()), 0, 0)
-    # row[i] / den holds sigma_{k, k+i}; row_prev / den_prev the row k - 1
-    row_prev: list[int] = []
+    row_prev: tuple = ()
     den_prev = 1
-    row, den = common_denominator(mu)
     if n_max >= 1:
-        beta.append(mu[1] / mu[0])
+        beta.append(Fraction(row[1], row[0]))
     for k in range(1, k_max + 1):
         width = n_max - 2 * k
         # sigma_{k-1, k+1+j}, sigma_{k-1, k+j} and sigma_{k-2, k+j}, j <= width

@@ -40,6 +40,7 @@ returns (A, B, C) which must equal (a, b, c).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -54,7 +55,6 @@ from .rational import (
     _parts,
     _reduce_pairs,
     as_scalar,
-    common_denominator,
 )
 
 
@@ -565,22 +565,22 @@ def v_moments_from_relation(
         raise DomainError("u must be normalized (mu_0 = 1)")
     if fr.lam == 0:
         raise DomainError("lambda must be nonzero")
-    m = [Fraction(1)]
-    if u.depth >= 1:
-        m.append(as_scalar(beta0_tilde))
-    # lambda (mu_{n+1} - c mu_n) = k (cd U_{n+1} - cn U_n) / kd over the
-    # common denominator of u's moments; each v_{n+2} is one Fraction
-    U, D = common_denominator(u.moments)
+    # v_n = X_n / (kd td A^N), N = u.depth, kd = lamd cd D, A = lcm(ad, bd):
+    # X_0 = kd td A^N, X_1 = kd tn A^N and X_{n+2} = lamn td A^N (cd U_{n+1}
+    # - cn U_n) - (aA X_{n+1} + bA X_n) / A with aA = a A, bA = b A integers;
+    # X_n keeps the factor A^(N - n), so the division is exact
+    U, D = u._nums, u._den
+    t = as_scalar(beta0_tilde)
     cn, cd = fr.c.numerator, fr.c.denominator
-    k, kd = fr.lam.numerator, fr.lam.denominator * cd * D
-    an, ad, bn, bd = fr.a.numerator, fr.a.denominator, fr.b.numerator, fr.b.denominator
+    A = math.lcm(fr.a.denominator, fr.b.denominator)
+    aA, bA = fr.a.numerator * (A // fr.a.denominator), fr.b.numerator * (A // fr.b.denominator)
+    AN = A**u.depth
+    kd = fr.lam.denominator * cd * D
+    k = fr.lam.numerator * t.denominator * AN
+    X = [kd * t.denominator * AN, kd * t.numerator * AN][: u.depth + 1]
     for n in range(u.depth - 1):
-        m0, m1 = m[n], m[n + 1]
-        m.append(Fraction(*_lcm_sum(
-            (k * (cd * U[n + 1] - cn * U[n]), -an * m1.numerator, -bn * m0.numerator),
-            (kd, ad * m1.denominator, bd * m0.denominator),
-        )))
-    return MomentFunctional(m)
+        X.append(k * (cd * U[n + 1] - cn * U[n]) - (aA * X[n + 1] + bA * X[n]) // A)
+    return MomentFunctional._reduced(X, X[0])
 
 
 def verify_functional_relation(
@@ -588,6 +588,8 @@ def verify_functional_relation(
 ) -> tuple[bool, Optional[int]]:
     """Test lambda (mu_{n+1} - c mu_n) = v_{n+2} + a v_{n+1} + b v_n for
     0 <= n <= depth; returns (ok, first failing n)."""
+    if depth < 0:
+        raise DepthError(f"depth must be >= 0, got {depth}")
     if u.depth < depth + 1 or v.depth < depth + 2:
         raise DepthError(
             f"need u depth >= {depth + 1} and v depth >= {depth + 2}, "
@@ -596,8 +598,8 @@ def verify_functional_relation(
     # both sides over their common denominators, compared by
     # cross-multiplication: lambda (cd U_{n+1} - cn U_n) / (cd D) on the
     # left, (ad bd V_{n+2} + an bd V_{n+1} + bn ad V_n) / (ad bd E) on the right
-    U, D = common_denominator(u.moments[: depth + 2])
-    V, E = common_denominator(v.moments[: depth + 3])
+    U, D = u._nums, u._den
+    V, E = v._nums, v._den
     cn, cd = fr.c.numerator, fr.c.denominator
     an, ad, bn, bd = fr.a.numerator, fr.a.denominator, fr.b.numerator, fr.b.denominator
     left = fr.lam.numerator * ad * bd * E

@@ -116,6 +116,34 @@ def apply_raw(moments, p: Polynomial) -> Fraction:
     return sum((c * moments[k] for k, c in enumerate(p.coeffs)), Fraction(0))
 
 
+def left_multiply_raw(moments, phi: Polynomial) -> list:
+    """The moments of phi u, <phi u, x^n> = sum_k phi_k mu_{n+k}, for every
+    n that u's moments reach."""
+    c = phi.coeffs
+    return [
+        sum((ck * moments[n + k] for k, ck in enumerate(c)), Fraction(0))
+        for n in range(len(moments) - len(c) + 1)
+    ]
+
+
+def add_point_mass_raw(moments, xi, mass) -> list:
+    """The moments of u + mass delta_xi: mu_n + mass xi^n."""
+    return [mu + mass * Fraction(xi) ** n for n, mu in enumerate(moments)]
+
+
+def divide_by_linear_raw(moments, c, first) -> list:
+    """The moments of the sigma with (x - c) sigma = u and sigma_0 = first:
+    sigma_{n+1} = c sigma_n + mu_n."""
+    out = [Fraction(first)]
+    for mu in moments:
+        out.append(c * out[-1] + mu)
+    return out
+
+
+def scale_raw(moments, k) -> list:
+    return [k * mu for mu in moments]
+
+
 def hankel_form(moments, p: Polynomial) -> Fraction:
     """<u, p^2> as the Hankel form sum_i sum_j p_i p_j mu_{i+j}, without
     building p^2."""

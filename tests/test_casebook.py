@@ -32,7 +32,7 @@ from mopsrel import (
     v_moments_from_relation,
     verify_functional_relation,
 )
-from mopsrel import casebook
+from mopsrel import casebook, functional, rational, relation23
 from mopsrel.cli import _json_text
 from oracles import hankel_form
 
@@ -461,6 +461,7 @@ def test_jacobi_chain_recovers_no_recurrence_from_moments(monkeypatch):
     real = casebook.recurrence_from_moments
     real_moments = casebook.jacobi_moments
     real_init = MomentFunctional.__init__
+    real_reduced = MomentFunctional._reduced.__func__
 
     def counted(f):
         calls.append("recurrence_from_moments")
@@ -474,13 +475,50 @@ def test_jacobi_chain_recovers_no_recurrence_from_moments(monkeypatch):
         calls.append("MomentFunctional")
         real_init(self, moments)
 
+    def counted_reduced(cls, nums, den):  # the kernels' constructor
+        calls.append("MomentFunctional")
+        return real_reduced(cls, nums, den)
+
     monkeypatch.setattr(casebook, "recurrence_from_moments", counted)
     monkeypatch.setattr(casebook, "jacobi_moments", counted_moments)
     monkeypatch.setattr(MomentFunctional, "__init__", counted_init)
+    monkeypatch.setattr(MomentFunctional, "_reduced", classmethod(counted_reduced))
     assert jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 12).ok
     assert calls == []
     chebyshev_case(6)  # the spies see the calls a worked case does make
     assert {"recurrence_from_moments", "jacobi_moments", "MomentFunctional"} <= set(calls)
+
+
+def test_chebyshev_case_stays_on_the_moment_vector(monkeypatch):
+    """Each functional of the Chebyshev case is built by the moment kernels
+    as one integer vector, and each kernel reads the vector of its input:
+    no common-denominator pass in ``functional`` or ``relation23``, and no
+    Fraction view of the moments is built."""
+    passes, views = [], []
+    real_view = MomentFunctional.moments.fget
+
+    def view(f):
+        if f._moments is None:
+            views.append(f.depth)
+        return real_view(f)
+
+    def counted(values, real=rational.common_denominator):
+        passes.append(len(values))
+        return real(values)
+
+    # relation23 no longer imports it; the spy stands in for a binding
+    # that came back
+    for module in (functional, relation23):
+        monkeypatch.setattr(module, "common_denominator", counted, raising=False)
+    monkeypatch.setattr(MomentFunctional, "moments", property(view))
+    assert chebyshev_case(80).moment_identity == (True, None)
+    assert passes == [] and views == []
+    # the spies see a public construction, and the view that a kernel's
+    # result builds on first use, once
+    scaled = MomentFunctional([1, "1/2", "1/3"]).scale(2)
+    assert passes == [3] and views == []
+    assert scaled.moments == (2, 1, Fraction(2, 3))
+    assert scaled.moments is scaled.moments and views == [2]
 
 
 # --- the certificates fire on bent data ---------------------------------

@@ -5,10 +5,11 @@ three-term recurrence, the two moment <-> recurrence directions, the moment
 operations, the Jacobi recurrence and the 2-3 relation sequences and
 checkers all run on integers with one reduction per result. Every test
 here recomputes the same value term by term in Fraction arithmetic, written
-out in the test, and asserts exact equality.
+out in the test or in ``tests/oracles.py``, and asserts exact equality.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -47,7 +48,17 @@ from mopsrel import (
 from mopsrel.casebook import _ladder_break, _relation_break
 from mopsrel.poly import _combination
 from mopsrel.rational import _reduce_pairs
-from oracles import hankel_det, hankel_form, orthogonality_moments, path_moments
+from oracles import (
+    add_point_mass_raw,
+    apply_raw,
+    divide_by_linear_raw,
+    hankel_det,
+    hankel_form,
+    left_multiply_raw,
+    orthogonality_moments,
+    path_moments,
+    scale_raw,
+)
 
 # denominators that share a large factor, so common denominators and
 # content reductions actually cancel
@@ -415,55 +426,97 @@ def test_jacobi_recurrence_at_the_removable_singularities(a, b):
 
 
 moment_lists = st.lists(coeff, min_size=1, max_size=12)
+# mu_n = k_n / p_n over distinct primes p_n: no two moment denominators
+# share a factor, so the common denominator is their product
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+coprime_moment_lists = st.permutations(PRIMES).flatmap(lambda primes: st.lists(
+    st.integers(-(10**12), 10**12), min_size=1, max_size=len(primes),
+).map(lambda nums: [Fraction(k, p) for k, p in zip(nums, primes)]))
+
+
+def assert_canonical(f: MomentFunctional) -> None:
+    """f's integer vector is in canonical form: it is the one the public
+    constructor gives for f's moments."""
+    assert f._den > 0
+    assert math.gcd(f._den, *f._nums) == 1
+    assert MomentFunctional(f.moments) == f
 
 
 @settings(max_examples=60, deadline=None)
 @given(moment_lists, st.lists(coeff, min_size=1, max_size=4).filter(lambda c: any(c)))
 def test_left_multiply_matches_fractions(moments, phi):
     u, p = MomentFunctional(moments), Polynomial(phi)
-    d = p.degree
-    if d > u.depth:
+    if p.degree > u.depth:
         with pytest.raises(DepthError):
             u.left_multiply(p)
         return
-    ref = [
-        sum((c * u.moments[n + k] for k, c in enumerate(p.coeffs)), Fraction(0))
-        for n in range(u.depth - d + 1)
-    ]
-    assert list(u.left_multiply(p).moments) == ref
+    got = u.left_multiply(p)
+    assert list(got.moments) == left_multiply_raw(u.moments, p)
+    assert_canonical(got)
 
 
 @settings(max_examples=60, deadline=None)
 @given(moment_lists, coeff, coeff)
 def test_add_point_mass_matches_fractions(moments, xi, mass):
     u = MomentFunctional(moments)
-    ref, power = [], Fraction(1)
-    for mu in u.moments:
-        ref.append(mu + mass * power)
-        power *= xi
-    assert list(u.add_point_mass(xi, mass).moments) == ref
+    got = u.add_point_mass(xi, mass)
+    assert list(got.moments) == add_point_mass_raw(u.moments, xi, mass)
+    assert_canonical(got)
 
 
 @settings(max_examples=60, deadline=None)
 @given(moment_lists, coeff, coeff)
 def test_divide_by_linear_matches_fractions(moments, c, first):
     u = MomentFunctional(moments)
-    ref = [first]
-    for mu in u.moments:
-        ref.append(c * ref[-1] + mu)
-    assert list(u.divide_by_linear(c, first).moments) == ref
+    got = u.divide_by_linear(c, first)
+    assert list(got.moments) == divide_by_linear_raw(u.moments, c, first)
+    assert_canonical(got)
 
 
 @settings(max_examples=60, deadline=None)
 @given(moment_lists, coeff)
 def test_scale_and_normalized_match_fractions(moments, k):
     u = MomentFunctional(moments)
-    assert list(u.scale(k).moments) == [k * m for m in u.moments]
+    assert list(u.scale(k).moments) == scale_raw(u.moments, k)
+    assert_canonical(u.scale(k))
     if u.moments[0] == 0:
         with pytest.raises(DomainError):
             u.normalized()
     else:
-        assert list(u.normalized().moments) == [m / u.moments[0] for m in u.moments]
+        assert list(u.normalized().moments) == scale_raw(u.moments, 1 / u.moments[0])
+        assert_canonical(u.normalized())
+
+
+@settings(max_examples=80, deadline=None)
+@given(coprime_moment_lists, st.lists(coeff, min_size=1, max_size=4).filter(any),
+       coeff, coeff, nonzero)
+def test_moment_operations_on_coprime_denominators(moments, phi, x, y, k):
+    """Every moment operation, on a public functional and on one that a
+    kernel built, against the Fraction references; each result is in
+    canonical form, and ``apply`` is the term-by-term sum."""
+    u = MomentFunctional(moments)
+    p, mu = Polynomial(phi), u.moments
+    assert_canonical(u)
+    # w is built by kernels only, so the operations below start from a
+    # vector with no cached Fraction view
+    w, w_ref = u.scale(k).add_point_mass(x, y), add_point_mass_raw(scale_raw(mu, k), x, y)
+    results = [
+        (w, w_ref),
+        (u.scale(x), scale_raw(mu, x)),
+        (w.scale(x), scale_raw(w_ref, x)),
+        (u.divide_by_linear(x, y), divide_by_linear_raw(mu, x, y)),
+        (w.divide_by_linear(x, y), divide_by_linear_raw(w_ref, x, y)),
+    ]
+    if w_ref[0]:
+        results.append((w.normalized(), scale_raw(w_ref, 1 / w_ref[0])))
+    if p.degree <= u.depth:
+        results.append((u.left_multiply(p), left_multiply_raw(mu, p)))
+        results.append((w.left_multiply(p), left_multiply_raw(w_ref, p)))
+        assert u.apply(p) == apply_raw(mu, p)
+        assert w.apply(p) == apply_raw(w_ref, p)
+    for got, ref in results:
+        assert list(got.moments) == ref
+        assert_canonical(got)
 
 
 # --- the 2-3 relation sequences and the two checkers ---------------------

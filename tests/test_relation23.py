@@ -187,6 +187,17 @@ def test_v_moments_and_verification():
     assert v2.moments != v.moments
 
 
+@pytest.mark.parametrize("depth", [-1, -5])
+def test_functional_identity_refuses_a_negative_depth(depth):
+    """A negative depth tests no index; it is refused, not passed empty."""
+    rep = chebyshev_case(6)
+    u = moments_from_recurrence(rep.u_rec, 10)
+    v = v_moments_from_relation(u, rep.constants, rep.q_rec.beta[0])
+    with pytest.raises(DepthError, match="depth must be >= 0"):
+        verify_functional_relation(u, v, rep.constants, depth)
+    assert verify_functional_relation(u, v, rep.constants, 0) == (True, None)
+
+
 def test_regularity_criterion_needs_data():
     rep = chebyshev_case(6)
     no_root, no_index = regularity_criterion(rep.u_rec, 1, rep.rel, 6)
