@@ -34,6 +34,7 @@ depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -112,19 +113,38 @@ def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, a, b, top: int) 
     if _lcm_sum((an[1], -bp[0], -bn[1], br[0]), (ad[1], bpd[0], bd[1], brd[0]))[0]:
         return 1
     same = _coincide(a, b, top)
+    lcm = math.lcm
     for n in range(1, top):
-        # u, Z, W of P as unreduced pairs (a zero a_n drops its terms), matched to R's
-        u, ud = _lcm_sum((bp[n], an[n], -an[n + 1]), (bpd[n], ad[n], ad[n + 1]))
-        z, zd = (_lcm_sum((gp[n], an[n] * bp[n - 1], -u * an[n]),
-                          (gpd[n], ad[n] * bpd[n - 1], ud * ad[n])) if an[n] else (gp[n], gpd[n]))
-        w, wd = (_lcm_sum((an[n] * gp[n - 1], -z * an[n - 1]), (ad[n] * gpd[n - 1], zd * ad[n - 1]))
-                 if an[n] or an[n - 1] else (0, 1))
-        if (_lcm_sum((br[n], bn[n], -bn[n + 1], -u), (brd[n], bd[n], bd[n + 1], ud))[0]
-                or _lcm_sum((gr[n], bn[n] * br[n - 1], -u * bn[n], -z),
-                            (grd[n], bd[n] * brd[n - 1], ud * bd[n], zd))[0]
-                or _lcm_sum((bn[n] * gr[n - 1], -z * bn[n - 1], -w),
-                            (bd[n] * grd[n - 1], zd * bd[n - 1], wd))[0]
-                or (w and not same[n - 2])):  # W = 0 at n = 1
+        # u, Z, W of P as unreduced pairs (a zero a_n drops its terms), each over
+        # the lcm of its terms' denominators, as in rational._lcm_sum
+        ud = lcm(bpd[n], ad[n], ad[n + 1])
+        u = bp[n] * (ud // bpd[n]) + an[n] * (ud // ad[n]) - an[n + 1] * (ud // ad[n + 1])
+        z, zd = gp[n], gpd[n]
+        if an[n]:
+            d1, d2 = ad[n] * bpd[n - 1], ud * ad[n]
+            zd = lcm(gpd[n], d1, d2)
+            z = gp[n] * (zd // gpd[n]) + an[n] * (bp[n - 1] * (zd // d1) - u * (zd // d2))
+        w, wd = 0, 1
+        if an[n] or an[n - 1]:
+            d1, d2 = ad[n] * gpd[n - 1], zd * ad[n - 1]
+            wd = lcm(d1, d2)
+            w = an[n] * gp[n - 1] * (wd // d1) - z * an[n - 1] * (wd // d2)
+        # matched to R's: beta^R_n + b_n - b_{n+1} = u, gamma^R_n + b_n beta^R_{n-1}
+        # - u b_n = Z and b_n gamma^R_{n-1} - Z b_{n-1} = W
+        L = lcm(brd[n], bd[n], bd[n + 1], ud)
+        if (br[n] * (L // brd[n]) + bn[n] * (L // bd[n]) - bn[n + 1] * (L // bd[n + 1])
+                != u * (L // ud)):
+            return n + 1
+        d1, d2 = bd[n] * brd[n - 1], ud * bd[n]
+        L = lcm(grd[n], d1, d2, zd)
+        if (gr[n] * (L // grd[n]) + bn[n] * (br[n - 1] * (L // d1) - u * (L // d2))
+                != z * (L // zd)):
+            return n + 1
+        d1, d2 = bd[n] * grd[n - 1], zd * bd[n - 1]
+        L = lcm(d1, d2, wd)
+        if bn[n] * gr[n - 1] * (L // d1) - z * bn[n - 1] * (L // d2) != w * (L // wd):
+            return n + 1
+        if w and not same[n - 2]:  # W = 0 at n = 1
             return n + 1
     return None
 
@@ -185,13 +205,22 @@ def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
     t, td = _parts((0, 0) + rel.t[2 : top + 1])  # t_1 multiplies no P_{-1}
     (an, ad), (bn, bd), (ln, ld) = (_parts([0, *seq[1 : top + 1]]) for seq in (a, b, l))
     same = _coincide(a, b, top)
+    lcm = math.lcm
     for n in range(1, top + 1):
-        e, ed = _lcm_sum((s[n], -an[n]), (sd[n], ad[n]))
-        f, fd = _lcm_sum((t[n], -e * an[n - 1]), (td[n], ed * ad[n - 1]))
-        if (_lcm_sum((ln[n], r[n], -bn[n], -e), (ld[n], rd[n], bd[n], ed))[0]
-                or _lcm_sum((r[n] * ln[n - 1], -e * bn[n - 1], -f),
-                            (rd[n] * ld[n - 1], ed * bd[n - 1], fd))[0]
-                or (f and not same[n - 2])):  # f_1 = 0
+        # e_n and f_n as unreduced pairs over the lcm of their terms' denominators
+        ed = lcm(sd[n], ad[n])
+        e = s[n] * (ed // sd[n]) - an[n] * (ed // ad[n])
+        d1 = ed * ad[n - 1]
+        fd = lcm(td[n], d1)
+        f = t[n] * (fd // td[n]) - e * an[n - 1] * (fd // d1)
+        L = lcm(ld[n], rd[n], bd[n], ed)
+        if ln[n] * (L // ld[n]) + r[n] * (L // rd[n]) - bn[n] * (L // bd[n]) != e * (L // ed):
+            return n
+        d1, d2 = rd[n] * ld[n - 1], ed * bd[n - 1]
+        L = lcm(d1, d2, fd)
+        if r[n] * ln[n - 1] * (L // d1) - e * bn[n - 1] * (L // d2) != f * (L // fd):
+            return n
+        if f and not same[n - 2]:  # f_1 = 0
             return n
     return None
 
@@ -352,7 +381,11 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     _certify(moment_identity[0], "functional identity fails on the moments")
 
     regularity = regularity_criterion(u_rec, 1, rel, depth)
-    shifted = recurrence_from_moments(u.left_multiply(Polynomial([-1, 1])))
+    # <u, x - 1> is the first moment of (x - 1) u: when it vanishes, so does the
+    # first Hankel determinant, and no sweep over the shifted moments is needed
+    x_minus_1 = Polynomial([-1, 1])
+    shifted = (RecurrenceReport(RecurrencePair((), ()), 0, 0) if u.apply(x_minus_1) == 0
+               else recurrence_from_moments(u.left_multiply(x_minus_1)))
     r, s, t = rel.r, rel.s, rel.t
     odd_ok = all(t[n] == r[n] * (s[n - 1] - r[n - 1]) for n in range(3, depth + 1, 2))
 

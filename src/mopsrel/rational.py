@@ -66,9 +66,11 @@ def _lcm_sum(nums, dens) -> tuple[int, int]:
     """sum(nums[i] / dens[i]) as the unreduced pair (numerator, L), where
     L > 0 is the lcm of the nonzero denominators. ``Fraction(*_lcm_sum(...))``
     reduces the sum once, and the numerator alone tells whether it is
-    zero: the integer kernels build their entries, and decide the
-    equalities whose sides they do not keep, this way instead of paying a
-    gcd per Fraction operation."""
+    zero. It serves one-shot conditions (ci1-ci3, a ladder's test at
+    n = 1). The per-index loops of the integer kernels write the same sum
+    out term by term, ``L = lcm(d1, d2, d3)`` then ``n1 * (L // d1) + ...``:
+    at the few-bit coefficients of CLI data the tuples, maps and call that
+    this function costs outweigh the arithmetic."""
     den = math.lcm(*dens)
     return sum(map(mul, nums, map(den.__floordiv__, dens))), den
 

@@ -213,7 +213,9 @@ def compose_ladders(a, b, l) -> Relation23:
         bn, ln, an = b[n - 1], l[n - 1], a[n - 1]
         r[n] = Fraction(bn.numerator * rn, bn.denominator * rd)
         lrn, lrd = ln.numerator * rn, ln.denominator * rd
-        s[n] = Fraction(*_lcm_sum((a[n].numerator, lrn), (a[n].denominator, lrd)))
+        ad = a[n].denominator
+        L = math.lcm(ad, lrd)
+        s[n] = Fraction(a[n].numerator * (L // ad) + lrn * (L // lrd), L)
         t[n] = Fraction(an.numerator * lrn, an.denominator * lrd)
     return Relation23(r, s, t)
 
@@ -247,11 +249,12 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
         c_n  = t_n gamma_{n-2}                                   (n >= 3)
         d_n  = r_n gt_{n-1}                                      (n >= 2)
 
-    each of bt_n, gt_n and a_n one Fraction of integers, and each of b_n,
-    c_n and d_n, which are only compared, an unreduced (numerator,
-    denominator > 0) pair. The integer parts of r, s, t, beta and gamma
-    come back too, as (numerators, denominators) pairs in that order, so
-    that ``_constancy`` need not take them again."""
+    bt_n and gt_n each one Fraction of integers, a_n, which is read many
+    times, a reduced (numerator, denominator > 0) pair, and each of b_n,
+    c_n and d_n, which are only compared, an unreduced pair. The integer
+    parts of r, s, t, beta and gamma come back too, as (numerators,
+    denominators) pairs in that order, so that the checkers' tails need not
+    take them again."""
     rel.require(upto + 1)
     rec.require(upto, upto)
     parts = (
@@ -262,29 +265,38 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
     bt: list = []
     gt: list = []
     a, b, c, d = ([None] * (upto + 1) for _ in range(4))
+    lcm, gcd = math.lcm, math.gcd
+    # each sum is taken over L, the lcm of its terms' denominators, written
+    # out term by term: at the sizes of CLI data a call per sum would cost
+    # more than its arithmetic
     for n in range(upto + 1):
-        zn, zd = _lcm_sum((s[n + 1], -s[n], -p[n]), (sd[n + 1], sd[n], pd[n]))
-        bt.append(Fraction(*_lcm_sum((r[n + 1], -r[n], -zn), (rd[n + 1], rd[n], zd))))
+        # z_n, then bt_n
+        zd = lcm(sd[n + 1], sd[n], pd[n])
+        zn = s[n + 1] * (zd // sd[n + 1]) - s[n] * (zd // sd[n]) - p[n] * (zd // pd[n])
+        L = lcm(rd[n + 1], rd[n], zd)
+        bt.append(Fraction(r[n + 1] * (L // rd[n + 1]) - r[n] * (L // rd[n]) - zn * (L // zd), L))
         if n == 0:
             continue
-        an = a[n] = Fraction(*_lcm_sum(
-            (g[n - 1], t[n], -t[n + 1], s[n] * zn, s[n] * p[n - 1]),
-            (gd[n - 1], td[n], td[n + 1], sd[n] * zd, sd[n] * pd[n - 1]),
-        ))
+        # a_n, reduced by one gcd since the checkers' tails read it again, then gt_n
+        sn, snd, tn, tnd = s[n], sd[n], t[n], td[n]
+        d1, d2 = snd * zd, snd * pd[n - 1]
+        L = lcm(gd[n - 1], tnd, td[n + 1], d1, d2)
+        x = (g[n - 1] * (L // gd[n - 1]) + tn * (L // tnd) - t[n + 1] * (L // td[n + 1])
+             + sn * (zn * (L // d1) + p[n - 1] * (L // d2)))
+        k = gcd(x, L)
+        x, xd = a[n] = (x // k, L // k)
         prev = bt[n - 1]
-        gt.append(Fraction(*_lcm_sum(
-            (an.numerator, -r[n] * zn, -r[n] * prev.numerator),
-            (an.denominator, rd[n] * zd, rd[n] * prev.denominator),
-        )))
+        d1, d2 = rd[n] * zd, rd[n] * prev.denominator
+        L = lcm(xd, d1, d2)
+        gt.append(Fraction(x * (L // xd) - r[n] * (zn * (L // d1) + prev.numerator * (L // d2)), L))
         if 2 <= n <= aux_upto:
-            b[n] = _lcm_sum(
-                (s[n] * g[n - 2], t[n] * zn, t[n] * p[n - 2]),
-                (sd[n] * gd[n - 2], td[n] * zd, td[n] * pd[n - 2]),
-            )
+            d1, d2, d3 = snd * gd[n - 2], tnd * zd, tnd * pd[n - 2]
+            L = lcm(d1, d2, d3)
+            b[n] = (sn * g[n - 2] * (L // d1) + tn * (zn * (L // d2) + p[n - 2] * (L // d3)), L)
             gt_prev = gt[n - 2]
             d[n] = (r[n] * gt_prev.numerator, rd[n] * gt_prev.denominator)
             if n >= 3:
-                c[n] = (t[n] * g[n - 3], td[n] * gd[n - 3])
+                c[n] = (tn * g[n - 3], tnd * gd[n - 3])
     return bt, gt, AuxiliarySequences(a, b, c, d), parts
 
 
@@ -300,8 +312,7 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
 
 def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> AuxiliarySequences:
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
-    a, *bcd = _sequences(rec, rel, upto, upto)[2]
-    return AuxiliarySequences(a, *map(_reduce_pairs, bcd))
+    return AuxiliarySequences(*map(_reduce_pairs, _sequences(rec, rel, upto, upto)[2]))
 
 
 class Failure(NamedTuple):
@@ -370,7 +381,7 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, aux_upto: int):
         if gt[n - 1] == 0:
             failures.append(Failure("gamma_tilde", n))
     # each condition "lhs = rhs" is decided by the numerator of lhs - rhs
-    (a2, a3), (a2d, a3d) = _parts((a[2], a[3]))
+    (a2, a2d), (a3, a3d) = a[2], a[3]
     (b2, b2d), (b3, b3d), (c3, c3d), (d2, d2d), (d3, d3d) = b[2], b[3], c[3], d[2], d[3]
     (r1, r2, s1, s2, t2), (r1d, r2d, s1d, s2d, t2d) = _parts((r[1], r[2], s[1], s[2], t[2]))
     e, ed = _lcm_sum((s1, -r1), (s1d, r1d))  # s_1 - r_1
@@ -385,18 +396,21 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, aux_upto: int):
     return case, induced, built, failures
 
 
-def _equations_tail(rel: Relation23, depth: int, induced, built, failures) -> InverseVerdict:
+def _equations_tail(depth: int, induced, built, failures) -> InverseVerdict:
     """The verdict of the coefficient equations eqn1-eqn3, 4 <= n <= depth,
     on top of the prelude's failures."""
     failures = list(failures)
-    r, s, t = rel.r, rel.s, rel.t
     a, b, c, d = built[2]
+    (r, rd), (s, sd), (t, td) = built[3][:3]
     for n in range(4, depth + 1):
-        # (ln / ld) = a_n k by cross-multiplication
-        an, ad = a[n].numerator, a[n].denominator
-        for name, (ln, ld), k in (("eqn1", b[n], s[n - 1]), ("eqn2", c[n], t[n - 1]), ("eqn3", d[n], r[n - 1])):
-            if ln * ad * k.denominator != an * k.numerator * ld:
-                failures.append(Failure(name, n))
+        # b_n = a_n s_{n-1}, c_n = a_n t_{n-1}, d_n = a_n r_{n-1} by cross-multiplication
+        (an, ad), (bn, bd), (cn, cd), (dn, dd) = a[n], b[n], c[n], d[n]
+        if bn * ad * sd[n - 1] != an * s[n - 1] * bd:
+            failures.append(Failure("eqn1", n))
+        if cn * ad * td[n - 1] != an * t[n - 1] * cd:
+            failures.append(Failure("eqn2", n))
+        if dn * ad * rd[n - 1] != an * r[n - 1] * dd:
+            failures.append(Failure("eqn3", n))
     return InverseVerdict(not failures, induced, tuple(failures))
 
 
@@ -404,7 +418,7 @@ def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
     """Orthogonality of the generated family, decided through the
     coefficient equations. Consumes relation indices through depth + 1."""
     _, induced, built, failures = _prelude(rec, rel, depth, depth)
-    return _equations_tail(rel, depth, induced, built, failures)
+    return _equations_tail(depth, induced, built, failures)
 
 
 def _constancy(depth: int, built):
@@ -414,34 +428,40 @@ def _constancy(depth: int, built):
     through n, as r_{n+1} cancels against bt_n = r_{n+1} - r_n - z_n."""
     bt, gt, (a, _, _, _), ((rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd)) = built
     A, B, C = ([None] * (depth + 1) for _ in range(3))
+    lcm = math.lcm
     for n in range(3, depth + 1):
         if not rn[n]:
             raise DomainError(f"r_{n} = 0: constancy expressions undefined")
         # C_n = bt_n - r_{n+1} - gt_n / r_n
         btn, gtn = bt[n], gt[n - 1]
-        C[n] = _lcm_sum(
-            (btn.numerator, -rn[n + 1], -gtn.numerator * rd[n]),
-            (btn.denominator, rd[n + 1], gtn.denominator * rn[n]),
-        )
+        d1, d3 = btn.denominator, gtn.denominator * rn[n]
+        L = lcm(d1, rd[n + 1], d3)
+        C[n] = (btn.numerator * (L // d1) - rn[n + 1] * (L // rd[n + 1])
+                - gtn.numerator * rd[n] * (L // d3), L)
         if n == depth:
             break
         if not tn[n + 1]:
             raise DomainError(f"t_{n + 1} = 0: constancy expressions undefined")
         # ratio = a_{n+1} / t_{n+1} = p / q
-        p = a[n + 1].numerator * td[n + 1]
-        q = a[n + 1].denominator * tn[n + 1]
+        p, q = a[n + 1]
+        p, q = p * td[n + 1], q * tn[n + 1]
         # A_n = s_n ratio - beta_{n-1} - beta_n + s_{n+1}
-        A[n] = (x, xd) = _lcm_sum(
-            (sn[n] * p, -bn[n - 1], -bn[n], sn[n + 1]), (sd[n] * q, bd[n - 1], bd[n], sd[n + 1])
-        )
+        d1 = sd[n] * q
+        xd = lcm(d1, bd[n - 1], bd[n], sd[n + 1])
+        x = (sn[n] * p * (xd // d1) - bn[n - 1] * (xd // bd[n - 1]) - bn[n] * (xd // bd[n])
+             + sn[n + 1] * (xd // sd[n + 1]))
+        A[n] = (x, xd)
         # B_n = a_n ratio + e (s_n ratio - beta_n - s_n + s_{n+1}) + t_n - a_n
         # - gamma_{n-1} with e = s_n - beta_{n-1}; the middle factor is A_n - e
-        e, ed = _lcm_sum((sn[n], -bn[n - 1]), (sd[n], bd[n - 1]))
-        w, wd = _lcm_sum((x, -e), (xd, ed))
-        B[n] = _lcm_sum(
-            (a[n].numerator * (p - q), e * w, tn[n], -gn[n - 2]),
-            (a[n].denominator * q, ed * wd, td[n], gd[n - 2]),
-        )
+        ed = lcm(sd[n], bd[n - 1])
+        e = sn[n] * (ed // sd[n]) - bn[n - 1] * (ed // bd[n - 1])
+        wd = lcm(xd, ed)
+        w = x * (wd // xd) - e * (wd // ed)
+        an, ad = a[n]
+        d1, d2 = ad * q, ed * wd
+        L = lcm(d1, d2, td[n], gd[n - 2])
+        B[n] = (an * (p - q) * (L // d1) + e * w * (L // d2)
+                + tn[n] * (L // td[n]) - gn[n - 2] * (L // gd[n - 2]), L)
     return A, B, C
 
 
@@ -465,9 +485,9 @@ def _constants_tail(
     and C_n on top of the prelude's failures, from its build through depth."""
     failures = list(failures)
     # t_4 gamma_2 = a_4 t_3 by cross-multiplication
-    t3, t4, g2, a4 = rel.t[3], rel.t[4], rec.gamma[1], built[2].a[4]
-    if (t4.numerator * g2.numerator * a4.denominator * t3.denominator
-            != a4.numerator * t3.numerator * t4.denominator * g2.denominator):
+    t3, t4, g2, (a4, a4d) = rel.t[3], rel.t[4], rec.gamma[1], built[2].a[4]
+    if (t4.numerator * g2.numerator * a4d * t3.denominator
+            != a4 * t3.numerator * t4.denominator * g2.denominator):
         failures.append(Failure("startup", 4))
     A, B, C = constancy = _constancy(depth, built)
     before = len(failures)
@@ -499,7 +519,7 @@ def check_both(
     case, induced, built, failures = _prelude(rec, rel, depth, depth)
     return (
         case,
-        _equations_tail(rel, depth, induced, built, failures),
+        _equations_tail(depth, induced, built, failures),
         _constants_tail(rec, rel, depth, induced, built, failures),
     )
 

@@ -489,6 +489,38 @@ def test_jacobi_chain_recovers_no_recurrence_from_moments(monkeypatch):
     assert {"recurrence_from_moments", "jacobi_moments", "MomentFunctional"} <= set(calls)
 
 
+def test_chebyshev_case_decides_the_shifted_functional_by_its_first_moment(monkeypatch):
+    """<u, x - 1> is the first moment of (x - 1) u. It vanishes in the
+    Chebyshev case, so the report of the shifted functional (regular through
+    -1, first vanishing 0) needs no Hankel sweep: the case recovers one
+    recurrence, u's. Forced past the shortcut, the sweep over the shifted
+    moments gives the same report and a byte-identical payload."""
+    calls = []
+    real = casebook.recurrence_from_moments
+
+    def counted(f):
+        calls.append(f.depth)
+        return real(f)
+
+    monkeypatch.setattr(casebook, "recurrence_from_moments", counted)
+    report = chebyshev_case(8)
+    assert calls == [22]  # u's moments mu_0..mu_{2 depth + 6}
+    assert (report.shifted_hankel.regular_through, report.shifted_hankel.first_vanishing) == (-1, 0)
+
+    real_apply = MomentFunctional.apply
+    x_minus_1 = Polynomial([-1, 1])
+
+    def nonzero_first_moment(f, p):
+        return Fraction(1) if p == x_minus_1 else real_apply(f, p)
+
+    monkeypatch.setattr(MomentFunctional, "apply", nonzero_first_moment)
+    calls.clear()
+    swept = chebyshev_case(8)
+    assert calls == [22, 21]
+    assert swept.shifted_hankel == report.shifted_hankel
+    assert _json_text(swept.to_json()) == _json_text(report.to_json())
+
+
 def test_chebyshev_case_stays_on_the_moment_vector(monkeypatch):
     """Each functional of the Chebyshev case is built by the moment kernels
     as one integer vector, and each kernel reads the vector of its input:

@@ -652,22 +652,31 @@ def test_relation_sequences_match_fractions(seed, depth):
     assert_sequences_match_fractions(*gated_instance(random.Random(seed), depth), depth)
 
 
-@pytest.mark.parametrize("case", ["jacobi-generic", "chebyshev"])
-def test_relation_sequences_match_fractions_on_worked_cases(case):
-    """The worked cases at depth 40; the generic Jacobi chain's relation
-    coefficients reach hundreds of bits."""
+@functools.cache
+def generic_chain(depth):
+    """The worked Jacobi chain at generic parameters, whose relation
+    coefficients grow by about 20 bits per index."""
     from mopsrel import jacobi_chain
 
-    if case == "jacobi-generic":
-        rep = jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 40)
-    else:
-        rep = chebyshev_case(40)
-    assert_sequences_match_fractions(rep.u_rec, rep.rel, 40)
+    return jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, depth)
+
+
+@pytest.mark.parametrize(
+    "case, depth", [("jacobi-generic", 40), ("chebyshev", 40), ("jacobi-generic", 100)],
+    ids=["jacobi-generic", "chebyshev", "jacobi-generic-100"],
+)
+def test_relation_sequences_match_fractions_on_worked_cases(case, depth):
+    """The worked cases at depth 40, where the generic Jacobi chain's
+    relation coefficients reach hundreds of bits, and at depth 100, in the
+    range of depths the CLI traffic checks."""
+    rep = generic_chain(depth) if case == "jacobi-generic" else chebyshev_case(depth)
+    assert_sequences_match_fractions(rep.u_rec, rep.rel, depth)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32), st.integers(4, 60))
 @example(seed=20261018, depth=60)
+@example(seed=20261019, depth=200)  # the deepest CLI documents the benchmark sends
 def test_checker_failure_lists_match_fractions(seed, depth):
     """Each checker alone and ``check_both``: the failure lists, the
     constants triple, the induced recurrence and the constancy expressions
@@ -706,6 +715,29 @@ def test_checker_conditions_on_a_positive_case_with_large_factors():
         args = (rec.beta, rec.gamma, bent.r, bent.s, bent.t)
         eq = check_by_equations(rec, bent, depth)
         ct = check_by_constants(rec, bent, depth)
+        assert [tuple(f) for f in eq.failures] == ref_equation_failures(*args, depth)
+        failures, triple = ref_constancy_failures(*args, depth)
+        assert [tuple(f) for f in ct.failures] == failures and ct.constants == triple
+        assert not eq.is_mops and not ct.is_mops
+
+
+@pytest.mark.parametrize("field", ["r", "s", "t", "beta", "gamma"])
+def test_checker_conditions_on_bent_large_coefficients_at_depth_40(field):
+    """The generic Jacobi chain at depth 40, with coefficients of up to
+    about 840 bits: one entry of r, s, t, beta or gamma bent by
+    1 / (2^61 - 1) at indices up to 40. Both verdicts of ``check_both``
+    fail, and each failure list, and the constants triple, equal the
+    Fraction reference, so a sign or index slip in a kernel's formula
+    shows on kilobit data."""
+    rep, depth = generic_chain(40), 40
+    for n in (MUTABLE[field] + 2, 13, 27, depth):
+        seqs = {"r": list(rep.rel.r), "s": list(rep.rel.s), "t": list(rep.rel.t),
+                "beta": list(rep.u_rec.beta), "gamma": [None] + list(rep.u_rec.gamma)}
+        seqs[field][n] += Fraction(1, 2**61 - 1)
+        rec = RecurrencePair(seqs["beta"], seqs["gamma"][1:])
+        rel = Relation23(seqs["r"], seqs["s"], seqs["t"])
+        _, eq, ct = check_both(rec, rel, depth)
+        args = (rec.beta, rec.gamma, rel.r, rel.s, rel.t)
         assert [tuple(f) for f in eq.failures] == ref_equation_failures(*args, depth)
         failures, triple = ref_constancy_failures(*args, depth)
         assert [tuple(f) for f in ct.failures] == failures and ct.constants == triple
