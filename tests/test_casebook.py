@@ -32,7 +32,7 @@ from mopsrel import (
     v_moments_from_relation,
     verify_functional_relation,
 )
-from mopsrel import casebook, functional, rational, relation23
+from mopsrel import casebook, families, functional, rational, relation23
 from mopsrel.cli import _json_text
 from oracles import hankel_form
 
@@ -79,7 +79,12 @@ def test_chebyshev_flags(cheb):
     assert cheb.shifted_hankel.regular_through == -1
     assert cheb.shifted_hankel.first_vanishing == 0
     assert cheb.odd_index_identity is True
-    assert cheb.moment_identity == (True, None)
+    assert cheb.to_json()["moment_identity_ok"] is True
+    # what the key states: lambda (x - c) u = (x^2 + a x + b) v on u's moments and
+    # the fourth kind's, from the Pearson equation
+    u = moments_from_recurrence(cheb.u_rec, 2 * cheb.depth + 2)
+    v = jacobi_moments(JacobiParams(*families._CHEBYSHEV_PARAMS[4]), u.depth)
+    assert verify_functional_relation(u, v, cheb.constants, u.depth - 2) == (True, None)
 
 
 def test_chebyshev_odd_index_identity_direct(cheb):
@@ -175,9 +180,14 @@ def test_jacobi_verdicts_and_constants(chain):
 
 
 def test_jacobi_flags(chain):
-    assert chain.moment_identity == (True, None)
+    payload = chain.to_json()
+    assert payload["moment_identity_ok"] is payload["norm_link_ok"] is True
     assert chain.regularity == (True, True)
-    assert chain.norm_link is True
+    # what the norm-link key states, as Favard products: <v, Q_n^2> = c_n <w, W_{n-1}^2>
+    w_rec = jacobi_recurrence(JacobiParams("1/2", "1/2"), chain.depth)
+    for n in range(1, chain.depth + 1):
+        assert chain.v_mass * norm_squared(chain.v_rec, n) == (
+            chain.c_seq[n] * norm_squared(w_rec, n - 1))
 
 
 def test_jacobi_json_and_csv(chain):
@@ -261,17 +271,43 @@ CHAIN_SETS = {
     "name, depth", [("generic", 5), ("generic", 12), ("generic", 40), ("half", 30)]
 )
 def test_jacobi_norm_link_favard_matches_quadratic_form(name, depth):
-    """The chain's norm link reads <v, Q_n^2> as the Favard product
-    mu_0(v) gamma_1 ... gamma_n of the recovered recurrence; the Hankel
-    form of Q_n on v's moments, summed in plain Fractions, gives the same
-    value."""
+    """The norm link <v, Q_n^2> = c_n <w, W_{n-1}^2>, which the chain's payload
+    states as true, holds for every n <= depth as two Hankel forms summed in
+    plain Fractions, one on v's moments and one on w's (``jacobi_moments``); and
+    <v, Q_n^2> is the Favard product mu_0(v) gamma_1 ... gamma_n of the
+    recurrence the chain lifted for v."""
     params, a1, c1 = CHAIN_SETS[name]
     report = jacobi_chain(params, a1, c1, depth)
-    assert report.norm_link is True
-    v_raw = jacobi_moments(params, 2 * depth + 2).divide_by_linear(-1, report.v_mass)
+    w = jacobi_moments(params, 2 * depth + 2)
+    v_raw = w.divide_by_linear(-1, report.v_mass)
     q = mops_from_recurrence(report.v_rec, depth + 1)
+    big_w = mops_from_recurrence(jacobi_recurrence(params, depth), depth)
     for n in range(1, depth + 1):
-        assert hankel_form(v_raw.moments, q[n]) == v_raw.moments[0] * norm_squared(report.v_rec, n)
+        v_side = hankel_form(v_raw.moments, q[n])
+        assert v_side == report.c_seq[n] * hankel_form(w.moments, big_w[n - 1])
+        assert v_side == v_raw.moments[0] * norm_squared(report.v_rec, n)
+
+
+def b_by_norm_ratio(report, params):
+    """b_n = -a_n <w, W_{n-1}^2> / (u_mass <u, P_{n-1}^2>) for 1 <= n <= depth + 2,
+    each norm a Favard product from ``norm_squared``: the ratio the chain
+    telescopes."""
+    w_rec = jacobi_recurrence(params, report.depth + 2)
+    return (None,) + tuple(
+        -report.a_seq[n] * norm_squared(w_rec, n - 1)
+        / (report.u_mass * norm_squared(report.u_rec, n - 1))
+        for n in range(1, report.depth + 3)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, depth",
+    [("generic", 5), ("generic", 12), ("generic", 40), ("generic", 100), ("half", 30)],
+)
+def test_jacobi_b_seq_is_the_norm_ratio(name, depth):
+    params, a1, c1 = CHAIN_SETS[name]
+    report = jacobi_chain(params, a1, c1, depth)
+    assert report.b_seq == b_by_norm_ratio(report, params)
 
 
 def _chain_outputs(report):
@@ -325,6 +361,15 @@ def first_link_for_u_pivot_at(m):
     return first_link_for_zero_at(-1, m + 1, -values[m + 1] / values[m])
 
 
+def edge_links(ladder, zero):
+    """(a_1, c_1) of a chain over Jacobi(1/3, 2/7) whose c-ladder, a-ladder or
+    u pivot (``ladder`` = "c", "a", "u") is zero at index ``zero``."""
+    if ladder == "u":
+        return first_link_for_u_pivot_at(zero), -5
+    k1 = first_link_for_zero_at(1 if ladder == "c" else -1, zero)
+    return (3, k1) if ladder == "c" else (k1, -5)
+
+
 # (ladder, index of its zero past depth 6, failure, sha256 of the JSON payload)
 WINDOW_EDGES = [
     ("c", 8, ("v_not_regular", 8),
@@ -351,12 +396,7 @@ def test_jacobi_chain_zero_link_at_the_window_edge(ladder, zero, failure, digest
     or u at n = 8, c_9 = 0 stops v's recurrence and d_9 = 0 u's one gamma
     short, and a_9 (where w~'s lift stops one gamma short of what u's step
     reads), c_10, a_10 change nothing v or u reports."""
-    if ladder == "u":
-        a1, c1 = first_link_for_u_pivot_at(zero), -5
-    else:
-        k1 = first_link_for_zero_at(1 if ladder == "c" else -1, zero)
-        a1, c1 = (3, k1) if ladder == "c" else (k1, -5)
-    report = jacobi_chain(EDGE_PARAMS, a1, c1, 6)
+    report = jacobi_chain(EDGE_PARAMS, *edge_links(ladder, zero), 6)
     assert (None if report.ok else (report.failure.condition, report.failure.n)) == failure
     payload = report.to_json()
     text = _json_text(payload)
@@ -368,6 +408,18 @@ def test_jacobi_chain_zero_link_at_the_window_edge(ladder, zero, failure, digest
             got, full = payload[f"{name}_recurrence"], plain[f"{name}_recurrence"]
             assert len(got["gamma"]) == len(full["gamma"]) - short == 9 - short
             assert len(got["beta"]) == len(full["beta"]) == 9
+
+
+OK_EDGES = [case[:2] for case in WINDOW_EDGES if case[2] is None]
+
+
+@pytest.mark.parametrize("ladder, zero", OK_EDGES, ids=[f"{l}_{z}" for l, z in OK_EDGES])
+def test_jacobi_b_seq_is_the_norm_ratio_at_the_window_edge(ladder, zero):
+    """With a zero c_n or a_n past the recursion's reach, or u's zero pivot one
+    past the window, b_n is still the norm ratio, entry for entry."""
+    report = jacobi_chain(EDGE_PARAMS, *edge_links(ladder, zero), 6)
+    assert report.ok
+    assert report.b_seq == b_by_norm_ratio(report, EDGE_PARAMS)
 
 
 LIFT_SETS = [
@@ -543,7 +595,7 @@ def test_chebyshev_case_stays_on_the_moment_vector(monkeypatch):
     for module in (functional, relation23):
         monkeypatch.setattr(module, "common_denominator", counted, raising=False)
     monkeypatch.setattr(MomentFunctional, "moments", property(view))
-    assert chebyshev_case(80).moment_identity == (True, None)
+    assert chebyshev_case(80).to_json()["moment_identity_ok"] is True
     assert passes == [] and views == []
     # the spies see a public construction, and the view that a kernel's
     # result builds on first use, once

@@ -13,6 +13,7 @@ from mopsrel import (
     RecurrencePair,
     Relation23,
     RelationTag,
+    auxiliary_sequences,
     check_both,
     check_by_constants,
     check_by_equations,
@@ -196,6 +197,25 @@ def test_functional_identity_refuses_a_negative_depth(depth):
     with pytest.raises(DepthError, match="depth must be >= 0"):
         verify_functional_relation(u, v, rep.constants, depth)
     assert verify_functional_relation(u, v, rep.constants, 0) == (True, None)
+
+
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_regularity_criterion_refuses_a_negative_depth(depth):
+    """A negative depth would slice the lists from their ends; it is refused."""
+    rep = chebyshev_case(8)
+    with pytest.raises(DepthError, match="depth must be >= 0"):
+        regularity_criterion(rep.u_rec, 1, rep.rel, depth)
+    assert regularity_criterion(rep.u_rec, 1, rep.rel, 0) == (True, True)
+
+
+@pytest.mark.parametrize("upto", [-1, -3])
+def test_auxiliary_sequences_refuse_a_negative_upto(upto):
+    """As ``induced_recurrence`` does, not with four empty lists."""
+    rep = chebyshev_case(8)
+    for build in (auxiliary_sequences, induced_recurrence):
+        with pytest.raises(DepthError, match="upto must be >= 0"):
+            build(rep.u_rec, rep.rel, upto)
+    assert auxiliary_sequences(rep.u_rec, rep.rel, 0).a == [None]
 
 
 def test_regularity_criterion_needs_data():
