@@ -430,7 +430,7 @@ class JacobiChainReport:
         out = {
             "case": "jacobi-chain",
             "ok": self.ok,
-            "failure": None if self.failure is None else self.failure.to_json(),
+            "failure": self.failure,
             "alpha": self.alpha,
             "beta": self.beta,
             "a1": self.a1,

@@ -37,6 +37,7 @@ from .families import JacobiParams
 from .functional import RecurrencePair
 from .rational import _decimal_digits, format_rational, parse_rational
 from .relation23 import (
+    Failure,
     Relation23,
     check_both,
     check_by_constants,
@@ -60,8 +61,9 @@ RATIONAL_OPTIONS = ("--alpha", "--beta", "--a1", "--c1")
 NEGATIVE_VALUE = re.compile(r"^-[0-9]")
 
 
-# The payload trees hold Fraction leaves; only the command line spells them,
-# with format_rational or one of these, as a JSON value or a CSV cell.
+# The payload trees hold Fraction and Failure leaves; only the command line
+# spells them: a Fraction with format_rational or one of these, as a JSON
+# value or a CSV cell, a Failure as a {"condition", "n"} object or two rows.
 
 
 def _float_text(value: Fraction) -> str:
@@ -88,15 +90,28 @@ def _float_cell(value: Fraction) -> str:
 FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _failure_json(record: Failure, pad: str) -> str:
+    """The text of ``json.dumps({"condition": c, "n": n}, indent=2)`` for
+    the record (c, n), at the nesting level whose newline and indent is ``pad``."""
+    condition, n = record
+    inner = pad + "  "
+    return (f'{{{inner}"condition": {encode_basestring_ascii(condition)},'
+            f'{inner}"n": {"null" if n is None else int.__repr__(n)}{pad}}}')
+
+
 def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
     """The text json's ``dumps`` writes with ``indent=2``, byte for byte,
     for a tree of dicts with string keys, lists, strings, ints, floats,
     bools and None; a Fraction in a dict or list is the JSON text
-    ``render`` gives it.
+    ``render`` gives it, and a Failure record (c, n) is written as the
+    object {"condition": c, "n": n} would be.
     json runs its pure-Python encoder whenever ``indent`` is set; this
     joins strings quoted by its C quoter instead, at about half the cost.
     Fraction, string and int leaves (not bools), the most common ones, skip
-    the call."""
+    the call, and so do the Failure records of a list, which are written
+    from one template after those tests."""
+    if type(node) is Failure:  # a tuple, which would otherwise be a list
+        return _failure_json(node, pad)
     if isinstance(node, dict):
         if not node:
             return "{}"
@@ -118,6 +133,7 @@ def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
             render(value) if type(value) is Fraction
             else encode_basestring_ascii(value) if type(value) is str
             else int.__repr__(value) if type(value) is int
+            else _failure_json(value, inner) if type(value) is Failure
             else _json_text(value, render, inner)
             for value in node
         ]) + pad + "]"
@@ -175,6 +191,11 @@ def _flatten(prefix: str, node):
         items = [(f"{prefix}.{key}" if prefix else str(key), value) for key, value in node.items()]
     elif isinstance(node, list):
         items = [(f"{prefix}[{i}]", value) for i, value in enumerate(node)]
+    elif type(node) is Failure:
+        # the rows of the object {"condition": ..., "n": ...}
+        head = f"{prefix}." if prefix else ""
+        return [(head + "condition", node.condition),
+                (head + "n", "" if node.n is None else node.n)]
     else:
         return [(prefix, "" if node is None else node)]
     return [pair for path, value in items for pair in _flatten(path, value)]

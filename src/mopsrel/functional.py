@@ -175,6 +175,14 @@ class RecurrencePair:
         self.beta = tuple(as_scalar(b) for b in beta)
         self.gamma = tuple(as_scalar(g) for g in gamma)
 
+    @classmethod
+    def _exact(cls, beta: list, gamma: list) -> "RecurrencePair":
+        """The pair of beta and gamma, whose entries are Fractions already:
+        nothing is coerced again through ``as_scalar``."""
+        pair = object.__new__(cls)
+        pair.beta, pair.gamma = tuple(beta), tuple(gamma)
+        return pair
+
     def require(self, beta_through: int, gamma_through: int) -> None:
         if len(self.beta) <= beta_through:
             raise DepthError(
@@ -245,15 +253,15 @@ def _three_term(x: list, y: list, den: int, b, z: list, den_z: int, g) -> tuple[
     integer vector and denominator of (x - b y) / den - g z / den_z, with
     the content divided out. x and y have one length, z is no shorter."""
     bn, bd = b.numerator, b.denominator
-    out = [bd * u - bn * v for u, v in zip(x, y)]
     d = den * bd
-    if g:
-        dg = den_z * g.denominator
-        common = math.lcm(d, dg)
-        s1, s2 = common // d, (common // dg) * g.numerator
-        out = [s1 * u - s2 * v for u, v in zip(out, z)]
-        d = common
-    return _divide_content(out, d)
+    if not g:
+        return _divide_content([bd * u - bn * v for u, v in zip(x, y)], d)
+    # one pass: s1 (bd x - bn y) - s2 z over the lcm of both denominators
+    dg = den_z * g.denominator
+    common = math.lcm(d, dg)
+    s1, s2 = common // d, (common // dg) * g.numerator
+    p, q = bd * s1, bn * s1
+    return _divide_content([p * u - q * v - s2 * w for u, v, w in zip(x, y, z)], common)
 
 
 def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional:

@@ -230,9 +230,17 @@ class AuxiliarySequences(NamedTuple):
     d: list
 
 
-def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
+def _relation_parts(rel: Relation23, upto: int) -> tuple:
+    """The integer parts of r, s and t through upto + 1, the window of a
+    ``_sequences`` build through upto, each as ``_parts`` gives them."""
+    rel.require(upto + 1)
+    return tuple(_parts(seq[: upto + 2]) for seq in (rel.r, rel.s, rel.t))
+
+
+def _sequences(rec: RecurrencePair, rst: tuple, upto: int, aux_upto: int):
     """The derived sequences of the inverse problem, from one pass over the
-    integer parts of r, s, t, beta and gamma: the induced recurrence
+    integer parts of r, s, t (``rst``, from ``_relation_parts``), beta and
+    gamma: the induced recurrence
     bt_n = beta~_n (0 <= n <= upto) and gt_n = gamma~_n (1 <= n <= upto),
     as two lists, and the auxiliary sequences, with a_n through ``upto`` and
     b_n, c_n, d_n through ``aux_upto`` (None past it). An entry at n reads
@@ -255,12 +263,8 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
     parts of r, s, t, beta and gamma come back too, as (numerators,
     denominators) pairs in that order, so that the checkers' tails need not
     take them again."""
-    rel.require(upto + 1)
     rec.require(upto, upto)
-    parts = (
-        _parts(rel.r[: upto + 2]), _parts(rel.s[: upto + 2]), _parts(rel.t[: upto + 2]),
-        _parts(rec.beta[: upto + 1]), _parts(rec.gamma[:upto]),
-    )
+    parts = (*rst, _parts(rec.beta[: upto + 1]), _parts(rec.gamma[:upto]))
     (r, rd), (s, sd), (t, td), (p, pd), (g, gd) = parts
     bt: list = []
     gt: list = []
@@ -306,23 +310,25 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
     may be zero here; whether they qualify is the checkers' business."""
     if upto < 0:
         raise DepthError("upto must be >= 0")
-    bt, gt, _, _ = _sequences(rec, rel, upto, 0)
-    return RecurrencePair(bt, gt)
+    bt, gt, _, _ = _sequences(rec, _relation_parts(rel, upto), upto, 0)
+    return RecurrencePair._exact(bt, gt)
 
 
 def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> AuxiliarySequences:
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
     if upto < 0:
         raise DepthError("upto must be >= 0")
-    return AuxiliarySequences(*map(_reduce_pairs, _sequences(rec, rel, upto, upto)[2]))
+    built = _sequences(rec, _relation_parts(rel, upto), upto, upto)
+    return AuxiliarySequences(*map(_reduce_pairs, built[2]))
 
 
 class Failure(NamedTuple):
+    """A failed condition and its index (None if it has none). In a payload
+    tree it is a leaf, as a Fraction is: the command line writes it as the
+    object {"condition": ..., "n": ...}, or as the two CSV rows of those keys."""
+
     condition: str
     n: Optional[int]
-
-    def to_json(self) -> dict:
-        return {"condition": self.condition, "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -341,7 +347,7 @@ class InverseVerdict:
     def to_json(self) -> dict:
         out = {
             "is_mops": self.is_mops,
-            "failures": [f.to_json() for f in self.failures],
+            "failures": list(self.failures),
             "induced": self.induced.to_json(),
         }
         if self.constants is not None:
@@ -368,27 +374,24 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, aux_upto: int):
             f"relation classifies as {case.tag.value}; the inverse checkers "
             "accept only NonDegenerate23 data"
         )
-    rel.require(depth + 1)
+    # zeros decided on integer numerators, before the build reads the recurrence
+    rst = _relation_parts(rel, depth)
+    (r, rd), (s, sd), (t, td) = rst
     for n in range(3, depth + 2):
-        if rel.r[n] == 0:
+        if not r[n]:
             raise ContractError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
-        if rel.t[n] == 0:
+        if not t[n]:
             raise ContractError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
-    built = _sequences(rec, rel, depth, aux_upto)
+    built = _sequences(rec, rst, depth, aux_upto)
     bt, gt, (a, b, c, d), _ = built
-    induced = RecurrencePair(bt, gt)
-    r, s, t = rel.r, rel.s, rel.t
-    failures: list[Failure] = []
-    for n in range(1, depth + 1):
-        if gt[n - 1] == 0:
-            failures.append(Failure("gamma_tilde", n))
+    induced = RecurrencePair._exact(bt, gt)
+    failures = [Failure("gamma_tilde", n) for n, g in enumerate(gt, 1) if not g.numerator]
     # each condition "lhs = rhs" is decided by the numerator of lhs - rhs
     (a2, a2d), (a3, a3d) = a[2], a[3]
     (b2, b2d), (b3, b3d), (c3, c3d), (d2, d2d), (d3, d3d) = b[2], b[3], c[3], d[2], d[3]
-    (r1, r2, s1, s2, t2), (r1d, r2d, s1d, s2d, t2d) = _parts((r[1], r[2], s[1], s[2], t[2]))
-    e, ed = _lcm_sum((s1, -r1), (s1d, r1d))  # s_1 - r_1
-    f, fd = _lcm_sum((s2, -r2), (s2d, r2d))  # s_2 - r_2
-    h, hd = _lcm_sum((t2, -s2 * e), (t2d, s2d * ed))  # t_2 - s_2 (s_1 - r_1)
+    e, ed = _lcm_sum((s[1], -r[1]), (sd[1], rd[1]))  # s_1 - r_1
+    f, fd = _lcm_sum((s[2], -r[2]), (sd[2], rd[2]))  # s_2 - r_2
+    h, hd = _lcm_sum((t[2], -s[2] * e), (td[2], sd[2] * ed))  # t_2 - s_2 (s_1 - r_1)
     if _lcm_sum((b2, -d2, -a2 * e), (b2d, d2d, a2d * ed))[0]:
         failures.append(Failure("ci1", 2))
     if _lcm_sum((b3, -d3, -a3 * f), (b3d, d3d, a3d * fd))[0]:
@@ -477,7 +480,8 @@ def constant_sequences(
     as the checkers do; every r_n, t_n divided by must be nonzero."""
     if depth < 4:
         raise DepthError("constant sequences need depth >= 4")
-    return tuple(map(_reduce_pairs, _constancy(depth, _sequences(rec, rel, depth, 0))))
+    built = _sequences(rec, _relation_parts(rel, depth), depth, 0)
+    return tuple(map(_reduce_pairs, _constancy(depth, built)))
 
 
 def _constants_tail(

@@ -221,7 +221,7 @@ def test_jacobi_admissibility_failures(a1, c1, condition, index):
     assert rep.failure.n == index
     payload = rep.to_json()
     assert payload["ok"] is False
-    assert payload["failure"]["condition"] == condition
+    assert payload["failure"].condition == condition
     assert "relation" not in payload
     rows = rep.to_csv()
     assert rows[0] == ["failure", "n"]

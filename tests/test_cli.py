@@ -16,9 +16,19 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mopsrel import DepthError, JacobiParams, chebyshev_case, jacobi_chain
-from mopsrel.cli import EXAMPLE_MAX_DEPTH, _build_parser, _json_text, main
-from mopsrel.rational import RATIONAL_PATTERN
+from mopsrel import DepthError, Failure, JacobiParams, chebyshev_case, jacobi_chain
+from mopsrel.cli import (
+    COMMANDS,
+    EXAMPLE_MAX_DEPTH,
+    _build_parser,
+    _csv_text,
+    _exact_json,
+    _float_cell,
+    _float_text,
+    _json_text,
+    main,
+)
+from mopsrel.rational import RATIONAL_PATTERN, format_rational
 from conftest import random_gated_instance, rel_from7
 
 
@@ -1061,6 +1071,84 @@ JSON_TREES = st.recursive(
 @example({"a": {"b": [-0.0, 1e300, True, False, None, -(10**400)]}})
 def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, indent=2)
+
+
+# payload trees with Failure records in lists and as dict values, beside
+# the Fraction leaves and the plain ones
+FAILURES = st.builds(Failure, st.text(), st.none() | st.integers())
+RECORD_TREES = st.recursive(
+    FAILURES
+    | st.fractions(-(10**9), 10**9, max_denominator=10**9)
+    | st.none()
+    | st.integers()
+    | st.text(max_size=6),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+def with_records_as_dicts(node, leaf=lambda value: value):
+    """The tree with each Failure written out as the dict it stands for,
+    and each Fraction as ``leaf`` gives it."""
+    if type(node) is Failure:
+        return {"condition": node.condition, "n": node.n}
+    if isinstance(node, dict):
+        return {key: with_records_as_dicts(value, leaf) for key, value in node.items()}
+    if isinstance(node, list):
+        return [with_records_as_dicts(value, leaf) for value in node]
+    return leaf(node) if type(node) is Fraction else node
+
+
+# the writer spells a Fraction in a dict or a list only, not as the whole tree
+@pytest.mark.parametrize("render, leaf", [(_exact_json, format_rational), (_float_text, float)],
+                         ids=["exact", "float"])
+@settings(max_examples=200, deadline=None)
+@given(RECORD_TREES.filter(lambda tree: type(tree) is not Fraction))
+@example({"failure": Failure("a1 must be nonzero", None), "ok": False})
+@example([Failure("eqn1", 4), [Failure("\u2028\"", -(10**30))], {"": Failure("", 0)}])
+def test_json_writer_spells_failure_records_as_json_dumps(render, leaf, tree):
+    plain = with_records_as_dicts(tree, leaf)
+    assert _json_text(tree, render) == json.dumps(plain, indent=2)
+
+
+@pytest.mark.parametrize("cell", [format_rational, _float_cell], ids=["exact", "float"])
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), RECORD_TREES, max_size=4))
+@example({"": Failure("ci1", 2), "failures": [Failure("eqn1", 4), Failure("x", None)]})
+def test_csv_writer_spells_failure_records_as_their_dicts(cell, tree):
+    assert _csv_text(tree, cell) == _csv_text(with_records_as_dicts(tree), cell)
+
+
+def test_failure_records_cost_the_json_writer_no_call(tmp_path, monkeypatch, negative_doc):
+    """The depth-60 negative inverse-check payload takes no more writer
+    calls than the same payload with empty failure lists: each record of a
+    list is written from the template, not by a call of its own."""
+    import mopsrel.cli as cli
+
+    args = _build_parser().parse_args(
+        ["inverse-check", "--depth", "60", write_doc(tmp_path, "negative.json", negative_doc)]
+    )
+    payload, code, _ = COMMANDS["inverse-check"](args)
+    assert code == 1
+    verdicts = ("verdict_equations", "verdict_constants")
+    assert all(len(payload[key]["failures"]) > 100 for key in verdicts)
+    bare = dict(payload, **{key: dict(payload[key], failures=[]) for key in verdicts})
+    calls = []
+    real = cli._json_text
+
+    def counted(node, *rest):
+        calls.append(node)
+        return real(node, *rest)
+
+    monkeypatch.setattr(cli, "_json_text", counted)
+    counted(payload)
+    with_failures = len(calls)
+    calls.clear()
+    counted(bare)
+    assert with_failures <= len(calls)
 
 
 def test_json_writer_refuses_what_json_refuses():
