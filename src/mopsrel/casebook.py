@@ -18,9 +18,9 @@ moment: it derives the 2-3 relation linking the MOPS of u and v, certifies
 on recurrences the identities the lifts do not give and the orthogonality
 verdicts, and pins lambda (x - c) u = (x^2 + a x + b) v, which holds for
 every w by construction, by its constants (lambda, c, a, b) = (-u_mass /
-v_mass, 1, 2, 1). It computes no norm: b_n is the norm ratio
--a_n <w, W_{n-1}^2> / (u_mass <u, P_{n-1}^2>) telescoped over the two
-recurrences.
+v_mass, 1, 2, 1). It computes no norm: the a- and c-ladders and u's step
+are the pivots of one LU recursion (``_pivots``), and b_n is the L factor
+gamma~_n / d_{n-1} of J(w~) + I = L U.
 
 Every identity asserted here is certified by exact computation, in time
 linear in the depth and without building a polynomial family: each 2-2
@@ -48,13 +48,8 @@ from .families import (
     jacobi_moments,
     jacobi_recurrence,
 )
-from .functional import (
-    RecurrencePair,
-    RecurrenceReport,
-    mops_from_recurrence,
-    recurrence_from_moments,
-)
-from .poly import Polynomial, _combination
+from .functional import RecurrencePair, RecurrenceReport, recurrence_from_moments
+from .poly import Polynomial
 from .rational import _lcm_sum, _parts, _reduce_pairs, as_scalar
 from .relation23 import (
     Failure,
@@ -63,7 +58,6 @@ from .relation23 import (
     Relation23,
     RelationTag,
     check_both,
-    classify,
     compose_ladders,
     regularity_criterion,
     relation_constants,
@@ -159,34 +153,45 @@ def _ladder_lift(low: RecurrencePair, k, top: int) -> RecurrenceReport:
     ub = [beta[0] - k[1]] + [beta[n] + k[n] - k[n + 1] for n in range(1, n_beta)]
     ug = [g[1] + k[1] * (beta[0] - ub[1])]
     ug += [k[n] * g[n - 1] / k[n - 1] for n in range(2, n_gamma + 1)]
-    return RecurrenceReport(RecurrencePair(ub, ug), m, top if m is None else m)
+    return RecurrenceReport(RecurrencePair._exact(ub, ug), m, top if m is None else m)
 
 
-def _christoffel_step(rec: RecurrencePair, tail) -> RecurrenceReport:
+def _pivots(rec: RecurrencePair, z, first, count: int) -> list:
+    """[None, k_1, ..., k_count] with k_1 = first and k_{n+1} = beta_n - z - gamma_n / k_n,
+    read through beta_{count-1} and gamma_{count-1}: the pivots of J(rec) - z I = L U when
+    first = beta_0 - z. The list stops after its first zero."""
+    beta, gamma = rec.beta, rec.gamma
+    k = [None, first]
+    for n in range(1, count):
+        if not k[n]:
+            break
+        k.append(beta[n] - z - gamma[n - 1] / k[n])
+    return k
+
+
+def _christoffel_step(rec: RecurrencePair, d: list, tail) -> RecurrenceReport:
     """The recurrence of u = (1 + x) f from f's beta_0..beta_top, gamma_1..gamma_{top+1} (a
-    missing gamma_{top+1} reads as 0) and tail = gamma_{top+1} (beta_{top+1} + 1), as
-    ``recurrence_from_moments`` reports u's mu_0..mu_{2 top + 2}: J(f) + I = L U with
-    d_0 = beta_0 + 1, d_n = beta_n + 1 - gamma_n / d_{n-1}, and J(u) + I = U L, so
-    beta^u_n = d_n + gamma_{n+1} / d_n - 1 and gamma^u_n = gamma_n d_n / d_{n-1} (Bueno and
-    Marcellan, Linear Algebra Appl. 384 (2004)). A zero d_n is u's first zero Hankel
-    determinant, where it stops; d_{top+1} enters only as gamma_{top+1} d_{top+1}, from tail."""
-    beta = rec.beta
-    top = len(beta) - 1
+    missing gamma_{top+1} reads as 0), the pivots d = [d_0, ..., d_top] of J(f) + I = L U
+    (``_pivots`` at z = -1, from d_0 = beta_0 + 1, up to and including a first zero) and
+    tail = gamma_{top+1} (beta_{top+1} + 1), as ``recurrence_from_moments`` reports u's
+    mu_0..mu_{2 top + 2}: J(u) + I = U L, so beta^u_n = d_n + gamma_{n+1} / d_n - 1 and
+    gamma^u_n = gamma_n d_n / d_{n-1} (Bueno and Marcellan, Linear Algebra Appl. 384 (2004)).
+    A zero d_n is u's first zero Hankel determinant, where it stops; d_{top+1} enters only as
+    gamma_{top+1} d_{top+1}, from tail."""
+    top = len(rec.beta) - 1
     g = (0,) + rec.gamma + (0,) * (top + 1 - len(rec.gamma))  # g[n] is gamma_n
-    ub, ug, prev = [], [], None
-    for n, b in enumerate(beta):
-        d = b + 1 - g[n] / prev if n else b + 1
-        if d == 0:
-            return RecurrenceReport(RecurrencePair(ub, ug), n, n)
+    ub, ug = [], []
+    for n in range(top + 1):
+        if d[n] == 0:
+            return RecurrenceReport(RecurrencePair._exact(ub, ug), n, n)
         if n:
-            ug.append(g[n] * d / prev)
-        ub.append(d + g[n + 1] / d - 1)
-        prev = d
-    last = tail - g[top + 1] * g[top + 1] / prev  # gamma_{top+1} d_{top+1}
+            ug.append(g[n] * d[n] / d[n - 1])
+        ub.append(d[n] + g[n + 1] / d[n] - 1)
+    last = tail - g[top + 1] * g[top + 1] / d[top]  # gamma_{top+1} d_{top+1}
     if last == 0:
-        return RecurrenceReport(RecurrencePair(ub, ug), top + 1, top + 1)
-    ug.append(last / prev)
-    return RecurrenceReport(RecurrencePair(ub, ug), None, top + 1)
+        return RecurrenceReport(RecurrencePair._exact(ub, ug), top + 1, top + 1)
+    ug.append(last / d[top])
+    return RecurrenceReport(RecurrencePair._exact(ub, ug), None, top + 1)
 
 
 def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
@@ -339,19 +344,11 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     n = _ladder_break(fourth_rec, second_rec, [0] * (top + 1), lam, top)
     _certify(n is None, f"1-2 ladder between fourth and second kind fails at n={n}")
 
-    # P_0..P_2 from the 2-2 ladder P_n + a_n P_{n-1} = R_n + b_n R_{n-1}
-    second = mops_from_recurrence(second_rec, 3)
-    p = [Polynomial.one()]
-    for n in (1, 2):
-        p.append(_combination([(1, second[n]), (b[n], second[n - 1]), (-a[n], p[n - 1])]))
-
-    # the third-kind part carries a mass fixed by orthogonality of P_2
-    u_depth = 2 * depth + 6
-    w3 = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[3]), u_depth + 1)
-    den = w3.apply(Polynomial.x() * p[2])
-    _certify(p[2](1) != 0 and den != 0, "point-mass ratio solve is degenerate")
-    ratio = 3 * p[2](1) / den
-    u = w3.left_multiply(Polynomial([0, -ratio / 3])).add_point_mass(1, 1).normalized()
+    # u = delta_1 - (ratio / 3) x w3 with w3 of the third kind: orthogonality of P_2
+    # fixes ratio = 3/2 at every depth, and the 2-2 ladder certificate below fails
+    # for any other ratio
+    w3 = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[3]), 2 * depth + 7)
+    u = w3.left_multiply(Polynomial([0, -HALF])).add_point_mass(1, 1).normalized()
 
     u_report = recurrence_from_moments(u)
     _certify(
@@ -378,28 +375,25 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     )
 
     regularity = regularity_criterion(u_rec, 1, rel, depth)
-    # <u, x - 1> is the first moment of (x - 1) u: when it vanishes, so does the
-    # first Hankel determinant, and no sweep over the shifted moments is needed
-    x_minus_1 = Polynomial([-1, 1])
-    shifted = (RecurrenceReport(RecurrencePair((), ()), 0, 0) if u.apply(x_minus_1) == 0
-               else recurrence_from_moments(u.left_multiply(x_minus_1)))
     r, s, t = rel.r, rel.s, rel.t
     odd_ok = all(t[n] == r[n] * (s[n - 1] - r[n - 1]) for n in range(3, depth + 1, 2))
 
     return ChebyshevCaseReport(
         depth=depth,
-        point_mass_ratio=ratio,
+        point_mass_ratio=Fraction(3, 2),
         a_seq=tuple(a),
         b_seq=tuple(b),
         lambda_seq=tuple(lam),
         rel=rel,
-        u_rec=RecurrencePair(u_rec.beta[: depth + 2], u_rec.gamma[: depth + 2]),
+        u_rec=RecurrencePair._exact(u_rec.beta[: depth + 2], u_rec.gamma[: depth + 2]),
         q_rec=fourth_rec,
         verdict_equations=verdict_eq,
         verdict_constants=verdict_ct,
         constants=constants,
         regularity=regularity,
-        shifted_hankel=shifted,
+        # <u, x - 1> = -(mu_2 - mu_1) / 2 of w3 = 0, the first moment of (x - 1) u: its
+        # first Hankel determinant vanishes
+        shifted_hankel=RecurrenceReport(RecurrencePair((), ()), 0, 0),
         odd_index_identity=odd_ok,
     )
 
@@ -461,7 +455,7 @@ class JacobiChainReport:
 
     def to_csv(self) -> list:
         if not self.ok:
-            return [["failure", "n"], list(self.failure or ("unknown", None))]
+            return [["failure", "n"], list(self.failure)]
         return _report_csv(self, "c_n", self.c_seq)
 
 
@@ -477,9 +471,9 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
 
     top = depth + 2
     # one Jacobi recurrence, read through top (gamma through top + 1), serves the
-    # ladders, the lifts, the Christoffel step and b_n. The report keeps u's
-    # and v's beta through top and gamma through top + 1, as the Hankel sweep over
-    # u's moments mu_0..mu_{2 top + 2} would: the lifts take a_n, c_n through top + 1
+    # ladders and the lifts. The report keeps u's and v's beta through top and gamma
+    # through top + 1, as the Hankel sweep over u's moments mu_0..mu_{2 top + 2}
+    # would: the lifts take a_n, c_n through top + 1
     w_rec = jacobi_recurrence(params, top + 2)
     beta0 = w_rec.beta[0]
 
@@ -498,18 +492,13 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         return fail("v_mass")
     v_mass = 1 / v_denom
 
-    # coefficient ladders by forward recursion: a zero below top is a breakdown
-    # (the chain functional is not regular there), one at top the lifts' verdict
-    a_seq: list = [None] * (top + 2)
-    c_seq: list = [None] * (top + 2)
-    a_seq[1] = a1
-    c_seq[1] = c1
-    for n in range(1, top + 1):
-        for name, seq, shift in (("a", a_seq, -1), ("c", c_seq, 1)):
-            if seq[n]:
-                seq[n + 1] = w_rec.beta[n] + shift - w_rec.gamma[n - 1] / seq[n]
-            elif n < top:
-                return fail(f"{name}_recursion_breakdown", n)
+    # the coefficient ladders run the pivot recursions of J(w) - I and J(w) + I from the
+    # free a_1, c_1: a zero below top is a breakdown (the chain functional is not regular
+    # there), a's before c's at one n, and one at top the lifts' verdict
+    a_seq, c_seq = _pivots(w_rec, 1, a1, top + 1), _pivots(w_rec, -1, c1, top + 1)
+    n, name = min((len(a_seq) - 1, "a"), (len(c_seq) - 1, "c"))
+    if n < top:
+        return fail(f"{name}_recursion_breakdown", n)
     for n in range(1, top + 1):
         if a_seq[n] == c_seq[n]:
             return fail("link_coefficients_equal", n)
@@ -519,22 +508,21 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     # by a_{k+1} a_{k+2} = a_{k+1} (beta_{k+1} - 1) - gamma_{k+1}, gamma~_{k+1} (beta~_{k+1}
     # + 1) needs no a_{k+2}, so a zero a_{k+1} divides by nothing
     v_report, wt_report = (_ladder_lift(w_rec, seq, top + 1) for seq in (c_seq, a_seq))
-    k = len(wt_report.rec.beta) - 1
+    wt_rec = wt_report.rec
+    k = len(wt_rec.beta) - 1
     tail = w_rec.gamma[k - 1] / a_seq[k] * (a_seq[k + 1] * (a_seq[k + 1] + 2) + w_rec.gamma[k])
-    reports = (("u", _christoffel_step(wt_report.rec, tail)), ("v", v_report),
+    d = _pivots(wt_rec, -1, wt_rec.beta[0] + 1, k + 1)[1:]
+    reports = (("u", _christoffel_step(wt_rec, d, tail)), ("v", v_report),
                ("w_tilde", wt_report))
     for name, report in reports:
         if report.first_vanishing is not None and report.first_vanishing <= depth + 2:
             return fail(f"{name}_not_regular", report.first_vanishing)
-    u_rec, v_rec, wt_rec = (report.rec for _, report in reports)
+    u_rec, v_rec = (report.rec for _, report in reports[:2])
     a_seq, c_seq = a_seq[: top + 1], c_seq[: top + 1]
 
-    # b_n = -a_n <w, W_{n-1}^2> / (u_mass <u, P_{n-1}^2>), with both norms Favard
-    # products (mu_0(w) = 1), telescoped: a_k != 0 for every k < top here
-    b_seq = [None, -a_seq[1] / u_mass]
-    for n in range(2, top + 1):
-        b_seq.append(b_seq[n - 1] * a_seq[n] * w_rec.gamma[n - 2]
-                     / (a_seq[n - 1] * u_rec.gamma[n - 2]))
+    # W~_n = P_n + b_n P_{n-1} is the L factor of J(w~) + I = L U: b_n = gamma~_n / d_{n-1},
+    # d_0..d_top all nonzero here
+    b_seq = [None] + [g / p for g, p in zip(wt_rec.gamma[:top], d)]
 
     # the lifts give the up-link and the second-family link; the down-link
     # W~_n = P_n + b_n P_{n-1} ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
@@ -542,9 +530,6 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     _certify(n is None, f"down-link identity fails at n={n}")
 
     rel = compose_ladders(b_seq, a_seq, c_seq)
-    case = classify(rel)
-    if case.tag is not RelationTag.NONDEGENERATE23:
-        return fail(f"relation_degenerate_{case.tag.value}")
     verdict_eq, verdict_ct, constants = _certify_relation(rel, (b_seq, a_seq, c_seq), u_rec,
                                                           depth, v_rec)
     # u_mass (x - 1) u = -(1 + x) w and v_mass (x + 1)^2 v = (1 + x) w for every w, so
@@ -566,8 +551,8 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         b_seq=tuple(b_seq),
         c_seq=tuple(c_seq),
         rel=rel,
-        u_rec=RecurrencePair(u_rec.beta[: depth + 3], u_rec.gamma[: depth + 3]),
-        v_rec=RecurrencePair(v_rec.beta[: depth + 3], v_rec.gamma[: depth + 3]),
+        u_rec=RecurrencePair._exact(u_rec.beta[: depth + 3], u_rec.gamma[: depth + 3]),
+        v_rec=RecurrencePair._exact(v_rec.beta[: depth + 3], v_rec.gamma[: depth + 3]),
         u_mass=u_mass,
         v_mass=v_mass,
         verdict_equations=verdict_eq,
@@ -581,8 +566,10 @@ def half_case_closed_forms(a1, count: int) -> tuple[list, list]:
     """Closed forms for the chain ladders at alpha = beta = 1/2 with
     c_1 = -a_1: lists a[1..count], b[1..count] (index 0 is None).
 
-    The admissible parameter set excludes a1 in (-1/2, 0] and a1 = +-1;
-    vanishing denominators inside the range raise with their index.
+    The admissible parameter set excludes a1 in (-1/2, 0] and a1 = +-1,
+    which holds every zero of a denominator: 1 - w (n - 1) vanishes only at
+    a1 = (2 - n) / (2 (n - 1)) and (2 n + 1)(1 + a1) - w n (n + 1) only at
+    a1 = (1 + n - n^2) / (2 n^2 - 1), that is at a1 = 1 or inside (-1/2, 0].
     """
     a1 = as_scalar(a1)
     if a1 == 1 or a1 == -1:
@@ -593,12 +580,7 @@ def half_case_closed_forms(a1, count: int) -> tuple[list, list]:
     a: list = [None] * (count + 1)
     b: list = [None] * (count + 1)
     for n in range(1, count + 1):
-        den_a = 1 - w * (n - 1)
-        if den_a == 0:
-            raise DomainError(f"ladder denominator vanishes at n={n}")
-        a[n] = -HALF * (1 - w * n) / den_a
-        den_b = (2 * n + 1) * (1 + a1) - w * n * (n + 1)
-        if den_b == 0:
-            raise DomainError(f"norm-ratio denominator vanishes at n={n}")
-        b[n] = -a[n] * ((2 * n - 1) * (1 + a1) - w * (n - 1) * n) / den_b
+        a[n] = -HALF * (1 - w * n) / (1 - w * (n - 1))
+        b[n] = (-a[n] * ((2 * n - 1) * (1 + a1) - w * (n - 1) * n)
+                / ((2 * n + 1) * (1 + a1) - w * n * (n + 1)))
     return a, b

@@ -43,7 +43,7 @@ def _integer_params(params: JacobiParams) -> tuple[int, int, int]:
 def jacobi_recurrence(params: JacobiParams, count: int) -> RecurrencePair:
     """beta_0..beta_{count-1} and gamma_1..gamma_{count-1}."""
     if count < 1:
-        raise DomainError("count must be >= 1")
+        raise DepthError("count must be >= 1")
     # m = (2n + alpha + beta) D
     D, a, b = _integer_params(params)
     s = a + b
@@ -62,7 +62,7 @@ def jacobi_recurrence(params: JacobiParams, count: int) -> RecurrencePair:
             4 * n * D * (n * D + a) * (n * D + b) * (n * D + s),
             (m - D) * m * m * (m + D),
         ))
-    return RecurrencePair(betas, gammas)
+    return RecurrencePair._exact(betas, gammas)
 
 
 def jacobi_moments(params: JacobiParams, depth: int) -> MomentFunctional:

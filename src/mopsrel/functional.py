@@ -356,13 +356,13 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
             row_prev[2 : width + 3], den_prev, gamma[k - 2] if k >= 2 else 0,
         )
         if nxt[0] == 0:
-            return RecurrenceReport(RecurrencePair(beta[:k], gamma), k, k)
+            return RecurrenceReport(RecurrencePair._exact(beta[:k], gamma), k, k)
         gamma.append(Fraction(nxt[0] * den, d * row[0]))
         if width >= 1:
             # sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
             beta.append(Fraction(nxt[1] * row[0] - row[1] * nxt[0], nxt[0] * row[0]))
         row_prev, den_prev, row, den = row, den, nxt, d
-    return RecurrenceReport(RecurrencePair(beta, gamma), None, k_max)
+    return RecurrenceReport(RecurrencePair._exact(beta, gamma), None, k_max)
 
 
 def norm_squared(rec: RecurrencePair, n: int) -> Fraction:

@@ -8,10 +8,11 @@ by a scalar are all ``_combination``: one lcm, one integer pass and one
 gcd. That gcd, the product's, those of the fraction-free vectors of
 ``functional``, of every ``MomentFunctional`` (which shares this layout),
 of ``jacobi_moments``' neighbouring pairs and of ``regularity_criterion``'s
-P_n(c) pair are all taken in ``_divide_content``, the one gcd of the
-package. ``coeffs``, the coefficients ascending by degree as a tuple of
-Fractions, is built on first use. The zero polynomial has no numerators
-and ``degree`` -1.
+P_n(c) pair are all taken in ``_divide_content``, the one content reduction
+of the package; the only other ``math.gcd`` reduces the a_n pairs of
+``relation23._sequences``. ``coeffs``, the coefficients ascending by
+degree as a tuple of Fractions, is built on first use. The zero polynomial
+has no numerators and ``degree`` -1.
 """
 
 from __future__ import annotations

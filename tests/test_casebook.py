@@ -228,6 +228,41 @@ def test_jacobi_admissibility_failures(a1, c1, condition, index):
     assert rows[1] == [condition, index]
 
 
+@pytest.mark.parametrize(
+    "a1, c1, condition",
+    [
+        # a_2 = -1 - gamma_1 / a_1 and c_2 = 1 - gamma_1 / c_1 with gamma_1 = 1/4
+        ("-1/4", "1/4", "a_recursion_breakdown"),
+        (2, "1/4", "c_recursion_breakdown"),
+        # a_3 = 0 at a_1 = -1/3 comes after c_2 = 0
+        ("-1/3", "1/4", "c_recursion_breakdown"),
+    ],
+)
+def test_jacobi_recursion_breakdown_is_reported_at_its_smallest_index(a1, c1, condition):
+    """A zero a_n or c_n below the top index is reported at the smallest n,
+    the a-ladder's before the c-ladder's when both vanish at that n."""
+    rep = jacobi_chain(JacobiParams("1/2", "1/2"), a1, c1, 6)
+    assert not rep.ok
+    assert (rep.failure.condition, rep.failure.n) == (condition, 2)
+
+
+def test_half_case_denominators_vanish_only_outside_the_domain():
+    """Each closed-form denominator of ``half_case_closed_forms`` is linear
+    in a1, with one zero (1 - w (n - 1) has none at n = 1). For n < 400 that
+    zero is a1 = 1 or lies inside (-1/2, 0], which the function refuses
+    before it divides."""
+    for n in range(1, 400):
+        zeros = [Fraction(1 + n - n * n, 2 * n * n - 1)]  # (2n+1)(1+a1) - w n (n+1)
+        if n > 1:
+            zeros.append(Fraction(2 - n, 2 * (n - 1)))  # 1 - w (n - 1), w = 1 + 2 a1
+        for a1 in zeros:
+            w = 1 + 2 * a1
+            assert (1 - w * (n - 1)) * ((2 * n + 1) * (1 + a1) - w * n * (n + 1)) == 0
+            assert a1 == 1 or Fraction(-1, 2) < a1 <= 0
+            with pytest.raises(DomainError):
+                half_case_closed_forms(a1, n)
+
+
 def test_jacobi_other_parameter_sets():
     legendre = jacobi_chain(JacobiParams(0, 0), 3, -3, 5)
     assert legendre.ok
@@ -499,8 +534,9 @@ def test_christoffel_step_matches_the_hankel_recovery(beta, gamma, top, pivot):
         at.append((-1 - beta[n]) * at[n + 1] - g[n] * at[n])
     f = moments_from_recurrence(RecurrencePair(beta, gamma), 2 * top + 3)
     expected = recurrence_from_moments(f.left_multiply(Polynomial([1, 1])))
-    got = casebook._christoffel_step(RecurrencePair(beta[: top + 1], gamma),
-                                     gamma[top] * (beta[top + 1] + 1))
+    rec = RecurrencePair(beta[: top + 1], gamma)
+    pivots = casebook._pivots(rec, -1, beta[0] + 1, top + 1)[1:]
+    got = casebook._christoffel_step(rec, pivots, gamma[top] * (beta[top + 1] + 1))
     assert got == expected
     assert got.first_vanishing == next((m for m in range(top + 2) if at[m + 2] == 0), None)
 
@@ -541,36 +577,31 @@ def test_jacobi_chain_recovers_no_recurrence_from_moments(monkeypatch):
     assert {"recurrence_from_moments", "jacobi_moments", "MomentFunctional"} <= set(calls)
 
 
-def test_chebyshev_case_decides_the_shifted_functional_by_its_first_moment(monkeypatch):
+@pytest.mark.parametrize("depth", [5, 12, 80])
+def test_chebyshev_case_decides_the_shifted_functional_by_its_first_moment(monkeypatch, depth):
     """<u, x - 1> is the first moment of (x - 1) u. It vanishes in the
     Chebyshev case, so the report of the shifted functional (regular through
     -1, first vanishing 0) needs no Hankel sweep: the case recovers one
-    recurrence, u's. Forced past the shortcut, the sweep over the shifted
-    moments gives the same report and a byte-identical payload."""
-    calls = []
+    recurrence, u's. On the u the case builds, <u, x - 1> = 0 and the sweep
+    over the shifted moments gives that report."""
+    seen = []
     real = casebook.recurrence_from_moments
 
     def counted(f):
-        calls.append(f.depth)
+        seen.append(f)
         return real(f)
 
     monkeypatch.setattr(casebook, "recurrence_from_moments", counted)
-    report = chebyshev_case(8)
-    assert calls == [22]  # u's moments mu_0..mu_{2 depth + 6}
+    report = chebyshev_case(depth)
+    assert [f.depth for f in seen] == [2 * depth + 6]  # u's moments mu_0..mu_{2 depth + 6}
     assert (report.shifted_hankel.regular_through, report.shifted_hankel.first_vanishing) == (-1, 0)
 
-    real_apply = MomentFunctional.apply
+    u = seen[0]
     x_minus_1 = Polynomial([-1, 1])
-
-    def nonzero_first_moment(f, p):
-        return Fraction(1) if p == x_minus_1 else real_apply(f, p)
-
-    monkeypatch.setattr(MomentFunctional, "apply", nonzero_first_moment)
-    calls.clear()
-    swept = chebyshev_case(8)
-    assert calls == [22, 21]
-    assert swept.shifted_hankel == report.shifted_hankel
-    assert _json_text(swept.to_json()) == _json_text(report.to_json())
+    assert u.apply(x_minus_1) == 0
+    swept = real(u.left_multiply(x_minus_1))
+    assert (swept.regular_through, swept.first_vanishing) == (-1, 0)
+    assert swept == report.shifted_hankel
 
 
 def test_chebyshev_case_stays_on_the_moment_vector(monkeypatch):
@@ -741,29 +772,34 @@ def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message)
 
 def test_worked_cases_build_no_polynomial_family(monkeypatch):
     """The ladders, the 2-3 identity and the regularity criterion are
-    decided on recurrences: the Chebyshev case builds only P_0..P_2 of the
-    second kind, for the point-mass ratio, the Jacobi chain no family, and
-    neither compares polynomials."""
+    decided on recurrences, and the Chebyshev case's point-mass ratio is the
+    constant 3/2: neither worked case builds a polynomial family, multiplies
+    polynomials or compares them."""
     from mopsrel import functional, poly
 
-    counts, equalities = [], []
+    counts, products, equalities = [], [], []
     real = functional.mops_from_recurrence
+    real_mul = poly.Polynomial.__mul__
     real_eq = poly.Polynomial.__eq__
 
     def counted(rec, count):
         counts.append(count)
         return real(rec, count)
 
+    def multiplied(self, other):
+        products.append(None)
+        return real_mul(self, other)
+
     def compared(self, other):
         equalities.append(None)
         return real_eq(self, other)
 
+    # casebook imports no mops_from_recurrence; the spy stands in for a
+    # binding that came back
     for module in (casebook, functional):
-        monkeypatch.setattr(module, "mops_from_recurrence", counted)
+        monkeypatch.setattr(module, "mops_from_recurrence", counted, raising=False)
+    monkeypatch.setattr(poly.Polynomial, "__mul__", multiplied)
     monkeypatch.setattr(poly.Polynomial, "__eq__", compared)
-    chebyshev_case(20)
-    assert len(counts) <= 1 and all(count <= 3 for count in counts)
-    counts.clear()
-    jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 20)
-    assert counts == []
-    assert equalities == []
+    assert chebyshev_case(20).point_mass_ratio == Fraction(3, 2)
+    assert jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 20).ok
+    assert counts == [] and products == [] and equalities == []

@@ -16,7 +16,14 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mopsrel import DepthError, Failure, JacobiParams, chebyshev_case, jacobi_chain
+from mopsrel import (
+    DepthError,
+    Failure,
+    JacobiParams,
+    Relation23,
+    chebyshev_case,
+    jacobi_chain,
+)
 from mopsrel.cli import (
     COMMANDS,
     EXAMPLE_MAX_DEPTH,
@@ -97,6 +104,26 @@ def test_classify_accepts_bare_relation_document(tmp_path, capsys):
     code, out, _ = run(capsys, ["classify", path])
     assert code == 0
     assert json.loads(out)["tag"] == "NonDegenerate23"
+
+
+def test_classify_type22_with_s1_equal_r1(tmp_path, capsys):
+    """The Type22 shape with s_1 = r_1 reports no reduced coefficient below
+    index 3: null in JSON, an empty cell in CSV."""
+    rel = Relation23([0, 1, 1, 2, 4], [0, 1, 5, 3, 6], [0, 0, 7, 0, 1])
+    path = write_doc(tmp_path, "rel.json", {"relation": rel.to_json()})
+    code, out, _ = run(capsys, ["classify", path])
+    assert code == 0
+    assert json.loads(out) == {
+        "tag": "Type22",
+        "reduced": {"c": [None, None, None, "2", "4"], "d": [None, None, None, "3", "6"]},
+    }
+    code, out, _ = run(capsys, ["classify", "--format", "csv", path])
+    assert code == 0
+    rows = ["key,value", "tag,Type22"]
+    for key, tail in (("c", ("2", "4")), ("d", ("3", "6"))):
+        rows += [f"reduced.{key}[{i}]," for i in range(3)]
+        rows += [f"reduced.{key}[{i}],{value}" for i, value in enumerate(tail, 3)]
+    assert out == "\n".join(rows) + "\n"
 
 
 def test_classify_reads_stdin(monkeypatch, capsys):
@@ -536,6 +563,29 @@ def test_inverse_check_reads_the_relation_through_depth_plus_1(tmp_path, capsys,
     code, out, err = run(capsys, ["inverse-check", "--depth", "10", path])
     assert code == 2 and out == ""
     assert "relation coefficients required through index 11" in err
+
+
+@pytest.mark.parametrize("case", ["chebyshev", "jacobi-chain"])
+def test_example_internal_inconsistency_is_exit_3(monkeypatch, capsys, case):
+    """A worked case whose certificate fails is exit 3 with nothing on
+    stdout and one line naming the failed identity on stderr."""
+    from mopsrel import casebook
+
+    real = casebook.compose_ladders
+
+    def bent(*ladders):
+        rel = real(*ladders)
+        s = list(rel.s)
+        s[4] += 1
+        return Relation23(rel.r, s, rel.t)
+
+    monkeypatch.setattr(casebook, "compose_ladders", bent)
+    code, out, err = run(capsys, ["example", case, "--depth", "6"])
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("mopsrel: ")] == [
+        "mopsrel: internal consistency: 2-3 relation fails as a polynomial identity at n=4"]
+    assert len(lines) == 2 and lines[1].startswith("# mopsrel example depth=6 exit=3 time=")
 
 
 def test_internal_disagreement_is_exit_3(tmp_path, capsys, monkeypatch, combined_doc):

@@ -9,6 +9,8 @@ from mopsrel import (
     DepthError,
     DomainError,
     FormatError,
+    FunctionalRelation,
+    MomentFunctional,
     Polynomial,
     RecurrencePair,
     Relation23,
@@ -25,8 +27,10 @@ from mopsrel import (
     induced_recurrence,
     jacobi_chain,
     JacobiParams,
+    jacobi_recurrence,
     moments_from_recurrence,
     mops_from_recurrence,
+    norm_squared,
     regularity_criterion,
     relation_constants,
     v_moments_from_relation,
@@ -63,6 +67,77 @@ def test_classify_reduced_coefficients():
     case22 = classify(rel_from7(0, 0, 1, 1, 1, 2, 0))
     assert case22.tag is RelationTag.TYPE22
     assert case22.reduced["c"][2] == Fraction(-2)
+
+
+# s_1 = r_1, t_2 != 0, r_3 != 0, t_3 = 0 and t_2 != s_2 (s_1 - r_1): the Type22
+# shape that pins no reduced coefficient below index 3
+TYPE22_FLAT = ([0, 1, 1, 2, 4], [0, 1, 5, 3, 6], [0, 0, 7, 0, 1])
+
+
+def test_classify_type22_with_s1_equal_r1():
+    """With s_1 = r_1 the Type22 relation fixes c_n = r_n and d_n = s_n only
+    from n = 3 on; below that the reduced lists hold None."""
+    case = classify(Relation23(*TYPE22_FLAT))
+    assert case.tag is RelationTag.TYPE22
+    assert case.reduced == {"c": [None, None, None, 2, 4], "d": [None, None, None, 3, 6]}
+
+
+# gate t_2 - r_2 (s_1 - r_1) = 2, r_3 = t_3 = 1; over beta = 0 the induced
+# gamma~_1 vanishes at gamma_1 = 3 and gamma~_2 at gamma_2 = -1
+REFUSAL_REL = Relation23([0, 1, 1, 1], [0, 2, 1, 1], [0, 0, 3, 1])
+REFUSAL_REC = RecurrencePair([0, 0, 0, 0, 0], [1, 1, 1, 1])
+NORMALIZED = MomentFunctional([1, 0, 1])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: relation_constants(RecurrencePair([0, 0, 0], [0, 1]), REFUSAL_REL),
+                 DomainError, "gamma_1 must be nonzero", id="relation_constants-gamma1"),
+    pytest.param(lambda: relation_constants(RecurrencePair([0, 0, 0], [3, 1]), REFUSAL_REL),
+                 DomainError, "gamma~_1 and gamma~_2 must be nonzero",
+                 id="relation_constants-gamma~1"),
+    pytest.param(lambda: relation_constants(RecurrencePair([0, 0, 0], [1, -1]), REFUSAL_REL),
+                 DomainError, "gamma~_1 and gamma~_2 must be nonzero",
+                 id="relation_constants-gamma~2"),
+    pytest.param(lambda: v_moments_from_relation(MomentFunctional([2, 0, 1]),
+                                                 FunctionalRelation(1, 1, 2, 1), 0),
+                 DomainError, "u must be normalized (mu_0 = 1)", id="v_moments-unnormalized"),
+    pytest.param(lambda: v_moments_from_relation(NORMALIZED, FunctionalRelation(0, 1, 2, 1), 0),
+                 DomainError, "lambda must be nonzero", id="v_moments-lambda0"),
+    pytest.param(lambda: verify_functional_relation(NORMALIZED, NORMALIZED,
+                                                    FunctionalRelation(1, 1, 2, 1), 1),
+                 DepthError, "need u depth >= 2 and v depth >= 3, have 2 and 2",
+                 id="verify_functional_relation-short"),
+    pytest.param(lambda: check_by_equations(REFUSAL_REC, REFUSAL_REL, 3),
+                 DepthError, "inverse-problem checks need depth >= 4", id="check_by_equations-3"),
+    pytest.param(lambda: check_by_constants(REFUSAL_REC, REFUSAL_REL, 3),
+                 DepthError, "inverse-problem checks need depth >= 4", id="check_by_constants-3"),
+    pytest.param(lambda: check_both(REFUSAL_REC, REFUSAL_REL, 3),
+                 DepthError, "inverse-problem checks need depth >= 4", id="check_both-3"),
+    pytest.param(lambda: constant_sequences(REFUSAL_REC, REFUSAL_REL, 3),
+                 DepthError, "constant sequences need depth >= 4", id="constant_sequences-3"),
+    pytest.param(lambda: generate_q([], REFUSAL_REL),
+                 DepthError, "need P_0 and relation index 0", id="generate_q-no-P0"),
+    pytest.param(lambda: MomentFunctional([]),
+                 FormatError, "a moment functional needs at least mu_0", id="MomentFunctional-empty"),
+    pytest.param(lambda: NORMALIZED.left_multiply(Polynomial([0])),
+                 DomainError, "left_multiply by the zero polynomial is degenerate",
+                 id="left_multiply-zero"),
+    pytest.param(lambda: mops_from_recurrence(REFUSAL_REC, 0),
+                 DepthError, "count must be >= 1", id="mops_from_recurrence-0"),
+    pytest.param(lambda: jacobi_recurrence(JacobiParams("1/2", "1/2"), 0),
+                 DepthError, "count must be >= 1", id="jacobi_recurrence-0"),
+    pytest.param(lambda: moments_from_recurrence(REFUSAL_REC, -1),
+                 DepthError, "depth must be >= 0", id="moments_from_recurrence-negative"),
+    pytest.param(lambda: norm_squared(REFUSAL_REC, -1),
+                 DepthError, "n must be >= 0", id="norm_squared-negative"),
+])
+def test_library_refusals(call, error, message):
+    """Each precondition of the library is refused by its own error type and
+    message; a count of zero polynomials or recurrence entries is a
+    DepthError wherever it is asked for."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_relation_json_round_trip():

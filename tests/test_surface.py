@@ -55,3 +55,30 @@ def test_every_export_has_a_caller_or_a_stated_reason():
         # a name that gained a caller leaves the tuple
         assert name not in used
         assert re.search(rf"`{name}\b", surface), name
+
+
+def _unused_imports(path):
+    """The names a module's import statements bind that its code never
+    reads; ``from __future__`` imports bind nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in bound.items()
+                  if name not in used)
+
+
+def test_package_modules_import_no_unused_name():
+    """No module under src/mopsrel/ but __init__.py, whose imports are the
+    public surface, imports a name it never uses."""
+    modules = sorted((ROOT / "src" / "mopsrel").glob("*.py"))
+    assert len(modules) > 1
+    unused = [entry for path in modules if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert unused == []
