@@ -204,8 +204,7 @@ def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
     g_n = f_n, and f_n = 0 or P_{n-2} = R_{n-2}. It reads r, s, t as given,
     so it checks ``compose_ladders`` instead of restating it."""
     top = rel.max_index
-    (r, rd), (s, sd) = _parts(rel.r[: top + 1]), _parts(rel.s[: top + 1])
-    t, td = _parts((0, 0) + rel.t[2 : top + 1])  # t_1 multiplies no P_{-1}
+    (r, rd), (s, sd), (t, td) = rel._integers()  # t_1 = 0 multiplies no P_{-1}
     (an, ad), (bn, bd), (ln, ld) = (_parts([0, *seq[1 : top + 1]]) for seq in (a, b, l))
     same = _coincide(a, b, top)
     lcm = math.lcm
@@ -571,6 +570,8 @@ def half_case_closed_forms(a1, count: int) -> tuple[list, list]:
     a1 = (2 - n) / (2 (n - 1)) and (2 n + 1)(1 + a1) - w n (n + 1) only at
     a1 = (1 + n - n^2) / (2 n^2 - 1), that is at a1 = 1 or inside (-1/2, 0].
     """
+    if count < 1:
+        raise DepthError("count must be >= 1")
     a1 = as_scalar(a1)
     if a1 == 1 or a1 == -1:
         raise DomainError("a1 must not be +-1")

@@ -15,6 +15,10 @@ recurrence coefficients
 
 stored as beta_0..beta_m and gamma_1..gamma_k. Orthogonality of the family
 w.r.t. a functional with mu_0 = 1 gives <u, P_n^2> = gamma_1 ... gamma_n.
+A ``RecurrencePair`` keeps the side it was built from: reduced integer
+parts when parsed or given to its constructor, Fractions when a kernel
+built it (``_exact``); ``beta`` and ``gamma``, the Fraction view, are
+built on first use, as ``moments`` is.
 
 Two directions are provided. moments_from_recurrence walks weighted lattice
 paths on the coefficient array, so moments up to depth N need only the
@@ -34,7 +38,7 @@ from typing import Iterable, Optional
 
 from .errors import DepthError, DomainError, FormatError
 from .poly import Polynomial, _divide_content
-from .rational import _json_list, as_scalar, common_denominator
+from .rational import _SequenceModel, as_scalar, common_denominator
 
 
 class MomentFunctional:
@@ -161,66 +165,47 @@ class MomentFunctional:
         return f"MomentFunctional(depth={self.depth})"
 
 
-class RecurrencePair:
+class RecurrencePair(_SequenceModel):
     """Recurrence coefficient arrays beta_0.. and gamma_1.. .
 
     gamma is indexed from 1, so gamma_n lives at gamma[n-1]. The container
     itself does not insist on gamma_n != 0; operations that assume a regular
-    functional check the range they use.
+    functional check the range they use. ``beta`` and ``gamma`` are tuples
+    of Fractions, whatever side the pair stores (``_SequenceModel``).
     """
 
-    __slots__ = ("beta", "gamma")
+    __slots__ = ()
+    _KEYS, _NAME = ("beta", "gamma"), "recurrence"
 
     def __init__(self, beta: Iterable, gamma: Iterable):
-        self.beta = tuple(as_scalar(b) for b in beta)
-        self.gamma = tuple(as_scalar(g) for g in gamma)
+        super().__init__(beta, gamma)
 
-    @classmethod
-    def _exact(cls, beta: list, gamma: list) -> "RecurrencePair":
-        """The pair of beta and gamma, whose entries are Fractions already:
-        nothing is coerced again through ``as_scalar``."""
-        pair = object.__new__(cls)
-        pair.beta, pair.gamma = tuple(beta), tuple(gamma)
-        return pair
+    @property
+    def beta(self) -> tuple:
+        return self._fractions()[0]
+
+    @property
+    def gamma(self) -> tuple:
+        return self._fractions()[1]
 
     def require(self, beta_through: int, gamma_through: int) -> None:
-        if len(self.beta) <= beta_through:
-            raise DepthError(
-                f"need beta through index {beta_through}, have {len(self.beta) - 1}"
-            )
-        if len(self.gamma) < gamma_through:
-            raise DepthError(
-                f"need gamma through index {gamma_through}, have {len(self.gamma)}"
-            )
+        beta, gamma = self._lengths()
+        if beta <= beta_through:
+            raise DepthError(f"need beta through index {beta_through}, have {beta - 1}")
+        if gamma < gamma_through:
+            raise DepthError(f"need gamma through index {gamma_through}, have {gamma}")
 
     def require_regular(self, through: int) -> None:
         """Refuse a zero gamma_n with n <= through: the family it defines
         is not a MOPS there."""
-        for n, g in enumerate(self.gamma[:through], 1):
-            if g == 0:
-                raise DomainError(f"recurrence gamma_{n} is zero inside the working range")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RecurrencePair)
-            and self.beta == other.beta
-            and self.gamma == other.gamma
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "beta": list(self.beta),
-            "gamma": list(self.gamma),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "RecurrencePair":
-        if not isinstance(data, dict) or "beta" not in data or "gamma" not in data:
-            raise FormatError('recurrence JSON must be {"beta": [...], "gamma": [...]}')
-        return cls(_json_list(data, "beta"), _json_list(data, "gamma"))
+        gamma = self._values[1] if self._ints is None else self._ints[1][0]
+        if 0 in gamma[:through]:
+            raise DomainError(
+                f"recurrence gamma_{gamma.index(0) + 1} is zero inside the working range"
+            )
 
     def __repr__(self) -> str:
-        return f"RecurrencePair(beta[{len(self.beta)}], gamma[{len(self.gamma)}])"
+        return "RecurrencePair(beta[{}], gamma[{}])".format(*self._lengths())
 
 
 def mops_from_recurrence(rec: RecurrencePair, count: int) -> list[Polynomial]:

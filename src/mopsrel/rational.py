@@ -14,18 +14,18 @@ from operator import mul
 
 from .errors import FormatError
 
-# ASCII digits only, and \Z rather than $, which would admit a final newline
-RATIONAL_PATTERN = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?\Z")
+# ASCII digits only, and \Z rather than $, which would admit a final newline;
+# the groups are p and q
+RATIONAL_PATTERN = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?\Z")
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not RATIONAL_PATTERN.match(text):
+    match = RATIONAL_PATTERN.match(text) if isinstance(text, str) else None
+    if match is None:
         raise FormatError(f"not a rational string of the form p or p/q: {text!r}")
-    # the gate has validated the text: split it, skipping the second parse
-    # that Fraction(text) would make
-    num, slash, den = text.partition("/")
+    num, den = match.groups()  # no second parse, as Fraction(text) would make
     try:
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ValueError as exc:
         # the interpreter's limit on decimal digits in an int conversion
         raise FormatError(
@@ -79,6 +79,89 @@ def _reduce_pairs(pairs) -> list:
     """The reduced Fraction of each (numerator, denominator) pair, such as
     ``_lcm_sum`` gives; None entries stay None."""
     return [None if pair is None else Fraction(*pair) for pair in pairs]
+
+
+def _scalar_parts(values) -> tuple[list[int], list[int]]:
+    """``as_scalar`` of each of ``values`` as two lists, the numerators and
+    the denominators in lowest terms, with no Fraction built for a string:
+    the gate's groups split it, and p/q costs one gcd. Anything else goes
+    through ``as_scalar``, which refuses what it refuses."""
+    nums: list = []
+    dens: list = []
+    match, gcd = RATIONAL_PATTERN.match, math.gcd
+    for value in values:
+        groups = match(value) if type(value) is str else None
+        if groups is None:
+            value = as_scalar(value)
+            nums.append(value.numerator)
+            dens.append(value.denominator)
+            continue
+        num, den = groups.groups()
+        try:
+            num = int(num)
+            if den is None:
+                den = 1
+            else:
+                den = int(den)
+                k = gcd(num, den)
+                if k != 1:
+                    num, den = num // k, den // k
+        except ValueError:
+            as_scalar(value)  # past the digit limit: parse_rational's refusal
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
+
+
+class _SequenceModel:
+    """Sequences stored on the side that built them: one (numerators,
+    denominators) pair in lowest terms per sequence from a document or a
+    public constructor, tuples of Fractions from a kernel (``_exact``).
+    The other side is built on first use, as ``Polynomial.coeffs`` is. A
+    subclass names its sequences, the keys of its JSON form, in ``_KEYS``."""
+
+    __slots__ = ("_ints", "_values")
+
+    def __init__(self, *seqs):
+        self._ints = tuple(map(_scalar_parts, seqs))
+        self._values = None
+
+    @classmethod
+    def _exact(cls, *seqs):
+        """The model of sequences of Fractions: nothing is parsed or checked."""
+        model = object.__new__(cls)
+        model._ints, model._values = None, tuple(map(tuple, seqs))
+        return model
+
+    def _fractions(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(tuple(map(Fraction, *pair)) for pair in self._ints)
+        return self._values
+
+    def _integers(self) -> tuple:
+        if self._ints is None:
+            self._ints = tuple(map(_parts, self._values))
+        return self._ints
+
+    def _lengths(self) -> list:
+        if self._ints is None:
+            return [len(seq) for seq in self._values]
+        return [len(nums) for nums, _ in self._ints]
+
+    def __eq__(self, other) -> bool:
+        # lowest terms are canonical
+        return type(other) is type(self) and self._integers() == other._integers()
+
+    def to_json(self) -> dict:
+        return dict(zip(self._KEYS, map(list, self._fractions())))
+
+    @classmethod
+    def from_json(cls, data):
+        """The model of a JSON object holding one list per key of ``_KEYS``."""
+        if not isinstance(data, dict) or not all(key in data for key in cls._KEYS):
+            shape = ", ".join(f'"{key}": [...]' for key in cls._KEYS)
+            raise FormatError(f"{cls._NAME} JSON must be {{{shape}}}")
+        return cls(*(_json_list(data, key) for key in cls._KEYS))
 
 
 def _json_list(data: dict, key: str) -> list:

@@ -27,6 +27,11 @@ decide; ``check_both`` runs the prelude once for the two. Values only
 compared (b_n, c_n, d_n, A_n, B_n, C_n) stay unreduced integer pairs, and
 each condition is decided by cross-multiplication.
 
+A ``Relation23`` parsed from a document holds reduced integer parts, as
+its ``RecurrencePair`` does (``rational._SequenceModel``), and everything
+here that decides reads those; ``r``, ``s`` and ``t`` are Fraction views
+built on first use. ``compose_ladders`` builds the Fraction side instead.
+
 At depth N both checkers read one window, the ``_sequences`` build through
 N (r, s, t through N + 1, beta and gamma through N): eqn1-eqn3 and C_n for
 n <= N, and A_n, B_n, which read a_{n+1}, for n <= N - 1 (``_constancy``).
@@ -49,52 +54,45 @@ from typing import NamedTuple, Optional
 from .errors import ContractError, DepthError, DomainError, FormatError
 from .functional import MomentFunctional, RecurrencePair
 from .poly import Polynomial, _combination, _divide_content
-from .rational import (
-    _json_list,
-    _lcm_sum,
-    _parts,
-    _reduce_pairs,
-    as_scalar,
-)
+from .rational import _lcm_sum, _reduce_pairs, _SequenceModel, as_scalar
 
 
-class Relation23:
-    """Coefficient triple (r_n), (s_n), (t_n), each indexed from 0."""
+class Relation23(_SequenceModel):
+    """Coefficient triple (r_n), (s_n), (t_n), each indexed from 0, as
+    tuples of Fractions, whatever side it stores (``_SequenceModel``)."""
 
-    __slots__ = ("r", "s", "t")
+    __slots__ = ()
+    _KEYS, _NAME = ("r", "s", "t"), "relation"
 
     def __init__(self, r, s, t):
-        self.r = tuple(as_scalar(v) for v in r)
-        self.s = tuple(as_scalar(v) for v in s)
-        self.t = tuple(as_scalar(v) for v in t)
-        for name, seq, fixed in (("r", self.r, 1), ("s", self.s, 1), ("t", self.t, 2)):
-            for i in range(min(fixed, len(seq))):
-                if seq[i] != 0:
-                    raise FormatError("convention r0=s0=t0=t1=0 violated")
+        super().__init__(r, s, t)
+        (r, _), (s, _), (t, _) = self._ints
+        if any(r[:1]) or any(s[:1]) or any(t[:2]):
+            raise FormatError("convention r0=s0=t0=t1=0 violated")
+
+    @property
+    def r(self) -> tuple:
+        return self._fractions()[0]
+
+    @property
+    def s(self) -> tuple:
+        return self._fractions()[1]
+
+    @property
+    def t(self) -> tuple:
+        return self._fractions()[2]
 
     def require(self, through: int) -> None:
-        if min(len(self.r), len(self.s), len(self.t)) <= through:
+        r, s, t = self._lengths()
+        if min(r, s, t) <= through:
             raise DepthError(
                 f"relation coefficients required through index {through}, have "
-                f"r:{len(self.r) - 1}, s:{len(self.s) - 1}, t:{len(self.t) - 1}"
+                f"r:{r - 1}, s:{s - 1}, t:{t - 1}"
             )
 
     @property
     def max_index(self) -> int:
-        return min(len(self.r), len(self.s), len(self.t)) - 1
-
-    def to_json(self) -> dict:
-        return {
-            "r": list(self.r),
-            "s": list(self.s),
-            "t": list(self.t),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "Relation23":
-        if not isinstance(data, dict) or not {"r", "s", "t"} <= set(data):
-            raise FormatError('relation JSON must be {"r": [...], "s": [...], "t": [...]}')
-        return cls(*(_json_list(data, key) for key in "rst"))
+        return min(self._lengths()) - 1
 
     def __repr__(self) -> str:
         return f"Relation23(through {self.max_index})"
@@ -124,11 +122,16 @@ def classify(rel: Relation23) -> RelationCase:
     coefficients; the reduced two-term coefficients are reported where the
     degenerate shape defines them."""
     rel.require(3)
+    (r, rd), (s, sd), (t, td) = rel._integers()
+    # the numerator of the gate t_2 - r_2 (s_1 - r_1) over td_2 rd_2 sd_1 rd_1
+    gate = t[2] * rd[2] * sd[1] * rd[1] - td[2] * r[2] * (s[1] * rd[1] - r[1] * sd[1])
+    if gate and r[3] and t[3]:
+        return RelationCase(RelationTag.NONDEGENERATE23, {})
+    # a degenerate shape reports whole sequences
     r, s, t = rel.r, rel.s, rel.t
     diff1 = s[1] - r[1]
-    gate = t[2] - r[2] * diff1
     m = rel.max_index
-    if gate == 0:
+    if not gate:
         if diff1 == 0:
             return RelationCase(RelationTag.TRIVIAL11, {})
         return RelationCase(
@@ -143,24 +146,23 @@ def classify(rel: Relation23) -> RelationCase:
                 + [t[n] - r[n] * (s[n - 1] - r[n - 1]) for n in range(2, m + 1)],
             },
         )
-    if t[3] == 0:
-        if t[2] == s[2] * diff1:
-            return RelationCase(
-                RelationTag.TYPE21, {"c": [r[n] - s[n] for n in range(m + 1)]}
-            )
-        if diff1 != 0:
-            # only c1 - d1 = r1 - s1 is pinned at n = 1; report r1, s1
-            c = [Fraction(0), r[1], r[2] - t[2] / diff1] + list(r[3 : m + 1])
-            d = [Fraction(0), s[1], s[2] - t[2] / diff1] + list(s[3 : m + 1])
-            return RelationCase(RelationTag.TYPE22, {"c": c, "d": d})
+    # t_3 = 0
+    if t[2] == s[2] * diff1:
         return RelationCase(
-            RelationTag.TYPE22,
-            {
-                "c": [None, None, None] + list(r[3 : m + 1]),
-                "d": [None, None, None] + list(s[3 : m + 1]),
-            },
+            RelationTag.TYPE21, {"c": [r[n] - s[n] for n in range(m + 1)]}
         )
-    return RelationCase(RelationTag.NONDEGENERATE23, {})
+    if diff1 != 0:
+        # only c1 - d1 = r1 - s1 is pinned at n = 1; report r1, s1
+        c = [Fraction(0), r[1], r[2] - t[2] / diff1] + list(r[3 : m + 1])
+        d = [Fraction(0), s[1], s[2] - t[2] / diff1] + list(s[3 : m + 1])
+        return RelationCase(RelationTag.TYPE22, {"c": c, "d": d})
+    return RelationCase(
+        RelationTag.TYPE22,
+        {
+            "c": [None, None, None] + list(r[3 : m + 1]),
+            "d": [None, None, None] + list(s[3 : m + 1]),
+        },
+    )
 
 
 def generate_q(p: list[Polynomial], rel: Relation23) -> list[Polynomial]:
@@ -217,7 +219,7 @@ def compose_ladders(a, b, l) -> Relation23:
         L = math.lcm(ad, lrd)
         s[n] = Fraction(a[n].numerator * (L // ad) + lrn * (L // lrd), L)
         t[n] = Fraction(an.numerator * lrn, an.denominator * lrd)
-    return Relation23(r, s, t)
+    return Relation23._exact(r, s, t)
 
 
 class AuxiliarySequences(NamedTuple):
@@ -230,17 +232,9 @@ class AuxiliarySequences(NamedTuple):
     d: list
 
 
-def _relation_parts(rel: Relation23, upto: int) -> tuple:
-    """The integer parts of r, s and t through upto + 1, the window of a
-    ``_sequences`` build through upto, each as ``_parts`` gives them."""
-    rel.require(upto + 1)
-    return tuple(_parts(seq[: upto + 2]) for seq in (rel.r, rel.s, rel.t))
-
-
-def _sequences(rec: RecurrencePair, rst: tuple, upto: int, aux_upto: int):
+def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
     """The derived sequences of the inverse problem, from one pass over the
-    integer parts of r, s, t (``rst``, from ``_relation_parts``), beta and
-    gamma: the induced recurrence
+    integer parts of r, s, t, beta and gamma: the induced recurrence
     bt_n = beta~_n (0 <= n <= upto) and gt_n = gamma~_n (1 <= n <= upto),
     as two lists, and the auxiliary sequences, with a_n through ``upto`` and
     b_n, c_n, d_n through ``aux_upto`` (None past it). An entry at n reads
@@ -262,12 +256,15 @@ def _sequences(rec: RecurrencePair, rst: tuple, upto: int, aux_upto: int):
     c_n and d_n, which are only compared, an unreduced pair. The integer
     parts of r, s, t, beta and gamma come back too, as (numerators,
     denominators) pairs in that order, so that the checkers' tails need not
-    take them again."""
+    take them again, and last the unreduced numerators of gt_1..gt_upto,
+    which are zero where gt_n is."""
+    rel.require(upto + 1)
     rec.require(upto, upto)
-    parts = (*rst, _parts(rec.beta[: upto + 1]), _parts(rec.gamma[:upto]))
+    parts = (*rel._integers(), *rec._integers())
     (r, rd), (s, sd), (t, td), (p, pd), (g, gd) = parts
     bt: list = []
     gt: list = []
+    gt_nums: list = []
     a, b, c, d = ([None] * (upto + 1) for _ in range(4))
     lcm, gcd = math.lcm, math.gcd
     # each sum is taken over L, the lcm of its terms' denominators, written
@@ -292,7 +289,9 @@ def _sequences(rec: RecurrencePair, rst: tuple, upto: int, aux_upto: int):
         prev = bt[n - 1]
         d1, d2 = rd[n] * zd, rd[n] * prev.denominator
         L = lcm(xd, d1, d2)
-        gt.append(Fraction(x * (L // xd) - r[n] * (zn * (L // d1) + prev.numerator * (L // d2)), L))
+        gtn = x * (L // xd) - r[n] * (zn * (L // d1) + prev.numerator * (L // d2))
+        gt_nums.append(gtn)
+        gt.append(Fraction(gtn, L))
         if 2 <= n <= aux_upto:
             d1, d2, d3 = snd * gd[n - 2], tnd * zd, tnd * pd[n - 2]
             L = lcm(d1, d2, d3)
@@ -301,7 +300,7 @@ def _sequences(rec: RecurrencePair, rst: tuple, upto: int, aux_upto: int):
             d[n] = (r[n] * gt_prev.numerator, rd[n] * gt_prev.denominator)
             if n >= 3:
                 c[n] = (tn * g[n - 3], tnd * gd[n - 3])
-    return bt, gt, AuxiliarySequences(a, b, c, d), parts
+    return bt, gt, AuxiliarySequences(a, b, c, d), parts, gt_nums
 
 
 def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> RecurrencePair:
@@ -310,7 +309,7 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
     may be zero here; whether they qualify is the checkers' business."""
     if upto < 0:
         raise DepthError("upto must be >= 0")
-    bt, gt, _, _ = _sequences(rec, _relation_parts(rel, upto), upto, 0)
+    bt, gt, *_ = _sequences(rec, rel, upto, 0)
     return RecurrencePair._exact(bt, gt)
 
 
@@ -318,7 +317,7 @@ def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> Auxi
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
     if upto < 0:
         raise DepthError("upto must be >= 0")
-    built = _sequences(rec, _relation_parts(rel, upto), upto, upto)
+    built = _sequences(rec, rel, upto, upto)
     return AuxiliarySequences(*map(_reduce_pairs, built[2]))
 
 
@@ -375,17 +374,19 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, aux_upto: int):
             "accept only NonDegenerate23 data"
         )
     # zeros decided on integer numerators, before the build reads the recurrence
-    rst = _relation_parts(rel, depth)
-    (r, rd), (s, sd), (t, td) = rst
+    rel.require(depth + 1)
+    (r, rd), (s, sd), (t, td) = rel._integers()
     for n in range(3, depth + 2):
         if not r[n]:
             raise ContractError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
         if not t[n]:
             raise ContractError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
-    built = _sequences(rec, rst, depth, aux_upto)
-    bt, gt, (a, b, c, d), _ = built
+    built = _sequences(rec, rel, depth, aux_upto)
+    bt, gt, (a, b, c, d), _, gt_nums = built
     induced = RecurrencePair._exact(bt, gt)
-    failures = [Failure("gamma_tilde", n) for n, g in enumerate(gt, 1) if not g.numerator]
+    failures = []
+    if 0 in gt_nums:  # one scan decides gamma~_n != 0 for every n
+        failures = [Failure("gamma_tilde", n) for n, g in enumerate(gt_nums, 1) if not g]
     # each condition "lhs = rhs" is decided by the numerator of lhs - rhs
     (a2, a2d), (a3, a3d) = a[2], a[3]
     (b2, b2d), (b3, b3d), (c3, c3d), (d2, d2d), (d3, d3d) = b[2], b[3], c[3], d[2], d[3]
@@ -431,7 +432,7 @@ def _constancy(depth: int, built):
     ``_sequences`` build through depth, as unreduced (numerator, denominator
     > 0) pairs, None elsewhere. A_n and B_n read a_{n+1}; C_n reads the build
     through n, as r_{n+1} cancels against bt_n = r_{n+1} - r_n - z_n."""
-    bt, gt, (a, _, _, _), ((rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd)) = built
+    bt, gt, (a, _, _, _), ((rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd)), _ = built
     A, B, C = ([None] * (depth + 1) for _ in range(3))
     lcm = math.lcm
     for n in range(3, depth + 1):
@@ -480,20 +481,17 @@ def constant_sequences(
     as the checkers do; every r_n, t_n divided by must be nonzero."""
     if depth < 4:
         raise DepthError("constant sequences need depth >= 4")
-    built = _sequences(rec, _relation_parts(rel, depth), depth, 0)
+    built = _sequences(rec, rel, depth, 0)
     return tuple(map(_reduce_pairs, _constancy(depth, built)))
 
 
-def _constants_tail(
-    rec: RecurrencePair, rel: Relation23, depth: int, induced, built, failures
-) -> InverseVerdict:
+def _constants_tail(depth: int, induced, built, failures) -> InverseVerdict:
     """The verdict of the startup condition and the constancy of A_n, B_n
     and C_n on top of the prelude's failures, from its build through depth."""
     failures = list(failures)
     # t_4 gamma_2 = a_4 t_3 by cross-multiplication
-    t3, t4, g2, (a4, a4d) = rel.t[3], rel.t[4], rec.gamma[1], built[2].a[4]
-    if (t4.numerator * g2.numerator * a4d * t3.denominator
-            != a4 * t3.numerator * t4.denominator * g2.denominator):
+    (a4, a4d), (t, td), (g, gd) = built[2].a[4], built[3][2], built[3][4]
+    if t[4] * g[1] * a4d * td[3] != a4 * t[3] * td[4] * gd[1]:
         failures.append(Failure("startup", 4))
     A, B, C = constancy = _constancy(depth, built)
     before = len(failures)
@@ -513,7 +511,7 @@ def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
     (3 <= n <= depth). Consumes relation indices through depth + 1."""
     # b_n, c_n, d_n through 3, where ci1-ci3 read them
     _, induced, built, failures = _prelude(rec, rel, depth, 3)
-    return _constants_tail(rec, rel, depth, induced, built, failures)
+    return _constants_tail(depth, induced, built, failures)
 
 
 def check_both(
@@ -526,7 +524,7 @@ def check_both(
     return (
         case,
         _equations_tail(depth, induced, built, failures),
-        _constants_tail(rec, rel, depth, induced, built, failures),
+        _constants_tail(depth, induced, built, failures),
     )
 
 
@@ -553,13 +551,15 @@ def relation_constants(rec: RecurrencePair, rel: Relation23) -> FunctionalRelati
     coefficients and the first recurrence coefficients of both families."""
     rel.require(3)
     rec.require(2, 2)
-    r, s, t = rel.r, rel.s, rel.t
-    beta0 = rec.beta[0]
-    gamma1 = rec.gamma[0]
-    gate = t[2] - r[2] * (s[1] - r[1])
+    (r, rd), (s, sd), (t, td) = rel._integers()
+    r1, r2, r3 = map(Fraction, r[1:4], rd[1:4])
+    s1, s2 = map(Fraction, s[1:3], sd[1:3])
+    t2, t3 = map(Fraction, t[2:4], td[2:4])
+    beta0, gamma1 = (Fraction(nums[0], dens[0]) for nums, dens in rec._integers())
+    gate = t2 - r2 * (s1 - r1)
     if gate == 0:
         raise DomainError("t2 - r2 (s1 - r1) must be nonzero")
-    if r[3] == 0 or t[3] == 0:
+    if r3 == 0 or t3 == 0:
         raise DomainError("r3 and t3 must be nonzero")
     if gamma1 == 0:
         raise DomainError("gamma_1 must be nonzero")
@@ -568,15 +568,15 @@ def relation_constants(rec: RecurrencePair, rel: Relation23) -> FunctionalRelati
     gt1, gt2 = induced.gamma[0], induced.gamma[1]
     if gt1 == 0 or gt2 == 0:
         raise DomainError("gamma~_1 and gamma~_2 must be nonzero")
-    c = beta0 - (gamma1 / r[3]) * (t[3] - r[3] * (s[2] - r[2])) / gate
-    lam = (r[3] / t[3]) * (gt1 * gt2 / gamma1)
-    num2 = r[3] * t[2] + (t[3] - r[3] * s[2]) * (s[1] - r[1])
-    a = -bt0 - bt1 + (gt2 / t[3]) * num2 / gate
+    c = beta0 - (gamma1 / r3) * (t3 - r3 * (s2 - r2)) / gate
+    lam = (r3 / t3) * (gt1 * gt2 / gamma1)
+    num2 = r3 * t2 + (t3 - r3 * s2) * (s1 - r1)
+    a = -bt0 - bt1 + (gt2 / t3) * num2 / gate
     b = (
         bt0 * bt1
         - gt1
-        - (bt0 * gt2 / t[3]) * num2 / gate
-        + (gt1 * gt2 / t[3]) * (t[3] - r[3] * (s[2] - r[2])) / gate
+        - (bt0 * gt2 / t3) * num2 / gate
+        + (gt1 * gt2 / t3) * (t3 - r3 * (s2 - r2)) / gate
     )
     return FunctionalRelation(lam, c, a, b)
 
@@ -654,7 +654,8 @@ def regularity_criterion(
     rel.require(depth if depth >= 2 else 2)
     c0 = as_scalar(c)
     cn, cd = c0.numerator, c0.denominator
-    (bn, bd), (gn, gd) = _parts(rec.beta[:depth]), _parts((0,) + rec.gamma[: depth - 1])
+    (bn, bd), (gn, gd) = rec._integers()
+    gn, gd = [0, *gn], [1, *gd]  # gn[n] / gd[n] is gamma_n, with gamma_0 = 0
     x, y = 1, 0
     for n in range(depth):
         if not x:
@@ -662,12 +663,11 @@ def regularity_criterion(
         k = cd * bd[n]
         x, y = (cn * bd[n] - bn[n] * cd) * gd[n] * x - gn[n] * k * y, k * gd[n] * x
         (x,), y = _divide_content([x], y)
-    r, s, t = rel.r, rel.s, rel.t
+    (r, rd), (s, sd), (t, td) = rel._integers()
     # t_n = r_n (s_{n-1} - r_{n-1}) by cross-multiplication
     no_index = all(
-        tn.numerator * rn.denominator * sp.denominator * rp.denominator
-        != tn.denominator * rn.numerator
-        * (sp.numerator * rp.denominator - rp.numerator * sp.denominator)
-        for tn, rn, sp, rp in zip(t[2 : depth + 1], r[2 : depth + 1], s[1:depth], r[1:depth])
+        t[n] * rd[n] * sd[n - 1] * rd[n - 1]
+        != td[n] * r[n] * (s[n - 1] * rd[n - 1] - r[n - 1] * sd[n - 1])
+        for n in range(2, depth + 1)
     )
     return x != 0, no_index

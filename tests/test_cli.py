@@ -878,6 +878,64 @@ def test_benchmark_casebook_payloads_match_their_digests(capsys, bench_workloads
     assert bench_workloads.payload_digest(out) == bench_workloads.DIGESTS[(name, False)]
 
 
+@pytest.fixture(scope="module")
+def gated200(bench_workloads):
+    """The deepest document the benchmark's inverse-mix stream sends: a
+    random gated instance at depth 200, as text."""
+    beta, gamma, r, s, t = bench_workloads.random_gated_instance(random.Random(21), 200)
+    return json.dumps({"recurrence": {"beta": beta, "gamma": gamma},
+                       "relation": {"r": r, "s": s, "t": t}}, default=str)
+
+
+def test_checkers_build_no_fraction_view_of_their_input(monkeypatch, gated200):
+    """A parsed document's relation and recurrence keep their integer
+    parts: neither classify, the checkers nor the closed forms build the
+    Fraction side of either."""
+    from mopsrel import (RecurrencePair, check_both, check_by_constants, classify,
+                         relation_constants)
+    from mopsrel.rational import _SequenceModel
+
+    doc = json.loads(gated200)
+    rec = RecurrencePair.from_json(doc["recurrence"])
+    rel = Relation23.from_json(doc["relation"])
+    built = []
+    view = _SequenceModel._fractions
+
+    def spy(model):
+        if model is rec or model is rel:
+            built.append(type(model).__name__)
+        return view(model)
+
+    monkeypatch.setattr(_SequenceModel, "_fractions", spy)
+    classify(rel)
+    check_both(rec, rel, 200)
+    check_by_constants(rec, rel, 200)
+    relation_constants(rec, rel)
+    assert built == []
+    assert rel.s[1] == Fraction(doc["relation"]["s"][1]) and built == ["Relation23"]
+
+
+def _unreduced(node):
+    """The document with every p/q spelled 3p/3q."""
+    if isinstance(node, dict):
+        return {key: _unreduced(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_unreduced(value) for value in node]
+    if "/" in node:
+        return "/".join(str(3 * int(part)) for part in node.split("/"))
+    return node
+
+
+@pytest.mark.parametrize("command", ["classify", "inverse-check", "constants"])
+def test_unreduced_document_gives_the_same_stdout(gated200, command):
+    copy = json.dumps(_unreduced(json.loads(gated200)))
+    assert copy != gated200
+    argv = [command, "-"] if command == "classify" else [command, "--depth", "200", "-"]
+    code, out, _ = run_stdin(argv, gated200)
+    assert code == (0 if command == "classify" else 1)
+    assert run_stdin(argv, copy)[:2] == (code, out)
+
+
 def test_parser_is_built_once_and_reused(tmp_path, capsys, combined_doc):
     """main() builds its parser once per process; an argparse refusal on
     the shared parser leaves the later payloads as pinned."""

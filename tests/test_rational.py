@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mopsrel import FormatError, as_scalar, format_rational, parse_rational
+from mopsrel.rational import _scalar_parts
 
 
 @pytest.mark.parametrize(
@@ -95,3 +96,43 @@ def rational_strings(draw):
 def test_parse_matches_fraction(text):
     assert parse_rational(text) == Fraction(text)
 
+
+
+def reference_parts(values) -> list:
+    return [(f.numerator, f.denominator) for f in map(as_scalar, values)]
+
+
+# entries a document or a caller may give: strings with unreduced fractions,
+# "-0/7" and leading zeros among them, ints and Fractions
+ENTRIES = (
+    rational_strings()
+    | st.sampled_from(["6/4", "-0/7", "007/14", "-0", "0/1", "-12/8"])
+    | st.integers(-10**30, 10**30)
+    | st.fractions()
+)
+# what ``as_scalar`` refuses: bad strings, bools, floats, other types and, under
+# a digit cap, strings past it
+OVERSIZED = ["7" * (DIGIT_CAP + 1), "-1/" + "3" * (DIGIT_CAP + 5)] if DIGIT_CAP else []
+REFUSED = st.sampled_from(
+    ["1.5", "1/0", "+3", "", " 1", "3\n", "1/2\n", "٣", "1 /2", True, False, 0.5,
+     None, [], *OVERSIZED]
+) | st.floats()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ENTRIES, max_size=8))
+def test_scalar_parts_match_as_scalar(values):
+    nums, dens = _scalar_parts(values)
+    assert list(zip(nums, dens)) == reference_parts(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ENTRIES, max_size=4), REFUSED, st.lists(ENTRIES | REFUSED, max_size=3))
+def test_scalar_parts_refuse_as_as_scalar(head, bad, tail):
+    """The first refused entry raises the FormatError that ``as_scalar``
+    raises for it, message and all."""
+    with pytest.raises(FormatError) as expected:
+        as_scalar(bad)
+    with pytest.raises(FormatError) as got:
+        _scalar_parts(head + [bad] + tail)
+    assert type(got.value) is FormatError and str(got.value) == str(expected.value)

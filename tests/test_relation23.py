@@ -24,6 +24,7 @@ from mopsrel import (
     compose_ladders,
     constant_sequences,
     generate_q,
+    half_case_closed_forms,
     induced_recurrence,
     jacobi_chain,
     JacobiParams,
@@ -126,6 +127,10 @@ NORMALIZED = MomentFunctional([1, 0, 1])
                  DepthError, "count must be >= 1", id="mops_from_recurrence-0"),
     pytest.param(lambda: jacobi_recurrence(JacobiParams("1/2", "1/2"), 0),
                  DepthError, "count must be >= 1", id="jacobi_recurrence-0"),
+    pytest.param(lambda: half_case_closed_forms(2, 0),
+                 DepthError, "count must be >= 1", id="half_case_closed_forms-0"),
+    pytest.param(lambda: half_case_closed_forms(2, -3),
+                 DepthError, "count must be >= 1", id="half_case_closed_forms-negative"),
     pytest.param(lambda: moments_from_recurrence(REFUSAL_REC, -1),
                  DepthError, "depth must be >= 0", id="moments_from_recurrence-negative"),
     pytest.param(lambda: norm_squared(REFUSAL_REC, -1),
@@ -138,6 +143,58 @@ def test_library_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def _strings(values) -> list:
+    """The entries as a document spells them, every p/q unreduced as 3p/3q."""
+    return [str(v) if v.denominator == 1 else f"{3 * v.numerator}/{3 * v.denominator}"
+            for v in values]
+
+
+def _natives(values) -> list:
+    """The entries as ints where they are integers, Fractions elsewhere."""
+    return [int(v) if v.denominator == 1 else v for v in values]
+
+
+def _refusal(call, *args):
+    try:
+        call(*args)
+    except (DepthError, DomainError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+SEQUENCE = st.lists(st.fractions(max_denominator=12), max_size=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEQUENCE, SEQUENCE, st.integers(-1, 8))
+def test_recurrence_pair_sides_agree(beta, gamma, k):
+    """A pair parsed from strings, one given ints and Fractions, and one a
+    kernel builds (``_exact``) hold the same values and refuse alike."""
+    gamma = [0] * (k % 3 == 0) + gamma  # now and then a zero gamma_1
+    pairs = [RecurrencePair(_strings(beta), _strings(gamma)),
+             RecurrencePair(_natives(beta), _natives(gamma)),
+             RecurrencePair._exact(beta, gamma)]
+    for pair in pairs:
+        assert pair.beta == tuple(beta) and pair.gamma == tuple(gamma)
+        assert pair == pairs[0] and pairs[0] == pair
+        assert _refusal(pair.require, k, k) == _refusal(pairs[-1].require, k, k)
+        assert _refusal(pair.require_regular, k) == _refusal(pairs[-1].require_regular, k)
+    assert pairs[0] != RecurrencePair._exact(beta + [Fraction(1, 3)], gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEQUENCE, SEQUENCE, SEQUENCE, st.integers(-1, 9))
+def test_relation_sides_agree(r, s, t, k):
+    """As for the recurrence pair: the three ways in build the same relation."""
+    r, s, t = [Fraction(0)] + r, [Fraction(0)] + s, [Fraction(0)] * 2 + t
+    rels = [Relation23(*map(_strings, (r, s, t))), Relation23(*map(_natives, (r, s, t))),
+            Relation23._exact(r, s, t)]
+    for rel in rels:
+        assert (rel.r, rel.s, rel.t) == (tuple(r), tuple(s), tuple(t))
+        assert rel == rels[0] and rel.max_index == rels[-1].max_index
+        assert _refusal(rel.require, k) == _refusal(rels[-1].require, k)
 
 
 def test_relation_json_round_trip():
