@@ -1,26 +1,29 @@
-"""Two fully worked constructions that exercise the whole pipeline.
+"""Two fully worked constructions that exercise the whole pipeline, both
+calls of one builder.
 
-``chebyshev_case`` builds a functional u as a point mass at 1 plus a
-weighted left multiple of the third-kind Chebyshev functional, links its
-MOPS (P_n) to the fourth-kind family (Q_n) through a 2-3 relation derived
-from explicit 2-2 and 1-2 ladders over the second-kind family, and runs
-every checker on the result. Its twist: (x - 1) u is not regular even
-though the relation is non-degenerate and (Q_n) is orthogonal.
-
-``jacobi_chain`` starts from a Jacobi functional w, performs one linear
-division at 1 (free mass attached to a coefficient a_1), one left
-multiplication by 1 + x, and an independent linear division at -1 (free
-mass attached to c_1), producing the chain w~ , u, v; v and w~ are 1-2
-ladders over w, whose recurrences are lifted from w's (``_ladder_lift``),
-and u = (1 + x) w~ is a Christoffel transform of w~, whose recurrence
+``_spectral_chain`` starts from a regular functional w, given by its
+recurrence, and three points z1, c, z2 (c != z2). It performs two linear
+divisions, v = w / (x - z1) with a free mass attached to a coefficient c_1
+and w~ = w / (x - c) with one attached to a_1, and one left multiplication,
+u = (x - z2) w~; then lambda (x - c) u = (x - z1)(x - z2) v for every w. v
+and w~ are 1-2 ladders over w, whose recurrences are lifted from w's
+(``_ladder_lift``), and u is a Christoffel transform of w~, whose recurrence
 follows from w~'s by one LU step (``_christoffel_step``). It builds no
-moment: it derives the 2-3 relation linking the MOPS of u and v, certifies
-on recurrences the identities the lifts do not give and the orthogonality
-verdicts, and pins lambda (x - c) u = (x^2 + a x + b) v, which holds for
-every w by construction, by its constants (lambda, c, a, b) = (-u_mass /
-v_mass, 1, 2, 1). It computes no norm: the a- and c-ladders and u's step
-are the pivots of one LU recursion (``_pivots``), and b_n is the L factor
-gamma~_n / d_{n-1} of J(w~) + I = L U.
+moment and computes no norm: the a- and c-ladders and u's step are the
+pivots of one LU recursion (``_pivots``) of J(w) - c I, J(w) - z1 I and
+J(w~) - z2 I, and the down-link coefficient b_n is the L factor
+gamma~_n / d_{n-1} of the last. It derives the 2-3 relation linking the
+MOPS of u and v, certifies on recurrences the identities the lifts do not
+give and the orthogonality verdicts, and pins the functional relation by
+its constants (lambda, c, a, b) = (-u_mass / v_mass, c, -(z1 + z2), z1 z2).
+
+``jacobi_chain`` is the builder over a Jacobi functional w at
+(z1, c, z2) = (-1, 1, -1). ``chebyshev_case`` is the builder over the
+second-kind Chebyshev functional at (z1, c, z2) = (-1, 1, 0) with
+a_1 = -3/2 and c_1 = 1/2: u is then a point mass at 1 plus a weighted left
+multiple of the third-kind functional, and v is of the fourth kind. Its
+twist: (x - 1) u is not regular even though the relation is non-degenerate
+and (Q_n) is orthogonal.
 
 Every identity asserted here is certified by exact computation, in time
 linear in the depth and without building a polynomial family: each 2-2
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContractError, DepthError, DomainError
 from .families import (
@@ -48,7 +51,7 @@ from .families import (
     jacobi_moments,
     jacobi_recurrence,
 )
-from .functional import RecurrencePair, RecurrenceReport, recurrence_from_moments
+from .functional import RecurrencePair, RecurrenceReport
 from .poly import Polynomial
 from .rational import _lcm_sum, _parts, _reduce_pairs, as_scalar
 from .relation23 import (
@@ -169,12 +172,12 @@ def _pivots(rec: RecurrencePair, z, first, count: int) -> list:
     return k
 
 
-def _christoffel_step(rec: RecurrencePair, d: list, tail) -> RecurrenceReport:
-    """The recurrence of u = (1 + x) f from f's beta_0..beta_top, gamma_1..gamma_{top+1} (a
-    missing gamma_{top+1} reads as 0), the pivots d = [d_0, ..., d_top] of J(f) + I = L U
-    (``_pivots`` at z = -1, from d_0 = beta_0 + 1, up to and including a first zero) and
-    tail = gamma_{top+1} (beta_{top+1} + 1), as ``recurrence_from_moments`` reports u's
-    mu_0..mu_{2 top + 2}: J(u) + I = U L, so beta^u_n = d_n + gamma_{n+1} / d_n - 1 and
+def _christoffel_step(rec: RecurrencePair, d: list, tail, z) -> RecurrenceReport:
+    """The recurrence of u = (x - z) f from f's beta_0..beta_top, gamma_1..gamma_{top+1} (a
+    missing gamma_{top+1} reads as 0), the pivots d = [d_0, ..., d_top] of J(f) - z I = L U
+    (``_pivots`` at z, from d_0 = beta_0 - z, up to and including a first zero) and
+    tail = gamma_{top+1} (beta_{top+1} - z), as ``recurrence_from_moments`` reports u's
+    mu_0..mu_{2 top + 2}: J(u) - z I = U L, so beta^u_n = d_n + gamma_{n+1} / d_n + z and
     gamma^u_n = gamma_n d_n / d_{n-1} (Bueno and Marcellan, Linear Algebra Appl. 384 (2004)).
     A zero d_n is u's first zero Hankel determinant, where it stops; d_{top+1} enters only as
     gamma_{top+1} d_{top+1}, from tail."""
@@ -186,7 +189,7 @@ def _christoffel_step(rec: RecurrencePair, d: list, tail) -> RecurrenceReport:
             return RecurrenceReport(RecurrencePair._exact(ub, ug), n, n)
         if n:
             ug.append(g[n] * d[n] / d[n - 1])
-        ub.append(d[n] + g[n + 1] / d[n] - 1)
+        ub.append(d[n] + g[n + 1] / d[n] + z)
     last = tail - g[top + 1] * g[top + 1] / d[top]  # gamma_{top+1} d_{top+1}
     if last == 0:
         return RecurrenceReport(RecurrencePair._exact(ub, ug), top + 1, top + 1)
@@ -227,31 +230,119 @@ def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
     return None
 
 
-def _certify_relation(rel: Relation23, ladders: tuple, u_rec: RecurrencePair, depth: int,
-                      q_rec: RecurrencePair):
-    """Certify, on recurrences only, a relation composed from the certified
-    ``ladders`` (a, b, l) between the MOPS (P_n) of ``u_rec`` and the family
-    (Q_n) of ``q_rec``: the 2-3 identity, both checkers' verdicts, the
-    induced recurrence against ``q_rec`` and the constancy triple against the
-    closed-form constants, which it returns with the two verdicts."""
-    n = _relation_break(rel, *ladders)
-    _certify(n is None, f"2-3 relation fails as a polynomial identity at n={n}")
+class _Chain(NamedTuple):
+    """A certified chain: the ladders W~_n = W_n + a_n W_{n-1} = P_n + b_n P_{n-1} and
+    Q_n = W_n + c_n W_{n-1} through top = depth + 2 (index 0 is None) and what they give."""
 
+    a: list
+    b: list
+    c: list
+    u_rec: RecurrencePair
+    v_rec: RecurrencePair
+    u_mass: Fraction
+    v_mass: Fraction
+    rel: Relation23
+    verdict_eq: InverseVerdict
+    verdict_ct: InverseVerdict
+    constants: FunctionalRelation
+    regularity: tuple
+
+
+def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
+                    q_rec: Optional[RecurrencePair]):
+    """The chain v = w / (x - z1), w~ = w / (x - c), u = (x - z2) w~ over the w of
+    ``w_rec`` (read through beta_{depth+2} and gamma_{depth+3}), with first ladder
+    coefficients a_1 and c_1, certified through ``depth`` (the induced recurrence against
+    ``q_rec``, or against v's own when it is None): a ``_Chain``, or the ``Failure`` of
+    the first condition that does not hold. c = z2 is refused: u is then w."""
+    if c == z2:
+        raise DomainError(f"c and z2 must differ: u = (x - {z2}) w / (x - {c}) is w")
+    top = depth + 2
+    beta0 = w_rec.beta[0]
+    if a1 == 0:
+        return Failure("a1 must be nonzero", None)
+    if c1 == 0:
+        return Failure("c1 must be nonzero", None)
+    mass_up = c - beta0 + a1
+    if mass_up == 0:
+        return Failure("w_tilde_mass", None)
+    u_mass = (beta0 - a1 - z2) / mass_up
+    if u_mass == 0:
+        return Failure("u_mass", None)
+    v_denom = beta0 - c1 - z1
+    if v_denom == 0:
+        return Failure("v_mass", None)
+    v_mass = 1 / v_denom
+
+    # the coefficient ladders run the pivot recursions of J(w) - c I and J(w) - z1 I from
+    # the free a_1, c_1: a zero below top is a breakdown (the chain functional is not
+    # regular there), a's before c's at one n, and one at top the lifts' verdict
+    a_seq, c_seq = _pivots(w_rec, c, a1, top + 1), _pivots(w_rec, z1, c1, top + 1)
+    n, name = min((len(a_seq) - 1, "a"), (len(c_seq) - 1, "c"))
+    if n < top:
+        return Failure(f"{name}_recursion_breakdown", n)
+    for n in range(1, top + 1):
+        if a_seq[n] == c_seq[n]:
+            return Failure("link_coefficients_equal", n)
+
+    # v and w~ are the ladders Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1}. The
+    # report keeps u's and v's beta through top and gamma through top + 1, as the Hankel
+    # sweep over u's moments mu_0..mu_{2 top + 2} would: the lifts take a_n, c_n through
+    # top + 1. w~'s lift ends at beta~_k (k = top, or top - 1 at a zero a_top); by
+    # a_{k+1} a_{k+2} = a_{k+1} (beta_{k+1} - c) - gamma_{k+1}, the tail
+    # gamma~_{k+1} (beta~_{k+1} - z2) needs no a_{k+2}, so a zero a_{k+1} divides by nothing
+    v_report, wt_report = (_ladder_lift(w_rec, seq, top + 1) for seq in (c_seq, a_seq))
+    wt_rec = wt_report.rec
+    k = len(wt_rec.beta) - 1
+    tail = w_rec.gamma[k - 1] / a_seq[k] * (a_seq[k + 1] * (a_seq[k + 1] + c - z2)
+                                            + w_rec.gamma[k])
+    d = _pivots(wt_rec, z2, wt_rec.beta[0] - z2, k + 1)[1:]
+    reports = (("u", _christoffel_step(wt_rec, d, tail, z2)), ("v", v_report),
+               ("w_tilde", wt_report))
+    for name, report in reports:
+        if report.first_vanishing is not None and report.first_vanishing <= top:
+            return Failure(f"{name}_not_regular", report.first_vanishing)
+    u_rec, v_rec = (report.rec for _, report in reports[:2])
+    a_seq, c_seq = a_seq[: top + 1], c_seq[: top + 1]
+
+    # W~_n = P_n + b_n P_{n-1} is the L factor of J(w~) - z2 I = L U: b_n = gamma~_n / d_{n-1},
+    # d_0..d_top all nonzero here
+    b_seq = [None] + [g / p for g, p in zip(wt_rec.gamma[:top], d)]
+
+    # the lifts give the up-link and the second-family link; the down-link
+    # W~_n = P_n + b_n P_{n-1} ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
+    n = _ladder_break(wt_rec, u_rec, [0] * (top + 1), b_seq, top)
+    _certify(n is None, f"down-link identity fails at n={n}")
+
+    # the relation composed from the certified ladders, certified on recurrences only: the
+    # 2-3 identity, both checkers' verdicts, the induced recurrence against the second
+    # family and the constancy triple against the closed-form constants
+    rel = compose_ladders(b_seq, a_seq, c_seq)
+    n = _relation_break(rel, b_seq, a_seq, c_seq)
+    _certify(n is None, f"2-3 relation fails as a polynomial identity at n={n}")
     _, verdict_eq, verdict_ct = check_both(u_rec, rel, depth)
     _certify(verdict_eq.is_mops, "equation checker rejects the generated family")
     _certify(verdict_ct.is_mops, "constancy checker rejects the generated family")
+    q_rec = v_rec if q_rec is None else q_rec
     _certify(
         verdict_eq.induced.beta[: depth + 1] == q_rec.beta[: depth + 1]
         and verdict_eq.induced.gamma[:depth] == q_rec.gamma[:depth],
         "induced recurrence does not match the second family",
     )
-
     constants = relation_constants(u_rec, rel)
     _certify(
         verdict_ct.constants == (constants.a, constants.b, constants.c),
         "constancy triple disagrees with the closed-form constants",
     )
-    return verdict_eq, verdict_ct, constants
+    # u_mass (x - c) u = -(x - z2) w and v_mass (x - z1) v = w for every w, as (x - c) and
+    # (x - z1) annihilate the free masses, so lambda (x - c) u = (x - z1)(x - z2) v holds
+    # exactly at these constants
+    a, b = -(z1 + z2), z1 * z2
+    _certify(constants == FunctionalRelation(-u_mass / v_mass, c, a, b),
+             f"functional relation constants differ from (-u_mass / v_mass, {c}, {a}, {b})")
+
+    return _Chain(a_seq, b_seq, c_seq, u_rec, v_rec, u_mass, v_mass, rel, verdict_eq,
+                  verdict_ct, constants, regularity_criterion(u_rec, c, rel, depth))
 
 
 def _report_csv(report, third_name: str, third: tuple) -> list:
@@ -317,79 +408,51 @@ class ChebyshevCaseReport:
         return _report_csv(self, "lambda_n", self.lambda_seq)
 
 
-def _chebyshev_ladder(count: int) -> tuple[list, list, list]:
-    """The explicit 2-2 and 1-2 ladder coefficients of the case, a_n and
-    b_n alternating in closed form and a constant 1/2, for 1 <= n <= count."""
-    a: list = [None] * (count + 1)
-    b: list = [None] * (count + 1)
-    for n in range(1, count + 1):
-        k = n // 2
-        if n % 2 == 0:
-            a[n] = b[n] = Fraction(-(4 * k + 1), 2 * (4 * k - 1))
-        else:
-            a[n] = Fraction(4 * k - 1, 2 * (4 * k + 1))
-            b[n] = Fraction(-(4 * k + 3), 2 * (4 * k + 1))
-    return a, b, [None] + [HALF] * count
-
-
 def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     if depth < 5:
         raise DepthError("chebyshev_case needs depth >= 5")
-    top = depth + 2
-    a, b, lam = _chebyshev_ladder(top)
-
-    second_rec = chebyshev_kind(2, top + 1)
-    fourth_rec = chebyshev_kind(4, top + 2)
-    n = _ladder_break(fourth_rec, second_rec, [0] * (top + 1), lam, top)
-    _certify(n is None, f"1-2 ladder between fourth and second kind fails at n={n}")
+    # (1 + x) times the fourth-kind weight is the second kind's, so v is of the fourth kind;
+    # x w~ = x (w / (x - 1) + M delta_1) is delta_1 - (1/2) x w3 up to normalization
+    fourth_rec = chebyshev_kind(4, depth + 4)
+    chain = _spectral_chain(chebyshev_kind(2, depth + 4), -1, 1, 0, Fraction(-3, 2), HALF,
+                            depth, fourth_rec)
+    if isinstance(chain, Failure):
+        _certify(False, f"the chain over the second kind fails {chain.condition} at n={chain.n}")
 
     # u = delta_1 - (ratio / 3) x w3 with w3 of the third kind: orthogonality of P_2
-    # fixes ratio = 3/2 at every depth, and the 2-2 ladder certificate below fails
-    # for any other ratio
+    # fixes ratio = 3/2 at every depth. u (point mass plus third kind) and v (fourth kind)
+    # come from independent Pearson sweeps, so the functional identity on their moments is
+    # a check: v_moments_from_relation builds v_{n+2} from it for every n <= u.depth - 2.
+    # It fixes (x - 1) u, and so u, which has mu_0 = 1: the chain's u, whose relation the
+    # checkers certified with Q of the fourth kind, obeys the same identity at the same
+    # constants
     w3 = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[3]), 2 * depth + 7)
     u = w3.left_multiply(Polynomial([0, -HALF])).add_point_mass(1, 1).normalized()
-
-    u_report = recurrence_from_moments(u)
-    _certify(
-        u_report.first_vanishing is None or u_report.first_vanishing > depth + 2,
-        "u fails regularity inside the working range",
-    )
-    u_rec = u_report.rec
-    _certify(
-        _ladder_break(u_rec, second_rec, a, b, top) is None,
-        "2-2 ladder family does not match the MOPS of u",
-    )
-
-    rel = compose_ladders(a, b, lam)
-    verdict_eq, verdict_ct, constants = _certify_relation(rel, (a, b, lam), u_rec, depth,
-                                                          fourth_rec)
-    # u (point mass plus third kind) and v (fourth kind) come from independent
-    # Pearson sweeps, so the functional identity on their moments is a check:
-    # v_moments_from_relation builds v_{n+2} from it for every n <= u.depth - 2
     v = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[4]), u.depth)
-    recovered = v_moments_from_relation(u, constants, verdict_eq.induced.beta[0])
+    recovered = v_moments_from_relation(u, chain.constants, chain.verdict_eq.induced.beta[0])
     _certify(
         recovered == v,
         "moments recovered from the functional identity differ from the second family's",
     )
 
-    regularity = regularity_criterion(u_rec, 1, rel, depth)
+    rel = chain.rel
     r, s, t = rel.r, rel.s, rel.t
     odd_ok = all(t[n] == r[n] * (s[n - 1] - r[n - 1]) for n in range(3, depth + 1, 2))
 
     return ChebyshevCaseReport(
         depth=depth,
         point_mass_ratio=Fraction(3, 2),
-        a_seq=tuple(a),
-        b_seq=tuple(b),
-        lambda_seq=tuple(lam),
+        a_seq=tuple(chain.b),
+        b_seq=tuple(chain.a),
+        lambda_seq=tuple(chain.c),
         rel=rel,
-        u_rec=RecurrencePair._exact(u_rec.beta[: depth + 2], u_rec.gamma[: depth + 2]),
+        u_rec=RecurrencePair._exact(chain.u_rec.beta[: depth + 2],
+                                    chain.u_rec.gamma[: depth + 2]),
         q_rec=fourth_rec,
-        verdict_equations=verdict_eq,
-        verdict_constants=verdict_ct,
-        constants=constants,
-        regularity=regularity,
+        verdict_equations=chain.verdict_eq,
+        verdict_constants=chain.verdict_ct,
+        constants=chain.constants,
+        regularity=chain.regularity,
         # <u, x - 1> = -(mu_2 - mu_1) / 2 of w3 = 0, the first moment of (x - 1) u: its
         # first Hankel determinant vanishes
         shifted_hankel=RecurrenceReport(RecurrencePair((), ()), 0, 0),
@@ -463,101 +526,27 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     c1 = as_scalar(c1)
     if depth < 5:
         raise DepthError("jacobi_chain needs depth >= 5")
-
-    def fail(condition: str, n: Optional[int] = None) -> JacobiChainReport:
-        return JacobiChainReport(False, Failure(condition, n), params.alpha, params.beta,
-                                 a1, c1, depth)
-
-    top = depth + 2
-    # one Jacobi recurrence, read through top (gamma through top + 1), serves the
-    # ladders and the lifts. The report keeps u's and v's beta through top and gamma
-    # through top + 1, as the Hankel sweep over u's moments mu_0..mu_{2 top + 2}
-    # would: the lifts take a_n, c_n through top + 1
-    w_rec = jacobi_recurrence(params, top + 2)
-    beta0 = w_rec.beta[0]
-
-    if a1 == 0:
-        return fail("a1 must be nonzero")
-    if c1 == 0:
-        return fail("c1 must be nonzero")
-    mass_up = 1 - beta0 + a1
-    if mass_up == 0:
-        return fail("w_tilde_mass")
-    u_mass = (1 + beta0 - a1) / mass_up
-    if u_mass == 0:
-        return fail("u_mass")
-    v_denom = 1 + beta0 - c1
-    if v_denom == 0:
-        return fail("v_mass")
-    v_mass = 1 / v_denom
-
-    # the coefficient ladders run the pivot recursions of J(w) - I and J(w) + I from the
-    # free a_1, c_1: a zero below top is a breakdown (the chain functional is not regular
-    # there), a's before c's at one n, and one at top the lifts' verdict
-    a_seq, c_seq = _pivots(w_rec, 1, a1, top + 1), _pivots(w_rec, -1, c1, top + 1)
-    n, name = min((len(a_seq) - 1, "a"), (len(c_seq) - 1, "c"))
-    if n < top:
-        return fail(f"{name}_recursion_breakdown", n)
-    for n in range(1, top + 1):
-        if a_seq[n] == c_seq[n]:
-            return fail("link_coefficients_equal", n)
-
-    # v and w~ are the ladders Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1},
-    # and u = (1 + x) w~. w~'s lift ends at beta~_k (k = top, or top - 1 at a zero a_top);
-    # by a_{k+1} a_{k+2} = a_{k+1} (beta_{k+1} - 1) - gamma_{k+1}, gamma~_{k+1} (beta~_{k+1}
-    # + 1) needs no a_{k+2}, so a zero a_{k+1} divides by nothing
-    v_report, wt_report = (_ladder_lift(w_rec, seq, top + 1) for seq in (c_seq, a_seq))
-    wt_rec = wt_report.rec
-    k = len(wt_rec.beta) - 1
-    tail = w_rec.gamma[k - 1] / a_seq[k] * (a_seq[k + 1] * (a_seq[k + 1] + 2) + w_rec.gamma[k])
-    d = _pivots(wt_rec, -1, wt_rec.beta[0] + 1, k + 1)[1:]
-    reports = (("u", _christoffel_step(wt_rec, d, tail)), ("v", v_report),
-               ("w_tilde", wt_report))
-    for name, report in reports:
-        if report.first_vanishing is not None and report.first_vanishing <= depth + 2:
-            return fail(f"{name}_not_regular", report.first_vanishing)
-    u_rec, v_rec = (report.rec for _, report in reports[:2])
-    a_seq, c_seq = a_seq[: top + 1], c_seq[: top + 1]
-
-    # W~_n = P_n + b_n P_{n-1} is the L factor of J(w~) + I = L U: b_n = gamma~_n / d_{n-1},
-    # d_0..d_top all nonzero here
-    b_seq = [None] + [g / p for g, p in zip(wt_rec.gamma[:top], d)]
-
-    # the lifts give the up-link and the second-family link; the down-link
-    # W~_n = P_n + b_n P_{n-1} ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
-    n = _ladder_break(wt_rec, u_rec, [0] * (top + 1), b_seq, top)
-    _certify(n is None, f"down-link identity fails at n={n}")
-
-    rel = compose_ladders(b_seq, a_seq, c_seq)
-    verdict_eq, verdict_ct, constants = _certify_relation(rel, (b_seq, a_seq, c_seq), u_rec,
-                                                          depth, v_rec)
-    # u_mass (x - 1) u = -(1 + x) w and v_mass (x + 1)^2 v = (1 + x) w for every w, so
-    # lambda (x - 1) u = (x + 1)^2 v holds exactly at these constants
-    _certify(constants == FunctionalRelation(-u_mass / v_mass, 1, 2, 1),
-             "functional relation constants differ from (-u_mass / v_mass, 1, 2, 1)")
-
-    regularity = regularity_criterion(u_rec, 1, rel, depth)
-
+    head = (params.alpha, params.beta, a1, c1, depth)
+    chain = _spectral_chain(jacobi_recurrence(params, depth + 4), -1, 1, -1, a1, c1, depth,
+                            None)
+    if isinstance(chain, Failure):
+        return JacobiChainReport(False, chain, *head)
     return JacobiChainReport(
-        ok=True,
-        failure=None,
-        alpha=params.alpha,
-        beta=params.beta,
-        a1=a1,
-        c1=c1,
-        depth=depth,
-        a_seq=tuple(a_seq),
-        b_seq=tuple(b_seq),
-        c_seq=tuple(c_seq),
-        rel=rel,
-        u_rec=RecurrencePair._exact(u_rec.beta[: depth + 3], u_rec.gamma[: depth + 3]),
-        v_rec=RecurrencePair._exact(v_rec.beta[: depth + 3], v_rec.gamma[: depth + 3]),
-        u_mass=u_mass,
-        v_mass=v_mass,
-        verdict_equations=verdict_eq,
-        verdict_constants=verdict_ct,
-        constants=constants,
-        regularity=regularity,
+        True,
+        None,
+        *head,
+        a_seq=tuple(chain.a),
+        b_seq=tuple(chain.b),
+        c_seq=tuple(chain.c),
+        rel=chain.rel,
+        u_rec=RecurrencePair._exact(chain.u_rec.beta[: depth + 3], chain.u_rec.gamma[: depth + 3]),
+        v_rec=RecurrencePair._exact(chain.v_rec.beta[: depth + 3], chain.v_rec.gamma[: depth + 3]),
+        u_mass=chain.u_mass,
+        v_mass=chain.v_mass,
+        verdict_equations=chain.verdict_eq,
+        verdict_constants=chain.verdict_ct,
+        constants=chain.constants,
+        regularity=chain.regularity,
     )
 
 

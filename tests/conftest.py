@@ -7,7 +7,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mopsrel import Relation23, RecurrencePair, classify, RelationTag
+from mopsrel import (
+    Failure,
+    JacobiParams,
+    Relation23,
+    RecurrencePair,
+    classify,
+    jacobi_recurrence,
+    RelationTag,
+)
+from mopsrel.casebook import _spectral_chain
 
 
 def rel_from7(r1, r2, r3, s1, s2, t2, t3, pad: int = 0) -> Relation23:
@@ -45,6 +54,22 @@ def random_gated_instance(rng: random.Random, depth: int):
     beta = [random_fraction(rng) for _ in range(depth + 2)]
     gamma = [random_fraction(rng, nonzero=True) for _ in range(depth + 2)]
     return RecurrencePair(beta, gamma), rel
+
+
+def random_spectral_chain(rng: random.Random, depth: int):
+    """A positive instance of the spectral-chain builder at ``depth``: a Jacobi w
+    with alpha, beta > -1 and rationals z1, c, z2, a1, c1 with c apart from z1 and
+    z2, drawn again while the builder refuses them by a named failure. Returns the
+    builder's chain and (params, z1, c, z2, a1, c1)."""
+    while True:
+        params = JacobiParams(*(Fraction(rng.randint(-5, 18), 6) for _ in range(2)))
+        z1, c, z2, a1, c1 = (Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(5))
+        if c in (z1, z2):
+            continue
+        w_rec = jacobi_recurrence(params, depth + 4)
+        chain = _spectral_chain(w_rec, z1, c, z2, a1, c1, depth, None)
+        if not isinstance(chain, Failure):
+            return chain, (params, z1, c, z2, a1, c1)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from mopsrel import (
     Polynomial,
     RecurrencePair,
     Relation23,
+    check_by_constants,
+    check_by_equations,
     chebyshev_case,
     compose_ladders,
     generate_q,
@@ -29,11 +32,13 @@ from mopsrel import (
     mops_from_recurrence,
     norm_squared,
     recurrence_from_moments,
+    relation_constants,
     v_moments_from_relation,
     verify_functional_relation,
 )
 from mopsrel import casebook, families, functional, rational, relation23
 from mopsrel.cli import _json_text
+from conftest import random_spectral_chain
 from oracles import hankel_form
 
 
@@ -514,39 +519,42 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     st.lists(small_fractions.filter(bool), min_size=7, max_size=7),
     st.integers(1, 6),
     st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6, 7]),
+    small_fractions,
 )
 # Chebyshev-like data whose P_3(-1) is already 0, and a pivot bent in at m = 3
-@example([Fraction(0)] * 8, [Fraction(1, 2)] * 7, 4, None)
-@example([Fraction(1)] * 8, [Fraction(1)] * 7, 4, 3)
-def test_christoffel_step_matches_the_hankel_recovery(beta, gamma, top, pivot):
+@example([Fraction(0)] * 8, [Fraction(1, 2)] * 7, 4, None, Fraction(-1))
+@example([Fraction(1)] * 8, [Fraction(1)] * 7, 4, 3, Fraction(-1))
+def test_christoffel_step_matches_the_hankel_recovery(beta, gamma, top, pivot, z):
     """On a random quasi-definite recurrence of f (beta_0..beta_{K+1},
-    gamma_1..gamma_{K+1}, K = top), ``_christoffel_step`` gives the report
-    ``recurrence_from_moments`` gives on (1 + x) f's moments mu_0..mu_{2K+2}:
-    the same entries, the same first vanishing index and the same lengths.
-    ``pivot`` = m bends beta_m so that f's monic P_{m+1}(-1) = 0, the zero
-    pivot d_m of (1 + x) f's first zero Hankel determinant at m."""
+    gamma_1..gamma_{K+1}, K = top) and a random point z, ``_christoffel_step``
+    gives the report ``recurrence_from_moments`` gives on (x - z) f's moments
+    mu_0..mu_{2K+2}: the same entries, the same first vanishing index and the
+    same lengths. ``pivot`` = m bends beta_m so that f's monic P_{m+1}(z) = 0,
+    the zero pivot d_m of (x - z) f's first zero Hankel determinant at m."""
     beta, gamma = beta[: top + 2], gamma[: top + 1]
     g = [0] + gamma  # g[n] is gamma_n
-    at = [Fraction(0), Fraction(1)]  # at[n + 1] is P_n(-1), n >= -1
+    at = [Fraction(0), Fraction(1)]  # at[n + 1] is P_n(z), n >= -1
     for n in range(top + 2):
         if n == pivot and at[n + 1]:
-            beta[n] = -1 - g[n] * at[n] / at[n + 1]
-        at.append((-1 - beta[n]) * at[n + 1] - g[n] * at[n])
+            beta[n] = z - g[n] * at[n] / at[n + 1]
+        at.append((z - beta[n]) * at[n + 1] - g[n] * at[n])
     f = moments_from_recurrence(RecurrencePair(beta, gamma), 2 * top + 3)
-    expected = recurrence_from_moments(f.left_multiply(Polynomial([1, 1])))
+    expected = recurrence_from_moments(f.left_multiply(Polynomial([-z, 1])))
     rec = RecurrencePair(beta[: top + 1], gamma)
-    pivots = casebook._pivots(rec, -1, beta[0] + 1, top + 1)[1:]
-    got = casebook._christoffel_step(rec, pivots, gamma[top] * (beta[top + 1] + 1))
+    pivots = casebook._pivots(rec, z, beta[0] - z, top + 1)[1:]
+    got = casebook._christoffel_step(rec, pivots, gamma[top] * (beta[top + 1] - z), z)
     assert got == expected
     assert got.first_vanishing == next((m for m in range(top + 2) if at[m + 2] == 0), None)
 
 
 def test_jacobi_chain_recovers_no_recurrence_from_moments(monkeypatch):
     """u's recurrence is a Christoffel step on w~'s, v's and w~'s are lifted
-    from w's, so the Hankel recovery never runs in a chain; the functional
-    identity is pinned by its constants, so a chain builds no moment either."""
+    from w's, so the Hankel recovery never runs in a worked case; the chain's
+    functional identity is pinned by its constants, so a chain builds no
+    moment either. The Chebyshev case builds moments for its moment
+    certificate alone."""
     calls = []
-    real = casebook.recurrence_from_moments
+    real = functional.recurrence_from_moments
     real_moments = casebook.jacobi_moments
     real_init = MomentFunctional.__init__
     real_reduced = MomentFunctional._reduced.__func__
@@ -567,31 +575,35 @@ def test_jacobi_chain_recovers_no_recurrence_from_moments(monkeypatch):
         calls.append("MomentFunctional")
         return real_reduced(cls, nums, den)
 
-    monkeypatch.setattr(casebook, "recurrence_from_moments", counted)
+    # casebook imports no recurrence_from_moments; the spy stands in for a
+    # binding that came back
+    for module in (casebook, functional):
+        monkeypatch.setattr(module, "recurrence_from_moments", counted, raising=False)
     monkeypatch.setattr(casebook, "jacobi_moments", counted_moments)
     monkeypatch.setattr(MomentFunctional, "__init__", counted_init)
     monkeypatch.setattr(MomentFunctional, "_reduced", classmethod(counted_reduced))
     assert jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 12).ok
     assert calls == []
     chebyshev_case(6)  # the spies see the calls a worked case does make
-    assert {"recurrence_from_moments", "jacobi_moments", "MomentFunctional"} <= set(calls)
+    assert "recurrence_from_moments" not in calls
+    assert {"jacobi_moments", "MomentFunctional"} <= set(calls)
 
 
 @pytest.mark.parametrize("depth", [5, 12, 80])
 def test_chebyshev_case_decides_the_shifted_functional_by_its_first_moment(monkeypatch, depth):
     """<u, x - 1> is the first moment of (x - 1) u. It vanishes in the
     Chebyshev case, so the report of the shifted functional (regular through
-    -1, first vanishing 0) needs no Hankel sweep: the case recovers one
-    recurrence, u's. On the u the case builds, <u, x - 1> = 0 and the sweep
-    over the shifted moments gives that report."""
+    -1, first vanishing 0) needs no Hankel sweep: the case recovers no
+    recurrence. On the u whose moments the case's moment certificate reads,
+    <u, x - 1> = 0 and the sweep over the shifted moments gives that report."""
     seen = []
-    real = casebook.recurrence_from_moments
+    real = casebook.v_moments_from_relation
 
-    def counted(f):
-        seen.append(f)
-        return real(f)
+    def spied(u, constants, v1):
+        seen.append(u)
+        return real(u, constants, v1)
 
-    monkeypatch.setattr(casebook, "recurrence_from_moments", counted)
+    monkeypatch.setattr(casebook, "v_moments_from_relation", spied)
     report = chebyshev_case(depth)
     assert [f.depth for f in seen] == [2 * depth + 6]  # u's moments mu_0..mu_{2 depth + 6}
     assert (report.shifted_hankel.regular_through, report.shifted_hankel.first_vanishing) == (-1, 0)
@@ -599,9 +611,57 @@ def test_chebyshev_case_decides_the_shifted_functional_by_its_first_moment(monke
     u = seen[0]
     x_minus_1 = Polynomial([-1, 1])
     assert u.apply(x_minus_1) == 0
-    swept = real(u.left_multiply(x_minus_1))
+    swept = recurrence_from_moments(u.left_multiply(x_minus_1))
     assert (swept.regular_through, swept.first_vanishing) == (-1, 0)
     assert swept == report.shifted_hankel
+
+
+# --- the spectral-chain builder on random w ------------------------------
+
+# the first index of each sequence that a bend may set
+BENDABLE = {"r": 1, "s": 1, "t": 2, "beta": 0, "gamma": 1}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32), st.integers(12, 40), st.sampled_from(sorted(BENDABLE)),
+       st.data())
+def test_spectral_chain_gives_positive_instances(seed, depth, field, data):
+    """Over a random Jacobi w and random rational points z1, c, z2 and first
+    coefficients a1, c1, the builder's u and relation are a positive
+    instance: both checkers say MOPS, the constants are exactly
+    lambda = (beta_0 - c1 - z1)(beta_0 - a1 - z2) / (beta_0 - a1 - c), c,
+    -(z1 + z2) and z1 z2, and the relation unfolds u's MOPS into v's. One
+    entry of the relation or of u's recurrence, bent by 1/7 inside the
+    checkers' window, fails a named condition in both checkers."""
+    chain, (params, z1, c, z2, a1, c1) = random_spectral_chain(random.Random(seed), depth)
+    rec, rel = chain.u_rec, chain.rel
+    assert check_by_equations(rec, rel, depth).is_mops
+    assert check_by_constants(rec, rel, depth).is_mops
+    beta0 = jacobi_recurrence(params, 1).beta[0]
+    lam = (beta0 - c1 - z1) * (beta0 - a1 - z2) / (beta0 - a1 - c)
+    assert relation_constants(rec, rel) == FunctionalRelation(lam, c, -(z1 + z2), z1 * z2)
+    p, q = (mops_from_recurrence(r, 8) for r in (rec, chain.v_rec))
+    assert generate_q(p, rel) == q
+
+    seqs = {"r": list(rel.r), "s": list(rel.s), "t": list(rel.t),
+            "beta": list(rec.beta), "gamma": [None] + list(rec.gamma)}
+    n = data.draw(st.integers(BENDABLE[field], depth), label="n")
+    seqs[field][n] += Fraction(1, 7)
+    bent_rec = RecurrencePair(seqs["beta"], seqs["gamma"][1:])
+    bent_rel = Relation23(seqs["r"], seqs["s"], seqs["t"])
+    for checker in (check_by_equations, check_by_constants):
+        verdict = checker(bent_rec, bent_rel, depth)
+        assert not verdict.is_mops and verdict.failures
+        assert all(isinstance(f.condition, str) and f.condition for f in verdict.failures)
+
+
+def test_spectral_chain_refuses_c_equal_to_z2():
+    """At c = z2, u = (x - z2) w / (x - c) is w itself, and the relation
+    between u's and v's MOPS has a degenerate shape (Type12): the builder
+    refuses the point by name before any work."""
+    w_rec = jacobi_recurrence(JacobiParams("1/3", "2/7"), 10)
+    with pytest.raises(DomainError, match="c and z2 must differ"):
+        casebook._spectral_chain(w_rec, -1, 2, 2, 3, -5, 6, None)
 
 
 def test_chebyshev_case_stays_on_the_moment_vector(monkeypatch):
@@ -651,14 +711,19 @@ def bump_relation_s(k):
     return wrap
 
 
-def bump_ladder(which, k):
-    """A wrapper for ``_chebyshev_ladder`` that adds 1/7 to entry k of the
-    a, b or lambda ladder (which = 0, 1, 2)."""
-    def wrap(ladder):
-        def bent(count):
-            seqs = ladder(count)
-            seqs[which][k] += Fraction(1, 7)
-            return seqs
+def bump_pivots(call, k):
+    """A wrapper for ``_pivots`` that adds 1/7 to entry k of the list it
+    returns on its ``call``-th call (in the spectral-chain builder: the
+    a-ladder, then the c-ladder, then [None, d_0, d_1, ...], the pivots of
+    u's Christoffel step, whose d_{n-1} the ladder entry b_n divides by)."""
+    def wrap(pivots):
+        calls = []
+        def bent(*args):
+            seq = pivots(*args)
+            calls.append(None)
+            if len(calls) == call:
+                seq[k] += Fraction(1, 7)
+            return seq
         return bent
     return wrap
 
@@ -699,6 +764,19 @@ def bump_recurrence(call, field, k):
     return wrap
 
 
+def shift_beta0(kind, by):
+    """A wrapper for ``chebyshev_kind`` that adds ``by`` to beta_0 of the
+    family of the given kind."""
+    def wrap(family):
+        def bent(k, count):
+            rec = family(k, count)
+            if k != kind:
+                return rec
+            return RecurrencePair((rec.beta[0] + by,) + rec.beta[1:], rec.gamma)
+        return bent
+    return wrap
+
+
 def bump_constant(field):
     """A wrapper for ``relation_constants`` that adds 1/7 to lam, c, a or b."""
     def wrap(constants):
@@ -724,15 +802,21 @@ def build_chain():
          "2-3 relation fails as a polynomial identity at n=4"),
         (build_chain, "compose_ladders", bump_relation_s(5),
          "2-3 relation fails as a polynomial identity at n=5"),
-        (build_cheb, "_chebyshev_ladder", bump_ladder(2, 3),
-         "1-2 ladder between fourth and second kind fails at n=3"),
-        (build_cheb, "_chebyshev_ladder", bump_ladder(0, 3),
-         "2-2 ladder family does not match the MOPS of u"),
-        (build_cheb, "_chebyshev_ladder", bump_ladder(1, 5),
-         "2-2 ladder family does not match the MOPS of u"),
-        # wrong moments: of the third-kind part of u, of the fourth kind, of w
+        # wrong ladders of the Chebyshev case: lambda_3 (the builder's c_3), its a_3
+        # (the builder's b_3, through the pivot d_2 it divides by), its b_5 (the
+        # builder's a_5)
+        (build_cheb, "_pivots", bump_pivots(2, 3),
+         "equation checker rejects the generated family"),
+        (build_cheb, "_pivots", bump_pivots(3, 3),
+         "down-link identity fails at n=3"),
+        (build_cheb, "_pivots", bump_pivots(1, 5),
+         "equation checker rejects the generated family"),
+        # a second kind with beta_0 = -1/2, where w~ (and v) take no free mass
+        (build_cheb, "chebyshev_kind", shift_beta0(2, Fraction(-1, 2)),
+         "the chain over the second kind fails w_tilde_mass at n=None"),
+        # wrong moments: of the third-kind part of u, of the fourth kind
         (build_cheb, "jacobi_moments", bump_moment(1, 6),
-         "2-2 ladder family does not match the MOPS of u"),
+         "moments recovered from the functional identity differ from the second family's"),
         (build_cheb, "jacobi_moments", bump_moment(2, 6),
          "moments recovered from the functional identity differ from the second family's"),
         # wrong recurrences: of u (beta_2), of v (gamma_4, beta_0), of w~ (beta_2)
@@ -748,7 +832,7 @@ def build_chain():
         (build_chain, "relation_constants", bump_constant("lam"),
          "functional relation constants differ from (-u_mass / v_mass, 1, 2, 1)"),
         (build_cheb, "relation_constants", bump_constant("lam"),
-         "moments recovered from the functional identity differ from the second family's"),
+         "functional relation constants differ from (-u_mass / v_mass, 1, 1, 0)"),
         *[(build, "relation_constants", bump_constant(field),
            "constancy triple disagrees with the closed-form constants")
           for build in (build_chain, build_cheb) for field in ("c", "a", "b")],
@@ -756,14 +840,17 @@ def build_chain():
 )
 def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message):
     """Each bent input is caught by a certificate, with its message and
-    index. The bends of ladders, relations, moments and u's recurrence give
-    what the same bend gave when the identities were decided by Polynomial
-    equality and the moments came from the lattice sweep. A bent lift of v
+    index. Both worked cases are chains of one builder. A bent a- or c-ladder
+    entry gives a lift that is no ladder over w, and the relation composed
+    from it fails the equation checker; a bent pivot of u's step breaks the
+    down-link at the index of the b_n that divides by it. A bent lift of v
     meets the induced recurrence of u's relation. u is the Christoffel step
     of w~, so the down-link, which any such pair with w~'s gammas obeys, lets
-    a bent beta of w~ through to the equation checker. A bent c, a or b
-    meets the constancy triple; a bent lambda meets the chain's closed-form
-    constants and the Chebyshev case's moments."""
+    a bent beta of w~ through to the equation checker. A bent moment of the
+    Chebyshev case's u or v meets its moment certificate, and a second kind
+    that leaves w~ without a free mass is refused by name. A bent c, a or b
+    meets the constancy triple; a bent lambda meets the builder's closed-form
+    constants."""
     monkeypatch.setattr(casebook, seam, wrap(getattr(casebook, seam)))
     with pytest.raises(ContractError) as info:
         build()

@@ -48,6 +48,7 @@ from mopsrel import (
 from mopsrel.casebook import _ladder_break, _relation_break
 from mopsrel.poly import _combination
 from mopsrel.rational import _reduce_pairs
+from conftest import random_spectral_chain
 from oracles import (
     add_point_mass_raw,
     apply_raw,
@@ -773,14 +774,16 @@ def test_constant_sequences_start_at_depth_4():
 
 @functools.cache
 def mutation_bases():
-    """Positive instances with data through index 22: the Chebyshev case
-    and the generic and half Jacobi chains."""
+    """Positive instances with data through index 22: the Chebyshev case,
+    the generic and half Jacobi chains, and a random chain of the builder
+    that both worked cases call."""
     from mopsrel import jacobi_chain
 
     return (
         chebyshev_case(21),
         jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 21),
         jacobi_chain(JacobiParams("1/2", "1/2"), 2, -2, 21),
+        random_spectral_chain(random.Random(20260818), 21)[0],
     )
 
 
@@ -790,7 +793,7 @@ MUTABLE = {"r": 1, "s": 1, "t": 2, "beta": 0, "gamma": 1}
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(0, 2), st.integers(5, 20), st.sampled_from(sorted(MUTABLE)), st.data(),
+    st.integers(0, 3), st.integers(5, 20), st.sampled_from(sorted(MUTABLE)), st.data(),
     st.sampled_from(["7", "-3/5", "0", "nudge"]),
 )
 def test_checkers_agree_on_single_entry_mutations(base, depth, field, data, kind):

@@ -37,7 +37,7 @@ from mopsrel import (
     v_moments_from_relation,
     verify_functional_relation,
 )
-from conftest import rel_from7, random_fraction, random_gated_instance
+from conftest import rel_from7, random_fraction, random_gated_instance, random_spectral_chain
 
 
 def test_convention_enforced():
@@ -482,13 +482,22 @@ def test_checkers_refuse_a_zero_gamma_in_the_working_range():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32), st.integers(100, 140))
-def test_checkers_agree_on_random_instances_at_depth_100_and_beyond(seed, depth):
+@given(st.integers(0, 2**32), st.integers(100, 140), st.sampled_from([False, False, True]))
+def test_checkers_agree_on_random_instances_at_depth_100_and_beyond(seed, depth, positive):
+    """On a random gated instance, and in about a third of the draws also on
+    a positive instance of the spectral-chain builder, where both say MOPS:
+    the builder runs both checkers (``check_both``) and raises
+    ContractError if either rejects the chain."""
     rec, rel = random_gated_instance(random.Random(seed), depth)
     eq = check_by_equations(rec, rel, depth)
     ct = check_by_constants(rec, rel, depth)
     assert eq.is_mops == ct.is_mops
     assert eq.induced == ct.induced
+    if positive:
+        chain, _ = random_spectral_chain(random.Random(seed), depth)
+        eq, ct = chain.verdict_eq, chain.verdict_ct
+        assert eq.is_mops and ct.is_mops
+        assert eq.induced == ct.induced
 
 
 def assert_same_verdicts(rec, rel, depth):
