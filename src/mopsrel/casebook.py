@@ -10,12 +10,14 @@ and w~ are 1-2 ladders over w, whose recurrences are lifted from w's
 (``_ladder_lift``), and u is a Christoffel transform of w~, whose recurrence
 follows from w~'s by one LU step (``_christoffel_step``). It builds no
 moment and computes no norm: the a- and c-ladders and u's step are the
-pivots of one LU recursion (``_pivots``) of J(w) - c I, J(w) - z1 I and
-J(w~) - z2 I, and the down-link coefficient b_n is the L factor
-gamma~_n / d_{n-1} of the last. It derives the 2-3 relation linking the
-MOPS of u and v, certifies on recurrences the identities the lifts do not
-give and the orthogonality verdicts, and pins the functional relation by
-its constants (lambda, c, a, b) = (-u_mass / v_mass, c, -(z1 + z2), z1 z2).
+pivots of one LU recursion (``functional._pivots``) of J(w) - c I, J(w) - z1 I
+and J(w~) - z2 I, whose zeros decide the regularity of v, w~ and u, and the
+down-link coefficient b_n is the L factor gamma~_n / d_{n-1} of the last. v's
+recurrence is lifted only when no second family stands in for it. It
+derives the 2-3 relation linking the MOPS of u and v, certifies on
+recurrences the identities the lifts do not give and the orthogonality
+verdicts, and pins the functional relation by its constants
+(lambda, c, a, b) = (-u_mass / v_mass, c, -(z1 + z2), z1 z2).
 
 ``jacobi_chain`` is the builder over a Jacobi functional w at
 (z1, c, z2) = (-1, 1, -1). ``chebyshev_case`` is the builder over the
@@ -26,11 +28,11 @@ twist: (x - 1) u is not regular even though the relation is non-degenerate
 and (Q_n) is orthogonal.
 
 Every identity asserted here is certified by exact computation, in time
-linear in the depth and without building a polynomial family: each 2-2
-ladder P_n + a_n P_{n-1} = R_n + b_n R_{n-1}, 1-2 ladders included, on the
-recurrences (``_ladder_break``), the 2-3 identity on the ladders of its
-composition (``_relation_break``), both on unreduced integer parts. An
-internal mismatch raises ContractError naming the first violated identity.
+linear in the depth and without building a polynomial family: the 1-2
+ladder W~_n = P_n + b_n P_{n-1} of the down-link on the recurrences
+(``_ladder_break``), the 2-3 identity on the ladders of its composition
+(``_relation_break``), both on unreduced integer parts. An internal
+mismatch raises ContractError naming the first violated identity.
 The Chebyshev case also certifies the functional identity on moments; they
 come from the Pearson equation (``jacobi_moments``), in time linear in the
 depth.
@@ -51,7 +53,7 @@ from .families import (
     jacobi_moments,
     jacobi_recurrence,
 )
-from .functional import RecurrencePair, RecurrenceReport
+from .functional import RecurrencePair, RecurrenceReport, _pivots
 from .poly import Polynomial
 from .rational import _lcm_sum, _parts, _reduce_pairs, as_scalar
 from .relation23 import (
@@ -75,79 +77,49 @@ def _certify(condition: bool, what: str) -> None:
         raise ContractError(f"internal consistency: {what}")
 
 
-def _coincide(a, b, top: int) -> list:
-    """[P_m = R_m for 0 <= m <= top] given the 2-2 ladder of
-    ``_ladder_break`` through m: P_m - R_m = b_m R_{m-1} - a_m P_{m-1}."""
-    same = [True]
-    for m in range(1, top + 1):
-        same.append(a[m] == b[m] and (not a[m] or same[-1]))
-    return same
+def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, k, top: int) -> Optional[int]:
+    """The first n <= top at which the 1-2 ladder P_n = R_n + k_n R_{n-1} fails, or
+    None, for the monic families of ``p_rec`` (beta_n, gamma_n) and ``r_rec``
+    (beta^R_n, gamma^R_n), read through index top - 1, and k = [unused, k_1, ...,
+    k_top]. No polynomial is built.
 
-
-def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, a, b, top: int) -> Optional[int]:
-    """The first n <= top at which P_n + a_n P_{n-1} = R_n + b_n R_{n-1}
-    fails, or None, for the monic families of ``p_rec`` (beta_n, gamma_n)
-    and ``r_rec`` (beta^R_n, gamma^R_n), read through index top - 1, and
-    a, b = [unused, x_1, ..., x_top]; a 1-2 ladder U_n = L_n + k_n L_{n-1}
-    is P = U, a = 0, R = L, b = k. No polynomial is built.
-
-    With a_0 = b_0 = gamma_0 = 0 the ladder holds at n = 1 exactly when
-    a_1 - beta_0 = b_1 - beta^R_0. If it holds through n, then with
-    u = beta_n + a_n - a_{n+1}, Z = gamma_n + a_n beta_{n-1} - u a_n and
-    W = a_n gamma_{n-1} - Z a_{n-1}, P's recurrence gives
-    P_{n+1} + a_{n+1} P_n = (x - u) S_n - Z S_{n-1} - W P_{n-2} (S_k either
-    side at k), and R's the same. So it holds at n + 1 exactly when the
-    triples (u, Z, W) of P and R agree and W = 0 or P_{n-2} = R_{n-2}
-    (``_coincide``): the first failing step is the first failing n."""
+    With k_0 = gamma_0 = 0 the ladder holds at n = 1 exactly when
+    beta_0 + k_1 = beta^R_0. If it holds through n, P's recurrence and R's give
+    P_{n+1} = R_{n+1} + (beta^R_n + k_n - beta_n) R_n + (gamma^R_n + k_n beta^R_{n-1}
+    - k_n beta_n - gamma_n) R_{n-1} + (k_n gamma^R_{n-1} - gamma_n k_{n-1}) R_{n-2}.
+    So it holds at n + 1 exactly when beta^R_n + k_n - k_{n+1} = beta_n,
+    gamma^R_n + k_n (beta^R_{n-1} - beta_n) = gamma_n and k_n gamma^R_{n-1} =
+    gamma_n k_{n-1}: the first failing step is the first failing n."""
     p_rec.require(top - 1, top - 1)
     r_rec.require(top - 1, top - 1)
-    # gamma_0 = a_0 = b_0 = 0 pad the lists, so g[n] is gamma_n
+    # gamma_0 = k_0 = 0 pad the lists, so g[n] is gamma_n
     (bp, bpd), (br, brd) = (_parts(rec.beta[:top]) for rec in (p_rec, r_rec))
     (gp, gpd), (gr, grd) = (_parts((0,) + rec.gamma[: top - 1]) for rec in (p_rec, r_rec))
-    (an, ad), (bn, bd) = (_parts([0, *seq[1 : top + 1]]) for seq in (a, b))
-    if _lcm_sum((an[1], -bp[0], -bn[1], br[0]), (ad[1], bpd[0], bd[1], brd[0]))[0]:
+    kn, kd = _parts([0, *k[1 : top + 1]])
+    if _lcm_sum((bp[0], kn[1], -br[0]), (bpd[0], kd[1], brd[0]))[0]:
         return 1
-    same = _coincide(a, b, top)
     lcm = math.lcm
     for n in range(1, top):
-        # u, Z, W of P as unreduced pairs (a zero a_n drops its terms), each over
-        # the lcm of its terms' denominators, as in rational._lcm_sum
-        ud = lcm(bpd[n], ad[n], ad[n + 1])
-        u = bp[n] * (ud // bpd[n]) + an[n] * (ud // ad[n]) - an[n + 1] * (ud // ad[n + 1])
-        z, zd = gp[n], gpd[n]
-        if an[n]:
-            d1, d2 = ad[n] * bpd[n - 1], ud * ad[n]
-            zd = lcm(gpd[n], d1, d2)
-            z = gp[n] * (zd // gpd[n]) + an[n] * (bp[n - 1] * (zd // d1) - u * (zd // d2))
-        w, wd = 0, 1
-        if an[n] or an[n - 1]:
-            d1, d2 = ad[n] * gpd[n - 1], zd * ad[n - 1]
-            wd = lcm(d1, d2)
-            w = an[n] * gp[n - 1] * (wd // d1) - z * an[n - 1] * (wd // d2)
-        # matched to R's: beta^R_n + b_n - b_{n+1} = u, gamma^R_n + b_n beta^R_{n-1}
-        # - u b_n = Z and b_n gamma^R_{n-1} - Z b_{n-1} = W
-        L = lcm(brd[n], bd[n], bd[n + 1], ud)
-        if (br[n] * (L // brd[n]) + bn[n] * (L // bd[n]) - bn[n + 1] * (L // bd[n + 1])
-                != u * (L // ud)):
+        # each condition over the lcm of its terms' denominators, as in rational._lcm_sum
+        L = lcm(brd[n], kd[n], kd[n + 1], bpd[n])
+        if (br[n] * (L // brd[n]) + kn[n] * (L // kd[n]) - kn[n + 1] * (L // kd[n + 1])
+                != bp[n] * (L // bpd[n])):
             return n + 1
-        d1, d2 = bd[n] * brd[n - 1], ud * bd[n]
-        L = lcm(grd[n], d1, d2, zd)
-        if (gr[n] * (L // grd[n]) + bn[n] * (br[n - 1] * (L // d1) - u * (L // d2))
-                != z * (L // zd)):
+        d1, d2 = kd[n] * brd[n - 1], bpd[n] * kd[n]
+        L = lcm(grd[n], d1, d2, gpd[n])
+        if (gr[n] * (L // grd[n]) + kn[n] * (br[n - 1] * (L // d1) - bp[n] * (L // d2))
+                != gp[n] * (L // gpd[n])):
             return n + 1
-        d1, d2 = bd[n] * grd[n - 1], zd * bd[n - 1]
-        L = lcm(d1, d2, wd)
-        if bn[n] * gr[n - 1] * (L // d1) - z * bn[n - 1] * (L // d2) != w * (L // wd):
-            return n + 1
-        if w and not same[n - 2]:  # W = 0 at n = 1
+        # k_n gamma^R_{n-1} = gamma_n k_{n-1} by cross-multiplication
+        if kn[n] * gr[n - 1] * gpd[n] * kd[n - 1] != gp[n] * kn[n - 1] * kd[n] * grd[n - 1]:
             return n + 1
     return None
 
 
 def _ladder_lift(low: RecurrencePair, k, top: int) -> RecurrenceReport:
     """The recurrence of the MOPS U_n = L_n + k_n L_{n-1} from L's, read through
-    top - 1 >= 1, and k = [unused, k_1 != 0, ..., k_top] with W = 0 (the triples of
-    ``_ladder_break``, a = 0), as ``recurrence_from_moments`` reports U's mu_0..mu_{2 top}:
+    top - 1 >= 1, and k = [unused, k_1 != 0, ..., k_top] (the conditions of
+    ``_ladder_break`` solved for U), as ``recurrence_from_moments`` reports U's mu_0..mu_{2 top}:
     a zero k_m is the first zero gamma^U_m = k_m gamma_{m-1} / k_{m-1}, where it stops
     (beta^U and gamma^U through m - 1)."""
     beta, g = low.beta, (0,) + low.gamma  # g[n] is gamma_n
@@ -157,19 +129,6 @@ def _ladder_lift(low: RecurrencePair, k, top: int) -> RecurrenceReport:
     ug = [g[1] + k[1] * (beta[0] - ub[1])]
     ug += [k[n] * g[n - 1] / k[n - 1] for n in range(2, n_gamma + 1)]
     return RecurrenceReport(RecurrencePair._exact(ub, ug), m, top if m is None else m)
-
-
-def _pivots(rec: RecurrencePair, z, first, count: int) -> list:
-    """[None, k_1, ..., k_count] with k_1 = first and k_{n+1} = beta_n - z - gamma_n / k_n,
-    read through beta_{count-1} and gamma_{count-1}: the pivots of J(rec) - z I = L U when
-    first = beta_0 - z. The list stops after its first zero."""
-    beta, gamma = rec.beta, rec.gamma
-    k = [None, first]
-    for n in range(1, count):
-        if not k[n]:
-            break
-        k.append(beta[n] - z - gamma[n - 1] / k[n])
-    return k
 
 
 def _christoffel_step(rec: RecurrencePair, d: list, tail, z) -> RecurrenceReport:
@@ -209,7 +168,10 @@ def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
     top = rel.max_index
     (r, rd), (s, sd), (t, td) = rel._integers()  # t_1 = 0 multiplies no P_{-1}
     (an, ad), (bn, bd), (ln, ld) = (_parts([0, *seq[1 : top + 1]]) for seq in (a, b, l))
-    same = _coincide(a, b, top)
+    # same[m] is P_m = R_m, by the 2-2 ladder through m: P_m - R_m = b_m R_{m-1} - a_m P_{m-1}
+    same = [True]
+    for m in range(1, top + 1):
+        same.append(a[m] == b[m] and (not a[m] or same[-1]))
     lcm = math.lcm
     for n in range(1, top + 1):
         # e_n and f_n as unreduced pairs over the lcm of their terms' denominators
@@ -253,8 +215,9 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
     """The chain v = w / (x - z1), w~ = w / (x - c), u = (x - z2) w~ over the w of
     ``w_rec`` (read through beta_{depth+2} and gamma_{depth+3}), with first ladder
     coefficients a_1 and c_1, certified through ``depth`` (the induced recurrence against
-    ``q_rec``, or against v's own when it is None): a ``_Chain``, or the ``Failure`` of
-    the first condition that does not hold. c = z2 is refused: u is then w."""
+    ``q_rec``, v's recurrence if given, which then stands in for v's lift, or against the
+    lift when it is None): a ``_Chain``, or the ``Failure`` of the first condition that
+    does not hold. c = z2 is refused: u is then w."""
     if c == z2:
         raise DomainError(f"c and z2 must differ: u = (x - {z2}) w / (x - {c}) is w")
     top = depth + 2
@@ -285,33 +248,39 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
         if a_seq[n] == c_seq[n]:
             return Failure("link_coefficients_equal", n)
 
-    # v and w~ are the ladders Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1}. The
-    # report keeps u's and v's beta through top and gamma through top + 1, as the Hankel
-    # sweep over u's moments mu_0..mu_{2 top + 2} would: the lifts take a_n, c_n through
-    # top + 1. w~'s lift ends at beta~_k (k = top, or top - 1 at a zero a_top); by
-    # a_{k+1} a_{k+2} = a_{k+1} (beta_{k+1} - c) - gamma_{k+1}, the tail
-    # gamma~_{k+1} (beta~_{k+1} - z2) needs no a_{k+2}, so a zero a_{k+1} divides by nothing
-    v_report, wt_report = (_ladder_lift(w_rec, seq, top + 1) for seq in (c_seq, a_seq))
-    wt_rec = wt_report.rec
+    # v and w~ are the ladders Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1}: with
+    # every earlier pivot nonzero, a zero c_top or a_top is their first zero gamma, at top.
+    # v's recurrence is lifted only when no q_rec stands in for it. The report keeps u's and
+    # v's beta through top and gamma through top + 1, as the Hankel sweep over u's moments
+    # mu_0..mu_{2 top + 2} would: the lifts take a_n, c_n through top + 1. w~'s lift ends at
+    # beta~_k (k = top, or top - 1 at a zero a_top); by a_{k+1} a_{k+2} = a_{k+1}
+    # (beta_{k+1} - c) - gamma_{k+1}, the tail gamma~_{k+1} (beta~_{k+1} - z2) needs no
+    # a_{k+2}, so a zero a_{k+1} divides by nothing
+    v_rec = q_rec
+    if q_rec is None:
+        v_rec = _ladder_lift(w_rec, c_seq, top + 1).rec
+    wt_rec = _ladder_lift(w_rec, a_seq, top + 1).rec
     k = len(wt_rec.beta) - 1
     tail = w_rec.gamma[k - 1] / a_seq[k] * (a_seq[k + 1] * (a_seq[k + 1] + c - z2)
                                             + w_rec.gamma[k])
     d = _pivots(wt_rec, z2, wt_rec.beta[0] - z2, k + 1)[1:]
-    reports = (("u", _christoffel_step(wt_rec, d, tail, z2)), ("v", v_report),
-               ("w_tilde", wt_report))
-    for name, report in reports:
-        if report.first_vanishing is not None and report.first_vanishing <= top:
-            return Failure(f"{name}_not_regular", report.first_vanishing)
-    u_rec, v_rec = (report.rec for _, report in reports[:2])
+    u_report = _christoffel_step(wt_rec, d, tail, z2)
+    n = u_report.first_vanishing
+    if n is not None and n <= top:
+        return Failure("u_not_regular", n)
+    for name, seq in (("v", c_seq), ("w_tilde", a_seq)):
+        if seq[top] == 0:
+            return Failure(f"{name}_not_regular", top)
+    u_rec = u_report.rec
     a_seq, c_seq = a_seq[: top + 1], c_seq[: top + 1]
 
     # W~_n = P_n + b_n P_{n-1} is the L factor of J(w~) - z2 I = L U: b_n = gamma~_n / d_{n-1},
     # d_0..d_top all nonzero here
     b_seq = [None] + [g / p for g, p in zip(wt_rec.gamma[:top], d)]
 
-    # the lifts give the up-link and the second-family link; the down-link
-    # W~_n = P_n + b_n P_{n-1} ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
-    n = _ladder_break(wt_rec, u_rec, [0] * (top + 1), b_seq, top)
+    # the lifts give the up-link and the second-family link; the down-link, the 1-2
+    # ladder W~_n = P_n + b_n P_{n-1}, ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
+    n = _ladder_break(wt_rec, u_rec, b_seq, top)
     _certify(n is None, f"down-link identity fails at n={n}")
 
     # the relation composed from the certified ladders, certified on recurrences only: the
@@ -323,10 +292,9 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
     _, verdict_eq, verdict_ct = check_both(u_rec, rel, depth)
     _certify(verdict_eq.is_mops, "equation checker rejects the generated family")
     _certify(verdict_ct.is_mops, "constancy checker rejects the generated family")
-    q_rec = v_rec if q_rec is None else q_rec
     _certify(
-        verdict_eq.induced.beta[: depth + 1] == q_rec.beta[: depth + 1]
-        and verdict_eq.induced.gamma[:depth] == q_rec.gamma[:depth],
+        verdict_eq.induced.beta[: depth + 1] == v_rec.beta[: depth + 1]
+        and verdict_eq.induced.gamma[:depth] == v_rec.gamma[:depth],
         "induced recurrence does not match the second family",
     )
     constants = relation_constants(u_rec, rel)
@@ -539,8 +507,8 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
         b_seq=tuple(chain.b),
         c_seq=tuple(chain.c),
         rel=chain.rel,
-        u_rec=RecurrencePair._exact(chain.u_rec.beta[: depth + 3], chain.u_rec.gamma[: depth + 3]),
-        v_rec=RecurrencePair._exact(chain.v_rec.beta[: depth + 3], chain.v_rec.gamma[: depth + 3]),
+        u_rec=chain.u_rec,
+        v_rec=chain.v_rec,
         u_mass=chain.u_mass,
         v_mass=chain.v_mass,
         verdict_equations=chain.verdict_eq,

@@ -208,6 +208,19 @@ class RecurrencePair(_SequenceModel):
         return "RecurrencePair(beta[{}], gamma[{}])".format(*self._lengths())
 
 
+def _pivots(rec: RecurrencePair, z, first, count: int) -> list:
+    """[None, k_1, ..., k_count] with k_1 = first and k_{n+1} = beta_n - z - gamma_n / k_n,
+    read through beta_{count-1} and gamma_{count-1}: the pivots of J(rec) - z I = L U when
+    first = beta_0 - z. The list stops after its first zero."""
+    beta, gamma = rec.beta, rec.gamma
+    k = [None, first]
+    for n in range(1, count):
+        if not k[n]:
+            break
+        k.append(beta[n] - z - gamma[n - 1] / k[n])
+    return k
+
+
 def mops_from_recurrence(rec: RecurrencePair, count: int) -> list[Polynomial]:
     """The first ``count`` polynomials P_0..P_{count-1} of the recurrence.
 

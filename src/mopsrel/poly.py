@@ -6,10 +6,10 @@ gcd(den, nums[0], nums[1], ...) == 1 and no trailing zero numerator. That
 form is canonical, so equality compares integers. ``+``, ``-`` and ``*``
 by a scalar are all ``_combination``: one lcm, one integer pass and one
 gcd. That gcd, the product's, those of the fraction-free vectors of
-``functional``, of every ``MomentFunctional`` (which shares this layout),
-of ``jacobi_moments``' neighbouring pairs and of ``regularity_criterion``'s
-P_n(c) pair are all taken in ``_divide_content``, the one content reduction
-of the package; the only other ``math.gcd`` calls reduce the a_n pairs of
+``functional``, of every ``MomentFunctional`` (which shares this layout)
+and of ``jacobi_moments``' neighbouring pairs are all taken in
+``_divide_content``, the one content reduction of the package; the only
+other ``math.gcd`` calls reduce the a_n pairs of
 ``relation23._sequences`` and each p/q string an input model is built from
 (``rational._scalar_parts``). ``coeffs``, the coefficients ascending by
 degree as a tuple of Fractions, is built on first use. The zero polynomial

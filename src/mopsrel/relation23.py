@@ -52,8 +52,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ContractError, DepthError, DomainError, FormatError
-from .functional import MomentFunctional, RecurrencePair
-from .poly import Polynomial, _combination, _divide_content
+from .functional import MomentFunctional, RecurrencePair, _pivots
+from .poly import Polynomial, _combination
 from .rational import _lcm_sum, _reduce_pairs, _SequenceModel, as_scalar
 
 
@@ -643,26 +643,17 @@ def regularity_criterion(
     """Two sides of the same coin for (x - c) u, where ``rec`` is the
     recurrence of the MOPS (P_n) of u: no P_n (n <= depth) vanishes at c,
     and no index has t_n = r_n (s_{n-1} - r_{n-1}). For a genuinely
-    non-degenerate orthogonal pair the booleans agree. P_n(c) is read by
-    the recurrence, no P_n is built: x, y are P_n(c), P_{n-1}(c) times one
-    nonzero factor, integers with their content divided out each step. The
-    indices are compared by cross-multiplying integer parts, entry by entry,
-    up to the first equality."""
+    non-degenerate orthogonal pair the booleans agree. P_n(c) is read off
+    the pivots of J(rec) - c I (``functional._pivots``), no P_n is built:
+    P_n(c) = (-1)^n k_1 ... k_n, so P_1(c)..P_depth(c) are nonzero exactly
+    when k_1..k_depth are. The indices are compared by cross-multiplying
+    integer parts, entry by entry, up to the first equality."""
     if depth < 0:
         raise DepthError(f"depth must be >= 0, got {depth}")
     rec.require(depth - 1, depth - 1)
     rel.require(depth if depth >= 2 else 2)
-    c0 = as_scalar(c)
-    cn, cd = c0.numerator, c0.denominator
-    (bn, bd), (gn, gd) = rec._integers()
-    gn, gd = [0, *gn], [1, *gd]  # gn[n] / gd[n] is gamma_n, with gamma_0 = 0
-    x, y = 1, 0
-    for n in range(depth):
-        if not x:
-            break
-        k = cd * bd[n]
-        x, y = (cn * bd[n] - bn[n] * cd) * gd[n] * x - gn[n] * k * y, k * gd[n] * x
-        (x,), y = _divide_content([x], y)
+    c = as_scalar(c)
+    no_root = depth == 0 or all(_pivots(rec, c, rec.beta[0] - c, depth)[1:])
     (r, rd), (s, sd), (t, td) = rel._integers()
     # t_n = r_n (s_{n-1} - r_{n-1}) by cross-multiplication
     no_index = all(
@@ -670,4 +661,4 @@ def regularity_criterion(
         != td[n] * r[n] * (s[n - 1] * rd[n - 1] - r[n - 1] * sd[n - 1])
         for n in range(2, depth + 1)
     )
-    return x != 0, no_index
+    return no_root, no_index

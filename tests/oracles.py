@@ -2,8 +2,9 @@
 
 These deliberately use different algorithms from the library: determinants
 by exact Gaussian elimination, moments by explicit enumeration of weighted
-lattice paths or by solving the triangular orthogonality system, and
-orthogonal polynomials by the Hankel determinant formula. All of it is plain
+lattice paths or by solving the triangular orthogonality system,
+orthogonal polynomials by the Hankel determinant formula, and their values
+at a point by the three-term walk, with no pivot. All of it is plain
 Fraction arithmetic. Slow but trustworthy; keep the sizes small.
 """
 
@@ -166,3 +167,14 @@ def jacobi_norm_ratio_float(alpha, beta, n: int) -> float:
         + sum(map(math.lgamma, (n + 1, n + a + 1, n + b + 1, n + s + 1, s + 2)))
         - sum(map(math.lgamma, (2 * n + s + 1, 2 * n + s + 2, a + 1, b + 1)))
     )
+
+
+def values_at(beta, gamma, c, count: int) -> list:
+    """P_0(c)..P_count(c) of the monic family of the recurrence, by the
+    three-term walk P_{n+1}(c) = (c - beta_n) P_n(c) - gamma_n P_{n-1}(c)
+    in Fractions, with P_{-1} = 0 and no P_n built."""
+    c = Fraction(c)
+    at = [Fraction(0), Fraction(1)]  # P_{-1}(c), P_0(c)
+    for n in range(count):
+        at.append((c - beta[n]) * at[-1] - (gamma[n - 1] if n else 0) * at[-2])
+    return at[1:]

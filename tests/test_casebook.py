@@ -510,6 +510,25 @@ def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c
     assert verify_functional_relation(u, v, report.constants, depth)[0]
 
 
+@pytest.mark.parametrize(
+    "build, firsts",
+    [(lambda: chebyshev_case(6), [Fraction(-3, 2)]),
+     (lambda: jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 6), [-5, 3])],
+    ids=["chebyshev", "jacobi-chain"],
+)
+def test_worked_cases_lift_v_only_without_a_second_family(monkeypatch, build, firsts):
+    """``_ladder_lift`` runs once per ladder the chain reads, told apart by
+    k_1: the Chebyshev case, whose fourth kind stands in for v, lifts w~
+    alone (a_1 = -3/2); the Jacobi chain lifts v (c_1), then w~ (a_1)."""
+    calls = []
+    def spied(low, k, top, real=casebook._ladder_lift):
+        calls.append(k[1])
+        return real(low, k, top)
+    monkeypatch.setattr(casebook, "_ladder_lift", spied)
+    build()
+    assert calls == firsts
+
+
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 

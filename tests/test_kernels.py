@@ -871,7 +871,7 @@ def test_functional_identity_matches_fractions(moments, lam, c, a, b, beta0):
 def lemma_upper(lower, k, top):
     """The upper recurrence that the ladder U_n = L_n + k_n L_{n-1}
     (1 <= n <= top) over the lower recurrence asks for by the first two
-    conditions of the lemma of ``casebook._ladder_break``:
+    conditions of ``casebook._ladder_break``:
     beta'_0 = beta_0 - k_1 and, for n >= 1, beta'_n = beta_n + k_n - k_{n+1}
     and gamma'_n = gamma_n + k_n (beta_{n-1} - beta'_n)."""
     beta, gamma = lower.beta, (None,) + lower.gamma
@@ -927,7 +927,7 @@ def test_ladder_certificate_matches_polynomial_identities(data, top):
         return
     upper = lemma_upper(lower, k, top)
     assert polynomial_ladder_break(lower, upper, k, top) is None
-    assert _ladder_break(upper, lower, [0] * (top + 1), k, top) is None
+    assert _ladder_break(upper, lower, k, top) is None
     field = data.draw(st.sampled_from(["k", "beta", "gamma"]))
     first = 1 if field == "k" else 0
     last = {"k": top, "beta": top - 1, "gamma": top - 2}[field]
@@ -935,7 +935,7 @@ def test_ladder_certificate_matches_polynomial_identities(data, top):
     k, upper = bend(k, upper, field, index, data.draw(nonzero))
     expected = polynomial_ladder_break(lower, upper, k, top)
     assert expected is not None
-    assert _ladder_break(upper, lower, [0] * (top + 1), k, top) == expected
+    assert _ladder_break(upper, lower, k, top) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -950,7 +950,7 @@ def test_ladder_certificate_matches_polynomial_identities_for_free_k(data, top):
     )
     k = [None] + data.draw(st.lists(coeff, min_size=top, max_size=top))
     upper = lemma_upper(lower, k, top)
-    assert (_ladder_break(upper, lower, [0] * (top + 1), k, top)
+    assert (_ladder_break(upper, lower, k, top)
             == polynomial_ladder_break(lower, upper, k, top))
 
 
@@ -975,122 +975,11 @@ def generic_down_ladder():
 )
 def test_ladder_certificate_on_generic_jacobi_data(generic_down_ladder, field, index):
     lower, upper, k, top = generic_down_ladder
-    assert _ladder_break(upper, lower, [0] * (top + 1), k, top) is None
+    assert _ladder_break(upper, lower, k, top) is None
     k, upper = bend(k, upper, field, index, Fraction(1, 2**61 - 1))
     expected = polynomial_ladder_break(lower, upper, k, top)
     assert expected is not None
-    assert _ladder_break(upper, lower, [0] * (top + 1), k, top) == expected
-
-
-def polynomial_22_break(p_rec, r_rec, a, b, top):
-    """The first n at which P_n + a_n P_{n-1} - R_n - b_n R_{n-1} is not
-    the zero polynomial, over the families of the two recurrences, or None."""
-    p = mops_from_recurrence(p_rec, top + 1)
-    r = mops_from_recurrence(r_rec, top + 1)
-    return next(
-        (n for n in range(1, top + 1)
-         if not (p[n] + p[n - 1] * a[n] - r[n] - r[n - 1] * b[n]).is_zero),
-        None,
-    )
-
-
-def forced_p(r_rec, b, a1, top):
-    """A recurrence of P and a = [None, a_1, ..., a_top] that meet the first
-    three conditions of the 2-2 lemma of ``casebook._ladder_break`` over R
-    and b at every step, from a free a_1 (a_top = b_top): beta_0 from
-    n = 1; at step n, gamma_n and beta_n from u = u^R and Z = Z^R, with
-    a_{n+1} solved from W = W^R at step n + 1. So the ladder holds at n + 1
-    exactly when W^R_n = 0 or P_{n-2} = R_{n-2}. Where gamma_n = 0 any
-    a_{n+1} or none meets W = W^R: 0 is taken, or None is returned."""
-    br, gr, b = r_rec.beta, (0,) + r_rec.gamma, [0] + list(b[1:])
-    u = [None] + [br[n] + b[n] - b[n + 1] for n in range(1, top)]
-    z = [None] + [gr[n] + b[n] * br[n - 1] - u[n] * b[n] for n in range(1, top)]
-    w = [None] + [b[n] * gr[n - 1] - z[n] * b[n - 1] for n in range(1, top)]
-    a, beta, gamma = [0, a1], [a1 - b[1] + br[0]], [0]
-    for n in range(1, top):
-        gamma.append(z[n] - a[n] * beta[n - 1] + u[n] * a[n])
-        if n + 1 < top:
-            rhs = w[n + 1] + z[n + 1] * a[n]
-            if gamma[n] == 0 and rhs != 0:
-                return None
-            a.append(rhs / gamma[n] if gamma[n] else Fraction(0))
-        else:
-            a.append(b[top])
-        beta.append(u[n] - a[n] + a[n + 1])
-    return RecurrencePair(beta, gamma[1:]), [None] + a[1:]
-
-
-@functools.lru_cache(maxsize=None)
-def worked_22_ladders():
-    """The 2-2 ladders of the two worked cases: the Chebyshev P over the
-    second kind (top 16) and the generic Jacobi P over W (top 14)."""
-    from mopsrel import chebyshev_kind, jacobi_chain
-
-    cheb = chebyshev_case(14)
-    params = JacobiParams("1/3", "2/7")
-    chain = jacobi_chain(params, 3, -5, 12)
-    return (
-        (cheb.u_rec, chebyshev_kind(2, 17), list(cheb.a_seq), list(cheb.b_seq), 16),
-        (chain.u_rec, jacobi_recurrence(params, 14), list(chain.b_seq), list(chain.a_seq), 14),
-    )
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_22_ladder_certificate_matches_polynomial_identities(data):
-    """One bent entry of a, b, beta or gamma (of P or of R), at any index,
-    over the worked 2-2 ladders, P = R with a = b, and ladders forced
-    through the first three conditions, where W != 0 and the clause
-    P_{n-2} = R_{n-2} decides: the certificate fails first where the
-    polynomial identity does."""
-    base = data.draw(st.sampled_from(["chebyshev", "jacobi", "same", "forced"]))
-    if base in ("chebyshev", "jacobi"):
-        p_rec, r_rec, a, b, top = worked_22_ladders()[base == "jacobi"]
-    else:
-        top = data.draw(st.integers(2, 9))
-        r_rec = RecurrencePair(
-            data.draw(st.lists(small, min_size=top, max_size=top)),
-            data.draw(st.lists(nonzero, min_size=top - 1, max_size=top - 1)),
-        )
-        b = [None] + data.draw(st.lists(st.one_of(small, nonzero), min_size=top, max_size=top))
-        if base == "same":
-            p_rec, a = r_rec, list(b)
-        else:
-            # a_1 = b_1 makes P_1 = R_1, which pushes the first failure out
-            a1 = data.draw(st.one_of(st.just(b[1]), nonzero))
-            forced = forced_p(r_rec, b, a1, top)
-            if forced is None:
-                return
-            p_rec, a = forced
-    if base != "forced":
-        assert _ladder_break(p_rec, r_rec, a, b, top) is None
-    field = data.draw(st.sampled_from(["a", "b", "p_beta", "p_gamma", "r_beta", "r_gamma", "none"]))
-    if field in ("a", "b"):
-        seq = list(a if field == "a" else b)
-        seq[data.draw(st.integers(1, top))] += data.draw(nonzero)
-        a, b = (seq, b) if field == "a" else (a, seq)
-    elif field != "none":
-        rec = p_rec if field[0] == "p" else r_rec
-        beta, gamma = list(rec.beta[:top]), list(rec.gamma[: top - 1])
-        seq = beta if field.endswith("beta") else gamma
-        if seq:
-            seq[data.draw(st.integers(0, len(seq) - 1))] += data.draw(nonzero)
-        rec = RecurrencePair(beta, gamma)
-        p_rec, r_rec = (rec, r_rec) if field[0] == "p" else (p_rec, rec)
-    assert _ladder_break(p_rec, r_rec, a, b, top) == polynomial_22_break(p_rec, r_rec, a, b, top)
-
-
-def test_22_ladder_certificate_where_a_zero_gamma_lets_p2_equal_r2():
-    """gamma^R_2 = b_2 = 0 with a_1 != b_1: P_2 = R_2 although beta_0 and
-    beta^R_0 differ, so W at n = 4 multiplies a zero and the ladder holds at
-    5; it fails at 6, where P_3 - R_3 = b_3 R_2 is not zero."""
-    top = 7
-    r_rec = RecurrencePair([1, 2, -1, 3, 1, -2, 1], [1, 0, 2, 1, 3, 1])
-    b = [None, Fraction(1, 2), 0, Fraction(3, 5), 2, -1, Fraction(1, 3), 1]
-    p_rec, a = forced_p(r_rec, b, Fraction(-1, 2), top)
-    assert a[2] == 0 and p_rec.beta[0] != r_rec.beta[0]
-    assert polynomial_22_break(p_rec, r_rec, a, b, top) == 6
-    assert _ladder_break(p_rec, r_rec, a, b, top) == 6
+    assert _ladder_break(upper, lower, k, top) == expected
 
 
 def random_composition(data, top, equal_prefix=0):
@@ -1177,11 +1066,12 @@ def test_23_certificate_with_f_nonzero_decides_by_p_equal_r(data, top, equal):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 9))
+@given(st.data(), st.integers(0, 9))
 def test_regularity_criterion_reads_p_at_c_by_the_recurrence(data, depth):
     """The no-root side of ``regularity_criterion`` from the recurrence
     against P_n(c) of the built family, with beta_{k-1} chosen, if drawn,
-    so that P_k(c) = 0 for one k <= depth."""
+    so that P_k(c) = 0 for one k <= depth. At depth 0 the recurrence is
+    empty: P_0 = 1 has no root, and no beta_0 is read."""
     beta = data.draw(st.lists(small, min_size=depth, max_size=depth))
     gamma = data.draw(st.lists(st.one_of(nonzero, st.just(Fraction(0))), min_size=depth, max_size=depth))
     c = data.draw(st.one_of(small, shared))
@@ -1193,7 +1083,7 @@ def test_regularity_criterion_reads_p_at_c_by_the_recurrence(data, depth):
         beta[k - 1] = c - before / p[k - 1](c)
         p = mops_from_recurrence(RecurrencePair(beta, gamma), depth + 1)
         assert p[k](c) == 0
-    rel = Relation23(*([Fraction(0)] * (depth + 2) for _ in range(3)))
+    rel = Relation23(*([Fraction(0)] * (max(depth, 2) + 1) for _ in range(3)))
     no_root, _ = regularity_criterion(RecurrencePair(beta, gamma), c, rel, depth)
     assert no_root == all(p[n](c) != 0 for n in range(depth + 1))
 

@@ -38,6 +38,7 @@ from mopsrel import (
     verify_functional_relation,
 )
 from conftest import rel_from7, random_fraction, random_gated_instance, random_spectral_chain
+from oracles import values_at
 
 
 def test_convention_enforced():
@@ -487,17 +488,20 @@ def test_checkers_agree_on_random_instances_at_depth_100_and_beyond(seed, depth,
     """On a random gated instance, and in about a third of the draws also on
     a positive instance of the spectral-chain builder, where both say MOPS:
     the builder runs both checkers (``check_both``) and raises
-    ContractError if either rejects the chain."""
+    ContractError if either rejects the chain. The chain's no-root side of
+    ``regularity_criterion`` agrees with P_n(c) walked in Fractions."""
     rec, rel = random_gated_instance(random.Random(seed), depth)
     eq = check_by_equations(rec, rel, depth)
     ct = check_by_constants(rec, rel, depth)
     assert eq.is_mops == ct.is_mops
     assert eq.induced == ct.induced
     if positive:
-        chain, _ = random_spectral_chain(random.Random(seed), depth)
+        chain, (_, _, c, _, _, _) = random_spectral_chain(random.Random(seed), depth)
         eq, ct = chain.verdict_eq, chain.verdict_ct
         assert eq.is_mops and ct.is_mops
         assert eq.induced == ct.induced
+        at = values_at(chain.u_rec.beta, chain.u_rec.gamma, c, depth)
+        assert chain.regularity[0] == all(at[1:])
 
 
 def assert_same_verdicts(rec, rel, depth):
