@@ -128,7 +128,7 @@ def _ladder_lift(low: RecurrencePair, k, top: int) -> RecurrenceReport:
     ub = [beta[0] - k[1]] + [beta[n] + k[n] - k[n + 1] for n in range(1, n_beta)]
     ug = [g[1] + k[1] * (beta[0] - ub[1])]
     ug += [k[n] * g[n - 1] / k[n - 1] for n in range(2, n_gamma + 1)]
-    return RecurrenceReport(RecurrencePair._exact(ub, ug), m, top if m is None else m)
+    return RecurrenceReport(RecurrencePair._exact(ub, ug), m)
 
 
 def _christoffel_step(rec: RecurrencePair, d: list, tail, z) -> RecurrenceReport:
@@ -145,15 +145,15 @@ def _christoffel_step(rec: RecurrencePair, d: list, tail, z) -> RecurrenceReport
     ub, ug = [], []
     for n in range(top + 1):
         if d[n] == 0:
-            return RecurrenceReport(RecurrencePair._exact(ub, ug), n, n)
+            return RecurrenceReport(RecurrencePair._exact(ub, ug), n)
         if n:
             ug.append(g[n] * d[n] / d[n - 1])
         ub.append(d[n] + g[n + 1] / d[n] + z)
     last = tail - g[top + 1] * g[top + 1] / d[top]  # gamma_{top+1} d_{top+1}
     if last == 0:
-        return RecurrenceReport(RecurrencePair._exact(ub, ug), top + 1, top + 1)
+        return RecurrenceReport(RecurrencePair._exact(ub, ug), top + 1)
     ug.append(last / d[top])
-    return RecurrenceReport(RecurrencePair._exact(ub, ug), None, top + 1)
+    return RecurrenceReport(RecurrencePair._exact(ub, ug), None)
 
 
 def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
@@ -194,18 +194,19 @@ def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
 
 class _Chain(NamedTuple):
     """A certified chain: the ladders W~_n = W_n + a_n W_{n-1} = P_n + b_n P_{n-1} and
-    Q_n = W_n + c_n W_{n-1} through top = depth + 2 (index 0 is None) and what they give."""
+    Q_n = W_n + c_n W_{n-1} through top = depth + 2 (index 0 is None) and what they give,
+    under the names and in the order of ``JacobiChainReport``'s fields."""
 
-    a: list
-    b: list
-    c: list
+    a_seq: tuple
+    b_seq: tuple
+    c_seq: tuple
+    rel: Relation23
     u_rec: RecurrencePair
     v_rec: RecurrencePair
     u_mass: Fraction
     v_mass: Fraction
-    rel: Relation23
-    verdict_eq: InverseVerdict
-    verdict_ct: InverseVerdict
+    verdict_equations: InverseVerdict
+    verdict_constants: InverseVerdict
     constants: FunctionalRelation
     regularity: tuple
 
@@ -272,11 +273,11 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
         if seq[top] == 0:
             return Failure(f"{name}_not_regular", top)
     u_rec = u_report.rec
-    a_seq, c_seq = a_seq[: top + 1], c_seq[: top + 1]
+    a_seq, c_seq = tuple(a_seq[: top + 1]), tuple(c_seq[: top + 1])
 
     # W~_n = P_n + b_n P_{n-1} is the L factor of J(w~) - z2 I = L U: b_n = gamma~_n / d_{n-1},
     # d_0..d_top all nonzero here
-    b_seq = [None] + [g / p for g, p in zip(wt_rec.gamma[:top], d)]
+    b_seq = (None, *[g / p for g, p in zip(wt_rec.gamma[:top], d)])
 
     # the lifts give the up-link and the second-family link; the down-link, the 1-2
     # ladder W~_n = P_n + b_n P_{n-1}, ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
@@ -309,7 +310,7 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
     _certify(constants == FunctionalRelation(-u_mass / v_mass, c, a, b),
              f"functional relation constants differ from (-u_mass / v_mass, {c}, {a}, {b})")
 
-    return _Chain(a_seq, b_seq, c_seq, u_rec, v_rec, u_mass, v_mass, rel, verdict_eq,
+    return _Chain(a_seq, b_seq, c_seq, rel, u_rec, v_rec, u_mass, v_mass, verdict_eq,
                   verdict_ct, constants, regularity_criterion(u_rec, c, rel, depth))
 
 
@@ -397,7 +398,8 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     w3 = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[3]), 2 * depth + 7)
     u = w3.left_multiply(Polynomial([0, -HALF])).add_point_mass(1, 1).normalized()
     v = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[4]), u.depth)
-    recovered = v_moments_from_relation(u, chain.constants, chain.verdict_eq.induced.beta[0])
+    recovered = v_moments_from_relation(u, chain.constants,
+                                        chain.verdict_equations.induced.beta[0])
     _certify(
         recovered == v,
         "moments recovered from the functional identity differ from the second family's",
@@ -410,20 +412,20 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     return ChebyshevCaseReport(
         depth=depth,
         point_mass_ratio=Fraction(3, 2),
-        a_seq=tuple(chain.b),
-        b_seq=tuple(chain.a),
-        lambda_seq=tuple(chain.c),
+        a_seq=chain.b_seq,
+        b_seq=chain.a_seq,
+        lambda_seq=chain.c_seq,
         rel=rel,
         u_rec=RecurrencePair._exact(chain.u_rec.beta[: depth + 2],
                                     chain.u_rec.gamma[: depth + 2]),
         q_rec=fourth_rec,
-        verdict_equations=chain.verdict_eq,
-        verdict_constants=chain.verdict_ct,
+        verdict_equations=chain.verdict_equations,
+        verdict_constants=chain.verdict_constants,
         constants=chain.constants,
         regularity=chain.regularity,
         # <u, x - 1> = -(mu_2 - mu_1) / 2 of w3 = 0, the first moment of (x - 1) u: its
         # first Hankel determinant vanishes
-        shifted_hankel=RecurrenceReport(RecurrencePair((), ()), 0, 0),
+        shifted_hankel=RecurrenceReport(RecurrencePair((), ()), 0),
         odd_index_identity=odd_ok,
     )
 
@@ -499,23 +501,7 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
                             None)
     if isinstance(chain, Failure):
         return JacobiChainReport(False, chain, *head)
-    return JacobiChainReport(
-        True,
-        None,
-        *head,
-        a_seq=tuple(chain.a),
-        b_seq=tuple(chain.b),
-        c_seq=tuple(chain.c),
-        rel=chain.rel,
-        u_rec=chain.u_rec,
-        v_rec=chain.v_rec,
-        u_mass=chain.u_mass,
-        v_mass=chain.v_mass,
-        verdict_equations=chain.verdict_eq,
-        verdict_constants=chain.verdict_ct,
-        constants=chain.constants,
-        regularity=chain.regularity,
-    )
+    return JacobiChainReport(True, None, *head, **chain._asdict())
 
 
 def half_case_closed_forms(a1, count: int) -> tuple[list, list]:

@@ -11,8 +11,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 a checked property genuinely fails (not
 orthogonal, inadmissible parameters), 2 malformed or out-of-domain input
-(non-UTF-8 text included), 3 internal inconsistency (independent
-computations disagree) or any other error, reported without a traceback.
+(``FormatError``, ``DepthError``, ``DomainError``; non-UTF-8 text
+included), 3 internal inconsistency (``ContractError``: independent
+computations disagree) or any other exception, reported without a
+traceback. The exception's type alone decides the code.
 
 Each command only computes: it returns its payload, exit code and an
 optional note, and ``_dispatch`` writes the payload, then the note, for all
@@ -410,16 +412,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"mopsrel: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractError as exc:
-        if args.command == "example":
-            print(f"mopsrel: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        hint = (
-            " (run the classify command to inspect the relation shape)"
-            if "classifies as" in str(exc)
-            else ""
-        )
-        print(f"mopsrel: {exc}{hint}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"mopsrel: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:
         # a refusal the commands missed: an exit code, not a traceback
         print(f"mopsrel: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

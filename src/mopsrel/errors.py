@@ -6,12 +6,13 @@ class DepthError(ValueError):
 
 
 class DomainError(ValueError):
-    """A parameter or derived quantity lies outside the operation's domain."""
+    """A parameter or derived quantity lies outside the operation's domain,
+    e.g. a relation outside a checker's non-degeneracy hypothesis."""
 
 
 class ContractError(ValueError):
-    """The caller violated an operation's contract, e.g. passed a degenerate
-    relation to a checker that only accepts non-degenerate ones."""
+    """Independent computations disagree: an internal inconsistency, never
+    a fault of the input. Only ``casebook`` raises it."""
 
 
 class FormatError(ValueError):

@@ -306,12 +306,17 @@ class RecurrenceReport:
     Delta_k is the (k+1)x(k+1) leading principal Hankel determinant.
     first_vanishing is the index of the first zero Delta_k if one was met,
     None otherwise; checked_through is how far the determinants could be
-    examined given the depth (the first zero stops the examination).
+    examined given the depth (the first zero stops the examination), which
+    is first_vanishing when there is one and the count of gammas otherwise.
     """
 
     rec: RecurrencePair
     first_vanishing: Optional[int]
-    checked_through: int
+
+    @property
+    def checked_through(self) -> int:
+        m = self.first_vanishing
+        return len(self.rec.gamma) if m is None else m
 
     @property
     def regular_through(self) -> int:
@@ -341,7 +346,7 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
     # row_prev / den_prev the row k - 1
     row, den = f._nums, f._den
     if row[0] == 0:
-        return RecurrenceReport(RecurrencePair((), ()), 0, 0)
+        return RecurrenceReport(RecurrencePair((), ()), 0)
     row_prev: tuple = ()
     den_prev = 1
     if n_max >= 1:
@@ -354,13 +359,13 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
             row_prev[2 : width + 3], den_prev, gamma[k - 2] if k >= 2 else 0,
         )
         if nxt[0] == 0:
-            return RecurrenceReport(RecurrencePair._exact(beta[:k], gamma), k, k)
+            return RecurrenceReport(RecurrencePair._exact(beta[:k], gamma), k)
         gamma.append(Fraction(nxt[0] * den, d * row[0]))
         if width >= 1:
             # sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
             beta.append(Fraction(nxt[1] * row[0] - row[1] * nxt[0], nxt[0] * row[0]))
         row_prev, den_prev, row, den = row, den, nxt, d
-    return RecurrenceReport(RecurrencePair._exact(beta, gamma), None, k_max)
+    return RecurrenceReport(RecurrencePair._exact(beta, gamma), None)
 
 
 def norm_squared(rec: RecurrencePair, n: int) -> Fraction:

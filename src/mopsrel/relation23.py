@@ -51,7 +51,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import ContractError, DepthError, DomainError, FormatError
+from .errors import DepthError, DomainError, FormatError
 from .functional import MomentFunctional, RecurrencePair, _pivots
 from .poly import Polynomial, _combination
 from .rational import _lcm_sum, _reduce_pairs, _SequenceModel, as_scalar
@@ -369,18 +369,18 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, aux_upto: int):
     rec.require_regular(depth)
     case = classify(rel)
     if case.tag is not RelationTag.NONDEGENERATE23:
-        raise ContractError(
-            f"relation classifies as {case.tag.value}; the inverse checkers "
-            "accept only NonDegenerate23 data"
+        raise DomainError(
+            f"relation classifies as {case.tag.value}; the inverse checkers accept only "
+            "NonDegenerate23 data (run the classify command to inspect the relation shape)"
         )
     # zeros decided on integer numerators, before the build reads the recurrence
     rel.require(depth + 1)
     (r, rd), (s, sd), (t, td) = rel._integers()
     for n in range(3, depth + 2):
         if not r[n]:
-            raise ContractError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
+            raise DomainError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
         if not t[n]:
-            raise ContractError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
+            raise DomainError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
     built = _sequences(rec, rel, depth, aux_upto)
     bt, gt, (a, b, c, d), _, gt_nums = built
     induced = RecurrencePair._exact(bt, gt)

@@ -17,8 +17,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mopsrel import (
+    ContractError,
     DepthError,
+    DomainError,
     Failure,
+    FormatError,
     JacobiParams,
     Relation23,
     chebyshev_case,
@@ -500,6 +503,38 @@ def test_unexpected_exception_is_exit_3(tmp_path, capsys, monkeypatch, combined_
     assert code == 3 and out == ""
     assert "mopsrel: internal error: RuntimeError: stand-in failure" in err
     assert "Traceback" not in err and "exit=3" in err
+
+
+@pytest.mark.parametrize(
+    "kind, code",
+    [(FormatError, 2), (DepthError, 2), (DomainError, 2), (ContractError, 3), (RuntimeError, 3)],
+)
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("mopsrel.cli.classify", ["classify", "DOC"]),
+        ("mopsrel.cli.check_both", ["inverse-check", "--depth", "6", "DOC"]),
+        ("mopsrel.cli.check_by_constants", ["constants", "--depth", "6", "DOC"]),
+        ("mopsrel.cli.chebyshev_case", ["example", "chebyshev", "--depth", "6"]),
+    ],
+    ids=["classify", "inverse-check", "constants", "example"],
+)
+def test_exit_code_is_decided_by_the_exception_type(
+    tmp_path, capsys, monkeypatch, combined_doc, target, argv, kind, code
+):
+    """Whichever command raises it, an exception's type alone decides the
+    exit code: input refusals exit 2, an internal inconsistency or any other
+    exception exits 3; each run writes no payload and one ``mopsrel:`` line."""
+    def stand_in(*args):
+        raise kind("stand-in refusal")
+
+    monkeypatch.setattr(target, stand_in)
+    path = write_doc(tmp_path, "combined.json", combined_doc)
+    got, out, err = run(capsys, [path if a == "DOC" else a for a in argv])
+    assert got == code and out == ""
+    lines = [line for line in err.splitlines() if line.startswith("mopsrel:")]
+    prefix = "mopsrel: internal error: RuntimeError: " if kind is RuntimeError else "mopsrel: "
+    assert lines == [prefix + "stand-in refusal"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mopsrel import (
-    ContractError,
     DepthError,
     DomainError,
     FormatError,
@@ -224,9 +223,9 @@ def test_checkers_reject_degenerate_relation():
 
     rec = RecurrencePair([0] * 8, ["1/4"] * 8)
     rel = rel_from7(0, 2, 0, 1, 0, 2, 0, pad=5)  # Type12
-    with pytest.raises(ContractError, match="Type12"):
+    with pytest.raises(DomainError, match="Type12"):
         check_by_equations(rec, rel, 5)
-    with pytest.raises(ContractError, match="Type12"):
+    with pytest.raises(DomainError, match="Type12"):
         check_by_constants(rec, rel, 5)
 
 
@@ -238,8 +237,31 @@ def test_checkers_reject_zero_hypothesis_entries():
     s = [0] * 8
     t = [0, 0, 1, 1, 1, 1, 1, 1]
     rel = Relation23(r, s, t)
-    with pytest.raises(ContractError, match="r_5"):
+    with pytest.raises(DomainError, match="r_5"):
         check_by_equations(rec, rel, 6)
+
+
+def test_non_degeneracy_breaches_are_domain_errors_everywhere():
+    """On the depth-8 Chebyshev document one breach of the non-degeneracy
+    hypothesis is one exception type, whichever entry point reads it: a zero
+    r_5 (depth 6) in the checkers and the constancy expressions, a zero r_3
+    in ``check_both`` and the closed forms."""
+    rep = chebyshev_case(8)
+
+    def with_r_zero(n):
+        r = list(rep.rel.r)
+        r[n] = 0
+        return Relation23(r, rep.rel.s, rep.rel.t)
+
+    rel = with_r_zero(5)
+    for entry in (check_by_equations, check_by_constants, check_both, constant_sequences):
+        with pytest.raises(DomainError, match="r_5"):
+            entry(rep.u_rec, rel, 6)
+    rel = with_r_zero(3)
+    with pytest.raises(DomainError):
+        check_both(rep.u_rec, rel, 6)
+    with pytest.raises(DomainError):
+        relation_constants(rep.u_rec, rel)
 
 
 def test_positive_instance_from_worked_case():
@@ -497,7 +519,7 @@ def test_checkers_agree_on_random_instances_at_depth_100_and_beyond(seed, depth,
     assert eq.induced == ct.induced
     if positive:
         chain, (_, _, c, _, _, _) = random_spectral_chain(random.Random(seed), depth)
-        eq, ct = chain.verdict_eq, chain.verdict_ct
+        eq, ct = chain.verdict_equations, chain.verdict_constants
         assert eq.is_mops and ct.is_mops
         assert eq.induced == ct.induced
         at = values_at(chain.u_rec.beta, chain.u_rec.gamma, c, depth)
@@ -551,7 +573,7 @@ def _refused_cases():
             DepthError, rec, Relation23(rel.r[:9], rel.s[:9], rel.t[:9]), 8),
         "zero-gamma": (DomainError, RecurrencePair(rep.u_rec.beta, gamma), rep.rel, 6),
         "type12": (
-            ContractError, RecurrencePair([0] * 8, ["1/4"] * 8),
+            DomainError, RecurrencePair([0] * 8, ["1/4"] * 8),
             rel_from7(0, 2, 0, 1, 0, 2, 0, pad=5), 5),
     }
 

@@ -82,3 +82,15 @@ def test_package_modules_import_no_unused_name():
     unused = [entry for path in modules if path.name != "__init__.py"
               for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_only_casebook_raises_contract_error():
+    """ContractError means that independent computations disagree, which only
+    the casebook's certificates find; a refusal of input is another type."""
+    raisers = sorted(
+        path.name for path in (ROOT / "src" / "mopsrel").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ContractError"
+    )
+    assert raisers == ["casebook.py"]
