@@ -55,13 +55,14 @@ from .families import (
 )
 from .functional import RecurrencePair, RecurrenceReport, _pivots
 from .poly import Polynomial
-from .rational import _lcm_sum, _parts, _reduce_pairs, as_scalar
+from .rational import _parts, _reduce_pairs, as_scalar
 from .relation23 import (
     Failure,
     FunctionalRelation,
     InverseVerdict,
     Relation23,
     RelationTag,
+    _index_condition,
     check_both,
     compose_ladders,
     regularity_criterion,
@@ -96,11 +97,12 @@ def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, k, top: int) -> 
     (bp, bpd), (br, brd) = (_parts(rec.beta[:top]) for rec in (p_rec, r_rec))
     (gp, gpd), (gr, grd) = (_parts((0,) + rec.gamma[: top - 1]) for rec in (p_rec, r_rec))
     kn, kd = _parts([0, *k[1 : top + 1]])
-    if _lcm_sum((bp[0], kn[1], -br[0]), (bpd[0], kd[1], brd[0]))[0]:
+    # beta_0 + k_1 = beta^R_0 by cross-multiplication
+    if (bp[0] * kd[1] + kn[1] * bpd[0]) * brd[0] != br[0] * bpd[0] * kd[1]:
         return 1
     lcm = math.lcm
     for n in range(1, top):
-        # each condition over the lcm of its terms' denominators, as in rational._lcm_sum
+        # each condition over the lcm of its terms' denominators
         L = lcm(brd[n], kd[n], kd[n + 1], bpd[n])
         if (br[n] * (L // brd[n]) + kn[n] * (L // kd[n]) - kn[n + 1] * (L // kd[n + 1])
                 != bp[n] * (L // bpd[n])):
@@ -406,8 +408,8 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     )
 
     rel = chain.rel
-    r, s, t = rel.r, rel.s, rel.t
-    odd_ok = all(t[n] == r[n] * (s[n - 1] - r[n - 1]) for n in range(3, depth + 1, 2))
+    parts = rel._integers()
+    odd_ok = all(_index_condition(parts, n) for n in range(3, depth + 1, 2))
 
     return ChebyshevCaseReport(
         depth=depth,

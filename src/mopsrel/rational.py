@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import mul
 
 from .errors import FormatError
 
@@ -62,22 +61,9 @@ def _parts(values) -> tuple[list[int], list[int]]:
     return [v.numerator for v in values], [v.denominator for v in values]
 
 
-def _lcm_sum(nums, dens) -> tuple[int, int]:
-    """sum(nums[i] / dens[i]) as the unreduced pair (numerator, L), where
-    L > 0 is the lcm of the nonzero denominators. ``Fraction(*_lcm_sum(...))``
-    reduces the sum once, and the numerator alone tells whether it is
-    zero. It serves one-shot conditions (ci1-ci3, a ladder's test at
-    n = 1). The per-index loops of the integer kernels write the same sum
-    out term by term, ``L = lcm(d1, d2, d3)`` then ``n1 * (L // d1) + ...``:
-    at the few-bit coefficients of CLI data the tuples, maps and call that
-    this function costs outweigh the arithmetic."""
-    den = math.lcm(*dens)
-    return sum(map(mul, nums, map(den.__floordiv__, dens))), den
-
-
 def _reduce_pairs(pairs) -> list:
-    """The reduced Fraction of each (numerator, denominator) pair, such as
-    ``_lcm_sum`` gives; None entries stay None."""
+    """The reduced Fraction of each unreduced (numerator, denominator > 0)
+    pair, such as the checkers' kernels build; None entries stay None."""
     return [None if pair is None else Fraction(*pair) for pair in pairs]
 
 

@@ -25,16 +25,19 @@ Both share a prelude (admission, the induced recurrence, the auxiliary
 sequences, gamma~_n != 0 and ci1-ci3) and differ in the conditions that
 decide; ``check_both`` runs the prelude once for the two. Values only
 compared (b_n, c_n, d_n, A_n, B_n, C_n) stay unreduced integer pairs, and
-each condition is decided by cross-multiplication.
+each condition is decided by cross-multiplying its two sides. The index
+condition t_n = r_n (s_{n-1} - r_{n-1}) has one test, ``_index_condition``;
+the non-degeneracy gate is its negation at n = 2.
 
 A ``Relation23`` parsed from a document holds reduced integer parts, as
 its ``RecurrencePair`` does (``rational._SequenceModel``), and everything
 here that decides reads those; ``r``, ``s`` and ``t`` are Fraction views
 built on first use. ``compose_ladders`` builds the Fraction side instead.
 
-At depth N both checkers read one window, the ``_sequences`` build through
-N (r, s, t through N + 1, beta and gamma through N): eqn1-eqn3 and C_n for
-n <= N, and A_n, B_n, which read a_{n+1}, for n <= N - 1 (``_constancy``).
+At depth N both checkers read one window, the ``_sequences`` build of every
+derived sequence through N (r, s, t through N + 1, beta and gamma through
+N): eqn1-eqn3 and C_n for n <= N, and A_n, B_n, which read a_{n+1}, for
+n <= N - 1 (``_constancy``).
 So every entry point reads the same data and refuses the same inputs.
 
 When either verdict is positive, the functional v of the generated family
@@ -54,7 +57,7 @@ from typing import NamedTuple, Optional
 from .errors import DepthError, DomainError, FormatError
 from .functional import MomentFunctional, RecurrencePair, _pivots
 from .poly import Polynomial, _combination
-from .rational import _lcm_sum, _reduce_pairs, _SequenceModel, as_scalar
+from .rational import _reduce_pairs, _SequenceModel, as_scalar
 
 
 class Relation23(_SequenceModel):
@@ -98,6 +101,14 @@ class Relation23(_SequenceModel):
         return f"Relation23(through {self.max_index})"
 
 
+def _index_condition(parts, n: int) -> bool:
+    """Whether t_n = r_n (s_{n-1} - r_{n-1}), by cross-multiplying the
+    integer parts ``((r, rd), (s, sd), (t, td))`` of a ``Relation23``."""
+    (r, rd), (s, sd), (t, td) = parts
+    return (t[n] * rd[n] * sd[n - 1] * rd[n - 1]
+            == td[n] * r[n] * (s[n - 1] * rd[n - 1] - r[n - 1] * sd[n - 1]))
+
+
 class RelationTag(str, Enum):
     TRIVIAL11 = "Trivial11"
     TYPE12 = "Type12"
@@ -122,9 +133,9 @@ def classify(rel: Relation23) -> RelationCase:
     coefficients; the reduced two-term coefficients are reported where the
     degenerate shape defines them."""
     rel.require(3)
-    (r, rd), (s, sd), (t, td) = rel._integers()
-    # the numerator of the gate t_2 - r_2 (s_1 - r_1) over td_2 rd_2 sd_1 rd_1
-    gate = t[2] * rd[2] * sd[1] * rd[1] - td[2] * r[2] * (s[1] * rd[1] - r[1] * sd[1])
+    parts = rel._integers()
+    (r, _), _, (t, _) = parts
+    gate = not _index_condition(parts, 2)  # t_2 != r_2 (s_1 - r_1)
     if gate and r[3] and t[3]:
         return RelationCase(RelationTag.NONDEGENERATE23, {})
     # a degenerate shape reports whole sequences
@@ -232,12 +243,12 @@ class AuxiliarySequences(NamedTuple):
     d: list
 
 
-def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
+def _sequences(rec: RecurrencePair, rel: Relation23, upto: int):
     """The derived sequences of the inverse problem, from one pass over the
     integer parts of r, s, t, beta and gamma: the induced recurrence
     bt_n = beta~_n (0 <= n <= upto) and gt_n = gamma~_n (1 <= n <= upto),
-    as two lists, and the auxiliary sequences, with a_n through ``upto`` and
-    b_n, c_n, d_n through ``aux_upto`` (None past it). An entry at n reads
+    as two lists, and the auxiliary sequences a_n, b_n, c_n, d_n through
+    ``upto``, whatever part of them a caller reads. An entry at n reads
     r, s, t through n + 1 and beta, gamma through n: the build consumes
     relation indices through upto + 1 and recurrence ones through upto.
 
@@ -292,7 +303,7 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int, aux_upto: int):
         gtn = x * (L // xd) - r[n] * (zn * (L // d1) + prev.numerator * (L // d2))
         gt_nums.append(gtn)
         gt.append(Fraction(gtn, L))
-        if 2 <= n <= aux_upto:
+        if n >= 2:
             d1, d2, d3 = snd * gd[n - 2], tnd * zd, tnd * pd[n - 2]
             L = lcm(d1, d2, d3)
             b[n] = (sn * g[n - 2] * (L // d1) + tn * (zn * (L // d2) + p[n - 2] * (L // d3)), L)
@@ -309,7 +320,7 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
     may be zero here; whether they qualify is the checkers' business."""
     if upto < 0:
         raise DepthError("upto must be >= 0")
-    bt, gt, *_ = _sequences(rec, rel, upto, 0)
+    bt, gt, *_ = _sequences(rec, rel, upto)
     return RecurrencePair._exact(bt, gt)
 
 
@@ -317,7 +328,7 @@ def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> Auxi
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
     if upto < 0:
         raise DepthError("upto must be >= 0")
-    built = _sequences(rec, rel, upto, upto)
+    built = _sequences(rec, rel, upto)
     return AuxiliarySequences(*map(_reduce_pairs, built[2]))
 
 
@@ -357,13 +368,13 @@ class InverseVerdict:
         return out
 
 
-def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, aux_upto: int):
+def _prelude(rec: RecurrencePair, rel: Relation23, depth: int):
     """What the two checkers share: admission of the data (and the
     admitted case), one ``_sequences`` build through depth (the window of
-    both checkers) with b_n, c_n, d_n through ``aux_upto``, and the
-    conditions gamma~_n != 0 (n <= depth) and ci1-ci3. Returns the case,
-    the induced recurrence through depth, the build and the failures,
-    which each checker's tail copies before it appends its own."""
+    both checkers), and the conditions gamma~_n != 0 (n <= depth) and
+    ci1-ci3. Returns the case, the induced recurrence through depth, the
+    build and the failures, which each checker's tail copies before it
+    appends its own."""
     if depth < 4:
         raise DepthError("inverse-problem checks need depth >= 4")
     rec.require_regular(depth)
@@ -381,23 +392,24 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int, aux_upto: int):
             raise DomainError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
         if not t[n]:
             raise DomainError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
-    built = _sequences(rec, rel, depth, aux_upto)
+    built = _sequences(rec, rel, depth)
     bt, gt, (a, b, c, d), _, gt_nums = built
     induced = RecurrencePair._exact(bt, gt)
     failures = []
     if 0 in gt_nums:  # one scan decides gamma~_n != 0 for every n
         failures = [Failure("gamma_tilde", n) for n, g in enumerate(gt_nums, 1) if not g]
-    # each condition "lhs = rhs" is decided by the numerator of lhs - rhs
+    # ci1: b_2 - d_2 = a_2 e, ci2: b_3 - d_3 = a_3 f and ci3: c_3 - b_3 e = a_3 h,
+    # each by cross-multiplication
     (a2, a2d), (a3, a3d) = a[2], a[3]
     (b2, b2d), (b3, b3d), (c3, c3d), (d2, d2d), (d3, d3d) = b[2], b[3], c[3], d[2], d[3]
-    e, ed = _lcm_sum((s[1], -r[1]), (sd[1], rd[1]))  # s_1 - r_1
-    f, fd = _lcm_sum((s[2], -r[2]), (sd[2], rd[2]))  # s_2 - r_2
-    h, hd = _lcm_sum((t[2], -s[2] * e), (td[2], sd[2] * ed))  # t_2 - s_2 (s_1 - r_1)
-    if _lcm_sum((b2, -d2, -a2 * e), (b2d, d2d, a2d * ed))[0]:
+    e, ed = s[1] * rd[1] - r[1] * sd[1], sd[1] * rd[1]  # s_1 - r_1
+    f, fd = s[2] * rd[2] - r[2] * sd[2], sd[2] * rd[2]  # s_2 - r_2
+    h, hd = t[2] * sd[2] * ed - td[2] * s[2] * e, td[2] * sd[2] * ed  # t_2 - s_2 e
+    if (b2 * d2d - d2 * b2d) * a2d * ed != a2 * e * b2d * d2d:
         failures.append(Failure("ci1", 2))
-    if _lcm_sum((b3, -d3, -a3 * f), (b3d, d3d, a3d * fd))[0]:
+    if (b3 * d3d - d3 * b3d) * a3d * fd != a3 * f * b3d * d3d:
         failures.append(Failure("ci2", 3))
-    if _lcm_sum((c3, -b3 * e, -a3 * h), (c3d, b3d * ed, a3d * hd))[0]:
+    if (c3 * b3d * ed - b3 * e * c3d) * a3d * hd != a3 * h * c3d * b3d * ed:
         failures.append(Failure("ci3", 3))
     return case, induced, built, failures
 
@@ -423,7 +435,7 @@ def _equations_tail(depth: int, induced, built, failures) -> InverseVerdict:
 def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> InverseVerdict:
     """Orthogonality of the generated family, decided through the
     coefficient equations. Consumes relation indices through depth + 1."""
-    _, induced, built, failures = _prelude(rec, rel, depth, depth)
+    _, induced, built, failures = _prelude(rec, rel, depth)
     return _equations_tail(depth, induced, built, failures)
 
 
@@ -481,7 +493,7 @@ def constant_sequences(
     as the checkers do; every r_n, t_n divided by must be nonzero."""
     if depth < 4:
         raise DepthError("constant sequences need depth >= 4")
-    built = _sequences(rec, rel, depth, 0)
+    built = _sequences(rec, rel, depth)
     return tuple(map(_reduce_pairs, _constancy(depth, built)))
 
 
@@ -509,8 +521,7 @@ def check_by_constants(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
     """Orthogonality of the generated family, decided through the startup
     condition and constancy of A_n, B_n (3 <= n < depth) and C_n
     (3 <= n <= depth). Consumes relation indices through depth + 1."""
-    # b_n, c_n, d_n through 3, where ci1-ci3 read them
-    _, induced, built, failures = _prelude(rec, rel, depth, 3)
+    _, induced, built, failures = _prelude(rec, rel, depth)
     return _constants_tail(depth, induced, built, failures)
 
 
@@ -520,7 +531,7 @@ def check_both(
     """The admitted case and the verdicts of ``check_by_equations`` and
     ``check_by_constants`` from one shared prelude and one build: the same
     verdicts and refusals as theirs. Consumes relation indices through depth + 1."""
-    case, induced, built, failures = _prelude(rec, rel, depth, depth)
+    case, induced, built, failures = _prelude(rec, rel, depth)
     return (
         case,
         _equations_tail(depth, induced, built, failures),
@@ -647,18 +658,14 @@ def regularity_criterion(
     the pivots of J(rec) - c I (``functional._pivots``), no P_n is built:
     P_n(c) = (-1)^n k_1 ... k_n, so P_1(c)..P_depth(c) are nonzero exactly
     when k_1..k_depth are. The indices are compared by cross-multiplying
-    integer parts, entry by entry, up to the first equality."""
+    integer parts (``_index_condition``), entry by entry, up to the first
+    equality."""
     if depth < 0:
         raise DepthError(f"depth must be >= 0, got {depth}")
     rec.require(depth - 1, depth - 1)
     rel.require(depth if depth >= 2 else 2)
     c = as_scalar(c)
     no_root = depth == 0 or all(_pivots(rec, c, rec.beta[0] - c, depth)[1:])
-    (r, rd), (s, sd), (t, td) = rel._integers()
-    # t_n = r_n (s_{n-1} - r_{n-1}) by cross-multiplication
-    no_index = all(
-        t[n] * rd[n] * sd[n - 1] * rd[n - 1]
-        != td[n] * r[n] * (s[n - 1] * rd[n - 1] - r[n - 1] * sd[n - 1])
-        for n in range(2, depth + 1)
-    )
+    parts = rel._integers()
+    no_index = not any(_index_condition(parts, n) for n in range(2, depth + 1))
     return no_root, no_index

@@ -17,6 +17,7 @@ from mopsrel import (
     RelationTag,
 )
 from mopsrel.casebook import _spectral_chain
+from oracles import hermite_recurrence, laguerre_recurrence
 
 
 def rel_from7(r1, r2, r3, s1, s2, t2, t3, pad: int = 0) -> Relation23:
@@ -57,19 +58,26 @@ def random_gated_instance(rng: random.Random, depth: int):
 
 
 def random_spectral_chain(rng: random.Random, depth: int):
-    """A positive instance of the spectral-chain builder at ``depth``: a Jacobi w
-    with alpha, beta > -1 and rationals z1, c, z2, a1, c1 with c apart from z1 and
-    z2, drawn again while the builder refuses them by a named failure. Returns the
-    builder's chain and (params, z1, c, z2, a1, c1)."""
+    """A positive instance of the spectral-chain builder at ``depth``: w drawn
+    from the Jacobi (alpha, beta > -1), Laguerre (alpha > -1) or Hermite
+    families, and rationals z1, c, z2, a1, c1 with c apart from z1 and z2,
+    drawn again while the builder refuses them by a named failure. Returns the
+    builder's chain and (w_rec, z1, c, z2, a1, c1)."""
     while True:
-        params = JacobiParams(*(Fraction(rng.randint(-5, 18), 6) for _ in range(2)))
+        family = rng.choice(("jacobi", "laguerre", "hermite"))
+        if family == "jacobi":
+            params = JacobiParams(*(Fraction(rng.randint(-5, 18), 6) for _ in range(2)))
+            w_rec = jacobi_recurrence(params, depth + 4)
+        elif family == "laguerre":
+            w_rec = laguerre_recurrence(Fraction(rng.randint(-5, 18), 6), depth + 4)
+        else:
+            w_rec = hermite_recurrence(depth + 4)
         z1, c, z2, a1, c1 = (Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(5))
         if c in (z1, z2):
             continue
-        w_rec = jacobi_recurrence(params, depth + 4)
         chain = _spectral_chain(w_rec, z1, c, z2, a1, c1, depth, None)
         if not isinstance(chain, Failure):
-            return chain, (params, z1, c, z2, a1, c1)
+            return chain, (w_rec, z1, c, z2, a1, c1)
 
 
 @pytest.fixture

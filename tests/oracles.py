@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from mopsrel import Polynomial
+from mopsrel import Polynomial, RecurrencePair
 
 
 def det(rows) -> Fraction:
@@ -167,6 +167,22 @@ def jacobi_norm_ratio_float(alpha, beta, n: int) -> float:
         + sum(map(math.lgamma, (n + 1, n + a + 1, n + b + 1, n + s + 1, s + 2)))
         - sum(map(math.lgamma, (2 * n + s + 1, 2 * n + s + 2, a + 1, b + 1)))
     )
+
+
+def laguerre_recurrence(alpha, count: int) -> RecurrencePair:
+    """beta_0..beta_{count-1} and gamma_1..gamma_{count-1} of the monic
+    Laguerre family of the weight x^alpha e^(-x) on (0, inf), alpha > -1,
+    from the closed forms beta_n = 2n + alpha + 1, gamma_n = n (n + alpha)."""
+    alpha = Fraction(alpha)
+    return RecurrencePair([2 * n + alpha + 1 for n in range(count)],
+                          [n * (n + alpha) for n in range(1, count)])
+
+
+def hermite_recurrence(count: int) -> RecurrencePair:
+    """beta_0..beta_{count-1} and gamma_1..gamma_{count-1} of the monic
+    Hermite family of the weight e^(-x^2) on the real line, from the closed
+    forms beta_n = 0, gamma_n = n / 2."""
+    return RecurrencePair([0] * count, [Fraction(n, 2) for n in range(1, count)])
 
 
 def values_at(beta, gamma, c, count: int) -> list:

@@ -645,18 +645,18 @@ BENDABLE = {"r": 1, "s": 1, "t": 2, "beta": 0, "gamma": 1}
 @given(st.integers(0, 2**32), st.integers(12, 40), st.sampled_from(sorted(BENDABLE)),
        st.data())
 def test_spectral_chain_gives_positive_instances(seed, depth, field, data):
-    """Over a random Jacobi w and random rational points z1, c, z2 and first
-    coefficients a1, c1, the builder's u and relation are a positive
-    instance: both checkers say MOPS, the constants are exactly
+    """Over a random Jacobi, Laguerre or Hermite w, random rational points
+    z1, c, z2 and first coefficients a1, c1, the builder's u and relation
+    are a positive instance: both checkers say MOPS, the constants are exactly
     lambda = (beta_0 - c1 - z1)(beta_0 - a1 - z2) / (beta_0 - a1 - c), c,
     -(z1 + z2) and z1 z2, and the relation unfolds u's MOPS into v's. One
     entry of the relation or of u's recurrence, bent by 1/7 inside the
     checkers' window, fails a named condition in both checkers."""
-    chain, (params, z1, c, z2, a1, c1) = random_spectral_chain(random.Random(seed), depth)
+    chain, (w_rec, z1, c, z2, a1, c1) = random_spectral_chain(random.Random(seed), depth)
     rec, rel = chain.u_rec, chain.rel
     assert check_by_equations(rec, rel, depth).is_mops
     assert check_by_constants(rec, rel, depth).is_mops
-    beta0 = jacobi_recurrence(params, 1).beta[0]
+    beta0 = w_rec.beta[0]
     lam = (beta0 - c1 - z1) * (beta0 - a1 - z2) / (beta0 - a1 - c)
     assert relation_constants(rec, rel) == FunctionalRelation(lam, c, -(z1 + z2), z1 * z2)
     p, q = (mops_from_recurrence(r, 8) for r in (rec, chain.v_rec))

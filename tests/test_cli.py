@@ -548,9 +548,9 @@ def test_example_builds_the_constancy_data_once(capsys, monkeypatch, fmt):
     calls = []
     real = relation23._sequences
 
-    def counted(rec, rel, upto, aux_upto):
+    def counted(rec, rel, upto):
         calls.append(upto)
-        return real(rec, rel, upto, aux_upto)
+        return real(rec, rel, upto)
 
     monkeypatch.setattr(relation23, "_sequences", counted)
     code, _, _ = run(capsys, ["example", "chebyshev", "--depth", "20", "--format", fmt])

@@ -15,7 +15,14 @@ from mopsrel import (
     norm_squared,
     recurrence_from_moments,
 )
-from oracles import apply_raw, hankel_det, op_via_determinants, path_moments
+from oracles import (
+    apply_raw,
+    hankel_det,
+    hermite_recurrence,
+    laguerre_recurrence,
+    op_via_determinants,
+    path_moments,
+)
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -193,3 +200,28 @@ def test_moments_refuse_a_zero_gamma_with_the_checkers_message():
 def test_json_round_trips():
     rec = RecurrencePair(["0"], ["1/4"])
     assert RecurrencePair.from_json(rec.to_json()) == rec
+
+
+@pytest.mark.parametrize("alpha", [Fraction(-5, 6), Fraction(0), Fraction(7, 3)])
+def test_laguerre_closed_forms_recover_from_the_weight_moments(alpha):
+    """The oracles' Laguerre closed forms are the recurrence of the moments
+    of x^alpha e^(-x), mu_n = (alpha + 1)(alpha + 2)...(alpha + n)."""
+    mu = [Fraction(1)]
+    for n in range(1, 21):
+        mu.append(mu[-1] * (alpha + n))
+    rep = recurrence_from_moments(MomentFunctional(mu))
+    closed = laguerre_recurrence(alpha, 11)
+    assert rep.first_vanishing is None
+    assert rep.rec.beta == closed.beta[:10] and rep.rec.gamma == closed.gamma
+
+
+def test_hermite_closed_forms_recover_from_the_weight_moments():
+    """The oracles' Hermite closed forms are the recurrence of the moments
+    of e^(-x^2), normalized: mu_{2k} = (1/2)(3/2)...((2k - 1)/2), odd ones 0."""
+    mu = [Fraction(1)]
+    for n in range(1, 21):
+        mu.append(0 if n % 2 else mu[-2] * Fraction(n - 1, 2))
+    rep = recurrence_from_moments(MomentFunctional(mu))
+    closed = hermite_recurrence(11)
+    assert rep.first_vanishing is None
+    assert rep.rec.beta == closed.beta[:10] and rep.rec.gamma == closed.gamma

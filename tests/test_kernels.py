@@ -47,6 +47,7 @@ from mopsrel import (
 from mopsrel.casebook import _ladder_break, _relation_break
 from mopsrel.poly import _combination
 from mopsrel.rational import _reduce_pairs
+from mopsrel.relation23 import _index_condition
 from conftest import random_spectral_chain
 from oracles import (
     add_point_mass_raw,
@@ -769,6 +770,24 @@ def test_constant_sequences_start_at_depth_4():
         constant_sequences(rep.u_rec, rep.rel, 3)
     A, B, C = constant_sequences(rep.u_rec, rep.rel, 4)
     assert None not in (A[3], B[3], C[3], C[4]) and A[4] is B[4] is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6), coeff, coeff, coeff, st.sampled_from(["free", "equal", "nudge"]),
+       coeff)
+@example(n=2, r_prev=Fraction(0), s_prev=Fraction(0), r_n=Fraction(0), kind="free",
+         t_free=Fraction(0))
+def test_index_condition_matches_fractions(n, r_prev, s_prev, r_n, kind, t_free):
+    """The one test of t_n = r_n (s_{n-1} - r_{n-1}) on a relation's integer
+    parts against the equality in Fractions: zero entries, small ones and
+    ones whose denominators share BIG, with t_n drawn, on the equality, or
+    1/BIG off it."""
+    target = r_n * (s_prev - r_prev)
+    t_n = {"free": t_free, "equal": target, "nudge": target + Fraction(1, BIG)}[kind]
+    r, s, t = ([Fraction(0)] * (n + 1) for _ in range(3))
+    r[n - 1], r[n], s[n - 1], t[n] = r_prev, r_n, s_prev, t_n
+    for rel in (Relation23(r, s, t), Relation23._exact(r, s, t)):
+        assert _index_condition(rel._integers(), n) == (t_n == r_n * (s_prev - r_prev))
 
 
 @functools.cache

@@ -612,20 +612,29 @@ def test_check_both_refuses_short_recurrences_as_the_checkers_do(beta_len, gamma
     assert len(messages) == (1 if refused else 0)
 
 
-@pytest.mark.parametrize("run", ENTRY_POINTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("run", ENTRY_POINTS + [induced_recurrence, auxiliary_sequences],
+                         ids=lambda f: f.__name__)
 def test_each_check_builds_the_sequences_once(monkeypatch, run):
     """One pass of the sequence builder per call, through depth, the one
-    window of both checkers."""
+    window of both checkers, and one build whatever the caller reads: a_n,
+    b_n, d_n (2 <= n <= depth) and c_n (3 <= n <= depth) all present."""
     import mopsrel.relation23 as relation23
 
     rep = chebyshev_case(10)
     calls = []
+    builds = []
     real = relation23._sequences
 
-    def counted(rec, rel, n, aux_upto):
+    def counted(rec, rel, n):
         calls.append(n)
-        return real(rec, rel, n, aux_upto)
+        builds.append(real(rec, rel, n))
+        return builds[-1]
 
     monkeypatch.setattr(relation23, "_sequences", counted)
     run(rep.u_rec, rep.rel, 8)
     assert calls == [8]
+    a, b, c, d = builds[0][2]
+    for first, seq in ((1, a), (2, b), (3, c), (2, d)):
+        assert len(seq) == 9
+        assert seq[:first] == [None] * first
+        assert None not in seq[first:]

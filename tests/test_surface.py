@@ -94,3 +94,18 @@ def test_only_casebook_raises_contract_error():
         and getattr(node.exc.func, "id", None) == "ContractError"
     )
     assert raisers == ["casebook.py"]
+
+
+def test_every_private_helper_has_a_reader():
+    """Every module-level private function or class under src/mopsrel/ is
+    read in the package modules or the demos (``_referenced_names``): a
+    helper whose last caller went is dead code."""
+    used = _referenced_names()
+    private = [
+        f"{path.name}:{node.name}" for path in sorted((ROOT / "src" / "mopsrel").glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert len(private) > 10
+    assert [entry for entry in private if entry.partition(":")[2] not in used] == []
