@@ -27,6 +27,12 @@ multiple of the third-kind functional, and v is of the fourth kind. Its
 twist: (x - 1) u is not regular even though the relation is non-degenerate
 and (Q_n) is orthogonal.
 
+Each report field is declared once. ``JacobiChainReport`` extends the
+builder's ``_Chain`` by the run's parameters and its failure, and ``ok`` is
+read off the failure; a failed report keeps the chain's empty defaults. The
+Chebyshev report keeps the case's constants, the point-mass ratio and the
+empty report of (x - 1) u, on the class.
+
 Every identity asserted here is certified by exact computation, in time
 linear in the depth and without building a polynomial family: the 1-2
 ladder W~_n = P_n + b_n P_{n-1} of the down-link on the recurrences
@@ -43,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import ContractError, DepthError, DomainError
 from .families import (
@@ -194,23 +200,24 @@ def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
     return None
 
 
-class _Chain(NamedTuple):
+@dataclass(frozen=True)
+class _Chain:
     """A certified chain: the ladders W~_n = W_n + a_n W_{n-1} = P_n + b_n P_{n-1} and
-    Q_n = W_n + c_n W_{n-1} through top = depth + 2 (index 0 is None) and what they give,
-    under the names and in the order of ``JacobiChainReport``'s fields."""
+    Q_n = W_n + c_n W_{n-1} through top = depth + 2 (index 0 is None) and what they give.
+    It is the base of ``JacobiChainReport``; a failed report keeps these defaults."""
 
-    a_seq: tuple
-    b_seq: tuple
-    c_seq: tuple
-    rel: Relation23
-    u_rec: RecurrencePair
-    v_rec: RecurrencePair
-    u_mass: Fraction
-    v_mass: Fraction
-    verdict_equations: InverseVerdict
-    verdict_constants: InverseVerdict
-    constants: FunctionalRelation
-    regularity: tuple
+    a_seq: tuple = ()
+    b_seq: tuple = ()
+    c_seq: tuple = ()
+    rel: Optional[Relation23] = None
+    u_rec: Optional[RecurrencePair] = None
+    v_rec: Optional[RecurrencePair] = None
+    u_mass: Optional[Fraction] = None
+    v_mass: Optional[Fraction] = None
+    verdict_equations: Optional[InverseVerdict] = None
+    verdict_constants: Optional[InverseVerdict] = None
+    constants: Optional[FunctionalRelation] = None
+    regularity: Optional[tuple] = None
 
 
 def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
@@ -338,8 +345,13 @@ def _report_csv(report, third_name: str, third: tuple) -> list:
 
 @dataclass(frozen=True)
 class ChebyshevCaseReport:
+    # constants of the case, not fields: the ratio of u = delta_1 - (ratio / 3) x w3
+    # (``chebyshev_case``), and <u, x - 1> = -(mu_2 - mu_1) / 2 of w3 = 0, the first
+    # moment of (x - 1) u, so its first Hankel determinant vanishes
+    point_mass_ratio = Fraction(3, 2)
+    shifted_hankel = RecurrenceReport(RecurrencePair((), ()), 0)
+
     depth: int
-    point_mass_ratio: Fraction
     a_seq: tuple
     b_seq: tuple
     lambda_seq: tuple
@@ -350,7 +362,6 @@ class ChebyshevCaseReport:
     verdict_constants: InverseVerdict
     constants: FunctionalRelation
     regularity: tuple[bool, bool]
-    shifted_hankel: RecurrenceReport
     odd_index_identity: bool
 
     def to_json(self) -> dict:
@@ -413,7 +424,6 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
 
     return ChebyshevCaseReport(
         depth=depth,
-        point_mass_ratio=Fraction(3, 2),
         a_seq=chain.b_seq,
         b_seq=chain.a_seq,
         lambda_seq=chain.c_seq,
@@ -425,34 +435,22 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
         verdict_constants=chain.verdict_constants,
         constants=chain.constants,
         regularity=chain.regularity,
-        # <u, x - 1> = -(mu_2 - mu_1) / 2 of w3 = 0, the first moment of (x - 1) u: its
-        # first Hankel determinant vanishes
-        shifted_hankel=RecurrenceReport(RecurrencePair((), ()), 0),
         odd_index_identity=odd_ok,
     )
 
 
-@dataclass(frozen=True)
-class JacobiChainReport:
-    ok: bool
+@dataclass(frozen=True, kw_only=True)
+class JacobiChainReport(_Chain):
     failure: Optional[Failure]
     alpha: Fraction
     beta: Fraction
     a1: Fraction
     c1: Fraction
     depth: int
-    a_seq: tuple = ()
-    b_seq: tuple = ()
-    c_seq: tuple = ()
-    rel: Optional[Relation23] = None
-    u_rec: Optional[RecurrencePair] = None
-    v_rec: Optional[RecurrencePair] = None
-    u_mass: Optional[Fraction] = None
-    v_mass: Optional[Fraction] = None
-    verdict_equations: Optional[InverseVerdict] = None
-    verdict_constants: Optional[InverseVerdict] = None
-    constants: Optional[FunctionalRelation] = None
-    regularity: Optional[tuple] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
     def to_json(self) -> dict:
         out = {
@@ -498,12 +496,12 @@ def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
     c1 = as_scalar(c1)
     if depth < 5:
         raise DepthError("jacobi_chain needs depth >= 5")
-    head = (params.alpha, params.beta, a1, c1, depth)
+    head = dict(alpha=params.alpha, beta=params.beta, a1=a1, c1=c1, depth=depth)
     chain = _spectral_chain(jacobi_recurrence(params, depth + 4), -1, 1, -1, a1, c1, depth,
                             None)
     if isinstance(chain, Failure):
-        return JacobiChainReport(False, chain, *head)
-    return JacobiChainReport(True, None, *head, **chain._asdict())
+        return JacobiChainReport(failure=chain, **head)
+    return JacobiChainReport(failure=None, **head, **vars(chain))
 
 
 def half_case_closed_forms(a1, count: int) -> tuple[list, list]:

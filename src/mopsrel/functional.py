@@ -198,7 +198,7 @@ class RecurrencePair(_SequenceModel):
     def require_regular(self, through: int) -> None:
         """Refuse a zero gamma_n with n <= through: the family it defines
         is not a MOPS there."""
-        gamma = self._values[1] if self._ints is None else self._ints[1][0]
+        gamma = self._integers()[1][0]  # gamma's numerators
         if 0 in gamma[:through]:
             raise DomainError(
                 f"recurrence gamma_{gamma.index(0) + 1} is zero inside the working range"

@@ -269,6 +269,8 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int):
     denominators) pairs in that order, so that the checkers' tails need not
     take them again, and last the unreduced numerators of gt_1..gt_upto,
     which are zero where gt_n is."""
+    if upto < 0:
+        raise DepthError("upto must be >= 0")
     rel.require(upto + 1)
     rec.require(upto, upto)
     parts = (*rel._integers(), *rec._integers())
@@ -318,16 +320,12 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
     """The recurrence pair the generated family must satisfy if it is a
     MOPS: beta~_0..beta~_upto and gamma~_1..gamma~_upto. The gamma~ entries
     may be zero here; whether they qualify is the checkers' business."""
-    if upto < 0:
-        raise DepthError("upto must be >= 0")
     bt, gt, *_ = _sequences(rec, rel, upto)
     return RecurrencePair._exact(bt, gt)
 
 
 def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> AuxiliarySequences:
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
-    if upto < 0:
-        raise DepthError("upto must be >= 0")
     built = _sequences(rec, rel, upto)
     return AuxiliarySequences(*map(_reduce_pairs, built[2]))
 
@@ -384,10 +382,11 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int):
             f"relation classifies as {case.tag.value}; the inverse checkers accept only "
             "NonDegenerate23 data (run the classify command to inspect the relation shape)"
         )
-    # zeros decided on integer numerators, before the build reads the recurrence
+    # zeros decided on integer numerators, before the build reads the recurrence; classify
+    # has refused r_3 = 0 and t_3 = 0
     rel.require(depth + 1)
     (r, rd), (s, sd), (t, td) = rel._integers()
-    for n in range(3, depth + 2):
+    for n in range(4, depth + 2):
         if not r[n]:
             raise DomainError(f"r_{n} = 0: data violates the non-degeneracy hypothesis")
         if not t[n]:

@@ -17,7 +17,7 @@ from mopsrel import (
     RelationTag,
 )
 from mopsrel.casebook import _spectral_chain
-from oracles import hermite_recurrence, laguerre_recurrence
+from oracles import bessel_recurrence, hermite_recurrence, laguerre_recurrence
 
 
 def rel_from7(r1, r2, r3, s1, s2, t2, t3, pad: int = 0) -> Relation23:
@@ -60,18 +60,23 @@ def random_gated_instance(rng: random.Random, depth: int):
 def random_spectral_chain(rng: random.Random, depth: int):
     """A positive instance of the spectral-chain builder at ``depth``: w drawn
     from the Jacobi (alpha, beta > -1), Laguerre (alpha > -1) or Hermite
-    families, and rationals z1, c, z2, a1, c1 with c apart from z1 and z2,
-    drawn again while the builder refuses them by a named failure. Returns the
-    builder's chain and (w_rec, z1, c, z2, a1, c1)."""
+    families, or below depth 100 also from the Bessel family (a = k/6,
+    7 <= k <= 24), whose functional is regular but not positive-definite (at
+    depth 120 a Bessel chain costs about three of the others), and rationals
+    z1, c, z2, a1, c1 with c apart from z1 and z2, drawn again while the
+    builder refuses them by a named failure. Returns the builder's chain and
+    (w_rec, z1, c, z2, a1, c1)."""
     while True:
-        family = rng.choice(("jacobi", "laguerre", "hermite"))
+        family = rng.choice(("jacobi", "laguerre", "hermite") + ("bessel",) * (depth < 100))
         if family == "jacobi":
             params = JacobiParams(*(Fraction(rng.randint(-5, 18), 6) for _ in range(2)))
             w_rec = jacobi_recurrence(params, depth + 4)
         elif family == "laguerre":
             w_rec = laguerre_recurrence(Fraction(rng.randint(-5, 18), 6), depth + 4)
-        else:
+        elif family == "hermite":
             w_rec = hermite_recurrence(depth + 4)
+        else:
+            w_rec = bessel_recurrence(Fraction(rng.randint(7, 24), 6), depth + 4)
         z1, c, z2, a1, c1 = (Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(5))
         if c in (z1, z2):
             continue

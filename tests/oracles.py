@@ -185,6 +185,20 @@ def hermite_recurrence(count: int) -> RecurrencePair:
     return RecurrencePair([0] * count, [Fraction(n, 2) for n in range(1, count)])
 
 
+def bessel_recurrence(a, count: int) -> RecurrencePair:
+    """beta_0..beta_{count-1} and gamma_1..gamma_{count-1} of the monic
+    generalized Bessel family of Krall and Frink with b = 2, orthogonal for
+    a functional that is regular but not positive-definite (a not in
+    {0, -1, -2, ...}), from the closed forms beta_0 = -2/a,
+    beta_n = -2(a - 2) / ((2n + a)(2n + a - 2)) and
+    gamma_n = -4n(n + a - 2) / ((2n + a - 3)(2n + a - 2)^2 (2n + a - 1))."""
+    a = Fraction(a)
+    beta = [-2 / a] + [-2 * (a - 2) / ((2 * n + a) * (2 * n + a - 2)) for n in range(1, count)]
+    gamma = [-4 * n * (n + a - 2) / ((2 * n + a - 3) * (2 * n + a - 2) ** 2 * (2 * n + a - 1))
+             for n in range(1, count)]
+    return RecurrencePair(beta, gamma)
+
+
 def values_at(beta, gamma, c, count: int) -> list:
     """P_0(c)..P_count(c) of the monic family of the recurrence, by the
     three-term walk P_{n+1}(c) = (c - beta_n) P_n(c) - gamma_n P_{n-1}(c)

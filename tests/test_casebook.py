@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from mopsrel import (
     MomentFunctional,
     Polynomial,
     RecurrencePair,
+    RecurrenceReport,
     Relation23,
     check_by_constants,
     check_by_equations,
@@ -909,3 +911,48 @@ def test_worked_cases_build_no_polynomial_family(monkeypatch):
     assert chebyshev_case(20).point_mass_ratio == Fraction(3, 2)
     assert jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 20).ok
     assert counts == [] and products == [] and equalities == []
+
+
+def test_jacobi_report_declares_its_head_and_inherits_the_chain_fields():
+    """JacobiChainReport declares only the run's failure and head; the twelve
+    fields of a certified chain are declared once, on ``_Chain``, and
+    inherited. ``ok`` is not a field."""
+    own = inspect.get_annotations(casebook.JacobiChainReport)
+    assert list(own) == ["failure", "alpha", "beta", "a1", "c1", "depth"]
+    chain_fields = [f.name for f in dataclasses.fields(casebook._Chain)]
+    assert len(chain_fields) == 12
+    assert issubclass(casebook.JacobiChainReport, casebook._Chain)
+    report_fields = [f.name for f in dataclasses.fields(casebook.JacobiChainReport)]
+    assert report_fields == chain_fields + list(own)
+    assert "ok" not in report_fields
+
+
+@pytest.mark.parametrize("depth", [5, 6, 13, 40])
+def test_chebyshev_report_keeps_its_constants_on_the_class(depth):
+    """The point-mass ratio 3/2 and the empty report of the shifted
+    functional (x - 1) u are constants of the case, not fields; every
+    report reads them."""
+    names = {f.name for f in dataclasses.fields(casebook.ChebyshevCaseReport)}
+    assert not names & {"point_mass_ratio", "shifted_hankel"}
+    report = chebyshev_case(depth)
+    assert report.point_mass_ratio == Fraction(3, 2)
+    assert report.shifted_hankel == RecurrenceReport(RecurrencePair((), ()), 0)
+
+
+def test_jacobi_report_reads_ok_off_its_failure():
+    """``ok`` is ``failure is None`` on the window-edge chains, on an ok
+    chain and on a chain refused before any ladder, and a failed report
+    keeps every chain field at its empty default: () for the ladders, None
+    for the rest."""
+    assert isinstance(inspect.getattr_static(casebook.JacobiChainReport, "ok"), property)
+    reports = [jacobi_chain(EDGE_PARAMS, *edge_links(ladder, zero), 6)
+               for ladder, zero, _, _ in WINDOW_EDGES]
+    reports += [jacobi_chain(EDGE_PARAMS, 3, -5, 6), jacobi_chain(EDGE_PARAMS, 0, -5, 6)]
+    for report in reports:
+        assert report.ok == (report.failure is None)
+    failed = [report for report in reports if not report.ok]
+    assert len(failed) == 4 and any(report.ok for report in reports)
+    empty = {f.name: () if f.name.endswith("_seq") else None
+             for f in dataclasses.fields(casebook._Chain)}
+    for report in failed:
+        assert {name: getattr(report, name) for name in empty} == empty

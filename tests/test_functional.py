@@ -17,6 +17,7 @@ from mopsrel import (
 )
 from oracles import (
     apply_raw,
+    bessel_recurrence,
     hankel_det,
     hermite_recurrence,
     laguerre_recurrence,
@@ -225,3 +226,17 @@ def test_hermite_closed_forms_recover_from_the_weight_moments():
     closed = hermite_recurrence(11)
     assert rep.first_vanishing is None
     assert rep.rec.beta == closed.beta[:10] and rep.rec.gamma == closed.gamma
+
+
+@pytest.mark.parametrize("a", [Fraction(k, 6) for k in range(7, 25)])
+def test_bessel_closed_forms_recover_from_the_functional_moments(a):
+    """The oracles' Bessel closed forms (Krall and Frink, b = 2) are the
+    recurrence of the moments mu_0 = 1, mu_n = -2 mu_{n-1} / (a + n - 1),
+    through 20 entries of each of beta and gamma."""
+    mu = [Fraction(1)]
+    for n in range(1, 41):
+        mu.append(-2 * mu[-1] / (a + n - 1))
+    rep = recurrence_from_moments(MomentFunctional(mu))
+    closed = bessel_recurrence(a, 21)
+    assert rep.first_vanishing is None
+    assert rep.rec.beta == closed.beta[:20] and rep.rec.gamma == closed.gamma
