@@ -5,17 +5,17 @@ calls of one builder.
 recurrence, and three points z1, c, z2 (c != z2). It performs two linear
 divisions, v = w / (x - z1) with a free mass attached to a coefficient c_1
 and w~ = w / (x - c) with one attached to a_1, and one left multiplication,
-u = (x - z2) w~; then lambda (x - c) u = (x - z1)(x - z2) v for every w. v
-and w~ are 1-2 ladders over w, whose recurrences are lifted from w's
-(``_ladder_lift``), and u is a Christoffel transform of w~, whose recurrence
-follows from w~'s by one LU step (``_christoffel_step``). It builds no
-moment and computes no norm: the a- and c-ladders and u's step are the
-pivots of one LU recursion (``functional._pivots``) of J(w) - c I, J(w) - z1 I
-and J(w~) - z2 I, whose zeros decide the regularity of v, w~ and u, and the
-down-link coefficient b_n is the L factor gamma~_n / d_{n-1} of the last. v's
-recurrence is lifted only when no second family stands in for it. It
+u = (x - z2) w~; then lambda (x - c) u = (x - z1)(x - z2) v for every w. All
+three are one Darboux step (``functional._darboux``): J - z I = U L read as
+L U + z I. v and w~ are its Geronimus reading over w, with the free first
+pivots c_1 and a_1, and u its Christoffel reading over w~. It builds no
+moment and computes no norm: the c- and a-ladders and u's pivots are the
+LU pivots (``functional._pivots``) of J(w) - z1 I, J(w) - c I and
+J(w~) - z2 I, whose zeros decide the regularity of v, w~ and u, and the
+down-link coefficient b_n is the L factor gamma~_n / d_{n-1} of the last.
+v's recurrence is built only when no second family stands in for it. It
 derives the 2-3 relation linking the MOPS of u and v, certifies on
-recurrences the identities the lifts do not give and the orthogonality
+recurrences the identities the steps do not give and the orthogonality
 verdicts, and pins the functional relation by its constants
 (lambda, c, a, b) = (-u_mass / v_mass, c, -(z1 + z2), z1 z2).
 
@@ -59,7 +59,7 @@ from .families import (
     jacobi_moments,
     jacobi_recurrence,
 )
-from .functional import RecurrencePair, RecurrenceReport, _pivots
+from .functional import RecurrencePair, RecurrenceReport, _darboux, _pivots
 from .poly import Polynomial
 from .rational import _parts, _reduce_pairs, as_scalar
 from .relation23 import (
@@ -124,46 +124,6 @@ def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, k, top: int) -> 
     return None
 
 
-def _ladder_lift(low: RecurrencePair, k, top: int) -> RecurrenceReport:
-    """The recurrence of the MOPS U_n = L_n + k_n L_{n-1} from L's, read through
-    top - 1 >= 1, and k = [unused, k_1 != 0, ..., k_top] (the conditions of
-    ``_ladder_break`` solved for U), as ``recurrence_from_moments`` reports U's mu_0..mu_{2 top}:
-    a zero k_m is the first zero gamma^U_m = k_m gamma_{m-1} / k_{m-1}, where it stops
-    (beta^U and gamma^U through m - 1)."""
-    beta, g = low.beta, (0,) + low.gamma  # g[n] is gamma_n
-    m = next((n for n in range(2, top + 1) if k[n] == 0), None)
-    n_beta, n_gamma = (top, top) if m is None else (m, m - 1)
-    ub = [beta[0] - k[1]] + [beta[n] + k[n] - k[n + 1] for n in range(1, n_beta)]
-    ug = [g[1] + k[1] * (beta[0] - ub[1])]
-    ug += [k[n] * g[n - 1] / k[n - 1] for n in range(2, n_gamma + 1)]
-    return RecurrenceReport(RecurrencePair._exact(ub, ug), m)
-
-
-def _christoffel_step(rec: RecurrencePair, d: list, tail, z) -> RecurrenceReport:
-    """The recurrence of u = (x - z) f from f's beta_0..beta_top, gamma_1..gamma_{top+1} (a
-    missing gamma_{top+1} reads as 0), the pivots d = [d_0, ..., d_top] of J(f) - z I = L U
-    (``_pivots`` at z, from d_0 = beta_0 - z, up to and including a first zero) and
-    tail = gamma_{top+1} (beta_{top+1} - z), as ``recurrence_from_moments`` reports u's
-    mu_0..mu_{2 top + 2}: J(u) - z I = U L, so beta^u_n = d_n + gamma_{n+1} / d_n + z and
-    gamma^u_n = gamma_n d_n / d_{n-1} (Bueno and Marcellan, Linear Algebra Appl. 384 (2004)).
-    A zero d_n is u's first zero Hankel determinant, where it stops; d_{top+1} enters only as
-    gamma_{top+1} d_{top+1}, from tail."""
-    top = len(rec.beta) - 1
-    g = (0,) + rec.gamma + (0,) * (top + 1 - len(rec.gamma))  # g[n] is gamma_n
-    ub, ug = [], []
-    for n in range(top + 1):
-        if d[n] == 0:
-            return RecurrenceReport(RecurrencePair._exact(ub, ug), n)
-        if n:
-            ug.append(g[n] * d[n] / d[n - 1])
-        ub.append(d[n] + g[n + 1] / d[n] + z)
-    last = tail - g[top + 1] * g[top + 1] / d[top]  # gamma_{top+1} d_{top+1}
-    if last == 0:
-        return RecurrenceReport(RecurrencePair._exact(ub, ug), top + 1)
-    ug.append(last / d[top])
-    return RecurrenceReport(RecurrencePair._exact(ub, ug), None)
-
-
 def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
     """The first n <= rel.max_index at which Q_n + r_n Q_{n-1} = P_n
     + s_n P_{n-1} + t_n P_{n-2} fails, or None, given the ladders P_n + a_n
@@ -222,12 +182,15 @@ class _Chain:
 
 def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
                     q_rec: Optional[RecurrencePair]):
-    """The chain v = w / (x - z1), w~ = w / (x - c), u = (x - z2) w~ over the w of
+    """The chain v = w / (x - z1), w~ = w / (x - c), u = (x - z2) w~ over the regular w of
     ``w_rec`` (read through beta_{depth+2} and gamma_{depth+3}), with first ladder
     coefficients a_1 and c_1, certified through ``depth`` (the induced recurrence against
-    ``q_rec``, v's recurrence if given, which then stands in for v's lift, or against the
-    lift when it is None): a ``_Chain``, or the ``Failure`` of the first condition that
-    does not hold. c = z2 is refused: u is then w."""
+    ``q_rec``, v's recurrence if given, which then stands in for v's step, or against the
+    step when it is None): a ``_Chain``, or the ``Failure`` of the first condition that
+    does not hold. c = z2 is refused: u is then w.
+
+    The up-links Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1} hold by construction of
+    the Geronimus steps; the equation checker is their run-time certificate."""
     if c == z2:
         raise DomainError(f"c and z2 must differ: u = (x - {z2}) w / (x - {c}) is w")
     top = depth + 2
@@ -249,7 +212,7 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
 
     # the coefficient ladders run the pivot recursions of J(w) - c I and J(w) - z1 I from
     # the free a_1, c_1: a zero below top is a breakdown (the chain functional is not
-    # regular there), a's before c's at one n, and one at top the lifts' verdict
+    # regular there), a's before c's at one n, and one at top the steps' verdict
     a_seq, c_seq = _pivots(w_rec, c, a1, top + 1), _pivots(w_rec, z1, c1, top + 1)
     n, name = min((len(a_seq) - 1, "a"), (len(c_seq) - 1, "c"))
     if n < top:
@@ -258,38 +221,45 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
         if a_seq[n] == c_seq[n]:
             return Failure("link_coefficients_equal", n)
 
-    # v and w~ are the ladders Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1}: with
-    # every earlier pivot nonzero, a zero c_top or a_top is their first zero gamma, at top.
-    # v's recurrence is lifted only when no q_rec stands in for it. The report keeps u's and
-    # v's beta through top and gamma through top + 1, as the Hankel sweep over u's moments
-    # mu_0..mu_{2 top + 2} would: the lifts take a_n, c_n through top + 1. w~'s lift ends at
-    # beta~_k (k = top, or top - 1 at a zero a_top); by a_{k+1} a_{k+2} = a_{k+1}
-    # (beta_{k+1} - c) - gamma_{k+1}, the tail gamma~_{k+1} (beta~_{k+1} - z2) needs no
-    # a_{k+2}, so a zero a_{k+1} divides by nothing
+    # v and w~ are the Geronimus steps of w at z1 and c, with the MOPS Q_n = W_n + c_n W_{n-1}
+    # and W~_n = W_n + a_n W_{n-1}: with every earlier pivot nonzero, a zero c_top or a_top is
+    # their first zero gamma, at top. v's step runs only when no q_rec stands in for it. The
+    # report keeps u's and v's beta through top and gamma through top + 1, as the Hankel
+    # sweep over u's moments mu_0..mu_{2 top + 2} would
     v_rec = q_rec
     if q_rec is None:
-        v_rec = _ladder_lift(w_rec, c_seq, top + 1).rec
-    wt_rec = _ladder_lift(w_rec, a_seq, top + 1).rec
-    k = len(wt_rec.beta) - 1
-    tail = w_rec.gamma[k - 1] / a_seq[k] * (a_seq[k + 1] * (a_seq[k + 1] + c - z2)
-                                            + w_rec.gamma[k])
-    d = _pivots(wt_rec, z2, wt_rec.beta[0] - z2, k + 1)[1:]
-    u_report = _christoffel_step(wt_rec, d, tail, z2)
-    n = u_report.first_vanishing
-    if n is not None and n <= top:
-        return Failure("u_not_regular", n)
+        v = _darboux(w_rec, z1, c_seq).rec
+        v_rec = RecurrencePair._exact(v.beta[: top + 1], v.gamma)
+    wt = _darboux(w_rec, c, a_seq)
+    wt_rec = wt.rec
+
+    # u = (x - z2) w~ is the Christoffel step, rows 1.. of the kernel on the pivots d_0 =
+    # beta~_0 - z2, d_1, ... of J(w~) - z2 I (d[n + 1] is d_n); a zero d_n is u's first zero
+    # Hankel determinant, at n
+    d = _pivots(wt_rec, z2, wt_rec.beta[0] - z2, len(wt_rec.beta))
+    step = _darboux(wt_rec, z2, d)
+    n = step.first_vanishing
+    if n is not None and n <= top + 1:
+        return Failure("u_not_regular", n - 1)
     for name, seq in (("v", c_seq), ("w_tilde", a_seq)):
         if seq[top] == 0:
             return Failure(f"{name}_not_regular", top)
-    u_rec = u_report.rec
+    ug = step.rec.gamma[1:]
+    if wt.first_vanishing is not None:
+        # a zero a_{k+1} ends w~ at k = top: gamma~_{k+1} = 0 and beta~_{k+1} is a pole, but u's
+        # gamma_{k+1} d_k = gamma~_{k+1} (beta~_{k+1} - z2) - gamma~_{k+1}^2 / d_k is
+        # (gamma_k / a_k)(a_{k+1} (a_{k+1} + c - z2) + gamma_{k+1}) = gamma_k gamma_{k+1} / a_k
+        ug += (w_rec.gamma[top - 1] * w_rec.gamma[top] / a_seq[top] / d[top + 1],)
+    u_rec = RecurrencePair._exact(step.rec.beta[1 : top + 2], ug)
     a_seq, c_seq = tuple(a_seq[: top + 1]), tuple(c_seq[: top + 1])
 
     # W~_n = P_n + b_n P_{n-1} is the L factor of J(w~) - z2 I = L U: b_n = gamma~_n / d_{n-1},
     # d_0..d_top all nonzero here
-    b_seq = (None, *[g / p for g, p in zip(wt_rec.gamma[:top], d)])
+    b_seq = (None, *[g / p for g, p in zip(wt_rec.gamma[:top], d[1:])])
 
-    # the lifts give the up-link and the second-family link; the down-link, the 1-2
-    # ladder W~_n = P_n + b_n P_{n-1}, ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
+    # the Geronimus readings give the up-link and the second-family link; the down-link,
+    # the 1-2 ladder W~_n = P_n + b_n P_{n-1}, ties w~ to u (and W_n + a_n W_{n-1} to
+    # P_n + b_n P_{n-1})
     n = _ladder_break(wt_rec, u_rec, b_seq, top)
     _certify(n is None, f"down-link identity fails at n={n}")
 

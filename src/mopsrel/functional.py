@@ -26,6 +26,10 @@ coefficients up to index N//2. recurrence_from_moments runs the classical
 quotient-difference style forward recursion on the mixed products
 sigma_{k,l} = <u, P_k x^l>; it stops at the first vanishing leading
 principal Hankel determinant and reports how far regularity was certified.
+
+``_pivots`` runs the pivot recursion of J - z I = U L, J the Jacobi matrix of
+a recurrence, and ``_darboux`` reads L U + z I: a Geronimus step (division
+by x - z) or a Christoffel step (multiplication by x - z), with no moment.
 """
 
 from __future__ import annotations
@@ -219,6 +223,27 @@ def _pivots(rec: RecurrencePair, z, first, count: int) -> list:
             break
         k.append(beta[n] - z - gamma[n - 1] / k[n])
     return k
+
+
+def _darboux(rec: RecurrencePair, z, k: list) -> RecurrenceReport:
+    """The recurrence of L U + z I from J(rec) - z I = U L, k = [None, k_1, ..., k_m] a
+    ``_pivots`` list at z: L is unit lower bidiagonal with subdiagonal k_n, U upper
+    bidiagonal with unit superdiagonal and diagonal q_0 = beta_0 - z - k_1, q_n = gamma_n / k_n
+    (a missing gamma_m reads as 0). So beta'_n = z + q_n + k_n (k_0 = 0), gamma'_n = k_n q_{n-1},
+    and a zero k_n is the first zero gamma'_n past q_0, where it stops. With a free k_1 it is
+    the Geronimus step: sigma with (x - z) sigma = u and first moment 1 / q_0, u of rec with
+    mu_0 = 1. With k_1 = beta_0 - z, q_0 = 0 and rows 1.. are the Christoffel step u = (x - z) f
+    for f of rec (Bueno and Marcellan, Linear Algebra Appl. 384 (2004))."""
+    beta, g = rec.beta, (0,) + rec.gamma + (0,)  # g[n] is gamma_n
+    q = beta[0] - z - k[1]
+    ub, ug = [z + q], []
+    for n in range(1, len(k)):
+        if not k[n]:
+            return RecurrenceReport(RecurrencePair._exact(ub, ug), n)
+        ug.append(k[n] * q)
+        q = g[n] / k[n]
+        ub.append(z + q + k[n])
+    return RecurrenceReport(RecurrencePair._exact(ub, ug), None)
 
 
 def mops_from_recurrence(rec: RecurrencePair, count: int) -> list[Polynomial]:

@@ -60,14 +60,17 @@ def random_gated_instance(rng: random.Random, depth: int):
 def random_spectral_chain(rng: random.Random, depth: int):
     """A positive instance of the spectral-chain builder at ``depth``: w drawn
     from the Jacobi (alpha, beta > -1), Laguerre (alpha > -1) or Hermite
-    families, or below depth 100 also from the Bessel family (a = k/6,
-    7 <= k <= 24), whose functional is regular but not positive-definite (at
+    families, from random quasi-definite recurrences (beta_n = k/m with
+    |k| <= 12, gamma_n = +-k/m with 1 <= k <= 12, 1 <= m <= 4, regular by
+    Favard's theorem), or below depth 100 also from the Bessel family (a =
+    k/6, 7 <= k <= 24); neither of the last two is positive-definite (at
     depth 120 a Bessel chain costs about three of the others), and rationals
     z1, c, z2, a1, c1 with c apart from z1 and z2, drawn again while the
     builder refuses them by a named failure. Returns the builder's chain and
     (w_rec, z1, c, z2, a1, c1)."""
     while True:
-        family = rng.choice(("jacobi", "laguerre", "hermite") + ("bessel",) * (depth < 100))
+        family = rng.choice(("jacobi", "laguerre", "hermite", "quasi-definite")
+                            + ("bessel",) * (depth < 100))
         if family == "jacobi":
             params = JacobiParams(*(Fraction(rng.randint(-5, 18), 6) for _ in range(2)))
             w_rec = jacobi_recurrence(params, depth + 4)
@@ -75,6 +78,11 @@ def random_spectral_chain(rng: random.Random, depth: int):
             w_rec = laguerre_recurrence(Fraction(rng.randint(-5, 18), 6), depth + 4)
         elif family == "hermite":
             w_rec = hermite_recurrence(depth + 4)
+        elif family == "quasi-definite":
+            w_rec = RecurrencePair(
+                [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(depth + 4)],
+                [rng.choice((-1, 1)) * Fraction(rng.randint(1, 12), rng.randint(1, 4))
+                 for _ in range(depth + 3)])
         else:
             w_rec = bessel_recurrence(Fraction(rng.randint(7, 24), 6), depth + 4)
         z1, c, z2, a1, c1 = (Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(5))

@@ -476,18 +476,18 @@ LIFT_SETS = [
 @pytest.mark.parametrize("params, a1, c1", LIFT_SETS,
                          ids=[f"{p.alpha},{p.beta}" for p, _, _ in LIFT_SETS])
 def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c1, depth):
-    """The recurrences ``jacobi_chain`` lifts for v and w~ from w's, and for
-    u = (1 + x) w~ from w~'s by the Christoffel step, equal, entry for entry
-    over the window the report carries (beta through depth + 2, gamma through
-    depth + 3), those ``recurrence_from_moments`` recovers from the chain's
-    own moments of v, w~ and u; v's and u's are the ones the report carries.
-    The chain's functional identity holds on those moments."""
+    """The recurrences ``jacobi_chain`` builds by the Darboux kernel for v and
+    w~ from w's (Geronimus readings), and for u = (1 + x) w~ from w~'s (rows
+    1.. of the Christoffel reading), equal, entry for entry over the window
+    the report carries (beta through depth + 2, gamma through depth + 3),
+    those ``recurrence_from_moments`` recovers from the chain's own moments of
+    v, w~ and u; v's and u's are the ones the report carries. The chain's
+    functional identity holds on those moments."""
     lifts = []
-    for name in ("_ladder_lift", "_christoffel_step"):
-        def spied(*args, real=getattr(casebook, name)):
-            lifts.append(real(*args))
-            return lifts[-1]
-        monkeypatch.setattr(casebook, name, spied)
+    def spied(*args, real=casebook._darboux):
+        lifts.append(real(*args))
+        return lifts[-1]
+    monkeypatch.setattr(casebook, "_darboux", spied)
     report = jacobi_chain(params, a1, c1, depth)
     assert report.ok
     w = jacobi_moments(params, 2 * depth + 6)
@@ -496,6 +496,10 @@ def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c
     w_tilde = w.scale(-1).divide_by_linear(1, 1 / mass_up)
     u = w_tilde.left_multiply(Polynomial([1, 1])).normalized()
     assert len(lifts) == 3
+    step = lifts[2]
+    assert step.rec.beta[0] == -1 and step.rec.gamma[0] == 0  # q_0 = 0
+    lifts[2] = RecurrenceReport(RecurrencePair(step.rec.beta[1:], step.rec.gamma[1:]),
+                                step.first_vanishing)
     for lifted, functional in zip(lifts, (v, w_tilde.normalized(), u)):
         hankel = recurrence_from_moments(functional)
         assert hankel.first_vanishing is lifted.first_vanishing is None
@@ -514,19 +518,22 @@ def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c
 
 @pytest.mark.parametrize(
     "build, firsts",
-    [(lambda: chebyshev_case(6), [Fraction(-3, 2)]),
-     (lambda: jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 6), [-5, 3])],
+    [(lambda: chebyshev_case(6), [(1, Fraction(-3, 2)), (0, None)]),
+     (lambda: jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 6),
+      [(-1, -5), (1, 3), (-1, None)])],
     ids=["chebyshev", "jacobi-chain"],
 )
 def test_worked_cases_lift_v_only_without_a_second_family(monkeypatch, build, firsts):
-    """``_ladder_lift`` runs once per ladder the chain reads, told apart by
-    k_1: the Chebyshev case, whose fourth kind stands in for v, lifts w~
-    alone (a_1 = -3/2); the Jacobi chain lifts v (c_1), then w~ (a_1)."""
+    """The Darboux kernel runs once per ladder the chain reads, told apart by
+    its point z and k_1, and once for u's Christoffel step (k_1 = beta~_0 - z,
+    recorded as None): the Chebyshev case, whose fourth kind stands in for v,
+    lifts w~ alone (a_1 = -3/2); the Jacobi chain lifts v (c_1), then w~
+    (a_1), and both end with u's step."""
     calls = []
-    def spied(low, k, top, real=casebook._ladder_lift):
-        calls.append(k[1])
-        return real(low, k, top)
-    monkeypatch.setattr(casebook, "_ladder_lift", spied)
+    def spied(rec, z, k, real=casebook._darboux):
+        calls.append((z, None if k[1] == rec.beta[0] - z else k[1]))
+        return real(rec, z, k)
+    monkeypatch.setattr(casebook, "_darboux", spied)
     build()
     assert calls == firsts
 
@@ -547,11 +554,13 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 @example([Fraction(1)] * 8, [Fraction(1)] * 7, 4, 3, Fraction(-1))
 def test_christoffel_step_matches_the_hankel_recovery(beta, gamma, top, pivot, z):
     """On a random quasi-definite recurrence of f (beta_0..beta_{K+1},
-    gamma_1..gamma_{K+1}, K = top) and a random point z, ``_christoffel_step``
-    gives the report ``recurrence_from_moments`` gives on (x - z) f's moments
-    mu_0..mu_{2K+2}: the same entries, the same first vanishing index and the
-    same lengths. ``pivot`` = m bends beta_m so that f's monic P_{m+1}(z) = 0,
-    the zero pivot d_m of (x - z) f's first zero Hankel determinant at m."""
+    gamma_1..gamma_{K+1}, K = top) and a random point z, rows 1.. of the
+    Darboux kernel on the pivots of J(f) - z I through index K + 1 (k_1 =
+    beta_0 - z) give the report ``recurrence_from_moments`` gives on
+    (x - z) f's moments mu_0..mu_{2K+2}: the same entries, the same first
+    vanishing index and the same lengths. ``pivot`` = m bends beta_m so that
+    f's monic P_{m+1}(z) = 0, the zero pivot d_m of (x - z) f's first zero
+    Hankel determinant at m."""
     beta, gamma = beta[: top + 2], gamma[: top + 1]
     g = [0] + gamma  # g[n] is gamma_n
     at = [Fraction(0), Fraction(1)]  # at[n + 1] is P_n(z), n >= -1
@@ -561,9 +570,11 @@ def test_christoffel_step_matches_the_hankel_recovery(beta, gamma, top, pivot, z
         at.append((z - beta[n]) * at[n + 1] - g[n] * at[n])
     f = moments_from_recurrence(RecurrencePair(beta, gamma), 2 * top + 3)
     expected = recurrence_from_moments(f.left_multiply(Polynomial([-z, 1])))
-    rec = RecurrencePair(beta[: top + 1], gamma)
-    pivots = casebook._pivots(rec, z, beta[0] - z, top + 1)[1:]
-    got = casebook._christoffel_step(rec, pivots, gamma[top] * (beta[top + 1] - z), z)
+    rec = RecurrencePair(beta, gamma)
+    step = casebook._darboux(rec, z, casebook._pivots(rec, z, beta[0] - z, top + 2))
+    n = step.first_vanishing
+    got = RecurrenceReport(RecurrencePair(step.rec.beta[1 : top + 2], step.rec.gamma[1:]),
+                           None if n is None else n - 1)
     assert got == expected
     assert got.first_vanishing == next((m for m in range(top + 2) if at[m + 2] == 0), None)
 
@@ -676,6 +687,35 @@ def test_spectral_chain_gives_positive_instances(seed, depth, field, data):
         assert all(isinstance(f.condition, str) and f.condition for f in verdict.failures)
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32), st.integers(12, 60))
+def test_spectral_chain_up_links_are_ladders(seed, depth):
+    """The up-links Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1} hold
+    by construction of the Geronimus readings, and the builder certifies
+    neither (the equation checker is their certificate): on random builder
+    positives both are 1-2 ladders over w through top = depth + 2, v's as
+    the chain carries it and w~'s as the kernel gives it from the a-ladder."""
+    chain, (w_rec, _, c, _, _, _) = random_spectral_chain(random.Random(seed), depth)
+    top = depth + 2
+    assert casebook._ladder_break(chain.v_rec, w_rec, chain.c_seq, top) is None
+    w_tilde = casebook._darboux(w_rec, c, chain.a_seq).rec
+    assert casebook._ladder_break(w_tilde, w_rec, chain.a_seq, top) is None
+
+
+@pytest.mark.parametrize("depth", [6, 40])
+def test_chebyshev_up_link_is_the_fourth_kind_over_the_second(depth):
+    """In the Chebyshev case the fourth kind stands in for v, and lambda_n are
+    the builder's c_n: the fourth kind is the 1-2 ladder Q_n = W_n + lambda_n
+    W_{n-1} over the second kind through depth + 2, and a bent lambda_5
+    breaks it at 5."""
+    report = chebyshev_case(depth)
+    fourth, second = (families.chebyshev_kind(kind, depth + 4) for kind in (4, 2))
+    assert casebook._ladder_break(fourth, second, report.lambda_seq, depth + 2) is None
+    bent = list(report.lambda_seq)
+    bent[5] += Fraction(1, 7)
+    assert casebook._ladder_break(fourth, second, bent, depth + 2) == 5
+
+
 def test_spectral_chain_refuses_c_equal_to_z2():
     """At c = z2, u = (x - z2) w / (x - c) is w itself, and the relation
     between u's and v's MOPS has a degenerate shape (Type12): the builder
@@ -769,8 +809,8 @@ def bump_moment(call, k):
 def bump_recurrence(call, field, k):
     """A wrapper for a recovery or lift of a recurrence that adds 1/7 to
     entry k of the beta or gamma list of the recurrence it returns on its
-    ``call``-th call (in ``jacobi_chain``: ``_ladder_lift`` is called for v,
-    then for w~; ``_christoffel_step`` once, for u)."""
+    ``call``-th call (in ``jacobi_chain``: ``_darboux`` is called for v, then
+    for w~, then for u, whose entry k is u's entry k - 1)."""
     def wrap(recover):
         calls = []
         def bent(*args):
@@ -841,13 +881,13 @@ def build_chain():
         (build_cheb, "jacobi_moments", bump_moment(2, 6),
          "moments recovered from the functional identity differ from the second family's"),
         # wrong recurrences: of u (beta_2), of v (gamma_4, beta_0), of w~ (beta_2)
-        (build_chain, "_christoffel_step", bump_recurrence(1, "beta", 2),
+        (build_chain, "_darboux", bump_recurrence(3, "beta", 3),
          "down-link identity fails at n=3"),
-        (build_chain, "_ladder_lift", bump_recurrence(1, "gamma", 3),
+        (build_chain, "_darboux", bump_recurrence(1, "gamma", 3),
          "induced recurrence does not match the second family"),
-        (build_chain, "_ladder_lift", bump_recurrence(1, "beta", 0),
+        (build_chain, "_darboux", bump_recurrence(1, "beta", 0),
          "induced recurrence does not match the second family"),
-        (build_chain, "_ladder_lift", bump_recurrence(2, "beta", 2),
+        (build_chain, "_darboux", bump_recurrence(2, "beta", 2),
          "equation checker rejects the generated family"),
         # wrong constants of lambda (x - c) u = (x^2 + a x + b) v
         (build_chain, "relation_constants", bump_constant("lam"),

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mopsrel import (
     DepthError,
@@ -15,6 +15,7 @@ from mopsrel import (
     norm_squared,
     recurrence_from_moments,
 )
+from mopsrel.functional import _darboux, _pivots
 from oracles import (
     apply_raw,
     bessel_recurrence,
@@ -240,3 +241,43 @@ def test_bessel_closed_forms_recover_from_the_functional_moments(a):
     closed = bessel_recurrence(a, 21)
     assert rep.first_vanishing is None
     assert rep.rec.beta == closed.beta[:20] and rep.rec.gamma == closed.gamma
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(small_fractions, min_size=10, max_size=10),
+    st.lists(small_fractions.filter(bool), min_size=9, max_size=9),
+    st.integers(0, 7),
+    small_fractions,
+    small_fractions,
+    st.sampled_from([None, None, None, 1, 2, 3, 4, 5, 6, 7, 8]),
+)
+def test_darboux_geronimus_reading_matches_the_hankel_recovery(beta, gamma, top, z, k1, zero):
+    """On a random quasi-definite recurrence of f (beta_0..beta_{K+1},
+    gamma_1..gamma_{K+1}, K = top) and random z and k_1, the Darboux kernel
+    on the pivots k_1..k_{K+1} of J(f) - z I gives the report
+    ``recurrence_from_moments`` gives on the sigma with (x - z) sigma = f and
+    first moment 1 / (beta_0 - z - k_1): the same entries, the same first
+    vanishing index and the same lengths. ``zero`` = m <= K + 1 runs the
+    pivot recursion backwards from k_m = 0 for k_1, so that sigma's first
+    zero Hankel determinant is at m. Without one, the Christoffel reading at
+    z of sigma's recurrence gives back f's."""
+    rec = RecurrencePair(beta[: top + 2], gamma[: top + 1])
+    if zero is not None and zero <= top + 1:
+        k1 = Fraction(0)
+        for n in range(zero - 1, 0, -1):
+            assume(beta[n] - z - k1 != 0)
+            k1 = gamma[n - 1] / (beta[n] - z - k1)
+    q0 = beta[0] - z - k1
+    assume(q0 != 0)
+    got = _darboux(rec, z, _pivots(rec, z, k1, top + 1))
+    sigma = moments_from_recurrence(rec, 2 * top + 2).divide_by_linear(z, 1 / q0)
+    assert got == recurrence_from_moments(sigma.normalized())
+    if zero is not None and zero <= top + 1:
+        assert got.first_vanishing == zero
+    if got.first_vanishing is None:
+        low = got.rec
+        back = _darboux(low, z, _pivots(low, z, low.beta[0] - z, top + 2))
+        assert back.first_vanishing is None
+        assert (RecurrencePair(back.rec.beta[1 : top + 2], back.rec.gamma[1:])
+                == RecurrencePair(beta[: top + 1], gamma[: top + 1]))
