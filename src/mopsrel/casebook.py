@@ -33,12 +33,20 @@ read off the failure; a failed report keeps the chain's empty defaults. The
 Chebyshev report keeps the case's constants, the point-mass ratio and the
 empty report of (x - 1) u, on the class.
 
+The chain runs on integer parts. The pivots, the ladders a_n, b_n, c_n and
+every recurrence and relation it builds are reduced (numerators,
+denominators) pairs, each entry reduced as ``fractions`` reduces a sum or a
+product (``rational._sum``, ``_product``, ``_quotient``), and a Fraction is
+built only for a value the report carries, once: the ladders here, the
+models' entries when their Fraction views are read.
+
 Every identity asserted here is certified by exact computation, in time
 linear in the depth and without building a polynomial family: the 1-2
 ladder W~_n = P_n + b_n P_{n-1} of the down-link on the recurrences
 (``_ladder_break``), the 2-3 identity on the ladders of its composition
-(``_relation_break``), both on unreduced integer parts. An internal
-mismatch raises ContractError naming the first violated identity.
+(``_relation_break``), both on those parts, and the induced recurrence
+against v's on parts. An internal mismatch raises ContractError naming the
+first violated identity.
 The Chebyshev case also certifies the functional identity on moments; they
 come from the Pearson equation (``jacobi_moments``), in time linear in the
 depth.
@@ -46,7 +54,6 @@ depth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -61,7 +68,7 @@ from .families import (
 )
 from .functional import RecurrencePair, RecurrenceReport, _darboux, _pivots
 from .poly import Polynomial
-from .rational import _parts, _reduce_pairs, as_scalar
+from .rational import _columns, _product, _quotient, _reduce_pairs, _sum, as_scalar
 from .relation23 import (
     Failure,
     FunctionalRelation,
@@ -84,11 +91,12 @@ def _certify(condition: bool, what: str) -> None:
         raise ContractError(f"internal consistency: {what}")
 
 
-def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, k, top: int) -> Optional[int]:
+def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, k: tuple,
+                  top: int) -> Optional[int]:
     """The first n <= top at which the 1-2 ladder P_n = R_n + k_n R_{n-1} fails, or
     None, for the monic families of ``p_rec`` (beta_n, gamma_n) and ``r_rec``
-    (beta^R_n, gamma^R_n), read through index top - 1, and k = [unused, k_1, ...,
-    k_top]. No polynomial is built.
+    (beta^R_n, gamma^R_n), read through index top - 1, and k = (nums, dens) the reduced
+    parts of k_0 = 0, k_1, ..., k_top. No polynomial is built.
 
     With k_0 = gamma_0 = 0 the ladder holds at n = 1 exactly when
     beta_0 + k_1 = beta^R_0. If it holds through n, P's recurrence and R's give
@@ -99,63 +107,50 @@ def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, k, top: int) -> 
     gamma_n k_{n-1}: the first failing step is the first failing n."""
     p_rec.require(top - 1, top - 1)
     r_rec.require(top - 1, top - 1)
-    # gamma_0 = k_0 = 0 pad the lists, so g[n] is gamma_n
-    (bp, bpd), (br, brd) = (_parts(rec.beta[:top]) for rec in (p_rec, r_rec))
-    (gp, gpd), (gr, grd) = (_parts((0,) + rec.gamma[: top - 1]) for rec in (p_rec, r_rec))
-    kn, kd = _parts([0, *k[1 : top + 1]])
-    # beta_0 + k_1 = beta^R_0 by cross-multiplication
-    if (bp[0] * kd[1] + kn[1] * bpd[0]) * brd[0] != br[0] * bpd[0] * kd[1]:
+    ((bp, bpd), (gp, gpd)), ((br, brd), (gr, grd)) = p_rec._integers(), r_rec._integers()
+    kn, kd = k
+    # each condition as one reduced side against the other; gamma_0 = k_0 = 0
+    if _sum(bp[0], bpd[0], kn[1], kd[1]) != (br[0], brd[0]):
         return 1
-    lcm = math.lcm
     for n in range(1, top):
-        # each condition over the lcm of its terms' denominators
-        L = lcm(brd[n], kd[n], kd[n + 1], bpd[n])
-        if (br[n] * (L // brd[n]) + kn[n] * (L // kd[n]) - kn[n + 1] * (L // kd[n + 1])
-                != bp[n] * (L // bpd[n])):
+        if _sum(*_sum(br[n], brd[n], kn[n], kd[n]), -kn[n + 1], kd[n + 1]) != (bp[n], bpd[n]):
             return n + 1
-        d1, d2 = kd[n] * brd[n - 1], bpd[n] * kd[n]
-        L = lcm(grd[n], d1, d2, gpd[n])
-        if (gr[n] * (L // grd[n]) + kn[n] * (br[n - 1] * (L // d1) - bp[n] * (L // d2))
-                != gp[n] * (L // gpd[n])):
+        x = _product(kn[n], kd[n], *_sum(br[n - 1], brd[n - 1], -bp[n], bpd[n]))
+        if _sum(gr[n - 1], grd[n - 1], *x) != (gp[n - 1], gpd[n - 1]):
             return n + 1
         # k_n gamma^R_{n-1} = gamma_n k_{n-1} by cross-multiplication
-        if kn[n] * gr[n - 1] * gpd[n] * kd[n - 1] != gp[n] * kn[n - 1] * kd[n] * grd[n - 1]:
+        if n > 1 and (kn[n] * gr[n - 2] * gpd[n - 1] * kd[n - 1]
+                      != gp[n - 1] * kn[n - 1] * kd[n] * grd[n - 2]):
             return n + 1
     return None
 
 
-def _relation_break(rel: Relation23, a, b, l) -> Optional[int]:
+def _relation_break(rel: Relation23, a: tuple, b: tuple, l: tuple) -> Optional[int]:
     """The first n <= rel.max_index at which Q_n + r_n Q_{n-1} = P_n
     + s_n P_{n-1} + t_n P_{n-2} fails, or None, given the ladders P_n + a_n
-    P_{n-1} = R_n + b_n R_{n-1} and Q_n = R_n + l_n R_{n-1}. With a_0 = b_0
-    = l_0 = 0, e_n = s_n - a_n, g_n = r_n l_{n-1} - e_n b_{n-1} and f_n =
-    t_n - e_n a_{n-1}, Q's side less P's is (l_n + r_n - b_n - e_n) R_{n-1}
+    P_{n-1} = R_n + b_n R_{n-1} and Q_n = R_n + l_n R_{n-1}, each as the reduced parts
+    (nums, dens) of a_0 = 0, a_1, ... With e_n = s_n - a_n, g_n = r_n l_{n-1} - e_n b_{n-1}
+    and f_n = t_n - e_n a_{n-1}, Q's side less P's is (l_n + r_n - b_n - e_n) R_{n-1}
     + g_n R_{n-2} - f_n P_{n-2}: zero exactly when l_n + r_n = b_n + e_n,
     g_n = f_n, and f_n = 0 or P_{n-2} = R_{n-2}. It reads r, s, t as given,
     so it checks ``compose_ladders`` instead of restating it."""
     top = rel.max_index
     (r, rd), (s, sd), (t, td) = rel._integers()  # t_1 = 0 multiplies no P_{-1}
-    (an, ad), (bn, bd), (ln, ld) = (_parts([0, *seq[1 : top + 1]]) for seq in (a, b, l))
+    (an, ad), (bn, bd), (ln, ld) = a, b, l
     # same[m] is P_m = R_m, by the 2-2 ladder through m: P_m - R_m = b_m R_{m-1} - a_m P_{m-1}
     same = [True]
     for m in range(1, top + 1):
-        same.append(a[m] == b[m] and (not a[m] or same[-1]))
-    lcm = math.lcm
+        same.append(an[m] == bn[m] and ad[m] == bd[m] and (not an[m] or same[-1]))
     for n in range(1, top + 1):
-        # e_n and f_n as unreduced pairs over the lcm of their terms' denominators
-        ed = lcm(sd[n], ad[n])
-        e = s[n] * (ed // sd[n]) - an[n] * (ed // ad[n])
-        d1 = ed * ad[n - 1]
-        fd = lcm(td[n], d1)
-        f = t[n] * (fd // td[n]) - e * an[n - 1] * (fd // d1)
-        L = lcm(ld[n], rd[n], bd[n], ed)
-        if ln[n] * (L // ld[n]) + r[n] * (L // rd[n]) - bn[n] * (L // bd[n]) != e * (L // ed):
+        e = _sum(s[n], sd[n], -an[n], ad[n])
+        en, ed = _product(*e, an[n - 1], ad[n - 1])
+        f = _sum(t[n], td[n], -en, ed)
+        if _sum(*_sum(ln[n], ld[n], r[n], rd[n]), -bn[n], bd[n]) != e:
             return n
-        d1, d2 = rd[n] * ld[n - 1], ed * bd[n - 1]
-        L = lcm(d1, d2, fd)
-        if r[n] * ln[n - 1] * (L // d1) - e * bn[n - 1] * (L // d2) != f * (L // fd):
+        x, xd = _product(*e, bn[n - 1], bd[n - 1])
+        if _sum(*_product(r[n], rd[n], ln[n - 1], ld[n - 1]), -x, xd) != f:
             return n
-        if f and not same[n - 2]:  # f_1 = 0
+        if f[0] and not same[n - 2]:  # f_1 = 0
             return n
     return None
 
@@ -187,14 +182,19 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
     coefficients a_1 and c_1, certified through ``depth`` (the induced recurrence against
     ``q_rec``, v's recurrence if given, which then stands in for v's step, or against the
     step when it is None): a ``_Chain``, or the ``Failure`` of the first condition that
-    does not hold. c = z2 is refused: u is then w.
+    does not hold. c = z2 is refused: u is then w. So is a zero gamma_n of w, n <= depth + 3,
+    by a DomainError that names w and n: w must be regular where the chain reads it.
 
     The up-links Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1} hold by construction of
     the Geronimus steps; the equation checker is their run-time certificate."""
     if c == z2:
         raise DomainError(f"c and z2 must differ: u = (x - {z2}) w / (x - {c}) is w")
     top = depth + 2
-    beta0 = w_rec.beta[0]
+    (wbn, wbd), (wgn, wgd) = w_rec._integers()
+    if 0 in wgn[: top + 1]:
+        raise DomainError(f"w is not regular: its gamma_{wgn.index(0) + 1} is zero, and the "
+                          f"chain reads gamma_1..gamma_{top + 1}")
+    beta0 = Fraction(wbn[0], wbd[0])
     if a1 == 0:
         return Failure("a1 must be nonzero", None)
     if c1 == 0:
@@ -212,13 +212,15 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
 
     # the coefficient ladders run the pivot recursions of J(w) - c I and J(w) - z1 I from
     # the free a_1, c_1: a zero below top is a breakdown (the chain functional is not
-    # regular there), a's before c's at one n, and one at top the steps' verdict
-    a_seq, c_seq = _pivots(w_rec, c, a1, top + 1), _pivots(w_rec, z1, c1, top + 1)
-    n, name = min((len(a_seq) - 1, "a"), (len(c_seq) - 1, "c"))
+    # regular there), a's before c's at one n, and one at top the steps' verdict. Every
+    # ladder is a pair of reduced parts (nums, dens) with the pad 0 at index 0
+    a_parts, c_parts = _pivots(w_rec, c, a1, top + 1), _pivots(w_rec, z1, c1, top + 1)
+    (an, ad), (cn, cd) = a_parts, c_parts
+    n, name = min((len(an) - 1, "a"), (len(cn) - 1, "c"))
     if n < top:
         return Failure(f"{name}_recursion_breakdown", n)
     for n in range(1, top + 1):
-        if a_seq[n] == c_seq[n]:
+        if an[n] == cn[n] and ad[n] == cd[n]:
             return Failure("link_coefficients_equal", n)
 
     # v and w~ are the Geronimus steps of w at z1 and c, with the MOPS Q_n = W_n + c_n W_{n-1}
@@ -228,53 +230,63 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
     # sweep over u's moments mu_0..mu_{2 top + 2} would
     v_rec = q_rec
     if q_rec is None:
-        v = _darboux(w_rec, z1, c_seq).rec
-        v_rec = RecurrencePair._exact(v.beta[: top + 1], v.gamma)
-    wt = _darboux(w_rec, c, a_seq)
+        (vbn, vbd), v_gamma = _darboux(w_rec, z1, c_parts).rec._integers()
+        v_rec = RecurrencePair._from_parts((vbn[: top + 1], vbd[: top + 1]), v_gamma)
+    wt = _darboux(w_rec, c, a_parts)
     wt_rec = wt.rec
+    (tbn, tbd), (tgn, tgd) = wt_rec._integers()
 
     # u = (x - z2) w~ is the Christoffel step, rows 1.. of the kernel on the pivots d_0 =
     # beta~_0 - z2, d_1, ... of J(w~) - z2 I (d[n + 1] is d_n); a zero d_n is u's first zero
     # Hankel determinant, at n
-    d = _pivots(wt_rec, z2, wt_rec.beta[0] - z2, len(wt_rec.beta))
+    d = _pivots(wt_rec, z2, Fraction(tbn[0], tbd[0]) - z2, len(tbn))
+    dn, dd = d
     step = _darboux(wt_rec, z2, d)
     n = step.first_vanishing
     if n is not None and n <= top + 1:
         return Failure("u_not_regular", n - 1)
-    for name, seq in (("v", c_seq), ("w_tilde", a_seq)):
-        if seq[top] == 0:
+    for name, nums in (("v", cn), ("w_tilde", an)):
+        if nums[top] == 0:
             return Failure(f"{name}_not_regular", top)
-    ug = step.rec.gamma[1:]
+    (ubn, ubd), (ugn, ugd) = step.rec._integers()
+    ugn, ugd = ugn[1:], ugd[1:]
     if wt.first_vanishing is not None:
         # a zero a_{k+1} ends w~ at k = top: gamma~_{k+1} = 0 and beta~_{k+1} is a pole, but u's
         # gamma_{k+1} d_k = gamma~_{k+1} (beta~_{k+1} - z2) - gamma~_{k+1}^2 / d_k is
         # (gamma_k / a_k)(a_{k+1} (a_{k+1} + c - z2) + gamma_{k+1}) = gamma_k gamma_{k+1} / a_k
-        ug += (w_rec.gamma[top - 1] * w_rec.gamma[top] / a_seq[top] / d[top + 1],)
-    u_rec = RecurrencePair._exact(step.rec.beta[1 : top + 2], ug)
-    a_seq, c_seq = tuple(a_seq[: top + 1]), tuple(c_seq[: top + 1])
+        x = _product(wgn[top - 1], wgd[top - 1], wgn[top], wgd[top])
+        x, xd = _quotient(*_quotient(*x, an[top], ad[top]), dn[top + 1], dd[top + 1])
+        ugn, ugd = ugn + [x], ugd + [xd]
+    u_rec = RecurrencePair._from_parts((ubn[1 : top + 2], ubd[1 : top + 2]), (ugn, ugd))
 
     # W~_n = P_n + b_n P_{n-1} is the L factor of J(w~) - z2 I = L U: b_n = gamma~_n / d_{n-1},
     # d_0..d_top all nonzero here
-    b_seq = (None, *[g / p for g, p in zip(wt_rec.gamma[:top], d[1:])])
+    b_parts = _columns([(0, 1)] + [_quotient(tgn[n - 1], tgd[n - 1], dn[n], dd[n])
+                                   for n in range(1, top + 1)])
+    # the report carries each ladder through top as Fractions, None at index 0
+    a_seq, b_seq, c_seq = ((None, *map(Fraction, nums[1 : top + 1], dens[1 : top + 1]))
+                           for nums, dens in (a_parts, b_parts, c_parts))
 
     # the Geronimus readings give the up-link and the second-family link; the down-link,
     # the 1-2 ladder W~_n = P_n + b_n P_{n-1}, ties w~ to u (and W_n + a_n W_{n-1} to
     # P_n + b_n P_{n-1})
-    n = _ladder_break(wt_rec, u_rec, b_seq, top)
+    n = _ladder_break(wt_rec, u_rec, b_parts, top)
     _certify(n is None, f"down-link identity fails at n={n}")
 
     # the relation composed from the certified ladders, certified on recurrences only: the
     # 2-3 identity, both checkers' verdicts, the induced recurrence against the second
     # family and the constancy triple against the closed-form constants
     rel = compose_ladders(b_seq, a_seq, c_seq)
-    n = _relation_break(rel, b_seq, a_seq, c_seq)
+    n = _relation_break(rel, b_parts, a_parts, c_parts)
     _certify(n is None, f"2-3 relation fails as a polynomial identity at n={n}")
     _, verdict_eq, verdict_ct = check_both(u_rec, rel, depth)
     _certify(verdict_eq.is_mops, "equation checker rejects the generated family")
     _certify(verdict_ct.is_mops, "constancy checker rejects the generated family")
+    (ibn, ibd), (ign, igd) = verdict_eq.induced._integers()
+    (vbn, vbd), (vgn, vgd) = v_rec._integers()
     _certify(
-        verdict_eq.induced.beta[: depth + 1] == v_rec.beta[: depth + 1]
-        and verdict_eq.induced.gamma[:depth] == v_rec.gamma[:depth],
+        (ibn[: depth + 1], ibd[: depth + 1]) == (vbn[: depth + 1], vbd[: depth + 1])
+        and (ign[:depth], igd[:depth]) == (vgn[:depth], vgd[:depth]),
         "induced recurrence does not match the second family",
     )
     constants = relation_constants(u_rec, rel)
@@ -398,8 +410,8 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
         b_seq=chain.a_seq,
         lambda_seq=chain.c_seq,
         rel=rel,
-        u_rec=RecurrencePair._exact(chain.u_rec.beta[: depth + 2],
-                                    chain.u_rec.gamma[: depth + 2]),
+        u_rec=RecurrencePair._from_parts(
+            *((nums[: depth + 2], dens[: depth + 2]) for nums, dens in chain.u_rec._integers())),
         q_rec=fourth_rec,
         verdict_equations=chain.verdict_equations,
         verdict_constants=chain.verdict_constants,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import DepthError, DomainError
 from .functional import MomentFunctional, RecurrencePair
 from .poly import _divide_content
-from .rational import as_scalar
+from .rational import _columns, _quotient, as_scalar
 
 
 @dataclass(frozen=True)
@@ -44,25 +44,23 @@ def jacobi_recurrence(params: JacobiParams, count: int) -> RecurrencePair:
     """beta_0..beta_{count-1} and gamma_1..gamma_{count-1}."""
     if count < 1:
         raise DepthError("count must be >= 1")
-    # m = (2n + alpha + beta) D
+    # m = (2n + alpha + beta) D; each entry is one quotient of integers, reduced by one gcd
     D, a, b = _integer_params(params)
     s = a + b
-    betas = [Fraction(b - a, s + 2 * D)]
+    beta = [_quotient(b - a, 1, s + 2 * D, 1)]
     diff = b * b - a * a
     for n in range(1, count):
         m = 2 * n * D + s
-        betas.append(Fraction(diff, m * (m + 2 * D)))
-    gammas = []
+        beta.append(_quotient(diff, 1, m * (m + 2 * D), 1))
+    gamma = []
     if count >= 2:
         m = s + 2 * D
-        gammas.append(Fraction(4 * D * (D + a) * (D + b), m * m * (m + D)))
+        gamma.append(_quotient(4 * D * (D + a) * (D + b), 1, m * m * (m + D), 1))
     for n in range(2, count):
         m = 2 * n * D + s
-        gammas.append(Fraction(
-            4 * n * D * (n * D + a) * (n * D + b) * (n * D + s),
-            (m - D) * m * m * (m + D),
-        ))
-    return RecurrencePair._exact(betas, gammas)
+        gamma.append(_quotient(4 * n * D * (n * D + a) * (n * D + b) * (n * D + s), 1,
+                               (m - D) * m * m * (m + D), 1))
+    return RecurrencePair._from_parts(_columns(beta), _columns(gamma))
 
 
 def jacobi_moments(params: JacobiParams, depth: int) -> MomentFunctional:

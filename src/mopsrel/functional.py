@@ -16,9 +16,11 @@ recurrence coefficients
 stored as beta_0..beta_m and gamma_1..gamma_k. Orthogonality of the family
 w.r.t. a functional with mu_0 = 1 gives <u, P_n^2> = gamma_1 ... gamma_n.
 A ``RecurrencePair`` keeps the side it was built from: reduced integer
-parts when parsed or given to its constructor, Fractions when a kernel
-built it (``_exact``); ``beta`` and ``gamma``, the Fraction view, are
-built on first use, as ``moments`` is.
+parts when parsed, given to its constructor or built by an integer kernel
+(``_from_parts``: ``_darboux``, ``jacobi_recurrence``), Fractions when a
+Fraction kernel built it (``_exact``: ``recurrence_from_moments``, the
+checkers' induced recurrence); ``beta`` and ``gamma``, the Fraction view,
+are built on first use, as ``moments`` is.
 
 Two directions are provided. moments_from_recurrence walks weighted lattice
 paths on the coefficient array, so moments up to depth N need only the
@@ -30,6 +32,9 @@ principal Hankel determinant and reports how far regularity was certified.
 ``_pivots`` runs the pivot recursion of J - z I = U L, J the Jacobi matrix of
 a recurrence, and ``_darboux`` reads L U + z I: a Geronimus step (division
 by x - z) or a Christoffel step (multiplication by x - z), with no moment.
+Both read the recurrence's integer parts and give reduced parts, each entry
+reduced as ``fractions`` reduces a sum or product (``rational._sum``,
+``_product``, ``_quotient``), with no Fraction built.
 """
 
 from __future__ import annotations
@@ -42,7 +47,15 @@ from typing import Iterable, Optional
 
 from .errors import DepthError, DomainError, FormatError
 from .poly import Polynomial, _divide_content
-from .rational import _SequenceModel, as_scalar, common_denominator
+from .rational import (
+    _columns,
+    _product,
+    _quotient,
+    _SequenceModel,
+    _sum,
+    as_scalar,
+    common_denominator,
+)
 
 
 class MomentFunctional:
@@ -212,38 +225,47 @@ class RecurrencePair(_SequenceModel):
         return "RecurrencePair(beta[{}], gamma[{}])".format(*self._lengths())
 
 
-def _pivots(rec: RecurrencePair, z, first, count: int) -> list:
-    """[None, k_1, ..., k_count] with k_1 = first and k_{n+1} = beta_n - z - gamma_n / k_n,
-    read through beta_{count-1} and gamma_{count-1}: the pivots of J(rec) - z I = L U when
-    first = beta_0 - z. The list stops after its first zero."""
-    beta, gamma = rec.beta, rec.gamma
-    k = [None, first]
+def _pivots(rec: RecurrencePair, z, first, count: int) -> tuple[list, list]:
+    """The pivots k_1 = first, k_{n+1} = beta_n - z - gamma_n / k_n, read through beta_{count-1}
+    and gamma_{count-1}, as reduced parts (nums, dens) with k_n = nums[n] / dens[n] and the pad
+    k_0 = 0: the pivots of J(rec) - z I = L U when first = beta_0 - z. z and first are rationals
+    (ints or Fractions). The lists stop after their first zero k_n."""
+    (bn, bd), (gn, gd) = rec._integers()
+    zn, zd = -z.numerator, z.denominator
+    k = [(0, 1), (first.numerator, first.denominator)]
     for n in range(1, count):
-        if not k[n]:
+        kn, kd = k[n]
+        if not kn:
             break
-        k.append(beta[n] - z - gamma[n - 1] / k[n])
-    return k
+        x, xd = _quotient(gn[n - 1], gd[n - 1], kn, kd)
+        k.append(_sum(*_sum(bn[n], bd[n], zn, zd), -x, xd))
+    return _columns(k)
 
 
-def _darboux(rec: RecurrencePair, z, k: list) -> RecurrenceReport:
-    """The recurrence of L U + z I from J(rec) - z I = U L, k = [None, k_1, ..., k_m] a
-    ``_pivots`` list at z: L is unit lower bidiagonal with subdiagonal k_n, U upper
-    bidiagonal with unit superdiagonal and diagonal q_0 = beta_0 - z - k_1, q_n = gamma_n / k_n
-    (a missing gamma_m reads as 0). So beta'_n = z + q_n + k_n (k_0 = 0), gamma'_n = k_n q_{n-1},
-    and a zero k_n is the first zero gamma'_n past q_0, where it stops. With a free k_1 it is
-    the Geronimus step: sigma with (x - z) sigma = u and first moment 1 / q_0, u of rec with
-    mu_0 = 1. With k_1 = beta_0 - z, q_0 = 0 and rows 1.. are the Christoffel step u = (x - z) f
-    for f of rec (Bueno and Marcellan, Linear Algebra Appl. 384 (2004))."""
-    beta, g = rec.beta, (0,) + rec.gamma + (0,)  # g[n] is gamma_n
-    q = beta[0] - z - k[1]
-    ub, ug = [z + q], []
-    for n in range(1, len(k)):
-        if not k[n]:
-            return RecurrenceReport(RecurrencePair._exact(ub, ug), n)
-        ug.append(k[n] * q)
-        q = g[n] / k[n]
-        ub.append(z + q + k[n])
-    return RecurrenceReport(RecurrencePair._exact(ub, ug), None)
+def _darboux(rec: RecurrencePair, z, k: tuple) -> RecurrenceReport:
+    """The recurrence of L U + z I from J(rec) - z I = U L, k = (nums, dens) the reduced parts
+    of k_0 = 0, k_1, ..., k_m, a ``_pivots`` list at z: L is unit lower bidiagonal with
+    subdiagonal k_n, U upper bidiagonal with unit superdiagonal and diagonal q_0 = beta_0 - z -
+    k_1, q_n = gamma_n / k_n (a missing gamma_m reads as 0). So beta'_n = z + q_n + k_n,
+    gamma'_n = k_n q_{n-1}, and a zero k_n is the first zero gamma'_n past q_0, where it stops;
+    the recurrence is built from reduced parts. With a free k_1 it is the Geronimus step: sigma
+    with (x - z) sigma = u and first moment 1 / q_0, u of rec with mu_0 = 1. With k_1 =
+    beta_0 - z, q_0 = 0 and rows 1.. are the Christoffel step u = (x - z) f for f of rec (Bueno
+    and Marcellan, Linear Algebra Appl. 384 (2004))."""
+    (bn, bd), (gn, gd) = rec._integers()
+    kn, kd = k
+    z = z.numerator, z.denominator
+    q = _sum(*_sum(bn[0], bd[0], -z[0], z[1]), -kn[1], kd[1])
+    beta, gamma, stop = [_sum(*z, *q)], [], None
+    for n in range(1, len(kn)):
+        pivot = kn[n], kd[n]
+        if not pivot[0]:
+            stop = n
+            break
+        gamma.append(_product(*pivot, *q))
+        q = _quotient(gn[n - 1], gd[n - 1], *pivot) if n <= len(gn) else (0, 1)
+        beta.append(_sum(*_sum(*z, *q), *pivot))
+    return RecurrenceReport(RecurrencePair._from_parts(_columns(beta), _columns(gamma)), stop)
 
 
 def mops_from_recurrence(rec: RecurrencePair, count: int) -> list[Polynomial]:

@@ -61,6 +61,42 @@ def _parts(values) -> tuple[list[int], list[int]]:
     return [v.numerator for v in values], [v.denominator for v in values]
 
 
+# Arithmetic on reduced pairs (numerator, denominator > 0 in lowest terms), the way
+# ``fractions`` does it but with no Fraction built: a sum reduces by Knuth's gcd of the
+# denominators, a product or quotient by cross gcds, so no gcd runs over a whole result.
+
+
+def _sum(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd as a reduced pair."""
+    g = math.gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g = math.gcd(t, g)
+    if g == 1:
+        return t, s * bd
+    return t // g, s * (bd // g)
+
+
+def _product(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad)(bn/bd) as a reduced pair."""
+    g1, g2 = math.gcd(an, bd), math.gcd(bn, ad)
+    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+
+
+def _quotient(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad)/(bn/bd), bn != 0, as a reduced pair."""
+    g1, g2 = math.gcd(an, bn), math.gcd(ad, bd)
+    n, d = (an // g1) * (bd // g2), (ad // g2) * (bn // g1)
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _columns(pairs) -> tuple[list, list]:
+    """The numerators and the denominators of (numerator, denominator) pairs, as two lists."""
+    return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+
+
 def _reduce_pairs(pairs) -> list:
     """The reduced Fraction of each unreduced (numerator, denominator > 0)
     pair, such as the checkers' kernels build; None entries stay None."""
@@ -101,8 +137,9 @@ def _scalar_parts(values) -> tuple[list[int], list[int]]:
 
 class _SequenceModel:
     """Sequences stored on the side that built them: one (numerators,
-    denominators) pair in lowest terms per sequence from a document or a
-    public constructor, tuples of Fractions from a kernel (``_exact``).
+    denominators) pair in lowest terms per sequence from a document, a public
+    constructor or an integer kernel (``_from_parts``), tuples of Fractions
+    from a Fraction kernel (``_exact``).
     The other side is built on first use, as ``Polynomial.coeffs`` is. A
     subclass names its sequences, the keys of its JSON form, in ``_KEYS``."""
 
@@ -117,6 +154,14 @@ class _SequenceModel:
         """The model of sequences of Fractions: nothing is parsed or checked."""
         model = object.__new__(cls)
         model._ints, model._values = None, tuple(map(tuple, seqs))
+        return model
+
+    @classmethod
+    def _from_parts(cls, *pairs):
+        """The model of (numerators, denominators) pairs already in lowest
+        terms, denominators > 0: nothing is parsed or reduced."""
+        model = object.__new__(cls)
+        model._ints, model._values = pairs, None
         return model
 
     def _fractions(self) -> tuple:

@@ -32,7 +32,9 @@ the non-degeneracy gate is its negation at n = 2.
 A ``Relation23`` parsed from a document holds reduced integer parts, as
 its ``RecurrencePair`` does (``rational._SequenceModel``), and everything
 here that decides reads those; ``r``, ``s`` and ``t`` are Fraction views
-built on first use. ``compose_ladders`` builds the Fraction side instead.
+built on first use. ``compose_ladders`` builds the parts too, from the
+parts of its ladders, and ``regularity_criterion`` reads P_n(c) off the
+integer pivots of ``functional._pivots``.
 
 At depth N both checkers read one window, the ``_sequences`` build of every
 derived sequence through N (r, s, t through N + 1, beta and gamma through
@@ -57,7 +59,16 @@ from typing import NamedTuple, Optional
 from .errors import DepthError, DomainError, FormatError
 from .functional import MomentFunctional, RecurrencePair, _pivots
 from .poly import Polynomial, _combination
-from .rational import _reduce_pairs, _SequenceModel, as_scalar
+from .rational import (
+    _columns,
+    _product,
+    _quotient,
+    _reduce_pairs,
+    _scalar_parts,
+    _SequenceModel,
+    _sum,
+    as_scalar,
+)
 
 
 class Relation23(_SequenceModel):
@@ -204,33 +215,27 @@ def compose_ladders(a, b, l) -> Relation23:
 
     At n = 1 the identity pins only s_1 - r_1 = a_1 - b_1 + l_1. Nothing
     else depends on the split either (the induced beta~_0 and gamma~_1 see
-    only the difference), so r_1 = 0.
+    only the difference), so r_1 = 0. Each entry is reduced from the
+    reduced parts of the ladders, and the relation holds those parts.
     """
-    a, b, l = ([None] + [as_scalar(v) for v in seq[1:]] for seq in (a, b, l))
-    top = min(len(a), len(b), len(l)) - 1
+    # the ladders' reduced parts, with the pad 0 at index 0
+    (an, ad), (bn, bd), (ln, ld) = (_scalar_parts([0, *seq[1:]]) for seq in (a, b, l))
+    top = min(len(an), len(bn), len(ln)) - 1
     if top < 2:
         raise DepthError("ladder coefficients required through index 2")
-    r = [Fraction(0)] * (top + 1)
-    s = [Fraction(0)] * (top + 1)
-    t = [Fraction(0)] * (top + 1)
-    s[1] = a[1] - b[1] + l[1]
-    # rho_n = gap_n / gap_{n-1} with gap_n = b_n - l_n; each r_n, s_n, t_n
-    # is one Fraction built from the integer parts
-    gap = b[1] - l[1]
+    s1 = _sum(*_sum(an[1], ad[1], -bn[1], bd[1]), ln[1], ld[1])
+    r, s, t = [(0, 1)] * 2, [(0, 1), s1], [(0, 1)] * 2
+    gap = _sum(bn[1], bd[1], -ln[1], ld[1])
     for n in range(2, top + 1):
-        if gap == 0:
+        if not gap[0]:
             raise DomainError(f"b_{n - 1} = l_{n - 1}: the ladders do not compose at n={n}")
-        prev, gap = gap, b[n] - l[n]
-        rn = gap.numerator * prev.denominator
-        rd = gap.denominator * prev.numerator
-        bn, ln, an = b[n - 1], l[n - 1], a[n - 1]
-        r[n] = Fraction(bn.numerator * rn, bn.denominator * rd)
-        lrn, lrd = ln.numerator * rn, ln.denominator * rd
-        ad = a[n].denominator
-        L = math.lcm(ad, lrd)
-        s[n] = Fraction(a[n].numerator * (L // ad) + lrn * (L // lrd), L)
-        t[n] = Fraction(an.numerator * lrn, an.denominator * lrd)
-    return Relation23._exact(r, s, t)
+        prev, gap = gap, _sum(bn[n], bd[n], -ln[n], ld[n])
+        rho = _quotient(*gap, *prev)
+        lrho = _product(ln[n - 1], ld[n - 1], *rho)
+        r.append(_product(bn[n - 1], bd[n - 1], *rho))
+        s.append(_sum(an[n], ad[n], *lrho))
+        t.append(_product(an[n - 1], ad[n - 1], *lrho))
+    return Relation23._from_parts(*map(_columns, (r, s, t)))
 
 
 class AuxiliarySequences(NamedTuple):
@@ -654,7 +659,7 @@ def regularity_criterion(
     recurrence of the MOPS (P_n) of u: no P_n (n <= depth) vanishes at c,
     and no index has t_n = r_n (s_{n-1} - r_{n-1}). For a genuinely
     non-degenerate orthogonal pair the booleans agree. P_n(c) is read off
-    the pivots of J(rec) - c I (``functional._pivots``), no P_n is built:
+    the integer pivots of J(rec) - c I (``functional._pivots``), no P_n is built:
     P_n(c) = (-1)^n k_1 ... k_n, so P_1(c)..P_depth(c) are nonzero exactly
     when k_1..k_depth are. The indices are compared by cross-multiplying
     integer parts (``_index_condition``), entry by entry, up to the first
@@ -664,7 +669,9 @@ def regularity_criterion(
     rec.require(depth - 1, depth - 1)
     rel.require(depth if depth >= 2 else 2)
     c = as_scalar(c)
-    no_root = depth == 0 or all(_pivots(rec, c, rec.beta[0] - c, depth)[1:])
+    (bn, bd), _ = rec._integers()
+    # the numerators of k_1..k_depth, or of the pivots up to the first zero
+    no_root = depth == 0 or all(_pivots(rec, c, Fraction(bn[0], bd[0]) - c, depth)[0][1:])
     parts = rel._integers()
     no_index = not any(_index_condition(parts, n) for n in range(2, depth + 1))
     return no_root, no_index

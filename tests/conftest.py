@@ -17,6 +17,7 @@ from mopsrel import (
     RelationTag,
 )
 from mopsrel.casebook import _spectral_chain
+from mopsrel.rational import _parts
 from oracles import bessel_recurrence, hermite_recurrence, laguerre_recurrence
 
 
@@ -29,6 +30,12 @@ def rel_from7(r1, r2, r3, s1, s2, t2, t3, pad: int = 0) -> Relation23:
         [0, s1, s2, 0] + extra,
         [0, 0, t2, t3] + extra,
     )
+
+
+def ladder_parts(seq) -> tuple[list, list]:
+    """The ladder [unused, k_1, ..., k_top] (ints or Fractions) as the casebook's
+    certificates read it: the numerators and denominators of k_0 = 0, k_1, ..., k_top."""
+    return _parts([0, *seq[1:]])
 
 
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:

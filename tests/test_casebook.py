@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from mopsrel import (
 )
 from mopsrel import casebook, families, functional, rational, relation23
 from mopsrel.cli import _json_text
-from conftest import random_spectral_chain
+from conftest import ladder_parts, random_spectral_chain
 from oracles import hankel_form
 
 
@@ -531,7 +532,8 @@ def test_worked_cases_lift_v_only_without_a_second_family(monkeypatch, build, fi
     (a_1), and both end with u's step."""
     calls = []
     def spied(rec, z, k, real=casebook._darboux):
-        calls.append((z, None if k[1] == rec.beta[0] - z else k[1]))
+        k1 = Fraction(k[0][1], k[1][1])  # k is a pair of reduced parts
+        calls.append((z, None if k1 == rec.beta[0] - z else k1))
         return real(rec, z, k)
     monkeypatch.setattr(casebook, "_darboux", spied)
     build()
@@ -697,9 +699,10 @@ def test_spectral_chain_up_links_are_ladders(seed, depth):
     the chain carries it and w~'s as the kernel gives it from the a-ladder."""
     chain, (w_rec, _, c, _, _, _) = random_spectral_chain(random.Random(seed), depth)
     top = depth + 2
-    assert casebook._ladder_break(chain.v_rec, w_rec, chain.c_seq, top) is None
-    w_tilde = casebook._darboux(w_rec, c, chain.a_seq).rec
-    assert casebook._ladder_break(w_tilde, w_rec, chain.a_seq, top) is None
+    assert casebook._ladder_break(chain.v_rec, w_rec, ladder_parts(chain.c_seq), top) is None
+    a_parts = ladder_parts(chain.a_seq)
+    w_tilde = casebook._darboux(w_rec, c, a_parts).rec
+    assert casebook._ladder_break(w_tilde, w_rec, a_parts, top) is None
 
 
 @pytest.mark.parametrize("depth", [6, 40])
@@ -710,10 +713,11 @@ def test_chebyshev_up_link_is_the_fourth_kind_over_the_second(depth):
     breaks it at 5."""
     report = chebyshev_case(depth)
     fourth, second = (families.chebyshev_kind(kind, depth + 4) for kind in (4, 2))
-    assert casebook._ladder_break(fourth, second, report.lambda_seq, depth + 2) is None
+    lam = ladder_parts(report.lambda_seq)
+    assert casebook._ladder_break(fourth, second, lam, depth + 2) is None
     bent = list(report.lambda_seq)
     bent[5] += Fraction(1, 7)
-    assert casebook._ladder_break(fourth, second, bent, depth + 2) == 5
+    assert casebook._ladder_break(fourth, second, ladder_parts(bent), depth + 2) == 5
 
 
 def test_spectral_chain_refuses_c_equal_to_z2():
@@ -723,6 +727,55 @@ def test_spectral_chain_refuses_c_equal_to_z2():
     w_rec = jacobi_recurrence(JacobiParams("1/3", "2/7"), 10)
     with pytest.raises(DomainError, match="c and z2 must differ"):
         casebook._spectral_chain(w_rec, -1, 2, 2, 3, -5, 6, None)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_spectral_chain_refuses_a_w_that_is_not_regular(n):
+    """At depth 6 the builder reads w's gamma_1..gamma_9 (depth + 3): a zero
+    gamma_n of w among them is refused up front, by a DomainError that names
+    w and n, whatever step would first have met it. A zero gamma_10, which
+    the chain does not read, changes nothing."""
+    w_rec = jacobi_recurrence(EDGE_PARAMS, 11)
+    plain = casebook._spectral_chain(w_rec, -1, 1, -1, 3, -5, 6, None)
+    gamma = list(w_rec.gamma)
+    gamma[n - 1] = 0
+    with pytest.raises(DomainError, match=rf"^w is not regular: its gamma_{n} is zero"):
+        casebook._spectral_chain(RecurrencePair(w_rec.beta, gamma), -1, 1, -1, 3, -5, 6, None)
+    gamma = list(w_rec.gamma)
+    gamma[9] = 0
+    unread = casebook._spectral_chain(RecurrencePair(w_rec.beta, gamma), -1, 1, -1, 3, -5, 6,
+                                      None)
+    assert unread == plain
+
+
+def canonical(model) -> bool:
+    """Whether every (numerators, denominators) pair of the model holds
+    coprime entries over positive denominators, as ``_SequenceModel.__eq__``,
+    which compares parts, needs."""
+    return all(len(nums) == len(dens) and all(d > 0 and math.gcd(m, d) == 1
+                                              for m, d in zip(nums, dens))
+               for nums, dens in model._integers())
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32), st.integers(12, 140))
+def test_spectral_chain_models_are_canonical(seed, depth):
+    """Every model the builder makes from integer parts is in lowest terms
+    with positive denominators: u's and v's recurrences, the relation, and
+    the reports of every Darboux step (v, w~ and u's Christoffel step), on
+    random builder positives."""
+    reports = []
+
+    def spied(*args, real=casebook._darboux):
+        reports.append(real(*args))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(casebook, "_darboux", spied)
+        chain, _ = random_spectral_chain(random.Random(seed), depth)
+    assert len(reports) >= 3
+    for model in (chain.u_rec, chain.v_rec, chain.rel, *(report.rec for report in reports)):
+        assert canonical(model)
 
 
 def test_chebyshev_case_stays_on_the_moment_vector(monkeypatch):
@@ -773,18 +826,20 @@ def bump_relation_s(k):
 
 
 def bump_pivots(call, k):
-    """A wrapper for ``_pivots`` that adds 1/7 to entry k of the list it
-    returns on its ``call``-th call (in the spectral-chain builder: the
-    a-ladder, then the c-ladder, then [None, d_0, d_1, ...], the pivots of
-    u's Christoffel step, whose d_{n-1} the ladder entry b_n divides by)."""
+    """A wrapper for ``_pivots`` that adds 1/7 to entry k of the pivots it
+    returns, as reduced parts, on its ``call``-th call (in the spectral-chain
+    builder: the a-ladder, then the c-ladder, then [0, d_0, d_1, ...], the
+    pivots of u's Christoffel step, whose d_{n-1} the ladder entry b_n
+    divides by)."""
     def wrap(pivots):
         calls = []
         def bent(*args):
-            seq = pivots(*args)
+            nums, dens = pivots(*args)
             calls.append(None)
             if len(calls) == call:
-                seq[k] += Fraction(1, 7)
-            return seq
+                entry = Fraction(nums[k], dens[k]) + Fraction(1, 7)
+                nums[k], dens[k] = entry.numerator, entry.denominator
+            return nums, dens
         return bent
     return wrap
 

@@ -891,6 +891,29 @@ def test_golden_payload_digest(
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of stdout of the deepest worked cases the command line is pinned at, in JSON and
+# CSV, recorded before the spectral chain ran on integer parts: the Chebyshev case at the
+# deepest example it accepts and the generic chain at four times the benchmark depth. The
+# "Installed entry point" step of the CI workflow reads these lines and runs the same calls
+DEEP_GOLDEN = [
+    ("example chebyshev --depth 1000",
+     "eba25500971ae93cf2e4c60c0cec7cbdb2c6688f01093b7f844bc9c7d3c3f68f"),
+    ("example chebyshev --depth 1000 --format csv",
+     "1651553db92c981b00aa7d84cc3ff57c232fd189fb2a17c95de0c15bad608046"),
+    ("example jacobi-chain --alpha=1/3 --beta=2/7 --a1=3 --c1=-5 --depth 160",
+     "972d93bca3f7fdd490a2da1db92381c1602eae3e63a086c950ec9ac76475f49c"),
+    ("example jacobi-chain --alpha=1/3 --beta=2/7 --a1=3 --c1=-5 --depth 160 --format csv",
+     "9f86163dbcef66007f8ffbcac51f6890bbec52e92d654dbb2944340c497bbc65"),
+]
+
+
+@pytest.mark.parametrize("command, digest", DEEP_GOLDEN, ids=[case[0] for case in DEEP_GOLDEN])
+def test_deep_payload_digest(capsys, command, digest):
+    code, out, _ = run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.fixture(scope="module")
 def bench_workloads():
     """The benchmark's ``perfbench/workloads.py``, loaded from its file and

@@ -45,10 +45,11 @@ from mopsrel import (
     verify_functional_relation,
 )
 from mopsrel.casebook import _ladder_break, _relation_break
+from mopsrel.functional import _darboux, _pivots
 from mopsrel.poly import _combination
-from mopsrel.rational import _reduce_pairs
+from mopsrel.rational import _parts, _reduce_pairs
 from mopsrel.relation23 import _index_condition
-from conftest import random_spectral_chain
+from conftest import ladder_parts, random_spectral_chain
 from oracles import (
     add_point_mass_raw,
     apply_raw,
@@ -840,6 +841,69 @@ def test_checkers_agree_on_single_entry_mutations(base, depth, field, data, kind
     assert [tuple(f) for f in ct.failures] == failures and ct.constants == triple
 
 
+def ref_pivots(beta, gamma, z, k1, count):
+    """[None, k_1, ..., k_m] with k_{n+1} = beta_n - z - gamma_n / k_n, term by
+    term in Fractions, stopping after the first zero."""
+    k = [None, k1]
+    for n in range(1, count):
+        if k[n] == 0:
+            break
+        k.append(beta[n] - z - gamma[n - 1] / k[n])
+    return k
+
+
+def ref_darboux(beta, gamma, z, k):
+    """beta', gamma' and the first zero k_n of L U + z I, term by term in
+    Fractions: q_0 = beta_0 - z - k_1, then gamma'_n = k_n q_{n-1}, q_n =
+    gamma_n / k_n (0 past the given gammas) and beta'_n = z + q_n + k_n."""
+    q = beta[0] - z - k[1]
+    out_beta, out_gamma = [z + q], []
+    for n in range(1, len(k)):
+        if k[n] == 0:
+            return out_beta, out_gamma, n
+        out_gamma.append(k[n] * q)
+        q = gamma[n - 1] / k[n] if n <= len(gamma) else Fraction(0)
+        out_beta.append(z + q + k[n])
+    return out_beta, out_gamma, None
+
+
+non_integer = st.one_of(small, shared).filter(lambda v: v.denominator > 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(1, 12))
+def test_pivots_and_darboux_match_fractions(data, count):
+    """``_pivots`` and ``_darboux`` on random recurrences, small and
+    BIG-denominator entries, a non-integer z and k_1 in part of the draws,
+    k_1 = beta_0 - z (the Christoffel reading) in another, and a zero pivot
+    k_m forced by the choice of beta_{m-1} in another: the reduced parts hold
+    exactly the reference values, in lowest terms with k_0 = 0, with the
+    same lengths and the same first vanishing index."""
+    beta = data.draw(st.lists(coeff, min_size=count, max_size=count), label="beta")
+    gamma = data.draw(st.lists(nonzero, min_size=count - 1, max_size=count), label="gamma")
+    z = data.draw(st.one_of(non_integer, coeff), label="z")
+    k1 = data.draw(st.one_of(non_integer, nonzero, st.just(None)), label="k1")
+    if k1 is None:
+        k1 = beta[0] - z
+    zero = data.draw(st.sampled_from([None, *range(1, count + 1)]), label="zero")
+    if zero == 1:
+        k1 = Fraction(0)
+    elif zero is not None:
+        k = ref_pivots(beta, gamma, z, k1, zero - 1)
+        if len(k) == zero and k[-1] != 0:
+            beta[zero - 1] = z + gamma[zero - 2] / k[-1]
+    k = ref_pivots(beta, gamma, z, k1, count)
+    if zero is not None:
+        assert len(k) <= zero + 1 and k[-1] == 0
+    out_beta, out_gamma, first = ref_darboux(beta, gamma, z, k)
+    for rec in (RecurrencePair(beta, gamma), RecurrencePair._exact(beta, gamma)):
+        pivots = _pivots(rec, z, k1, count)
+        assert pivots == ladder_parts(k)
+        report = _darboux(rec, z, pivots)
+        assert report.first_vanishing == first
+        assert report.rec._integers() == (_parts(out_beta), _parts(out_gamma))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.integers(2, 9))
 def test_compose_ladders_matches_fractions(data, top):
@@ -945,7 +1009,7 @@ def test_ladder_certificate_matches_polynomial_identities(data, top):
         return
     upper = lemma_upper(lower, k, top)
     assert polynomial_ladder_break(lower, upper, k, top) is None
-    assert _ladder_break(upper, lower, k, top) is None
+    assert _ladder_break(upper, lower, ladder_parts(k), top) is None
     field = data.draw(st.sampled_from(["k", "beta", "gamma"]))
     first = 1 if field == "k" else 0
     last = {"k": top, "beta": top - 1, "gamma": top - 2}[field]
@@ -953,7 +1017,7 @@ def test_ladder_certificate_matches_polynomial_identities(data, top):
     k, upper = bend(k, upper, field, index, data.draw(nonzero))
     expected = polynomial_ladder_break(lower, upper, k, top)
     assert expected is not None
-    assert _ladder_break(upper, lower, k, top) == expected
+    assert _ladder_break(upper, lower, ladder_parts(k), top) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -968,7 +1032,7 @@ def test_ladder_certificate_matches_polynomial_identities_for_free_k(data, top):
     )
     k = [None] + data.draw(st.lists(coeff, min_size=top, max_size=top))
     upper = lemma_upper(lower, k, top)
-    assert (_ladder_break(upper, lower, k, top)
+    assert (_ladder_break(upper, lower, ladder_parts(k), top)
             == polynomial_ladder_break(lower, upper, k, top))
 
 
@@ -993,11 +1057,11 @@ def generic_down_ladder():
 )
 def test_ladder_certificate_on_generic_jacobi_data(generic_down_ladder, field, index):
     lower, upper, k, top = generic_down_ladder
-    assert _ladder_break(upper, lower, k, top) is None
+    assert _ladder_break(upper, lower, ladder_parts(k), top) is None
     k, upper = bend(k, upper, field, index, Fraction(1, 2**61 - 1))
     expected = polynomial_ladder_break(lower, upper, k, top)
     assert expected is not None
-    assert _ladder_break(upper, lower, k, top) == expected
+    assert _ladder_break(upper, lower, ladder_parts(k), top) == expected
 
 
 def random_composition(data, top, equal_prefix=0):
@@ -1053,13 +1117,13 @@ def test_23_certificate_matches_polynomial_identities(data, top):
     a, b, l, p, q, _ = random_composition(data, top)
     rel = compose_ladders(a, b, l)
     assert polynomial_23_break(rel, p, q) is None
-    assert _relation_break(rel, a, b, l) is None
+    assert _relation_break(rel, *map(ladder_parts, (a, b, l))) is None
     field = data.draw(st.sampled_from("rst"))
     index = data.draw(st.integers(2 if field == "t" else 1, top))
     bent = bend_relation(rel, [(field, index, data.draw(nonzero))])
     expected = polynomial_23_break(bent, p, q)
     assert expected is not None
-    assert _relation_break(bent, a, b, l) == expected
+    assert _relation_break(bent, *map(ladder_parts, (a, b, l))) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -1080,7 +1144,7 @@ def test_23_certificate_with_f_nonzero_decides_by_p_equal_r(data, top, equal):
     expected = polynomial_23_break(bent, p, q)
     assert expected == (None if p[index - 2] == r[index - 2] else index)
     assert not equal or expected is None
-    assert _relation_break(bent, a, b, l) == expected
+    assert _relation_break(bent, *map(ladder_parts, (a, b, l))) == expected
 
 
 @settings(max_examples=60, deadline=None)

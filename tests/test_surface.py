@@ -109,3 +109,25 @@ def test_every_private_helper_has_a_reader():
     ]
     assert len(private) > 10
     assert [entry for entry in private if entry.partition(":")[2] not in used] == []
+
+
+# private names of the fractions module: its unnormalized constructor
+# keyword, its constructor for coprime pairs and the slots of a Fraction
+PRIVATE_FRACTION_NAMES = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
+
+
+def test_no_module_uses_private_fraction_api():
+    """The integer kernels build each Fraction through the public
+    constructor: no module under src/mopsrel/ names a private part of
+    ``fractions``, as an attribute, a keyword argument, a variable or a
+    string (as setattr would take it)."""
+    found = []
+    for path in sorted((ROOT / "src" / "mopsrel").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.arg if isinstance(node, ast.keyword)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if name in PRIVATE_FRACTION_NAMES:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
