@@ -15,10 +15,9 @@ recurrence coefficients
 
 stored as beta_0..beta_m and gamma_1..gamma_k. Orthogonality of the family
 w.r.t. a functional with mu_0 = 1 gives <u, P_n^2> = gamma_1 ... gamma_n.
-A ``RecurrencePair`` keeps the side it was built from: reduced integer
-parts when parsed, given to its constructor or built by an integer kernel
-(``_from_parts``: ``_darboux``, ``jacobi_recurrence``), Fractions when a
-Fraction kernel built it (``_exact``: ``recurrence_from_moments``, the
+A ``RecurrencePair`` stores reduced integer parts, whether it was parsed,
+given to its constructor or built by a kernel (``_from_parts``:
+``recurrence_from_moments``, ``_darboux``, ``jacobi_recurrence``, the
 checkers' induced recurrence); ``beta`` and ``gamma``, the Fraction view,
 are built on first use, as ``moments`` is.
 
@@ -188,7 +187,7 @@ class RecurrencePair(_SequenceModel):
     gamma is indexed from 1, so gamma_n lives at gamma[n-1]. The container
     itself does not insist on gamma_n != 0; operations that assume a regular
     functional check the range they use. ``beta`` and ``gamma`` are tuples
-    of Fractions, whatever side the pair stores (``_SequenceModel``).
+    of Fractions, a view of the stored integer parts (``_SequenceModel``).
     """
 
     __slots__ = ()
@@ -278,14 +277,15 @@ def mops_from_recurrence(rec: RecurrencePair, count: int) -> list[Polynomial]:
         raise DepthError("count must be >= 1")
     if count >= 2:
         rec.require(count - 2, max(count - 2, 0))
+    (bn, bd), (gn, gd) = rec._integers()
     polys = [Polynomial.one()]
     prev, prev_den = [0], 1  # P_{n-1} = prev / prev_den
     cur, den = [1], 1  # P_n = cur / den
     for n in range(count - 1):
         # x P_n, beta_n P_n and gamma_n P_{n-1} as lists of length n + 2
         nxt, d = _three_term(
-            [0] + cur, cur + [0], den, rec.beta[n],
-            prev + [0, 0], prev_den, rec.gamma[n - 1] if n else 0,
+            [0] + cur, cur + [0], den, (bn[n], bd[n]),
+            prev + [0, 0], prev_den, (gn[n - 1], gd[n - 1]) if n else (0, 1),
         )
         prev, prev_den, cur, den = cur, den, nxt, d
         # P_{n+1} is monic, so its last coefficient is nonzero
@@ -296,15 +296,16 @@ def mops_from_recurrence(rec: RecurrencePair, count: int) -> list[Polynomial]:
 def _three_term(x: list, y: list, den: int, b, z: list, den_z: int, g) -> tuple[list, int]:
     """The step shared by the recurrence and the sigma recursion: the
     integer vector and denominator of (x - b y) / den - g z / den_z, with
-    the content divided out. x and y have one length, z is no shorter."""
-    bn, bd = b.numerator, b.denominator
+    the content divided out; b and g are (numerator, denominator > 0) pairs.
+    x and y have one length, z is no shorter."""
+    (bn, bd), (gn, gd) = b, g
     d = den * bd
-    if not g:
+    if not gn:
         return _divide_content([bd * u - bn * v for u, v in zip(x, y)], d)
     # one pass: s1 (bd x - bn y) - s2 z over the lcm of both denominators
-    dg = den_z * g.denominator
+    dg = den_z * gd
     common = math.lcm(d, dg)
-    s1, s2 = common // d, (common // dg) * g.numerator
+    s1, s2 = common // d, (common // dg) * gn
     p, q = bd * s1, bn * s1
     return _divide_content([p * u - q * v - s2 * w for u, v, w in zip(x, y, z)], common)
 
@@ -331,7 +332,10 @@ def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional
     rec.require_regular(cap)
     # beta_j = B[j] / L and gamma_j = G[j] / L; G is padded with zeros at
     # both ends so level cap + 1 contributes nothing
-    B, L = common_denominator(rec.beta[: cap + 1] + rec.gamma[:cap])
+    (bn, bd), (gn, gd) = rec._integers()
+    nums, dens = [*bn[: cap + 1], *gn[:cap]], [*bd[: cap + 1], *gd[:cap]]
+    L = math.lcm(*dens)
+    B = [m * (L // d) for m, d in zip(nums, dens)]
     G = [0] + B[cap + 1 :] + [0]
     B = B[: cap + 1]
     comp, den = [1], 1  # comp[j] / den is the P_j component of x^n
@@ -363,7 +367,7 @@ class RecurrenceReport:
     @property
     def checked_through(self) -> int:
         m = self.first_vanishing
-        return len(self.rec.gamma) if m is None else m
+        return self.rec._lengths()[1] if m is None else m
 
     @property
     def regular_through(self) -> int:
@@ -383,12 +387,13 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
 
     Each row sigma_{k,k..} is kept fraction-free, as integers over one row
     denominator (in the manner of Bareiss elimination), and is reduced by
-    one gcd of the whole row; beta and gamma are the only Fractions built.
+    one gcd of the whole row; beta and gamma are built as reduced
+    (numerator, denominator > 0) pairs, and no Fraction is built.
     """
     n_max = f.depth
     k_max = n_max // 2
-    beta: list[Fraction] = []
-    gamma: list[Fraction] = []
+    beta: list = []
+    gamma: list = []
     # row[i] / den holds sigma_{k, k+i}, starting from sigma_{0, i} = mu_i;
     # row_prev / den_prev the row k - 1
     row, den = f._nums, f._den
@@ -397,22 +402,23 @@ def recurrence_from_moments(f: MomentFunctional) -> RecurrenceReport:
     row_prev: tuple = ()
     den_prev = 1
     if n_max >= 1:
-        beta.append(Fraction(row[1], row[0]))
+        beta.append(_quotient(row[1], 1, row[0], 1))
     for k in range(1, k_max + 1):
         width = n_max - 2 * k
         # sigma_{k-1, k+1+j}, sigma_{k-1, k+j} and sigma_{k-2, k+j}, j <= width
         nxt, d = _three_term(
             row[2:], row[1:-1], den, beta[k - 1],
-            row_prev[2 : width + 3], den_prev, gamma[k - 2] if k >= 2 else 0,
+            row_prev[2 : width + 3], den_prev, gamma[k - 2] if k >= 2 else (0, 1),
         )
         if nxt[0] == 0:
-            return RecurrenceReport(RecurrencePair._exact(beta[:k], gamma), k)
-        gamma.append(Fraction(nxt[0] * den, d * row[0]))
+            return RecurrenceReport(
+                RecurrencePair._from_parts(_columns(beta[:k]), _columns(gamma)), k)
+        gamma.append(_quotient(nxt[0] * den, 1, d * row[0], 1))
         if width >= 1:
             # sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
-            beta.append(Fraction(nxt[1] * row[0] - row[1] * nxt[0], nxt[0] * row[0]))
+            beta.append(_quotient(nxt[1] * row[0] - row[1] * nxt[0], 1, nxt[0] * row[0], 1))
         row_prev, den_prev, row, den = row, den, nxt, d
-    return RecurrenceReport(RecurrencePair._exact(beta, gamma), None)
+    return RecurrenceReport(RecurrencePair._from_parts(_columns(beta), _columns(gamma)), None)
 
 
 def norm_squared(rec: RecurrencePair, n: int) -> Fraction:

@@ -56,11 +56,6 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _parts(values) -> tuple[list[int], list[int]]:
-    """The numerators and the denominators of ``values``, as two lists."""
-    return [v.numerator for v in values], [v.denominator for v in values]
-
-
 # Arithmetic on reduced pairs (numerator, denominator > 0 in lowest terms), the way
 # ``fractions`` does it but with no Fraction built: a sum reduces by Knuth's gcd of the
 # denominators, a product or quotient by cross gcds, so no gcd runs over a whole result.
@@ -136,25 +131,17 @@ def _scalar_parts(values) -> tuple[list[int], list[int]]:
 
 
 class _SequenceModel:
-    """Sequences stored on the side that built them: one (numerators,
-    denominators) pair in lowest terms per sequence from a document, a public
-    constructor or an integer kernel (``_from_parts``), tuples of Fractions
-    from a Fraction kernel (``_exact``).
-    The other side is built on first use, as ``Polynomial.coeffs`` is. A
-    subclass names its sequences, the keys of its JSON form, in ``_KEYS``."""
+    """Sequences stored as one (numerators, denominators) pair in lowest
+    terms per sequence, whether a document, a public constructor or a
+    kernel (``_from_parts``) built them. The tuples of Fractions are a view
+    built on first use, as ``Polynomial.coeffs`` is. A subclass names its
+    sequences, the keys of its JSON form, in ``_KEYS``."""
 
     __slots__ = ("_ints", "_values")
 
     def __init__(self, *seqs):
         self._ints = tuple(map(_scalar_parts, seqs))
         self._values = None
-
-    @classmethod
-    def _exact(cls, *seqs):
-        """The model of sequences of Fractions: nothing is parsed or checked."""
-        model = object.__new__(cls)
-        model._ints, model._values = None, tuple(map(tuple, seqs))
-        return model
 
     @classmethod
     def _from_parts(cls, *pairs):
@@ -170,13 +157,9 @@ class _SequenceModel:
         return self._values
 
     def _integers(self) -> tuple:
-        if self._ints is None:
-            self._ints = tuple(map(_parts, self._values))
         return self._ints
 
     def _lengths(self) -> list:
-        if self._ints is None:
-            return [len(seq) for seq in self._values]
         return [len(nums) for nums, _ in self._ints]
 
     def __eq__(self, other) -> bool:

@@ -29,12 +29,13 @@ each condition is decided by cross-multiplying its two sides. The index
 condition t_n = r_n (s_{n-1} - r_{n-1}) has one test, ``_index_condition``;
 the non-degeneracy gate is its negation at n = 2.
 
-A ``Relation23`` parsed from a document holds reduced integer parts, as
-its ``RecurrencePair`` does (``rational._SequenceModel``), and everything
-here that decides reads those; ``r``, ``s`` and ``t`` are Fraction views
-built on first use. ``compose_ladders`` builds the parts too, from the
-parts of its ladders, and ``regularity_criterion`` reads P_n(c) off the
-integer pivots of ``functional._pivots``.
+A ``Relation23`` holds reduced integer parts, as every ``RecurrencePair``
+does (``rational._SequenceModel``), and everything here that decides reads
+those; ``r``, ``s`` and ``t`` are Fraction views built on first use.
+``compose_ladders`` builds the parts from the parts of its ladders, the
+induced recurrence is built as reduced parts by ``_sequences``, and
+``regularity_criterion`` reads P_n(c) off the integer pivots of
+``functional._pivots``.
 
 At depth N both checkers read one window, the ``_sequences`` build of every
 derived sequence through N (r, s, t through N + 1, beta and gamma through
@@ -72,8 +73,9 @@ from .rational import (
 
 
 class Relation23(_SequenceModel):
-    """Coefficient triple (r_n), (s_n), (t_n), each indexed from 0, as
-    tuples of Fractions, whatever side it stores (``_SequenceModel``)."""
+    """Coefficient triple (r_n), (s_n), (t_n), each indexed from 0, stored
+    as reduced integer parts and viewed as tuples of Fractions
+    (``_SequenceModel``)."""
 
     __slots__ = ()
     _KEYS, _NAME = ("r", "s", "t"), "relation"
@@ -251,14 +253,14 @@ class AuxiliarySequences(NamedTuple):
 def _sequences(rec: RecurrencePair, rel: Relation23, upto: int):
     """The derived sequences of the inverse problem, from one pass over the
     integer parts of r, s, t, beta and gamma: the induced recurrence
-    bt_n = beta~_n (0 <= n <= upto) and gt_n = gamma~_n (1 <= n <= upto),
-    as two lists, and the auxiliary sequences a_n, b_n, c_n, d_n through
-    ``upto``, whatever part of them a caller reads. An entry at n reads
-    r, s, t through n + 1 and beta, gamma through n: the build consumes
-    relation indices through upto + 1 and recurrence ones through upto.
+    bt_n = beta~_n (0 <= n <= upto) and gt_n = gamma~_n (1 <= n <= upto)
+    and the auxiliary sequences a_n, b_n, c_n, d_n through ``upto``,
+    whatever part of them a caller reads. An entry at n reads r, s, t
+    through n + 1 and beta, gamma through n: the build consumes relation
+    indices through upto + 1 and recurrence ones through upto.
 
     Indices follow ``RecurrencePair``: gamma_n is ``rec.gamma[n-1]`` and
-    gt_n is ``gt[n-1]``. With z_n = s_{n+1} - s_n - beta_n,
+    gt_n is entry n - 1 of gt. With z_n = s_{n+1} - s_n - beta_n,
 
         bt_n = r_{n+1} - r_n - z_n                               (n >= 0)
         a_n  = gamma_n + t_n - t_{n+1} + s_n (z_n + beta_{n-1})  (n >= 1)
@@ -267,22 +269,22 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int):
         c_n  = t_n gamma_{n-2}                                   (n >= 3)
         d_n  = r_n gt_{n-1}                                      (n >= 2)
 
-    bt_n and gt_n each one Fraction of integers, a_n, which is read many
-    times, a reduced (numerator, denominator > 0) pair, and each of b_n,
-    c_n and d_n, which are only compared, an unreduced pair. The integer
-    parts of r, s, t, beta and gamma come back too, as (numerators,
-    denominators) pairs in that order, so that the checkers' tails need not
-    take them again, and last the unreduced numerators of gt_1..gt_upto,
-    which are zero where gt_n is."""
+    bt and gt each come back as reduced parts (numerators, denominators > 0),
+    one gcd an entry, and a_n, which is read many times, as a reduced
+    (numerator, denominator) pair; each of b_n, c_n and d_n, which are only
+    compared, is an unreduced pair. The integer parts of r, s, t, beta and
+    gamma come back last, as (numerators, denominators) pairs in that order,
+    so that the checkers' tails need not take them again."""
     if upto < 0:
         raise DepthError("upto must be >= 0")
     rel.require(upto + 1)
     rec.require(upto, upto)
     parts = (*rel._integers(), *rec._integers())
     (r, rd), (s, sd), (t, td), (p, pd), (g, gd) = parts
-    bt: list = []
-    gt: list = []
-    gt_nums: list = []
+    btn: list = []
+    btd: list = []
+    gtn: list = []
+    gtd: list = []
     a, b, c, d = ([None] * (upto + 1) for _ in range(4))
     lcm, gcd = math.lcm, math.gcd
     # each sum is taken over L, the lcm of its terms' denominators, written
@@ -293,7 +295,10 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int):
         zd = lcm(sd[n + 1], sd[n], pd[n])
         zn = s[n + 1] * (zd // sd[n + 1]) - s[n] * (zd // sd[n]) - p[n] * (zd // pd[n])
         L = lcm(rd[n + 1], rd[n], zd)
-        bt.append(Fraction(r[n + 1] * (L // rd[n + 1]) - r[n] * (L // rd[n]) - zn * (L // zd), L))
+        x = r[n + 1] * (L // rd[n + 1]) - r[n] * (L // rd[n]) - zn * (L // zd)
+        k = gcd(x, L)
+        btn.append(x // k)
+        btd.append(L // k)
         if n == 0:
             continue
         # a_n, reduced by one gcd since the checkers' tails read it again, then gt_n
@@ -303,22 +308,21 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int):
         x = (g[n - 1] * (L // gd[n - 1]) + tn * (L // tnd) - t[n + 1] * (L // td[n + 1])
              + sn * (zn * (L // d1) + p[n - 1] * (L // d2)))
         k = gcd(x, L)
-        x, xd = a[n] = (x // k, L // k)
-        prev = bt[n - 1]
-        d1, d2 = rd[n] * zd, rd[n] * prev.denominator
-        L = lcm(xd, d1, d2)
-        gtn = x * (L // xd) - r[n] * (zn * (L // d1) + prev.numerator * (L // d2))
-        gt_nums.append(gtn)
-        gt.append(Fraction(gtn, L))
+        an, ad = a[n] = (x // k, L // k)
+        d1, d2 = rd[n] * zd, rd[n] * btd[n - 1]
+        L = lcm(ad, d1, d2)
+        x = an * (L // ad) - r[n] * (zn * (L // d1) + btn[n - 1] * (L // d2))
+        k = gcd(x, L)
+        gtn.append(x // k)
+        gtd.append(L // k)
         if n >= 2:
             d1, d2, d3 = snd * gd[n - 2], tnd * zd, tnd * pd[n - 2]
             L = lcm(d1, d2, d3)
             b[n] = (sn * g[n - 2] * (L // d1) + tn * (zn * (L // d2) + p[n - 2] * (L // d3)), L)
-            gt_prev = gt[n - 2]
-            d[n] = (r[n] * gt_prev.numerator, rd[n] * gt_prev.denominator)
+            d[n] = (r[n] * gtn[n - 2], rd[n] * gtd[n - 2])
             if n >= 3:
                 c[n] = (tn * g[n - 3], tnd * gd[n - 3])
-    return bt, gt, AuxiliarySequences(a, b, c, d), parts, gt_nums
+    return (btn, btd), (gtn, gtd), AuxiliarySequences(a, b, c, d), parts
 
 
 def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> RecurrencePair:
@@ -326,7 +330,7 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
     MOPS: beta~_0..beta~_upto and gamma~_1..gamma~_upto. The gamma~ entries
     may be zero here; whether they qualify is the checkers' business."""
     bt, gt, *_ = _sequences(rec, rel, upto)
-    return RecurrencePair._exact(bt, gt)
+    return RecurrencePair._from_parts(bt, gt)
 
 
 def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> AuxiliarySequences:
@@ -397,11 +401,11 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int):
         if not t[n]:
             raise DomainError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
     built = _sequences(rec, rel, depth)
-    bt, gt, (a, b, c, d), _, gt_nums = built
-    induced = RecurrencePair._exact(bt, gt)
+    bt, gt, (a, b, c, d), _ = built
+    induced = RecurrencePair._from_parts(bt, gt)
     failures = []
-    if 0 in gt_nums:  # one scan decides gamma~_n != 0 for every n
-        failures = [Failure("gamma_tilde", n) for n, g in enumerate(gt_nums, 1) if not g]
+    if 0 in gt[0]:  # one scan of the numerators decides gamma~_n != 0 for every n
+        failures = [Failure("gamma_tilde", n) for n, g in enumerate(gt[0], 1) if not g]
     # ci1: b_2 - d_2 = a_2 e, ci2: b_3 - d_3 = a_3 f and ci3: c_3 - b_3 e = a_3 h,
     # each by cross-multiplication
     (a2, a2d), (a3, a3d) = a[2], a[3]
@@ -448,18 +452,18 @@ def _constancy(depth: int, built):
     ``_sequences`` build through depth, as unreduced (numerator, denominator
     > 0) pairs, None elsewhere. A_n and B_n read a_{n+1}; C_n reads the build
     through n, as r_{n+1} cancels against bt_n = r_{n+1} - r_n - z_n."""
-    bt, gt, (a, _, _, _), ((rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd)), _ = built
+    (btn, btd), (gtn, gtd), (a, _, _, _), parts = built
+    (rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd) = parts
     A, B, C = ([None] * (depth + 1) for _ in range(3))
     lcm = math.lcm
     for n in range(3, depth + 1):
         if not rn[n]:
             raise DomainError(f"r_{n} = 0: constancy expressions undefined")
         # C_n = bt_n - r_{n+1} - gt_n / r_n
-        btn, gtn = bt[n], gt[n - 1]
-        d1, d3 = btn.denominator, gtn.denominator * rn[n]
+        d1, d3 = btd[n], gtd[n - 1] * rn[n]
         L = lcm(d1, rd[n + 1], d3)
-        C[n] = (btn.numerator * (L // d1) - rn[n + 1] * (L // rd[n + 1])
-                - gtn.numerator * rd[n] * (L // d3), L)
+        C[n] = (btn[n] * (L // d1) - rn[n + 1] * (L // rd[n + 1])
+                - gtn[n - 1] * rd[n] * (L // d3), L)
         if n == depth:
             break
         if not tn[n + 1]:

@@ -17,7 +17,6 @@ from mopsrel import (
     RelationTag,
 )
 from mopsrel.casebook import _spectral_chain
-from mopsrel.rational import _parts
 from oracles import bessel_recurrence, hermite_recurrence, laguerre_recurrence
 
 
@@ -35,7 +34,8 @@ def rel_from7(r1, r2, r3, s1, s2, t2, t3, pad: int = 0) -> Relation23:
 def ladder_parts(seq) -> tuple[list, list]:
     """The ladder [unused, k_1, ..., k_top] (ints or Fractions) as the casebook's
     certificates read it: the numerators and denominators of k_0 = 0, k_1, ..., k_top."""
-    return _parts([0, *seq[1:]])
+    values = [0, *seq[1:]]
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:

@@ -914,6 +914,34 @@ def test_deep_payload_digest(capsys, command, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of stdout of both checkers on the gated200 document (below) at depth 200, in JSON,
+# CSV and float mode, recorded before the induced recurrence was built as reduced integer
+# parts; each verdict is negative, exit 1. The "Installed entry point" step of the CI
+# workflow reads the first line's digest and checks its gated200.out against it
+GATED200_GOLDEN = [
+    ("inverse-check --depth 200",
+     "3edfacaa43b42090f4a348dd2755a24fbf8a61667d552a94818b6f08bf534d9e"),
+    ("inverse-check --depth 200 --format csv",
+     "4a073fa67bb0762c3084d86955b8370073433bc292e84d56837d3e092c94a14b"),
+    ("inverse-check --depth 200 --mode float",
+     "357a5a01f245a6ca98e32cb135a492b88487b1f872750241a7af3bf7a239f296"),
+    ("constants --depth 200",
+     "7a40115fe81d8d14f05778a06480c68a499aa27bf31cd8e3135c65fbe4fa6392"),
+    ("constants --depth 200 --format csv",
+     "b9320ab3240f54a15e08a86fcb12f7c8fecf136e366e2ebc153a8cf239755838"),
+    ("constants --depth 200 --mode float",
+     "e87b370fb840d940142292370e065614e7e9187dfcf81cb5dda55f87e68d9990"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GATED200_GOLDEN,
+                         ids=[case[0] for case in GATED200_GOLDEN])
+def test_gated200_payload_digest(gated200, command, digest):
+    code, out, _ = run_stdin(command.split() + ["-"], gated200)
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.fixture(scope="module")
 def bench_workloads():
     """The benchmark's ``perfbench/workloads.py``, loaded from its file and

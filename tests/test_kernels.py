@@ -47,7 +47,7 @@ from mopsrel import (
 from mopsrel.casebook import _ladder_break, _relation_break
 from mopsrel.functional import _darboux, _pivots
 from mopsrel.poly import _combination
-from mopsrel.rational import _parts, _reduce_pairs
+from mopsrel.rational import _reduce_pairs
 from mopsrel.relation23 import _index_condition
 from conftest import ladder_parts, random_spectral_chain
 from oracles import (
@@ -339,7 +339,27 @@ def test_recurrence_from_moments_matches_fractions(moments):
     beta, gamma, first = ref_recurrence_from_moments([Fraction(m) for m in moments])
     assert rep.rec.beta == tuple(beta)
     assert rep.rec.gamma == tuple(gamma)
+    assert rep.rec == RecurrencePair(beta, gamma)
     assert rep.first_vanishing == first
+
+
+def test_report_counts_build_no_fraction_view(monkeypatch):
+    """checked_through and regular_through count the recovered gammas on
+    their integer parts: neither builds the Fraction view of the recurrence."""
+    from mopsrel.rational import _SequenceModel
+
+    rep = recurrence_from_moments(moments_from_recurrence(chebyshev_case(20).u_rec, 40))
+    built = []
+    view = _SequenceModel._fractions
+
+    def spy(model):
+        built.append(type(model).__name__)
+        return view(model)
+
+    monkeypatch.setattr(_SequenceModel, "_fractions", spy)
+    assert (rep.first_vanishing, rep.checked_through, rep.regular_through) == (None, 20, 20)
+    assert built == []
+    assert len(rep.rec.gamma) == 20 and built == ["RecurrencePair"]
 
 
 def test_recurrence_singular_at_zero_mass():
@@ -643,6 +663,7 @@ def assert_sequences_match_fractions(rec, rel, depth):
     induced = induced_recurrence(rec, rel, depth + 1)
     bt, gt = ref_induced(*args, depth + 1)
     assert list(induced.beta) == bt and list(induced.gamma) == gt
+    assert induced == RecurrencePair(bt, gt)
     aux = auxiliary_sequences(rec, rel, depth + 1)
     assert tuple(aux) == ref_auxiliary(*args, depth + 1, gt)
     assert constant_sequences(rec, rel, depth) == ref_constancy(*args, depth, bt, gt, aux.a)
@@ -787,8 +808,8 @@ def test_index_condition_matches_fractions(n, r_prev, s_prev, r_n, kind, t_free)
     t_n = {"free": t_free, "equal": target, "nudge": target + Fraction(1, BIG)}[kind]
     r, s, t = ([Fraction(0)] * (n + 1) for _ in range(3))
     r[n - 1], r[n], s[n - 1], t[n] = r_prev, r_n, s_prev, t_n
-    for rel in (Relation23(r, s, t), Relation23._exact(r, s, t)):
-        assert _index_condition(rel._integers(), n) == (t_n == r_n * (s_prev - r_prev))
+    rel = Relation23(r, s, t)
+    assert _index_condition(rel._integers(), n) == (t_n == r_n * (s_prev - r_prev))
 
 
 @functools.cache
@@ -896,12 +917,15 @@ def test_pivots_and_darboux_match_fractions(data, count):
     if zero is not None:
         assert len(k) <= zero + 1 and k[-1] == 0
     out_beta, out_gamma, first = ref_darboux(beta, gamma, z, k)
-    for rec in (RecurrencePair(beta, gamma), RecurrencePair._exact(beta, gamma)):
-        pivots = _pivots(rec, z, k1, count)
-        assert pivots == ladder_parts(k)
-        report = _darboux(rec, z, pivots)
-        assert report.first_vanishing == first
-        assert report.rec._integers() == (_parts(out_beta), _parts(out_gamma))
+    rec = RecurrencePair(beta, gamma)
+    pivots = _pivots(rec, z, k1, count)
+    assert pivots == ladder_parts(k)
+    report = _darboux(rec, z, pivots)
+    assert report.first_vanishing == first
+    assert report.rec._integers() == tuple(
+        ([v.numerator for v in seq], [v.denominator for v in seq])
+        for seq in (out_beta, out_gamma)
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -170,27 +170,25 @@ SEQUENCE = st.lists(st.fractions(max_denominator=12), max_size=7)
 @settings(max_examples=60, deadline=None)
 @given(SEQUENCE, SEQUENCE, st.integers(-1, 8))
 def test_recurrence_pair_sides_agree(beta, gamma, k):
-    """A pair parsed from strings, one given ints and Fractions, and one a
-    kernel builds (``_exact``) hold the same values and refuse alike."""
+    """A pair parsed from strings and one given ints and Fractions hold the
+    same values and refuse alike."""
     gamma = [0] * (k % 3 == 0) + gamma  # now and then a zero gamma_1
     pairs = [RecurrencePair(_strings(beta), _strings(gamma)),
-             RecurrencePair(_natives(beta), _natives(gamma)),
-             RecurrencePair._exact(beta, gamma)]
+             RecurrencePair(_natives(beta), _natives(gamma))]
     for pair in pairs:
         assert pair.beta == tuple(beta) and pair.gamma == tuple(gamma)
         assert pair == pairs[0] and pairs[0] == pair
         assert _refusal(pair.require, k, k) == _refusal(pairs[-1].require, k, k)
         assert _refusal(pair.require_regular, k) == _refusal(pairs[-1].require_regular, k)
-    assert pairs[0] != RecurrencePair._exact(beta + [Fraction(1, 3)], gamma)
+    assert pairs[0] != RecurrencePair(_natives(beta + [Fraction(1, 3)]), _natives(gamma))
 
 
 @settings(max_examples=60, deadline=None)
 @given(SEQUENCE, SEQUENCE, SEQUENCE, st.integers(-1, 9))
 def test_relation_sides_agree(r, s, t, k):
-    """As for the recurrence pair: the three ways in build the same relation."""
+    """As for the recurrence pair: the two ways in build the same relation."""
     r, s, t = [Fraction(0)] + r, [Fraction(0)] + s, [Fraction(0)] * 2 + t
-    rels = [Relation23(*map(_strings, (r, s, t))), Relation23(*map(_natives, (r, s, t))),
-            Relation23._exact(r, s, t)]
+    rels = [Relation23(*map(_strings, (r, s, t))), Relation23(*map(_natives, (r, s, t)))]
     for rel in rels:
         assert (rel.r, rel.s, rel.t) == (tuple(r), tuple(s), tuple(t))
         assert rel == rels[0] and rel.max_index == rels[-1].max_index
@@ -633,7 +631,9 @@ def test_each_check_builds_the_sequences_once(monkeypatch, run):
     monkeypatch.setattr(relation23, "_sequences", counted)
     run(rep.u_rec, rep.rel, 8)
     assert calls == [8]
-    a, b, c, d = builds[0][2]
+    (btn, btd), (gtn, gtd), (a, b, c, d), parts = builds[0]
+    assert list(map(len, (btn, btd, gtn, gtd))) == [9, 9, 8, 8]
+    assert parts == (*rep.rel._integers(), *rep.u_rec._integers())
     for first, seq in ((1, a), (2, b), (3, c), (2, d)):
         assert len(seq) == 9
         assert seq[:first] == [None] * first
