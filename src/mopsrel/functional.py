@@ -6,7 +6,11 @@ A functional is represented by its truncated moment sequence
 its coefficients: integer numerators over one denominator > 0, with no
 common content. The kernels read that vector, and each moment operation
 costs one integer pass and one content gcd (``MomentFunctional._reduced``);
-``moments``, the Fraction view, is built on first use.
+``moments``, the Fraction view, is built on first use. The forward
+substitution that solves psi sigma = phi u, psi monic of degree 1 or 2, is
+one kernel, ``MomentFunctional._divide``: ``divide_by_linear`` and
+``relation23.v_moments_from_relation`` call it, so no module but this one
+and ``poly`` reads the layout.
 
 A monic orthogonal polynomial sequence (MOPS) is represented by its
 recurrence coefficients
@@ -160,18 +164,31 @@ class MomentFunctional:
 
         The division has a one-parameter family of solutions; the free
         parameter is sigma's first moment. nu_{n+1} = c nu_n + mu_n, so the
-        result is known one level deeper than u.
+        result is known one level deeper than u (``_divide``).
         """
-        c0, f = as_scalar(c), as_scalar(free_first_moment)
-        cn, cd, dm = c0.numerator, c0.denominator, self._den
-        # nu_n = w_n / (dm K) with K = fd cd^(depth + 1): w_0 = fn dm cd^(depth + 1)
-        # and w_{n+1} = cn (w_n / cd) + m_n K, an exact division
-        cdn = cd ** (self.depth + 1)
-        K = f.denominator * cdn
-        out = [f.numerator * dm * cdn]
-        for v in self._nums:
-            out.append(cn * (out[-1] // cd) + v * K)
-        return MomentFunctional._reduced(out, dm * K)
+        return self._divide(Polynomial.one(), Polynomial([-as_scalar(c), 1]),
+                            [free_first_moment], self.depth + 1)
+
+    def _divide(self, phi: Polynomial, psi: Polynomial, first: list, last: int
+                ) -> "MomentFunctional":
+        """sigma_0..sigma_last of the sigma with psi sigma = phi u, deg phi <= 1 and psi
+        monic of degree q = len(first) (1 or 2), where sigma_0..sigma_{q-1} = first:
+        sigma_{n+q} = <u, phi x^n> - p_0 sigma_n - p_1 sigma_{n+1}, p_1 = 0 when q = 1. u
+        must be known through last - q + deg phi."""
+        q, U, fd, pd = len(first), self._nums + (0,), phi._den * self._den, psi._den
+        f0, f1 = (*phi._nums, 0)[:2]
+        p0, p1 = (*psi._nums[:-1], 0)[:2]
+        first = [as_scalar(m) for m in first]
+        # sigma_n = X_n / K with K = E pd^last, E = lcm(fd, first's denominators):
+        # X_{n+q} = k (f0 U_n + f1 U_{n+1}) - (p0 X_n + p1 X_{n+q-1}) / pd with k = K / fd;
+        # X_n keeps the factor pd^(last - n), so the division is exact. U's padding zero is
+        # read only with f1 = 0
+        K = math.lcm(fd, *(m.denominator for m in first)) * pd**last
+        k = K // fd
+        X = [m.numerator * (K // m.denominator) for m in first][: last + 1]
+        for n in range(last + 1 - q):
+            X.append(k * (f0 * U[n] + f1 * U[n + 1]) - (p0 * X[n] + p1 * X[n + q - 1]) // pd)
+        return MomentFunctional._reduced(X, K)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MomentFunctional) and (

@@ -605,34 +605,24 @@ def v_moments_from_relation(
 ) -> MomentFunctional:
     """Moments of v from lambda (x - c) u = (x^2 + a x + b) v, normalized so
     v_0 = 1; v_1 must equal the generated family's beta~_0, and the identity
-    then pins every later moment by forward substitution."""
+    then pins every later moment by forward substitution
+    (``MomentFunctional._divide``)."""
     if not u.is_normalized:
         raise DomainError("u must be normalized (mu_0 = 1)")
     if fr.lam == 0:
         raise DomainError("lambda must be nonzero")
-    # v_n = X_n / (kd td A^N), N = u.depth, kd = lamd cd D, A = lcm(ad, bd):
-    # X_0 = kd td A^N, X_1 = kd tn A^N and X_{n+2} = lamn td A^N (cd U_{n+1}
-    # - cn U_n) - (aA X_{n+1} + bA X_n) / A with aA = a A, bA = b A integers;
-    # X_n keeps the factor A^(N - n), so the division is exact
-    U, D = u._nums, u._den
-    t = as_scalar(beta0_tilde)
-    cn, cd = fr.c.numerator, fr.c.denominator
-    A = math.lcm(fr.a.denominator, fr.b.denominator)
-    aA, bA = fr.a.numerator * (A // fr.a.denominator), fr.b.numerator * (A // fr.b.denominator)
-    AN = A**u.depth
-    kd = fr.lam.denominator * cd * D
-    k = fr.lam.numerator * t.denominator * AN
-    X = [kd * t.denominator * AN, kd * t.numerator * AN][: u.depth + 1]
-    for n in range(u.depth - 1):
-        X.append(k * (cd * U[n + 1] - cn * U[n]) - (aA * X[n + 1] + bA * X[n]) // A)
-    return MomentFunctional._reduced(X, X[0])
+    return u._divide(Polynomial([-fr.lam * fr.c, fr.lam]), Polynomial([fr.b, fr.a, 1]),
+                     [1, beta0_tilde], u.depth)
 
 
 def verify_functional_relation(
     u: MomentFunctional, v: MomentFunctional, fr: FunctionalRelation, depth: int
 ) -> tuple[bool, Optional[int]]:
     """Test lambda (mu_{n+1} - c mu_n) = v_{n+2} + a v_{n+1} + b v_n for
-    0 <= n <= depth; returns (ok, first failing n)."""
+    0 <= n <= depth; returns (ok, first failing n). Both sides are left
+    products, (x - c) u and (x^2 + a x + b) v. lambda multiplies after the
+    product: ``left_multiply`` refuses a zero polynomial, and lambda = 0 is
+    tested too."""
     if depth < 0:
         raise DepthError(f"depth must be >= 0, got {depth}")
     if u.depth < depth + 1 or v.depth < depth + 2:
@@ -640,20 +630,10 @@ def verify_functional_relation(
             f"need u depth >= {depth + 1} and v depth >= {depth + 2}, "
             f"have {u.depth} and {v.depth}"
         )
-    # both sides over their common denominators, compared by
-    # cross-multiplication: lambda (cd U_{n+1} - cn U_n) / (cd D) on the
-    # left, (ad bd V_{n+2} + an bd V_{n+1} + bn ad V_n) / (ad bd E) on the right
-    U, D = u._nums, u._den
-    V, E = v._nums, v._den
-    cn, cd = fr.c.numerator, fr.c.denominator
-    an, ad, bn, bd = fr.a.numerator, fr.a.denominator, fr.b.numerator, fr.b.denominator
-    left = fr.lam.numerator * ad * bd * E
-    right = fr.lam.denominator * cd * D
-    for n in range(depth + 1):
-        if (left * (cd * U[n + 1] - cn * U[n])
-                != right * (ad * bd * V[n + 2] + an * bd * V[n + 1] + bn * ad * V[n])):
-            return False, n
-    return True, None
+    lhs = u.left_multiply(Polynomial([-fr.c, 1])).moments
+    rhs = v.left_multiply(Polynomial([fr.b, fr.a, 1])).moments
+    bad = next((n for n in range(depth + 1) if fr.lam * lhs[n] != rhs[n]), None)
+    return bad is None, bad
 
 
 def regularity_criterion(

@@ -541,6 +541,37 @@ def test_moment_operations_on_coprime_denominators(moments, phi, x, y, k):
         assert_canonical(got)
 
 
+def divide_raw(moments, phi, psi, first, last) -> list:
+    """sigma_0..sigma_last of the sigma with psi sigma = phi u, psi monic of
+    degree q = len(first): sigma_{n+q} = <u, phi x^n> - sum_k p_k sigma_{n+k}."""
+    q, p = len(first), psi.coeffs
+    out = list(first)[: last + 1]
+    for n in range(last + 1 - q):
+        out.append(sum(f * moments[n + k] for k, f in enumerate(phi.coeffs))
+                   - sum(p[k] * out[n + k] for k in range(q)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), coprime_moment_lists, st.lists(coeff, min_size=1, max_size=2).filter(any),
+       st.lists(coeff, min_size=1, max_size=2))
+def test_divide_matches_fractions_and_left_multiply_undoes_it(data, moments, phi, low):
+    """The one division kernel, for psi = x - c as ``divide_by_linear`` takes
+    it and psi = x^2 + a x + b as ``v_moments_from_relation`` does, against
+    the forward substitution in Fractions; the product psi sigma is phi u on
+    the range where both are known."""
+    u, phi, psi = MomentFunctional(moments), Polynomial(phi), Polynomial(low + [1])
+    q = psi.degree
+    first = data.draw(st.lists(coeff, min_size=q, max_size=q))
+    last = data.draw(st.integers(0, u.depth + q - phi.degree))
+    sigma = u._divide(phi, psi, first, last)
+    assert list(sigma.moments) == divide_raw(u.moments, phi, psi, first, last)
+    assert_canonical(sigma)
+    if q <= last and phi.degree <= u.depth:
+        assert (sigma.left_multiply(psi).moments
+                == u.left_multiply(phi).moments[: last - q + 1])
+
+
 # --- the 2-3 relation sequences and the two checkers ---------------------
 
 
@@ -969,6 +1000,26 @@ def test_functional_identity_matches_fractions(moments, lam, c, a, b, beta0):
         != bent.moments[n + 2] + fr.a * bent.moments[n + 1] + fr.b * bent.moments[n]
     )
     assert verify_functional_relation(u, bent, fr, depth) == (False, first)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(coeff, min_size=3, max_size=12), st.lists(coeff, min_size=2, max_size=2),
+       coeff, coeff, coeff, st.one_of(st.none(), st.tuples(st.integers(0, 11), nonzero)))
+def test_functional_identity_at_lambda_zero(moments, start, c, a, b, bend):
+    """With lambda = 0 the identity holds exactly where (x^2 + a x + b) v
+    vanishes: v solves v_{n+2} = -a v_{n+1} - b v_n, perhaps with one moment
+    bent, and the first failing n is the first nonzero product moment."""
+    u = MomentFunctional([1] + moments)
+    ref = list(start)
+    while len(ref) < u.depth + 1:
+        ref.append(-a * ref[-1] - b * ref[-2])
+    if bend is not None and bend[0] < len(ref):
+        ref[bend[0]] += bend[1]
+    depth = u.depth - 2
+    first = next((n for n in range(depth + 1)
+                  if ref[n + 2] + a * ref[n + 1] + b * ref[n] != 0), None)
+    fr = FunctionalRelation(Fraction(0), c, a, b)
+    assert verify_functional_relation(u, MomentFunctional(ref), fr, depth) == (first is None, first)
 
 
 # --- ladder certificates on recurrences -----------------------------------

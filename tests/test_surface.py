@@ -131,3 +131,24 @@ def test_no_module_uses_private_fraction_api():
             if name in PRIVATE_FRACTION_NAMES:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+# the integer layout that Polynomial and MomentFunctional share: numerators,
+# denominator and the constructor that reduces a raw vector
+LAYOUT_NAMES = {"_nums", "_den", "_reduced"}
+LAYOUT_MODULES = {"poly.py", "functional.py"}
+
+
+def test_only_poly_and_functional_read_the_layout():
+    """The moment and polynomial vectors are read and built only where they
+    are defined: no other module under src/mopsrel/ names an attribute of
+    the layout, so a division or product of functionals elsewhere goes
+    through a public operation or ``MomentFunctional._divide``."""
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted((ROOT / "src" / "mopsrel").glob("*.py"))
+        if path.name not in LAYOUT_MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES
+    ]
+    assert found == []
