@@ -38,7 +38,8 @@ every recurrence and relation it builds are reduced (numerators,
 denominators) pairs, each entry reduced as ``fractions`` reduces a sum or a
 product (``rational._sum``, ``_product``, ``_quotient``), and a Fraction is
 built only for a value the report carries, once: the ladders here, the
-models' entries when their Fraction views are read.
+models' entries when their Fraction views are read (the ``to_csv()``
+table does; ``to_json()`` puts the models themselves in the tree).
 
 Every identity asserted here is certified by exact computation, in time
 linear in the depth and without building a polynomial family: the 1-2
@@ -354,8 +355,8 @@ class ChebyshevCaseReport:
             "a": list(self.a_seq),
             "b": list(self.b_seq),
             "lambda": list(self.lambda_seq),
-            "relation": self.rel.to_json(),
-            "u_recurrence": self.u_rec.to_json(),
+            "relation": self.rel,
+            "u_recurrence": self.u_rec,
             "classification": RelationTag.NONDEGENERATE23.value,
             "verdict_equations": self.verdict_equations.to_json(),
             "verdict_constants": self.verdict_constants.to_json(),
@@ -451,9 +452,9 @@ class JacobiChainReport(_Chain):
             "a": list(self.a_seq),
             "b": list(self.b_seq),
             "c": list(self.c_seq),
-            "relation": self.rel.to_json(),
-            "u_recurrence": self.u_rec.to_json(),
-            "v_recurrence": self.v_rec.to_json(),
+            "relation": self.rel,
+            "u_recurrence": self.u_rec,
+            "v_recurrence": self.v_rec,
             "u_mass": self.u_mass,
             "v_mass": self.v_mass,
             "classification": RelationTag.NONDEGENERATE23.value,

@@ -20,6 +20,14 @@ Each command only computes: it returns its payload, exit code and an
 optional note, and ``_dispatch`` writes the payload, then the note, for all
 of them. Output is deterministic: the payload contains no timestamps or
 environment data, so identical inputs give byte-identical output.
+
+Both edges stay on the reduced integer parts that ``RecurrencePair`` and
+``Relation23`` store: a document's lists are parsed a list at a time
+(``rational._scalar_parts``), and a model in the payload (a verdict's
+induced recurrence, a report's relation and recurrences) is written from
+its parts, so no Fraction view of a model is built between the document
+and the written payload. A verdict's failure list is written from one
+template (``_record_texts``).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .casebook import chebyshev_case, jacobi_chain
 from .errors import ContractError, DepthError, DomainError, FormatError
 from .families import JacobiParams
 from .functional import RecurrencePair
-from .rational import _decimal_digits, format_rational, parse_rational
+from .rational import _decimal_digits, _SequenceModel, format_rational, parse_rational
 from .relation23 import (
     Failure,
     Relation23,
@@ -63,9 +71,11 @@ RATIONAL_OPTIONS = ("--alpha", "--beta", "--a1", "--c1")
 NEGATIVE_VALUE = re.compile(r"^-[0-9]")
 
 
-# The payload trees hold Fraction and Failure leaves; only the command line
-# spells them: a Fraction with format_rational or one of these, as a JSON
-# value or a CSV cell, a Failure as a {"condition", "n"} object or two rows.
+# The payload trees hold Fraction, Failure and model leaves; only the command
+# line spells them: a rational by the spelling of the output mode (a Fraction
+# through its ``value``, a model's entries from their parts through ``texts``),
+# a model as the object its to_json() gives, a Failure as a {"condition", "n"}
+# object or two rows.
 
 
 def _float_text(value: Fraction) -> str:
@@ -88,32 +98,77 @@ def _float_cell(value: Fraction) -> str:
     return format_rational(value) if value.denominator == 1 else _float_text(value)
 
 
+class _Spelling:
+    """How one output mode writes a rational: ``value`` spells a Fraction,
+    and ``texts`` spells the entries of reduced (numerators, denominators)
+    lists as ``value`` spells the same Fractions."""
+
+    __slots__ = ("value", "texts")
+
+    def __init__(self, value, texts):
+        self.value, self.texts = value, texts
+
+    def parts(self, nums: list, dens: list) -> list:
+        """``texts``, or, when an entry is past the digit limit or the float
+        range, the FormatError that ``value`` raises for the first such entry."""
+        try:
+            return self.texts(nums, dens)
+        except (ValueError, OverflowError):
+            return [self.value(Fraction(n, d)) for n, d in zip(nums, dens)]
+
+
+# a float is n / d, the division float(Fraction(n, d)) makes
+EXACT_JSON = _Spelling(_exact_json, lambda nums, dens: [
+    f'"{n}"' if d == 1 else f'"{n}/{d}"' for n, d in zip(nums, dens)])
+FLOAT_JSON = _Spelling(_float_text, lambda nums, dens: [
+    float.__repr__(n / d) for n, d in zip(nums, dens)])
+EXACT_CELL = _Spelling(format_rational, lambda nums, dens: [
+    f"{n}" if d == 1 else f"{n}/{d}" for n, d in zip(nums, dens)])
+FLOAT_CELL = _Spelling(_float_cell, lambda nums, dens: [
+    f"{n}" if d == 1 else float.__repr__(n / d) for n, d in zip(nums, dens)])
+
 # json's spelling of the floats that repr spells otherwise
 FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _failure_json(record: Failure, pad: str) -> str:
+def _record_texts(records, pad: str) -> list:
     """The text of ``json.dumps({"condition": c, "n": n}, indent=2)`` for
-    the record (c, n), at the nesting level whose newline and indent is ``pad``."""
-    condition, n = record
+    each record (c, n), at the nesting level whose newline and indent is
+    ``pad``: one template, and one quoted name per condition."""
     inner = pad + "  "
-    return (f'{{{inner}"condition": {encode_basestring_ascii(condition)},'
-            f'{inner}"n": {"null" if n is None else int.__repr__(n)}{pad}}}')
+    head, tail = f'{{{inner}"condition": ', pad + "}"
+    names = {c: f'{head}{encode_basestring_ascii(c)},{inner}"n": ' for c in {c for c, _ in records}}
+    return [f"{names[c]}{'null' if n is None else n}{tail}" for c, n in records]
 
 
-def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
+def _model_json(model, spell: _Spelling, pad: str) -> str:
+    """The text of the object ``model.to_json()``, each entry spelled from its parts."""
+    inner = pad + "  "
+    item = "," + inner + "  "
+    return "{" + inner + ("," + inner).join([
+        encode_basestring_ascii(key) + ": "
+        + (f"[{inner}  {item.join(spell.parts(nums, dens))}{inner}]" if nums else "[]")
+        for key, (nums, dens) in zip(model._KEYS, model._integers())
+    ]) + pad + "}"
+
+
+def _json_text(node, spell: _Spelling = EXACT_JSON, pad: str = "\n") -> str:
     """The text json's ``dumps`` writes with ``indent=2``, byte for byte,
     for a tree of dicts with string keys, lists, strings, ints, floats,
     bools and None; a Fraction in a dict or list is the JSON text
-    ``render`` gives it, and a Failure record (c, n) is written as the
+    ``spell.value`` gives it, a model is written as the object of its
+    ``to_json()`` (``_model_json``), and a Failure record (c, n) as the
     object {"condition": c, "n": n} would be.
     json runs its pure-Python encoder whenever ``indent`` is set; this
     joins strings quoted by its C quoter instead, at about half the cost.
     Fraction, string and int leaves (not bools), the most common ones, skip
-    the call, and so do the Failure records of a list, which are written
-    from one template after those tests."""
+    the call, and a list of Failure records is written from one template
+    (``_record_texts``)."""
     if type(node) is Failure:  # a tuple, which would otherwise be a list
-        return _failure_json(node, pad)
+        return _record_texts((node,), pad)[0]
+    if isinstance(node, _SequenceModel):
+        return _model_json(node, spell, pad)
+    render = spell.value
     if isinstance(node, dict):
         if not node:
             return "{}"
@@ -123,7 +178,7 @@ def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
                 render(value) if type(value) is Fraction
                 else encode_basestring_ascii(value) if type(value) is str
                 else int.__repr__(value) if type(value) is int
-                else _json_text(value, render, inner)
+                else _json_text(value, spell, inner)
             )
             for key, value in node.items()
         ]) + pad + "}"
@@ -131,14 +186,17 @@ def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
         if not node:
             return "[]"
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join([
-            render(value) if type(value) is Fraction
-            else encode_basestring_ascii(value) if type(value) is str
-            else int.__repr__(value) if type(value) is int
-            else _failure_json(value, inner) if type(value) is Failure
-            else _json_text(value, render, inner)
-            for value in node
-        ]) + pad + "]"
+        if type(node[0]) is Failure and len(set(map(type, node))) == 1:
+            items = _record_texts(node, inner)
+        else:
+            items = [
+                render(value) if type(value) is Fraction
+                else encode_basestring_ascii(value) if type(value) is str
+                else int.__repr__(value) if type(value) is int
+                else _json_text(value, spell, inner)
+                for value in node
+            ]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(node, str):
         return encode_basestring_ascii(node)
     if isinstance(node, int):
@@ -151,17 +209,17 @@ def _json_text(node, render=_exact_json, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
-def _csv_text(payload, cell) -> str:
+def _csv_text(payload, spell: _Spelling) -> str:
     """A report's rows of cells, or a payload tree flattened to key,value
-    rows, as CSV text; ``cell`` spells a Fraction, None is an empty cell."""
+    rows, as CSV text; ``spell`` writes a rational, None is an empty cell."""
     if isinstance(payload, dict):
         return "key,value\n" + "".join([
-            f"{key},{cell(value) if type(value) is Fraction else value}\n"
-            for key, value in _flatten("", payload)
+            f"{key},{value}\n" for key, value in _flatten("", payload, spell)
         ])
+    render = spell.value
     return "".join([
         ",".join([
-            cell(value) if type(value) is Fraction
+            render(value) if type(value) is Fraction
             else "" if value is None else str(value)
             for value in row
         ]) + "\n"
@@ -174,9 +232,9 @@ def _emit(payload, args: argparse.Namespace) -> None:
     rendered leaves stdout and the ``--out`` file untouched."""
     float_mode = args.mode == "float"
     if args.format == "csv":
-        text = _csv_text(payload, _float_cell if float_mode else format_rational)
+        text = _csv_text(payload, FLOAT_CELL if float_mode else EXACT_CELL)
     else:
-        text = _json_text(payload, _float_text if float_mode else _exact_json) + "\n"
+        text = _json_text(payload, FLOAT_JSON if float_mode else EXACT_JSON) + "\n"
     if not args.out:
         sys.stdout.write(text)
         return
@@ -188,7 +246,9 @@ def _emit(payload, args: argparse.Namespace) -> None:
         raise FormatError(f"cannot write {args.out}: {exc}") from exc
 
 
-def _flatten(prefix: str, node):
+def _flatten(prefix: str, node, spell: _Spelling) -> list:
+    """The (path, cell) rows of a payload tree, in order, each rational
+    spelled by ``spell`` and a model's entries from their parts."""
     if isinstance(node, dict):
         items = [(f"{prefix}.{key}" if prefix else str(key), value) for key, value in node.items()]
     elif isinstance(node, list):
@@ -198,9 +258,17 @@ def _flatten(prefix: str, node):
         head = f"{prefix}." if prefix else ""
         return [(head + "condition", node.condition),
                 (head + "n", "" if node.n is None else node.n)]
+    elif isinstance(node, _SequenceModel):
+        # the rows of the object its to_json() gives
+        head = f"{prefix}." if prefix else ""
+        return [(f"{head}{key}[{i}]", text)
+                for key, (nums, dens) in zip(node._KEYS, node._integers())
+                for i, text in enumerate(spell.parts(nums, dens))]
+    elif type(node) is Fraction:
+        return [(prefix, spell.value(node))]
     else:
         return [(prefix, "" if node is None else node)]
-    return [pair for path, value in items for pair in _flatten(path, value)]
+    return [pair for path, value in items for pair in _flatten(path, value, spell)]
 
 
 def _load_document(source: str) -> dict:
@@ -258,7 +326,7 @@ def _closed_form(rec: RecurrencePair, rel: Relation23, verdict):
     give beside the constancy verdict: 1 when it is negative (None for them
     if they divide by a zero gamma~_1 or gamma~_2), 3 when its triple is not
     their (a, b, c)."""
-    if not verdict.is_mops and 0 in verdict.induced.gamma[:2]:
+    if not verdict.is_mops and 0 in verdict.induced._integers()[1][0][:2]:  # gamma~'s numerators
         return None, EXIT_NEGATIVE, None
     fr = relation_constants(rec, rel)
     if not verdict.is_mops:

@@ -1,8 +1,20 @@
-"""Strict rational-string parsing and formatting.
+"""Strict rational-string parsing and formatting, and the reduced integer
+parts that the sequence models store.
 
 All file formats carry scalars as strings like "3", "-1/4", "0". Decimal
 notation is rejected on purpose: exact-mode data must never round-trip
 through floats.
+
+A document's lists reach the models through ``_scalar_parts``: one regex
+match over a list's strings joined by newlines and the ``int`` conversions
+admit the whole list, and each string becomes a reduced (numerator,
+denominator) pair through ``str.partition``, ``int`` and one gcd, with no
+Fraction built; the
+per-value path of ``as_scalar`` is left for values that are not strings and
+for naming the first value refused. ``_SequenceModel`` (``RecurrencePair``,
+``Relation23``) stores those parts; the command line writes a model
+straight from them, and its Fraction view is built only when read.
+``_sum``, ``_product`` and ``_quotient`` compute on reduced pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +28,9 @@ from .errors import FormatError
 # ASCII digits only, and \Z rather than $, which would admit a final newline;
 # the groups are p and q
 RATIONAL_PATTERN = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?\Z")
+# the characters of a list of gated values joined by newlines, each "/" followed
+# by a nonzero digit; ``_scalar_parts``' int conversions check the rest of the gate
+_LIST_PATTERN = re.compile(r"[-0-9\n]*(?:/[1-9][-0-9\n]*)*")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -100,34 +115,33 @@ def _reduce_pairs(pairs) -> list:
 
 def _scalar_parts(values) -> tuple[list[int], list[int]]:
     """``as_scalar`` of each of ``values`` as two lists, the numerators and
-    the denominators in lowest terms, with no Fraction built for a string:
-    the gate's groups split it, and p/q costs one gcd. Anything else goes
-    through ``as_scalar``, which refuses what it refuses."""
-    nums: list = []
-    dens: list = []
-    match, gcd = RATIONAL_PATTERN.match, math.gcd
-    for value in values:
-        groups = match(value) if type(value) is str else None
-        if groups is None:
-            value = as_scalar(value)
-            nums.append(value.numerator)
-            dens.append(value.denominator)
-            continue
-        num, den = groups.groups()
-        try:
-            num = int(num)
-            if den is None:
-                den = 1
-            else:
-                den = int(den)
-                k = gcd(num, den)
-                if k != 1:
-                    num, den = num // k, den // k
-        except ValueError:
-            as_scalar(value)  # past the digit limit: parse_rational's refusal
-        nums.append(num)
-        dens.append(den)
-    return nums, dens
+    the denominators in lowest terms. A list of strings is checked whole,
+    with one match of ``_LIST_PATTERN`` over the strings joined by newlines
+    and exactly one newline between each two of them (so no string holds
+    one). Each string is then split at its first "/" by ``str.partition``
+    and converted by ``int``, and p/q costs one gcd; no Fraction is built.
+    On strings of those characters ``int`` takes p only as -?[0-9]+ and q,
+    which starts with a nonzero digit, only as [1-9][0-9]*, so together they
+    admit exactly what ``RATIONAL_PATTERN`` admits. Anything else, a value
+    that is not a string, one the gate refuses or one past the interpreter's
+    digit limit, goes value by value through ``as_scalar``, which names the
+    first value it refuses."""
+    values = list(values)
+    try:
+        text = "\n".join(values)  # TypeError: a value that is not a string
+        if text.count("\n") == len(values) - 1 and _LIST_PATTERN.fullmatch(text):
+            split = [value.partition("/") for value in values]
+            nums = [int(num) for num, _, _ in split]  # ValueError: past the digit limit
+            dens = [int(den or 1) for _, _, den in split]
+            ks = list(map(math.gcd, nums, dens))
+            if ks.count(1) != len(ks):
+                nums = [num // k for num, k in zip(nums, ks)]
+                dens = [den // k for den, k in zip(dens, ks)]
+            return nums, dens
+    except (TypeError, ValueError):
+        pass
+    scalars = [as_scalar(value) for value in values]
+    return [q.numerator for q in scalars], [q.denominator for q in scalars]
 
 
 class _SequenceModel:

@@ -33,9 +33,11 @@ A ``Relation23`` holds reduced integer parts, as every ``RecurrencePair``
 does (``rational._SequenceModel``), and everything here that decides reads
 those; ``r``, ``s`` and ``t`` are Fraction views built on first use.
 ``compose_ladders`` builds the parts from the parts of its ladders, the
-induced recurrence is built as reduced parts by ``_sequences``, and
+induced recurrence is built as reduced parts by ``_sequences``,
+``relation_constants`` computes its closed forms on those parts, and
 ``regularity_criterion`` reads P_n(c) off the integer pivots of
-``functional._pivots``.
+``functional._pivots``. A verdict's JSON form holds its induced recurrence
+as a model leaf, which the command line writes from the parts.
 
 At depth N both checkers read one window, the ``_sequences`` build of every
 derived sequence through N (r, s, t through N + 1, beta and gamma through
@@ -353,7 +355,9 @@ class InverseVerdict:
     """A checker's answer. ``constancy`` holds the lists A, B, C (A_n, B_n
     for 3 <= n < depth, C_n for 3 <= n <= depth) that ``check_by_constants``
     tested, as unreduced (numerator, denominator) pairs, None from
-    ``check_by_equations``; it is not part of the JSON form."""
+    ``check_by_equations``; it is not part of the JSON form, which holds
+    ``induced`` itself, a leaf that the command line writes as the object
+    of its ``to_json()``."""
 
     is_mops: bool
     induced: RecurrencePair
@@ -365,7 +369,7 @@ class InverseVerdict:
         out = {
             "is_mops": self.is_mops,
             "failures": list(self.failures),
-            "induced": self.induced.to_json(),
+            "induced": self.induced,
         }
         if self.constants is not None:
             a_, b_, c_ = self.constants
@@ -567,37 +571,49 @@ class FunctionalRelation:
 
 def relation_constants(rec: RecurrencePair, rel: Relation23) -> FunctionalRelation:
     """Closed forms for (lambda, c, a, b) out of the first relation
-    coefficients and the first recurrence coefficients of both families."""
-    rel.require(3)
-    rec.require(2, 2)
-    (r, rd), (s, sd), (t, td) = rel._integers()
-    r1, r2, r3 = map(Fraction, r[1:4], rd[1:4])
-    s1, s2 = map(Fraction, s[1:3], sd[1:3])
-    t2, t3 = map(Fraction, t[2:4], td[2:4])
-    beta0, gamma1 = (Fraction(nums[0], dens[0]) for nums, dens in rec._integers())
-    gate = t2 - r2 * (s1 - r1)
-    if gate == 0:
+    coefficients and the first recurrence coefficients of both families.
+    With gate = t_2 - r_2 (s_1 - r_1), w = t_3 - r_3 (s_2 - r_2),
+    k = (r_3 t_2 + (t_3 - r_3 s_2)(s_1 - r_1)) / gate and m = gt_2 / t_3,
+
+        c = beta_0 - gamma_1 w / (r_3 gate),   lambda = r_3 gt_1 gt_2 / (t_3 gamma_1),
+        a = m k - bt_0 - bt_1,                 b = bt_0 bt_1 - gt_1 + gt_1 m w / gate - bt_0 m k,
+
+    where bt, gt is the induced recurrence. Every operation runs on the
+    reduced pairs of one ``_sequences`` build through 2, reduced as
+    ``fractions`` reduces it (``rational._sum``, ``_product``, ``_quotient``);
+    only the four results become Fractions."""
+    (btn, btd), (gtn, gtd), _, parts = _sequences(rec, rel, 2)
+    (r, rd), (s, sd), (t, td), (p, pd), (g, gd) = parts
+    # the four operations on reduced (numerator, denominator) pairs
+    add = lambda x, y: _sum(*x, *y)
+    sub = lambda x, y: _sum(x[0], x[1], -y[0], y[1])
+    mul = lambda x, y: _product(*x, *y)
+    div = lambda x, y: _quotient(*x, *y)
+    r1, r2, r3 = zip(r[1:4], rd[1:4])
+    s1, s2 = zip(s[1:3], sd[1:3])
+    t2, t3 = zip(t[2:4], td[2:4])
+    beta0, gamma1 = (p[0], pd[0]), (g[0], gd[0])
+    bt0, bt1 = zip(btn[:2], btd[:2])
+    gt1, gt2 = zip(gtn[:2], gtd[:2])
+    e = sub(s1, r1)
+    gate = sub(t2, mul(r2, e))
+    if not gate[0]:
         raise DomainError("t2 - r2 (s1 - r1) must be nonzero")
-    if r3 == 0 or t3 == 0:
+    if not r3[0] or not t3[0]:
         raise DomainError("r3 and t3 must be nonzero")
-    if gamma1 == 0:
+    if not gamma1[0]:
         raise DomainError("gamma_1 must be nonzero")
-    induced = induced_recurrence(rec, rel, 2)
-    bt0, bt1 = induced.beta[0], induced.beta[1]
-    gt1, gt2 = induced.gamma[0], induced.gamma[1]
-    if gt1 == 0 or gt2 == 0:
+    if not gt1[0] or not gt2[0]:
         raise DomainError("gamma~_1 and gamma~_2 must be nonzero")
-    c = beta0 - (gamma1 / r3) * (t3 - r3 * (s2 - r2)) / gate
-    lam = (r3 / t3) * (gt1 * gt2 / gamma1)
-    num2 = r3 * t2 + (t3 - r3 * s2) * (s1 - r1)
-    a = -bt0 - bt1 + (gt2 / t3) * num2 / gate
-    b = (
-        bt0 * bt1
-        - gt1
-        - (bt0 * gt2 / t3) * num2 / gate
-        + (gt1 * gt2 / t3) * (t3 - r3 * (s2 - r2)) / gate
-    )
-    return FunctionalRelation(lam, c, a, b)
+    w = sub(t3, mul(r3, sub(s2, r2)))
+    k = div(add(mul(r3, t2), mul(sub(t3, mul(r3, s2)), e)), gate)
+    m = div(gt2, t3)
+    mk = mul(m, k)
+    c = sub(beta0, div(mul(gamma1, w), mul(r3, gate)))
+    lam = div(mul(r3, mul(gt1, gt2)), mul(t3, gamma1))
+    a = sub(mk, add(bt0, bt1))
+    b = add(sub(mul(bt0, bt1), gt1), sub(div(mul(mul(gt1, m), w), gate), mul(bt0, mk)))
+    return FunctionalRelation(*(Fraction(*pair) for pair in (lam, c, a, b)))
 
 
 def v_moments_from_relation(

@@ -449,8 +449,8 @@ def test_jacobi_chain_zero_link_at_the_window_edge(ladder, zero, failure, digest
         for name, short_by in (("v", "c"), ("u", "u")):
             short = (ladder, zero) == (short_by, 9)
             got, full = payload[f"{name}_recurrence"], plain[f"{name}_recurrence"]
-            assert len(got["gamma"]) == len(full["gamma"]) - short == 9 - short
-            assert len(got["beta"]) == len(full["beta"]) == 9
+            assert len(got.gamma) == len(full.gamma) - short == 9 - short
+            assert len(got.beta) == len(full.beta) == 9
 
 
 OK_EDGES = [case[:2] for case in WINDOW_EDGES if case[2] is None]

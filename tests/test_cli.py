@@ -23,13 +23,18 @@ from mopsrel import (
     Failure,
     FormatError,
     JacobiParams,
+    RecurrencePair,
     Relation23,
     chebyshev_case,
     jacobi_chain,
 )
 from mopsrel.cli import (
     COMMANDS,
+    EXACT_CELL,
+    EXACT_JSON,
     EXAMPLE_MAX_DEPTH,
+    FLOAT_CELL,
+    FLOAT_JSON,
     _build_parser,
     _csv_text,
     _exact_json,
@@ -917,7 +922,7 @@ def test_deep_payload_digest(capsys, command, digest):
 # sha256 of stdout of both checkers on the gated200 document (below) at depth 200, in JSON,
 # CSV and float mode, recorded before the induced recurrence was built as reduced integer
 # parts; each verdict is negative, exit 1. The "Installed entry point" step of the CI
-# workflow reads the first line's digest and checks its gated200.out against it
+# workflow reads these lines and runs the same calls
 GATED200_GOLDEN = [
     ("inverse-check --depth 200",
      "3edfacaa43b42090f4a348dd2755a24fbf8a61667d552a94818b6f08bf534d9e"),
@@ -999,6 +1004,29 @@ def test_checkers_build_no_fraction_view_of_their_input(monkeypatch, gated200):
     relation_constants(rec, rel)
     assert built == []
     assert rel.s[1] == Fraction(doc["relation"]["s"][1]) and built == ["Relation23"]
+
+
+@pytest.mark.parametrize("command", ["inverse-check", "constants"])
+def test_commands_build_no_fraction_view_of_any_model(monkeypatch, gated200, command):
+    """From the parsed document to the written payload, JSON, CSV and
+    float mode alike, no model builds its Fraction view: the closed forms
+    read the induced gamma~ on numerators, and the writers spell each
+    model (the verdicts' induced recurrences) from its integer parts."""
+    from mopsrel.rational import _SequenceModel
+
+    built = []
+    view = _SequenceModel._fractions
+
+    def spy(model):
+        built.append(type(model).__name__)
+        return view(model)
+
+    monkeypatch.setattr(_SequenceModel, "_fractions", spy)
+    for options in ([], ["--format", "csv"], ["--mode", "float"]):
+        code, out, _ = run_stdin([command, "--depth", "200", *options, "-"], gated200)
+        assert code == 1
+        assert '"induced": {' in out or ".induced.beta[0]," in out
+    assert built == []
 
 
 def _unreduced(node):
@@ -1267,11 +1295,25 @@ def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, indent=2)
 
 
-# payload trees with Failure records in lists and as dict values, beside
-# the Fraction leaves and the plain ones
+# payload trees with Failure records in lists and as dict values, and
+# RecurrencePair and Relation23 leaves, beside the Fraction leaves and the
+# plain ones. A model's entries run over integers, negatives and zeros, and
+# denominators of 2^64 and more
 FAILURES = st.builds(Failure, st.text(), st.none() | st.integers())
+ENTRIES = (
+    st.integers(-(10**30), 10**30)
+    | st.fractions(-(10**9), 10**9, max_denominator=10**9)
+    | st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(2**64, 2**80))
+)
+MODELS = (
+    st.builds(RecurrencePair, st.lists(ENTRIES, max_size=4), st.lists(ENTRIES, max_size=4))
+    | st.builds(lambda r, s, t: Relation23([0, *r], [0, *s], [0, 0, *t]),
+                st.lists(ENTRIES, max_size=3), st.lists(ENTRIES, max_size=3),
+                st.lists(ENTRIES, max_size=3))
+)
 RECORD_TREES = st.recursive(
     FAILURES
+    | MODELS
     | st.fractions(-(10**9), 10**9, max_denominator=10**9)
     | st.none()
     | st.integers()
@@ -1286,9 +1328,11 @@ RECORD_TREES = st.recursive(
 
 def with_records_as_dicts(node, leaf=lambda value: value):
     """The tree with each Failure written out as the dict it stands for,
-    and each Fraction as ``leaf`` gives it."""
+    each model as its ``to_json()`` and each Fraction as ``leaf`` gives it."""
     if type(node) is Failure:
         return {"condition": node.condition, "n": node.n}
+    if isinstance(node, (RecurrencePair, Relation23)):
+        return with_records_as_dicts(node.to_json(), leaf)
     if isinstance(node, dict):
         return {key: with_records_as_dicts(value, leaf) for key, value in node.items()}
     if isinstance(node, list):
@@ -1297,23 +1341,62 @@ def with_records_as_dicts(node, leaf=lambda value: value):
 
 
 # the writer spells a Fraction in a dict or a list only, not as the whole tree
-@pytest.mark.parametrize("render, leaf", [(_exact_json, format_rational), (_float_text, float)],
+@pytest.mark.parametrize("spell, leaf", [(EXACT_JSON, format_rational), (FLOAT_JSON, float)],
                          ids=["exact", "float"])
 @settings(max_examples=200, deadline=None)
 @given(RECORD_TREES.filter(lambda tree: type(tree) is not Fraction))
 @example({"failure": Failure("a1 must be nonzero", None), "ok": False})
 @example([Failure("eqn1", 4), [Failure("\u2028\"", -(10**30))], {"": Failure("", 0)}])
-def test_json_writer_spells_failure_records_as_json_dumps(render, leaf, tree):
+@example({"induced": RecurrencePair([0, -3, Fraction(5, 2**64)], []),
+          "rel": Relation23([0, 7], [0, Fraction(-1, 2**70 + 1)], [0, 0, 0])})
+@example([RecurrencePair([], [Fraction(2**80 + 1, 3**41)]), [Relation23([0], [0], [0, 0])]])
+def test_json_writer_spells_failure_records_as_json_dumps(spell, leaf, tree):
     plain = with_records_as_dicts(tree, leaf)
-    assert _json_text(tree, render) == json.dumps(plain, indent=2)
+    assert _json_text(tree, spell) == json.dumps(plain, indent=2)
+    # each model spelled from its parts as its to_json() Fractions are
+    assert _json_text(tree, spell) == _json_text(with_records_as_dicts(tree), spell)
 
 
-@pytest.mark.parametrize("cell", [format_rational, _float_cell], ids=["exact", "float"])
+@pytest.mark.parametrize("spell", [EXACT_CELL, FLOAT_CELL], ids=["exact", "float"])
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.text(max_size=6), RECORD_TREES, max_size=4))
 @example({"": Failure("ci1", 2), "failures": [Failure("eqn1", 4), Failure("x", None)]})
-def test_csv_writer_spells_failure_records_as_their_dicts(cell, tree):
-    assert _csv_text(tree, cell) == _csv_text(with_records_as_dicts(tree), cell)
+@example({"induced": RecurrencePair([0, -3, Fraction(5, 2**64)], [1, 0]),
+          "": [Relation23([0, 7], [0, Fraction(-1, 2**70 + 1)], [0, 0, 0])]})
+def test_csv_writer_spells_failure_records_as_their_dicts(spell, tree):
+    assert _csv_text(tree, spell) == _csv_text(with_records_as_dicts(tree), spell)
+
+
+# model entries whose n / d is beyond the float range, and one past the
+# interpreter's digit limit on printing an int, after entries that are not
+OVERSIZED_ENTRIES = [Fraction(10**400, 3), Fraction(-(10**309)), Fraction(7, 10**400 + 1)]
+if DIGIT_LIMIT := getattr(sys, "get_int_max_str_digits", lambda: 0)():
+    OVERSIZED_ENTRIES.append(Fraction(10**DIGIT_LIMIT + 1, 2))
+
+
+@pytest.mark.parametrize("big", OVERSIZED_ENTRIES, ids=lambda big: f"{big.numerator.bit_length()}-bit")
+@pytest.mark.parametrize(
+    "spell, reference",
+    [(EXACT_JSON, _exact_json), (FLOAT_JSON, _float_text), (EXACT_CELL, format_rational),
+     (FLOAT_CELL, _float_cell)],
+    ids=["json-exact", "json-float", "csv-exact", "csv-float"],
+)
+def test_writers_refuse_a_model_entry_as_its_fraction(spell, reference, big):
+    """A model entry that its spelling cannot write raises the FormatError
+    that the Fraction spelling raises for the same value (in float mode
+    ``_float_text``'s, for an entry whose n / d overflows), and an entry
+    that neither refuses is written as the Fraction spelling writes it."""
+    rec = RecurrencePair([1, Fraction(-1, 3), big], [big])
+    tree = {"n": 4, "induced": rec}
+    write = _csv_text if spell in (EXACT_CELL, FLOAT_CELL) else _json_text
+    try:
+        expected = reference(big)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            write(tree, spell)
+        assert str(got.value) == str(exc)
+    else:
+        assert expected in write(tree, spell)
 
 
 def test_failure_records_cost_the_json_writer_no_call(tmp_path, monkeypatch, negative_doc):

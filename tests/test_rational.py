@@ -136,3 +136,44 @@ def test_scalar_parts_refuse_as_as_scalar(head, bad, tail):
     with pytest.raises(FormatError) as got:
         _scalar_parts(head + [bad] + tail)
     assert type(got.value) is FormatError and str(got.value) == str(expected.value)
+
+
+# strings a document may hold, unreduced fractions, "-0/7" and leading zeros among them
+STRINGS = rational_strings() | st.sampled_from(["6/4", "-0/7", "007/14", "-0", "0/1", "-12/8"])
+# values that a check of the strings joined by newlines must still refuse one by
+# one: a newline inside a value or at either end of it (the joined text would
+# read as more valid values), what int() takes but the gate refuses, signs and
+# slashes out of place, and values that are not strings
+TRAPS = st.sampled_from(
+    ["1\n2", "1/2\n3/4", "3\n", "\n3", "1/2\n", "1 ", " 1", "1 /2", "+1", "1/0", "1/-2",
+     "1/02", "1/-0", "1/", "/2", "1/2/3", "1-2", "--1", "-", "5-", "-/2", "1/2-",
+     "٣", "1/٣", "1_000", "1\r", "", "\n", True, 1.5]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(STRINGS, max_size=8))
+def test_scalar_parts_of_strings_match_parse_rational(values):
+    assert list(zip(*_scalar_parts(values))) == [
+        (q.numerator, q.denominator) for q in map(parse_rational, values)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(STRINGS, max_size=4), TRAPS, st.lists(STRINGS | TRAPS, max_size=3))
+def test_scalar_parts_of_strings_name_the_refused_value(head, bad, tail):
+    """A list of strings with a refused value raises the FormatError that
+    ``as_scalar`` raises for that value, and the message names it."""
+    with pytest.raises(FormatError) as expected:
+        as_scalar(bad)
+    with pytest.raises(FormatError) as got:
+        _scalar_parts(head + [bad] + tail)
+    assert str(got.value) == str(expected.value)
+    assert repr(bad) in str(got.value)
+
+
+@pytest.mark.skipif(not DIGIT_CAP, reason="no int digit cap in this interpreter")
+@settings(max_examples=20, deadline=None)
+@given(st.lists(STRINGS, max_size=4), st.sampled_from(OVERSIZED), st.lists(STRINGS, max_size=3))
+def test_scalar_parts_of_strings_refuse_an_oversized_value_by_its_length(head, big, tail):
+    with pytest.raises(FormatError, match=f"rational string of {len(big)} characters is too long"):
+        _scalar_parts(head + [big] + tail)

@@ -12,7 +12,8 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 # exported for the tests and for later work, with no caller in src/ or
 # demos/; README's "Public surface" paragraph says why each stays
-KEPT_WITHOUT_CALLER = ("auxiliary_sequences", "constant_sequences", "generate_q")
+KEPT_WITHOUT_CALLER = ("auxiliary_sequences", "constant_sequences", "generate_q",
+                       "induced_recurrence")
 
 
 def _python_blocks(text):
