@@ -42,12 +42,12 @@ models' entries when their Fraction views are read (the ``to_csv()``
 table does; ``to_json()`` puts the models themselves in the tree).
 
 Every identity asserted here is certified by exact computation, in time
-linear in the depth and without building a polynomial family: the 1-2
-ladder W~_n = P_n + b_n P_{n-1} of the down-link on the recurrences
-(``_ladder_break``), the 2-3 identity on the ladders of its composition
-(``_relation_break``), both on those parts, and the induced recurrence
-against v's on parts. An internal mismatch raises ContractError naming the
-first violated identity.
+linear in the depth and without building a polynomial family: the down-link
+W~ = L P, L unit lower bidiagonal with subdiagonal b_n, as L J(u) = J(w~) L
+(``functional._connection_break``), the 2-3 identity on the ladders of its
+composition (``_relation_break``), both on those parts, and the induced
+recurrence against v's on parts. An internal mismatch raises ContractError
+naming the first violated identity.
 The Chebyshev case also certifies the functional identity on moments; they
 come from the Pearson equation (``jacobi_moments``), in time linear in the
 depth.
@@ -67,7 +67,7 @@ from .families import (
     jacobi_moments,
     jacobi_recurrence,
 )
-from .functional import RecurrencePair, RecurrenceReport, _darboux, _pivots
+from .functional import RecurrencePair, RecurrenceReport, _connection_break, _darboux, _pivots
 from .poly import Polynomial
 from .rational import _columns, _product, _quotient, _reduce_pairs, _sum, as_scalar
 from .relation23 import (
@@ -90,40 +90,6 @@ HALF = Fraction(1, 2)
 def _certify(condition: bool, what: str) -> None:
     if not condition:
         raise ContractError(f"internal consistency: {what}")
-
-
-def _ladder_break(p_rec: RecurrencePair, r_rec: RecurrencePair, k: tuple,
-                  top: int) -> Optional[int]:
-    """The first n <= top at which the 1-2 ladder P_n = R_n + k_n R_{n-1} fails, or
-    None, for the monic families of ``p_rec`` (beta_n, gamma_n) and ``r_rec``
-    (beta^R_n, gamma^R_n), read through index top - 1, and k = (nums, dens) the reduced
-    parts of k_0 = 0, k_1, ..., k_top. No polynomial is built.
-
-    With k_0 = gamma_0 = 0 the ladder holds at n = 1 exactly when
-    beta_0 + k_1 = beta^R_0. If it holds through n, P's recurrence and R's give
-    P_{n+1} = R_{n+1} + (beta^R_n + k_n - beta_n) R_n + (gamma^R_n + k_n beta^R_{n-1}
-    - k_n beta_n - gamma_n) R_{n-1} + (k_n gamma^R_{n-1} - gamma_n k_{n-1}) R_{n-2}.
-    So it holds at n + 1 exactly when beta^R_n + k_n - k_{n+1} = beta_n,
-    gamma^R_n + k_n (beta^R_{n-1} - beta_n) = gamma_n and k_n gamma^R_{n-1} =
-    gamma_n k_{n-1}: the first failing step is the first failing n."""
-    p_rec.require(top - 1, top - 1)
-    r_rec.require(top - 1, top - 1)
-    ((bp, bpd), (gp, gpd)), ((br, brd), (gr, grd)) = p_rec._integers(), r_rec._integers()
-    kn, kd = k
-    # each condition as one reduced side against the other; gamma_0 = k_0 = 0
-    if _sum(bp[0], bpd[0], kn[1], kd[1]) != (br[0], brd[0]):
-        return 1
-    for n in range(1, top):
-        if _sum(*_sum(br[n], brd[n], kn[n], kd[n]), -kn[n + 1], kd[n + 1]) != (bp[n], bpd[n]):
-            return n + 1
-        x = _product(kn[n], kd[n], *_sum(br[n - 1], brd[n - 1], -bp[n], bpd[n]))
-        if _sum(gr[n - 1], grd[n - 1], *x) != (gp[n - 1], gpd[n - 1]):
-            return n + 1
-        # k_n gamma^R_{n-1} = gamma_n k_{n-1} by cross-multiplication
-        if n > 1 and (kn[n] * gr[n - 2] * gpd[n - 1] * kd[n - 1]
-                      != gp[n - 1] * kn[n - 1] * kd[n] * grd[n - 2]):
-            return n + 1
-    return None
 
 
 def _relation_break(rel: Relation23, a: tuple, b: tuple, l: tuple) -> Optional[int]:
@@ -268,10 +234,9 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
     a_seq, b_seq, c_seq = ((None, *map(Fraction, nums[1 : top + 1], dens[1 : top + 1]))
                            for nums, dens in (a_parts, b_parts, c_parts))
 
-    # the Geronimus readings give the up-link and the second-family link; the down-link,
-    # the 1-2 ladder W~_n = P_n + b_n P_{n-1}, ties w~ to u (and W_n + a_n W_{n-1} to
-    # P_n + b_n P_{n-1})
-    n = _ladder_break(wt_rec, u_rec, b_parts, top)
+    # the Geronimus readings give the up-link and the second-family link; the down-link
+    # W~_n = P_n + b_n P_{n-1} ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
+    n = _connection_break(wt_rec, u_rec, (b_parts,), top)
     _certify(n is None, f"down-link identity fails at n={n}")
 
     # the relation composed from the certified ladders, certified on recurrences only: the

@@ -37,7 +37,8 @@ a recurrence, and ``_darboux`` reads L U + z I: a Geronimus step (division
 by x - z) or a Christoffel step (multiplication by x - z), with no moment.
 Both read the recurrence's integer parts and give reduced parts, each entry
 reduced as ``fractions`` reduces a sum or product (``rational._sum``,
-``_product``, ``_quotient``), with no Fraction built.
+``_product``, ``_quotient``), with no Fraction built. ``_connection_break``
+decides P = L R, L unit lower of band width w, by L J_R = J_P L on those parts.
 """
 
 from __future__ import annotations
@@ -284,6 +285,41 @@ def _darboux(rec: RecurrencePair, z, k: tuple) -> RecurrenceReport:
     return RecurrenceReport(RecurrencePair._from_parts(_columns(beta), _columns(gamma)), stop)
 
 
+def _connection_break(p_rec: RecurrencePair, r_rec: RecurrencePair, bands: tuple,
+                      top: int) -> Optional[int]:
+    """The first n <= top at which P_n = R_n + sum_j l^(j)_n R_{n-j} fails, or None, reading
+    ``p_rec`` and ``r_rec`` through index top - 1; ``bands`` holds the reduced parts (nums, dens)
+    of the subdiagonals l^(1)..l^(w) of a unit lower L at 0..top, 0 below the band. If P = L R
+    through n, P_{n+1} - (L R)_{n+1} is row n of L J_R - J_P L in the R basis, J a Jacobi matrix
+    (Kautsky and Golub, Linear Algebra Appl. 52/53 (1983)). Entry (n, n+1) is 1 - 1; (n, n - j),
+    j <= w + 1, cross-multiplies l^(j-1)_n gamma^R_{n-j+1} + l^(j)_n beta^R_{n-j} + l^(j+1)_n and
+    gamma_n l^(j-1)_{n-1} + beta_n l^(j)_n + l^(j+1)_{n+1}, l^(0) = 1, l^(i) = 0 off the band."""
+    p_rec.require(top - 1, top - 1)
+    r_rec.require(top - 1, top - 1)
+    w, one, zero = len(bands), (1, 1), (0, 1)  # rows[n + 1][i + 1] is l^(i)_n; row -1 is 0
+    rows = [(zero,) * (w + 4)] + [(zero, one, *col, zero, zero)
+                                  for col in zip(*(zip(*band) for band in bands))]
+    (bP, gP), (bR, gR) = ([list(zip(*part)) for part in rec._integers()] for rec in (p_rec, r_rec))
+    gP, gR = [zero, *gP], [*gR, zero]  # gP[n] is gamma_n, gR[m] gamma^R_{m+1}
+    for n, (prev, row, nxt, g, b) in enumerate(zip(rows, rows[1:], rows[2:], gP, bP)):
+        for j in range(min(n, w + 1) + 1):
+            x, xd = _side(row[j], gR[n - j], row[j + 1], bR[n - j], row[j + 2])
+            y, yd = _side(g, prev[j], b, row[j + 1], nxt[j + 2])
+            if x * yd != y * xd:
+                return n + 1
+    return None
+
+
+def _side(a, x, b, y, c) -> tuple[int, int]:
+    """a x + b y + c of reduced pairs, as one unreduced pair; a zero product is left out."""
+    (an, ad), (xn, xd), (bn, bd), (yn, yd), (num, den) = a, x, b, y, c
+    if an and xn:
+        num, den = num * ad * xd + an * xn * den, den * ad * xd
+    if bn and yn:
+        num, den = num * bd * yd + bn * yn * den, den * bd * yd
+    return num, den
+
+
 def mops_from_recurrence(rec: RecurrencePair, count: int) -> list[Polynomial]:
     """The first ``count`` polynomials P_0..P_{count-1} of the recurrence.
 
@@ -369,14 +405,11 @@ def moments_from_recurrence(rec: RecurrencePair, depth: int) -> MomentFunctional
 
 @dataclass(frozen=True)
 class RecurrenceReport:
-    """Result of recovering a recurrence from moments.
-
-    Delta_k is the (k+1)x(k+1) leading principal Hankel determinant.
-    first_vanishing is the index of the first zero Delta_k if one was met,
-    None otherwise; checked_through is how far the determinants could be
-    examined given the depth (the first zero stops the examination), which
-    is first_vanishing when there is one and the count of gammas otherwise.
-    """
+    """A recurrence and first_vanishing, the index where its build stopped (None if it did not):
+    from moments, the first k with Delta_k = 0, Delta_k the (k+1)x(k+1) leading principal Hankel
+    determinant; from ``_darboux``, the first n with pivot k_n = 0, where the step stops.
+    checked_through is how far the determinants could be examined given the depth (the first
+    zero stops the examination): first_vanishing when there is one, else the count of gammas."""
 
     rec: RecurrencePair
     first_vanishing: Optional[int]

@@ -8,9 +8,11 @@ by a scalar are all ``_combination``: one lcm, one integer pass and one
 gcd. That gcd, the product's, those of the fraction-free vectors of
 ``functional``, of every ``MomentFunctional`` (which shares this layout)
 and of ``jacobi_moments``' neighbouring pairs are all taken in
-``_divide_content``, the one content reduction of the package; the only
-other ``math.gcd`` calls reduce the a_n pairs of
-``relation23._sequences`` and each p/q string an input model is built from
+``_divide_content``, the one content reduction of the package. Each other
+``math.gcd`` call reduces one entry: ``rational._sum``, ``_product`` and
+``_quotient`` (``functional``'s steps and Hankel sweep, the spectral chain,
+``compose_ladders``, ``jacobi_recurrence``, ``relation_constants``),
+beta~_n, a_n and gamma~_n in ``relation23._sequences``, and each p/q string
 (``rational._scalar_parts``). ``coeffs``, the coefficients ascending by
 degree as a tuple of Fractions, is built on first use. The zero polynomial
 has no numerators and ``degree`` -1.

@@ -695,29 +695,31 @@ def test_spectral_chain_up_links_are_ladders(seed, depth):
     """The up-links Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1} hold
     by construction of the Geronimus readings, and the builder certifies
     neither (the equation checker is their certificate): on random builder
-    positives both are 1-2 ladders over w through top = depth + 2, v's as
-    the chain carries it and w~'s as the kernel gives it from the a-ladder."""
+    positives both are 1-2 ladders over w through top = depth + 2, by the
+    connection certificate at band width 1, v's as the chain carries it and
+    w~'s as the kernel gives it from the a-ladder."""
     chain, (w_rec, _, c, _, _, _) = random_spectral_chain(random.Random(seed), depth)
     top = depth + 2
-    assert casebook._ladder_break(chain.v_rec, w_rec, ladder_parts(chain.c_seq), top) is None
+    c_parts = ladder_parts(chain.c_seq)
+    assert functional._connection_break(chain.v_rec, w_rec, (c_parts,), top) is None
     a_parts = ladder_parts(chain.a_seq)
-    w_tilde = casebook._darboux(w_rec, c, a_parts).rec
-    assert casebook._ladder_break(w_tilde, w_rec, a_parts, top) is None
+    w_tilde = functional._darboux(w_rec, c, a_parts).rec
+    assert functional._connection_break(w_tilde, w_rec, (a_parts,), top) is None
 
 
 @pytest.mark.parametrize("depth", [6, 40])
 def test_chebyshev_up_link_is_the_fourth_kind_over_the_second(depth):
     """In the Chebyshev case the fourth kind stands in for v, and lambda_n are
     the builder's c_n: the fourth kind is the 1-2 ladder Q_n = W_n + lambda_n
-    W_{n-1} over the second kind through depth + 2, and a bent lambda_5
-    breaks it at 5."""
+    W_{n-1} over the second kind through depth + 2, by the connection
+    certificate at band width 1, and a bent lambda_5 breaks it at 5."""
     report = chebyshev_case(depth)
     fourth, second = (families.chebyshev_kind(kind, depth + 4) for kind in (4, 2))
     lam = ladder_parts(report.lambda_seq)
-    assert casebook._ladder_break(fourth, second, lam, depth + 2) is None
+    assert functional._connection_break(fourth, second, (lam,), depth + 2) is None
     bent = list(report.lambda_seq)
     bent[5] += Fraction(1, 7)
-    assert casebook._ladder_break(fourth, second, ladder_parts(bent), depth + 2) == 5
+    assert functional._connection_break(fourth, second, (ladder_parts(bent),), depth + 2) == 5
 
 
 def test_spectral_chain_refuses_c_equal_to_z2():

@@ -44,8 +44,8 @@ from mopsrel import (
     v_moments_from_relation,
     verify_functional_relation,
 )
-from mopsrel.casebook import _ladder_break, _relation_break
-from mopsrel.functional import _darboux, _pivots
+from mopsrel.casebook import _relation_break
+from mopsrel.functional import _connection_break, _darboux, _pivots
 from mopsrel.poly import _combination
 from mopsrel.rational import _reduce_pairs
 from mopsrel.relation23 import _index_condition
@@ -1022,15 +1022,22 @@ def test_functional_identity_at_lambda_zero(moments, start, c, a, b, bend):
     assert verify_functional_relation(u, MomentFunctional(ref), fr, depth) == (first is None, first)
 
 
-# --- ladder certificates on recurrences -----------------------------------
+# --- connection certificates on recurrences -------------------------------
+
+# P = L R, L unit lower with subdiagonals l^(1)..l^(w), holds exactly when
+# L J_R = J_P L, J the Jacobi matrix of a recurrence (``_connection_break``).
+# At w = 1, L's subdiagonal is k, and row n of the identity has the entries
+# (n, n): beta^R_n + k_n = beta_n + k_{n+1},
+# (n, n-1): gamma^R_n + k_n beta^R_{n-1} = gamma_n + beta_n k_n and
+# (n, n-2): k_n gamma^R_{n-1} = gamma_n k_{n-1}.
 
 
 def lemma_upper(lower, k, top):
     """The upper recurrence that the ladder U_n = L_n + k_n L_{n-1}
-    (1 <= n <= top) over the lower recurrence asks for by the first two
-    conditions of ``casebook._ladder_break``:
-    beta'_0 = beta_0 - k_1 and, for n >= 1, beta'_n = beta_n + k_n - k_{n+1}
-    and gamma'_n = gamma_n + k_n (beta_{n-1} - beta'_n)."""
+    (1 <= n <= top) over the lower recurrence asks for: with R the lower
+    family and P the upper, the entries (n, n) and (n, n-1) of
+    L J_R = J_P L solved for P's, beta'_0 = beta_0 - k_1 and, for n >= 1,
+    beta'_n = beta_n + k_n - k_{n+1} and gamma'_n = gamma_n + k_n (beta_{n-1} - beta'_n)."""
     beta, gamma = lower.beta, (None,) + lower.gamma
     up_beta = [beta[0] - k[1]] + [beta[n] + k[n] - k[n + 1] for n in range(1, top)]
     up_gamma = [gamma[n] + k[n] * (beta[n - 1] - up_beta[n]) for n in range(1, top)]
@@ -1038,9 +1045,10 @@ def lemma_upper(lower, k, top):
 
 
 def forced_k(lower, k1, k2, top):
-    """k_1..k_top from k_1 and k_2, each k_{n+1} (n >= 2) forced by the third
-    condition k_n gamma_{n-1} = gamma'_n k_{n-1}, so that the ladder holds
-    through top with ``lemma_upper``. None when a forced k_n vanishes."""
+    """k_1..k_top from k_1 and k_2, each k_{n+1} (n >= 2) forced by the entry
+    (n, n-2) of L J_R = J_P L (R the lower family, P the upper),
+    k_n gamma_{n-1} = gamma'_n k_{n-1}, with gamma'_n from ``lemma_upper``, so
+    that the ladder holds through top. None when a forced k_n vanishes."""
     beta, gamma = lower.beta, (None,) + lower.gamma
     k = [None, k1, k2]
     for n in range(2, top):
@@ -1050,14 +1058,16 @@ def forced_k(lower, k1, k2, top):
     return k
 
 
-def polynomial_ladder_break(lower, upper, k, top):
-    """The first n at which U_n - L_n - k_n L_{n-1} is not the zero
-    polynomial, over the families of the two recurrences, or None."""
+def polynomial_ladder_break(lower, upper, bands, top):
+    """The first n at which U_n - L_n - sum_j l^(j)_n L_{n-j} is not the zero
+    polynomial, over the families of the two recurrences, or None. ``bands``
+    lists the subdiagonals l^(1), l^(2), ..., each as [unused, l_1, ..., l_top]."""
     low = mops_from_recurrence(lower, top + 1)
     up = mops_from_recurrence(upper, top + 1)
     return next(
         (n for n in range(1, top + 1)
-         if not _combination([(1, up[n]), (-1, low[n]), (-k[n], low[n - 1])]).is_zero),
+         if not _combination([(1, up[n]), (-1, low[n])] + [
+             (-l[n], low[n - j]) for j, l in enumerate(bands, 1) if j <= n]).is_zero),
         None,
     )
 
@@ -1083,32 +1093,32 @@ def test_ladder_certificate_matches_polynomial_identities(data, top):
     if k is None:
         return
     upper = lemma_upper(lower, k, top)
-    assert polynomial_ladder_break(lower, upper, k, top) is None
-    assert _ladder_break(upper, lower, ladder_parts(k), top) is None
+    assert polynomial_ladder_break(lower, upper, [k], top) is None
+    assert _connection_break(upper, lower, (ladder_parts(k),), top) is None
     field = data.draw(st.sampled_from(["k", "beta", "gamma"]))
     first = 1 if field == "k" else 0
     last = {"k": top, "beta": top - 1, "gamma": top - 2}[field]
     index = data.draw(st.integers(first, last))
     k, upper = bend(k, upper, field, index, data.draw(nonzero))
-    expected = polynomial_ladder_break(lower, upper, k, top)
+    expected = polynomial_ladder_break(lower, upper, [k], top)
     assert expected is not None
-    assert _ladder_break(upper, lower, ladder_parts(k), top) == expected
+    assert _connection_break(upper, lower, (ladder_parts(k),), top) == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.integers(2, 10))
 def test_ladder_certificate_matches_polynomial_identities_for_free_k(data, top):
-    """With k drawn freely, the first two conditions hold by construction,
-    so the third, k_n gamma_{n-1} = gamma'_n k_{n-1}, decides (at n = 3
-    unless the draw meets it)."""
+    """With k drawn freely, the entries (n, n) and (n, n-1) hold by
+    construction, so the entry (n, n-2), k_n gamma_{n-1} = gamma'_n k_{n-1},
+    decides (at n = 3 unless the draw meets it)."""
     lower = RecurrencePair(
         data.draw(st.lists(coeff, min_size=top, max_size=top)),
         data.draw(st.lists(nonzero, min_size=top - 1, max_size=top - 1)),
     )
     k = [None] + data.draw(st.lists(coeff, min_size=top, max_size=top))
     upper = lemma_upper(lower, k, top)
-    assert (_ladder_break(upper, lower, ladder_parts(k), top)
-            == polynomial_ladder_break(lower, upper, k, top))
+    assert (_connection_break(upper, lower, (ladder_parts(k),), top)
+            == polynomial_ladder_break(lower, upper, [k], top))
 
 
 @pytest.fixture(scope="module")
@@ -1132,11 +1142,55 @@ def generic_down_ladder():
 )
 def test_ladder_certificate_on_generic_jacobi_data(generic_down_ladder, field, index):
     lower, upper, k, top = generic_down_ladder
-    assert _ladder_break(upper, lower, ladder_parts(k), top) is None
+    assert _connection_break(upper, lower, (ladder_parts(k),), top) is None
     k, upper = bend(k, upper, field, index, Fraction(1, 2**61 - 1))
-    expected = polynomial_ladder_break(lower, upper, k, top)
+    expected = polynomial_ladder_break(lower, upper, [k], top)
     assert expected is not None
-    assert _ladder_break(upper, lower, ladder_parts(k), top) == expected
+    assert _connection_break(upper, lower, (ladder_parts(k),), top) == expected
+
+
+# the first list position that a bend of the 1-3 ladder may set (gamma_{i+1} at
+# position i of gamma): l2_1 = 0 lies below its band
+LADDER13_BENDABLE = {"l1": 1, "l2": 2, "beta": 0, "gamma": 0}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32), st.integers(12, 40), st.sampled_from(sorted(LADDER13_BENDABLE)),
+       st.data())
+def test_connection_certificate_at_band_width_2_on_builder_chains(seed, depth, field, data):
+    """v = w / (x - z1) of a builder positive has the MOPS Q_n = W_n + c_n
+    W_{n-1}. With d_n the pivots of J(w) - z2 I from d_0 = beta_0 - z2, rows
+    1.. of ``_darboux`` on them are the recurrence of the MOPS K of
+    (x - z2) w, and W_n = K_n + e_n K_{n-1}, e_n = gamma_n / d_{n-1} (e_0 =
+    0). So Q = L_c L_e K is the 1-3 ladder Q_n = K_n + l1_n K_{n-1} + l2_n
+    K_{n-2}, l1_n = c_n + e_n and l2_n = c_n e_{n-1}, through top = depth +
+    2, which a certificate reading only l1 would refuse at n = 2. One entry
+    of l1, l2 or v's beta or gamma, bent by 1/7, breaks it first where the
+    polynomial identity breaks."""
+    chain, (w_rec, _, _, z2, _, _) = random_spectral_chain(random.Random(seed), depth)
+    top = depth + 2
+    d = _pivots(w_rec, z2, w_rec.beta[0] - z2, top)
+    step = _darboux(w_rec, z2, d)
+    if step.first_vanishing is not None:  # (x - z2) w is not regular through top
+        return
+    k_rec = RecurrencePair(step.rec.beta[1:], step.rec.gamma[1:])
+    e = [Fraction(0)] + [w_rec.gamma[n - 1] / Fraction(d[0][n], d[1][n])
+                         for n in range(1, top + 1)]
+    c = chain.c_seq
+    l1 = [None] + [c[n] + e[n] for n in range(1, top + 1)]
+    l2 = [None] + [c[n] * e[n - 1] for n in range(1, top + 1)]
+    q_rec = chain.v_rec
+    assert polynomial_ladder_break(k_rec, q_rec, [l1, l2], top) is None
+    assert _connection_break(q_rec, k_rec, (ladder_parts(l1), ladder_parts(l2)), top) is None
+
+    seqs = {"l1": l1, "l2": l2, "beta": list(q_rec.beta), "gamma": list(q_rec.gamma)}
+    # the certificate reads v's beta and gamma through top - 1
+    last = top if field in ("l1", "l2") else top - 1 - (field == "gamma")
+    seqs[field][data.draw(st.integers(LADDER13_BENDABLE[field], last), label="n")] += Fraction(1, 7)
+    q_rec = RecurrencePair(seqs["beta"], seqs["gamma"])
+    expected = polynomial_ladder_break(k_rec, q_rec, [l1, l2], top)
+    assert expected is not None
+    assert _connection_break(q_rec, k_rec, (ladder_parts(l1), ladder_parts(l2)), top) == expected
 
 
 def random_composition(data, top, equal_prefix=0):
