@@ -1,31 +1,22 @@
 """Two fully worked constructions that exercise the whole pipeline, both
-calls of one builder.
+calls of one builder: ``chebyshev_case`` and ``jacobi_chain``.
 
 ``_spectral_chain`` starts from a regular functional w, given by its
 recurrence, and three points z1, c, z2 (c != z2). It performs two linear
 divisions, v = w / (x - z1) with a free mass attached to a coefficient c_1
 and w~ = w / (x - c) with one attached to a_1, and one left multiplication,
-u = (x - z2) w~; then lambda (x - c) u = (x - z1)(x - z2) v for every w. All
-three are one Darboux step (``functional._darboux``): J - z I = U L read as
-L U + z I. v and w~ are its Geronimus reading over w, with the free first
-pivots c_1 and a_1, and u its Christoffel reading over w~. It builds no
-moment and computes no norm: the c- and a-ladders and u's pivots are the
-LU pivots (``functional._pivots``) of J(w) - z1 I, J(w) - c I and
-J(w~) - z2 I, whose zeros decide the regularity of v, w~ and u, and the
-down-link coefficient b_n is the L factor gamma~_n / d_{n-1} of the last.
-v's recurrence is built only when no second family stands in for it. It
-derives the 2-3 relation linking the MOPS of u and v, certifies on
-recurrences the identities the steps do not give and the orthogonality
-verdicts, and pins the functional relation by its constants
+u = (x - z2) w~; then lambda (x - c) u = (x - z1)(x - z2) v for every w.
+Each is one spectral step (``functional._darboux``): J - z I = U L, J the
+Jacobi matrix of the recurrence, read back as L U + z I, in one pass. v and
+w~ are its Geronimus reading over w from k_1 = c_1 and a_1, and u its
+Christoffel reading over w~ (k_1 = beta~_0 - z2). The c- and a-ladders are
+L's subdiagonals of the first two steps, and the down-link coefficient b_n is
+U's diagonal q_n of the last; the steps' zero pivots decide the regularity of
+v, w~ and u. No moment is built and no norm computed. The builder derives the
+2-3 relation linking the MOPS of u and v, certifies on recurrences the
+identities the steps do not give and the orthogonality verdicts, and pins the
+functional relation by its constants
 (lambda, c, a, b) = (-u_mass / v_mass, c, -(z1 + z2), z1 z2).
-
-``jacobi_chain`` is the builder over a Jacobi functional w at
-(z1, c, z2) = (-1, 1, -1). ``chebyshev_case`` is the builder over the
-second-kind Chebyshev functional at (z1, c, z2) = (-1, 1, 0) with
-a_1 = -3/2 and c_1 = 1/2: u is then a point mass at 1 plus a weighted left
-multiple of the third-kind functional, and v is of the fourth kind. Its
-twist: (x - 1) u is not regular even though the relation is non-degenerate
-and (Q_n) is orthogonal.
 
 Each report field is declared once. ``JacobiChainReport`` extends the
 builder's ``_Chain`` by the run's parameters and its failure, and ``ok`` is
@@ -33,13 +24,13 @@ read off the failure; a failed report keeps the chain's empty defaults. The
 Chebyshev report keeps the case's constants, the point-mass ratio and the
 empty report of (x - 1) u, on the class.
 
-The chain runs on integer parts. The pivots, the ladders a_n, b_n, c_n and
-every recurrence and relation it builds are reduced (numerators,
-denominators) pairs, each entry reduced as ``fractions`` reduces a sum or a
-product (``rational._sum``, ``_product``, ``_quotient``), and a Fraction is
-built only for a value the report carries, once: the ladders here, the
-models' entries when their Fraction views are read (the ``to_csv()``
-table does; ``to_json()`` puts the models themselves in the tree).
+The chain runs on integer parts. The ladders a_n, b_n, c_n and every
+recurrence and relation it builds are reduced (numerators, denominators)
+pairs, each entry reduced as ``fractions`` reduces a sum or a product
+(``rational._sum``, ``_product``, ``_quotient``), and a Fraction is built
+only for a value the report carries, once: the ladders here, the models'
+entries when their Fraction views are read (the ``to_csv()`` table does;
+``to_json()`` puts the models themselves in the tree).
 
 Every identity asserted here is certified by exact computation, in time
 linear in the depth and without building a polynomial family: the down-link
@@ -47,10 +38,9 @@ W~ = L P, L unit lower bidiagonal with subdiagonal b_n, as L J(u) = J(w~) L
 (``functional._connection_break``), the 2-3 identity on the ladders of its
 composition (``_relation_break``), both on those parts, and the induced
 recurrence against v's on parts. An internal mismatch raises ContractError
-naming the first violated identity.
-The Chebyshev case also certifies the functional identity on moments; they
-come from the Pearson equation (``jacobi_moments``), in time linear in the
-depth.
+naming the first violated identity. The Chebyshev case also certifies v's
+recurrence against the fourth kind, and the functional identity on moments
+from the Pearson equation (``jacobi_moments``), in time linear in the depth.
 """
 
 from __future__ import annotations
@@ -67,9 +57,9 @@ from .families import (
     jacobi_moments,
     jacobi_recurrence,
 )
-from .functional import RecurrencePair, RecurrenceReport, _connection_break, _darboux, _pivots
+from .functional import RecurrencePair, RecurrenceReport, _connection_break, _darboux
 from .poly import Polynomial
-from .rational import _columns, _product, _quotient, _reduce_pairs, _sum, as_scalar
+from .rational import _product, _quotient, _reduce_pairs, _sum, as_scalar
 from .relation23 import (
     Failure,
     FunctionalRelation,
@@ -142,15 +132,13 @@ class _Chain:
     regularity: Optional[tuple] = None
 
 
-def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
-                    q_rec: Optional[RecurrencePair]):
-    """The chain v = w / (x - z1), w~ = w / (x - c), u = (x - z2) w~ over the regular w of
-    ``w_rec`` (read through beta_{depth+2} and gamma_{depth+3}), with first ladder
-    coefficients a_1 and c_1, certified through ``depth`` (the induced recurrence against
-    ``q_rec``, v's recurrence if given, which then stands in for v's step, or against the
-    step when it is None): a ``_Chain``, or the ``Failure`` of the first condition that
-    does not hold. c = z2 is refused: u is then w. So is a zero gamma_n of w, n <= depth + 3,
-    by a DomainError that names w and n: w must be regular where the chain reads it.
+def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int):
+    """The chain v = w / (x - z1), w~ = w / (x - c), u = (x - z2) w~, each one ``_darboux``
+    step, over the regular w of ``w_rec`` (read through beta_{depth+2} and gamma_{depth+3}),
+    with first ladder coefficients a_1 and c_1, certified through ``depth``: a ``_Chain``, or
+    the ``Failure`` of the first condition that does not hold. c = z2 is refused: u is then
+    w. So is a zero gamma_n of w, n <= depth + 3, by a DomainError that names w and n: w
+    must be regular where the chain reads it.
 
     The up-links Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1} hold by construction of
     the Geronimus steps; the equation checker is their run-time certificate."""
@@ -177,11 +165,15 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
         return Failure("v_mass", None)
     v_mass = 1 / v_denom
 
-    # the coefficient ladders run the pivot recursions of J(w) - c I and J(w) - z1 I from
-    # the free a_1, c_1: a zero below top is a breakdown (the chain functional is not
-    # regular there), a's before c's at one n, and one at top the steps' verdict. Every
-    # ladder is a pair of reduced parts (nums, dens) with the pad 0 at index 0
-    a_parts, c_parts = _pivots(w_rec, c, a1, top + 1), _pivots(w_rec, z1, c1, top + 1)
+    # v and w~ are the Geronimus steps of w at z1 and c from the free c_1 and a_1, with the
+    # MOPS Q_n = W_n + c_n W_{n-1} and W~_n = W_n + a_n W_{n-1}: the c- and a-ladders are their
+    # L factors, each a pair of reduced parts (nums, dens) with the pad 0 at index 0. A zero
+    # below top is a breakdown (the chain functional is not regular there), a's before c's at
+    # one n, and one at top the steps' first zero gamma. The report keeps u's and v's beta
+    # through top and gamma through top + 1, as the Hankel sweep over u's moments
+    # mu_0..mu_{2 top + 2} would
+    v, c_parts, _ = _darboux(w_rec, z1, c1, top + 1)
+    wt, a_parts, _ = _darboux(w_rec, c, a1, top + 1)
     (an, ad), (cn, cd) = a_parts, c_parts
     n, name = min((len(an) - 1, "a"), (len(cn) - 1, "c"))
     if n < top:
@@ -189,26 +181,14 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
     for n in range(1, top + 1):
         if an[n] == cn[n] and ad[n] == cd[n]:
             return Failure("link_coefficients_equal", n)
+    (vbn, vbd), (vgn, vgd) = v.rec._integers()
+    v_rec = RecurrencePair._from_parts((vbn[: top + 1], vbd[: top + 1]), (vgn, vgd))
+    (tbn, tbd), _ = wt.rec._integers()
 
-    # v and w~ are the Geronimus steps of w at z1 and c, with the MOPS Q_n = W_n + c_n W_{n-1}
-    # and W~_n = W_n + a_n W_{n-1}: with every earlier pivot nonzero, a zero c_top or a_top is
-    # their first zero gamma, at top. v's step runs only when no q_rec stands in for it. The
-    # report keeps u's and v's beta through top and gamma through top + 1, as the Hankel
-    # sweep over u's moments mu_0..mu_{2 top + 2} would
-    v_rec = q_rec
-    if q_rec is None:
-        (vbn, vbd), v_gamma = _darboux(w_rec, z1, c_parts).rec._integers()
-        v_rec = RecurrencePair._from_parts((vbn[: top + 1], vbd[: top + 1]), v_gamma)
-    wt = _darboux(w_rec, c, a_parts)
-    wt_rec = wt.rec
-    (tbn, tbd), (tgn, tgd) = wt_rec._integers()
-
-    # u = (x - z2) w~ is the Christoffel step, rows 1.. of the kernel on the pivots d_0 =
-    # beta~_0 - z2, d_1, ... of J(w~) - z2 I (d[n + 1] is d_n); a zero d_n is u's first zero
-    # Hankel determinant, at n
-    d = _pivots(wt_rec, z2, Fraction(tbn[0], tbd[0]) - z2, len(tbn))
-    dn, dd = d
-    step = _darboux(wt_rec, z2, d)
+    # u = (x - z2) w~ is the Christoffel step, rows 1.. of the step at z2 over w~ from k_1 =
+    # d_0 = beta~_0 - z2 (k[n + 1] is d_n); a zero d_n is u's first zero Hankel determinant, at
+    # n. U's diagonal is the down-link W~_n = P_n + b_n P_{n-1}: b_n = q_n = gamma~_n / d_{n-1}
+    step, (dn, dd), b_parts = _darboux(wt.rec, z2, Fraction(tbn[0], tbd[0]) - z2, len(tbn))
     n = step.first_vanishing
     if n is not None and n <= top + 1:
         return Failure("u_not_regular", n - 1)
@@ -226,17 +206,14 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
         ugn, ugd = ugn + [x], ugd + [xd]
     u_rec = RecurrencePair._from_parts((ubn[1 : top + 2], ubd[1 : top + 2]), (ugn, ugd))
 
-    # W~_n = P_n + b_n P_{n-1} is the L factor of J(w~) - z2 I = L U: b_n = gamma~_n / d_{n-1},
-    # d_0..d_top all nonzero here
-    b_parts = _columns([(0, 1)] + [_quotient(tgn[n - 1], tgd[n - 1], dn[n], dd[n])
-                                   for n in range(1, top + 1)])
+    b_parts = tuple(part[: top + 1] for part in b_parts)
     # the report carries each ladder through top as Fractions, None at index 0
     a_seq, b_seq, c_seq = ((None, *map(Fraction, nums[1 : top + 1], dens[1 : top + 1]))
                            for nums, dens in (a_parts, b_parts, c_parts))
 
-    # the Geronimus readings give the up-link and the second-family link; the down-link
-    # W~_n = P_n + b_n P_{n-1} ties w~ to u (and W_n + a_n W_{n-1} to P_n + b_n P_{n-1})
-    n = _connection_break(wt_rec, u_rec, (b_parts,), top)
+    # the Geronimus steps give the up-links; the down-link ties w~ to u (and W_n + a_n W_{n-1}
+    # to P_n + b_n P_{n-1})
+    n = _connection_break(wt.rec, u_rec, (b_parts,), top)
     _certify(n is None, f"down-link identity fails at n={n}")
 
     # the relation composed from the certified ladders, certified on recurrences only: the
@@ -249,7 +226,6 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int,
     _certify(verdict_eq.is_mops, "equation checker rejects the generated family")
     _certify(verdict_ct.is_mops, "constancy checker rejects the generated family")
     (ibn, ibd), (ign, igd) = verdict_eq.induced._integers()
-    (vbn, vbd), (vgn, vgd) = v_rec._integers()
     _certify(
         (ibn[: depth + 1], ibd[: depth + 1]) == (vbn[: depth + 1], vbd[: depth + 1])
         and (ign[:depth], igd[:depth]) == (vgn[:depth], vgd[:depth]),
@@ -339,15 +315,25 @@ class ChebyshevCaseReport:
 
 
 def chebyshev_case(depth: int) -> ChebyshevCaseReport:
+    """The builder over the second-kind Chebyshev functional w at (z1, c, z2) = (-1, 1, 0),
+    with a_1 = -3/2 and c_1 = 1/2, certified through ``depth``: u is a point mass at 1 plus a
+    weighted left multiple of the third kind, v is the fourth kind, and (x - 1) u is not
+    regular although the relation is non-degenerate and (Q_n) is orthogonal. Raises
+    DepthError when depth < 5, and ContractError when a certificate fails: one of the
+    chain's, v's recurrence against the fourth kind, or the functional identity on moments."""
     if depth < 5:
         raise DepthError("chebyshev_case needs depth >= 5")
     # (1 + x) times the fourth-kind weight is the second kind's, so v is of the fourth kind;
     # x w~ = x (w / (x - 1) + M delta_1) is delta_1 - (1/2) x w3 up to normalization
-    fourth_rec = chebyshev_kind(4, depth + 4)
     chain = _spectral_chain(chebyshev_kind(2, depth + 4), -1, 1, 0, Fraction(-3, 2), HALF,
-                            depth, fourth_rec)
+                            depth)
     if isinstance(chain, Failure):
         _certify(False, f"the chain over the second kind fails {chain.condition} at n={chain.n}")
+    # v's step against the fourth kind, beta through top = depth + 2 and gamma through top + 1
+    fourth_rec = chebyshev_kind(4, depth + 4)
+    _certify(chain.v_rec == RecurrencePair._from_parts(
+        *((nums[: depth + 3], dens[: depth + 3]) for nums, dens in fourth_rec._integers())),
+        "v's recurrence differs from the fourth kind")
 
     # u = delta_1 - (ratio / 3) x w3 with w3 of the third kind: orthogonality of P_2
     # fixes ratio = 3/2 at every depth. u (point mass plus third kind) and v (fourth kind)
@@ -440,13 +426,19 @@ class JacobiChainReport(_Chain):
 
 
 def jacobi_chain(params: JacobiParams, a1, c1, depth: int) -> JacobiChainReport:
+    """The builder over the Jacobi functional w of ``params`` at (z1, c, z2) = (-1, 1, -1),
+    with first ladder coefficients a1 and c1, certified through ``depth``: the ladders, the
+    2-3 relation, u's and v's recurrences, both verdicts and the constants of
+    lambda (x - 1) u = (x + 1)^2 v. Raises DepthError when depth < 5. A condition that does
+    not hold for these parameters (a zero mass or pivot, equal ladder coefficients) gives a
+    report whose ``failure`` names it and its index; a failed internal certificate raises
+    ContractError."""
     a1 = as_scalar(a1)
     c1 = as_scalar(c1)
     if depth < 5:
         raise DepthError("jacobi_chain needs depth >= 5")
     head = dict(alpha=params.alpha, beta=params.beta, a1=a1, c1=c1, depth=depth)
-    chain = _spectral_chain(jacobi_recurrence(params, depth + 4), -1, 1, -1, a1, c1, depth,
-                            None)
+    chain = _spectral_chain(jacobi_recurrence(params, depth + 4), -1, 1, -1, a1, c1, depth)
     if isinstance(chain, Failure):
         return JacobiChainReport(failure=chain, **head)
     return JacobiChainReport(failure=None, **head, **vars(chain))

@@ -32,13 +32,14 @@ quotient-difference style forward recursion on the mixed products
 sigma_{k,l} = <u, P_k x^l>; it stops at the first vanishing leading
 principal Hankel determinant and reports how far regularity was certified.
 
-``_pivots`` runs the pivot recursion of J - z I = U L, J the Jacobi matrix of
-a recurrence, and ``_darboux`` reads L U + z I: a Geronimus step (division
-by x - z) or a Christoffel step (multiplication by x - z), with no moment.
-Both read the recurrence's integer parts and give reduced parts, each entry
-reduced as ``fractions`` reduces a sum or product (``rational._sum``,
-``_product``, ``_quotient``), with no Fraction built. ``_connection_break``
-decides P = L R, L unit lower of band width w, by L J_R = J_P L on those parts.
+``_darboux`` is the one spectral step: it factors J - z I = U L, J the Jacobi
+matrix of a recurrence, and multiplies the factors back as L U + z I in one
+pass, a Geronimus step (division by x - z) or a Christoffel step
+(multiplication by x - z), with no moment. It reads the recurrence's integer
+parts and gives reduced parts, each entry reduced as ``fractions`` reduces a
+sum or product (``rational._sum``, ``_product``, ``_quotient``), with no
+Fraction built. ``_connection_break`` decides P = L R, L unit lower of band
+width w, by L J_R = J_P L on those parts.
 """
 
 from __future__ import annotations
@@ -242,47 +243,34 @@ class RecurrencePair(_SequenceModel):
         return "RecurrencePair(beta[{}], gamma[{}])".format(*self._lengths())
 
 
-def _pivots(rec: RecurrencePair, z, first, count: int) -> tuple[list, list]:
-    """The pivots k_1 = first, k_{n+1} = beta_n - z - gamma_n / k_n, read through beta_{count-1}
-    and gamma_{count-1}, as reduced parts (nums, dens) with k_n = nums[n] / dens[n] and the pad
-    k_0 = 0: the pivots of J(rec) - z I = L U when first = beta_0 - z. z and first are rationals
-    (ints or Fractions). The lists stop after their first zero k_n."""
+def _darboux(rec: RecurrencePair, z, first, count: int) -> tuple[RecurrenceReport, tuple, tuple]:
+    """J(rec) - z I = U L and L U + z I, read through beta_{count-1} and gamma_{count-1}: L is
+    unit lower bidiagonal with subdiagonal k_1 = first, k_{n+1} = beta_n - z - q_n, U upper
+    bidiagonal with unit superdiagonal and diagonal q_0 = beta_0 - z - k_1, q_n = gamma_n / k_n
+    (0 past the given gammas). So beta'_n = z + q_n + k_n, gamma'_n = k_n q_{n-1}, and a zero
+    k_n, n <= count, is the first zero gamma'_n past q_0, where the step stops. z and first are
+    rationals. Returns the ``RecurrenceReport`` of L U + z I, k (with the pad k_0 = 0) and q,
+    each as reduced parts (nums, dens). With a free k_1 it is the Geronimus step: sigma with
+    (x - z) sigma = u and first moment 1 / q_0, u of rec with mu_0 = 1. With k_1 = beta_0 - z,
+    q_0 = 0 and rows 1.. are the Christoffel step u = (x - z) f for f of rec (Bueno and
+    Marcellan, Linear Algebra Appl. 384 (2004))."""
     (bn, bd), (gn, gd) = rec._integers()
-    zn, zd = -z.numerator, z.denominator
-    k = [(0, 1), (first.numerator, first.denominator)]
-    for n in range(1, count):
-        kn, kd = k[n]
-        if not kn:
-            break
-        x, xd = _quotient(gn[n - 1], gd[n - 1], kn, kd)
-        k.append(_sum(*_sum(bn[n], bd[n], zn, zd), -x, xd))
-    return _columns(k)
-
-
-def _darboux(rec: RecurrencePair, z, k: tuple) -> RecurrenceReport:
-    """The recurrence of L U + z I from J(rec) - z I = U L, k = (nums, dens) the reduced parts
-    of k_0 = 0, k_1, ..., k_m, a ``_pivots`` list at z: L is unit lower bidiagonal with
-    subdiagonal k_n, U upper bidiagonal with unit superdiagonal and diagonal q_0 = beta_0 - z -
-    k_1, q_n = gamma_n / k_n (a missing gamma_m reads as 0). So beta'_n = z + q_n + k_n,
-    gamma'_n = k_n q_{n-1}, and a zero k_n is the first zero gamma'_n past q_0, where it stops;
-    the recurrence is built from reduced parts. With a free k_1 it is the Geronimus step: sigma
-    with (x - z) sigma = u and first moment 1 / q_0, u of rec with mu_0 = 1. With k_1 =
-    beta_0 - z, q_0 = 0 and rows 1.. are the Christoffel step u = (x - z) f for f of rec (Bueno
-    and Marcellan, Linear Algebra Appl. 384 (2004))."""
-    (bn, bd), (gn, gd) = rec._integers()
-    kn, kd = k
     z = z.numerator, z.denominator
-    q = _sum(*_sum(bn[0], bd[0], -z[0], z[1]), -kn[1], kd[1])
-    beta, gamma, stop = [_sum(*z, *q)], [], None
-    for n in range(1, len(kn)):
-        pivot = kn[n], kd[n]
+    k = [(0, 1), (first.numerator, first.denominator)]
+    q = [_sum(*_sum(bn[0], bd[0], -z[0], z[1]), -k[1][0], k[1][1])]
+    beta, gamma, stop = [_sum(*z, *q[0])], [], None
+    for n in range(1, count + 1):
+        pivot = k[n]
         if not pivot[0]:
             stop = n
             break
-        gamma.append(_product(*pivot, *q))
-        q = _quotient(gn[n - 1], gd[n - 1], *pivot) if n <= len(gn) else (0, 1)
-        beta.append(_sum(*_sum(*z, *q), *pivot))
-    return RecurrenceReport(RecurrencePair._from_parts(_columns(beta), _columns(gamma)), stop)
+        gamma.append(_product(*pivot, *q[n - 1]))
+        q.append(_quotient(gn[n - 1], gd[n - 1], *pivot) if n <= len(gn) else (0, 1))
+        beta.append(_sum(*_sum(*z, *q[n]), *pivot))
+        if n < count:
+            k.append(_sum(*_sum(bn[n], bd[n], -z[0], z[1]), -q[n][0], q[n][1]))
+    report = RecurrenceReport(RecurrencePair._from_parts(_columns(beta), _columns(gamma)), stop)
+    return report, _columns(k), _columns(q)
 
 
 def _connection_break(p_rec: RecurrencePair, r_rec: RecurrencePair, bands: tuple,

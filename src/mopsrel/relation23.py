@@ -35,9 +35,9 @@ those; ``r``, ``s`` and ``t`` are Fraction views built on first use.
 ``compose_ladders`` builds the parts from the parts of its ladders, the
 induced recurrence is built as reduced parts by ``_sequences``,
 ``relation_constants`` computes its closed forms on those parts, and
-``regularity_criterion`` reads P_n(c) off the integer pivots of
-``functional._pivots``. A verdict's JSON form holds its induced recurrence
-as a model leaf, which the command line writes from the parts.
+``regularity_criterion`` reads P_n(c) off the L factor of the spectral
+step ``functional._darboux`` at c. A verdict's JSON form holds its induced
+recurrence as a model leaf, which the command line writes from the parts.
 
 At depth N both checkers read one window, the ``_sequences`` build of every
 derived sequence through N (r, s, t through N + 1, beta and gamma through
@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DepthError, DomainError, FormatError
-from .functional import MomentFunctional, RecurrencePair, _pivots
+from .functional import MomentFunctional, RecurrencePair, _darboux
 from .poly import Polynomial, _combination
 from .rational import (
     _columns,
@@ -659,19 +659,20 @@ def regularity_criterion(
     recurrence of the MOPS (P_n) of u: no P_n (n <= depth) vanishes at c,
     and no index has t_n = r_n (s_{n-1} - r_{n-1}). For a genuinely
     non-degenerate orthogonal pair the booleans agree. P_n(c) is read off
-    the integer pivots of J(rec) - c I (``functional._pivots``), no P_n is built:
+    L's subdiagonal in J(rec) - c I = U L from k_1 = beta_0 - c (the
+    Christoffel step ``functional._darboux`` at c), no P_n is built:
     P_n(c) = (-1)^n k_1 ... k_n, so P_1(c)..P_depth(c) are nonzero exactly
-    when k_1..k_depth are. The indices are compared by cross-multiplying
-    integer parts (``_index_condition``), entry by entry, up to the first
-    equality."""
+    when the step meets no zero k_n, n <= depth. The indices are compared by
+    cross-multiplying integer parts (``_index_condition``), entry by entry,
+    up to the first equality."""
     if depth < 0:
         raise DepthError(f"depth must be >= 0, got {depth}")
     rec.require(depth - 1, depth - 1)
     rel.require(depth if depth >= 2 else 2)
     c = as_scalar(c)
     (bn, bd), _ = rec._integers()
-    # the numerators of k_1..k_depth, or of the pivots up to the first zero
-    no_root = depth == 0 or all(_pivots(rec, c, Fraction(bn[0], bd[0]) - c, depth)[0][1:])
+    no_root = depth == 0 or (
+        _darboux(rec, c, Fraction(bn[0], bd[0]) - c, depth)[0].first_vanishing is None)
     parts = rel._integers()
     no_index = not any(_index_condition(parts, n) for n in range(2, depth + 1))
     return no_root, no_index

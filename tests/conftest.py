@@ -95,7 +95,7 @@ def random_spectral_chain(rng: random.Random, depth: int):
         z1, c, z2, a1, c1 = (Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(5))
         if c in (z1, z2):
             continue
-        chain = _spectral_chain(w_rec, z1, c, z2, a1, c1, depth, None)
+        chain = _spectral_chain(w_rec, z1, c, z2, a1, c1, depth)
         if not isinstance(chain, Failure):
             return chain, (w_rec, z1, c, z2, a1, c1)
 

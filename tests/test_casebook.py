@@ -486,8 +486,9 @@ def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c
     functional identity holds on those moments."""
     lifts = []
     def spied(*args, real=casebook._darboux):
-        lifts.append(real(*args))
-        return lifts[-1]
+        out = real(*args)
+        lifts.append(out[0])
+        return out
     monkeypatch.setattr(casebook, "_darboux", spied)
     report = jacobi_chain(params, a1, c1, depth)
     assert report.ok
@@ -519,22 +520,21 @@ def test_lifted_recurrences_match_the_hankel_recovery(monkeypatch, params, a1, c
 
 @pytest.mark.parametrize(
     "build, firsts",
-    [(lambda: chebyshev_case(6), [(1, Fraction(-3, 2)), (0, None)]),
+    [(lambda: chebyshev_case(6), [(-1, Fraction(1, 2)), (1, Fraction(-3, 2)), (0, None)]),
      (lambda: jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 6),
       [(-1, -5), (1, 3), (-1, None)])],
     ids=["chebyshev", "jacobi-chain"],
 )
-def test_worked_cases_lift_v_only_without_a_second_family(monkeypatch, build, firsts):
-    """The Darboux kernel runs once per ladder the chain reads, told apart by
-    its point z and k_1, and once for u's Christoffel step (k_1 = beta~_0 - z,
-    recorded as None): the Chebyshev case, whose fourth kind stands in for v,
-    lifts w~ alone (a_1 = -3/2); the Jacobi chain lifts v (c_1), then w~
-    (a_1), and both end with u's step."""
+def test_worked_cases_run_the_v_w_tilde_and_u_steps(monkeypatch, build, firsts):
+    """Both worked cases run the same three spectral steps, told apart by the
+    point z and k_1: v at z1 from c_1, w~ at c from a_1, and u's Christoffel
+    step at z2 over w~ (k_1 = beta~_0 - z, recorded as None). No second
+    family stands in for v's step: the Chebyshev case lifts v (c_1 = 1/2)
+    too, and certifies it against the fourth kind afterwards."""
     calls = []
-    def spied(rec, z, k, real=casebook._darboux):
-        k1 = Fraction(k[0][1], k[1][1])  # k is a pair of reduced parts
-        calls.append((z, None if k1 == rec.beta[0] - z else k1))
-        return real(rec, z, k)
+    def spied(rec, z, first, count, real=casebook._darboux):
+        calls.append((z, None if first == rec.beta[0] - z else first))
+        return real(rec, z, first, count)
     monkeypatch.setattr(casebook, "_darboux", spied)
     build()
     assert calls == firsts
@@ -573,7 +573,7 @@ def test_christoffel_step_matches_the_hankel_recovery(beta, gamma, top, pivot, z
     f = moments_from_recurrence(RecurrencePair(beta, gamma), 2 * top + 3)
     expected = recurrence_from_moments(f.left_multiply(Polynomial([-z, 1])))
     rec = RecurrencePair(beta, gamma)
-    step = casebook._darboux(rec, z, casebook._pivots(rec, z, beta[0] - z, top + 2))
+    step, _, _ = casebook._darboux(rec, z, beta[0] - z, top + 2)
     n = step.first_vanishing
     got = RecurrenceReport(RecurrencePair(step.rec.beta[1 : top + 2], step.rec.gamma[1:]),
                            None if n is None else n - 1)
@@ -697,19 +697,22 @@ def test_spectral_chain_up_links_are_ladders(seed, depth):
     neither (the equation checker is their certificate): on random builder
     positives both are 1-2 ladders over w through top = depth + 2, by the
     connection certificate at band width 1, v's as the chain carries it and
-    w~'s as the kernel gives it from the a-ladder."""
-    chain, (w_rec, _, c, _, _, _) = random_spectral_chain(random.Random(seed), depth)
+    w~'s as the kernel gives it from a_1. The chain's b_n are U's diagonal
+    q_n of u's step over that w~."""
+    chain, (w_rec, _, c, z2, a1, _) = random_spectral_chain(random.Random(seed), depth)
     top = depth + 2
     c_parts = ladder_parts(chain.c_seq)
     assert functional._connection_break(chain.v_rec, w_rec, (c_parts,), top) is None
     a_parts = ladder_parts(chain.a_seq)
-    w_tilde = functional._darboux(w_rec, c, a_parts).rec
+    w_tilde = functional._darboux(w_rec, c, a1, top + 1)[0].rec
     assert functional._connection_break(w_tilde, w_rec, (a_parts,), top) is None
+    _, _, q = functional._darboux(w_tilde, z2, w_tilde.beta[0] - z2, len(w_tilde.beta))
+    assert tuple(part[: top + 1] for part in q) == ladder_parts(chain.b_seq)
 
 
 @pytest.mark.parametrize("depth", [6, 40])
 def test_chebyshev_up_link_is_the_fourth_kind_over_the_second(depth):
-    """In the Chebyshev case the fourth kind stands in for v, and lambda_n are
+    """In the Chebyshev case v is of the fourth kind, and lambda_n are
     the builder's c_n: the fourth kind is the 1-2 ladder Q_n = W_n + lambda_n
     W_{n-1} over the second kind through depth + 2, by the connection
     certificate at band width 1, and a bent lambda_5 breaks it at 5."""
@@ -728,7 +731,7 @@ def test_spectral_chain_refuses_c_equal_to_z2():
     refuses the point by name before any work."""
     w_rec = jacobi_recurrence(JacobiParams("1/3", "2/7"), 10)
     with pytest.raises(DomainError, match="c and z2 must differ"):
-        casebook._spectral_chain(w_rec, -1, 2, 2, 3, -5, 6, None)
+        casebook._spectral_chain(w_rec, -1, 2, 2, 3, -5, 6)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -738,15 +741,14 @@ def test_spectral_chain_refuses_a_w_that_is_not_regular(n):
     w and n, whatever step would first have met it. A zero gamma_10, which
     the chain does not read, changes nothing."""
     w_rec = jacobi_recurrence(EDGE_PARAMS, 11)
-    plain = casebook._spectral_chain(w_rec, -1, 1, -1, 3, -5, 6, None)
+    plain = casebook._spectral_chain(w_rec, -1, 1, -1, 3, -5, 6)
     gamma = list(w_rec.gamma)
     gamma[n - 1] = 0
     with pytest.raises(DomainError, match=rf"^w is not regular: its gamma_{n} is zero"):
-        casebook._spectral_chain(RecurrencePair(w_rec.beta, gamma), -1, 1, -1, 3, -5, 6, None)
+        casebook._spectral_chain(RecurrencePair(w_rec.beta, gamma), -1, 1, -1, 3, -5, 6)
     gamma = list(w_rec.gamma)
     gamma[9] = 0
-    unread = casebook._spectral_chain(RecurrencePair(w_rec.beta, gamma), -1, 1, -1, 3, -5, 6,
-                                      None)
+    unread = casebook._spectral_chain(RecurrencePair(w_rec.beta, gamma), -1, 1, -1, 3, -5, 6)
     assert unread == plain
 
 
@@ -769,8 +771,9 @@ def test_spectral_chain_models_are_canonical(seed, depth):
     reports = []
 
     def spied(*args, real=casebook._darboux):
-        reports.append(real(*args))
-        return reports[-1]
+        out = real(*args)
+        reports.append(out[0])
+        return out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(casebook, "_darboux", spied)
@@ -827,21 +830,22 @@ def bump_relation_s(k):
     return wrap
 
 
-def bump_pivots(call, k):
-    """A wrapper for ``_pivots`` that adds 1/7 to entry k of the pivots it
-    returns, as reduced parts, on its ``call``-th call (in the spectral-chain
-    builder: the a-ladder, then the c-ladder, then [0, d_0, d_1, ...], the
-    pivots of u's Christoffel step, whose d_{n-1} the ladder entry b_n
-    divides by)."""
-    def wrap(pivots):
+def bump_factor(call, factor, k):
+    """A wrapper for ``_darboux`` that adds 1/7 to entry k of the factor it
+    returns on its ``call``-th call, L's subdiagonal k ("k") or U's diagonal
+    q ("q"), as reduced parts (in the spectral-chain builder: v's step, whose
+    k is the c-ladder, then w~'s, whose k is the a-ladder, then u's, whose q
+    is the down-link b)."""
+    def wrap(darboux):
         calls = []
         def bent(*args):
-            nums, dens = pivots(*args)
+            out = darboux(*args)
             calls.append(None)
             if len(calls) == call:
+                nums, dens = out[1 if factor == "k" else 2]
                 entry = Fraction(nums[k], dens[k]) + Fraction(1, 7)
                 nums[k], dens[k] = entry.numerator, entry.denominator
-            return nums, dens
+            return out
         return bent
     return wrap
 
@@ -864,20 +868,21 @@ def bump_moment(call, k):
 
 
 def bump_recurrence(call, field, k):
-    """A wrapper for a recovery or lift of a recurrence that adds 1/7 to
-    entry k of the beta or gamma list of the recurrence it returns on its
-    ``call``-th call (in ``jacobi_chain``: ``_darboux`` is called for v, then
-    for w~, then for u, whose entry k is u's entry k - 1)."""
-    def wrap(recover):
+    """A wrapper for ``_darboux`` that adds 1/7 to entry k of the beta or
+    gamma list of the step's recurrence on its ``call``-th call (in
+    ``jacobi_chain``: v's step, then w~'s, then u's, whose entry k is u's
+    entry k - 1)."""
+    def wrap(darboux):
         calls = []
         def bent(*args):
-            report = recover(*args)
+            report, *factors = darboux(*args)
             calls.append(None)
             if len(calls) != call:
-                return report
+                return (report, *factors)
             seqs = {"beta": list(report.rec.beta), "gamma": list(report.rec.gamma)}
             seqs[field][k] += Fraction(1, 7)
-            return dataclasses.replace(report, rec=RecurrencePair(seqs["beta"], seqs["gamma"]))
+            rec = RecurrencePair(seqs["beta"], seqs["gamma"])
+            return (dataclasses.replace(report, rec=rec), *factors)
         return bent
     return wrap
 
@@ -920,18 +925,21 @@ def build_chain():
          "2-3 relation fails as a polynomial identity at n=4"),
         (build_chain, "compose_ladders", bump_relation_s(5),
          "2-3 relation fails as a polynomial identity at n=5"),
-        # wrong ladders of the Chebyshev case: lambda_3 (the builder's c_3), its a_3
-        # (the builder's b_3, through the pivot d_2 it divides by), its b_5 (the
-        # builder's a_5)
-        (build_cheb, "_pivots", bump_pivots(2, 3),
+        # wrong ladders of the Chebyshev case: lambda_3 (the builder's c_3, k_3 of v's
+        # step), its a_3 (the builder's b_3, q_3 of u's step), its b_5 (the builder's
+        # a_5, k_5 of w~'s step)
+        (build_cheb, "_darboux", bump_factor(1, "k", 3),
          "equation checker rejects the generated family"),
-        (build_cheb, "_pivots", bump_pivots(3, 3),
+        (build_cheb, "_darboux", bump_factor(3, "q", 3),
          "down-link identity fails at n=3"),
-        (build_cheb, "_pivots", bump_pivots(1, 5),
+        (build_cheb, "_darboux", bump_factor(2, "k", 5),
          "equation checker rejects the generated family"),
         # a second kind with beta_0 = -1/2, where w~ (and v) take no free mass
         (build_cheb, "chebyshev_kind", shift_beta0(2, Fraction(-1, 2)),
          "the chain over the second kind fails w_tilde_mass at n=None"),
+        # a fourth kind with beta_0 moved off v's
+        (build_cheb, "chebyshev_kind", shift_beta0(4, Fraction(1, 7)),
+         "v's recurrence differs from the fourth kind"),
         # wrong moments: of the third-kind part of u, of the fourth kind
         (build_cheb, "jacobi_moments", bump_moment(1, 6),
          "moments recovered from the functional identity differ from the second family's"),
@@ -960,9 +968,10 @@ def test_certificates_fire_on_bent_data(monkeypatch, build, seam, wrap, message)
     """Each bent input is caught by a certificate, with its message and
     index. Both worked cases are chains of one builder. A bent a- or c-ladder
     entry gives a lift that is no ladder over w, and the relation composed
-    from it fails the equation checker; a bent pivot of u's step breaks the
-    down-link at the index of the b_n that divides by it. A bent lift of v
-    meets the induced recurrence of u's relation. u is the Christoffel step
+    from it fails the equation checker; a bent q_n of u's step, the
+    down-link's b_n, breaks the down-link at n. A bent lift of v meets the
+    induced recurrence of u's relation, and a fourth kind bent off the
+    Chebyshev case's v meets the fourth-kind certificate. u is the Christoffel step
     of w~, so the down-link, which any such pair with w~'s gammas obeys, lets
     a bent beta of w~ through to the equation checker. A bent moment of the
     Chebyshev case's u or v meets its moment certificate, and a second kind

@@ -45,7 +45,7 @@ from mopsrel import (
     verify_functional_relation,
 )
 from mopsrel.casebook import _relation_break
-from mopsrel.functional import _connection_break, _darboux, _pivots
+from mopsrel.functional import _connection_break, _darboux
 from mopsrel.poly import _combination
 from mopsrel.rational import _reduce_pairs
 from mopsrel.relation23 import _index_condition
@@ -905,18 +905,18 @@ def ref_pivots(beta, gamma, z, k1, count):
 
 
 def ref_darboux(beta, gamma, z, k):
-    """beta', gamma' and the first zero k_n of L U + z I, term by term in
-    Fractions: q_0 = beta_0 - z - k_1, then gamma'_n = k_n q_{n-1}, q_n =
+    """beta', gamma', U's diagonal [q_0, q_1, ...] and the first zero k_n of L U + z I,
+    term by term in Fractions: q_0 = beta_0 - z - k_1, then gamma'_n = k_n q_{n-1}, q_n =
     gamma_n / k_n (0 past the given gammas) and beta'_n = z + q_n + k_n."""
-    q = beta[0] - z - k[1]
-    out_beta, out_gamma = [z + q], []
+    q = [beta[0] - z - k[1]]
+    out_beta, out_gamma = [z + q[0]], []
     for n in range(1, len(k)):
         if k[n] == 0:
-            return out_beta, out_gamma, n
-        out_gamma.append(k[n] * q)
-        q = gamma[n - 1] / k[n] if n <= len(gamma) else Fraction(0)
-        out_beta.append(z + q + k[n])
-    return out_beta, out_gamma, None
+            return out_beta, out_gamma, q, n
+        out_gamma.append(k[n] * q[n - 1])
+        q.append(gamma[n - 1] / k[n] if n <= len(gamma) else Fraction(0))
+        out_beta.append(z + q[n] + k[n])
+    return out_beta, out_gamma, q, None
 
 
 non_integer = st.one_of(small, shared).filter(lambda v: v.denominator > 1)
@@ -925,12 +925,13 @@ non_integer = st.one_of(small, shared).filter(lambda v: v.denominator > 1)
 @settings(max_examples=120, deadline=None)
 @given(st.data(), st.integers(1, 12))
 def test_pivots_and_darboux_match_fractions(data, count):
-    """``_pivots`` and ``_darboux`` on random recurrences, small and
-    BIG-denominator entries, a non-integer z and k_1 in part of the draws,
-    k_1 = beta_0 - z (the Christoffel reading) in another, and a zero pivot
-    k_m forced by the choice of beta_{m-1} in another: the reduced parts hold
-    exactly the reference values, in lowest terms with k_0 = 0, with the
-    same lengths and the same first vanishing index."""
+    """``_darboux`` on random recurrences, small and BIG-denominator entries,
+    a non-integer z and k_1 in part of the draws, k_1 = beta_0 - z (the
+    Christoffel reading) in another, k_1 = 0 in another, and a zero pivot
+    k_m forced by the choice of beta_{m-1} in another: L's subdiagonal k,
+    U's diagonal q and the recurrence of L U + z I hold exactly the
+    reference values as reduced parts, in lowest terms with k_0 = 0, with
+    the same lengths and the same first vanishing index."""
     beta = data.draw(st.lists(coeff, min_size=count, max_size=count), label="beta")
     gamma = data.draw(st.lists(nonzero, min_size=count - 1, max_size=count), label="gamma")
     z = data.draw(st.one_of(non_integer, coeff), label="z")
@@ -947,11 +948,10 @@ def test_pivots_and_darboux_match_fractions(data, count):
     k = ref_pivots(beta, gamma, z, k1, count)
     if zero is not None:
         assert len(k) <= zero + 1 and k[-1] == 0
-    out_beta, out_gamma, first = ref_darboux(beta, gamma, z, k)
-    rec = RecurrencePair(beta, gamma)
-    pivots = _pivots(rec, z, k1, count)
+    out_beta, out_gamma, q, first = ref_darboux(beta, gamma, z, k)
+    report, pivots, diagonal = _darboux(RecurrencePair(beta, gamma), z, k1, count)
     assert pivots == ladder_parts(k)
-    report = _darboux(rec, z, pivots)
+    assert diagonal == ([v.numerator for v in q], [v.denominator for v in q])
     assert report.first_vanishing == first
     assert report.rec._integers() == tuple(
         ([v.numerator for v in seq], [v.denominator for v in seq])
@@ -1160,7 +1160,7 @@ LADDER13_BENDABLE = {"l1": 1, "l2": 2, "beta": 0, "gamma": 0}
 def test_connection_certificate_at_band_width_2_on_builder_chains(seed, depth, field, data):
     """v = w / (x - z1) of a builder positive has the MOPS Q_n = W_n + c_n
     W_{n-1}. With d_n the pivots of J(w) - z2 I from d_0 = beta_0 - z2, rows
-    1.. of ``_darboux`` on them are the recurrence of the MOPS K of
+    1.. of ``_darboux``'s step on them are the recurrence of the MOPS K of
     (x - z2) w, and W_n = K_n + e_n K_{n-1}, e_n = gamma_n / d_{n-1} (e_0 =
     0). So Q = L_c L_e K is the 1-3 ladder Q_n = K_n + l1_n K_{n-1} + l2_n
     K_{n-2}, l1_n = c_n + e_n and l2_n = c_n e_{n-1}, through top = depth +
@@ -1169,8 +1169,7 @@ def test_connection_certificate_at_band_width_2_on_builder_chains(seed, depth, f
     polynomial identity breaks."""
     chain, (w_rec, _, _, z2, _, _) = random_spectral_chain(random.Random(seed), depth)
     top = depth + 2
-    d = _pivots(w_rec, z2, w_rec.beta[0] - z2, top)
-    step = _darboux(w_rec, z2, d)
+    step, d, _ = _darboux(w_rec, z2, w_rec.beta[0] - z2, top)
     if step.first_vanishing is not None:  # (x - z2) w is not regular through top
         return
     k_rec = RecurrencePair(step.rec.beta[1:], step.rec.gamma[1:])
