@@ -206,7 +206,6 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int):
         ugn, ugd = ugn + [x], ugd + [xd]
     u_rec = RecurrencePair._from_parts((ubn[1 : top + 2], ubd[1 : top + 2]), (ugn, ugd))
 
-    b_parts = tuple(part[: top + 1] for part in b_parts)
     # the report carries each ladder through top as Fractions, None at index 0
     a_seq, b_seq, c_seq = ((None, *map(Fraction, nums[1 : top + 1], dens[1 : top + 1]))
                            for nums, dens in (a_parts, b_parts, c_parts))
@@ -263,7 +262,7 @@ def _report_csv(report, third_name: str, third: tuple) -> list:
         *map(_reduce_pairs, report.verdict_constants.constancy),
     )
     for n in range(report.depth + 1):
-        rows.append([n] + [seq[n] if n < len(seq) else None for seq in columns])
+        rows.append([n] + [seq[n] for seq in columns])
     return rows
 
 

@@ -127,10 +127,6 @@ EXACT_CELL = _Spelling(format_rational, lambda nums, dens: [
 FLOAT_CELL = _Spelling(_float_cell, lambda nums, dens: [
     f"{n}" if d == 1 else float.__repr__(n / d) for n, d in zip(nums, dens)])
 
-# json's spelling of the floats that repr spells otherwise
-FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _record_texts(records, pad: str) -> list:
     """The text of ``json.dumps({"condition": c, "n": n}, indent=2)`` for
     each record (c, n), at the nesting level whose newline and indent is
@@ -154,59 +150,42 @@ def _model_json(model, spell: _Spelling, pad: str) -> str:
 
 def _json_text(node, spell: _Spelling = EXACT_JSON, pad: str = "\n") -> str:
     """The text json's ``dumps`` writes with ``indent=2``, byte for byte,
-    for a tree of dicts with string keys, lists, strings, ints, floats,
-    bools and None; a Fraction in a dict or list is the JSON text
-    ``spell.value`` gives it, a model is written as the object of its
-    ``to_json()`` (``_model_json``), and a Failure record (c, n) as the
-    object {"condition": c, "n": n} would be.
+    for a payload tree: dicts with string keys and lists, whose leaves are
+    strings, ints, bools, None, Fractions, models and Failure records. A
+    Fraction is the JSON text ``spell.value`` gives it, a model is written
+    as the object of its ``to_json()`` (``_model_json``), and a Failure
+    record (c, n) as the object {"condition": c, "n": n} would be. Anything
+    else, a float, a tuple or a scalar root among them, raises TypeError.
     json runs its pure-Python encoder whenever ``indent`` is set; this
     joins strings quoted by its C quoter instead, at about half the cost.
-    Fraction, string and int leaves (not bools), the most common ones, skip
-    the call, and a list of Failure records is written from one template
-    (``_record_texts``)."""
-    if type(node) is Failure:  # a tuple, which would otherwise be a list
+    A scalar leaf is written in its container's pass, with no call, and a
+    list of Failure records from one template (``_record_texts``)."""
+    if type(node) is Failure:  # a tuple, which would otherwise be refused
         return _record_texts((node,), pad)[0]
     if isinstance(node, _SequenceModel):
         return _model_json(node, spell, pad)
-    render = spell.value
-    if isinstance(node, dict):
-        if not node:
-            return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(key) + ": " + (
-                render(value) if type(value) is Fraction
-                else encode_basestring_ascii(value) if type(value) is str
-                else int.__repr__(value) if type(value) is int
-                else _json_text(value, spell, inner)
-            )
-            for key, value in node.items()
-        ]) + pad + "}"
-    if isinstance(node, (list, tuple)):
-        if not node:
-            return "[]"
-        inner = pad + "  "
-        if type(node[0]) is Failure and len(set(map(type, node))) == 1:
-            items = _record_texts(node, inner)
-        else:
-            items = [
-                render(value) if type(value) is Fraction
-                else encode_basestring_ascii(value) if type(value) is str
-                else int.__repr__(value) if type(value) is int
-                else _json_text(value, spell, inner)
-                for value in node
-            ]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(node, str):
-        return encode_basestring_ascii(node)
-    if isinstance(node, int):
-        return "true" if node is True else "false" if node is False else int.__repr__(node)
-    if node is None:
-        return "null"
-    if isinstance(node, float):
-        text = float.__repr__(node)
-        return FLOAT_NAMES.get(text, text)
-    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+    is_dict = isinstance(node, dict)
+    if not is_dict and not isinstance(node, list):
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+    ends = "{}" if is_dict else "[]"
+    if not node:
+        return ends
+    render, inner = spell.value, pad + "  "
+    if not is_dict and type(node[0]) is Failure and len(set(map(type, node))) == 1:
+        items = _record_texts(node, inner)
+    else:
+        items = [
+            render(value) if type(value) is Fraction
+            else encode_basestring_ascii(value) if type(value) is str
+            else int.__repr__(value) if type(value) is int
+            else "null" if value is None else "true" if value is True
+            else "false" if value is False
+            else _json_text(value, spell, inner)
+            for value in (node.values() if is_dict else node)
+        ]
+    if is_dict:
+        items = [encode_basestring_ascii(key) + ": " + item for key, item in zip(node, items)]
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
 def _csv_text(payload, spell: _Spelling) -> str:

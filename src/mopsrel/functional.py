@@ -244,11 +244,13 @@ class RecurrencePair(_SequenceModel):
 
 
 def _darboux(rec: RecurrencePair, z, first, count: int) -> tuple[RecurrenceReport, tuple, tuple]:
-    """J(rec) - z I = U L and L U + z I, read through beta_{count-1} and gamma_{count-1}: L is
+    """J(rec) - z I = U L and L U + z I, read through beta_{count-1} and gamma_count: L is
     unit lower bidiagonal with subdiagonal k_1 = first, k_{n+1} = beta_n - z - q_n, U upper
-    bidiagonal with unit superdiagonal and diagonal q_0 = beta_0 - z - k_1, q_n = gamma_n / k_n
-    (0 past the given gammas). So beta'_n = z + q_n + k_n, gamma'_n = k_n q_{n-1}, and a zero
-    k_n, n <= count, is the first zero gamma'_n past q_0, where the step stops. z and first are
+    bidiagonal with unit superdiagonal and diagonal q_0 = beta_0 - z - k_1, q_n = gamma_n / k_n.
+    So beta'_n = z + q_n + k_n, gamma'_n = k_n q_{n-1}, and a zero k_n, n <= count, is the
+    first zero gamma'_n past q_0, where the step stops. A missing gamma_count is taken as 0; it
+    reaches only q_count and beta'_count, never a pivot, so a caller that reads neither, or
+    whose gamma_count is 0, may pass a recurrence one gamma short. z and first are
     rationals. Returns the ``RecurrenceReport`` of L U + z I, k (with the pad k_0 = 0) and q,
     each as reduced parts (nums, dens). With a free k_1 it is the Geronimus step: sigma with
     (x - z) sigma = u and first moment 1 / q_0, u of rec with mu_0 = 1. With k_1 = beta_0 - z,
@@ -277,16 +279,19 @@ def _connection_break(p_rec: RecurrencePair, r_rec: RecurrencePair, bands: tuple
                       top: int) -> Optional[int]:
     """The first n <= top at which P_n = R_n + sum_j l^(j)_n R_{n-j} fails, or None, reading
     ``p_rec`` and ``r_rec`` through index top - 1; ``bands`` holds the reduced parts (nums, dens)
-    of the subdiagonals l^(1)..l^(w) of a unit lower L at 0..top, 0 below the band. If P = L R
+    of the subdiagonals l^(1)..l^(w) of a unit lower L, 0 below the band, each read at 0..top
+    only (a shorter band is a ``DepthError``); at w = 0 it decides P = R. If P = L R
     through n, P_{n+1} - (L R)_{n+1} is row n of L J_R - J_P L in the R basis, J a Jacobi matrix
     (Kautsky and Golub, Linear Algebra Appl. 52/53 (1983)). Entry (n, n+1) is 1 - 1; (n, n - j),
     j <= w + 1, cross-multiplies l^(j-1)_n gamma^R_{n-j+1} + l^(j)_n beta^R_{n-j} + l^(j+1)_n and
     gamma_n l^(j-1)_{n-1} + beta_n l^(j)_n + l^(j+1)_{n+1}, l^(0) = 1, l^(i) = 0 off the band."""
     p_rec.require(top - 1, top - 1)
     r_rec.require(top - 1, top - 1)
+    if bands and (have := min(len(nums) for nums, _ in bands)) <= top:
+        raise DepthError(f"need every band through index {top}, have {have - 1}")
     w, one, zero = len(bands), (1, 1), (0, 1)  # rows[n + 1][i + 1] is l^(i)_n; row -1 is 0
-    rows = [(zero,) * (w + 4)] + [(zero, one, *col, zero, zero)
-                                  for col in zip(*(zip(*band) for band in bands))]
+    rows = [(zero,) * (w + 4)] + [(zero, one, *col, zero, zero) for *col, _ in
+                                  zip(*(zip(*band) for band in bands), range(top + 1))]
     (bP, gP), (bR, gR) = ([list(zip(*part)) for part in rec._integers()] for rec in (p_rec, r_rec))
     gP, gR = [zero, *gP], [*gR, zero]  # gP[n] is gamma_n, gR[m] gamma^R_{m+1}
     for n, (prev, row, nxt, g, b) in enumerate(zip(rows, rows[1:], rows[2:], gP, bP)):

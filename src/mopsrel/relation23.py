@@ -455,14 +455,15 @@ def _constancy(depth: int, built):
     """A_n, B_n (3 <= n < depth) and C_n (3 <= n <= depth) from a
     ``_sequences`` build through depth, as unreduced (numerator, denominator
     > 0) pairs, None elsewhere. A_n and B_n read a_{n+1}; C_n reads the build
-    through n, as r_{n+1} cancels against bt_n = r_{n+1} - r_n - z_n."""
+    through n, as r_{n+1} cancels against bt_n = r_{n+1} - r_n - z_n. It
+    divides by r_n (3 <= n <= depth) and t_{n+1} (3 <= n < depth), which its
+    callers have found nonzero: ``classify`` and ``_prelude`` for the
+    checkers, a scan in ``constant_sequences``."""
     (btn, btd), (gtn, gtd), (a, _, _, _), parts = built
     (rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd) = parts
     A, B, C = ([None] * (depth + 1) for _ in range(3))
     lcm = math.lcm
     for n in range(3, depth + 1):
-        if not rn[n]:
-            raise DomainError(f"r_{n} = 0: constancy expressions undefined")
         # C_n = bt_n - r_{n+1} - gt_n / r_n
         d1, d3 = btd[n], gtd[n - 1] * rn[n]
         L = lcm(d1, rd[n + 1], d3)
@@ -470,8 +471,6 @@ def _constancy(depth: int, built):
                 - gtn[n - 1] * rd[n] * (L // d3), L)
         if n == depth:
             break
-        if not tn[n + 1]:
-            raise DomainError(f"t_{n + 1} = 0: constancy expressions undefined")
         # ratio = a_{n+1} / t_{n+1} = p / q
         p, q = a[n + 1]
         p, q = p * td[n + 1], q * tn[n + 1]
@@ -506,6 +505,12 @@ def constant_sequences(
     if depth < 4:
         raise DepthError("constant sequences need depth >= 4")
     built = _sequences(rec, rel, depth)
+    (r, _), _, (t, _) = built[3][:3]
+    for n in range(3, depth + 1):  # the zeros that _prelude refuses for the checkers
+        if not r[n]:
+            raise DomainError(f"r_{n} = 0: constancy expressions undefined")
+        if n < depth and not t[n + 1]:
+            raise DomainError(f"t_{n + 1} = 0: constancy expressions undefined")
     return tuple(map(_reduce_pairs, _constancy(depth, built)))
 
 

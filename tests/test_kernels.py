@@ -28,6 +28,7 @@ from mopsrel import (
     RelationTag,
     auxiliary_sequences,
     chebyshev_case,
+    chebyshev_kind,
     check_both,
     check_by_constants,
     check_by_equations,
@@ -1190,6 +1191,85 @@ def test_connection_certificate_at_band_width_2_on_builder_chains(seed, depth, f
     expected = polynomial_ladder_break(k_rec, q_rec, [l1, l2], top)
     assert expected is not None
     assert _connection_break(q_rec, k_rec, (ladder_parts(l1), ladder_parts(l2)), top) == expected
+
+
+def forced_ladder(lower, width, draws, top):
+    """An upper recurrence and the subdiagonals [unused, l_1, ..., l_top] of
+    a unit lower L of band width 0, 1 or 2 with P = L R through top (R the
+    lower family, P the upper), or None where a forced k vanishes: P = R;
+    the ladder of ``forced_k`` from draws[0], draws[1]; or that ladder M
+    followed by the forced ladder P_n = M_n + k'_n M_{n-1} from draws[2],
+    draws[3], so l1_n = k_n + k'_n and l2_n = k'_n k_{n-1} (k_0 = 0)."""
+    bands, upper = [], lower
+    for k1, k2 in zip(draws[: 2 * width : 2], draws[1 : 2 * width : 2]):
+        k = forced_k(upper, k1, k2, top)
+        if k is None:
+            return None
+        bands.append(k)
+        upper = lemma_upper(upper, k, top)
+    if width == 2:
+        k, kk = bands
+        bands = [[None] + [k[n] + kk[n] for n in range(1, top + 1)],
+                 [None, Fraction(0)] + [kk[n] * k[n - 1] for n in range(2, top + 1)]]
+    return upper, bands
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 2), st.integers(2, 10))
+def test_connection_certificate_reads_each_band_at_0_to_top(data, width, top):
+    """At band widths 0, 1 and 2 a forced ladder, bent in one entry of a band
+    or of the upper recurrence (or not at all), fails first where the
+    polynomial identity does, the same with every band and both recurrences
+    extended past top by arbitrary entries; a band cut to top entries is
+    refused."""
+    lower = RecurrencePair(
+        data.draw(st.lists(coeff, min_size=top, max_size=top)),
+        data.draw(st.lists(nonzero, min_size=top - 1, max_size=top - 1)),
+    )
+    built = forced_ladder(lower, width, data.draw(st.lists(nonzero, min_size=4, max_size=4)), top)
+    if built is None:
+        return
+    upper, bands = built
+    beta, gamma = list(upper.beta), list(upper.gamma)
+    fields = {**{f"l{j}": band for j, band in enumerate(bands, 1)}, "beta": beta, "gamma": gamma}
+    field = data.draw(st.sampled_from(["none", *fields]))
+    if field != "none":
+        # l^(j)_n is bendable from n = j, beta'_n through top - 1, gamma'_{i+1} through i = top - 2
+        first = int(field[1:]) if field.startswith("l") else 0
+        last = {"beta": top - 1, "gamma": top - 2}.get(field, top)
+        fields[field][data.draw(st.integers(first, last))] += Fraction(1, 7)
+        upper = RecurrencePair(beta, gamma)
+    expected = polynomial_ladder_break(lower, upper, bands, top)
+    assert _connection_break(upper, lower, tuple(map(ladder_parts, bands)), top) == expected
+    extra = st.lists(coeff, min_size=1, max_size=3)
+    longer = tuple(ladder_parts(band + data.draw(extra)) for band in bands)
+    upper, lower = (RecurrencePair(rec.beta + tuple(data.draw(extra)),
+                                   rec.gamma + tuple(data.draw(extra))) for rec in (upper, lower))
+    assert _connection_break(upper, lower, longer, top) == expected
+    if width:
+        cut = data.draw(st.integers(0, width - 1))
+        short = tuple(tuple(part[:top] for part in band) if j == cut else band
+                      for j, band in enumerate(longer))
+        with pytest.raises(DepthError, match=f"through index {top}, have {top - 1}"):
+            _connection_break(upper, lower, short, top)
+
+
+def test_connection_certificate_at_band_width_0_decides_equal_recurrences():
+    """With no band the certificate decides P = R: the second and fourth
+    Chebyshev kinds differ at beta_0, so P_1 != R_1, and a kind equals
+    itself. On the Chebyshev lambda-ladder (the fourth kind over the second)
+    at top 10, a bent lambda_10 breaks the ladder at 10, and the band cut
+    to lambda_0..lambda_9 is refused rather than read through 9."""
+    second, fourth = chebyshev_kind(2, 12), chebyshev_kind(4, 12)
+    assert _connection_break(second, fourth, (), 10) == 1
+    assert _connection_break(second, second, (), 10) is None
+    lam = list(chebyshev_case(10).lambda_seq)
+    assert _connection_break(fourth, second, (ladder_parts(lam),), 10) is None
+    lam[10] += Fraction(1, 7)
+    band = ladder_parts(lam)
+    assert _connection_break(fourth, second, (band,), 10) == 10
+    with pytest.raises(DepthError):
+        _connection_break(fourth, second, (tuple(part[:10] for part in band),), 10)
 
 
 def random_composition(data, top, equal_prefix=0):
