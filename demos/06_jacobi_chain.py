@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from mopsrel import (
     JacobiParams,
+    compose_ladders,
     half_case_closed_forms,
     jacobi_chain,
     jacobi_recurrence,
@@ -36,6 +37,10 @@ a, b = half_case_closed_forms(2, 8)
 assert a[1:9] == list(case.a_seq[1:9])
 assert b[1:9] == list(case.b_seq[1:9])
 print("closed forms for a_n, b_n match the recursion")
+# the 2-3 relation is the composition of the ladders P_n + b_n P_{n-1} = W_n + a_n W_{n-1}
+# and Q_n = W_n + c_n W_{n-1} over the family W of w
+assert compose_ladders(case.b_seq, case.a_seq, case.c_seq) == case.rel
+print("the 2-3 relation is the composition of the ladders")
 
 fr = case.constants
 print(f"functional identity: {fr.lam} (x - {fr.c}) u = (x^2 + {fr.a} x + {fr.b}) v")

@@ -25,19 +25,21 @@ Chebyshev report keeps the case's constants, the point-mass ratio and the
 empty report of (x - 1) u, on the class.
 
 The chain runs on integer parts. The ladders a_n, b_n, c_n and every
-recurrence and relation it builds are reduced (numerators, denominators)
-pairs, each entry reduced as ``fractions`` reduces a sum or a product
-(``rational._sum``, ``_product``, ``_quotient``), and a Fraction is built
-only for a value the report carries, once: the ladders here, the models'
-entries when their Fraction views are read (the ``to_csv()`` table does;
-``to_json()`` puts the models themselves in the tree).
+recurrence and relation it builds (``relation23._compose_ladders`` composes
+the ladders' parts) are reduced (numerators, denominators) pairs, each entry
+reduced as ``fractions`` reduces a sum or a product (``rational._sum``,
+``_product``, ``_quotient``). A Fraction is built only for a value the
+report carries, once: the ladders here, and the models' entries when their
+Fraction views are read, which no builder does (the ``to_csv()`` table
+does; ``to_json()`` puts the models themselves in the tree).
 
 Every identity asserted here is certified by exact computation, in time
 linear in the depth and without building a polynomial family: the down-link
 W~ = L P, L unit lower bidiagonal with subdiagonal b_n, as L J(u) = J(w~) L
 (``functional._connection_break``), the 2-3 identity on the ladders of its
-composition (``_relation_break``), both on those parts, and the induced
-recurrence against v's on parts. An internal mismatch raises ContractError
+composition (``_relation_break``), both as the checkers decide theirs, by
+cross-multiplying unreduced pairs with no gcd, and the induced recurrence
+against v's on parts. An internal mismatch raises ContractError
 naming the first violated identity. The Chebyshev case also certifies v's
 recurrence against the fourth kind, and the functional identity on moments
 from the Pearson equation (``jacobi_moments``), in time linear in the depth.
@@ -59,16 +61,16 @@ from .families import (
 )
 from .functional import RecurrencePair, RecurrenceReport, _connection_break, _darboux
 from .poly import Polynomial
-from .rational import _product, _quotient, _reduce_pairs, _sum, as_scalar
+from .rational import _product, _quotient, _reduce_pairs, as_scalar
 from .relation23 import (
     Failure,
     FunctionalRelation,
     InverseVerdict,
     Relation23,
     RelationTag,
+    _compose_ladders,
     _index_condition,
     check_both,
-    compose_ladders,
     regularity_criterion,
     relation_constants,
     v_moments_from_relation,
@@ -89,8 +91,10 @@ def _relation_break(rel: Relation23, a: tuple, b: tuple, l: tuple) -> Optional[i
     (nums, dens) of a_0 = 0, a_1, ... With e_n = s_n - a_n, g_n = r_n l_{n-1} - e_n b_{n-1}
     and f_n = t_n - e_n a_{n-1}, Q's side less P's is (l_n + r_n - b_n - e_n) R_{n-1}
     + g_n R_{n-2} - f_n P_{n-2}: zero exactly when l_n + r_n = b_n + e_n,
-    g_n = f_n, and f_n = 0 or P_{n-2} = R_{n-2}. It reads r, s, t as given,
-    so it checks ``compose_ladders`` instead of restating it."""
+    g_n = f_n, and f_n = 0 or P_{n-2} = R_{n-2}. e_n and f_n are unreduced pairs and each
+    equality is decided by cross-multiplying its two sides, as the checkers decide theirs:
+    no gcd runs. It reads r, s, t as given, so it checks ``compose_ladders`` instead of
+    restating it."""
     top = rel.max_index
     (r, rd), (s, sd), (t, td) = rel._integers()  # t_1 = 0 multiplies no P_{-1}
     (an, ad), (bn, bd), (ln, ld) = a, b, l
@@ -99,15 +103,18 @@ def _relation_break(rel: Relation23, a: tuple, b: tuple, l: tuple) -> Optional[i
     for m in range(1, top + 1):
         same.append(an[m] == bn[m] and ad[m] == bd[m] and (not an[m] or same[-1]))
     for n in range(1, top + 1):
-        e = _sum(s[n], sd[n], -an[n], ad[n])
-        en, ed = _product(*e, an[n - 1], ad[n - 1])
-        f = _sum(t[n], td[n], -en, ed)
-        if _sum(*_sum(ln[n], ld[n], r[n], rd[n]), -bn[n], bd[n]) != e:
+        e, ed = s[n] * ad[n] - an[n] * sd[n], sd[n] * ad[n]
+        # l_n + r_n - b_n = e_n
+        x, xd = ln[n] * rd[n] + r[n] * ld[n], ld[n] * rd[n]
+        if (x * bd[n] - bn[n] * xd) * ed != e * xd * bd[n]:
             return n
-        x, xd = _product(*e, bn[n - 1], bd[n - 1])
-        if _sum(*_product(r[n], rd[n], ln[n - 1], ld[n - 1]), -x, xd) != f:
+        # r_n l_{n-1} - e_n b_{n-1} = f_n, f_n = t_n - e_n a_{n-1}
+        f, fd = t[n] * ed * ad[n - 1] - e * an[n - 1] * td[n], td[n] * ed * ad[n - 1]
+        x, xd = r[n] * ln[n - 1], rd[n] * ld[n - 1]
+        y, yd = e * bn[n - 1], ed * bd[n - 1]
+        if (x * yd - y * xd) * fd != f * xd * yd:
             return n
-        if f[0] and not same[n - 2]:  # f_1 = 0
+        if f and not same[n - 2]:  # f_1 = 0
             return n
     return None
 
@@ -206,9 +213,10 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int):
         ugn, ugd = ugn + [x], ugd + [xd]
     u_rec = RecurrencePair._from_parts((ubn[1 : top + 2], ubd[1 : top + 2]), (ugn, ugd))
 
-    # the report carries each ladder through top as Fractions, None at index 0
-    a_seq, b_seq, c_seq = ((None, *map(Fraction, nums[1 : top + 1], dens[1 : top + 1]))
-                           for nums, dens in (a_parts, b_parts, c_parts))
+    # each ladder through top, as parts and, for the report, as Fractions with None at index 0
+    a_parts, b_parts, c_parts = ladders = [(nums[: top + 1], dens[: top + 1])
+                                           for nums, dens in (a_parts, b_parts, c_parts)]
+    a_seq, b_seq, c_seq = ((None, *map(Fraction, nums[1:], dens[1:])) for nums, dens in ladders)
 
     # the Geronimus steps give the up-links; the down-link ties w~ to u (and W_n + a_n W_{n-1}
     # to P_n + b_n P_{n-1})
@@ -218,7 +226,7 @@ def _spectral_chain(w_rec: RecurrencePair, z1, c, z2, a1, c1, depth: int):
     # the relation composed from the certified ladders, certified on recurrences only: the
     # 2-3 identity, both checkers' verdicts, the induced recurrence against the second
     # family and the constancy triple against the closed-form constants
-    rel = compose_ladders(b_seq, a_seq, c_seq)
+    rel = _compose_ladders(b_parts, a_parts, c_parts)
     n = _relation_break(rel, b_parts, a_parts, c_parts)
     _certify(n is None, f"2-3 relation fails as a polynomial identity at n={n}")
     _, verdict_eq, verdict_ct = check_both(u_rec, rel, depth)
@@ -344,8 +352,8 @@ def chebyshev_case(depth: int) -> ChebyshevCaseReport:
     w3 = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[3]), 2 * depth + 7)
     u = w3.left_multiply(Polynomial([0, -HALF])).add_point_mass(1, 1).normalized()
     v = jacobi_moments(JacobiParams(*_CHEBYSHEV_PARAMS[4]), u.depth)
-    recovered = v_moments_from_relation(u, chain.constants,
-                                        chain.verdict_equations.induced.beta[0])
+    (ibn, ibd), _ = chain.verdict_equations.induced._integers()
+    recovered = v_moments_from_relation(u, chain.constants, Fraction(ibn[0], ibd[0]))
     _certify(
         recovered == v,
         "moments recovered from the functional identity differ from the second family's",

@@ -39,7 +39,8 @@ pass, a Geronimus step (division by x - z) or a Christoffel step
 parts and gives reduced parts, each entry reduced as ``fractions`` reduces a
 sum or product (``rational._sum``, ``_product``, ``_quotient``), with no
 Fraction built. ``_connection_break`` decides P = L R, L unit lower of band
-width w, by L J_R = J_P L on those parts.
+width w, by L J_R = J_P L on those parts, each entry's two sides formed as
+unreduced pairs and cross-multiplied, with no gcd.
 """
 
 from __future__ import annotations
@@ -248,14 +249,16 @@ def _darboux(rec: RecurrencePair, z, first, count: int) -> tuple[RecurrenceRepor
     unit lower bidiagonal with subdiagonal k_1 = first, k_{n+1} = beta_n - z - q_n, U upper
     bidiagonal with unit superdiagonal and diagonal q_0 = beta_0 - z - k_1, q_n = gamma_n / k_n.
     So beta'_n = z + q_n + k_n, gamma'_n = k_n q_{n-1}, and a zero k_n, n <= count, is the
-    first zero gamma'_n past q_0, where the step stops. A missing gamma_count is taken as 0; it
-    reaches only q_count and beta'_count, never a pivot, so a caller that reads neither, or
-    whose gamma_count is 0, may pass a recurrence one gamma short. z and first are
-    rationals. Returns the ``RecurrenceReport`` of L U + z I, k (with the pad k_0 = 0) and q,
-    each as reduced parts (nums, dens). With a free k_1 it is the Geronimus step: sigma with
-    (x - z) sigma = u and first moment 1 / q_0, u of rec with mu_0 = 1. With k_1 = beta_0 - z,
-    q_0 = 0 and rows 1.. are the Christoffel step u = (x - z) f for f of rec (Bueno and
-    Marcellan, Linear Algebra Appl. 384 (2004))."""
+    first zero gamma'_n past q_0, where the step stops. beta and gamma through count - 1 are
+    required (``DepthError``). A missing gamma_count is taken as 0; it reaches only q_count and
+    beta'_count, never a pivot, so a caller that reads neither, or whose gamma_count is 0, may
+    pass a recurrence one gamma short. z and first are rationals. Returns the
+    ``RecurrenceReport`` of L U + z I, k (with the pad k_0 = 0) and q, each as reduced parts
+    (nums, dens). With a free k_1 it is the Geronimus step: sigma with (x - z) sigma = u and
+    first moment 1 / q_0, u of rec with mu_0 = 1. With k_1 = beta_0 - z, q_0 = 0 and rows 1..
+    are the Christoffel step u = (x - z) f for f of rec (Bueno and Marcellan, Linear Algebra
+    Appl. 384 (2004))."""
+    rec.require(count - 1, count - 1)
     (bn, bd), (gn, gd) = rec._integers()
     z = z.numerator, z.denominator
     k = [(0, 1), (first.numerator, first.denominator)]
@@ -283,8 +286,9 @@ def _connection_break(p_rec: RecurrencePair, r_rec: RecurrencePair, bands: tuple
     only (a shorter band is a ``DepthError``); at w = 0 it decides P = R. If P = L R
     through n, P_{n+1} - (L R)_{n+1} is row n of L J_R - J_P L in the R basis, J a Jacobi matrix
     (Kautsky and Golub, Linear Algebra Appl. 52/53 (1983)). Entry (n, n+1) is 1 - 1; (n, n - j),
-    j <= w + 1, cross-multiplies l^(j-1)_n gamma^R_{n-j+1} + l^(j)_n beta^R_{n-j} + l^(j+1)_n and
-    gamma_n l^(j-1)_{n-1} + beta_n l^(j)_n + l^(j+1)_{n+1}, l^(0) = 1, l^(i) = 0 off the band."""
+    j <= w + 1, forms l^(j-1)_n gamma^R_{n-j+1} + l^(j)_n beta^R_{n-j} + l^(j+1)_n and
+    gamma_n l^(j-1)_{n-1} + beta_n l^(j)_n + l^(j+1)_{n+1} (l^(0) = 1, l^(i) = 0 off the band)
+    as unreduced pairs and cross-multiplies them: no gcd runs."""
     p_rec.require(top - 1, top - 1)
     r_rec.require(top - 1, top - 1)
     if bands and (have := min(len(nums) for nums, _ in bands)) <= top:
@@ -294,23 +298,24 @@ def _connection_break(p_rec: RecurrencePair, r_rec: RecurrencePair, bands: tuple
                                   zip(*(zip(*band) for band in bands), range(top + 1))]
     (bP, gP), (bR, gR) = ([list(zip(*part)) for part in rec._integers()] for rec in (p_rec, r_rec))
     gP, gR = [zero, *gP], [*gR, zero]  # gP[n] is gamma_n, gR[m] gamma^R_{m+1}
-    for n, (prev, row, nxt, g, b) in enumerate(zip(rows, rows[1:], rows[2:], gP, bP)):
+    for n, (prev, row, nxt, (gn, gd), (bn, bd)) in enumerate(zip(rows, rows[1:], rows[2:], gP, bP)):
         for j in range(min(n, w + 1) + 1):
-            x, xd = _side(row[j], gR[n - j], row[j + 1], bR[n - j], row[j + 2])
-            y, yd = _side(g, prev[j], b, row[j + 1], nxt[j + 2])
+            # the two sides x and y as unreduced pairs, a zero product left out
+            (an, ad), (ln, ld), (x, xd) = row[j : j + 3]
+            (pn, pd), (y, yd) = prev[j], nxt[j + 2]
+            (hn, hd), (cn, cd) = gR[n - j], bR[n - j]
+            if an and hn:
+                x, xd = x * ad * hd + an * hn * xd, xd * ad * hd
+            if gn and pn:
+                y, yd = y * gd * pd + gn * pn * yd, yd * gd * pd
+            if ln:
+                if cn:
+                    x, xd = x * ld * cd + ln * cn * xd, xd * ld * cd
+                if bn:
+                    y, yd = y * bd * ld + bn * ln * yd, yd * bd * ld
             if x * yd != y * xd:
                 return n + 1
     return None
-
-
-def _side(a, x, b, y, c) -> tuple[int, int]:
-    """a x + b y + c of reduced pairs, as one unreduced pair; a zero product is left out."""
-    (an, ad), (xn, xd), (bn, bd), (yn, yd), (num, den) = a, x, b, y, c
-    if an and xn:
-        num, den = num * ad * xd + an * xn * den, den * ad * xd
-    if bn and yn:
-        num, den = num * bd * yd + bn * yn * den, den * bd * yd
-    return num, den
 
 
 def mops_from_recurrence(rec: RecurrencePair, count: int) -> list[Polynomial]:

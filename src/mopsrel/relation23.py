@@ -32,7 +32,8 @@ the non-degeneracy gate is its negation at n = 2.
 A ``Relation23`` holds reduced integer parts, as every ``RecurrencePair``
 does (``rational._SequenceModel``), and everything here that decides reads
 those; ``r``, ``s`` and ``t`` are Fraction views built on first use.
-``compose_ladders`` builds the parts from the parts of its ladders, the
+``compose_ladders`` parses its ladders into parts and composes them by
+``_compose_ladders``, which the casebook calls on its ladders' parts, the
 induced recurrence is built as reduced parts by ``_sequences``,
 ``relation_constants`` computes its closed forms on those parts, and
 ``regularity_criterion`` reads P_n(c) off the L factor of the spectral
@@ -219,11 +220,18 @@ def compose_ladders(a, b, l) -> Relation23:
 
     At n = 1 the identity pins only s_1 - r_1 = a_1 - b_1 + l_1. Nothing
     else depends on the split either (the induced beta~_0 and gamma~_1 see
-    only the difference), so r_1 = 0. Each entry is reduced from the
-    reduced parts of the ladders, and the relation holds those parts.
+    only the difference), so r_1 = 0. The ladders are read as reduced parts
+    and composed by ``_compose_ladders``.
     """
-    # the ladders' reduced parts, with the pad 0 at index 0
-    (an, ad), (bn, bd), (ln, ld) = (_scalar_parts([0, *seq[1:]]) for seq in (a, b, l))
+    return _compose_ladders(*(_scalar_parts([0, *seq[1:]]) for seq in (a, b, l)))
+
+
+def _compose_ladders(a: tuple, b: tuple, l: tuple) -> Relation23:
+    """``compose_ladders`` on the ladders' reduced parts (nums, dens), each
+    read from index 1 (index 0 is a pad): the relation runs through the
+    shortest ladder's last index, and holds parts each reduced from those
+    of the ladders."""
+    (an, ad), (bn, bd), (ln, ld) = a, b, l
     top = min(len(an), len(bn), len(ln)) - 1
     if top < 2:
         raise DepthError("ladder coefficients required through index 2")

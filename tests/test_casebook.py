@@ -819,7 +819,8 @@ def test_chebyshev_case_stays_on_the_moment_vector(monkeypatch):
 
 
 def bump_relation_s(k):
-    """A wrapper for ``compose_ladders`` that adds 1 to s_k."""
+    """A wrapper for ``_compose_ladders``, the core that the builder calls on
+    the ladders' parts, that adds 1 to s_k."""
     def wrap(compose):
         def bent(*ladders):
             rel = compose(*ladders)
@@ -921,9 +922,9 @@ def build_chain():
 @pytest.mark.parametrize(
     "build, seam, wrap, message",
     [
-        (build_cheb, "compose_ladders", bump_relation_s(4),
+        (build_cheb, "_compose_ladders", bump_relation_s(4),
          "2-3 relation fails as a polynomial identity at n=4"),
-        (build_chain, "compose_ladders", bump_relation_s(5),
+        (build_chain, "_compose_ladders", bump_relation_s(5),
          "2-3 relation fails as a polynomial identity at n=5"),
         # wrong ladders of the Chebyshev case: lambda_3 (the builder's c_3, k_3 of v's
         # step), its a_3 (the builder's b_3, q_3 of u's step), its b_5 (the builder's
@@ -1017,6 +1018,18 @@ def test_worked_cases_build_no_polynomial_family(monkeypatch):
     assert chebyshev_case(20).point_mass_ratio == Fraction(3, 2)
     assert jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 20).ok
     assert counts == [] and products == [] and equalities == []
+
+
+def test_worked_cases_build_no_fraction_view_of_their_models():
+    """Each worked case decides every certificate on integer parts and reads
+    beta~_0 from them: no model it reports, the relation, u's and v's (or
+    q's) recurrences and the induced recurrence, has its Fraction view built
+    when the report is returned."""
+    cheb = chebyshev_case(20)
+    chain = jacobi_chain(JacobiParams("1/3", "2/7"), 3, -5, 20)
+    for models in ((cheb.rel, cheb.u_rec, cheb.q_rec, cheb.verdict_equations.induced),
+                   (chain.rel, chain.u_rec, chain.v_rec, chain.verdict_equations.induced)):
+        assert [model._values for model in models] == [None] * 4
 
 
 def test_jacobi_report_declares_its_head_and_inherits_the_chain_fields():

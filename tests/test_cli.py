@@ -611,7 +611,7 @@ def test_example_internal_inconsistency_is_exit_3(monkeypatch, capsys, case):
     stdout and one line naming the failed identity on stderr."""
     from mopsrel import casebook
 
-    real = casebook.compose_ladders
+    real = casebook._compose_ladders
 
     def bent(*ladders):
         rel = real(*ladders)
@@ -619,7 +619,7 @@ def test_example_internal_inconsistency_is_exit_3(monkeypatch, capsys, case):
         s[4] += 1
         return Relation23(rel.r, s, rel.t)
 
-    monkeypatch.setattr(casebook, "compose_ladders", bent)
+    monkeypatch.setattr(casebook, "_compose_ladders", bent)
     code, out, err = run(capsys, ["example", case, "--depth", "6"])
     assert code == 3 and out == ""
     lines = err.splitlines()

@@ -281,3 +281,23 @@ def test_darboux_geronimus_reading_matches_the_hankel_recovery(beta, gamma, top,
         assert back.first_vanishing is None
         assert (RecurrencePair(back.rec.beta[1 : top + 2], back.rec.gamma[1:])
                 == RecurrencePair(beta[: top + 1], gamma[: top + 1]))
+
+
+def test_darboux_requires_beta_and_gamma_through_count_minus_one():
+    """The step reads beta and gamma through count - 1 and takes only a
+    missing gamma_count as 0. On the second kind at z = 2 and k_1 = 1/3,
+    count 5, a recurrence cut to gamma_1..gamma_3 would feed a 0 for gamma_4
+    into the pivot k_5 and give another step; it is refused, as is one cut
+    to beta_0..beta_3. One gamma short, the step differs from the whole
+    recurrence's only in q_5 and beta'_5, which read gamma_5."""
+    second = chebyshev_kind(2, 6)
+    beta, gamma, z, k1 = second.beta, second.gamma, Fraction(2), Fraction(1, 3)
+    with pytest.raises(DepthError, match="need gamma through index 4, have 3"):
+        _darboux(RecurrencePair(beta, gamma[:3]), z, k1, 5)
+    with pytest.raises(DepthError, match="need beta through index 4, have 3"):
+        _darboux(RecurrencePair(beta[:4], gamma), z, k1, 5)
+    whole, k, q = _darboux(RecurrencePair(beta, gamma), z, k1, 5)
+    short, k_short, q_short = _darboux(RecurrencePair(beta, gamma[:4]), z, k1, 5)
+    assert k_short == k and whole.first_vanishing is short.first_vanishing is None
+    assert q_short[0][:5] == q[0][:5] and q_short[0][5] == 0 != q[0][5]
+    assert short.rec.gamma == whole.rec.gamma and short.rec.beta[:5] == whole.rec.beta[:5]

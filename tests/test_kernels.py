@@ -1355,6 +1355,32 @@ def test_23_certificate_with_f_nonzero_decides_by_p_equal_r(data, top, equal):
     assert _relation_break(bent, *map(ladder_parts, (a, b, l))) == expected
 
 
+@pytest.fixture(scope="module")
+def generic_composition():
+    """The generic Jacobi chain at depth 40, whose relation reaches 842
+    bits, with its ladders as the certificate reads them and the MOPS of u
+    (P) and of v (Q) through the relation's last index."""
+    rep = generic_chain(40)
+    top = rep.rel.max_index
+    p, q = (mops_from_recurrence(rec, top + 1) for rec in (rep.u_rec, rep.v_rec))
+    ladders = [ladder_parts(seq) for seq in (rep.b_seq, rep.a_seq, rep.c_seq)]
+    assert polynomial_23_break(rep.rel, p, q) is None
+    assert _relation_break(rep.rel, *ladders) is None
+    return rep.rel, ladders, p, q
+
+
+@pytest.mark.parametrize("field", ["r", "s", "t"])
+@pytest.mark.parametrize("index", [3, 20, 41])
+def test_23_certificate_on_generic_jacobi_data(generic_composition, field, index):
+    """One r, s or t entry of the depth-40 generic chain bent by 1/7: the
+    certificate, which cross-multiplies unreduced pairs of entries near 800
+    bits, fails first where the polynomial identity does, at the bent index."""
+    rel, ladders, p, q = generic_composition
+    bent = bend_relation(rel, [(field, index, Fraction(1, 7))])
+    assert polynomial_23_break(bent, p, q) == index
+    assert _relation_break(bent, *ladders) == index
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(0, 9))
 def test_regularity_criterion_reads_p_at_c_by_the_recurrence(data, depth):
