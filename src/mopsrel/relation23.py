@@ -23,9 +23,10 @@ Two logically independent answers are implemented and should always agree:
 
 Both share a prelude (admission, the induced recurrence, the auxiliary
 sequences, gamma~_n != 0 and ci1-ci3) and differ in the conditions that
-decide; ``check_both`` runs the prelude once for the two. Values only
-compared (b_n, c_n, d_n, A_n, B_n, C_n) stay unreduced integer pairs, and
-each condition is decided by cross-multiplying its two sides. The index
+decide; ``check_both`` runs the prelude once for the two. A value read
+more than once (z_n, a_n, a_{n+1}/t_{n+1}) is reduced once; a sum read once
+keeps its lcm form, and values only compared (b_n, c_n, d_n, A_n, B_n, C_n)
+stay unreduced pairs, each condition decided by cross-multiplication. The index
 condition t_n = r_n (s_{n-1} - r_{n-1}) has one test, ``_index_condition``;
 the non-degeneracy gate is its negation at n = 2.
 
@@ -156,46 +157,31 @@ def classify(rel: Relation23) -> RelationCase:
         return RelationCase(RelationTag.NONDEGENERATE23, {})
     # a degenerate shape reports whole sequences
     r, s, t = rel.r, rel.s, rel.t
-    diff1 = s[1] - r[1]
     m = rel.max_index
+    diff = [s[n] - r[n] for n in range(m + 1)]
+    diff1 = diff[1]
     if not gate:
         if diff1 == 0:
             return RelationCase(RelationTag.TRIVIAL11, {})
-        return RelationCase(
-            RelationTag.TYPE12, {"a": [s[n] - r[n] for n in range(m + 1)]}
-        )
+        return RelationCase(RelationTag.TYPE12, {"a": diff})
     if r[3] == 0:
-        return RelationCase(
-            RelationTag.TYPE13,
-            {
-                "a": [s[n] - r[n] for n in range(m + 1)],
-                "b": [None, None]
-                + [t[n] - r[n] * (s[n - 1] - r[n - 1]) for n in range(2, m + 1)],
-            },
-        )
+        b = [None, None] + [t[n] - r[n] * diff[n - 1] for n in range(2, m + 1)]
+        return RelationCase(RelationTag.TYPE13, {"a": diff, "b": b})
     # t_3 = 0
     if t[2] == s[2] * diff1:
-        return RelationCase(
-            RelationTag.TYPE21, {"c": [r[n] - s[n] for n in range(m + 1)]}
-        )
-    if diff1 != 0:
-        # only c1 - d1 = r1 - s1 is pinned at n = 1; report r1, s1
-        c = [Fraction(0), r[1], r[2] - t[2] / diff1] + list(r[3 : m + 1])
-        d = [Fraction(0), s[1], s[2] - t[2] / diff1] + list(s[3 : m + 1])
-        return RelationCase(RelationTag.TYPE22, {"c": c, "d": d})
-    return RelationCase(
-        RelationTag.TYPE22,
-        {
-            "c": [None, None, None] + list(r[3 : m + 1]),
-            "d": [None, None, None] + list(s[3 : m + 1]),
-        },
-    )
+        return RelationCase(RelationTag.TYPE21, {"c": [-v for v in diff]})
+    # only c1 - d1 = r1 - s1 is pinned at n = 1; report r1, s1 unless it is 0
+    reduced = {}
+    for key, x in (("c", r), ("d", s)):
+        head = [Fraction(0), x[1], x[2] - t[2] / diff1] if diff1 else [None] * 3
+        reduced[key] = head + list(x[3 : m + 1])
+    return RelationCase(RelationTag.TYPE22, reduced)
 
 
 def generate_q(p: list[Polynomial], rel: Relation23) -> list[Polynomial]:
     """Unfold the relation into the family it defines:
     Q_n = P_n + s_n P_{n-1} + t_n P_{n-2} - r_n Q_{n-1}, Q_0 = 1."""
-    count = min(len(p), len(rel.r), len(rel.s), len(rel.t))
+    count = min(len(p), rel.max_index + 1)
     if count == 0:
         raise DepthError("need P_0 and relation index 0")
     r, s, t = rel.r, rel.s, rel.t
@@ -279,31 +265,32 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int):
         c_n  = t_n gamma_{n-2}                                   (n >= 3)
         d_n  = r_n gt_{n-1}                                      (n >= 2)
 
-    bt and gt each come back as reduced parts (numerators, denominators > 0),
-    one gcd an entry, and a_n, which is read many times, as a reduced
-    (numerator, denominator) pair; each of b_n, c_n and d_n, which are only
-    compared, is an unreduced pair. The integer parts of r, s, t, beta and
-    gamma come back last, as (numerators, denominators) pairs in that order,
-    so that the checkers' tails need not take them again."""
+    bt, gt and z (0 <= n <= upto), each read again, come back as reduced
+    parts (numerators, denominators > 0), one gcd an entry, and a_n as a
+    reduced pair; b_n, c_n and d_n, only compared, are unreduced pairs. The
+    integer parts of r, s, t, beta and gamma come back last, as (numerators,
+    denominators) pairs in that order, so the tails need not take them again."""
     if upto < 0:
         raise DepthError("upto must be >= 0")
     rel.require(upto + 1)
     rec.require(upto, upto)
     parts = (*rel._integers(), *rec._integers())
     (r, rd), (s, sd), (t, td), (p, pd), (g, gd) = parts
-    btn: list = []
-    btd: list = []
-    gtn: list = []
-    gtd: list = []
+    btn, btd, gtn, gtd, zns, zds = [], [], [], [], [], []
     a, b, c, d = ([None] * (upto + 1) for _ in range(4))
     lcm, gcd = math.lcm, math.gcd
-    # each sum is taken over L, the lcm of its terms' denominators, written
-    # out term by term: at the sizes of CLI data a call per sum would cost
-    # more than its arithmetic
+    # a sum read once stays over L, the lcm of its terms' denominators,
+    # written out term by term; a value read more than once is reduced once.
+    # Each of z_n + beta_{n-1}, z_n + bt_{n-1}, z_n + beta_{n-2} is first a
+    # pair u over its own lcm m
     for n in range(upto + 1):
         # z_n, then bt_n
         zd = lcm(sd[n + 1], sd[n], pd[n])
         zn = s[n + 1] * (zd // sd[n + 1]) - s[n] * (zd // sd[n]) - p[n] * (zd // pd[n])
+        k = gcd(zn, zd)
+        zn, zd = zn // k, zd // k
+        zns.append(zn)
+        zds.append(zd)
         L = lcm(rd[n + 1], rd[n], zd)
         x = r[n + 1] * (L // rd[n + 1]) - r[n] * (L // rd[n]) - zn * (L // zd)
         k = gcd(x, L)
@@ -311,28 +298,34 @@ def _sequences(rec: RecurrencePair, rel: Relation23, upto: int):
         btd.append(L // k)
         if n == 0:
             continue
-        # a_n, reduced by one gcd since the checkers' tails read it again, then gt_n
+        # a_n, then gt_n
         sn, snd, tn, tnd = s[n], sd[n], t[n], td[n]
-        d1, d2 = snd * zd, snd * pd[n - 1]
-        L = lcm(gd[n - 1], tnd, td[n + 1], d1, d2)
+        m = lcm(zd, pd[n - 1])
+        u = zn * (m // zd) + p[n - 1] * (m // pd[n - 1])
+        d1 = snd * m
+        L = lcm(gd[n - 1], tnd, td[n + 1], d1)
         x = (g[n - 1] * (L // gd[n - 1]) + tn * (L // tnd) - t[n + 1] * (L // td[n + 1])
-             + sn * (zn * (L // d1) + p[n - 1] * (L // d2)))
+             + sn * u * (L // d1))
         k = gcd(x, L)
         an, ad = a[n] = (x // k, L // k)
-        d1, d2 = rd[n] * zd, rd[n] * btd[n - 1]
-        L = lcm(ad, d1, d2)
-        x = an * (L // ad) - r[n] * (zn * (L // d1) + btn[n - 1] * (L // d2))
+        m = lcm(zd, btd[n - 1])
+        u = zn * (m // zd) + btn[n - 1] * (m // btd[n - 1])
+        d1 = rd[n] * m
+        L = lcm(ad, d1)
+        x = an * (L // ad) - r[n] * u * (L // d1)
         k = gcd(x, L)
         gtn.append(x // k)
         gtd.append(L // k)
         if n >= 2:
-            d1, d2, d3 = snd * gd[n - 2], tnd * zd, tnd * pd[n - 2]
-            L = lcm(d1, d2, d3)
-            b[n] = (sn * g[n - 2] * (L // d1) + tn * (zn * (L // d2) + p[n - 2] * (L // d3)), L)
+            m = lcm(zd, pd[n - 2])
+            u = zn * (m // zd) + p[n - 2] * (m // pd[n - 2])
+            d1, d2 = snd * gd[n - 2], tnd * m
+            L = lcm(d1, d2)
+            b[n] = (sn * g[n - 2] * (L // d1) + tn * u * (L // d2), L)
             d[n] = (r[n] * gtn[n - 2], rd[n] * gtd[n - 2])
             if n >= 3:
                 c[n] = (tn * g[n - 3], tnd * gd[n - 3])
-    return (btn, btd), (gtn, gtd), AuxiliarySequences(a, b, c, d), parts
+    return (btn, btd), (gtn, gtd), (zns, zds), AuxiliarySequences(a, b, c, d), parts
 
 
 def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> RecurrencePair:
@@ -345,8 +338,7 @@ def induced_recurrence(rec: RecurrencePair, rel: Relation23, upto: int) -> Recur
 
 def auxiliary_sequences(rec: RecurrencePair, rel: Relation23, upto: int) -> AuxiliarySequences:
     """a_n (n>=1), b_n (n>=2), c_n (n>=3), d_n (n>=2) through ``upto``."""
-    built = _sequences(rec, rel, upto)
-    return AuxiliarySequences(*map(_reduce_pairs, built[2]))
+    return AuxiliarySequences(*map(_reduce_pairs, _sequences(rec, rel, upto)[3]))
 
 
 class Failure(NamedTuple):
@@ -374,17 +366,9 @@ class InverseVerdict:
     constancy: Optional[tuple[list, list, list]] = None
 
     def to_json(self) -> dict:
-        out = {
-            "is_mops": self.is_mops,
-            "failures": list(self.failures),
-            "induced": self.induced,
-        }
-        if self.constants is not None:
-            a_, b_, c_ = self.constants
-            out["constants"] = {"A": a_, "B": b_, "C": c_}
-        else:
-            out["constants"] = None
-        return out
+        constants = None if self.constants is None else dict(zip("ABC", self.constants))
+        return {"is_mops": self.is_mops, "failures": list(self.failures),
+                "induced": self.induced, "constants": constants}
 
 
 def _prelude(rec: RecurrencePair, rel: Relation23, depth: int):
@@ -413,7 +397,7 @@ def _prelude(rec: RecurrencePair, rel: Relation23, depth: int):
         if not t[n]:
             raise DomainError(f"t_{n} = 0: data violates the non-degeneracy hypothesis")
     built = _sequences(rec, rel, depth)
-    bt, gt, (a, b, c, d), _ = built
+    bt, gt, _, (a, b, c, d), _ = built
     induced = RecurrencePair._from_parts(bt, gt)
     failures = []
     if 0 in gt[0]:  # one scan of the numerators decides gamma~_n != 0 for every n
@@ -438,8 +422,8 @@ def _equations_tail(depth: int, induced, built, failures) -> InverseVerdict:
     """The verdict of the coefficient equations eqn1-eqn3, 4 <= n <= depth,
     on top of the prelude's failures."""
     failures = list(failures)
-    a, b, c, d = built[2]
-    (r, rd), (s, sd), (t, td) = built[3][:3]
+    a, b, c, d = built[3]
+    (r, rd), (s, sd), (t, td) = built[4][:3]
     for n in range(4, depth + 1):
         # b_n = a_n s_{n-1}, c_n = a_n t_{n-1}, d_n = a_n r_{n-1} by cross-multiplication
         (an, ad), (bn, bd), (cn, cd), (dn, dd) = a[n], b[n], c[n], d[n]
@@ -462,15 +446,17 @@ def check_by_equations(rec: RecurrencePair, rel: Relation23, depth: int) -> Inve
 def _constancy(depth: int, built):
     """A_n, B_n (3 <= n < depth) and C_n (3 <= n <= depth) from a
     ``_sequences`` build through depth, as unreduced (numerator, denominator
-    > 0) pairs, None elsewhere. A_n and B_n read a_{n+1}; C_n reads the build
-    through n, as r_{n+1} cancels against bt_n = r_{n+1} - r_n - z_n. It
+    > 0) pairs, None elsewhere. A_n and B_n read a_{n+1} / t_{n+1}, reduced,
+    and the build's reduced z_n: A_n = w_n + e_n, where w_n = s_n a_{n+1} /
+    t_{n+1} + z_n is B_n's middle factor and e_n = s_n - beta_{n-1}. C_n
+    reads the build through n, as r_{n+1} cancels against bt_n. It
     divides by r_n (3 <= n <= depth) and t_{n+1} (3 <= n < depth), which its
     callers have found nonzero: ``classify`` and ``_prelude`` for the
     checkers, a scan in ``constant_sequences``."""
-    (btn, btd), (gtn, gtd), (a, _, _, _), parts = built
+    (btn, btd), (gtn, gtd), (zn, zd), (a, _, _, _), parts = built
     (rn, rd), (sn, sd), (tn, td), (bn, bd), (gn, gd) = parts
     A, B, C = ([None] * (depth + 1) for _ in range(3))
-    lcm = math.lcm
+    lcm, gcd = math.lcm, math.gcd
     for n in range(3, depth + 1):
         # C_n = bt_n - r_{n+1} - gt_n / r_n
         d1, d3 = btd[n], gtd[n - 1] * rn[n]
@@ -479,21 +465,22 @@ def _constancy(depth: int, built):
                 - gtn[n - 1] * rd[n] * (L // d3), L)
         if n == depth:
             break
-        # ratio = a_{n+1} / t_{n+1} = p / q
-        p, q = a[n + 1]
-        p, q = p * td[n + 1], q * tn[n + 1]
-        # A_n = s_n ratio - beta_{n-1} - beta_n + s_{n+1}
+        # ratio = a_{n+1} / t_{n+1} = p / q, reduced by the two cross gcds, q > 0
+        (p, q), u, v = a[n + 1], tn[n + 1], td[n + 1]
+        g, h = gcd(p, u), gcd(v, q)
+        p, q = p // g * (v // h), q // h * (u // g)
+        if q < 0:
+            p, q = -p, -q
+        # w_n = s_n ratio + z_n, B_n's middle factor, then A_n = w_n + e_n with
+        # e_n = s_n - beta_{n-1}, since s_{n+1} - beta_n = z_n + s_n
         d1 = sd[n] * q
-        xd = lcm(d1, bd[n - 1], bd[n], sd[n + 1])
-        x = (sn[n] * p * (xd // d1) - bn[n - 1] * (xd // bd[n - 1]) - bn[n] * (xd // bd[n])
-             + sn[n + 1] * (xd // sd[n + 1]))
-        A[n] = (x, xd)
-        # B_n = a_n ratio + e (s_n ratio - beta_n - s_n + s_{n+1}) + t_n - a_n
-        # - gamma_{n-1} with e = s_n - beta_{n-1}; the middle factor is A_n - e
+        wd = lcm(d1, zd[n])
+        w = sn[n] * p * (wd // d1) + zn[n] * (wd // zd[n])
         ed = lcm(sd[n], bd[n - 1])
         e = sn[n] * (ed // sd[n]) - bn[n - 1] * (ed // bd[n - 1])
-        wd = lcm(xd, ed)
-        w = x * (wd // xd) - e * (wd // ed)
+        xd = lcm(wd, ed)
+        A[n] = (w * (xd // wd) + e * (xd // ed), xd)
+        # B_n = a_n ratio + e_n w_n + t_n - a_n - gamma_{n-1}
         an, ad = a[n]
         d1, d2 = ad * q, ed * wd
         L = lcm(d1, d2, td[n], gd[n - 2])
@@ -513,7 +500,7 @@ def constant_sequences(
     if depth < 4:
         raise DepthError("constant sequences need depth >= 4")
     built = _sequences(rec, rel, depth)
-    (r, _), _, (t, _) = built[3][:3]
+    (r, _), _, (t, _) = built[4][:3]
     for n in range(3, depth + 1):  # the zeros that _prelude refuses for the checkers
         if not r[n]:
             raise DomainError(f"r_{n} = 0: constancy expressions undefined")
@@ -527,7 +514,7 @@ def _constants_tail(depth: int, induced, built, failures) -> InverseVerdict:
     and C_n on top of the prelude's failures, from its build through depth."""
     failures = list(failures)
     # t_4 gamma_2 = a_4 t_3 by cross-multiplication
-    (a4, a4d), (t, td), (g, gd) = built[2].a[4], built[3][2], built[3][4]
+    (a4, a4d), (t, td), (g, gd) = built[3].a[4], built[4][2], built[4][4]
     if t[4] * g[1] * a4d * td[3] != a4 * t[3] * td[4] * gd[1]:
         failures.append(Failure("startup", 4))
     A, B, C = constancy = _constancy(depth, built)
@@ -595,7 +582,7 @@ def relation_constants(rec: RecurrencePair, rel: Relation23) -> FunctionalRelati
     reduced pairs of one ``_sequences`` build through 2, reduced as
     ``fractions`` reduces it (``rational._sum``, ``_product``, ``_quotient``);
     only the four results become Fractions."""
-    (btn, btd), (gtn, gtd), _, parts = _sequences(rec, rel, 2)
+    (btn, btd), (gtn, gtd), _, _, parts = _sequences(rec, rel, 2)
     (r, rd), (s, sd), (t, td), (p, pd), (g, gd) = parts
     # the four operations on reduced (numerator, denominator) pairs
     add = lambda x, y: _sum(*x, *y)

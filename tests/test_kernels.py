@@ -799,6 +799,72 @@ def test_checker_conditions_on_bent_large_coefficients_at_depth_40(field):
         assert not eq.is_mops and not ct.is_mops
 
 
+def assert_checkers_match_fractions(rec, rel, depth):
+    """``check_both`` and ``constant_sequences`` against the Fraction
+    references: both failure lists, the constants triple, the induced
+    recurrence and the constancy expressions."""
+    args = (rec.beta, rec.gamma, rel.r, rel.s, rel.t)
+    bt, gt = ref_induced(*args, depth)
+    expected_abc = ref_constancy(*args, depth, bt, gt, ref_auxiliary(*args, depth, gt)[0])
+    failures, triple = ref_constancy_failures(*args, depth)
+    _, eq, ct = check_both(rec, rel, depth)
+    assert [tuple(f) for f in eq.failures] == ref_equation_failures(*args, depth)
+    assert [tuple(f) for f in ct.failures] == failures and ct.constants == triple
+    assert eq.induced == ct.induced == RecurrencePair(bt, gt)
+    assert tuple(_reduce_pairs(seq) for seq in ct.constancy) == expected_abc
+    assert constant_sequences(rec, rel, depth) == expected_abc
+
+
+@pytest.mark.parametrize("bend", [None, ("s", 97), ("beta", 158)], ids=["chain", "s_97", "beta_158"])
+def test_checkers_match_fractions_on_the_generic_chain_at_depth_160(bend):
+    """The generic Jacobi chain at depth 160, whose coefficients reach
+    thousands of bits, as given (every condition met, constants (a, b, c))
+    and with one entry bent by 1 / (2^61 - 1), so both failure lists are
+    long."""
+    rep, depth = generic_chain(160), 160
+    seqs = {"r": list(rep.rel.r), "s": list(rep.rel.s), "t": list(rep.rel.t),
+            "beta": list(rep.u_rec.beta), "gamma": list(rep.u_rec.gamma)}
+    if bend:
+        seqs[bend[0]][bend[1]] += Fraction(1, 2**61 - 1)
+    rec = RecurrencePair(seqs["beta"], seqs["gamma"])
+    rel = Relation23(seqs["r"], seqs["s"], seqs["t"])
+    assert_checkers_match_fractions(rec, rel, depth)
+    if not bend:
+        assert check_by_constants(rec, rel, depth).constants == rep.verdict_constants.constants
+
+
+def ratio_path_instance(seed, depth):
+    """A gated instance whose ratios a_{n+1} / t_{n+1} take the zero and the
+    sign paths of their reduction: t_6, t_7 and t_10 are negative, and
+    gamma_6 and gamma_9 are solved for a_6 = a_9 = 0 (a_6 over t_6 < 0, a_9
+    over t_9 > 0). None if a solved gamma is 0."""
+    rec, rel = gated_instance(random.Random(seed), depth)
+    beta, gamma = list(rec.beta), [None] + list(rec.gamma)
+    r, s, t = list(rel.r), list(rel.s), list(rel.t)
+    t[9] = abs(t[9])
+    for n in (6, 7, 10):
+        t[n] = -abs(t[n])
+    for n in (6, 9):
+        # a_n = gamma_n + t_n - t_{n+1} + s_n (s_{n+1} - s_n - beta_n + beta_{n-1}) = 0
+        gamma[n] = t[n + 1] - t[n] - s[n] * (s[n + 1] - s[n] - beta[n] + beta[n - 1])
+        if not gamma[n]:
+            return None
+    return RecurrencePair(beta, gamma[1:]), Relation23(r, s, t)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_constancy_ratio_zero_and_sign_paths_match_fractions(seed):
+    depth = 12
+    rec, rel = next(filter(None, (ratio_path_instance(seed * 1000 + k, depth)
+                                  for k in range(1000))))
+    args = (rec.beta, rec.gamma, rel.r, rel.s, rel.t)
+    _, gt = ref_induced(*args, depth)
+    a = ref_auxiliary(*args, depth, gt)[0]
+    assert a[6] == a[9] == 0 and a[7] and a[10]
+    assert rel.t[6] < 0 < rel.t[9] and rel.t[7] < 0 and rel.t[10] < 0
+    assert_checkers_match_fractions(rec, rel, depth)
+
+
 def test_constancy_refuses_zero_divisors():
     """t_6 is the last t_{n+1} that A_5 and B_5 divide by at depth 6, and
     r_5 one of the r_n that C_n divides by."""

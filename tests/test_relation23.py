@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -615,7 +616,8 @@ def test_check_both_refuses_short_recurrences_as_the_checkers_do(beta_len, gamma
 def test_each_check_builds_the_sequences_once(monkeypatch, run):
     """One pass of the sequence builder per call, through depth, the one
     window of both checkers, and one build whatever the caller reads: a_n,
-    b_n, d_n (2 <= n <= depth) and c_n (3 <= n <= depth) all present."""
+    b_n, d_n (2 <= n <= depth) and c_n (3 <= n <= depth) all present, and
+    z_n = s_{n+1} - s_n - beta_n (0 <= n <= depth) in lowest terms."""
     import mopsrel.relation23 as relation23
 
     rep = chebyshev_case(10)
@@ -631,9 +633,14 @@ def test_each_check_builds_the_sequences_once(monkeypatch, run):
     monkeypatch.setattr(relation23, "_sequences", counted)
     run(rep.u_rec, rep.rel, 8)
     assert calls == [8]
-    (btn, btd), (gtn, gtd), (a, b, c, d), parts = builds[0]
+    (btn, btd), (gtn, gtd), (zn, zd), (a, b, c, d), parts = builds[0]
     assert list(map(len, (btn, btd, gtn, gtd))) == [9, 9, 8, 8]
     assert parts == (*rep.rel._integers(), *rep.u_rec._integers())
+    s, beta = rep.rel.s, rep.u_rec.beta
+    assert list(map(len, (zn, zd))) == [9, 9]
+    for n, (num, den) in enumerate(zip(zn, zd)):
+        assert den > 0 and math.gcd(num, den) == 1
+        assert Fraction(num, den) == s[n + 1] - s[n] - beta[n]
     for first, seq in ((1, a), (2, b), (3, c), (2, d)):
         assert len(seq) == 9
         assert seq[:first] == [None] * first
